@@ -2,19 +2,13 @@
 // on -http and the ZeroMQ-style task queue on -queue, to which Task
 // Managers (cmd/dlhub-taskmanager) connect.
 //
-// Durability comes in two modes:
-//
-//   - -data-dir: a write-ahead log plus periodic checkpoints
-//     (internal/store). Every publish/deploy/scale/drain/... is fsynced
-//     before the API call returns, so kill -9 at any point loses at
-//     most the single in-flight mutation; boot replays the log tail
-//     over the last checkpoint.
-//   - -snapshot: the legacy whole-state gob, loaded on start and saved
-//     on graceful shutdown (and every -snapshot-every, when set). A
-//     crash between saves loses everything since the last one.
-//
-// A -snapshot directory upgrades in place to a -data-dir: the WAL's
-// checkpoint file is the same repository.gob.
+// Durability is -data-dir: a write-ahead log plus periodic checkpoints
+// (internal/store). Every publish/deploy/scale/drain/... is fsynced
+// before the API call returns, so kill -9 at any point loses at most
+// the single in-flight mutation; boot replays the log tail over the
+// last checkpoint. Without the flag state lives in memory only. (A
+// directory written by the removed -snapshot mode loads as a -data-dir:
+// the checkpoint file is the same repository.gob.)
 //
 // Authentication is off by default (open mode; the X-DLHub-Tenant
 // header may tag tenancy for development). -auth makes bearer tokens
@@ -56,9 +50,7 @@ const (
 func main() {
 	httpAddr := flag.String("http", ":8080", "REST API listen address")
 	queueAddr := flag.String("queue", ":7000", "task queue listen address")
-	snapshotDir := flag.String("snapshot", "", "repository snapshot directory (loaded on start, saved on shutdown; superseded by -data-dir)")
-	snapshotEvery := flag.Duration("snapshot-every", 0, "also save the -snapshot periodically at this interval (0 disables; ignored with -data-dir)")
-	dataDir := flag.String("data-dir", "", "durable store directory: WAL + checkpoints; every mutation survives kill -9 (supersedes -snapshot)")
+	dataDir := flag.String("data-dir", "", "durable store directory: WAL + checkpoints; every mutation survives kill -9")
 	walSync := flag.Bool("wal-sync", true, "fsync the WAL after every record (disable to trade the last few mutations for append latency)")
 	compactEvery := flag.Int("compact-every", 0, "checkpoint + truncate the WAL after this many records (default 4096; negative disables the record trigger)")
 	compactBytes := flag.Int64("compact-bytes", 0, "checkpoint + truncate the WAL once it reaches this many bytes (default 32 MiB; negative disables the byte trigger)")
@@ -72,7 +64,6 @@ func main() {
 	taskRetention := flag.Duration("task-retention", 0, "how long finished async tasks stay queryable before the sweeper deletes them (default 15m, negative retains forever)")
 	tmStaleAfter := flag.Duration("tm-stale-after", 15*time.Second, "drop TMs from routing when no heartbeat arrived within this window, and fail over dispatches stuck on them (default 3x the TM heartbeat interval; 0 disables liveness + failover)")
 	failoverRetries := flag.Int("failover-retries", 0, "re-dispatch budget per run after its TM misses the liveness window (default 2, negative disables; requires -tm-stale-after)")
-	disableV1 := flag.Bool("disable-v1", false, "retire the deprecated v1 API: /api/* (non-v2) routes answer 410 Gone")
 	authOn := flag.Bool("auth", false, "require bearer-token authentication: identities register/login via /api/v2/auth, tenancy follows the token, and the X-DLHub-Tenant header is rejected")
 	authProvider := flag.String("auth-provider", "local", "identity provider name register/login default to (with -auth)")
 	authTokenTTL := flag.Duration("auth-token-ttl", time.Hour, "issued token lifetime (with -auth)")
@@ -80,10 +71,6 @@ func main() {
 
 	var wal *store.WAL
 	if *dataDir != "" {
-		if *snapshotDir != "" {
-			log.Printf("-snapshot %s ignored: -data-dir %s supersedes it", *snapshotDir, *dataDir)
-			*snapshotDir = ""
-		}
 		var err error
 		wal, err = store.Open(store.Options{
 			Dir:          *dataDir,
@@ -110,7 +97,6 @@ func main() {
 		TaskRetention:     *taskRetention,
 		TMStaleAfter:      *tmStaleAfter,
 		FailoverRetries:   *failoverRetries,
-		DisableV1:         *disableV1,
 	}
 	if wal != nil {
 		cfg.Store = wal
@@ -133,45 +119,13 @@ func main() {
 	ms := core.New(cfg)
 	defer ms.Close()
 
-	switch {
-	case wal != nil:
+	if wal != nil {
 		info, err := ms.Recover()
 		if err != nil {
 			log.Fatalf("recovery from %s: %v", *dataDir, err)
 		}
 		log.Printf("recovered from %s: checkpoint=%v replayed=%d torn_tail_dropped=%v",
 			*dataDir, info.CheckpointLoaded, info.Replayed, info.Truncated)
-	case *snapshotDir != "":
-		if err := ms.LoadSnapshot(*snapshotDir); err != nil {
-			if os.IsNotExist(err) {
-				log.Printf("no snapshot in %s yet; starting empty", *snapshotDir)
-			} else {
-				log.Fatalf("snapshot load: %v", err)
-			}
-		} else {
-			log.Printf("repository restored from %s", *snapshotDir)
-		}
-	}
-
-	// Periodic snapshot for the legacy mode: without it the only save
-	// is the shutdown one, so a crash loses the whole uptime's worth of
-	// mutations instead of one interval's.
-	stopSnapshots := make(chan struct{})
-	if wal == nil && *snapshotDir != "" && *snapshotEvery > 0 {
-		go func() {
-			ticker := time.NewTicker(*snapshotEvery)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stopSnapshots:
-					return
-				case <-ticker.C:
-					if err := ms.SaveSnapshot(*snapshotDir); err != nil {
-						log.Printf("periodic snapshot save failed: %v", err)
-					}
-				}
-			}
-		}()
 	}
 
 	qsrv := queue.NewServer(ms.Broker())
@@ -198,42 +152,29 @@ func main() {
 	}()
 	defer srv.Close()
 
-	apiGen := "v1 + /api/v2"
-	if *disableV1 {
-		apiGen = "/api/v2 only, v1 gone"
-	}
 	authMode := "open (no auth)"
 	if *authOn {
 		authMode = "bearer tokens required (provider " + *authProvider + ")"
 	}
-	fmt.Printf("dlhub-server: REST on %s (%s; %s; health at /api/v2/healthz, /api/v2/readyz), queue on %s\n", hl.Addr(), apiGen, authMode, ql.Addr())
+	fmt.Printf("dlhub-server: REST on %s (/api/v2; %s; health at /api/v2/healthz, /api/v2/readyz), queue on %s\n", hl.Addr(), authMode, ql.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	// Graceful drain: stop accepting, let in-flight requests (and their
-	// contexts) finish, then persist — a clean stop never loses state in
-	// either durability mode.
+	// contexts) finish, then checkpoint.
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("http shutdown: %v", err)
 	}
-	close(stopSnapshots)
-	switch {
-	case wal != nil:
+	if wal != nil {
 		// Fold the WAL tail into a fresh checkpoint so the next boot
 		// restores without replay.
 		if err := ms.Checkpoint(); err != nil {
 			log.Printf("shutdown checkpoint failed (the WAL still has every record): %v", err)
 		} else {
 			log.Printf("checkpoint saved to %s", *dataDir)
-		}
-	case *snapshotDir != "":
-		if err := ms.SaveSnapshot(*snapshotDir); err != nil {
-			log.Printf("snapshot save failed: %v", err)
-		} else {
-			log.Printf("repository saved to %s", *snapshotDir)
 		}
 	}
 	fmt.Println("dlhub-server: shutting down")

@@ -274,7 +274,9 @@ func cmdPublish(args []string) error {
 	servable.RegisterBuiltins()
 
 	c := client(fs)
-	id, err := c.Publish(&st.Document, components)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	id, err := c.Publish(ctx, &st.Document, components)
 	if err != nil {
 		return err
 	}
@@ -284,7 +286,7 @@ func cmdPublish(args []string) error {
 	}
 	fmt.Printf("published %s\n", id)
 	if *deploy > 0 {
-		if err := c.Deploy(id, *deploy, ""); err != nil {
+		if err := c.Deploy(ctx, id, *deploy, ""); err != nil {
 			return err
 		}
 		fmt.Printf("deployed %d replica(s)\n", *deploy)
@@ -361,8 +363,9 @@ func cmdSearch(args []string) error {
 	if fs.NArg() < 1 {
 		return fmt.Errorf("usage: dlhub search [flags] <query>")
 	}
-	c := client(fs)
-	res, err := c.Search(fs.Arg(0), dlhub.SearchOptions{Limit: *limit})
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	res, err := client(fs).Search(ctx, fs.Arg(0), dlhub.SearchOptions{Limit: *limit})
 	if err != nil {
 		return err
 	}
@@ -398,9 +401,9 @@ func cmdStatus(args []string) error {
 	case *wait > 0:
 		waitCtx, cancel := context.WithTimeout(ctx, *wait)
 		defer cancel()
-		st, err = c.WaitTaskCtx(waitCtx, fs.Arg(0))
+		st, err = c.WaitTask(waitCtx, fs.Arg(0))
 	default:
-		st, err = c.StatusCtx(ctx, fs.Arg(0))
+		st, err = c.Status(ctx, fs.Arg(0))
 	}
 	if err != nil {
 		return err

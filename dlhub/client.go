@@ -9,10 +9,9 @@
 //
 // The client speaks the versioned /api/v2 surface: enveloped responses,
 // typed *APIError errors, cursor pagination, idempotency keys, and SSE
-// task streaming. Every operation has a context-accepting form (RunCtx,
-// WaitTaskCtx, StreamTask, …) — cancel the context and the server
-// aborts the dispatch and frees its routing slot. The original
-// context-free methods remain as shims over context.Background().
+// task streaming. Every network method takes a context first — cancel
+// it and the server aborts the dispatch and frees its routing slot; its
+// deadline is the request's timeout.
 package dlhub
 
 import (
@@ -173,12 +172,7 @@ type RunConfig struct {
 
 // Publish uploads a model document plus components, returning the
 // assigned servable ID ("<owner>/<name>").
-func (c *Client) Publish(doc *schema.Document, components map[string][]byte) (string, error) {
-	return c.PublishCtx(context.Background(), doc, components)
-}
-
-// PublishCtx is Publish bounded by ctx.
-func (c *Client) PublishCtx(ctx context.Context, doc *schema.Document, components map[string][]byte) (string, error) {
+func (c *Client) Publish(ctx context.Context, doc *schema.Document, components map[string][]byte) (string, error) {
 	return c.publish(ctx, core.PublishRequest{Document: mustJSON(doc), Components: components}, "")
 }
 
@@ -198,24 +192,19 @@ func (c *Client) publish(ctx context.Context, req core.PublishRequest, idemKey s
 }
 
 // PublishPackage publishes a servable.Package.
-func (c *Client) PublishPackage(pkg *Package) (string, error) {
-	return c.Publish(pkg.Doc, pkg.Components)
+func (c *Client) PublishPackage(ctx context.Context, pkg *Package) (string, error) {
+	return c.Publish(ctx, pkg.Doc, pkg.Components)
 }
 
 // PublishByReference publishes a model whose components live on Globus
 // endpoints ("globus://endpoint/path"); the Management Service
 // downloads them on the caller's behalf (§IV-A).
-func (c *Client) PublishByReference(doc *schema.Document, refs map[string]string) (string, error) {
-	return c.publish(context.Background(), core.PublishRequest{Document: mustJSON(doc), ComponentRefs: refs}, "")
+func (c *Client) PublishByReference(ctx context.Context, doc *schema.Document, refs map[string]string) (string, error) {
+	return c.publish(ctx, core.PublishRequest{Document: mustJSON(doc), ComponentRefs: refs}, "")
 }
 
 // Get fetches a servable's metadata document.
-func (c *Client) Get(id string) (*schema.Document, error) {
-	return c.GetCtx(context.Background(), id)
-}
-
-// GetCtx is Get bounded by ctx.
-func (c *Client) GetCtx(ctx context.Context, id string) (*schema.Document, error) {
+func (c *Client) Get(ctx context.Context, id string) (*schema.Document, error) {
 	var doc schema.Document
 	if err := c.call(ctx, http.MethodGet, "/api/v2/servables/"+id, nil, &doc, ""); err != nil {
 		return nil, err
@@ -224,9 +213,9 @@ func (c *Client) GetCtx(ctx context.Context, id string) (*schema.Document, error
 }
 
 // Dockerfile fetches the rendered build recipe for a servable.
-func (c *Client) Dockerfile(id string) (string, error) {
+func (c *Client) Dockerfile(ctx context.Context, id string) (string, error) {
 	var resp map[string]string
-	if err := c.call(context.Background(), http.MethodGet, "/api/v2/servables/"+id+"/dockerfile", nil, &resp, ""); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/api/v2/servables/"+id+"/dockerfile", nil, &resp, ""); err != nil {
 		return "", err
 	}
 	return resp["dockerfile"], nil
@@ -257,12 +246,7 @@ func (c *Client) ListPage(ctx context.Context, limit int, cursor string) (*Page[
 
 // List returns the IDs of all servables visible to the caller,
 // following pagination cursors to exhaustion.
-func (c *Client) List() ([]string, error) {
-	return c.ListCtx(context.Background())
-}
-
-// ListCtx is List bounded by ctx.
-func (c *Client) ListCtx(ctx context.Context) ([]string, error) {
+func (c *Client) List(ctx context.Context) ([]string, error) {
 	var ids []string
 	cursor := ""
 	for {
@@ -300,12 +284,7 @@ type SearchResult struct {
 }
 
 // Search runs a free-text + fielded query over the repository.
-func (c *Client) Search(freeText string, opts SearchOptions) (*SearchResult, error) {
-	return c.SearchCtx(context.Background(), freeText, opts)
-}
-
-// SearchCtx is Search bounded by ctx.
-func (c *Client) SearchCtx(ctx context.Context, freeText string, opts SearchOptions) (*SearchResult, error) {
+func (c *Client) Search(ctx context.Context, freeText string, opts SearchOptions) (*SearchResult, error) {
 	req := core.SearchRequestV2{
 		SearchRequest: core.SearchRequest{
 			Q:       freeText,
@@ -332,14 +311,9 @@ func (c *Client) SearchCtx(ctx context.Context, freeText string, opts SearchOpti
 
 // --- serving ----------------------------------------------------------------
 
-// Run synchronously invokes a servable.
-func (c *Client) Run(id string, input any) (*RunResult, error) {
-	return c.RunCtx(context.Background(), id, input)
-}
-
-// RunCtx synchronously invokes a servable; cancelling ctx aborts the
+// Run synchronously invokes a servable; cancelling ctx aborts the
 // server-side dispatch and frees its routing slot.
-func (c *Client) RunCtx(ctx context.Context, id string, input any) (*RunResult, error) {
+func (c *Client) Run(ctx context.Context, id string, input any) (*RunResult, error) {
 	return c.RunWith(ctx, id, input, RunConfig{})
 }
 
@@ -366,20 +340,9 @@ func (c *Client) RunIdempotent(ctx context.Context, id string, input any, key st
 	return c.RunWith(ctx, id, input, RunConfig{IdempotencyKey: key})
 }
 
-// RunNoCache synchronously invokes a servable, bypassing the service-
-// layer result cache (TM-side memoization still applies).
-func (c *Client) RunNoCache(id string, input any) (*RunResult, error) {
-	return c.RunWith(context.Background(), id, input, RunConfig{NoCache: true})
-}
-
 // RunBatch synchronously invokes a servable on many inputs at once
 // (DLHub's batching support, §V-B3).
-func (c *Client) RunBatch(id string, inputs []any) (*RunResult, error) {
-	return c.RunBatchCtx(context.Background(), id, inputs)
-}
-
-// RunBatchCtx is RunBatch bounded by ctx.
-func (c *Client) RunBatchCtx(ctx context.Context, id string, inputs []any) (*RunResult, error) {
+func (c *Client) RunBatch(ctx context.Context, id string, inputs []any) (*RunResult, error) {
 	var resp RunResult
 	if err := c.call(ctx, http.MethodPost, "/api/v2/servables/"+id+"/run", core.RunRequest{Inputs: inputs}, &resp, ""); err != nil {
 		return nil, err
@@ -388,14 +351,9 @@ func (c *Client) RunBatchCtx(ctx context.Context, id string, inputs []any) (*Run
 }
 
 // RunAsync starts an asynchronous invocation, returning a task UUID for
-// Status polling or StreamTask (§IV-A).
-func (c *Client) RunAsync(id string, input any) (string, error) {
-	return c.RunAsyncCtx(context.Background(), id, input)
-}
-
-// RunAsyncCtx is RunAsync bounded by ctx (the submission only — the
-// spawned task is detached by design).
-func (c *Client) RunAsyncCtx(ctx context.Context, id string, input any) (string, error) {
+// Status polling or StreamTask (§IV-A). ctx bounds the submission only
+// — the spawned task is detached by design.
+func (c *Client) RunAsync(ctx context.Context, id string, input any) (string, error) {
 	return c.RunAsyncWith(ctx, id, input, RunConfig{})
 }
 
@@ -418,12 +376,7 @@ func (c *Client) RunAsyncWith(ctx context.Context, id string, input any, cfg Run
 }
 
 // Status polls an asynchronous task.
-func (c *Client) Status(taskID string) (*TaskStatus, error) {
-	return c.StatusCtx(context.Background(), taskID)
-}
-
-// StatusCtx is Status bounded by ctx.
-func (c *Client) StatusCtx(ctx context.Context, taskID string) (*TaskStatus, error) {
+func (c *Client) Status(ctx context.Context, taskID string) (*TaskStatus, error) {
 	var resp TaskStatus
 	if err := c.call(ctx, http.MethodGet, "/api/v2/tasks/"+taskID, nil, &resp, ""); err != nil {
 		return nil, err
@@ -440,8 +393,8 @@ type TaskEvent struct {
 
 // StreamTask subscribes to a task's SSE stream and blocks until the
 // task completes, ctx ends, or the stream fails. Each event is passed
-// to onEvent (may be nil); the terminal state is returned. It replaces
-// the v1 poll loop — one request, no polling interval to tune.
+// to onEvent (may be nil); the terminal state is returned. One request,
+// no polling interval to tune.
 func (c *Client) StreamTask(ctx context.Context, taskID string, onEvent func(TaskEvent)) (*TaskStatus, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/api/v2/tasks/"+taskID+"/events", nil)
 	if err != nil {
@@ -492,24 +445,11 @@ func (c *Client) StreamTask(ctx context.Context, taskID string, onEvent func(Tas
 	return nil, fmt.Errorf("dlhub: task stream for %s ended before completion", taskID)
 }
 
-// WaitTask blocks until the task completes or the timeout elapses.
-func (c *Client) WaitTask(taskID string, timeout time.Duration) (*TaskStatus, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	st, err := c.WaitTaskCtx(ctx, taskID)
-	if err != nil && ctx.Err() != nil {
-		// Preserve the old contract: report the last known state.
-		if last, lerr := c.Status(taskID); lerr == nil {
-			return last, fmt.Errorf("dlhub: task %s still pending after %v", taskID, timeout)
-		}
-	}
-	return st, err
-}
-
-// WaitTaskCtx blocks until the task completes or ctx ends, preferring
-// the SSE stream and falling back to polling when streaming is
-// unavailable (e.g. a proxy that buffers event streams).
-func (c *Client) WaitTaskCtx(ctx context.Context, taskID string) (*TaskStatus, error) {
+// WaitTask blocks until the task completes or ctx ends, preferring the
+// SSE stream and falling back to polling when streaming is unavailable
+// (e.g. a proxy that buffers event streams). When ctx ends during the
+// poll fallback the last known state is returned beside ctx's error.
+func (c *Client) WaitTask(ctx context.Context, taskID string) (*TaskStatus, error) {
 	st, err := c.StreamTask(ctx, taskID, nil)
 	if err == nil {
 		return st, nil
@@ -520,7 +460,7 @@ func (c *Client) WaitTaskCtx(ctx context.Context, taskID string) (*TaskStatus, e
 	}
 	// Stream unavailable: degrade to polling.
 	for {
-		st, err := c.StatusCtx(ctx, taskID)
+		st, err := c.Status(ctx, taskID)
 		if err != nil {
 			return nil, err
 		}
@@ -539,12 +479,7 @@ func (c *Client) WaitTaskCtx(ctx context.Context, taskID string) (*TaskStatus, e
 
 // Deploy starts replicas of a published servable on an executor route
 // ("" selects the default Parsl executor).
-func (c *Client) Deploy(id string, replicas int, executorRoute string) error {
-	return c.DeployCtx(context.Background(), id, replicas, executorRoute)
-}
-
-// DeployCtx is Deploy bounded by ctx.
-func (c *Client) DeployCtx(ctx context.Context, id string, replicas int, executorRoute string) error {
+func (c *Client) Deploy(ctx context.Context, id string, replicas int, executorRoute string) error {
 	return c.call(ctx, http.MethodPost, "/api/v2/servables/"+id+"/deploy",
 		core.DeployRequest{Replicas: replicas, Executor: executorRoute}, nil, "")
 }
@@ -558,12 +493,7 @@ func (c *Client) DeployTo(ctx context.Context, id string, replicas int, executor
 }
 
 // Scale adjusts the replica count of a deployed servable.
-func (c *Client) Scale(id string, replicas int, executorRoute string) error {
-	return c.ScaleCtx(context.Background(), id, replicas, executorRoute)
-}
-
-// ScaleCtx is Scale bounded by ctx.
-func (c *Client) ScaleCtx(ctx context.Context, id string, replicas int, executorRoute string) error {
+func (c *Client) Scale(ctx context.Context, id string, replicas int, executorRoute string) error {
 	return c.call(ctx, http.MethodPost, "/api/v2/servables/"+id+"/scale",
 		core.DeployRequest{Replicas: replicas, Executor: executorRoute}, nil, "")
 }
@@ -599,14 +529,14 @@ func (c *Client) Autoscale(ctx context.Context, id string) (*AutoscaleStatus, er
 
 // UpdateVisibility replaces the ACL principal list of a servable — how
 // CANDLE models move from group-restricted to public (§VI-A).
-func (c *Client) UpdateVisibility(id string, visibleTo []string) error {
-	return c.call(context.Background(), http.MethodPatch, "/api/v2/servables/"+id,
+func (c *Client) UpdateVisibility(ctx context.Context, id string, visibleTo []string) error {
+	return c.call(ctx, http.MethodPatch, "/api/v2/servables/"+id,
 		core.UpdateRequest{VisibleTo: visibleTo}, nil, "")
 }
 
 // UpdateDescription replaces a servable's description.
-func (c *Client) UpdateDescription(id, description string) error {
-	return c.call(context.Background(), http.MethodPatch, "/api/v2/servables/"+id,
+func (c *Client) UpdateDescription(ctx context.Context, id, description string) error {
+	return c.call(ctx, http.MethodPatch, "/api/v2/servables/"+id,
 		core.UpdateRequest{Description: &description}, nil, "")
 }
 
@@ -667,31 +597,20 @@ func (c *Client) DeregisterTM(ctx context.Context, tmID string) error {
 
 // CacheStats fetches the Management Service's result-cache counters;
 // enabled reports whether the cache is on at all.
-func (c *Client) CacheStats() (stats CacheStats, enabled bool, err error) {
+func (c *Client) CacheStats(ctx context.Context) (stats CacheStats, enabled bool, err error) {
 	var resp struct {
 		Enabled bool       `json:"enabled"`
 		Stats   CacheStats `json:"stats"`
 	}
-	if err := c.call(context.Background(), http.MethodGet, "/api/v2/cache/stats", nil, &resp, ""); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/api/v2/cache/stats", nil, &resp, ""); err != nil {
 		return CacheStats{}, false, err
 	}
 	return resp.Stats, resp.Enabled, nil
 }
 
 // FlushCache drops every cached result at the Management Service.
-func (c *Client) FlushCache() error {
-	return c.call(context.Background(), http.MethodPost, "/api/v2/cache/flush", struct{}{}, nil, "")
-}
-
-// TaskManagers lists the Task Managers registered with the service.
-func (c *Client) TaskManagers() ([]string, error) {
-	var resp struct {
-		TaskManagers []string `json:"task_managers"`
-	}
-	if err := c.call(context.Background(), http.MethodGet, "/api/v2/tms", nil, &resp, ""); err != nil {
-		return nil, err
-	}
-	return resp.TaskManagers, nil
+func (c *Client) FlushCache(ctx context.Context) error {
+	return c.call(ctx, http.MethodPost, "/api/v2/cache/flush", struct{}{}, nil, "")
 }
 
 // TaskManagerInfo is the operator view of the TM fleet.
@@ -712,31 +631,6 @@ func (c *Client) TaskManagerInfo(ctx context.Context) (*TaskManagerInfo, error) 
 		return nil, err
 	}
 	return &resp, nil
-}
-
-// TaskManagerLoad reports in-flight dispatch counts per registered Task
-// Manager — the signal the service's least-outstanding router uses.
-func (c *Client) TaskManagerLoad() (map[string]int, error) {
-	var resp struct {
-		Load map[string]int `json:"load"`
-	}
-	if err := c.call(context.Background(), http.MethodGet, "/api/v2/tms", nil, &resp, ""); err != nil {
-		return nil, err
-	}
-	return resp.Load, nil
-}
-
-// TaskManagerQueueDepth reports broker-side backlog (ready + pulled but
-// unacknowledged tasks) per registered Task Manager — one of the
-// demand signals the server's autoscaler samples.
-func (c *Client) TaskManagerQueueDepth() (map[string]int, error) {
-	var resp struct {
-		QueueDepth map[string]int `json:"queue_depth"`
-	}
-	if err := c.call(context.Background(), http.MethodGet, "/api/v2/tms", nil, &resp, ""); err != nil {
-		return nil, err
-	}
-	return resp.QueueDepth, nil
 }
 
 // TenantView is one tenant's quota/priority configuration — an alias of

@@ -124,34 +124,34 @@ func TestClientEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	servable.RegisterBuiltins()
-	id, err := c.PublishPackage(pkg)
+	id, err := c.PublishPackage(t.Context(), pkg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Discover.
-	ids, err := c.List()
+	ids, err := c.List(t.Context())
 	if err != nil || len(ids) != 1 || ids[0] != id {
 		t.Fatalf("list wrong: %v %v", ids, err)
 	}
-	res, err := c.Search("baseline hello", dlhub.SearchOptions{})
+	res, err := c.Search(t.Context(), "baseline hello", dlhub.SearchOptions{})
 	if err != nil || res.Total != 1 {
 		t.Fatalf("search wrong: %+v %v", res, err)
 	}
-	doc, err := c.Get(id)
+	doc, err := c.Get(t.Context(), id)
 	if err != nil || doc.Publication.Name != "noop" {
 		t.Fatalf("get wrong: %+v %v", doc, err)
 	}
-	df, err := c.Dockerfile(id)
+	df, err := c.Dockerfile(t.Context(), id)
 	if err != nil || !strings.Contains(df, "FROM") {
 		t.Fatalf("dockerfile wrong: %q %v", df, err)
 	}
 
 	// Deploy + run.
-	if err := c.Deploy(id, 2, ""); err != nil {
+	if err := c.Deploy(t.Context(), id, 2, ""); err != nil {
 		t.Fatal(err)
 	}
-	run, err := c.Run(id, "hi")
+	run, err := c.Run(t.Context(), id, "hi")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,22 +160,24 @@ func TestClientEndToEnd(t *testing.T) {
 	}
 
 	// Scale.
-	if err := c.Scale(id, 4, ""); err != nil {
+	if err := c.Scale(t.Context(), id, 4, ""); err != nil {
 		t.Fatal(err)
 	}
 
 	// Batch.
-	batch, err := c.RunBatch(id, []any{"a", "b", "c"})
+	batch, err := c.RunBatch(t.Context(), id, []any{"a", "b", "c"})
 	if err != nil || len(batch.Outputs) != 3 {
 		t.Fatalf("batch wrong: %+v %v", batch, err)
 	}
 
 	// Async.
-	taskID, err := c.RunAsync(id, "x")
+	taskID, err := c.RunAsync(t.Context(), id, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.WaitTask(taskID, 5*time.Second)
+	waitCtx, cancel := context.WithTimeout(t.Context(), 5*time.Second)
+	defer cancel()
+	st, err := c.WaitTask(waitCtx, taskID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,32 +186,32 @@ func TestClientEndToEnd(t *testing.T) {
 	}
 
 	// Metadata update.
-	if err := c.UpdateDescription(id, "updated description"); err != nil {
+	if err := c.UpdateDescription(t.Context(), id, "updated description"); err != nil {
 		t.Fatal(err)
 	}
-	doc, _ = c.Get(id)
+	doc, _ = c.Get(t.Context(), id)
 	if doc.Publication.Description != "updated description" {
 		t.Fatal("description not updated")
 	}
 
 	// TMs visible.
-	tms, err := c.TaskManagers()
-	if err != nil || len(tms) != 1 {
-		t.Fatalf("tms wrong: %v %v", tms, err)
+	fleet, err := c.TaskManagerInfo(t.Context())
+	if err != nil || len(fleet.TaskManagers) != 1 {
+		t.Fatalf("tms wrong: %+v %v", fleet, err)
 	}
 }
 
 func TestClientErrors(t *testing.T) {
 	c := startService(t)
-	if _, err := c.Get("ghost/model"); err == nil {
+	if _, err := c.Get(t.Context(), "ghost/model"); err == nil {
 		t.Fatal("missing servable should error")
 	}
 	var notFound error = errors.New("")
 	_ = notFound
-	if _, err := c.Run("ghost/model", 1); err == nil || !strings.Contains(err.Error(), "404") && !strings.Contains(err.Error(), "not found") {
+	if _, err := c.Run(t.Context(), "ghost/model", 1); err == nil || !strings.Contains(err.Error(), "404") && !strings.Contains(err.Error(), "not found") {
 		t.Fatalf("run on missing servable: %v", err)
 	}
-	if _, err := c.Status("nope"); err == nil {
+	if _, err := c.Status(t.Context(), "nope"); err == nil {
 		t.Fatal("missing task should error")
 	}
 }
@@ -218,7 +220,7 @@ func TestClientErrors(t *testing.T) {
 
 func TestClientTypedErrors(t *testing.T) {
 	c := startService(t)
-	_, err := c.Get("ghost/model")
+	_, err := c.Get(t.Context(), "ghost/model")
 	var apiErr *dlhub.APIError
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("want *APIError, got %T: %v", err, err)
@@ -272,7 +274,7 @@ func startFlakyService(t *testing.T, status int) (*dlhub.Client, *flakyHandler) 
 func TestClientRetriesIdempotentGET(t *testing.T) {
 	c, fh := startFlakyService(t, http.StatusServiceUnavailable)
 	fh.set("GET /api/v2/servables", 2)
-	ids, err := c.List()
+	ids, err := c.List(t.Context())
 	if err != nil {
 		t.Fatalf("GET should survive 2 injected 503s via retry: %v", err)
 	}
@@ -281,7 +283,7 @@ func TestClientRetriesIdempotentGET(t *testing.T) {
 	}
 	// With more failures than attempts, the typed error surfaces.
 	fh.set("GET /api/v2/servables", 5)
-	_, err = c.List()
+	_, err = c.List(t.Context())
 	var apiErr *dlhub.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
 		t.Fatalf("exhausted retries should return the 503: %v", err)
@@ -297,18 +299,18 @@ func TestClientRetriesOnlyWithIdempotencyKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := c.PublishPackage(pkg)
+	id, err := c.PublishPackage(t.Context(), pkg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Deploy(id, 1, ""); err != nil {
+	if err := c.Deploy(t.Context(), id, 1, ""); err != nil {
 		t.Fatal(err)
 	}
 	runPath := "POST /api/v2/servables/" + id + "/run"
 
 	// A plain POST run must NOT be retried: one failure, one error.
 	fh.set(runPath, 1)
-	if _, err := c.RunCtx(context.Background(), id, "x"); err == nil {
+	if _, err := c.Run(context.Background(), id, "x"); err == nil {
 		t.Fatal("plain run must not retry through a 502")
 	}
 	fh.set(runPath, 0)
@@ -339,14 +341,14 @@ func TestClientStreamTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := c.PublishPackage(pkg)
+	id, err := c.PublishPackage(t.Context(), pkg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Deploy(id, 1, ""); err != nil {
+	if err := c.Deploy(t.Context(), id, 1, ""); err != nil {
 		t.Fatal(err)
 	}
-	taskID, err := c.RunAsyncCtx(context.Background(), id, "x")
+	taskID, err := c.RunAsync(context.Background(), id, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,10 +365,10 @@ func TestClientStreamTask(t *testing.T) {
 	if len(types) == 0 || types[0] != "status" || types[len(types)-1] != "done" {
 		t.Fatalf("event sequence wrong: %v", types)
 	}
-	// WaitTaskCtx uses the same stream.
-	st2, err := c.WaitTaskCtx(context.Background(), taskID)
+	// WaitTask uses the same stream.
+	st2, err := c.WaitTask(context.Background(), taskID)
 	if err != nil || st2.Status != "completed" {
-		t.Fatalf("WaitTaskCtx: %+v %v", st2, err)
+		t.Fatalf("WaitTask: %+v %v", st2, err)
 	}
 	// Unknown task: typed 404, no hang.
 	var apiErr *dlhub.APIError
@@ -375,11 +377,11 @@ func TestClientStreamTask(t *testing.T) {
 	}
 }
 
-func TestClientRunCtxCancellation(t *testing.T) {
+func TestClientRunCancellation(t *testing.T) {
 	c := startService(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.RunCtx(ctx, "ghost/model", "x"); !errors.Is(err, context.Canceled) {
+	if _, err := c.Run(ctx, "ghost/model", "x"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled ctx: %v", err)
 	}
 }

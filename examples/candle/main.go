@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/http/httptest"
@@ -23,6 +24,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	simconst.Scale = 100
 
 	// Globus-Auth-like identity fabric: three researchers, one test group.
@@ -72,11 +74,11 @@ func main() {
 		log.Fatal(err)
 	}
 	ownerClient := clientFor("jwozniak")
-	id, err := ownerClient.PublishPackage(pkg)
+	id, err := ownerClient.PublishPackage(ctx, pkg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := ownerClient.Deploy(id, 1, ""); err != nil {
+	if err := ownerClient.Deploy(ctx, id, 1, ""); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("published %s, visible only to group candle-testers\n\n", id)
@@ -88,31 +90,31 @@ func main() {
 
 	// Selected tester: discovery + inference work.
 	testerClient := clientFor("tester1")
-	found, _ := testerClient.Search("drug response", dlhub.SearchOptions{})
+	found, _ := testerClient.Search(ctx, "drug response", dlhub.SearchOptions{})
 	fmt.Printf("tester search:   %d result(s)\n", found.Total)
-	if _, err := testerClient.Run(id, input); err != nil {
+	if _, err := testerClient.Run(ctx, id, input); err != nil {
 		log.Fatalf("tester should be able to run: %v", err)
 	}
 	fmt.Println("tester run:      OK (group member)")
 
 	// Outsider: the model is invisible and unrunnable.
 	outsiderClient := clientFor("outsider")
-	hidden, _ := outsiderClient.Search("drug response", dlhub.SearchOptions{})
+	hidden, _ := outsiderClient.Search(ctx, "drug response", dlhub.SearchOptions{})
 	fmt.Printf("outsider search: %d result(s)\n", hidden.Total)
-	if _, err := outsiderClient.Run(id, input); err != nil {
+	if _, err := outsiderClient.Run(ctx, id, input); err != nil {
 		fmt.Printf("outsider run:    denied (%v)\n\n", err)
 	} else {
 		log.Fatal("outsider should have been denied")
 	}
 
 	// General release: the owner flips the ACL to public.
-	if err := ownerClient.UpdateVisibility(id, []string{"public"}); err != nil {
+	if err := ownerClient.UpdateVisibility(ctx, id, []string{"public"}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("owner released the model publicly")
-	released, _ := outsiderClient.Search("drug response", dlhub.SearchOptions{})
+	released, _ := outsiderClient.Search(ctx, "drug response", dlhub.SearchOptions{})
 	fmt.Printf("outsider search: %d result(s)\n", released.Total)
-	if out, err := outsiderClient.Run(id, input); err == nil {
+	if out, err := outsiderClient.Run(ctx, id, input); err == nil {
 		top := out.Output.([]any)[0].(map[string]any)
 		fmt.Printf("outsider run:    OK -> top class %v\n", top["label"])
 	} else {

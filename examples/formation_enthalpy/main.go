@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/http/httptest"
@@ -24,6 +25,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	simconst.Scale = 100
 	tb, err := bench.NewTestbed(bench.Options{Nodes: 4})
 	if err != nil {
@@ -47,11 +49,11 @@ func main() {
 
 	ids := map[string]string{}
 	for _, name := range []string{"util", "featurize", "model"} {
-		id, err := client.PublishPackage(stages[name])
+		id, err := client.PublishPackage(ctx, stages[name])
 		if err != nil {
 			log.Fatalf("publish %s: %v", name, err)
 		}
-		if err := client.Deploy(id, 1, ""); err != nil {
+		if err := client.Deploy(ctx, id, 1, ""); err != nil {
 			log.Fatalf("deploy %s: %v", name, err)
 		}
 		ids[name] = id
@@ -70,7 +72,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pipeID, err := client.PublishPackage(pipe)
+	pipeID, err := client.PublishPackage(ctx, pipe)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +81,7 @@ func main() {
 	// The simplified end-user interface: composition in, enthalpy out.
 	for _, composition := range []string{"SiO2", "NaCl", "MgO", "Fe2O3", "TiO2", "FeNi"} {
 		start := time.Now()
-		res, err := client.Run(pipeID, composition)
+		res, err := client.Run(ctx, pipeID, composition)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -91,15 +93,15 @@ func main() {
 	// round trip three times instead of once.
 	fmt.Println("\nclient-side chaining for comparison:")
 	start := time.Now()
-	frac, err := client.Run(ids["util"], "SiO2")
+	frac, err := client.Run(ctx, ids["util"], "SiO2")
 	if err != nil {
 		log.Fatal(err)
 	}
-	feats, err := client.Run(ids["featurize"], frac.Output)
+	feats, err := client.Run(ctx, ids["featurize"], frac.Output)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pred, err := client.Run(ids["model"], feats.Output)
+	pred, err := client.Run(ctx, ids["model"], feats.Output)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/http/httptest"
@@ -28,6 +29,7 @@ type dataset struct {
 }
 
 func main() {
+	ctx := context.Background()
 	simconst.Scale = 100
 	tb, err := bench.NewTestbed(bench.Options{Nodes: 4})
 	if err != nil {
@@ -52,11 +54,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	parserID, err := client.PublishPackage(parser)
+	parserID, err := client.PublishPackage(ctx, parser)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := client.Deploy(parserID, 2, ""); err != nil {
+	if err := client.Deploy(ctx, parserID, 2, ""); err != nil {
 		log.Fatal(err)
 	}
 
@@ -72,11 +74,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	segmentID, err := client.PublishPackage(segment)
+	segmentID, err := client.PublishPackage(ctx, segment)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := client.Deploy(segmentID, 1, ""); err != nil {
+	if err := client.Deploy(ctx, segmentID, 1, ""); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("DLHub models: %s (input kind string), %s (input kind list)\n\n", parserID, segmentID)
@@ -100,7 +102,7 @@ func main() {
 	// type, and fan the records out to them.
 	for _, ds := range datasets {
 		fmt.Printf("dataset %q registered with MDF (type %s)\n", ds.Name, ds.DataType)
-		matches, err := client.Search("", dlhub.SearchOptions{
+		matches, err := client.Search(ctx, "", dlhub.SearchOptions{
 			Terms: map[string]string{"input.kind": ds.DataType},
 		})
 		if err != nil {
@@ -111,7 +113,7 @@ func main() {
 			continue
 		}
 		for _, modelID := range matches.IDs {
-			res, err := client.RunBatch(modelID, ds.Records)
+			res, err := client.RunBatch(ctx, modelID, ds.Records)
 			if err != nil {
 				log.Fatalf("  enrichment with %s failed: %v", modelID, err)
 			}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/http/httptest"
@@ -19,6 +20,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Compress injected environmental latencies (container starts,
 	// interpreter imports) so the demo is snappy; set to 1 for
 	// paper-faithful timings.
@@ -50,28 +52,28 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	id, err := client.PublishPackage(pkg)
+	id, err := client.PublishPackage(ctx, pkg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("published %s\n", id)
 
 	// 2. Discover it via free-text search.
-	res, err := client.Search("chemical formula fractions", dlhub.SearchOptions{})
+	res, err := client.Search(ctx, "chemical formula fractions", dlhub.SearchOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("search found %d result(s): %v\n", res.Total, res.IDs)
 
 	// 3. Deploy two replicas on the Parsl executor.
-	if err := client.Deploy(id, 2, ""); err != nil {
+	if err := client.Deploy(ctx, id, 2, ""); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("deployed 2 replicas")
 
 	// 4. Invoke it.
 	for _, formula := range []string{"NaCl", "SiO2", "Ca(OH)2"} {
-		out, err := client.Run(id, formula)
+		out, err := client.Run(ctx, id, formula)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -83,11 +85,13 @@ func main() {
 	}
 
 	// 5. Async invocation with task polling.
-	taskID, err := client.RunAsync(id, "Fe2O3")
+	taskID, err := client.RunAsync(ctx, id, "Fe2O3")
 	if err != nil {
 		log.Fatal(err)
 	}
-	st, err := client.WaitTask(taskID, 30*time.Second)
+	waitCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	defer cancel()
+	st, err := client.WaitTask(waitCtx, taskID)
 	if err != nil {
 		log.Fatal(err)
 	}

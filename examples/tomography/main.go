@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -46,6 +47,7 @@ func makeCellImage(rng *rand.Rand, n int, cellFrac float64) []any {
 }
 
 func main() {
+	ctx := context.Background()
 	simconst.Scale = 100
 	tb, err := bench.NewTestbed(bench.Options{Nodes: 4})
 	if err != nil {
@@ -83,18 +85,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	centerID, err := client.PublishPackage(centerPkg)
+	centerID, err := client.PublishPackage(ctx, centerPkg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	segmentID, err := client.PublishPackage(segmentPkg)
+	segmentID, err := client.PublishPackage(ctx, segmentPkg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := client.Deploy(centerID, 1, ""); err != nil {
+	if err := client.Deploy(ctx, centerID, 1, ""); err != nil {
 		log.Fatal(err)
 	}
-	if err := client.Deploy(segmentID, 4, ""); err != nil { // batch post-processing gets replicas
+	if err := client.Deploy(ctx, segmentID, 4, ""); err != nil { // batch post-processing gets replicas
 		log.Fatal(err)
 	}
 	fmt.Printf("deployed %s and %s\n\n", centerID, segmentID)
@@ -110,7 +112,7 @@ func main() {
 		}
 		slices[i] = makeSlice(rng, 256, quality)
 	}
-	res, err := client.Run(centerID, slices)
+	res, err := client.Run(ctx, centerID, slices)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func main() {
 		wantFracs[i] = frac
 		images[i] = makeCellImage(rng, 1024, frac)
 	}
-	batch, err := client.RunBatch(segmentID, images)
+	batch, err := client.RunBatch(ctx, segmentID, images)
 	if err != nil {
 		log.Fatal(err)
 	}

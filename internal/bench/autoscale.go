@@ -71,7 +71,9 @@ func AblationAutoscale(cfg Config) (*Table, error) {
 				defer wg.Done()
 				for i := 0; i < perClient; i++ {
 					t0 := time.Now()
-					_, err := tb.MS.Run(context.Background(), core.Anonymous, id, inputs[(c*perClient+i)%len(inputs)], core.RunOptions{NoMemo: true, Timeout: 10 * time.Minute})
+					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+					_, err := tb.MS.Run(ctx, core.Anonymous, id, inputs[(c*perClient+i)%len(inputs)], core.RunOptions{NoMemo: true})
+					cancel()
 					if err != nil {
 						firstErr.CompareAndSwap(nil, err)
 						return

@@ -337,8 +337,9 @@ func Fig6(cfg Config) (*Table, error) {
 				wg.Add(1)
 				go func(part []any) {
 					defer wg.Done()
-					opts := core.RunOptions{NoMemo: true, Timeout: 30 * time.Minute}
-					if _, err := tb.MS.RunBatch(context.Background(), core.Anonymous, ids[name], part, opts); err != nil {
+					ctx, cancel := context.WithTimeout(context.Background(), 30*time.Minute)
+					defer cancel()
+					if _, err := tb.MS.RunBatch(ctx, core.Anonymous, ids[name], part, core.RunOptions{NoMemo: true}); err != nil {
 						errMu.Lock()
 						errs = append(errs, err)
 						errMu.Unlock()
@@ -408,8 +409,9 @@ func Fig7(cfg Config) (*Table, error) {
 				wg.Add(1)
 				go func(part []any) {
 					defer wg.Done()
-					opts := core.RunOptions{NoMemo: true, Timeout: 30 * time.Minute}
-					if _, err := tb.MS.RunBatch(context.Background(), core.Anonymous, ids[name], part, opts); err != nil {
+					ctx, cancel := context.WithTimeout(context.Background(), 30*time.Minute)
+					defer cancel()
+					if _, err := tb.MS.RunBatch(ctx, core.Anonymous, ids[name], part, core.RunOptions{NoMemo: true}); err != nil {
 						errMu.Lock()
 						if firstErr == nil {
 							firstErr = err

@@ -188,7 +188,7 @@ func (s *Service) RunCoalesced(ctx context.Context, caller Caller, servableID st
 	if b == nil {
 		return s.Run(ctx, caller, servableID, input, opts)
 	}
-	ctx, cancel := s.reqCtx(ctx, opts)
+	ctx, cancel := s.reqCtx(ctx)
 	defer cancel()
 	start := time.Now()
 	var key string

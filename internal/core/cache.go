@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -60,7 +61,7 @@ func (c CacheConfig) withDefaults() CacheConfig {
 }
 
 // CacheStats is a point-in-time snapshot of the result cache counters,
-// exposed at GET /api/cache/stats.
+// exposed at GET /api/v2/cache/stats.
 type CacheStats struct {
 	Entries       int    `json:"entries"`
 	Bytes         int64  `json:"bytes"`
@@ -126,7 +127,7 @@ func newResultCache(cfg CacheConfig) *resultCache {
 // sorts map keys, so inputs decoded from JSON (map[string]any) marshal
 // canonically regardless of the order the client sent fields in.
 func resultKey(servableID string, version int, kind string, input any) (string, error) {
-	data, err := jsonMarshal(input)
+	data, err := json.Marshal(input)
 	if err != nil {
 		return "", err
 	}
@@ -227,7 +228,7 @@ func resultSize(res RunResult) int64 {
 	if res.wireSize > 0 {
 		return res.wireSize
 	}
-	data, err := jsonMarshal(res)
+	data, err := json.Marshal(res)
 	if err != nil {
 		return 64
 	}

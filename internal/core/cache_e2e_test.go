@@ -363,15 +363,17 @@ func TestCacheHTTPHeaderAndStats(t *testing.T) {
 	post := func(body map[string]any) (*http.Response, map[string]any) {
 		t.Helper()
 		data, _ := json.Marshal(body)
-		resp, err := srv.Client().Post(srv.URL+"/api/run/"+id, "application/json", bytes.NewReader(data))
+		resp, err := srv.Client().Post(srv.URL+"/api/v2/servables/"+id+"/run", "application/json", bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
 		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		var out map[string]any
-		json.Unmarshal(raw, &out) //nolint:errcheck
-		return resp, out
+		var env struct {
+			Data map[string]any `json:"data"`
+		}
+		json.Unmarshal(raw, &env) //nolint:errcheck
+		return resp, env.Data
 	}
 
 	resp, _ := post(map[string]any{"input": "x"})
@@ -402,7 +404,7 @@ func TestCacheHTTPHeaderAndStats(t *testing.T) {
 	pipeRun := func() *http.Response {
 		t.Helper()
 		pdata, _ := json.Marshal(map[string]any{"input": "x"})
-		presp, err := srv.Client().Post(srv.URL+"/api/run/"+pipeID, "application/json", bytes.NewReader(pdata))
+		presp, err := srv.Client().Post(srv.URL+"/api/v2/servables/"+pipeID+"/run", "application/json", bytes.NewReader(pdata))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,24 +420,27 @@ func TestCacheHTTPHeaderAndStats(t *testing.T) {
 
 	// Stats endpoint: 1 plain hit + 1 step hit on the first pipeline
 	// run + 2 step hits on the repeat; entries for the two step keys.
-	sresp, err := srv.Client().Get(srv.URL + "/api/cache/stats")
+	sresp, err := srv.Client().Get(srv.URL + "/api/v2/cache/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sresp.Body.Close()
-	var stats struct {
-		Enabled bool            `json:"enabled"`
-		Stats   core.CacheStats `json:"stats"`
+	var statsEnv struct {
+		Data struct {
+			Enabled bool            `json:"enabled"`
+			Stats   core.CacheStats `json:"stats"`
+		} `json:"data"`
 	}
-	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
+	if err := json.NewDecoder(sresp.Body).Decode(&statsEnv); err != nil {
 		t.Fatal(err)
 	}
+	stats := statsEnv.Data
 	if !stats.Enabled || stats.Stats.Hits != 4 || stats.Stats.Entries != 2 {
 		t.Fatalf("stats endpoint wrong: %+v", stats)
 	}
 
 	// Flush wipes entries but keeps counters.
-	if _, err := srv.Client().Post(srv.URL+"/api/cache/flush", "application/json", nil); err != nil {
+	if _, err := srv.Client().Post(srv.URL+"/api/v2/cache/flush", "application/json", nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := ms.CacheStats(); st.Entries != 0 || st.Hits != 4 {

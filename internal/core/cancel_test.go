@@ -168,19 +168,21 @@ func TestCancelWithdrawsQueuedTask(t *testing.T) {
 	waitFor(t, time.Second, func() bool { return ms.Broker().Len(queueName) == 0 })
 }
 
-// TestRunOptionsTimeoutShim: the deprecated RunOptions.Timeout still
-// bounds the request, now via the context machinery, and reports
-// ErrTimeout / context.DeadlineExceeded.
-func TestRunOptionsTimeoutShim(t *testing.T) {
+// TestRunCtxDeadlineBoundsRequest: the caller's ctx deadline is the one
+// per-request timeout mechanism — it bounds a run whose TM never
+// replies and reports ErrTimeout / context.DeadlineExceeded.
+func TestRunCtxDeadlineBoundsRequest(t *testing.T) {
 	ms, _ := blackHoleTM(t)
 	id, err := ms.Publish(context.Background(), core.Anonymous, servable.NoopPackage())
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	_, err = ms.Run(context.Background(), core.Anonymous, id, "x", core.RunOptions{Timeout: 50 * time.Millisecond})
+	_, err = ms.Run(ctx, core.Anonymous, id, "x", core.RunOptions{})
 	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("Timeout shim not applied: took %v", elapsed)
+		t.Fatalf("ctx deadline not applied: took %v", elapsed)
 	}
 	if !errors.Is(err, core.ErrTimeout) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want ErrTimeout + DeadlineExceeded, got %v", err)

@@ -4,15 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/auth"
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/rpc"
 	"repro/internal/schema"
 	"repro/internal/search"
 	"repro/internal/servable"
@@ -367,92 +364,6 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRESTAPIEndToEnd(t *testing.T) {
-	tb := newTB(t, bench.Options{})
-	srv := httptest.NewServer(tb.MS.Handler())
-	defer srv.Close()
-	client := srv.Client()
-
-	// Publish via REST.
-	pkg := servable.NoopPackage()
-	var pubResp map[string]string
-	docJSON, _ := rpc.EncodeJSON(pkg.Doc)
-	err := rpc.PostJSON(client, srv.URL+"/api/publish", map[string]any{"document": rawJSON(docJSON)}, &pubResp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := pubResp["id"]
-	if id != "anonymous/noop" {
-		t.Fatalf("bad id %q", id)
-	}
-
-	// Deploy via REST.
-	if err := rpc.PostJSON(client, srv.URL+"/api/deploy/"+id, map[string]any{"replicas": 1}, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Run via REST.
-	var runResp struct {
-		Output    any   `json:"output"`
-		RequestUS int64 `json:"request_us"`
-	}
-	if err := rpc.PostJSON(client, srv.URL+"/api/run/"+id, map[string]any{"input": "hi"}, &runResp); err != nil {
-		t.Fatal(err)
-	}
-	if runResp.Output != "hello world" || runResp.RequestUS <= 0 {
-		t.Fatalf("REST run wrong: %+v", runResp)
-	}
-
-	// Search via REST.
-	var searchResp core.SearchResponse
-	if err := rpc.PostJSON(client, srv.URL+"/api/search", map[string]any{"q": "hello baseline"}, &searchResp); err != nil {
-		t.Fatal(err)
-	}
-	if searchResp.Total != 1 {
-		t.Fatalf("REST search wrong: %+v", searchResp)
-	}
-
-	// Get doc + dockerfile via REST.
-	var doc map[string]any
-	if err := rpc.GetJSON(client, srv.URL+"/api/servables/"+id, &doc); err != nil {
-		t.Fatal(err)
-	}
-	var df map[string]string
-	if err := rpc.GetJSON(client, srv.URL+"/api/servables/"+id+"/dockerfile", &df); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(df["dockerfile"], "dlhub_sdk") {
-		t.Fatalf("dockerfile should list dlhub deps: %s", df["dockerfile"])
-	}
-
-	// Async via REST.
-	var asyncResp map[string]string
-	if err := rpc.PostJSON(client, srv.URL+"/api/run/"+id, map[string]any{"input": "x", "async": true}, &asyncResp); err != nil {
-		t.Fatal(err)
-	}
-	taskID := asyncResp["task_id"]
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var st core.AsyncTask
-		if err := rpc.GetJSON(client, srv.URL+"/api/status/"+taskID, &st); err != nil {
-			t.Fatal(err)
-		}
-		if st.Status == "completed" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("async REST task never completed")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Unknown servable is a 404.
-	err = rpc.PostJSON(client, srv.URL+"/api/run/ghost/model", map[string]any{"input": 1}, nil)
-	if err == nil || !strings.Contains(err.Error(), "404") {
-		t.Fatalf("want 404, got %v", err)
-	}
-}
-
 func TestWANShapedRequestTimes(t *testing.T) {
 	// With paper RTTs at scale 1, a round trip must include the
 	// 20.7ms MS<->TM WAN RTT. Run at scale 10 to keep the test fast:
@@ -478,11 +389,6 @@ func TestWANShapedRequestTimes(t *testing.T) {
 		t.Fatalf("invocation %dus should be < request %dus", res.InvocationMicros, res.RequestMicros)
 	}
 }
-
-// rawJSON wraps pre-encoded JSON for embedding in a map.
-type rawJSON []byte
-
-func (r rawJSON) MarshalJSON() ([]byte, error) { return r, nil }
 
 // pipelineDoc builds a pipeline publication document.
 func pipelineDoc(name string, steps []string) *schema.Document {

@@ -19,8 +19,7 @@ import (
 // Durability seam: every repository state transition flows through
 // logged(), which appends a typed record to the configured store
 // (internal/store WAL). With no store configured (tests, the bench
-// testbed, snapshot-only servers) logged is a nil check and nothing is
-// encoded.
+// testbed) logged is a nil check and nothing is encoded.
 //
 // Record taxonomy (one kind per mutation; payloads gob-encoded):
 //

@@ -39,7 +39,7 @@ const (
 // StatusClientClosedRequest is the non-standard (nginx) status reported
 // when the client canceled the request before a response was written.
 // No response actually reaches such a client; the status exists for
-// logs, metrics and the errorStatus table.
+// logs and metrics.
 const StatusClientClosedRequest = 499
 
 // Error is a structured service error: a stable machine-readable Code,
@@ -102,24 +102,14 @@ var (
 	ErrInternal      = &Error{Code: CodeInternal, HTTPStatus: http.StatusInternalServerError, Message: "core: internal error"}
 )
 
-// sentinels enumerates every Err* value; errorStatus and the tests
-// derive their tables from it so a new sentinel cannot be forgotten.
+// sentinels enumerates every Err* value; the tests derive their tables
+// from it so a new sentinel cannot be forgotten.
 var sentinels = []*Error{
 	ErrBadRequest, ErrUnauthorized, ErrForbidden, ErrNotFound,
 	ErrTaskNotFound, ErrConflict, ErrNoTaskManager, ErrTimeout,
 	ErrCanceled, ErrTaskFailed, ErrOverloaded, ErrQuotaExceeded,
 	ErrUpstream, ErrInternal,
 }
-
-// errorStatus is the code→HTTP-status table driving both API versions'
-// error mapping, built from the sentinel list.
-var errorStatus = func() map[Code]int {
-	m := make(map[Code]int, len(sentinels))
-	for _, e := range sentinels {
-		m[e.Code] = e.HTTPStatus
-	}
-	return m
-}()
 
 // wrapCtxErr converts a context termination into its typed service
 // error, keeping the original as the cause so errors.Is(err,
@@ -143,8 +133,7 @@ func isCtxErr(err error) bool {
 
 // Classify resolves any error to its structured form: typed errors pass
 // through, bare context errors are wrapped, and everything else —
-// validation failures, malformed bodies — defaults to bad_request,
-// preserving the v1 API's historical fallback status.
+// validation failures, malformed bodies — defaults to bad_request.
 func Classify(err error) *Error {
 	var e *Error
 	if errors.As(err, &e) {
@@ -160,13 +149,4 @@ func Classify(err error) *Error {
 		return wrapped.WithDetail(err.Error())
 	}
 	return ErrBadRequest.WithDetail(err.Error())
-}
-
-// ErrorStatus returns the HTTP status for any error via the code→status
-// table.
-func ErrorStatus(err error) int {
-	if s, ok := errorStatus[Classify(err).Code]; ok {
-		return s
-	}
-	return http.StatusInternalServerError
 }

@@ -32,12 +32,12 @@ func TestSentinelStatusTable(t *testing.T) {
 		t.Fatalf("test covers %d sentinels, package declares %d — update both", len(want), len(sentinels))
 	}
 	for sentinel, status := range want {
-		if got := ErrorStatus(sentinel); got != status {
+		if got := Classify(sentinel).HTTPStatus; got != status {
 			t.Errorf("%s: status %d, want %d", sentinel.Code, got, status)
 		}
 		// Wrapping with context must not change the mapping.
 		wrapped := fmt.Errorf("%w: extra detail", sentinel)
-		if got := ErrorStatus(wrapped); got != status {
+		if got := Classify(wrapped).HTTPStatus; got != status {
 			t.Errorf("%s wrapped: status %d, want %d", sentinel.Code, got, status)
 		}
 	}

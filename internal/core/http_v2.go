@@ -16,7 +16,10 @@ import (
 	"repro/internal/servable"
 )
 
-// The versioned /api/v2 surface. Every response is one envelope —
+// The REST API (§IV-E: "DLHub offers a REST API, Command Line Interface
+// (CLI), and a Python Software Development Kit (SDK) for publishing,
+// managing, and invoking models"): one generation, /api/v2. Every
+// response is one envelope —
 //
 //	{"data": ..., "request_id": "..."}            on success
 //	{"error": {"code", "message", "detail"},
@@ -24,8 +27,7 @@ import (
 //
 // — with machine-readable error codes from errors.go, cursor pagination
 // on list/search, idempotency keys on run and publish, and an SSE
-// stream per task replacing status polling. v1 routes (http.go) remain
-// as compatibility shims over the same service methods.
+// stream per task. docs/API.md is the reference.
 
 // Envelope is the uniform v2 response wrapper.
 type Envelope struct {
@@ -39,6 +41,14 @@ type EnvelopeError struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
 	Detail  string `json:"detail,omitempty"`
+}
+
+// Handler returns the REST API behind the middleware chain (request
+// IDs, optional access logs, per-route metrics, panic containment).
+func (s *Service) Handler() http.Handler {
+	mux := http.NewServeMux()
+	s.routesV2(mux)
+	return s.middleware(mux)
 }
 
 func (s *Service) routesV2(mux *http.ServeMux) {
@@ -207,7 +217,7 @@ func (s *Service) idempotent(w http.ResponseWriter, r *http.Request, c Caller, f
 		writeV2Error(w, r, err)
 		return
 	}
-	body, merr := jsonMarshal(data)
+	body, merr := json.Marshal(data)
 	if merr != nil {
 		settle(0, nil, Classify(merr))
 		writeV2Error(w, r, merr)
@@ -242,6 +252,16 @@ func (s *Service) handleV2Readyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // --- repository -------------------------------------------------------------
+
+// PublishRequest is the POST /api/v2/servables body. Components may be
+// supplied inline or as globus:// references the service downloads
+// (§IV-A: "model components can be uploaded to an AWS S3 bucket or a
+// Globus endpoint").
+type PublishRequest struct {
+	Document      json.RawMessage   `json:"document"`
+	Components    map[string][]byte `json:"components,omitempty"`
+	ComponentRefs map[string]string `json:"component_refs,omitempty"`
+}
 
 func (s *Service) handleV2Publish(w http.ResponseWriter, r *http.Request) {
 	c, ok := s.callerV2(w, r)
@@ -405,6 +425,14 @@ func (s *Service) handleV2Dockerfile(w http.ResponseWriter, r *http.Request) {
 	writeV2(w, r, http.StatusOK, map[string]string{"dockerfile": df})
 }
 
+// UpdateRequest is the PATCH /api/v2/servables/{owner}/{name} body.
+type UpdateRequest struct {
+	Description *string  `json:"description,omitempty"`
+	VisibleTo   []string `json:"visible_to,omitempty"`
+	Citation    *string  `json:"citation,omitempty"`
+	Identifier  *string  `json:"identifier,omitempty"`
+}
+
 func (s *Service) handleV2Update(w http.ResponseWriter, r *http.Request) {
 	c, ok := s.callerV2(w, r)
 	if !ok {
@@ -457,8 +485,21 @@ func (s *Service) handleV2Unpublish(w http.ResponseWriter, r *http.Request) {
 	writeV2(w, r, http.StatusOK, map[string]string{"status": "unpublished"})
 }
 
-// SearchRequestV2 is the POST /api/v2/search body: the v1 query
-// language plus a resumption cursor.
+// SearchRequest is the query part of the POST /api/v2/search body: a
+// simplified query language over the index (free text, fielded
+// term/prefix, year range, facets).
+type SearchRequest struct {
+	Q       string            `json:"q,omitempty"`
+	Terms   map[string]string `json:"terms,omitempty"`
+	Prefix  map[string]string `json:"prefix,omitempty"`
+	YearMin *float64          `json:"year_min,omitempty"`
+	YearMax *float64          `json:"year_max,omitempty"`
+	Facets  []string          `json:"facets,omitempty"`
+	Limit   int               `json:"limit,omitempty"`
+}
+
+// SearchRequestV2 is the POST /api/v2/search body: the query plus a
+// resumption cursor.
 type SearchRequestV2 struct {
 	SearchRequest
 	Cursor string `json:"cursor,omitempty"`
@@ -536,6 +577,36 @@ func (s *Service) handleV2Search(w http.ResponseWriter, r *http.Request) {
 
 // --- serving ----------------------------------------------------------------
 
+// RunRequest is the POST /api/v2/servables/{owner}/{name}/run body.
+type RunRequest struct {
+	Input    any    `json:"input,omitempty"`
+	Inputs   []any  `json:"inputs,omitempty"` // batch mode when non-empty
+	Async    bool   `json:"async,omitempty"`
+	NoMemo   bool   `json:"no_memo,omitempty"`
+	NoCache  bool   `json:"no_cache,omitempty"` // bypass the service-layer cache only
+	Coalesce bool   `json:"coalesce,omitempty"`
+	Executor string `json:"executor,omitempty"`
+}
+
+// CacheHeader is set on synchronous run responses: "hit" when the
+// service-layer cache (or singleflight) answered — for pipelines, when
+// every step did — "miss" when the cache was consulted but a task
+// dispatched, "bypass" when the cache never applied (disabled, or
+// no_cache/no_memo).
+const CacheHeader = "X-DLHub-Cache"
+
+// setCacheHeader annotates a synchronous run response for servableID.
+func (s *Service) setCacheHeader(w http.ResponseWriter, servableID string, opts RunOptions, res RunResult) {
+	switch {
+	case !s.cacheUsable(opts) || !s.cacheableID(servableID) || res.cacheSkipped:
+		w.Header().Set(CacheHeader, "bypass")
+	case res.CacheHit:
+		w.Header().Set(CacheHeader, "hit")
+	default:
+		w.Header().Set(CacheHeader, "miss")
+	}
+}
+
 func (s *Service) handleV2Run(w http.ResponseWriter, r *http.Request) {
 	c, ok := s.callerV2(w, r)
 	if !ok {
@@ -578,6 +649,16 @@ func (s *Service) handleV2Run(w http.ResponseWriter, r *http.Request) {
 			return http.StatusOK, res, nil
 		}
 	})
+}
+
+// DeployRequest is the deploy and scale body.
+type DeployRequest struct {
+	Replicas int    `json:"replicas"`
+	Executor string `json:"executor,omitempty"`
+	// TM pins the deploy to a named registered Task Manager (DeployTo)
+	// — how operators place pipeline steps on disjoint sites. Empty
+	// routes via pickTM. Scale ignores it.
+	TM string `json:"tm,omitempty"`
 }
 
 func (s *Service) handleV2Deploy(w http.ResponseWriter, r *http.Request) {
@@ -693,7 +774,7 @@ func (s *Service) handleV2Task(w http.ResponseWriter, r *http.Request) {
 const TaskEventHeartbeat = 15 * time.Second
 
 // handleV2TaskEvents streams task lifecycle events as Server-Sent
-// Events, replacing the v1 status poll loop. Events:
+// Events, so clients need not poll the task. Events:
 //
 //	event: status  — current state, sent immediately on subscribe
 //	event: done    — terminal state (completed|failed) with the result;
@@ -726,7 +807,7 @@ func (s *Service) handleV2TaskEvents(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return false
 		}
-		body, err := jsonMarshal(at)
+		body, err := json.Marshal(at)
 		if err != nil {
 			return false
 		}

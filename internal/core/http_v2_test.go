@@ -18,7 +18,7 @@ import (
 	"repro/internal/servable"
 )
 
-// v2TB builds a testbed and serves its handler (both API generations).
+// v2TB builds a testbed and serves its handler.
 func v2TB(t *testing.T) (*bench.Testbed, *httptest.Server) {
 	t.Helper()
 	tb := newTB(t, bench.Options{})
@@ -388,75 +388,140 @@ scan:
 	}
 }
 
-// TestV1CompatRoutes locks the v1 surface: same paths, same unenveloped
-// shapes, now served as shims over the context-first core.
-func TestV1CompatRoutes(t *testing.T) {
-	tb, srv := v2TB(t)
-	id, err := tb.MS.Publish(t.Context(), core.Anonymous, servable.NoopPackage())
+// v2Flow drives publish → deploy → run → search over HTTP and returns
+// the published servable's ID.
+func v2Flow(t *testing.T, srv *httptest.Server) string {
+	t.Helper()
+	doc, err := json.Marshal(servable.NoopPackage().Doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.MS.Deploy(t.Context(), core.Anonymous, id, 1, "parsl"); err != nil {
+	resp, env := doV2(t, http.MethodPost, srv.URL+"/api/v2/servables", map[string]any{"document": json.RawMessage(doc)}, nil)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("publish: status %d err %+v", resp.StatusCode, env.Error)
+	}
+	var pub struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(env.Data, &pub); err != nil || pub.ID != "anonymous/noop" {
+		t.Fatalf("publish: id %q err %v", pub.ID, err)
+	}
+	base := srv.URL + "/api/v2/servables/" + pub.ID
+	if resp, env = doV2(t, http.MethodPost, base+"/deploy", map[string]any{"replicas": 1}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("deploy: status %d err %+v", resp.StatusCode, env.Error)
+	}
+	resp, env = doV2(t, http.MethodPost, base+"/run", map[string]any{"input": "hi"}, nil)
+	var run struct {
+		Output    any   `json:"output"`
+		RequestUS int64 `json:"request_us"`
+	}
+	if err := json.Unmarshal(env.Data, &run); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("run: status %d err %+v / %v", resp.StatusCode, env.Error, err)
+	}
+	if run.Output != "hello world" || run.RequestUS <= 0 {
+		t.Fatalf("run wrong: %+v", run)
+	}
+	resp, env = doV2(t, http.MethodPost, srv.URL+"/api/v2/search", map[string]any{"q": "hello baseline"}, nil)
+	var found core.SearchPageV2
+	if err := json.Unmarshal(env.Data, &found); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("search: status %d err %+v / %v", resp.StatusCode, env.Error, err)
+	}
+	if found.Total != 1 || found.Items[0].ID != pub.ID {
+		t.Fatalf("search wrong: %+v", found)
+	}
+	return pub.ID
+}
+
+// TestV2RESTEndToEnd drives the whole serving flow over HTTP alone,
+// including the routes no other test in this file reaches: deploy, the
+// Dockerfile view and the task status poll.
+func TestV2RESTEndToEnd(t *testing.T) {
+	_, srv := v2TB(t)
+	id := v2Flow(t, srv)
+	base := srv.URL + "/api/v2/servables/" + id
+
+	if resp, env := doV2(t, http.MethodGet, base, nil, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("get: status %d err %+v", resp.StatusCode, env.Error)
+	}
+	_, env := doV2(t, http.MethodGet, base+"/dockerfile", nil, nil)
+	var df map[string]string
+	if err := json.Unmarshal(env.Data, &df); err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(df["dockerfile"], "dlhub_sdk") {
+		t.Fatalf("dockerfile should list dlhub deps: %s", df["dockerfile"])
 	}
 
-	// v1 run: bare RunResult, no envelope.
-	body, _ := json.Marshal(map[string]any{"input": "x"})
-	resp, err := http.Post(srv.URL+"/api/run/"+id, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	resp, env := doV2(t, http.MethodPost, base+"/run", map[string]any{"input": "x", "async": true}, nil)
+	var async map[string]string
+	if err := json.Unmarshal(env.Data, &async); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async run: status %d err %+v / %v", resp.StatusCode, env.Error, err)
 	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("v1 run status %d: %s", resp.StatusCode, raw)
-	}
-	var v1res struct {
-		Output    any    `json:"output"`
-		RequestID string `json:"request_id"`
-	}
-	if err := json.Unmarshal(raw, &v1res); err != nil {
-		t.Fatal(err)
-	}
-	if v1res.Output != "hello world" {
-		t.Fatalf("v1 run output %v", v1res.Output)
-	}
-	if v1res.RequestID != "" {
-		t.Fatal("v1 response must not grow envelope fields")
-	}
-
-	// v1 error shape: {"error": "..."} with the table-driven status.
-	resp, err = http.Get(srv.URL + "/api/servables/ghost/model")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("v1 404 got %d", resp.StatusCode)
-	}
-	var v1err struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(raw, &v1err); err != nil || v1err.Error == "" {
-		t.Fatalf("v1 error shape broken: %s", raw)
-	}
-	// v1 status poll still works.
-	taskID, err := tb.MS.RunAsync(t.Context(), core.Anonymous, id, "y", core.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 2*time.Second, func() bool {
-		resp, err := http.Get(srv.URL + "/api/status/" + taskID)
-		if err != nil {
-			return false
-		}
-		defer resp.Body.Close()
-		var st struct {
-			Status string `json:"status"`
-		}
-		return json.NewDecoder(resp.Body).Decode(&st) == nil && st.Status == "completed"
+	waitFor(t, 5*time.Second, func() bool {
+		_, env := doV2(t, http.MethodGet, srv.URL+"/api/v2/tasks/"+async["task_id"], nil, nil)
+		var st core.AsyncTask
+		return json.Unmarshal(env.Data, &st) == nil && st.Status == "completed"
 	})
+
+	resp, env = doV2(t, http.MethodPost, srv.URL+"/api/v2/servables/ghost/model/run", map[string]any{"input": 1}, nil)
+	if resp.StatusCode != http.StatusNotFound || env.Error == nil || env.Error.Code != string(core.CodeNotFound) {
+		t.Fatalf("ghost run: status %d err %+v", resp.StatusCode, env.Error)
+	}
+}
+
+// TestHandlerIsV2Only: the unversioned routes removed in PR 15 are plain
+// unmatched paths now — 404, no deprecation signalling, counted under
+// the method's unmatched bucket — and a full serving flow touches
+// nothing outside /api/v2.
+func TestHandlerIsV2Only(t *testing.T) {
+	tb, srv := v2TB(t)
+	removed := []struct{ method, path string }{
+		{http.MethodPost, "/api/publish"},
+		{http.MethodGet, "/api/servables"},
+		{http.MethodGet, "/api/servables/anonymous/noop"},
+		{http.MethodGet, "/api/servables/anonymous/noop/dockerfile"},
+		{http.MethodPost, "/api/servables/anonymous/noop/update"},
+		{http.MethodPost, "/api/search"},
+		{http.MethodPost, "/api/run/anonymous/noop"},
+		{http.MethodGet, "/api/status/some-task"},
+		{http.MethodPost, "/api/deploy/anonymous/noop"},
+		{http.MethodPost, "/api/scale/anonymous/noop"},
+		{http.MethodGet, "/api/tms"},
+		{http.MethodGet, "/api/cache/stats"},
+		{http.MethodPost, "/api/cache/flush"},
+	}
+	want := map[string]uint64{}
+	for _, rt := range removed {
+		req, err := http.NewRequest(rt.method, srv.URL+rt.path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", rt.method, rt.path, resp.StatusCode)
+		}
+		if resp.Header.Get("Deprecation") != "" {
+			t.Errorf("%s %s: still sends a Deprecation header", rt.method, rt.path)
+		}
+		want[rt.method+" (unmatched)"]++
+	}
+	stats := tb.MS.RouteStats()
+	for key, n := range want {
+		if stats[key].Requests != n {
+			t.Errorf("route counter %q = %d, want %d", key, stats[key].Requests, n)
+		}
+	}
+
+	v2Flow(t, srv)
+	for key := range tb.MS.RouteStats() {
+		if _, unmatched := want[key]; !unmatched && !strings.Contains(key, " /api/v2/") {
+			t.Errorf("matched route %q is outside /api/v2", key)
+		}
+	}
 }
 
 // TestV2IdempotencyTransientNotReplayed: transient failures (here

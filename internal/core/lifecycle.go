@@ -177,7 +177,7 @@ func (s *Service) DrainTM(ctx context.Context, tmID string) (*DrainResult, error
 	if !s.tmRegistered(tmID) {
 		return nil, ErrNoTaskManager.WithDetail(fmt.Sprintf("task manager %q not registered", tmID))
 	}
-	ctx, cancel := s.reqCtx(ctx, RunOptions{Timeout: deployTimeout(ctx)})
+	ctx, cancel := deployCtx(ctx)
 	defer cancel()
 
 	// A deliberate re-drain must never be suppressed by the rejoin
@@ -358,7 +358,7 @@ func (s *Service) RejoinTM(ctx context.Context, tmID string) error {
 	if !s.tmRegistered(tmID) {
 		return ErrNoTaskManager.WithDetail(fmt.Sprintf("task manager %q not registered", tmID))
 	}
-	ctx, cancel := s.reqCtx(ctx, RunOptions{Timeout: deployTimeout(ctx)})
+	ctx, cancel := deployCtx(ctx)
 	defer cancel()
 	task := taskmanager.Task{ID: queue.NewID(), Kind: "rejoin"}
 	if _, err := s.dispatchWatched(ctx, tmID, task); err != nil {
@@ -396,7 +396,7 @@ func (s *Service) Undeploy(ctx context.Context, caller Caller, servableID, tmID 
 		return ErrNotFound.WithDetail(fmt.Sprintf("%s has no placement on task manager %q", servableID, tmID))
 	}
 	s.logged(recKindUndeploy, recPlacement{ID: servableID, TM: tmID})
-	ctx, cancel := s.reqCtx(ctx, RunOptions{Timeout: deployTimeout(ctx)})
+	ctx, cancel := deployCtx(ctx)
 	defer cancel()
 	task := taskmanager.Task{ID: queue.NewID(), Kind: "undeploy", Servable: servableID}
 	if _, err := s.dispatchWatched(ctx, tmID, task); err != nil {

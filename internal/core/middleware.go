@@ -4,18 +4,16 @@ import (
 	"context"
 	"log"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/queue"
-	"repro/internal/rpc"
 )
 
-// HTTP middleware shared by both API generations: every request gets a
-// request ID (minted or propagated), per-route counters, optional
-// access logging, and panic containment. The chain wraps the whole mux,
-// so v1 compatibility routes inherit the same observability as /api/v2.
+// HTTP middleware: every request gets a request ID (minted or
+// propagated), per-route counters, optional access logging, and panic
+// containment. The chain wraps the whole mux, so unmatched paths are
+// counted and logged too.
 
 // RequestIDHeader carries the request correlation ID in both
 // directions: clients may supply one, responses always echo it, and the
@@ -187,13 +185,7 @@ func (s *Service) withRecovery(next http.Handler) http.Handler {
 			if rec := recover(); rec != nil {
 				log.Printf("http panic on %s %s: %v (rid=%s)", r.Method, r.URL.Path, rec, RequestIDFromContext(r.Context()))
 				if sw.status == 0 {
-					// Keep each generation's error shape: enveloped
-					// with a code on /api/v2, bare {"error": ...} on v1.
-					if strings.HasPrefix(r.URL.Path, "/api/v2/") {
-						writeV2Error(sw, r, ErrInternal)
-					} else {
-						rpc.WriteError(sw, http.StatusInternalServerError, "internal error")
-					}
+					writeV2Error(sw, r, ErrInternal)
 				}
 			}
 		}()

@@ -4,8 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"repro/internal/auth"
 	"repro/internal/schema"
@@ -15,17 +13,12 @@ import (
 
 // Repository persistence: the DLHub service is long-lived — published
 // models must survive restarts. This file is the checkpoint CODEC: it
-// serializes/restores whole repository state. It serves two callers
-// with the same format:
-//
-//   - SaveSnapshot/LoadSnapshot — the standalone snapshot mode
-//     (-snapshot): whole-state gob written on shutdown, loaded on boot.
-//   - writeSnapshot/restoreSnapshot — the internal/store checkpoint
-//     hooks: the WAL compacts its record tail into exactly this gob,
-//     and recovery restores it before replaying the tail (durable.go).
-//
-// The file name is shared (repository.gob), so a directory written by
-// snapshot-only mode upgrades in place to a WAL -data-dir.
+// serializes/restores whole repository state through the internal/store
+// checkpoint hooks (writeSnapshot/restoreSnapshot). The WAL compacts
+// its record tail into exactly this gob, writes it atomically as
+// repository.gob, and recovery restores it before replaying the tail
+// (durable.go). The format is unchanged since the removed -snapshot
+// mode, so a directory that mode wrote loads as a -data-dir.
 
 // snapshot is the serialized repository state. New fields decode as
 // their zero value from older snapshots (gob skips missing fields), so
@@ -124,51 +117,6 @@ func (s *Service) writeSnapshot(w io.Writer) error {
 	return nil
 }
 
-// SaveSnapshot writes the repository to dir/repository.gob atomically
-// and durably: the temp file is fsynced before the rename and the
-// directory fsynced after it, so a crash at any point leaves either the
-// old complete snapshot or the new complete one — never a torn or
-// unlinked file.
-func (s *Service) SaveSnapshot(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, "repository-*.gob.tmp")
-	if err != nil {
-		return err
-	}
-	werr := s.writeSnapshot(tmp)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp.Name()) //nolint:errcheck
-		return werr
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, "repository.gob")); err != nil {
-		os.Remove(tmp.Name()) //nolint:errcheck
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory, making a just-renamed file's directory
-// entry durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // restoreSnapshot decodes a snapshot from r and installs it, replacing
 // current repository state. Restored placements are kept verbatim — at
 // the usual boot-time restore no TM has registered yet, so filtering
@@ -252,19 +200,4 @@ func (s *Service) finishRestore() {
 	// bumps the cache epoch so in-flight computations from the old
 	// world cannot write back after the load.
 	s.FlushCache()
-}
-
-// LoadSnapshot restores a repository saved by SaveSnapshot, replacing
-// current state and rebuilding the search index.
-func (s *Service) LoadSnapshot(dir string) error {
-	f, err := os.Open(filepath.Join(dir, "repository.gob"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := s.restoreSnapshot(f); err != nil {
-		return err
-	}
-	s.finishRestore()
-	return nil
 }

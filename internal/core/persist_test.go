@@ -15,14 +15,49 @@ import (
 	"repro/internal/schema"
 	"repro/internal/search"
 	"repro/internal/servable"
+	"repro/internal/store"
 )
 
-func TestSnapshotRoundTrip(t *testing.T) {
+// The checkpoint codec (persist.go) is reached only through the store:
+// Checkpoint() folds the whole repository into dir/repository.gob and
+// empties the log, so a fresh service's Recover() over that directory
+// restores purely from the codec — every test below asserts
+// CheckpointLoaded with nothing replayed where that matters.
+
+// unrecovered builds a store-backed service over dir WITHOUT recovering.
+// The store refuses appends until Recover, so whatever the caller does
+// to the service first lives in memory only: the "live state" a restore
+// must replace.
+func unrecovered(t *testing.T, dir string, compactEvery int) *core.Service {
+	t.Helper()
+	w, err := store.Open(store.Options{Dir: dir, Sync: false, CompactEvery: compactEvery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := core.New(core.Config{Registry: container.NewRegistry(), Store: w})
+	t.Cleanup(func() { ms.Close(); w.Close() })
+	return ms
+}
+
+// recoverFromCheckpoint runs Recover and requires the state to have come
+// from the checkpoint file alone.
+func recoverFromCheckpoint(t *testing.T, ms *core.Service) {
+	t.Helper()
+	info, err := ms.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.CheckpointLoaded || info.Replayed != 0 {
+		t.Fatalf("want a pure checkpoint restore, got %+v", info)
+	}
+}
+
+func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 
 	// Populate a service: two servables, one with two versions and
 	// components.
-	ms := core.New(core.Config{Registry: container.NewRegistry()})
+	ms, _ := openRecovered(t, dir, 0)
 	cifar, err := servable.CIFAR10Package(1)
 	if err != nil {
 		t.Fatal(err)
@@ -38,17 +73,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if _, err := ms.Publish(context.Background(), core.Anonymous, cifar2); err != nil { // version 2
 		t.Fatal(err)
 	}
-	if err := ms.SaveSnapshot(dir); err != nil {
+	if err := ms.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	ms.Close()
 
 	// A fresh service restores everything.
-	ms2 := core.New(core.Config{Registry: container.NewRegistry()})
-	defer ms2.Close()
-	if err := ms2.LoadSnapshot(dir); err != nil {
-		t.Fatal(err)
-	}
+	ms2 := unrecovered(t, dir, 0)
+	recoverFromCheckpoint(t, ms2)
 	doc, err := ms2.Get(core.Anonymous, id1)
 	if err != nil {
 		t.Fatal(err)
@@ -70,28 +102,25 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotServesAfterRestore(t *testing.T) {
+func TestCheckpointServesAfterRecover(t *testing.T) {
 	dir := t.TempDir()
-	// Save from one deployment...
-	ms := core.New(core.Config{Registry: container.NewRegistry()})
+	// Checkpoint from one deployment...
+	ms, _ := openRecovered(t, dir, 0)
 	id, err := ms.Publish(context.Background(), core.Anonymous, servable.MatminerUtilPackage())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ms.SaveSnapshot(dir); err != nil {
+	if err := ms.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	ms.Close()
 
-	// ...restore into a full testbed and serve the restored servable.
-	tb, err := bench.NewTestbed(bench.Options{Nodes: 4})
+	// ...recover into a full testbed and serve the restored servable.
+	tb, err := bench.NewTestbed(bench.Options{Nodes: 4, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tb.Close()
-	if err := tb.MS.LoadSnapshot(dir); err != nil {
-		t.Fatal(err)
-	}
 	// The package (components included) survived, so deploy works.
 	if err := tb.MS.Deploy(context.Background(), core.Anonymous, id, 1, "parsl"); err != nil {
 		t.Fatal(err)
@@ -105,17 +134,12 @@ func TestSnapshotServesAfterRestore(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotOverNonEmptyService pins the restore-over-live-state
-// contract: the search index is rebuilt from scratch (no entries
-// surviving for servables absent from the snapshot, no duplicates),
-// restored placements naming unknown TMs are dropped, and the result
-// cache is emptied.
-func TestLoadSnapshotOverNonEmptyService(t *testing.T) {
-	dir := t.TempDir()
-
-	// Build the snapshot in a full testbed so a placement is recorded
-	// (Deploy routes to the registered TM and remembers the site).
-	tb, err := bench.NewTestbed(bench.Options{Nodes: 4})
+// checkpointDeployedUtil publishes and deploys the matminer util
+// servable in a full testbed over dir (so a placement on cooley-tm-1 is
+// recorded), checkpoints, and shuts the testbed down.
+func checkpointDeployedUtil(t *testing.T, dir string) string {
+	t.Helper()
+	tb, err := bench.NewTestbed(bench.Options{Nodes: 4, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,20 +154,27 @@ func TestLoadSnapshotOverNonEmptyService(t *testing.T) {
 	if got := tb.MS.Placements()[utilID]; len(got) != 1 {
 		t.Fatalf("testbed deploy recorded no placement: %v", got)
 	}
-	if err := tb.MS.SaveSnapshot(dir); err != nil {
+	if err := tb.MS.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	return utilID
+}
+
+// TestRecoverOverNonEmptyService pins the restore-over-live-state
+// contract: the search index is rebuilt from scratch (no entries
+// surviving for servables absent from the checkpoint, no duplicates)
+// and restored placements are kept verbatim.
+func TestRecoverOverNonEmptyService(t *testing.T) {
+	dir := t.TempDir()
+	utilID := checkpointDeployedUtil(t, dir)
 
 	// The target service is NOT empty: it has its own publication (not
-	// in the snapshot), a warm cache entry would live here too.
-	ms := core.New(core.Config{Registry: container.NewRegistry()})
-	defer ms.Close()
+	// in the checkpoint).
+	ms := unrecovered(t, dir, 0)
 	if _, err := ms.Publish(context.Background(), core.Anonymous, servable.NoopPackage()); err != nil {
 		t.Fatal(err)
 	}
-	if err := ms.LoadSnapshot(dir); err != nil {
-		t.Fatal(err)
-	}
+	recoverFromCheckpoint(t, ms)
 
 	// The pre-load publication is gone from the repository AND from the
 	// index: a search for it must find nothing, not a ghost hit.
@@ -154,7 +185,7 @@ func TestLoadSnapshotOverNonEmptyService(t *testing.T) {
 	// The restored publication is indexed exactly once.
 	res, _ = ms.Search(context.Background(), core.Anonymous, search.Query{})
 	if res.Total != 1 {
-		t.Fatalf("index should hold exactly the snapshot's 1 doc, got %d", res.Total)
+		t.Fatalf("index should hold exactly the checkpoint's 1 doc, got %d", res.Total)
 	}
 	// Placements are restored verbatim: at boot-time restore no TM has
 	// registered yet, so dropping unknown-TM placements here would drop
@@ -163,61 +194,41 @@ func TestLoadSnapshotOverNonEmptyService(t *testing.T) {
 	if got := ms.Placements()[utilID]; len(got) != 1 {
 		t.Fatalf("restored placement lost: %v", got)
 	}
-	// Loading into a service that DOES know the TM keeps the placement
-	// usable end to end.
-	tb2, err := bench.NewTestbed(bench.Options{Nodes: 4})
+	// Recovering into a service that DOES know the TM keeps the
+	// placement usable end to end.
+	tb2, err := bench.NewTestbed(bench.Options{Nodes: 4, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tb2.Close()
-	if err := tb2.MS.LoadSnapshot(dir); err != nil {
-		t.Fatal(err)
-	}
 	if got := tb2.MS.Placements()[utilID]; len(got) != 1 {
 		t.Fatalf("valid placement dropped: %v", got)
 	}
 }
 
 // TestRestoredGhostPlacementDoesNotBlackHole pins the routing half of
-// the stale-placement fix: a snapshot placement naming a TM that no
+// the stale-placement fix: a checkpointed placement naming a TM that no
 // longer exists must not route requests into the ghost's queue (they
 // would hang until the full task timeout). Routing falls back to the
 // registered TMs, which answer fast — here with task_failed, because
 // the fresh site never deployed the servable.
 func TestRestoredGhostPlacementDoesNotBlackHole(t *testing.T) {
 	dir := t.TempDir()
-	tb, err := bench.NewTestbed(bench.Options{Nodes: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	utilID, err := tb.MS.Publish(context.Background(), core.Anonymous, servable.MatminerUtilPackage())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.MS.Deploy(context.Background(), core.Anonymous, utilID, 1, "parsl"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.MS.SaveSnapshot(dir); err != nil {
-		t.Fatal(err)
-	}
-	tb.Close() // "cooley-tm-1" is now a ghost
+	utilID := checkpointDeployedUtil(t, dir) // "cooley-tm-1" is now a ghost
 
-	ms := core.New(core.Config{Registry: container.NewRegistry()})
-	defer ms.Close()
+	ms := unrecovered(t, dir, 0)
 	newSite(t, ms, "fresh-tm")
 	if err := ms.WaitForTM(1, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := ms.LoadSnapshot(dir); err != nil {
-		t.Fatal(err)
-	}
+	recoverFromCheckpoint(t, ms)
 	// The placement names cooley-tm-1 (unregistered); the run must be
 	// routed to fresh-tm and fail fast with task_failed — NOT sit out
 	// the deadline in a queue nobody consumes.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	start := time.Now()
-	_, err = ms.Run(ctx, core.Anonymous, utilID, "NaCl", core.RunOptions{})
+	_, err := ms.Run(ctx, core.Anonymous, utilID, "NaCl", core.RunOptions{})
 	if !errors.Is(err, core.ErrTaskFailed) {
 		t.Fatalf("want fast task_failed from the live TM, got %v after %v", err, time.Since(start))
 	}
@@ -226,52 +237,49 @@ func TestRestoredGhostPlacementDoesNotBlackHole(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotFlushesCache pins that cached results from before the
-// load cannot be served after it.
-func TestLoadSnapshotFlushesCache(t *testing.T) {
+// TestRecoverFlushesCache pins that cached results from before the
+// restore cannot be served after it.
+func TestRecoverFlushesCache(t *testing.T) {
 	dir := t.TempDir()
-	seed := core.New(core.Config{Registry: container.NewRegistry()})
+	seed, _ := openRecovered(t, dir, 0)
 	if _, err := seed.Publish(context.Background(), core.Anonymous, servable.MatminerUtilPackage()); err != nil {
 		t.Fatal(err)
 	}
-	if err := seed.SaveSnapshot(dir); err != nil {
+	if err := seed.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	seed.Close()
 
-	tb, err := bench.NewTestbed(bench.Options{Nodes: 4, ServiceCache: true})
+	ms := unrecovered(t, dir, 0)
+	newSite(t, ms, "fresh-tm")
+	if err := ms.WaitForTM(1, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	id, err := ms.Publish(context.Background(), core.Anonymous, servable.MatminerUtilPackage())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tb.Close()
-	id, err := tb.MS.Publish(context.Background(), core.Anonymous, servable.MatminerUtilPackage())
-	if err != nil {
+	if err := ms.Deploy(context.Background(), core.Anonymous, id, 1, "parsl"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.MS.Deploy(context.Background(), core.Anonymous, id, 1, "parsl"); err != nil {
+	if _, err := ms.Run(context.Background(), core.Anonymous, id, "NaCl", core.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tb.MS.Run(context.Background(), core.Anonymous, id, "NaCl", core.RunOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if st := tb.MS.CacheStats(); st.Entries == 0 {
+	if st := ms.CacheStats(); st.Entries == 0 {
 		t.Fatal("setup: expected a warm cache entry")
 	}
-	if err := tb.MS.LoadSnapshot(dir); err != nil {
-		t.Fatal(err)
-	}
-	if st := tb.MS.CacheStats(); st.Entries != 0 {
-		t.Fatalf("cache entries survived the load: %+v", st)
+	recoverFromCheckpoint(t, ms)
+	if st := ms.CacheStats(); st.Entries != 0 {
+		t.Fatalf("cache entries survived the restore: %+v", st)
 	}
 }
 
-// TestSaveSnapshotConcurrentMetadataUpdates races SaveSnapshot against
+// TestCheckpointConcurrentMetadataUpdates races Checkpoint against
 // UpdateMetadata; under -race this pins the deep-copy-under-lock fix
 // (the encoder must never serialize a document being mutated).
-func TestSaveSnapshotConcurrentMetadataUpdates(t *testing.T) {
+func TestCheckpointConcurrentMetadataUpdates(t *testing.T) {
 	dir := t.TempDir()
-	ms := core.New(core.Config{Registry: container.NewRegistry()})
-	defer ms.Close()
+	ms, _ := openRecovered(t, dir, 0)
 	id, err := ms.Publish(context.Background(), core.Anonymous, servable.MatminerUtilPackage())
 	if err != nil {
 		t.Fatal(err)
@@ -291,54 +299,91 @@ func TestSaveSnapshotConcurrentMetadataUpdates(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 20; i++ {
-		if err := ms.SaveSnapshot(dir); err != nil {
-			t.Fatalf("save %d: %v", i, err)
+		if err := ms.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint %d: %v", i, err)
 		}
 	}
 	<-done
-	// The last snapshot must still round-trip.
-	ms2 := core.New(core.Config{Registry: container.NewRegistry()})
-	defer ms2.Close()
-	if err := ms2.LoadSnapshot(dir); err != nil {
+	// The last checkpoint must still round-trip.
+	if err := ms.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	ms.Close()
+	ms2 := unrecovered(t, dir, 0)
+	recoverFromCheckpoint(t, ms2)
 	if _, err := ms2.Get(core.Anonymous, id); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestLoadSnapshotErrors(t *testing.T) {
-	ms := core.New(core.Config{Registry: container.NewRegistry()})
-	defer ms.Close()
-	if err := ms.LoadSnapshot(t.TempDir()); err == nil {
-		t.Fatal("missing snapshot should error")
+// TestRecoverCheckpointErrors: a directory with no checkpoint is a
+// first boot (empty, no error); a corrupt checkpoint fails recovery
+// instead of silently starting empty.
+func TestRecoverCheckpointErrors(t *testing.T) {
+	info, err := unrecovered(t, t.TempDir(), 0).Recover()
+	if err != nil || info.CheckpointLoaded {
+		t.Fatalf("missing checkpoint should be a clean first boot, got %+v / %v", info, err)
 	}
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "repository.gob"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := ms.LoadSnapshot(dir); err == nil {
-		t.Fatal("corrupt snapshot should error")
+	if _, err := unrecovered(t, dir, 0).Recover(); err == nil {
+		t.Fatal("corrupt checkpoint should error")
 	}
 }
 
-func TestSnapshotAtomicNoTempLeftovers(t *testing.T) {
+func TestCheckpointAtomicNoTempLeftovers(t *testing.T) {
 	dir := t.TempDir()
-	ms := core.New(core.Config{Registry: container.NewRegistry()})
-	defer ms.Close()
+	ms, _ := openRecovered(t, dir, 0)
 	ms.Publish(context.Background(), core.Anonymous, servable.NoopPackage()) //nolint:errcheck
-	if err := ms.SaveSnapshot(dir); err != nil {
+	if err := ms.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Name() != "repository.gob" {
-		names := make([]string, len(entries))
-		for i, e := range entries {
-			names[i] = e.Name()
-		}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	if len(names) != 2 || names[0] != "repository.gob" || names[1] != "wal.log" {
 		t.Fatalf("temp files left behind: %v", names)
+	}
+}
+
+// TestRecoverFromSnapshotOnlyDir is the upgrade path promised to users
+// of the removed -snapshot mode (docs/OPERATIONS.md): a directory
+// holding only repository.gob — no wal.log — recovers as a -data-dir
+// with identical state.
+func TestRecoverFromSnapshotOnlyDir(t *testing.T) {
+	src := t.TempDir()
+	ms, _ := openRecovered(t, src, 0)
+	id, err := ms.Publish(context.Background(), core.Anonymous, servable.MatminerUtilPackage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ms.SetAutoscalePolicy(core.Anonymous, id, core.AutoscalePolicy{Enabled: true, MinReplicas: 1, MaxReplicas: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ms.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := ms.StateFingerprint()
+	ms.Close()
+
+	gob, err := os.ReadFile(filepath.Join(src, "repository.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "repository.gob"), gob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ms2 := unrecovered(t, dir, 0)
+	recoverFromCheckpoint(t, ms2)
+	if got := ms2.StateFingerprint(); got != want {
+		t.Fatalf("snapshot-only dir recovered differently\n--- want\n%s--- got\n%s", want, got)
 	}
 }

@@ -28,16 +28,11 @@ import (
 // whatever is there.
 func openRecovered(t *testing.T, dir string, compactEvery int) (*core.Service, store.RecoveryInfo) {
 	t.Helper()
-	w, err := store.Open(store.Options{Dir: dir, Sync: false, CompactEvery: compactEvery})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := core.New(core.Config{Registry: container.NewRegistry(), Store: w})
+	ms := unrecovered(t, dir, compactEvery)
 	info, err := ms.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ms.Close(); w.Close() })
 	return ms, info
 }
 

@@ -9,7 +9,7 @@
 // container building, search indexing), the ZeroMQ-style task queue to
 // registered Task Managers, synchronous and asynchronous task
 // execution, batching, pipelines and access control via the auth
-// substrate. The REST API in http.go wraps the methods here; benches
+// substrate. The REST API in http_v2.go wraps the methods here; benches
 // and tests may also drive the service in-process. Pipelines are
 // service-orchestrated: each step routes, caches and accounts demand
 // independently, with a TM-local monolith fast path when every step is
@@ -28,12 +28,12 @@
 // a canceled request frees its TM load slot immediately, withdraws its
 // still-unclaimed task, and releases its singleflight followers.
 // Failures are classified *Error values (errors.go) with stable codes
-// mapped to HTTP statuses; the wire surface is versioned under /api/v2
-// (http_v2.go) with the original /api routes kept as shims (http.go).
+// mapped to HTTP statuses; the wire surface is /api/v2 (http_v2.go).
 package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -94,9 +94,6 @@ type Config struct {
 	// Cache tunes the service-layer result cache (zero value: enabled
 	// with defaults; set Disabled to turn it off).
 	Cache CacheConfig
-	// DisableV1 retires the deprecated v1 compatibility shims: every
-	// /api/* (non-v2) route answers 410 Gone pointing at /api/v2.
-	DisableV1 bool
 	// LogRequests enables HTTP access logging through the middleware
 	// chain (off by default: benches and tests stay quiet).
 	LogRequests bool
@@ -128,8 +125,7 @@ type Config struct {
 	// Store is the durability seam (durable.go): every repository
 	// mutation appends a record to it, and Recover replays it at boot.
 	// Nil disables durable logging entirely — tests and the bench
-	// testbed pay nothing, and a -snapshot-only server keeps its
-	// caller-driven whole-state saves.
+	// testbed pay nothing.
 	Store store.Store
 }
 
@@ -336,7 +332,7 @@ func (s *Service) registrationLoop() {
 			continue
 		}
 		var reg taskmanager.Registration
-		if err := jsonUnmarshal(msg.Body, &reg); err == nil && reg.TMID != "" {
+		if err := json.Unmarshal(msg.Body, &reg); err == nil && reg.TMID != "" {
 			// The watcher's deadline is re-armed BEFORE the routing
 			// table learns the beat: a dispatch can only route to a TM
 			// routing considers live, and by then the watcher already
@@ -724,7 +720,7 @@ func (s *Service) Search(ctx context.Context, caller Caller, q search.Query) (se
 
 // buildImage builds the servable container exactly as §IV-A describes.
 func buildImage(b *container.Builder, pkg *servable.Package) (*container.Image, error) {
-	docData, err := jsonMarshal(pkg.Doc)
+	docData, err := json.Marshal(pkg.Doc)
 	if err != nil {
 		return nil, err
 	}
@@ -787,22 +783,12 @@ type RunOptions struct {
 	// allowing TM-side memoization. Use it to force a request through
 	// routing without forgoing site-local caching.
 	NoCache bool
-	// Timeout overrides the service default.
-	//
-	// Deprecated: pass a context.WithTimeout ctx instead; a non-zero
-	// Timeout is folded into the request context and kept only as a
-	// compatibility shim.
-	Timeout time.Duration
 }
 
-// reqCtx applies the request deadline policy: the deprecated
-// RunOptions.Timeout shim wins when set, an inherited ctx deadline is
-// respected, and a deadline-free ctx gets the service default so no
+// reqCtx applies the request deadline policy: an inherited ctx deadline
+// is respected, and a deadline-free ctx gets the service default so no
 // dispatch can wait unboundedly. The returned cancel must be called.
-func (s *Service) reqCtx(ctx context.Context, opts RunOptions) (context.Context, context.CancelFunc) {
-	if opts.Timeout > 0 {
-		return context.WithTimeout(ctx, opts.Timeout)
-	}
+func (s *Service) reqCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	if _, ok := ctx.Deadline(); !ok {
 		return context.WithTimeout(ctx, s.cfg.TaskTimeout)
 	}
@@ -933,7 +919,7 @@ func (s *Service) runCached(ctx context.Context, caller Caller, key, servableID 
 // aborts the dispatch, frees the routed TM's load slot, and returns an
 // error matching both context.Canceled and ErrCanceled.
 func (s *Service) Run(ctx context.Context, caller Caller, servableID string, input any, opts RunOptions) (RunResult, error) {
-	ctx, cancel := s.reqCtx(ctx, opts)
+	ctx, cancel := s.reqCtx(ctx)
 	defer cancel()
 	doc, err := s.Get(caller, servableID)
 	if err != nil {
@@ -973,7 +959,7 @@ func (s *Service) Run(ctx context.Context, caller Caller, servableID string, inp
 // an identical batch hits, but its items do not cross-populate
 // single-input entries.
 func (s *Service) RunBatch(ctx context.Context, caller Caller, servableID string, inputs []any, opts RunOptions) (RunResult, error) {
-	ctx, cancel := s.reqCtx(ctx, opts)
+	ctx, cancel := s.reqCtx(ctx)
 	defer cancel()
 	doc, err := s.Get(caller, servableID)
 	if err != nil {
@@ -1095,7 +1081,7 @@ func (s *Service) dispatchTo(ctx context.Context, tmID string, task taskmanager.
 	s.route.addInflight(tmID, sv, svWeight)
 	defer s.route.subInflight(tmID, sv, svWeight)
 	start := time.Now()
-	body, err := jsonMarshal(task)
+	body, err := json.Marshal(task)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -1104,7 +1090,7 @@ func (s *Service) dispatchTo(ctx context.Context, tmID string, task taskmanager.
 		return RunResult{}, wrapCtxErr(err)
 	}
 	var reply taskmanager.Reply
-	if err := jsonUnmarshal(replyBody, &reply); err != nil {
+	if err := json.Unmarshal(replyBody, &reply); err != nil {
 		return RunResult{}, fmt.Errorf("core: bad TM reply: %w", err)
 	}
 	res := RunResult{Reply: reply, RequestMicros: time.Since(start).Microseconds(), wireSize: int64(len(replyBody))}
@@ -1274,7 +1260,7 @@ func (s *Service) DeployTo(ctx context.Context, caller Caller, servableID string
 // deploy is the shared Deploy/DeployTo core; an empty tmID routes via
 // pickTM.
 func (s *Service) deploy(ctx context.Context, caller Caller, servableID string, replicas int, executorRoute, tmID string) error {
-	ctx, cancel := s.reqCtx(ctx, RunOptions{Timeout: deployTimeout(ctx)})
+	ctx, cancel := deployCtx(ctx)
 	defer cancel()
 	if _, err := s.Get(caller, servableID); err != nil {
 		return err
@@ -1364,13 +1350,14 @@ func (s *Service) DesiredReplicas(servableID string) int {
 	return s.route.replicasOf(servableID)
 }
 
-// deployTimeout picks the deploy/scale default deadline: 5 minutes
-// unless the caller's ctx already carries one.
-func deployTimeout(ctx context.Context) time.Duration {
+// deployCtx bounds a control-plane task (deploy, scale, undeploy,
+// drain, rejoin): the caller's deadline when the ctx carries one, else
+// 5 minutes. The returned cancel must be called.
+func deployCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	if _, ok := ctx.Deadline(); ok {
-		return 0
+		return context.WithCancel(ctx)
 	}
-	return 5 * time.Minute
+	return context.WithTimeout(ctx, 5*time.Minute)
 }
 
 // ResolveComponents downloads globus:// component references through
@@ -1419,7 +1406,7 @@ func (s *Service) Scale(ctx context.Context, caller Caller, servableID string, r
 // autoscaler drives directly (its decisions are service-internal, not
 // made on behalf of any caller).
 func (s *Service) scaleReplicas(ctx context.Context, servableID string, replicas int, executorRoute string) error {
-	ctx, cancel := s.reqCtx(ctx, RunOptions{Timeout: deployTimeout(ctx)})
+	ctx, cancel := deployCtx(ctx)
 	defer cancel()
 	task := taskmanager.Task{
 		ID:       queue.NewID(),

@@ -109,7 +109,7 @@ func TestPublishByReferenceEndToEndWithAuth(t *testing.T) {
 			Output:          schema.DataType{Kind: "list"},
 		},
 	}
-	id, err := client.PublishByReference(doc, map[string]string{"model": "globus://ward-laptop/cifar.bin"})
+	id, err := client.PublishByReference(t.Context(), doc, map[string]string{"model": "globus://ward-laptop/cifar.bin"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestPublishByReferenceEndToEndWithAuth(t *testing.T) {
 		t.Fatalf("unexpected id %s", id)
 	}
 	// The document is registered with the downloaded components.
-	got, err := client.Get(id)
+	got, err := client.Get(t.Context(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestPublishByReferenceEndToEndWithAuth(t *testing.T) {
 	evil := dlhub.NewClient(srv.URL, evtok.Value)
 	doc2 := *doc
 	doc2.Publication.Name = "stolen"
-	if _, err := evil.PublishByReference(&doc2, map[string]string{"model": "globus://ward-laptop/cifar.bin"}); err == nil {
+	if _, err := evil.PublishByReference(t.Context(), &doc2, map[string]string{"model": "globus://ward-laptop/cifar.bin"}); err == nil {
 		t.Fatal("dependent token must not grant access to another user's endpoint")
 	}
 }

@@ -40,8 +40,6 @@ code=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/api/v2/tenants")
 [ "$code" = "401" ] || { echo "auth: unauthenticated v2 request got $code, want 401"; exit 1; }
 code=$(curl -s -o /dev/null -w '%{http_code}' -H 'X-DLHub-Tenant: acme' "$BASE/api/v2/tenants")
 [ "$code" = "401" ] || { echo "auth: header-spoofed v2 request got $code, want 401"; exit 1; }
-code=$(curl -s -o /dev/null -w '%{http_code}' -H 'X-DLHub-Tenant: acme' "$BASE/api/servables")
-[ "$code" = "401" ] || { echo "auth: header-spoofed v1 request got $code, want 401"; exit 1; }
 echo "auth: anonymous and header-spoofed requests rejected"
 
 # --- 2: register, login, durable quota ---------------------------------------
