@@ -930,6 +930,15 @@ func (s *Service) handleV2Stats(w http.ResponseWriter, r *http.Request) {
 		// Per-tenant admission/fairness counters, keyed by tenant label
 		// ("anonymous" for the default lane). Empty until traffic flows.
 		"tenants": s.TenantStatsAll(),
+		// The dispatch inbox: pending_requests drains to zero when idle
+		// (anything else is a leak); orphan_replies counts answers that
+		// found no requester — late after a cancel or timeout, or the
+		// second answer of a task redelivered past the visibility
+		// timeout (at-least-once: it ran twice, it answers once).
+		"queue": map[string]uint64{
+			"pending_requests": uint64(s.broker.PendingRequests()),
+			"orphan_replies":   s.broker.OrphanReplies(),
+		},
 	})
 }
 

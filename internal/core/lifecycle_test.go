@@ -541,16 +541,23 @@ func TestV2TMLifecycleRoutes(t *testing.T) {
 		t.Fatalf("draining list = %v", tms.Draining)
 	}
 
-	// Stats expose the failover counter block.
+	// Stats expose the failover counter block, and the dispatch inbox:
+	// idle now, so nothing pending, and every reply found its requester.
 	_, env = doV2(t, http.MethodGet, srv.URL+"/api/v2/stats", nil, nil)
 	var stats struct {
 		Failovers *core.FailoverStats `json:"failovers"`
+		Queue     map[string]uint64   `json:"queue"`
 	}
 	if err := json.Unmarshal(env.Data, &stats); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Failovers == nil {
 		t.Fatal("stats payload missing failovers block")
+	}
+	pending, hasPending := stats.Queue["pending_requests"]
+	orphans, hasOrphans := stats.Queue["orphan_replies"]
+	if !hasPending || !hasOrphans || pending != 0 || orphans != 0 {
+		t.Fatalf("stats queue block = %v, want pending_requests 0 and orphan_replies 0", stats.Queue)
 	}
 
 	// Deregister over the wire; unknown TM afterwards is 503-coded

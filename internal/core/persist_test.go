@@ -30,13 +30,24 @@ import (
 // must replace.
 func unrecovered(t *testing.T, dir string, compactEvery int) *core.Service {
 	t.Helper()
+	ms, _ := unrecoveredStore(t, dir, compactEvery)
+	return ms
+}
+
+// unrecoveredStore is unrecovered for tests that simulate a kill and
+// reopen dir: they must Close the returned store at the kill, or its
+// background compaction keeps rewriting the directory under the next
+// incarnation's Recover. (Close takes no checkpoint, so the tail still
+// replays — it is a kill as far as the data is concerned.)
+func unrecoveredStore(t *testing.T, dir string, compactEvery int) (*core.Service, *store.WAL) {
+	t.Helper()
 	w, err := store.Open(store.Options{Dir: dir, Sync: false, CompactEvery: compactEvery})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ms := core.New(core.Config{Registry: container.NewRegistry(), Store: w})
 	t.Cleanup(func() { ms.Close(); w.Close() })
-	return ms
+	return ms, w
 }
 
 // recoverFromCheckpoint runs Recover and requires the state to have come

@@ -51,7 +51,10 @@ func TestRecoveryRandomInterleaving(t *testing.T) {
 			dir := t.TempDir()
 			// A tiny compaction threshold forces checkpoints to race the
 			// mutation stream, exercising the upsert replay semantics.
-			ms, _ := openRecovered(t, dir, 5)
+			ms, w := unrecoveredStore(t, dir, 5)
+			if _, err := ms.Recover(); err != nil {
+				t.Fatal(err)
+			}
 
 			var known []string
 			priorities := []string{"high", "normal", "low"}
@@ -132,10 +135,20 @@ func TestRecoveryRandomInterleaving(t *testing.T) {
 				}
 				want := ms.StateFingerprint()
 				// Kill: no shutdown checkpoint, the store is simply
-				// closed with its tail still in the log.
+				// closed with its tail still in the log. Closing it
+				// also stops its compaction goroutine — with a
+				// threshold of 5 one is usually pending, and left
+				// running it renames a checkpoint and truncates the
+				// log while the next Recover reads them.
 				ms.Close()
-				var info store.RecoveryInfo
-				ms, info = openRecovered(t, dir, 5)
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				ms, w = unrecoveredStore(t, dir, 5)
+				info, err := ms.Recover()
+				if err != nil {
+					t.Fatal(err)
+				}
 				if got := ms.StateFingerprint(); got != want {
 					t.Fatalf("cycle %d (replayed=%d): recovered state differs\n--- want\n%s--- got\n%s", cycle, info.Replayed, want, got)
 				}

@@ -5,10 +5,12 @@
 //
 // The broker hosts named queues. Producers push messages; consumers pull
 // and must acknowledge within a visibility timeout or the message is
-// redelivered (at-least-once semantics). Request/reply is layered on top
-// with per-message ReplyTo queues, mirroring the paper's flow where Task
-// Managers "retrieve waiting tasks from the queue, unpackage the
-// request, execute the task, and return the results via the same queue."
+// redelivered (at-least-once semantics). Request/reply is layered on
+// top, mirroring the paper's flow where Task Managers "retrieve waiting
+// tasks from the queue, unpackage the request, execute the task, and
+// return the results via the same queue": a request carries the
+// broker's inbox as ReplyTo plus a correlation ID, and its reply — which
+// is also its ack — goes straight to the requester waiting on that ID.
 //
 // Fairness: each named queue is internally striped into per-tenant
 // lanes, drained by deficit round-robin (DRR) weighted by the tenant's
@@ -27,8 +29,9 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"strings"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -50,15 +53,12 @@ type Message struct {
 	Body []byte `json:"body"`
 	// Attempt counts deliveries (1 on first delivery).
 	Attempt int `json:"attempt"`
-	// enqueued is stamped by Push; the sweeper uses it to expire
-	// stranded replies on abandoned reply queues.
-	enqueued time.Time
 }
 
-// replyQueuePrefix names the per-request reply queues; the sweeper
-// garbage-collects them (see sweep) so canceled or completed requests
-// do not leak queue state.
-const replyQueuePrefix = "reply."
+// inboxName is the reserved ReplyTo of RequestCtx's task messages. It
+// is not a queue: a push addressed to it is matched by correlation ID
+// against the requesters waiting in Broker.inbox and never stored.
+const inboxName = "dlhub.inbox"
 
 // NewID returns a random 128-bit hex identifier.
 func NewID() string {
@@ -161,6 +161,15 @@ type Broker struct {
 	fairMu     sync.Mutex
 	laneWeight map[string]int
 	dequeues   map[string]uint64
+
+	// inbox holds one buffered channel per RequestCtx in flight, keyed
+	// by the correlation ID its task message carries (a counter: the
+	// IDs are broker-internal and not secrets). inboxMu is a leaf lock:
+	// nothing is acquired under it and it is released before the send.
+	inboxMu sync.Mutex
+	inbox   map[string]chan []byte
+	orphans uint64 // replies that found no requester; inboxMu held
+	corrSeq atomic.Uint64
 }
 
 // NewBroker creates a broker whose unacknowledged deliveries become
@@ -175,6 +184,7 @@ func NewBroker(visibility time.Duration) *Broker {
 		stopSweep:  make(chan struct{}),
 		laneWeight: make(map[string]int),
 		dequeues:   make(map[string]uint64),
+		inbox:      make(map[string]chan []byte),
 	}
 	go b.sweeper()
 	return b
@@ -212,9 +222,9 @@ func (b *Broker) noteDequeue(tenant string) {
 	b.fairMu.Unlock()
 }
 
-// LaneDequeues snapshots the per-tenant delivery counters (reply-queue
-// deliveries land on the requesting tenant's own tag, or the default
-// lane).
+// LaneDequeues snapshots the per-tenant delivery counters (a reply
+// handed to its requester counts on the requesting tenant's own tag, or
+// the default lane).
 func (b *Broker) LaneDequeues() map[string]uint64 {
 	b.fairMu.Lock()
 	defer b.fairMu.Unlock()
@@ -243,8 +253,14 @@ func (b *Broker) queue(name string) *namedQueue {
 }
 
 // Push enqueues body on the named queue and returns the message ID.
-// tenant tags the fairness lane ("" = default).
+// tenant tags the fairness lane ("" = default). A push addressed to the
+// reserved inbox name is a reply: it goes to the requester waiting on
+// correlationID (or is dropped, see deliverReply) and has no ID.
 func (b *Broker) Push(queueName string, body []byte, replyTo, correlationID, tenant string) string {
+	if queueName == inboxName {
+		b.deliverReply(correlationID, body, tenant)
+		return ""
+	}
 	msg := Message{
 		ID:            NewID(),
 		Queue:         queueName,
@@ -252,35 +268,48 @@ func (b *Broker) Push(queueName string, body []byte, replyTo, correlationID, ten
 		CorrelationID: correlationID,
 		Tenant:        tenant,
 		Body:          body,
-		enqueued:      time.Now(),
 	}
 	b.deliver(b.queue(queueName), msg)
 	return msg.ID
 }
 
-// DeleteQueue removes an idle queue — no ready messages, no in-flight
-// deliveries, no parked consumers — from the broker, reporting whether
-// it was removed. The ready check matters: a reply delivered between a
-// requester's polls must not be deleted with the queue (the requester
-// would then wait out its full deadline for work that completed).
-// Request sides call it on their reply queues when done; a reply
-// racing the deletion simply recreates the queue and the sweeper
-// collects it.
-func (b *Broker) DeleteQueue(name string) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	q, ok := b.queues[name]
-	if !ok {
-		return false
+// deliverReply hands body to the RequestCtx waiting on corr, billing
+// the delivery to the requesting tenant's lane. A reply that finds no
+// waiter — its requester gave up, or an earlier delivery of the same
+// task already answered (at-least-once: a task outliving the visibility
+// timeout runs and replies twice) — is counted and dropped, so
+// requesters see exactly one reply and late ones cannot accumulate.
+func (b *Broker) deliverReply(corr string, body []byte, tenant string) {
+	b.inboxMu.Lock()
+	ch, ok := b.inbox[corr]
+	if ok {
+		delete(b.inbox, corr)
+	} else {
+		b.orphans++
 	}
-	q.mu.Lock()
-	idle := len(q.lanes) == 0 && len(q.pending) == 0 && q.waiters.Len() == 0
-	q.mu.Unlock()
-	if !idle {
-		return false
+	b.inboxMu.Unlock()
+	if ok {
+		b.noteDequeue(tenant)
+		ch <- body // buffered, and the delete above makes this the only send
 	}
-	delete(b.queues, name)
-	return true
+}
+
+// PendingRequests reports how many RequestCtx calls are waiting for a
+// reply — the leak observable: it returns to zero once every request
+// has completed, timed out or been canceled.
+func (b *Broker) PendingRequests() int {
+	b.inboxMu.Lock()
+	defer b.inboxMu.Unlock()
+	return len(b.inbox)
+}
+
+// OrphanReplies counts replies dropped because no requester was waiting
+// for them (late after a cancel or timeout, or a redelivered task's
+// second answer).
+func (b *Broker) OrphanReplies() uint64 {
+	b.inboxMu.Lock()
+	defer b.inboxMu.Unlock()
+	return b.orphans
 }
 
 func (b *Broker) deliver(q *namedQueue, msg Message) {
@@ -465,14 +494,6 @@ func (b *Broker) Nack(queueName, msgID string) bool {
 	return true
 }
 
-// Queues reports how many named queues the broker currently holds —
-// the observability hook for reply-queue garbage collection.
-func (b *Broker) Queues() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.queues)
-}
-
 // Len reports ready (not in-flight) messages on a queue, across all
 // lanes.
 func (b *Broker) Len(queueName string) int {
@@ -521,15 +542,13 @@ func (b *Broker) sweeper() {
 
 func (b *Broker) sweep(now time.Time) {
 	b.mu.RLock()
-	queues := make(map[string]*namedQueue, len(b.queues))
-	for name, q := range b.queues {
-		queues[name] = q
+	queues := make([]*namedQueue, 0, len(b.queues))
+	for _, q := range b.queues {
+		queues = append(queues, q)
 	}
 	b.mu.RUnlock()
-	staleCutoff := now.Add(-b.visibility)
-	for name, q := range queues {
+	for _, q := range queues {
 		var expired []Message
-		isReply := strings.HasPrefix(name, replyQueuePrefix)
 		q.mu.Lock()
 		for id, p := range q.pending {
 			if now.After(p.deadline) {
@@ -537,39 +556,15 @@ func (b *Broker) sweep(now time.Time) {
 				delete(q.pending, id)
 			}
 		}
-		if isReply {
-			// Reply queues are single-consumer and short-lived: a ready
-			// reply older than the visibility window means its requester
-			// is gone (canceled after the task was pulled) — drop it so
-			// abandoned replies cannot accumulate.
-			for tag, ln := range q.lanes {
-				for e := ln.ready.Front(); e != nil; {
-					next := e.Next()
-					if e.Value.(Message).enqueued.Before(staleCutoff) {
-						ln.ready.Remove(e)
-					}
-					e = next
-				}
-				if ln.ready.Len() == 0 {
-					q.removeLaneLocked(tag)
-				}
-			}
-		}
-		empty := len(q.lanes) == 0 && len(q.pending) == 0 && q.waiters.Len() == 0
 		q.mu.Unlock()
 		for _, msg := range expired {
 			b.deliver(q, msg)
 		}
-		if isReply && empty && len(expired) == 0 {
-			// GC the queue itself once fully idle (its requester either
-			// finished — and deleted it already — or abandoned it).
-			b.DeleteQueue(name)
-		}
 	}
 }
 
-// Request pushes body on queueName with a fresh reply queue, then waits
-// for the reply. It is the synchronous-invocation primitive of §IV-A.
+// Request is RequestCtx with a flat timeout; ok is false when it passed
+// without a reply.
 func (b *Broker) Request(queueName string, body []byte, timeout time.Duration) ([]byte, bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
@@ -577,54 +572,41 @@ func (b *Broker) Request(queueName string, body []byte, timeout time.Duration) (
 	return reply, err == nil
 }
 
-// RequestCtx is Request bounded by ctx instead of a flat timeout: the
-// wait ends as soon as ctx is canceled or its deadline passes, and the
-// error distinguishes the two (ctx.Err()). A ctx with neither deadline
-// nor cancel waits indefinitely (polling in visibility-sized windows).
-// On early termination the request message is withdrawn from the task
-// queue when no consumer has pulled it yet, so canceled work never
-// executes needlessly; the per-request reply queue is deleted on every
-// exit path (the sweeper collects it if a straggling reply recreates
-// it). tenant tags the request's fairness lane on the task queue.
+// RequestCtx pushes body on queueName and waits for the reply. It is
+// the synchronous-invocation primitive of §IV-A. The task message's
+// ReplyTo is the inbox and its correlation ID names this call's slot in
+// it, so the consumer's Reply lands on the channel below with no queue
+// in between. The wait ends as soon as ctx is canceled or its deadline
+// passes and returns ctx.Err(); a ctx with neither waits indefinitely.
+// On early termination the slot is released and the request message is
+// withdrawn from the task queue when no consumer has pulled it yet, so
+// canceled work never executes needlessly; if it was already pulled,
+// its eventual reply finds no slot and is dropped (OrphanReplies).
+// tenant tags the request's fairness lane on the task queue.
 func (b *Broker) RequestCtx(ctx context.Context, queueName string, body []byte, tenant string) ([]byte, error) {
-	replyQ := replyQueuePrefix + NewID()
-	corr := NewID()
-	msgID := b.Push(queueName, body, replyQ, corr, tenant)
-	defer b.DeleteQueue(replyQ)
-	// With no Done channel, PullCtx needs a finite poll window to block
-	// at all; loop forever in visibility-sized slices.
-	window := time.Duration(0)
-	if ctx.Done() == nil {
-		window = b.visibility
+	corr := strconv.FormatUint(b.corrSeq.Add(1), 36)
+	ch := make(chan []byte, 1)
+	b.inboxMu.Lock()
+	b.inbox[corr] = ch
+	b.inboxMu.Unlock()
+	msgID := b.Push(queueName, body, inboxName, corr, tenant)
+	select {
+	case reply := <-ch:
+		return reply, nil
+	case <-ctx.Done():
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			b.Drop(queueName, msgID)
-			return nil, err
-		}
-		msg, ok := b.PullCtx(ctx, replyQ, window)
-		if !ok {
-			if window > 0 && ctx.Err() == nil {
-				continue // unbounded wait: poll again
-			}
-			b.Drop(queueName, msgID)
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, context.DeadlineExceeded
-		}
-		b.Ack(replyQ, msg.ID)
-		if msg.CorrelationID == corr {
-			return msg.Body, nil
-		}
-	}
+	b.inboxMu.Lock()
+	delete(b.inbox, corr)
+	b.inboxMu.Unlock()
+	b.Drop(queueName, msgID)
+	return nil, ctx.Err()
 }
 
-// Reply pushes a response for msg onto its ReplyTo queue and acks the
-// original. It is a no-op for messages with no ReplyTo. The reply
-// inherits the request's tenant tag, so reply-side dequeues are billed
-// to the same lane (a reply queue has one consumer — fairness never
-// arbitrates it).
+// Reply answers msg and acknowledges it, in that order: the response
+// goes to msg.ReplyTo (the requester's inbox slot, or a named queue; ""
+// expects no reply) carrying the request's correlation ID and tenant
+// tag, then msg leaves the redelivery set. Reply is therefore the
+// consumer's ack — a consumer that replies need not also Ack.
 func (b *Broker) Reply(msg Message, body []byte) {
 	if msg.ReplyTo != "" {
 		b.Push(msg.ReplyTo, body, "", msg.CorrelationID, msg.Tenant)

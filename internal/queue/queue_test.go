@@ -237,7 +237,7 @@ func TestNewIDUnique(t *testing.T) {
 
 // --- transport tests ---------------------------------------------------
 
-func startTransport(t *testing.T, b *Broker) *Client {
+func startTransport(t testing.TB, b *Broker) *Client {
 	t.Helper()
 	srv := NewServer(b)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -279,27 +279,30 @@ func TestTransportPushPullAck(t *testing.T) {
 	}
 }
 
+// TestTransportRequestReply is the deployed shape: the requester calls
+// the broker in process (the MS), the consumer pulls and replies over
+// the transport (a TM). One q2.reply both answers and acks.
 func TestTransportRequestReply(t *testing.T) {
 	b := NewBroker(time.Minute)
 	defer b.Close()
-	c := startTransport(t, b)
-
-	// Remote consumer loop over a second client.
 	consumer := startTransport(t, b)
 	go func() {
 		msg, ok, err := consumer.Pull("svc", 2*time.Second)
 		if err != nil || !ok {
 			return
 		}
-		consumer.Reply(msg, []byte("pong")) //nolint:errcheck
+		consumer.Reply(msg, append([]byte("pong:"), msg.Body...)) //nolint:errcheck
 	}()
 
-	out, ok, err := c.Request("svc", []byte("ping"), 2*time.Second)
-	if err != nil || !ok {
-		t.Fatalf("request failed: ok=%v err=%v", ok, err)
+	out, ok := b.Request("svc", []byte("ping"), 2*time.Second)
+	if !ok || string(out) != "pong:ping" {
+		t.Fatalf("request failed: ok=%v reply=%q", ok, out)
 	}
-	if string(out) != "pong" {
-		t.Fatalf("wrong reply %q", out)
+	if n := b.PendingRequests(); n != 0 {
+		t.Fatalf("inbox holds %d requests after completion, want 0", n)
+	}
+	if n := b.InFlight("svc"); n != 0 {
+		t.Fatalf("reply did not ack the request: %d in flight", n)
 	}
 }
 
@@ -317,8 +320,8 @@ func TestTransportPullTimeout(t *testing.T) {
 }
 
 // TestRequestCleansReplyQueue: a completed request must not leave its
-// per-request reply queue behind in the broker (the map would otherwise
-// grow by one entry per request, forever).
+// inbox slot behind in the broker (the map would otherwise grow by one
+// entry per request, forever).
 func TestRequestCleansReplyQueue(t *testing.T) {
 	b := NewBroker(time.Minute)
 	defer b.Close()
@@ -336,16 +339,16 @@ func TestRequestCleansReplyQueue(t *testing.T) {
 		t.Fatal("request failed")
 	}
 	<-done
-	if n := b.Queues(); n != 1 { // only "work" remains
-		t.Fatalf("reply queue leaked: %d queues, want 1", n)
+	if n := b.PendingRequests(); n != 0 {
+		t.Fatalf("inbox slot leaked: %d pending requests, want 0", n)
 	}
 }
 
 // TestCanceledRequestReplyGC: a request canceled after its task was
-// pulled strands the late reply; the sweeper must expire it and collect
-// the orphaned reply queue.
+// pulled releases its inbox slot at once; the late reply finds no
+// waiter and is counted and dropped, not stored.
 func TestCanceledRequestReplyGC(t *testing.T) {
-	b := NewBroker(50 * time.Millisecond) // fast visibility -> fast GC
+	b := NewBroker(time.Minute)
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
@@ -361,15 +364,16 @@ func TestCanceledRequestReplyGC(t *testing.T) {
 	if err := <-errCh; err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	b.Reply(msg, []byte("too late")) // recreates the reply queue
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if b.Queues() == 1 { // only "work" survives
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	if n := b.PendingRequests(); n != 0 {
+		t.Fatalf("canceled request still holds %d inbox slots", n)
 	}
-	t.Fatalf("stranded reply queue not collected: %d queues", b.Queues())
+	b.Reply(msg, []byte("too late"))
+	if n := b.OrphanReplies(); n != 1 {
+		t.Fatalf("late reply not counted as orphan: %d", n)
+	}
+	if n := b.InFlight("work"); n != 0 {
+		t.Fatalf("late reply must still ack its task: %d in flight", n)
+	}
 }
 
 // TestRequestCtxUnboundedContext: a ctx with neither deadline nor

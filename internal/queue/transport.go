@@ -1,10 +1,11 @@
 package queue
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
-	"fmt"
+	"math"
 	"net"
 	"time"
 
@@ -14,6 +15,113 @@ import (
 // Transport exposes a Broker over the binary RPC protocol so that the
 // Management Service (EC2) and Task Managers (Cooley) can share it
 // across netsim-shaped links, as in the paper's deployment.
+//
+// Wire format. Each op is one rpc call whose payload is a run of header
+// fields, each a uvarint length followed by that many bytes, then any
+// numeric field as a bare uvarint, then the body as the rest of the
+// payload — never length-prefixed, never re-encoded, so the task JSON
+// the MS marshalled is the byte string the TM unmarshals.
+//
+//	op        request                                  response
+//	q2.push   queue replyTo corr tenant | body         message ID (raw)
+//	q2.pull   queue | timeout_ms                       empty = nothing ready, else
+//	                                                   id queue replyTo corr tenant | attempt | body
+//	q2.ack    queue id                                 empty
+//	q2.nack   queue id                                 empty
+//	q2.reply  id queue replyTo corr tenant | attempt | body   empty
+//
+// q2.reply is the pulled message echoed with the response as its body;
+// the broker answers ReplyTo and acks (queue, id) in one step.
+// The q2 prefix is the protocol version: a peer speaking the earlier
+// JSON protocol gets "unknown method", not a mis-decoded frame.
+const (
+	opPush  = "q2.push"
+	opPull  = "q2.pull"
+	opAck   = "q2.ack"
+	opNack  = "q2.nack"
+	opReply = "q2.reply"
+)
+
+var errFrame = errors.New("queue: malformed frame")
+
+// encodeFrame lays out fields, then num (when non-negative), then body,
+// in one exactly-sized allocation.
+func encodeFrame(body []byte, num int64, fields ...string) []byte {
+	n := len(body)
+	if num >= 0 {
+		n += binary.MaxVarintLen64
+	}
+	for _, f := range fields {
+		n += binary.MaxVarintLen32 + len(f)
+	}
+	out := make([]byte, 0, n)
+	for _, f := range fields {
+		out = binary.AppendUvarint(out, uint64(len(f)))
+		out = append(out, f...)
+	}
+	if num >= 0 {
+		out = binary.AppendUvarint(out, uint64(num))
+	}
+	return append(out, body...)
+}
+
+// decodeFields fills fields from the front of p and returns what
+// follows them (aliasing p). The fields are substrings of a single
+// copy of the header bytes — one allocation however many there are —
+// so they stay valid after a pooled p is recycled. Every length is
+// checked against what is left of p before it is used.
+func decodeFields(p []byte, fields []string) ([]byte, error) {
+	end := 0
+	for range fields {
+		l, n := binary.Uvarint(p[end:])
+		if n <= 0 || l > uint64(len(p)-end-n) {
+			return nil, errFrame
+		}
+		end += n + int(l)
+	}
+	hdr := string(p[:end])
+	off := 0
+	for i := range fields {
+		l, n := binary.Uvarint(p[off:])
+		off += n
+		fields[i] = hdr[off : off+int(l)]
+		off += int(l)
+	}
+	return p[end:], nil
+}
+
+// maxNum bounds a numeric field so that, read as milliseconds, it still
+// fits a time.Duration.
+const maxNum = uint64(math.MaxInt64 / int64(time.Millisecond))
+
+// decodeNum reads one bare uvarint and returns what follows it.
+func decodeNum(p []byte) (int64, []byte, error) {
+	v, n := binary.Uvarint(p)
+	if n <= 0 || v > maxNum {
+		return 0, nil, errFrame
+	}
+	return int64(v), p[n:], nil
+}
+
+// encodeMessage is the layout the q2.pull response and the q2.reply
+// request share: m's header and attempt, then body.
+func encodeMessage(m Message, body []byte) []byte {
+	return encodeFrame(body, int64(m.Attempt), m.ID, m.Queue, m.ReplyTo, m.CorrelationID, m.Tenant)
+}
+
+// decodeMessage parses what encodeMessage wrote. Body aliases p.
+func decodeMessage(p []byte) (Message, error) {
+	var f [5]string
+	rest, err := decodeFields(p, f[:])
+	if err != nil {
+		return Message{}, err
+	}
+	attempt, rest, err := decodeNum(rest)
+	if err != nil {
+		return Message{}, err
+	}
+	return Message{ID: f[0], Queue: f[1], ReplyTo: f[2], CorrelationID: f[3], Tenant: f[4], Attempt: int(attempt), Body: rest}, nil
+}
 
 // Server wraps a broker for remote access.
 type Server struct {
@@ -24,11 +132,11 @@ type Server struct {
 // NewServer returns a broker RPC server ready to Serve.
 func NewServer(b *Broker) *Server {
 	s := &Server{broker: b, rpc: rpc.NewServer()}
-	s.rpc.Handle("queue.push", s.handlePush)
-	s.rpc.Handle("queue.pull", s.handlePull)
-	s.rpc.Handle("queue.ack", s.handleAck)
-	s.rpc.Handle("queue.nack", s.handleNack)
-	s.rpc.Handle("queue.delete", s.handleDelete)
+	s.rpc.Handle(opPush, s.handlePush)
+	s.rpc.HandleUndo(opPull, s.handlePull, s.undoPull)
+	s.rpc.Handle(opAck, handleRef(b.Ack))
+	s.rpc.Handle(opNack, handleRef(b.Nack))
+	s.rpc.Handle(opReply, s.handleReply)
 	return s
 }
 
@@ -38,72 +146,74 @@ func (s *Server) Serve(l net.Listener) error { return s.rpc.Serve(l) }
 // Close stops the RPC server (the broker itself is owned by the caller).
 func (s *Server) Close() error { return s.rpc.Close() }
 
-type pushReq struct {
-	Queue         string `json:"queue"`
-	Body          []byte `json:"body"`
-	ReplyTo       string `json:"reply_to"`
-	CorrelationID string `json:"correlation_id"`
-	Tenant        string `json:"tenant,omitempty"`
-}
-
-type pullReq struct {
-	Queue     string `json:"queue"`
-	TimeoutMS int64  `json:"timeout_ms"`
-}
-
-type pullResp struct {
-	OK  bool    `json:"ok"`
-	Msg Message `json:"msg"`
-}
-
-type ackReq struct {
-	Queue string `json:"queue"`
-	MsgID string `json:"msg_id"`
-}
-
 func (s *Server) handlePush(_ context.Context, payload []byte) ([]byte, error) {
-	var req pushReq
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return nil, fmt.Errorf("queue: bad push request: %w", err)
+	var f [4]string
+	body, err := decodeFields(payload, f[:])
+	if err != nil {
+		return nil, err
 	}
-	id := s.broker.Push(req.Queue, req.Body, req.ReplyTo, req.CorrelationID, req.Tenant)
-	return json.Marshal(map[string]string{"id": id})
+	// The payload is pooled and recycled after this call; the broker
+	// keeps the body, so it gets its own copy (here and in handleReply).
+	return []byte(s.broker.Push(f[0], bytes.Clone(body), f[1], f[2], f[3])), nil
 }
 
-func (s *Server) handlePull(_ context.Context, payload []byte) ([]byte, error) {
-	var req pullReq
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return nil, fmt.Errorf("queue: bad pull request: %w", err)
+// handlePull long-polls under the connection's context, so a consumer
+// that dies mid-poll stops being a waiter at once instead of claiming
+// the next task for a dead socket.
+func (s *Server) handlePull(ctx context.Context, payload []byte) ([]byte, error) {
+	var f [1]string
+	rest, err := decodeFields(payload, f[:])
+	if err != nil {
+		return nil, err
 	}
-	msg, ok := s.broker.Pull(req.Queue, time.Duration(req.TimeoutMS)*time.Millisecond)
-	return json.Marshal(pullResp{OK: ok, Msg: msg})
+	ms, rest, err := decodeNum(rest)
+	if err != nil || len(rest) != 0 {
+		return nil, errFrame
+	}
+	if ms == 0 {
+		// A zero timeout is a non-blocking poll; under a cancelable ctx
+		// PullCtx would read it as "wait for the connection to close".
+		ctx = context.Background()
+	}
+	msg, ok := s.broker.PullCtx(ctx, f[0], time.Duration(ms)*time.Millisecond)
+	if !ok {
+		return nil, nil
+	}
+	if err := ctx.Err(); err != nil {
+		// Claimed in the instant the connection died: give it back.
+		s.broker.Nack(msg.Queue, msg.ID)
+		return nil, err
+	}
+	return encodeMessage(msg, msg.Body), nil
 }
 
-func (s *Server) handleAck(_ context.Context, payload []byte) ([]byte, error) {
-	var req ackReq
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return nil, fmt.Errorf("queue: bad ack request: %w", err)
+// undoPull requeues a pulled message whose response frame could not be
+// written, instead of leaving it claimed until the visibility timeout.
+func (s *Server) undoPull(resp []byte) {
+	if msg, err := decodeMessage(resp); err == nil {
+		s.broker.Nack(msg.Queue, msg.ID)
 	}
-	ok := s.broker.Ack(req.Queue, req.MsgID)
-	return json.Marshal(map[string]bool{"ok": ok})
 }
 
-func (s *Server) handleNack(_ context.Context, payload []byte) ([]byte, error) {
-	var req ackReq
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return nil, fmt.Errorf("queue: bad nack request: %w", err)
+// handleRef serves q2.ack and q2.nack: exactly (queue, id), applied by op.
+func handleRef(op func(queueName, id string) bool) rpc.Handler {
+	return func(_ context.Context, payload []byte) ([]byte, error) {
+		var f [2]string
+		if rest, err := decodeFields(payload, f[:]); err != nil || len(rest) != 0 {
+			return nil, errFrame
+		}
+		op(f[0], f[1])
+		return nil, nil
 	}
-	ok := s.broker.Nack(req.Queue, req.MsgID)
-	return json.Marshal(map[string]bool{"ok": ok})
 }
 
-func (s *Server) handleDelete(_ context.Context, payload []byte) ([]byte, error) {
-	var req ackReq // only Queue is used
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return nil, fmt.Errorf("queue: bad delete request: %w", err)
+func (s *Server) handleReply(_ context.Context, payload []byte) ([]byte, error) {
+	msg, err := decodeMessage(payload)
+	if err != nil {
+		return nil, err
 	}
-	ok := s.broker.DeleteQueue(req.Queue)
-	return json.Marshal(map[string]bool{"ok": ok})
+	s.broker.Reply(msg, bytes.Clone(msg.Body))
+	return nil, nil
 }
 
 // Client gives remote components the Broker API over a (possibly
@@ -121,139 +231,46 @@ func (c *Client) Close() error { return c.rc.Close() }
 // Push enqueues remotely; it returns the broker-assigned message ID.
 // tenant tags the fairness lane ("" = default).
 func (c *Client) Push(queueName string, body []byte, replyTo, correlationID, tenant string) (string, error) {
-	payload, err := json.Marshal(pushReq{Queue: queueName, Body: body, ReplyTo: replyTo, CorrelationID: correlationID, Tenant: tenant})
-	if err != nil {
-		return "", err
-	}
-	out, err := c.rc.Call(context.Background(), "queue.push", payload)
-	if err != nil {
-		return "", err
-	}
-	var resp map[string]string
-	if err := json.Unmarshal(out, &resp); err != nil {
-		return "", err
-	}
-	return resp["id"], nil
+	out, err := c.rc.Call(context.Background(), opPush, encodeFrame(body, -1, queueName, replyTo, correlationID, tenant))
+	return string(out), err
 }
 
-// Pull long-polls the remote queue. ok is false on timeout.
+// Pull long-polls the remote queue. ok is false on timeout. The
+// message's Body aliases the response buffer, which is the caller's.
 func (c *Client) Pull(queueName string, timeout time.Duration) (Message, bool, error) {
-	return c.PullCtx(context.Background(), queueName, timeout)
-}
-
-// PullCtx is Pull bounded additionally by ctx: cancellation aborts the
-// in-flight RPC instead of waiting out the poll timeout.
-func (c *Client) PullCtx(ctx context.Context, queueName string, timeout time.Duration) (Message, bool, error) {
-	payload, err := json.Marshal(pullReq{Queue: queueName, TimeoutMS: timeout.Milliseconds()})
-	if err != nil {
-		return Message{}, false, err
+	if timeout < 0 {
+		timeout = 0
 	}
 	// Give the RPC itself headroom beyond the poll timeout.
-	ctx, cancel := context.WithTimeout(ctx, timeout+10*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout+10*time.Second)
 	defer cancel()
-	out, err := c.rc.Call(ctx, "queue.pull", payload)
-	if err != nil {
+	out, err := c.rc.Call(ctx, opPull, encodeFrame(nil, timeout.Milliseconds(), queueName))
+	if err != nil || len(out) == 0 {
 		return Message{}, false, err
 	}
-	var resp pullResp
-	if err := json.Unmarshal(out, &resp); err != nil {
-		return Message{}, false, err
-	}
-	return resp.Msg, resp.OK, nil
+	msg, err := decodeMessage(out)
+	return msg, err == nil, err
+}
+
+// call is an op whose response carries nothing.
+func (c *Client) call(op string, frame []byte) error {
+	_, err := c.rc.Call(context.Background(), op, frame)
+	return err
 }
 
 // Ack confirms processing of a delivered message.
 func (c *Client) Ack(queueName, msgID string) error {
-	payload, _ := json.Marshal(ackReq{Queue: queueName, MsgID: msgID})
-	_, err := c.rc.Call(context.Background(), "queue.ack", payload)
-	return err
+	return c.call(opAck, encodeFrame(nil, -1, queueName, msgID))
 }
 
 // Nack requeues a delivered message immediately.
 func (c *Client) Nack(queueName, msgID string) error {
-	payload, _ := json.Marshal(ackReq{Queue: queueName, MsgID: msgID})
-	_, err := c.rc.Call(context.Background(), "queue.nack", payload)
-	return err
+	return c.call(opNack, encodeFrame(nil, -1, queueName, msgID))
 }
 
-// Reply pushes a response onto msg's ReplyTo queue and acks the
-// original, inheriting the request's tenant tag.
+// Reply answers msg and acknowledges it in one round trip (see
+// Broker.Reply): the response inherits the request's ReplyTo,
+// correlation ID and tenant tag.
 func (c *Client) Reply(msg Message, body []byte) error {
-	if msg.ReplyTo != "" {
-		if _, err := c.Push(msg.ReplyTo, body, "", msg.CorrelationID, msg.Tenant); err != nil {
-			return err
-		}
-	}
-	return c.Ack(msg.Queue, msg.ID)
+	return c.call(opReply, encodeMessage(msg, body))
 }
-
-// Request pushes body and waits for the correlated reply.
-func (c *Client) Request(queueName string, body []byte, timeout time.Duration) ([]byte, bool, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	reply, err := c.RequestCtx(ctx, queueName, body, "")
-	switch {
-	case err == nil:
-		return reply, true, nil
-	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		return nil, false, nil
-	default:
-		return nil, false, err
-	}
-}
-
-// DeleteQueue removes an idle remote queue (reply-queue cleanup).
-func (c *Client) DeleteQueue(name string) error {
-	payload, _ := json.Marshal(ackReq{Queue: name})
-	_, err := c.rc.Call(context.Background(), "queue.delete", payload)
-	return err
-}
-
-// RequestCtx pushes body and waits for the correlated reply until ctx
-// ends; a context termination is returned as ctx.Err() so callers can
-// distinguish cancellation from deadline expiry or transport failure.
-// The per-request reply queue is deleted on exit (best effort — the
-// broker's sweeper collects strays).
-func (c *Client) RequestCtx(ctx context.Context, queueName string, body []byte, tenant string) ([]byte, error) {
-	replyQ := replyQueuePrefix + NewID()
-	corr := NewID()
-	if _, err := c.Push(queueName, body, replyQ, corr, tenant); err != nil {
-		return nil, err
-	}
-	defer c.DeleteQueue(replyQ) //nolint:errcheck — sweeper backstops
-	for {
-		remaining := pollWindow
-		if deadline, ok := ctx.Deadline(); ok {
-			remaining = time.Until(deadline)
-			if remaining <= 0 {
-				return nil, context.DeadlineExceeded
-			}
-			if remaining > pollWindow {
-				remaining = pollWindow
-			}
-		}
-		msg, ok, err := c.PullCtx(ctx, replyQ, remaining)
-		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
-			}
-			return nil, err
-		}
-		if !ok {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
-			}
-			continue
-		}
-		if err := c.Ack(replyQ, msg.ID); err != nil {
-			return nil, err
-		}
-		if msg.CorrelationID == corr {
-			return msg.Body, nil
-		}
-	}
-}
-
-// pollWindow bounds one remote reply poll so an unbounded-context
-// RequestCtx still re-checks cancellation periodically.
-const pollWindow = 30 * time.Second

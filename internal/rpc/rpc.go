@@ -16,12 +16,24 @@ import (
 // handler may read the payload and may return a response that aliases
 // it, but must not retain the slice past its return — copy first if the
 // bytes need to outlive the call.
+//
+// ctx belongs to the connection: it is canceled when the connection's
+// read loop exits (peer closed, read error), so a handler that parks —
+// a long poll — must select on it instead of outliving its caller.
 type Handler func(ctx context.Context, payload []byte) ([]byte, error)
+
+// route is one registered method: its handler and, for methods whose
+// response hands over ownership of something, the undo that takes it
+// back when the response never reached the wire.
+type route struct {
+	h    Handler
+	undo func(resp []byte)
+}
 
 // Server serves binary-framed RPC over a listener.
 type Server struct {
 	mu       sync.RWMutex
-	handlers map[string]Handler
+	handlers map[string]route
 
 	listener net.Listener
 	conns    sync.WaitGroup
@@ -30,14 +42,20 @@ type Server struct {
 
 // NewServer returns a server with no registered methods.
 func NewServer() *Server {
-	return &Server{handlers: make(map[string]Handler)}
+	return &Server{handlers: make(map[string]route)}
 }
 
 // Handle registers a handler for a method name, replacing any previous
 // registration.
-func (s *Server) Handle(method string, h Handler) {
+func (s *Server) Handle(method string, h Handler) { s.HandleUndo(method, h, nil) }
+
+// HandleUndo is Handle for a method whose successful response transfers
+// ownership to the peer (a pulled queue message): undo runs with the
+// response payload when writing that response frame failed, so the
+// handler's side effect can be reversed instead of stranded.
+func (s *Server) HandleUndo(method string, h Handler, undo func(resp []byte)) {
 	s.mu.Lock()
-	s.handlers[method] = h
+	s.handlers[method] = route{h: h, undo: undo}
 	s.mu.Unlock()
 }
 
@@ -80,7 +98,11 @@ func (s *Server) Close() error {
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	var wmu sync.Mutex // serialize response frames
-	ctx := context.Background()
+	// Canceled when this loop returns, i.e. when the peer is gone:
+	// parked handlers (long polls) wake instead of holding their claim
+	// for a caller that can no longer hear the answer.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for {
 		// Request bodies come from the frame pool: each is recycled by
 		// its request goroutine once the response hits the wire, so at
@@ -94,7 +116,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		s.mu.RLock()
-		h, ok := s.handlers[f.method]
+		rt, ok := s.handlers[f.method]
 		s.mu.RUnlock()
 		// Each request runs in its own goroutine: the protocol is
 		// multiplexed, like gRPC streams over one HTTP/2 connection.
@@ -102,14 +124,17 @@ func (s *Server) serveConn(conn net.Conn) {
 			var resp frame
 			if !ok {
 				resp = frame{typ: frameError, id: f.id, payload: []byte("unknown method: " + f.method)}
-			} else if out, err := h(ctx, f.payload); err != nil {
+			} else if out, err := rt.h(ctx, f.payload); err != nil {
 				resp = frame{typ: frameError, id: f.id, payload: []byte(err.Error())}
 			} else {
 				resp = frame{typ: frameResponse, id: f.id, payload: out}
 			}
 			wmu.Lock()
-			writeFrame(conn, resp) //nolint:errcheck — peer gone
+			werr := writeFrame(conn, resp)
 			wmu.Unlock()
+			if werr != nil && rt.undo != nil && resp.typ == frameResponse {
+				rt.undo(resp.payload)
+			}
 			// Recycle only after the response is written: handlers may
 			// return a response aliasing the pooled request payload.
 			recycleFrame(&f)
