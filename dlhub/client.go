@@ -311,6 +311,19 @@ func (c *Client) Search(ctx context.Context, freeText string, opts SearchOptions
 
 // --- serving ----------------------------------------------------------------
 
+// runRequest is the encoding side of core.RunRequest: the same wire
+// fields, with the payload as the caller's values where the server keeps
+// the bytes it received.
+type runRequest struct {
+	Input    any    `json:"input,omitempty"`
+	Inputs   []any  `json:"inputs,omitempty"`
+	Async    bool   `json:"async,omitempty"`
+	NoMemo   bool   `json:"no_memo,omitempty"`
+	NoCache  bool   `json:"no_cache,omitempty"`
+	Coalesce bool   `json:"coalesce,omitempty"`
+	Executor string `json:"executor,omitempty"`
+}
+
 // Run synchronously invokes a servable; cancelling ctx aborts the
 // server-side dispatch and frees its routing slot.
 func (c *Client) Run(ctx context.Context, id string, input any) (*RunResult, error) {
@@ -319,7 +332,7 @@ func (c *Client) Run(ctx context.Context, id string, input any) (*RunResult, err
 
 // RunWith invokes a servable with explicit options.
 func (c *Client) RunWith(ctx context.Context, id string, input any, cfg RunConfig) (*RunResult, error) {
-	req := core.RunRequest{
+	req := runRequest{
 		Input:    input,
 		NoMemo:   cfg.NoMemo,
 		NoCache:  cfg.NoCache,
@@ -344,7 +357,7 @@ func (c *Client) RunIdempotent(ctx context.Context, id string, input any, key st
 // (DLHub's batching support, §V-B3).
 func (c *Client) RunBatch(ctx context.Context, id string, inputs []any) (*RunResult, error) {
 	var resp RunResult
-	if err := c.call(ctx, http.MethodPost, "/api/v2/servables/"+id+"/run", core.RunRequest{Inputs: inputs}, &resp, ""); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/api/v2/servables/"+id+"/run", runRequest{Inputs: inputs}, &resp, ""); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -361,7 +374,7 @@ func (c *Client) RunAsync(ctx context.Context, id string, input any) (string, er
 // options. With an IdempotencyKey, a retried submission returns the
 // original task ID instead of spawning a second task.
 func (c *Client) RunAsyncWith(ctx context.Context, id string, input any, cfg RunConfig) (string, error) {
-	req := core.RunRequest{
+	req := runRequest{
 		Input:    input,
 		Async:    true,
 		NoMemo:   cfg.NoMemo,

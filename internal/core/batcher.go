@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -45,7 +46,7 @@ func (p BatchPolicy) withDefaults() BatchPolicy {
 }
 
 type pendingReq struct {
-	input any
+	input json.RawMessage
 	done  chan coalesceOutcome
 }
 
@@ -178,15 +179,23 @@ func (b *batcher) close() {
 // out. A canceled caller abandons only its own wait — the coalesced
 // batch keeps serving its other members.
 func (s *Service) RunCoalesced(ctx context.Context, caller Caller, servableID string, input any, opts RunOptions) (RunResult, error) {
-	doc, err := s.Get(caller, servableID)
+	raw, err := encodeInput(input)
 	if err != nil {
 		return RunResult{}, err
 	}
+	return s.runCoalesced(ctx, caller, servableID, raw, opts)
+}
+
+func (s *Service) runCoalesced(ctx context.Context, caller Caller, servableID string, input json.RawMessage, opts RunOptions) (RunResult, error) {
 	s.batchMu.Lock()
 	b := s.batchers[servableID]
 	s.batchMu.Unlock()
 	if b == nil {
-		return s.Run(ctx, caller, servableID, input, opts)
+		return s.run(ctx, caller, servableID, input, opts)
+	}
+	doc, err := s.Get(caller, servableID)
+	if err != nil {
+		return RunResult{}, err
 	}
 	ctx, cancel := s.reqCtx(ctx)
 	defer cancel()
@@ -194,7 +203,7 @@ func (s *Service) RunCoalesced(ctx context.Context, caller Caller, servableID st
 	var key string
 	var gen uint64
 	if s.cacheUsable(opts) {
-		if k, err := resultKey(servableID, doc.Version, "run", input); err == nil {
+		if k, err := resultKey(servableID, doc.Version, input); err == nil {
 			key = k
 			if res, ok := s.cache.get(key); ok {
 				return markCacheHit(res, start), nil
@@ -294,7 +303,7 @@ func (b *batcher) flush() {
 
 // dispatch sends one coalesced batch task and distributes results.
 func (b *batcher) dispatch(pend []*pendingReq) {
-	inputs := make([]any, len(pend))
+	inputs := make([]json.RawMessage, len(pend))
 	for i, r := range pend {
 		inputs[i] = r.input
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"crypto/sha256"
@@ -122,23 +123,98 @@ func newResultCache(cfg CacheConfig) *resultCache {
 	}
 }
 
-// resultKey builds the cache key: sha256 over servable ID, published
-// version, task kind and the input's canonical JSON. encoding/json
-// sorts map keys, so inputs decoded from JSON (map[string]any) marshal
-// canonically regardless of the order the client sent fields in.
-func resultKey(servableID string, version int, kind string, input any) (string, error) {
-	data, err := json.Marshal(input)
-	if err != nil {
-		return "", err
+// keyBufs recycles the buffers cache keys are assembled in; maxKeyBuf
+// keeps one rare giant request from pinning its megabytes in the pool.
+var keyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxKeyBuf = 1 << 20
+
+// resultKey builds the cache key of a single run: sha256 over servable
+// ID, published version, task kind and the input's canonical JSON — the
+// text json.Marshal emits for the decoded input, so neither whitespace,
+// member order nor the spelling of a string splits entries.
+func resultKey(servableID string, version int, input json.RawMessage) (string, error) {
+	return hashKey(servableID, version, false, input)
+}
+
+// batchKey is resultKey for a whole batch: the inputs hash as one JSON
+// array, so a batch is one cache unit.
+func batchKey(servableID string, version int, inputs []json.RawMessage) (string, error) {
+	return hashKey(servableID, version, true, inputs...)
+}
+
+func hashKey(servableID string, version int, batch bool, inputs ...json.RawMessage) (string, error) {
+	kind := "run"
+	if batch {
+		kind = "batch"
 	}
-	h := sha256.New()
-	h.Write([]byte(servableID))
-	h.Write([]byte{0})
-	h.Write([]byte{byte(version), byte(version >> 8), byte(version >> 16), byte(version >> 24)})
-	h.Write([]byte(kind))
-	h.Write([]byte{0})
-	h.Write(data)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	buf := keyBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxKeyBuf {
+			keyBufs.Put(buf)
+		}
+	}()
+	buf.Reset()
+	buf.WriteString(servableID)
+	buf.WriteByte(0)
+	buf.Write([]byte{byte(version), byte(version >> 8), byte(version >> 16), byte(version >> 24)})
+	buf.WriteString(kind)
+	buf.WriteByte(0)
+	if batch {
+		buf.WriteByte('[')
+	}
+	for i, in := range inputs {
+		if i > 0 {
+			buf.WriteByte(',')
+		}
+		if err := appendCanonical(buf, in); err != nil {
+			return "", err
+		}
+	}
+	if batch {
+		buf.WriteByte(']')
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:]), nil
+}
+
+// appendCanonical appends raw's canonical JSON to buf. Compacting the
+// bytes is enough unless they hold something json.Marshal would spell
+// differently: an object (member order, duplicate names), a string
+// escape, a character Marshal escapes (<, >, &) or anything outside
+// ASCII (U+2028/9, invalid UTF-8). Only then is the input decoded —
+// numbers kept as text — and marshaled again, for the key alone.
+func appendCanonical(buf *bytes.Buffer, raw json.RawMessage) error {
+	if len(raw) == 0 {
+		buf.WriteString("null")
+		return nil
+	}
+	if !respelled(raw) {
+		return json.Compact(buf, raw)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		return err
+	}
+	data, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	buf.Write(data)
+	return nil
+}
+
+// respelled reports whether json.Marshal of raw's decoded value could
+// differ from raw's compact bytes.
+func respelled(raw []byte) bool {
+	for _, c := range raw {
+		if c >= 0x80 || c == '{' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return true
+		}
+	}
+	return false
 }
 
 // get returns the cached result for key, counting a hit or miss.

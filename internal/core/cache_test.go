@@ -1,8 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -75,33 +80,102 @@ func TestResultCacheInvalidate(t *testing.T) {
 }
 
 func TestResultKeyCanonicalJSON(t *testing.T) {
-	// Maps marshal with sorted keys, so field order at the client
-	// cannot split cache entries.
-	k1, err := resultKey("o/m", 1, "run", map[string]any{"a": 1.0, "b": "x"})
+	// The key is over the input's canonical JSON — json.Marshal of the
+	// decoded value — so neither member order, whitespace nor the
+	// spelling of a string at the client can split cache entries.
+	raw := func(s string) json.RawMessage { return json.RawMessage(s) }
+	k1, err := resultKey("o/m", 1, raw(`{"a":1.0,"b":"x"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2, _ := resultKey("o/m", 1, "run", map[string]any{"b": "x", "a": 1.0})
-	if k1 != k2 {
-		t.Fatal("equivalent inputs should share a key")
-	}
-	// Version, kind, servable and input all partition the key space.
-	for _, other := range []struct {
-		id      string
-		version int
-		kind    string
-		input   any
-	}{
-		{"o/m", 2, "run", map[string]any{"a": 1.0, "b": "x"}},
-		{"o/m", 1, "batch", map[string]any{"a": 1.0, "b": "x"}},
-		{"o/m2", 1, "run", map[string]any{"a": 1.0, "b": "x"}},
-		{"o/m", 1, "run", map[string]any{"a": 2.0, "b": "x"}},
+	for _, same := range []string{
+		`{"b":"x","a":1.0}`,
+		`{ "a" : 1.0 , "b" : "x" }`,
+		`{"a":1.0,"b":"\u0078"}`,
 	} {
-		k, _ := resultKey(other.id, other.version, other.kind, other.input)
-		if k == k1 {
-			t.Fatalf("key collision with %+v", other)
+		if k, _ := resultKey("o/m", 1, raw(same)); k != k1 {
+			t.Fatalf("%s should share the key of its equal", same)
 		}
 	}
+	marshaled, _ := json.Marshal(map[string]any{"b": "x", "a": json.Number("1.0")})
+	if k, _ := resultKey("o/m", 1, marshaled); k != k1 {
+		t.Fatal("a marshaled value should share the key of its JSON text")
+	}
+	// Number text is part of the input: 1.0 and 1 are different bytes.
+	if k, _ := resultKey("o/m", 1, raw(`{"a":1,"b":"x"}`)); k == k1 {
+		t.Fatal("number text should partition the key space")
+	}
+	// Version, kind, servable and input all partition the key space.
+	in := raw(`{"a":1.0,"b":"x"}`)
+	others := map[string]func() (string, error){
+		"version":  func() (string, error) { return resultKey("o/m", 2, in) },
+		"kind":     func() (string, error) { return batchKey("o/m", 1, []json.RawMessage{in}) },
+		"servable": func() (string, error) { return resultKey("o/m2", 1, in) },
+		"input":    func() (string, error) { return resultKey("o/m", 1, raw(`{"a":2.0,"b":"x"}`)) },
+	}
+	for what, key := range others {
+		if k, err := key(); err != nil || k == k1 {
+			t.Fatalf("key collision on %s (err %v)", what, err)
+		}
+	}
+	// A batch is keyed as one array: [1,2] is not [12], nor [[1,2]].
+	b1, _ := batchKey("o/m", 1, []json.RawMessage{raw("1"), raw("2")})
+	b2, _ := batchKey("o/m", 1, []json.RawMessage{raw("12")})
+	b3, _ := batchKey("o/m", 1, []json.RawMessage{raw("[1,2]")})
+	b4, _ := batchKey("o/m", 1, []json.RawMessage{raw(" 1"), raw("2 ")})
+	if b1 == b2 || b1 == b3 || b1 != b4 {
+		t.Fatal("batch keys must follow the inputs' JSON array")
+	}
+}
+
+// FuzzResultKey checks the canonical-key contract on arbitrary
+// documents: the key computed from raw bytes (compacted, re-encoded only
+// when they hold something Marshal would spell differently) equals the
+// key of the decode-and-Marshal form the cache was keyed on before
+// payloads passed through as bytes.
+func FuzzResultKey(f *testing.F) {
+	for _, seed := range []string{
+		`"x"`, `9007199254740993`, `1e-7`, `-0`, `1E+2`, `null`, `true`,
+		`[1, 2.50, "a"]`, ` [ ] `, `{"b":1,"a":{"d":[],"c":null}}`, `{"a":1,"a":2}`,
+		`"\u00e9"`, `"é"`, `"a<b>&c"`, `"\u2028"`, "\"\u2028\"", `"tab\there"`, `"\ud83d\ude00"`, `"\ud800"`,
+		"\"\xff\"", `[[0.1,0.2],[0.3]]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		dec := json.NewDecoder(bytes.NewReader(doc))
+		dec.UseNumber()
+		var v any
+		if err := dec.Decode(&v); err != nil {
+			t.Skip()
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			t.Skip() // more than one document
+		}
+		canonical, err := json.Marshal(v)
+		if err != nil {
+			t.Skip()
+		}
+		want, err := resultKey("o/m", 3, canonical)
+		if err != nil {
+			t.Fatalf("canonical form %s: %v", canonical, err)
+		}
+		got, err := resultKey("o/m", 3, doc)
+		if err != nil {
+			t.Fatalf("raw form %q: %v", doc, err)
+		}
+		if got != want {
+			t.Fatalf("raw %q keyed apart from its canonical form %s", doc, canonical)
+		}
+		// The canonical form is a fixed point: hashing it is hashing
+		// its own bytes.
+		h := sha256.New()
+		h.Write([]byte("o/m\x00\x03\x00\x00\x00run\x00"))
+		h.Write(canonical)
+		if want != hex.EncodeToString(h.Sum(nil)) {
+			t.Fatalf("key of %s is not the hash of its canonical bytes", canonical)
+		}
+	})
 }
 
 func TestFlightGroupCollapses(t *testing.T) {

@@ -21,6 +21,7 @@ type Code string
 // Error codes.
 const (
 	CodeBadRequest    Code = "bad_request"
+	CodeTooLarge      Code = "payload_too_large"
 	CodeUnauthorized  Code = "unauthorized"
 	CodeForbidden     Code = "forbidden"
 	CodeNotFound      Code = "not_found"
@@ -87,6 +88,7 @@ func (e *Error) WithDetail(detail string) *Error {
 // wrapping still works and still matches errors.Is(err, ErrNotFound).
 var (
 	ErrBadRequest    = &Error{Code: CodeBadRequest, HTTPStatus: http.StatusBadRequest, Message: "core: bad request"}
+	ErrTooLarge      = &Error{Code: CodeTooLarge, HTTPStatus: http.StatusRequestEntityTooLarge, Message: "core: request body too large"}
 	ErrUnauthorized  = &Error{Code: CodeUnauthorized, HTTPStatus: http.StatusUnauthorized, Message: "core: authentication failed"}
 	ErrForbidden     = &Error{Code: CodeForbidden, HTTPStatus: http.StatusForbidden, Message: "core: access denied"}
 	ErrNotFound      = &Error{Code: CodeNotFound, HTTPStatus: http.StatusNotFound, Message: "core: servable not found"}
@@ -105,7 +107,7 @@ var (
 // sentinels enumerates every Err* value; the tests derive their tables
 // from it so a new sentinel cannot be forgotten.
 var sentinels = []*Error{
-	ErrBadRequest, ErrUnauthorized, ErrForbidden, ErrNotFound,
+	ErrBadRequest, ErrTooLarge, ErrUnauthorized, ErrForbidden, ErrNotFound,
 	ErrTaskNotFound, ErrConflict, ErrNoTaskManager, ErrTimeout,
 	ErrCanceled, ErrTaskFailed, ErrOverloaded, ErrQuotaExceeded,
 	ErrUpstream, ErrInternal,

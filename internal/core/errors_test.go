@@ -14,6 +14,7 @@ import (
 func TestSentinelStatusTable(t *testing.T) {
 	want := map[*Error]int{
 		ErrBadRequest:    http.StatusBadRequest,
+		ErrTooLarge:      http.StatusRequestEntityTooLarge,
 		ErrUnauthorized:  http.StatusUnauthorized,
 		ErrForbidden:     http.StatusForbidden,
 		ErrNotFound:      http.StatusNotFound,

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -133,13 +134,24 @@ func (s *Service) callerV2(w http.ResponseWriter, r *http.Request) (Caller, bool
 	return c, true
 }
 
-// readV2 decodes the request body, classifying failures as bad_request.
+// readV2 reads the request body once and decodes it into v: a body
+// over rpc.MaxFrameSize is payload_too_large, anything else that fails —
+// including bytes after the JSON value — bad_request. No request type
+// has an interface-typed field, so there is no number mode to choose.
 func readV2(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := rpc.ReadJSON(r, v); err != nil {
-		writeV2Error(w, r, ErrBadRequest.WithDetail("bad body: "+err.Error()))
-		return false
+	body, err := rpc.ReadBody(r)
+	if err == nil {
+		err = json.Unmarshal(body, v)
 	}
-	return true
+	switch {
+	case err == nil:
+		return true
+	case errors.Is(err, rpc.ErrBodyTooLarge):
+		writeV2Error(w, r, ErrTooLarge.WithDetail(fmt.Sprintf("body exceeds %d bytes", rpc.MaxFrameSize)))
+	default:
+		writeV2Error(w, r, ErrBadRequest.WithDetail("bad body: "+err.Error()))
+	}
+	return false
 }
 
 // idempotent executes fn under the request's Idempotency-Key (if any):
@@ -578,15 +590,20 @@ func (s *Service) handleV2Search(w http.ResponseWriter, r *http.Request) {
 // --- serving ----------------------------------------------------------------
 
 // RunRequest is the POST /api/v2/servables/{owner}/{name}/run body.
+// Input and Inputs stay the bytes the client sent: the service keys its
+// cache from them and forwards them, and only the servable decodes them.
 type RunRequest struct {
-	Input    any    `json:"input,omitempty"`
-	Inputs   []any  `json:"inputs,omitempty"` // batch mode when non-empty
-	Async    bool   `json:"async,omitempty"`
-	NoMemo   bool   `json:"no_memo,omitempty"`
-	NoCache  bool   `json:"no_cache,omitempty"` // bypass the service-layer cache only
-	Coalesce bool   `json:"coalesce,omitempty"`
-	Executor string `json:"executor,omitempty"`
+	Input    json.RawMessage   `json:"input,omitempty"`
+	Inputs   []json.RawMessage `json:"inputs,omitempty"` // batch mode when present
+	Async    bool              `json:"async,omitempty"`
+	NoMemo   bool              `json:"no_memo,omitempty"`
+	NoCache  bool              `json:"no_cache,omitempty"` // bypass the service-layer cache only
+	Coalesce bool              `json:"coalesce,omitempty"`
+	Executor string            `json:"executor,omitempty"`
 }
+
+// jsonNull is the payload of a run request that names no input.
+var jsonNull = json.RawMessage("null")
 
 // CacheHeader is set on synchronous run responses: "hit" when the
 // service-layer cache (or singleflight) answered — for pipelines, when
@@ -616,38 +633,41 @@ func (s *Service) handleV2Run(w http.ResponseWriter, r *http.Request) {
 	if !readV2(w, r, &req) {
 		return
 	}
+	switch {
+	case req.Inputs != nil && req.Input != nil:
+		writeV2Error(w, r, ErrBadRequest.WithDetail("input and inputs are mutually exclusive"))
+		return
+	case req.Inputs != nil && len(req.Inputs) == 0:
+		writeV2Error(w, r, ErrBadRequest.WithDetail("inputs is empty"))
+		return
+	case req.Input == nil:
+		req.Input = jsonNull
+	}
 	id := r.PathValue("owner") + "/" + r.PathValue("name")
 	opts := RunOptions{Executor: req.Executor, NoMemo: req.NoMemo, NoCache: req.NoCache}
 	s.idempotent(w, r, c, func() (int, any, error) {
-		switch {
-		case req.Async:
-			taskID, err := s.RunAsync(r.Context(), c, id, req.Input, opts)
+		if req.Async {
+			taskID, err := s.runAsync(r.Context(), c, id, req.Input, opts)
 			if err != nil {
 				return 0, nil, err
 			}
 			return http.StatusAccepted, map[string]string{"task_id": taskID}, nil
-		case len(req.Inputs) > 0:
-			res, err := s.RunBatch(r.Context(), c, id, req.Inputs, opts)
-			if err != nil {
-				return 0, nil, err
-			}
-			s.setCacheHeader(w, id, opts, res)
-			return http.StatusOK, res, nil
-		case req.Coalesce:
-			res, err := s.RunCoalesced(r.Context(), c, id, req.Input, opts)
-			if err != nil {
-				return 0, nil, err
-			}
-			s.setCacheHeader(w, id, opts, res)
-			return http.StatusOK, res, nil
-		default:
-			res, err := s.Run(r.Context(), c, id, req.Input, opts)
-			if err != nil {
-				return 0, nil, err
-			}
-			s.setCacheHeader(w, id, opts, res)
-			return http.StatusOK, res, nil
 		}
+		var res RunResult
+		var err error
+		switch {
+		case req.Inputs != nil:
+			res, err = s.runBatch(r.Context(), c, id, req.Inputs, opts)
+		case req.Coalesce:
+			res, err = s.runCoalesced(r.Context(), c, id, req.Input, opts)
+		default:
+			res, err = s.run(r.Context(), c, id, req.Input, opts)
+		}
+		if err != nil {
+			return 0, nil, err
+		}
+		s.setCacheHeader(w, id, opts, res)
+		return http.StatusOK, res, nil
 	})
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -38,7 +39,7 @@ import (
 // runPipeline executes a published pipeline: the TM-local monolith
 // when every step is co-deployed on one live TM, the per-step
 // distributed engine otherwise. Caller (Run) owns the deadline on ctx.
-func (s *Service) runPipeline(ctx context.Context, caller Caller, doc *schema.Document, input any, opts RunOptions) (RunResult, error) {
+func (s *Service) runPipeline(ctx context.Context, caller Caller, doc *schema.Document, input json.RawMessage, opts RunOptions) (RunResult, error) {
 	start := time.Now()
 	// The caller must be able to see every step at submission;
 	// visibility is re-checked per step as the pipeline advances.
@@ -105,14 +106,25 @@ func (s *Service) pipelineMonolithTM(steps []string) (string, bool) {
 // next step's input. Cancellation is checked between steps, so a
 // canceled caller stops the pipeline at the current step boundary and
 // never dispatches the remainder.
-func (s *Service) runPipelineSteps(ctx context.Context, caller Caller, steps []string, input any, opts RunOptions, start time.Time) (RunResult, error) {
+func (s *Service) runPipelineSteps(ctx context.Context, caller Caller, steps []string, input json.RawMessage, opts RunOptions, start time.Time) (RunResult, error) {
 	current := input
+	var output any
 	stats := make([]taskmanager.StepStat, 0, len(steps))
 	var totalInf, totalInv int64
 	allHits := true
 	for i, stepID := range steps {
 		if err := ctx.Err(); err != nil {
 			return RunResult{}, wrapCtxErr(err)
+		}
+		if i > 0 {
+			// The previous step's output re-enters as this step's input
+			// the way any in-process value does: marshaled once. (Cache
+			// hits alias stored entries, read-only by contract; encoding
+			// one only reads it.)
+			var err error
+			if current, err = encodeInput(output); err != nil {
+				return RunResult{}, fmt.Errorf("pipeline step %d (%s): output: %w", i, steps[i-1], err)
+			}
 		}
 		// Re-resolve per step: a step unpublished or hidden from the
 		// caller while the pipeline runs fails here, not with a stale
@@ -121,7 +133,9 @@ func (s *Service) runPipelineSteps(ctx context.Context, caller Caller, steps []s
 		if err != nil {
 			return RunResult{}, fmt.Errorf("pipeline step %d (%s): %w", i+1, stepID, err)
 		}
-		res, err := s.runStep(ctx, caller, stepID, stepDoc.Version, current, opts)
+		// A step is a plain run of that servable, sharing its cache
+		// entries with direct invocations.
+		res, err := s.runOne(ctx, caller, stepID, stepDoc.Version, current, opts)
 		if err != nil {
 			return RunResult{}, fmt.Errorf("pipeline step %d (%s): %w", i+1, stepID, err)
 		}
@@ -144,14 +158,12 @@ func (s *Service) runPipelineSteps(ctx context.Context, caller Caller, steps []s
 		totalInf += res.InferenceMicros
 		totalInv += res.InvocationMicros
 		allHits = allHits && res.CacheHit
-		// Cache hits alias stored entries (read-only by contract); the
-		// executor marshals the input, so feeding it onward is safe.
-		current = res.Output
+		output = res.Output
 	}
 	res := RunResult{
 		Reply: taskmanager.Reply{
 			OK:               true,
-			Output:           current,
+			Output:           output,
 			InferenceMicros:  totalInf,
 			InvocationMicros: totalInv,
 			Steps:            stats,
@@ -165,31 +177,4 @@ func (s *Service) runPipelineSteps(ctx context.Context, caller Caller, steps []s
 		res.Cached = true
 	}
 	return res, nil
-}
-
-// runStep executes one pipeline step exactly like a plain Run of that
-// servable: result cache + singleflight when usable (sharing the key
-// space with direct invocations), admission under the step's own ID,
-// placement-aware least-loaded routing.
-func (s *Service) runStep(ctx context.Context, caller Caller, stepID string, version int, input any, opts RunOptions) (RunResult, error) {
-	task := taskmanager.Task{
-		ID:       queue.NewID(),
-		Kind:     "run",
-		Servable: stepID,
-		Executor: opts.Executor,
-		Input:    input,
-		NoMemo:   opts.NoMemo,
-		Tenant:   caller.Tenant,
-	}
-	if s.cacheUsable(opts) {
-		if key, err := resultKey(stepID, version, "run", input); err == nil {
-			return s.runCached(ctx, caller, key, stepID, task)
-		}
-	}
-	release, err := s.admitRun(caller, stepID, 1)
-	if err != nil {
-		return RunResult{}, err
-	}
-	defer release()
-	return s.dispatch(ctx, task)
 }

@@ -29,6 +29,11 @@
 // still-unclaimed task, and releases its singleflight followers.
 // Failures are classified *Error values (errors.go) with stable codes
 // mapped to HTTP statuses; the wire surface is /api/v2 (http_v2.go).
+//
+// A request's input is never decoded here: it is JSON bytes from the
+// HTTP body (or from one json.Marshal of an in-process caller's value)
+// to the servable, keyed for the cache and put on the task as bytes
+// (docs/ARCHITECTURE.md, "Payload path").
 package core
 
 import (
@@ -915,10 +920,34 @@ func (s *Service) runCached(ctx context.Context, caller Caller, key, servableID 
 	return res, nil
 }
 
+// The serving entry points come in pairs. The exported methods take Go
+// values for in-process callers, marshal them once at the door and call
+// their lower-case twin; the HTTP handler calls the twin with the bytes
+// the client sent. From there a payload is json.RawMessage and nothing
+// in this package decodes it: the cache key is computed over the bytes,
+// the same bytes ride the task, and the servable does the one decode.
+
+// encodeInput is the in-process door's one marshal.
+func encodeInput(input any) (json.RawMessage, error) {
+	raw, err := json.Marshal(input)
+	if err != nil {
+		return nil, ErrBadRequest.WithDetail("unencodable input: " + err.Error())
+	}
+	return raw, nil
+}
+
 // Run synchronously invokes a servable with one input. Cancelling ctx
 // aborts the dispatch, frees the routed TM's load slot, and returns an
 // error matching both context.Canceled and ErrCanceled.
 func (s *Service) Run(ctx context.Context, caller Caller, servableID string, input any, opts RunOptions) (RunResult, error) {
+	raw, err := encodeInput(input)
+	if err != nil {
+		return RunResult{}, err
+	}
+	return s.run(ctx, caller, servableID, raw, opts)
+}
+
+func (s *Service) run(ctx context.Context, caller Caller, servableID string, input json.RawMessage, opts RunOptions) (RunResult, error) {
 	ctx, cancel := s.reqCtx(ctx)
 	defer cancel()
 	doc, err := s.Get(caller, servableID)
@@ -932,6 +961,15 @@ func (s *Service) Run(ctx context.Context, caller Caller, servableID string, inp
 		// pipeline.go for the execution and cache-key contract.
 		return s.runPipeline(ctx, caller, doc, input, opts)
 	}
+	return s.runOne(ctx, caller, servableID, doc.Version, input, opts)
+}
+
+// runOne serves one input on one non-pipeline servable — a plain run or
+// a pipeline step, which is nothing else: result cache + singleflight
+// when usable (one key space for both), admission under the servable's
+// own ID, placement-aware least-loaded routing. Caller owns the deadline
+// on ctx and has resolved the servable's visibility and version.
+func (s *Service) runOne(ctx context.Context, caller Caller, servableID string, version int, input json.RawMessage, opts RunOptions) (RunResult, error) {
 	task := taskmanager.Task{
 		ID:       queue.NewID(),
 		Kind:     "run",
@@ -942,7 +980,7 @@ func (s *Service) Run(ctx context.Context, caller Caller, servableID string, inp
 		Tenant:   caller.Tenant,
 	}
 	if s.cacheUsable(opts) {
-		if key, err := resultKey(servableID, doc.Version, "run", input); err == nil {
+		if key, err := resultKey(servableID, version, input); err == nil {
 			return s.runCached(ctx, caller, key, servableID, task)
 		}
 	}
@@ -959,6 +997,18 @@ func (s *Service) Run(ctx context.Context, caller Caller, servableID string, inp
 // an identical batch hits, but its items do not cross-populate
 // single-input entries.
 func (s *Service) RunBatch(ctx context.Context, caller Caller, servableID string, inputs []any, opts RunOptions) (RunResult, error) {
+	raws := make([]json.RawMessage, len(inputs))
+	for i, in := range inputs {
+		raw, err := encodeInput(in)
+		if err != nil {
+			return RunResult{}, err
+		}
+		raws[i] = raw
+	}
+	return s.runBatch(ctx, caller, servableID, raws, opts)
+}
+
+func (s *Service) runBatch(ctx context.Context, caller Caller, servableID string, inputs []json.RawMessage, opts RunOptions) (RunResult, error) {
 	ctx, cancel := s.reqCtx(ctx)
 	defer cancel()
 	doc, err := s.Get(caller, servableID)
@@ -977,7 +1027,7 @@ func (s *Service) RunBatch(ctx context.Context, caller Caller, servableID string
 	// Pipelines are uncacheable here for the same reason as in Run:
 	// step servables version independently of the pipeline document.
 	if s.cacheUsable(opts) && doc.Servable.Type != schema.TypePipeline {
-		if key, err := resultKey(servableID, doc.Version, "batch", inputs); err == nil {
+		if key, err := batchKey(servableID, doc.Version, inputs); err == nil {
 			return s.runCached(ctx, caller, key, servableID, task)
 		}
 	}
@@ -1109,6 +1159,14 @@ func (s *Service) dispatchTo(ctx context.Context, tmID string, task taskmanager.
 // still-pending async tasks with ErrCanceled instead of leaving their
 // goroutines dispatching into a closed broker.
 func (s *Service) RunAsync(ctx context.Context, caller Caller, servableID string, input any, opts RunOptions) (string, error) {
+	raw, err := encodeInput(input)
+	if err != nil {
+		return "", err
+	}
+	return s.runAsync(ctx, caller, servableID, raw, opts)
+}
+
+func (s *Service) runAsync(ctx context.Context, caller Caller, servableID string, input json.RawMessage, opts RunOptions) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", wrapCtxErr(err)
 	}
@@ -1132,7 +1190,7 @@ func (s *Service) RunAsync(ctx context.Context, caller Caller, servableID string
 	go func() {
 		defer stop()
 		defer cancel()
-		res, err := s.Run(bg, caller, servableID, input, opts)
+		res, err := s.run(bg, caller, servableID, input, opts)
 		s.taskMu.Lock()
 		at.Finished = s.timeFunc()
 		if err != nil {

@@ -118,16 +118,14 @@ func (p *PodServer) Start(fs map[string][]byte, env map[string]string) error {
 	}
 	srv := rpc.NewServer()
 	srv.Handle("run", func(_ context.Context, payload []byte) ([]byte, error) {
-		var input any
-		if err := json.Unmarshal(payload, &input); err != nil {
-			return nil, fmt.Errorf("bad input: %w", err)
-		}
 		if p.pythonHosted {
 			p.runMu.Lock()
 			defer p.runMu.Unlock()
 		}
 		start := time.Now()
-		out, err := sv.Run(input)
+		// payload is the rpc server's pooled frame, reused once this
+		// handler returns: sv.Run decodes it on entry and keeps nothing.
+		out, err := sv.Run(json.RawMessage(payload))
 		if err != nil {
 			return nil, err
 		}

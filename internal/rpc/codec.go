@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -63,9 +64,37 @@ func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// ReadJSON decodes a request body into v, limited to MaxFrameSize.
+// ErrBodyTooLarge is returned by ReadBody for a request body longer than
+// MaxFrameSize.
+var ErrBodyTooLarge = errors.New("rpc: request body exceeds maximum size")
+
+// ReadBody reads a request body of at most MaxFrameSize bytes in one
+// pass: into a buffer of exactly Content-Length bytes when the client
+// declared one, by doubling otherwise (a chunked body). A longer body is
+// refused with ErrBodyTooLarge — before a byte is read when its declared
+// length already says so — never cut short.
+func ReadBody(r *http.Request) ([]byte, error) { return readBody(r, MaxFrameSize) }
+
+func readBody(r *http.Request, limit int64) ([]byte, error) {
+	if r.ContentLength > limit {
+		return nil, ErrBodyTooLarge
+	}
+	if r.ContentLength >= 0 {
+		body := make([]byte, r.ContentLength)
+		_, err := io.ReadFull(r.Body, body)
+		return body, err
+	}
+	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
+	if err == nil && int64(len(body)) > limit {
+		return nil, ErrBodyTooLarge
+	}
+	return body, err
+}
+
+// ReadJSON decodes a request body of at most MaxFrameSize bytes into v.
+// Numbers decoded into an interface value keep their text (json.Number).
 func ReadJSON(r *http.Request, v any) error {
-	body, err := io.ReadAll(io.LimitReader(r.Body, MaxFrameSize))
+	body, err := ReadBody(r)
 	if err != nil {
 		return err
 	}

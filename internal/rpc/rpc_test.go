@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -349,6 +350,62 @@ func TestRESTHelpers(t *testing.T) {
 	if got["n"] != 3 {
 		t.Fatalf("GetJSON got %v", got)
 	}
+}
+
+// TestReadBodyLimit: a body over the limit is refused — by its declared
+// length before anything is read, by reading one byte past the limit
+// when it declares none (chunked) — and never handed on cut short.
+func TestReadBodyLimit(t *testing.T) {
+	const limit = 16
+	request := func(body string, declared int64) *http.Request {
+		// struct{io.Reader} hides the reader's length the way a chunked
+		// body has none.
+		r := httptest.NewRequest(http.MethodPost, "/", struct{ io.Reader }{strings.NewReader(body)})
+		r.ContentLength = declared
+		return r
+	}
+	exactly := strings.Repeat("x", limit)
+	for _, c := range []struct {
+		name     string
+		body     string
+		declared int64
+		want     string
+		err      error
+	}{
+		{"declared, inside", "hello", 5, "hello", nil},
+		{"declared, at the limit", exactly, limit, exactly, nil},
+		{"declared, over", exactly + "y", limit + 1, "", ErrBodyTooLarge},
+		{"declared, body shorter", "hel", 5, "", io.ErrUnexpectedEOF},
+		{"declared empty", "", 0, "", nil},
+		{"chunked, inside", "hello", -1, "hello", nil},
+		{"chunked, at the limit", exactly, -1, exactly, nil},
+		{"chunked, over", exactly + "y", -1, "", ErrBodyTooLarge},
+		{"chunked empty", "", -1, "", nil},
+	} {
+		got, err := readBody(request(c.body, c.declared), limit)
+		if !errors.Is(err, c.err) || (err == nil && string(got) != c.want) {
+			t.Errorf("%s: got %q, %v; want %q, %v", c.name, got, err, c.want, c.err)
+		}
+	}
+
+	// The exported forms apply MaxFrameSize; an over-limit declaration
+	// must be refused without touching the body.
+	r := httptest.NewRequest(http.MethodPost, "/", untouchable{t})
+	r.ContentLength = MaxFrameSize + 1
+	if _, err := ReadBody(r); !errors.Is(err, ErrBodyTooLarge) {
+		t.Fatalf("ReadBody: want ErrBodyTooLarge, got %v", err)
+	}
+	var v any
+	if err := ReadJSON(r, &v); !errors.Is(err, ErrBodyTooLarge) {
+		t.Fatalf("ReadJSON: want ErrBodyTooLarge, got %v", err)
+	}
+}
+
+type untouchable struct{ t *testing.T }
+
+func (u untouchable) Read([]byte) (int, error) {
+	u.t.Error("the body of an over-limit request was read")
+	return 0, io.EOF
 }
 
 func TestServerCloseUnblocksServe(t *testing.T) {

@@ -16,6 +16,7 @@
 package servable
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -37,6 +38,9 @@ var (
 
 // Runner executes the model natively.
 type Runner interface {
+	// Decode turns a request payload, still the JSON bytes the client
+	// sent, into the value Run takes.
+	Decode(raw json.RawMessage) (any, error)
 	// Run performs one execution on a JSON-compatible input.
 	Run(input any) (any, error)
 	// Close releases resources.
@@ -72,7 +76,18 @@ func Load(doc *schema.Document, components map[string][]byte, pythonHosted bool)
 }
 
 // Run executes the servable through its host (native or Python).
+//
+// A json.RawMessage input is a request payload nothing upstream has
+// looked inside: it is decoded here, once, into the type the runner
+// takes, and nothing of it is retained — the caller may reuse the bytes
+// when Run returns. The decode comes before the interpreter call, which
+// re-executes the function body to model interpreted speed and must not
+// repeat it. Any other input is a value already and passes through.
 func (s *Servable) Run(input any) (any, error) {
+	input, err := s.decode(input)
+	if err != nil {
+		return nil, err
+	}
 	if s.py != nil {
 		return s.py.Call(s.pyName, input)
 	}
@@ -80,8 +95,23 @@ func (s *Servable) Run(input any) (any, error) {
 }
 
 // RunNative bypasses the Python host — used by the TF-Serving executor,
-// whose C++ core runs the same graph without interpreter overhead.
-func (s *Servable) RunNative(input any) (any, error) { return s.runner.Run(input) }
+// whose C++ core runs the same graph without interpreter overhead. It
+// decodes a json.RawMessage input like Run.
+func (s *Servable) RunNative(input any) (any, error) {
+	input, err := s.decode(input)
+	if err != nil {
+		return nil, err
+	}
+	return s.runner.Run(input)
+}
+
+func (s *Servable) decode(input any) (any, error) {
+	raw, ok := input.(json.RawMessage)
+	if !ok {
+		return input, nil
+	}
+	return s.runner.Decode(raw)
+}
 
 // PythonHosted reports whether the servable runs under the simulated
 // interpreter.
@@ -131,11 +161,14 @@ func newRunner(doc *schema.Document, components map[string][]byte) (Runner, erro
 
 // --- input conversion ------------------------------------------------------
 
-// ToFloat32Slice converts JSON-ish numeric arrays into a float32 vector.
+// ToFloat32Slice converts JSON-ish numeric arrays — or the JSON text of
+// one — into a float32 vector.
 func ToFloat32Slice(v any) ([]float32, error) {
 	switch in := v.(type) {
 	case []float32:
 		return in, nil
+	case json.RawMessage:
+		return floatsFromJSON[float32](in)
 	case []float64:
 		out := make([]float32, len(in))
 		for i, x := range in {
@@ -173,8 +206,28 @@ func toFloat(x any) (float32, error) {
 	}
 }
 
-// ToFloat64Slice converts JSON-ish numeric arrays into float64.
+// floatsFromJSON decodes a JSON array of numbers straight into a float
+// slice, without building a []any of boxed numbers first.
+func floatsFromJSON[F float32 | float64](raw json.RawMessage) ([]F, error) {
+	// encoding/json leaves a float at zero for a null element (and the
+	// slice nil for a null document) without an error; in an array of
+	// numbers only null spells an 'n'.
+	if bytes.IndexByte(raw, 'n') >= 0 {
+		return nil, fmt.Errorf("%w: not an array of numbers", ErrBadInput)
+	}
+	var out []F
+	if err := json.Unmarshal(raw, &out); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+	}
+	return out, nil
+}
+
+// ToFloat64Slice converts JSON-ish numeric arrays, or the JSON text of
+// one, into float64.
 func ToFloat64Slice(v any) ([]float64, error) {
+	if raw, ok := v.(json.RawMessage); ok {
+		return floatsFromJSON[float64](raw)
+	}
 	f32, err := ToFloat32Slice(v)
 	if err != nil {
 		// Retry natively for []float64 precision.
@@ -197,6 +250,8 @@ func ToFloat64Slice(v any) ([]float64, error) {
 
 // nnRunner serves Keras/TensorFlow-type models via the nn runtime.
 type nnRunner struct{ model *nn.Model }
+
+func (r *nnRunner) Decode(raw json.RawMessage) (any, error) { return ToFloat32Slice(raw) }
 
 func (r *nnRunner) Run(input any) (any, error) {
 	vec, err := ToFloat32Slice(input)
@@ -224,6 +279,8 @@ func (r *nnRunner) Close() {}
 // rfRunner serves scikit-learn-type models via the rf runtime.
 type rfRunner struct{ forest *rf.Forest }
 
+func (r *rfRunner) Decode(raw json.RawMessage) (any, error) { return ToFloat64Slice(raw) }
+
 func (r *rfRunner) Run(input any) (any, error) {
 	vec, err := ToFloat64Slice(input)
 	if err != nil {
@@ -240,6 +297,19 @@ func (r *rfRunner) Close() {}
 
 // pyFuncRunner serves arbitrary registered Python functions.
 type pyFuncRunner struct{ entry string }
+
+// Decode builds the JSON-ish value (map, slice, string, float64, bool,
+// nil) a Python function receives; an absent payload is None.
+func (r *pyFuncRunner) Decode(raw json.RawMessage) (any, error) {
+	if len(raw) == 0 {
+		return nil, nil
+	}
+	var v any
+	if err := json.Unmarshal(raw, &v); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+	}
+	return v, nil
+}
 
 func (r *pyFuncRunner) Run(input any) (any, error) {
 	f, ok := pyruntime.Lookup(r.entry)

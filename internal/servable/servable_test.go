@@ -1,11 +1,15 @@
 package servable
 
 import (
+	"encoding/json"
 	"errors"
 	"math/rand"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/pyruntime"
 	"repro/internal/schema"
 	"repro/internal/simconst"
 )
@@ -223,6 +227,114 @@ func TestToFloat32Slice(t *testing.T) {
 	}
 	if _, err := ToFloat32Slice(map[string]any{}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("wrong container should fail, got %v", err)
+	}
+}
+
+func TestFloatSlicesFromRawJSON(t *testing.T) {
+	raw := func(s string) json.RawMessage { return json.RawMessage(s) }
+	f32, err := ToFloat32Slice(raw(` [1, 2.5e0 ,-3] `))
+	if err != nil || len(f32) != 3 || f32[0] != 1 || f32[1] != 2.5 || f32[2] != -3 {
+		t.Fatalf("float32 from raw: %v %v", f32, err)
+	}
+	// float64 comes straight from the text, not by way of float32.
+	f64, err := ToFloat64Slice(raw(`[0.1,1e-7]`))
+	if err != nil || len(f64) != 2 || f64[0] != 0.1 || f64[1] != 1e-7 {
+		t.Fatalf("float64 from raw: %v %v", f64, err)
+	}
+	for _, bad := range []string{
+		`[1,"nope"]`, // a non-numeric element
+		`[[1,2]]`,    // a nested array
+		`[1,null]`,   // encoding/json would leave a silent zero
+		`null`, `"[1]"`, `{"0":1}`, `[1,`, ``,
+	} {
+		if _, err := ToFloat32Slice(raw(bad)); !errors.Is(err, ErrBadInput) {
+			t.Errorf("float32 %q: want ErrBadInput, got %v", bad, err)
+		}
+		if _, err := ToFloat64Slice(raw(bad)); !errors.Is(err, ErrBadInput) {
+			t.Errorf("float64 %q: want ErrBadInput, got %v", bad, err)
+		}
+	}
+	// A decode straight into the slice is the point: the boxed route
+	// ([]any of float64, then a conversion) costs an object per number.
+	vec := make([]byte, 0, 1024)
+	vec = append(vec, '[')
+	for i := 0; i < 64; i++ {
+		if i > 0 {
+			vec = append(vec, ',')
+		}
+		vec = strconv.AppendFloat(vec, float64(i)/64, 'f', 6, 64)
+	}
+	vec = append(vec, ']')
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := ToFloat32Slice(json.RawMessage(vec)); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 16 {
+		t.Fatalf("64 floats from raw JSON cost %.0f objects, want at most 16", n)
+	}
+}
+
+// TestRunDecodesRawPayloadOnce: a json.RawMessage input is the request
+// payload as the client sent it; Run and RunNative decode it into what
+// the runner takes and answer as they do for the decoded value, and the
+// Python host's re-executions of the function body see that value, not
+// the bytes.
+func TestRunDecodesRawPayloadOnce(t *testing.T) {
+	pkg, _ := CIFAR10Package(5)
+	native := loadPkg(t, pkg, false)
+	input := make([]float32, 32*32*3)
+	for i := range input {
+		input[i] = float32(i%7) / 7
+	}
+	data, _ := json.Marshal(input)
+	want, err := native.Run(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func(any) (any, error){"Run": native.Run, "RunNative": native.RunNative} {
+		got, err := run(json.RawMessage(data))
+		if err != nil {
+			t.Fatalf("%s on raw input: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s on raw input = %v, want %v", name, got, want)
+		}
+	}
+	if _, err := native.Run(json.RawMessage(`[1,"x"]`)); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("a payload the runner cannot take should be ErrBadInput, got %v", err)
+	}
+
+	var seen []any
+	pyruntime.Register("test:see", func(arg any) (any, error) {
+		seen = append(seen, arg)
+		return arg, nil
+	})
+	doc := NoopPackage().Doc
+	doc.Servable.Entry = "test:see"
+	hosted, err := Load(doc, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(hosted.Close)
+	out, err := hosted.Run(json.RawMessage(`{"k":[1,"v"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := map[string]any{"k": []any{1.0, "v"}}
+	if !reflect.DeepEqual(out, value) {
+		t.Fatalf("python function returned %v, want %v", out, value)
+	}
+	if len(seen) == 0 {
+		t.Fatal("function never ran")
+	}
+	for _, arg := range seen {
+		if !reflect.DeepEqual(arg, value) {
+			t.Fatalf("function body saw %T %v, want the decoded value", arg, arg)
+		}
+	}
+	// An absent payload is None.
+	if out, err := hosted.Run(json.RawMessage(nil)); err != nil || out != nil {
+		t.Fatalf("absent payload: %v %v", out, err)
 	}
 }
 

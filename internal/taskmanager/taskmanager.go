@@ -47,12 +47,16 @@ type Task struct {
 	Servable string `json:"servable,omitempty"`
 	// Executor routes deploys ("parsl" default; "tfserving-grpc",
 	// "tfserving-rest", "sagemaker", "clipper" for comparisons).
-	Executor string   `json:"executor,omitempty"`
-	Input    any      `json:"input,omitempty"`
-	Inputs   []any    `json:"inputs,omitempty"` // batch
-	Steps    []string `json:"steps,omitempty"`  // pipeline
-	Replicas int      `json:"replicas,omitempty"`
-	NoMemo   bool     `json:"no_memo,omitempty"` // per-task memo override
+	Executor string `json:"executor,omitempty"`
+	// Input and Inputs are the request payload. The Management Service
+	// puts the client's JSON on the task as it arrived (json.RawMessage)
+	// and the Task Manager hands the same bytes to the executor: neither
+	// decodes them, the servable does.
+	Input    any               `json:"input,omitempty"`
+	Inputs   []json.RawMessage `json:"inputs,omitempty"` // batch
+	Steps    []string          `json:"steps,omitempty"`  // pipeline
+	Replicas int               `json:"replicas,omitempty"`
+	NoMemo   bool              `json:"no_memo,omitempty"` // per-task memo override
 	// Tenant is the submitting tenant's tag ("" = anonymous): set by
 	// the Management Service from the resolved caller, carried on the
 	// task record and the queue fairness lane.
@@ -374,11 +378,23 @@ func (tm *TM) pullLoop() {
 	}
 }
 
+// wireTask decodes a task's envelope and leaves its payload as bytes:
+// the input field here shadows Task.Input, so one Unmarshal fills both
+// and builds no value from the payload.
+type wireTask struct {
+	Task
+	Input json.RawMessage `json:"input"`
+}
+
 func (tm *TM) handle(msg queue.Message) {
-	var task Task
-	if err := json.Unmarshal(msg.Body, &task); err != nil {
+	var wire wireTask
+	if err := json.Unmarshal(msg.Body, &wire); err != nil {
 		tm.reply(msg, Reply{OK: false, Error: "bad task: " + err.Error()})
 		return
+	}
+	task := &wire.Task
+	if wire.Input != nil {
+		task.Input = wire.Input
 	}
 	tm.statMu.Lock()
 	tm.active++
@@ -394,21 +410,21 @@ func (tm *TM) handle(msg queue.Message) {
 	case "ping":
 		rep = Reply{OK: true, Output: "pong"}
 	case "deploy":
-		rep = tm.handleDeploy(&task)
+		rep = tm.handleDeploy(task)
 	case "scale":
-		rep = tm.handleScale(&task)
+		rep = tm.handleScale(task)
 	case "undeploy":
-		rep = tm.handleUndeploy(&task)
+		rep = tm.handleUndeploy(task)
 	case "drain":
 		rep = tm.handleDrain()
 	case "rejoin":
 		rep = tm.handleRejoin()
 	case "run":
-		rep = tm.handleRun(&task)
+		rep = tm.handleRun(task)
 	case "run_batch":
-		rep = tm.handleBatch(&task)
+		rep = tm.handleBatch(task)
 	case "pipeline":
-		rep = tm.handlePipeline(&task)
+		rep = tm.handlePipeline(task)
 	default:
 		rep = Reply{OK: false, Error: fmt.Sprintf("unknown task kind %q", task.Kind)}
 	}
@@ -552,14 +568,18 @@ func invocationMicros(start time.Time) int64 {
 	return 1
 }
 
-// memoKey hashes servable + canonical input JSON.
-func memoKey(servableID string, input any) (string, error) {
-	data, err := json.Marshal(input)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(append([]byte(servableID+"\x00"), data...))
-	return hex.EncodeToString(sum[:]), nil
+// memoKey hashes servable + the input's JSON bytes as the task carried
+// them. The Management Service's task encode compacts a payload, so
+// whitespace a client sent never splits entries; member order inside an
+// object does (the service-layer cache in front is keyed canonically).
+func memoKey(servableID string, input any) string {
+	raw, _ := input.(json.RawMessage)
+	h := sha256.New()
+	h.Write([]byte(servableID))
+	h.Write([]byte{0})
+	h.Write(raw)
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }
 
 // invalidateMemo drops a servable's memo entries — the deploy/undeploy
@@ -583,23 +603,20 @@ func (tm *TM) handleRun(task *Task) Reply {
 	useMemo = tm.memoOn && !task.NoMemo
 	tm.memoMu.RUnlock()
 	if useMemo {
-		var err error
-		key, err = memoKey(task.Servable, task.Input)
-		if err == nil {
-			tm.memoMu.RLock()
-			cached, ok := tm.memo[key]
-			tm.memoMu.RUnlock()
-			if ok {
-				var rep Reply
-				if json.Unmarshal(cached, &rep) == nil {
-					rep.Cached = true
-					rep.InferenceMicros = 0
-					rep.InvocationMicros = invocationMicros(start)
-					tm.statMu.Lock()
-					tm.hits++
-					tm.statMu.Unlock()
-					return rep
-				}
+		key = memoKey(task.Servable, task.Input)
+		tm.memoMu.RLock()
+		cached, ok := tm.memo[key]
+		tm.memoMu.RUnlock()
+		if ok {
+			var rep Reply
+			if json.Unmarshal(cached, &rep) == nil {
+				rep.Cached = true
+				rep.InferenceMicros = 0
+				rep.InvocationMicros = invocationMicros(start)
+				tm.statMu.Lock()
+				tm.hits++
+				tm.statMu.Unlock()
+				return rep
 			}
 		}
 	}
@@ -618,7 +635,7 @@ func (tm *TM) handleRun(task *Task) Reply {
 		InferenceMicros:  res.InferenceMicros,
 		InvocationMicros: invocationMicros(start),
 	}
-	if useMemo && key != "" {
+	if useMemo {
 		if body, err := json.Marshal(rep); err == nil {
 			tm.memoMu.Lock()
 			tm.memo[key] = body
@@ -649,7 +666,7 @@ func (tm *TM) handleBatch(task *Task) Reply {
 	var wg sync.WaitGroup
 	for i, input := range task.Inputs {
 		wg.Add(1)
-		go func(i int, input any) {
+		go func(i int, input json.RawMessage) {
 			defer wg.Done()
 			res, err := ex.Invoke(tm.ctx, task.Servable, input)
 			if err != nil {

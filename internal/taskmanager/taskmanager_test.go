@@ -20,12 +20,16 @@ func init() {
 	simconst.Scale = 1000
 }
 
-// fakeExecutor counts invocations and returns canned outputs.
+// fakeExecutor counts invocations and returns canned outputs. The Task
+// Manager hands an executor the payload's bytes; like a servable, the
+// fake decodes them itself, and keeps what it was handed for the tests
+// that check the bytes arrive untouched.
 type fakeExecutor struct {
 	mu       sync.Mutex
 	deployed map[string]int
 	invoked  int
 	fail     bool
+	got      []any
 }
 
 func newFakeExecutor() *fakeExecutor {
@@ -54,6 +58,7 @@ func (f *fakeExecutor) Scale(id string, replicas int) error {
 func (f *fakeExecutor) Invoke(_ context.Context, id string, input any) (executor.Result, error) {
 	f.mu.Lock()
 	f.invoked++
+	f.got = append(f.got, input)
 	fail := f.fail
 	_, deployed := f.deployed[id]
 	f.mu.Unlock()
@@ -62,6 +67,11 @@ func (f *fakeExecutor) Invoke(_ context.Context, id string, input any) (executor
 	}
 	if !deployed {
 		return executor.Result{}, executor.ErrNotDeployed
+	}
+	if raw, ok := input.(json.RawMessage); ok {
+		if err := json.Unmarshal(raw, &input); err != nil {
+			return executor.Result{}, err
+		}
 	}
 	return executor.Result{Output: fmt.Sprintf("ran:%v", input), InferenceMicros: 5}, nil
 }
@@ -119,6 +129,14 @@ func request(t *testing.T, broker *queue.Broker, task Task) Reply {
 		t.Fatal(err)
 	}
 	return rep
+}
+
+func rawInputs(docs ...string) []json.RawMessage {
+	raws := make([]json.RawMessage, len(docs))
+	for i, d := range docs {
+		raws[i] = json.RawMessage(d)
+	}
+	return raws
 }
 
 func deployNoop(t *testing.T, broker *queue.Broker) {
@@ -239,6 +257,50 @@ func TestMemoization(t *testing.T) {
 	}
 }
 
+// TestPayloadPassesThroughUndecoded pins the Task Manager's side of the
+// payload path: an executor is handed the input's bytes exactly as the
+// task carried them (number text, member order and all), a batch's one
+// by one, and the memo is keyed by those bytes — which the Management
+// Service's task encode has compacted, so whitespace a client padded its
+// input with still hits.
+func TestPayloadPassesThroughUndecoded(t *testing.T) {
+	tm, broker, fake := startTM(t, true)
+	deployNoop(t, broker)
+	const doc = `{"b":9007199254740993,"a":[1e-7,"\u00e9"]}`
+	rep := request(t, broker, Task{ID: "a", Kind: "run", Servable: "dlhub/noop", Input: json.RawMessage(doc)})
+	if !rep.OK || rep.Cached {
+		t.Fatalf("first run: %+v", rep)
+	}
+	padded := json.RawMessage(`{ "b" : 9007199254740993, "a" : [ 1e-7, "\u00e9" ] }`)
+	if rep := request(t, broker, Task{ID: "b", Kind: "run", Servable: "dlhub/noop", Input: padded}); !rep.Cached {
+		t.Fatal("a whitespace-padded input should hit the memo of its compact form")
+	}
+	rep = request(t, broker, Task{ID: "c", Kind: "run_batch", Servable: "dlhub/noop", Inputs: rawInputs(doc, `null`)})
+	if !rep.OK {
+		t.Fatalf("batch: %+v", rep)
+	}
+	if _, hits := tm.Stats(); hits != 1 {
+		t.Fatalf("want 1 memo hit, got %d", hits)
+	}
+	fake.mu.Lock()
+	defer fake.mu.Unlock()
+	var got []string
+	for _, in := range fake.got {
+		raw, ok := in.(json.RawMessage)
+		if !ok {
+			t.Fatalf("executor was handed a %T, want the payload's bytes", in)
+		}
+		got = append(got, string(raw))
+	}
+	if len(got) != 3 || got[0] != doc {
+		t.Fatalf("executor saw %q", got)
+	}
+	// The batch fans out concurrently: either order.
+	if !(got[1] == doc && got[2] == "null") && !(got[1] == "null" && got[2] == doc) {
+		t.Fatalf("batch items arrived as %q", got[1:])
+	}
+}
+
 func TestSetMemoizeClearsCache(t *testing.T) {
 	tm, broker, _ := startTM(t, true)
 	deployNoop(t, broker)
@@ -254,8 +316,8 @@ func TestSetMemoizeClearsCache(t *testing.T) {
 func TestBatch(t *testing.T) {
 	_, broker, fake := startTM(t, false)
 	deployNoop(t, broker)
-	inputs := []any{"a", "b", "c", "d"}
-	rep := request(t, broker, Task{ID: "bt", Kind: "run_batch", Servable: "dlhub/noop", Inputs: inputs})
+	inputs := []string{"a", "b", "c", "d"}
+	rep := request(t, broker, Task{ID: "bt", Kind: "run_batch", Servable: "dlhub/noop", Inputs: rawInputs(`"a"`, `"b"`, `"c"`, `"d"`)})
 	if !rep.OK {
 		t.Fatalf("batch failed: %s", rep.Error)
 	}
@@ -277,7 +339,7 @@ func TestBatchPartialFailure(t *testing.T) {
 	_, broker, fake := startTM(t, false)
 	deployNoop(t, broker)
 	fake.fail = true
-	rep := request(t, broker, Task{ID: "bt", Kind: "run_batch", Servable: "dlhub/noop", Inputs: []any{"a", "b"}})
+	rep := request(t, broker, Task{ID: "bt", Kind: "run_batch", Servable: "dlhub/noop", Inputs: rawInputs(`"a"`, `"b"`)})
 	if rep.OK {
 		t.Fatal("batch with failures should report failure")
 	}

@@ -2,7 +2,9 @@ package tfserving
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -98,6 +100,34 @@ func TestGRPCAndRESTAgree(t *testing.T) {
 	lr := resR.Output.([]any)[0].(map[string]any)["label"]
 	if lg != lr {
 		t.Fatalf("APIs must serve the same model: %v vs %v", lg, lr)
+	}
+}
+
+// TestInvokeRawPayload: the Task Manager hands an executor the request
+// payload as bytes; this one converts them itself, straight into the
+// tensor each API sends.
+func TestInvokeRawPayload(t *testing.T) {
+	in := cifarInput()
+	data, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, api := range []API{GRPC, REST} {
+		e := newExec(t, api)
+		want, err := e.Invoke(context.Background(), "dlhub/cifar10", in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.Invoke(context.Background(), "dlhub/cifar10", json.RawMessage(data))
+		if err != nil {
+			t.Fatalf("%s on raw bytes: %v", api, err)
+		}
+		if !reflect.DeepEqual(got.Output, want.Output) {
+			t.Fatalf("%s: raw bytes gave %v, the value %v", api, got.Output, want.Output)
+		}
+		if _, err := e.Invoke(context.Background(), "dlhub/cifar10", json.RawMessage(`["x"]`)); !errors.Is(err, servable.ErrBadInput) {
+			t.Fatalf("%s: a non-numeric payload should be ErrBadInput, got %v", api, err)
+		}
 	}
 }
 
