@@ -156,11 +156,6 @@ type RunConfig struct {
 	NoMemo bool
 	// NoCache bypasses only the service-layer result cache.
 	NoCache bool
-	// Coalesce opts into server-side adaptive batching. Synchronous
-	// runs only: async submissions dispatch individually and ignore it
-	// (the task is already detached from the caller's latency path, so
-	// there is no hold-window to amortize).
-	Coalesce bool
 	// IdempotencyKey makes the request safe to retry: the server
 	// executes it once and replays the stored response to duplicates.
 	// Setting it also enables the client's automatic retry policy for
@@ -320,7 +315,6 @@ type runRequest struct {
 	Async    bool   `json:"async,omitempty"`
 	NoMemo   bool   `json:"no_memo,omitempty"`
 	NoCache  bool   `json:"no_cache,omitempty"`
-	Coalesce bool   `json:"coalesce,omitempty"`
 	Executor string `json:"executor,omitempty"`
 }
 
@@ -336,7 +330,6 @@ func (c *Client) RunWith(ctx context.Context, id string, input any, cfg RunConfi
 		Input:    input,
 		NoMemo:   cfg.NoMemo,
 		NoCache:  cfg.NoCache,
-		Coalesce: cfg.Coalesce,
 		Executor: cfg.Executor,
 	}
 	var resp RunResult
@@ -354,8 +347,13 @@ func (c *Client) RunIdempotent(ctx context.Context, id string, input any, key st
 }
 
 // RunBatch synchronously invokes a servable on many inputs at once
-// (DLHub's batching support, §V-B3).
+// (DLHub's batching support, §V-B3). An empty batch is an error here,
+// before anything is sent: omitempty would drop the field and the
+// server would see a single run on null.
 func (c *Client) RunBatch(ctx context.Context, id string, inputs []any) (*RunResult, error) {
+	if len(inputs) == 0 {
+		return nil, errors.New("dlhub: RunBatch: inputs is empty")
+	}
 	var resp RunResult
 	if err := c.call(ctx, http.MethodPost, "/api/v2/servables/"+id+"/run", runRequest{Inputs: inputs}, &resp, ""); err != nil {
 		return nil, err

@@ -214,6 +214,11 @@ func TestClientErrors(t *testing.T) {
 	if _, err := c.Status(t.Context(), "nope"); err == nil {
 		t.Fatal("missing task should error")
 	}
+	// An empty batch is refused client-side: sent, omitempty would turn
+	// it into a single run on null (and here into a 404, not this error).
+	if _, err := c.RunBatch(t.Context(), "ghost/model", []any{}); err == nil || !strings.Contains(err.Error(), "inputs is empty") {
+		t.Fatalf("empty batch: %v", err)
+	}
 }
 
 // --- v2 client features ------------------------------------------------------

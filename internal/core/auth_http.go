@@ -206,7 +206,7 @@ func (s *Service) routesV2Auth(mux *http.ServeMux) {
 	mux.HandleFunc("POST /api/v2/auth/register", s.handleV2AuthRegister)
 	mux.HandleFunc("POST /api/v2/auth/login", s.handleV2AuthLogin)
 	mux.HandleFunc("POST /api/v2/auth/revoke", s.handleV2AuthRevoke)
-	mux.HandleFunc("GET /api/v2/auth/whoami", s.handleV2AuthWhoami)
+	mux.HandleFunc("GET /api/v2/auth/whoami", endpoint(s, s.handleV2AuthWhoami))
 }
 
 func (s *Service) handleV2AuthRegister(w http.ResponseWriter, r *http.Request) {
@@ -260,14 +260,10 @@ func (s *Service) handleV2AuthRevoke(w http.ResponseWriter, r *http.Request) {
 
 // handleV2AuthWhoami echoes the resolved caller — the smoke tests' and
 // CLI's way to check a token end to end.
-func (s *Service) handleV2AuthWhoami(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.callerV2(w, r)
-	if !ok {
-		return
-	}
-	writeV2(w, r, http.StatusOK, map[string]any{
+func (s *Service) handleV2AuthWhoami(_ *http.Request, c Caller, _ *noBody) (int, any, error) {
+	return http.StatusOK, map[string]any{
 		"identity_id": c.IdentityID,
 		"tenant":      tenantLabel(c.Tenant),
 		"principals":  c.Principals,
-	})
+	}, nil
 }

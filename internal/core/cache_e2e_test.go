@@ -63,8 +63,10 @@ func startFakeTM(t *testing.T, ms *core.Service, id string, block chan struct{})
 				continue
 			}
 			rep, _ := json.Marshal(taskmanager.Reply{TaskID: task.ID, OK: true, Output: "from-" + id})
-			ms.Broker().Reply(msg, rep)
+			// Counted before the reply: a caller that has its answer must
+			// already see the task in the count.
 			f.handled.Add(1)
+			ms.Broker().Reply(msg, rep)
 		}
 	}()
 	return f
@@ -297,13 +299,15 @@ func TestLeastOutstandingRouting(t *testing.T) {
 
 	// Occupy tm-busy: fire runs until the load map shows it holding
 	// one (round-robin tiebreak may hand the first to either TM).
-	done := make(chan struct{})
+	// Buffered, and stuck falls before the send: the drain loop at the
+	// end waits on done only while a sender is still to come.
+	done := make(chan struct{}, 64)
 	var stuck atomic.Int64
 	fire := func(input any) {
 		stuck.Add(1)
 		go func() {
-			defer stuck.Add(-1)
 			ms.Run(context.Background(), core.Anonymous, id, input, core.RunOptions{}) //nolint:errcheck
+			stuck.Add(-1)
 			done <- struct{}{}
 		}()
 	}

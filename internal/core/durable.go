@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/auth"
 	"repro/internal/schema"
-	"repro/internal/servable"
 	"repro/internal/store"
 )
 
@@ -54,10 +53,11 @@ import (
 // record may describe state the checkpoint already contains. Replaying
 // it must converge, not duplicate.
 //
-// Lock discipline: compaction runs writeSnapshot (which takes s.mu)
-// while holding the store's own lock and blocking appends — so logged()
-// must NEVER be called with s.mu held. Every call site releases s.mu
-// first.
+// Lock discipline: compaction runs writeSnapshot (which takes the
+// repository lock) while holding the store's own lock and blocking
+// appends — so logged() must NEVER be called with the repository lock
+// held. No call site is inside a repository method or one of its
+// callbacks.
 
 const (
 	recKindPublish    = "publish"
@@ -75,9 +75,9 @@ const (
 	recKindUser       = "user"
 )
 
-// recPublish logs a new servable version. Doc is a deep copy taken
-// under the repository lock (the live pointer keeps mutating via
-// UpdateMetadata); Components are immutable after publish.
+// recPublish logs a new servable version. Doc is the installed document
+// itself and Components its components: both are immutable after
+// publish, so the encoder needs no copy.
 type recPublish struct {
 	Doc        *schema.Document
 	Components map[string][]byte
@@ -141,7 +141,8 @@ type userRecord struct {
 // logged appends one durable record for an already-applied in-memory
 // mutation. Append failures are logged loudly rather than unwound: the
 // mutation happened, and failing the caller's request would report an
-// operation that in fact succeeded. Callers must not hold s.mu.
+// operation that in fact succeeded. Callers must not hold the
+// repository lock.
 func (s *Service) logged(kind string, payload any) {
 	st := s.cfg.Store
 	if st == nil {
@@ -163,10 +164,10 @@ func decodeRec[T any](data []byte) (T, error) {
 	return v, err
 }
 
-// applyRecord re-applies one WAL record during recovery. It touches the
-// repository maps only — the search index and cache are rebuilt once by
-// finishRestore after the whole tail replays. Handlers tolerate state
-// the checkpoint already contains (see the taxonomy comment) and state
+// applyRecord re-applies one WAL record during recovery. The repository
+// keeps its index in step record by record; the result cache is flushed
+// once, after the whole tail replays. Handlers tolerate state the
+// checkpoint already contains (see the taxonomy comment) and state
 // referencing since-unpublished servables.
 func (s *Service) applyRecord(rec store.Record) error {
 	switch rec.Kind {
@@ -179,18 +180,7 @@ func (s *Service) applyRecord(rec store.Record) error {
 		if doc == nil || doc.ID == "" || doc.Version < 1 {
 			return fmt.Errorf("core: malformed publish record (seq %d)", rec.Seq)
 		}
-		s.mu.Lock()
-		vs := s.versions[doc.ID]
-		for len(vs) < doc.Version {
-			vs = append(vs, nil)
-		}
-		vs[doc.Version-1] = doc
-		s.versions[doc.ID] = vs
-		if cur, ok := s.docs[doc.ID]; !ok || cur.Version <= doc.Version {
-			s.docs[doc.ID] = doc
-			s.packages[doc.ID] = &servable.Package{Doc: doc, Components: p.Components}
-		}
-		s.mu.Unlock()
+		s.repo.replayVersion(doc, p.Components)
 
 	case recKindMetadata:
 		m, err := decodeRec[recMetadata](rec.Data)
@@ -200,29 +190,17 @@ func (s *Service) applyRecord(rec store.Record) error {
 		if m.Doc == nil {
 			return fmt.Errorf("core: malformed metadata record (seq %d)", rec.Seq)
 		}
-		s.mu.Lock()
-		if cur, ok := s.docs[m.ID]; ok && cur.Version == m.Doc.Version {
-			s.docs[m.ID] = m.Doc
-			if vs := s.versions[m.ID]; m.Doc.Version >= 1 && m.Doc.Version <= len(vs) {
-				vs[m.Doc.Version-1] = m.Doc
-			}
-			if pkg := s.packages[m.ID]; pkg != nil {
-				pkg.Doc = m.Doc
-			}
-		}
-		s.mu.Unlock()
+		s.repo.replayMetadata(m.ID, m.Doc)
 
 	case recKindUnpublish:
 		u, err := decodeRec[recServable](rec.Data)
 		if err != nil {
 			return err
 		}
-		s.mu.Lock()
-		delete(s.docs, u.ID)
-		delete(s.versions, u.ID)
-		delete(s.packages, u.ID)
-		s.route.dropServable(u.ID)
-		s.mu.Unlock()
+		// The record is the owner's unpublish; replay it as the owner.
+		if doc, ok := s.repo.latest(u.ID); ok {
+			s.repo.remove(u.ID, doc.Owner, func() { s.route.dropServable(u.ID) }) //nolint:errcheck — found and owned just above
+		}
 		s.scaler.removePolicy(u.ID)
 
 	case recKindDeploy:
@@ -230,29 +208,21 @@ func (s *Service) applyRecord(rec store.Record) error {
 		if err != nil {
 			return err
 		}
-		s.mu.RLock()
-		if _, ok := s.docs[d.ID]; ok {
-			s.route.applyDeploy(d.ID, d.TM, d.Replicas)
-		}
-		s.mu.RUnlock()
+		s.repo.whilePublished(d.ID, func() { s.route.applyDeploy(d.ID, d.TM, d.Replicas) })
 
 	case recKindUndeploy:
 		d, err := decodeRec[recPlacement](rec.Data)
 		if err != nil {
 			return err
 		}
-		s.removePlacement(d.ID, d.TM)
+		s.route.removePlacement(d.ID, d.TM)
 
 	case recKindScale:
 		sc, err := decodeRec[recPlacement](rec.Data)
 		if err != nil {
 			return err
 		}
-		s.mu.RLock()
-		if _, ok := s.docs[sc.ID]; ok {
-			s.route.setReplicas(sc.ID, sc.Replicas)
-		}
-		s.mu.RUnlock()
+		s.repo.whilePublished(sc.ID, func() { s.route.setReplicas(sc.ID, sc.Replicas) })
 
 	case recKindDrain:
 		t, err := decodeRec[recTM](rec.Data)
@@ -315,8 +285,8 @@ func (s *Service) applyRecord(rec store.Record) error {
 }
 
 // Recover restores state from the configured store: last checkpoint,
-// then the WAL tail (torn final record tolerated), then the index/cache
-// rebuild. Call once, right after New and before serving traffic. A
+// then the WAL tail (torn final record tolerated), then a cache flush.
+// Call once, right after New and before serving traffic. A
 // nil store recovers nothing.
 func (s *Service) Recover() (store.RecoveryInfo, error) {
 	st := s.cfg.Store
@@ -327,7 +297,10 @@ func (s *Service) Recover() (store.RecoveryInfo, error) {
 	if err != nil {
 		return info, err
 	}
-	s.finishRestore()
+	// Cached results predate the restored repository; the flush also
+	// bumps the cache epoch so in-flight computations from the old world
+	// cannot write back after the load.
+	s.FlushCache()
 	return info, nil
 }
 

@@ -56,30 +56,30 @@ func (s *Service) routesV2(mux *http.ServeMux) {
 	mux.HandleFunc("GET /api/v2/healthz", s.handleV2Healthz)
 	mux.HandleFunc("GET /api/v2/readyz", s.handleV2Readyz)
 	mux.HandleFunc("POST /api/v2/servables", s.handleV2Publish)
-	mux.HandleFunc("GET /api/v2/servables", s.handleV2List)
-	mux.HandleFunc("GET /api/v2/servables/{owner}/{name}", s.handleV2Get)
-	mux.HandleFunc("GET /api/v2/servables/{owner}/{name}/versions", s.handleV2Versions)
-	mux.HandleFunc("GET /api/v2/servables/{owner}/{name}/dockerfile", s.handleV2Dockerfile)
-	mux.HandleFunc("PATCH /api/v2/servables/{owner}/{name}", s.handleV2Update)
-	mux.HandleFunc("DELETE /api/v2/servables/{owner}/{name}", s.handleV2Unpublish)
+	mux.HandleFunc("GET /api/v2/servables", endpoint(s, s.handleV2List))
+	mux.HandleFunc("GET /api/v2/servables/{owner}/{name}", endpoint(s, s.handleV2Get))
+	mux.HandleFunc("GET /api/v2/servables/{owner}/{name}/versions", endpoint(s, s.handleV2Versions))
+	mux.HandleFunc("GET /api/v2/servables/{owner}/{name}/dockerfile", endpoint(s, s.handleV2Dockerfile))
+	mux.HandleFunc("PATCH /api/v2/servables/{owner}/{name}", endpoint(s, s.handleV2Update))
+	mux.HandleFunc("DELETE /api/v2/servables/{owner}/{name}", endpoint(s, s.handleV2Unpublish))
 	mux.HandleFunc("POST /api/v2/servables/{owner}/{name}/run", s.handleV2Run)
-	mux.HandleFunc("POST /api/v2/servables/{owner}/{name}/deploy", s.handleV2Deploy)
-	mux.HandleFunc("DELETE /api/v2/servables/{owner}/{name}/placements/{tm}", s.handleV2Undeploy)
-	mux.HandleFunc("POST /api/v2/servables/{owner}/{name}/scale", s.handleV2Scale)
-	mux.HandleFunc("GET /api/v2/servables/{owner}/{name}/autoscale", s.handleV2AutoscaleGet)
-	mux.HandleFunc("PUT /api/v2/servables/{owner}/{name}/autoscale", s.handleV2AutoscalePut)
-	mux.HandleFunc("POST /api/v2/search", s.handleV2Search)
-	mux.HandleFunc("GET /api/v2/tasks/{task}", s.handleV2Task)
+	mux.HandleFunc("POST /api/v2/servables/{owner}/{name}/deploy", endpoint(s, s.handleV2Deploy))
+	mux.HandleFunc("DELETE /api/v2/servables/{owner}/{name}/placements/{tm}", endpoint(s, s.handleV2Undeploy))
+	mux.HandleFunc("POST /api/v2/servables/{owner}/{name}/scale", endpoint(s, s.handleV2Scale))
+	mux.HandleFunc("GET /api/v2/servables/{owner}/{name}/autoscale", endpoint(s, s.handleV2AutoscaleGet))
+	mux.HandleFunc("PUT /api/v2/servables/{owner}/{name}/autoscale", endpoint(s, s.handleV2AutoscalePut))
+	mux.HandleFunc("POST /api/v2/search", endpoint(s, s.handleV2Search))
+	mux.HandleFunc("GET /api/v2/tasks/{task}", endpoint(s, s.handleV2Task))
 	mux.HandleFunc("GET /api/v2/tasks/{task}/events", s.handleV2TaskEvents)
-	mux.HandleFunc("GET /api/v2/tms", s.handleV2TMs)
-	mux.HandleFunc("POST /api/v2/tms/{tm}/drain", s.handleV2TMDrain)
-	mux.HandleFunc("POST /api/v2/tms/{tm}/rejoin", s.handleV2TMRejoin)
-	mux.HandleFunc("DELETE /api/v2/tms/{tm}", s.handleV2TMDeregister)
-	mux.HandleFunc("GET /api/v2/cache/stats", s.handleV2CacheStats)
-	mux.HandleFunc("POST /api/v2/cache/flush", s.handleV2CacheFlush)
-	mux.HandleFunc("GET /api/v2/stats", s.handleV2Stats)
-	mux.HandleFunc("GET /api/v2/tenants", s.handleV2Tenants)
-	mux.HandleFunc("PUT /api/v2/tenants/{tenant}/quota", s.handleV2TenantQuota)
+	mux.HandleFunc("GET /api/v2/tms", endpoint(s, s.handleV2TMs))
+	mux.HandleFunc("POST /api/v2/tms/{tm}/drain", endpoint(s, s.handleV2TMDrain))
+	mux.HandleFunc("POST /api/v2/tms/{tm}/rejoin", endpoint(s, s.handleV2TMRejoin))
+	mux.HandleFunc("DELETE /api/v2/tms/{tm}", endpoint(s, s.handleV2TMDeregister))
+	mux.HandleFunc("GET /api/v2/cache/stats", endpoint(s, s.handleV2CacheStats))
+	mux.HandleFunc("POST /api/v2/cache/flush", endpoint(s, s.handleV2CacheFlush))
+	mux.HandleFunc("GET /api/v2/stats", endpoint(s, s.handleV2Stats))
+	mux.HandleFunc("GET /api/v2/tenants", endpoint(s, s.handleV2Tenants))
+	mux.HandleFunc("PUT /api/v2/tenants/{tenant}/quota", endpoint(s, s.handleV2TenantQuota))
 	s.routesV2Auth(mux)
 }
 
@@ -153,6 +153,40 @@ func readV2(w http.ResponseWriter, r *http.Request, v any) bool {
 	}
 	return false
 }
+
+// noBody is the request type of an endpoint that takes no body; none is
+// read for it.
+type noBody struct{}
+
+// endpoint is the protocol most routes share, stated once: resolve the
+// caller, decode the body into a Req (unless Req is noBody), make the
+// call, and write its outcome as the success or the error envelope. A
+// handler behind it sees neither the ResponseWriter nor an envelope.
+// Routes that need the writer (the run's cache header and idempotent
+// replay, publish, the SSE stream), and the open health and auth routes
+// that resolve no caller, are plain http.HandlerFuncs.
+func endpoint[Req any](s *Service, h func(r *http.Request, c Caller, req *Req) (status int, data any, err error)) http.HandlerFunc {
+	_, none := any((*Req)(nil)).(*noBody)
+	return func(w http.ResponseWriter, r *http.Request) {
+		c, ok := s.callerV2(w, r)
+		if !ok {
+			return
+		}
+		var req Req
+		if !none && !readV2(w, r, &req) {
+			return
+		}
+		status, data, err := h(r, c, &req)
+		if err != nil {
+			writeV2Error(w, r, err)
+			return
+		}
+		writeV2(w, r, status, data)
+	}
+}
+
+// pathID is the {owner}/{name} servable ID a route addresses.
+func pathID(r *http.Request) string { return r.PathValue("owner") + "/" + r.PathValue("name") }
 
 // idempotent executes fn under the request's Idempotency-Key (if any):
 // the first execution's outcome is stored and replayed to duplicates,
@@ -358,20 +392,14 @@ func pageParams(r *http.Request, defLimit int) (limit, offset int, err error) {
 	return limit, offset, err
 }
 
-func (s *Service) handleV2List(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.callerV2(w, r)
-	if !ok {
-		return
-	}
+func (s *Service) handleV2List(r *http.Request, c Caller, _ *noBody) (int, any, error) {
 	limit, offset, err := pageParams(r, 100)
 	if err != nil {
-		writeV2Error(w, r, err)
-		return
+		return 0, nil, err
 	}
 	res, err := s.Search(r.Context(), c, search.Query{Limit: limit, Offset: offset})
 	if err != nil {
-		writeV2Error(w, r, err)
-		return
+		return 0, nil, err
 	}
 	page := Page[string]{Items: make([]string, 0, len(res.Hits)), Total: res.Total}
 	for _, h := range res.Hits {
@@ -380,7 +408,7 @@ func (s *Service) handleV2List(w http.ResponseWriter, r *http.Request) {
 	if offset+len(page.Items) < res.Total {
 		page.NextCursor = encodeCursor(offset + len(page.Items))
 	}
-	writeV2(w, r, http.StatusOK, page)
+	return http.StatusOK, page, nil
 }
 
 // ServableView is the GET /api/v2/servables/{id} payload: the document
@@ -392,49 +420,33 @@ type ServableView struct {
 	Placements []string `json:"placements"`
 }
 
-func (s *Service) handleV2Get(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.callerV2(w, r)
-	if !ok {
-		return
-	}
-	id := r.PathValue("owner") + "/" + r.PathValue("name")
+func (s *Service) handleV2Get(r *http.Request, c Caller, _ *noBody) (int, any, error) {
+	id := pathID(r)
 	doc, err := s.Get(c, id)
 	if err != nil {
-		writeV2Error(w, r, err)
-		return
+		return 0, nil, err
 	}
 	placed, err := s.ServablePlacements(c, id)
 	if err != nil {
-		writeV2Error(w, r, err)
-		return
+		return 0, nil, err
 	}
-	writeV2(w, r, http.StatusOK, ServableView{Document: doc, Placements: placed})
+	return http.StatusOK, ServableView{Document: doc, Placements: placed}, nil
 }
 
-func (s *Service) handleV2Versions(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.callerV2(w, r)
-	if !ok {
-		return
-	}
-	docs, err := s.Versions(c, r.PathValue("owner")+"/"+r.PathValue("name"))
+func (s *Service) handleV2Versions(r *http.Request, c Caller, _ *noBody) (int, any, error) {
+	docs, err := s.Versions(c, pathID(r))
 	if err != nil {
-		writeV2Error(w, r, err)
-		return
+		return 0, nil, err
 	}
-	writeV2(w, r, http.StatusOK, Page[*schema.Document]{Items: docs, Total: len(docs)})
+	return http.StatusOK, Page[*schema.Document]{Items: docs, Total: len(docs)}, nil
 }
 
-func (s *Service) handleV2Dockerfile(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.callerV2(w, r)
-	if !ok {
-		return
-	}
-	df, err := s.Dockerfile(c, r.PathValue("owner")+"/"+r.PathValue("name"))
+func (s *Service) handleV2Dockerfile(r *http.Request, c Caller, _ *noBody) (int, any, error) {
+	df, err := s.Dockerfile(c, pathID(r))
 	if err != nil {
-		writeV2Error(w, r, err)
-		return
+		return 0, nil, err
 	}
-	writeV2(w, r, http.StatusOK, map[string]string{"dockerfile": df})
+	return http.StatusOK, map[string]string{"dockerfile": df}, nil
 }
 
 // UpdateRequest is the PATCH /api/v2/servables/{owner}/{name} body.
@@ -445,16 +457,8 @@ type UpdateRequest struct {
 	Identifier  *string  `json:"identifier,omitempty"`
 }
 
-func (s *Service) handleV2Update(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.callerV2(w, r)
-	if !ok {
-		return
-	}
-	var req UpdateRequest
-	if !readV2(w, r, &req) {
-		return
-	}
-	id := r.PathValue("owner") + "/" + r.PathValue("name")
+func (s *Service) handleV2Update(r *http.Request, c Caller, req *UpdateRequest) (int, any, error) {
+	id := pathID(r)
 	err := s.UpdateMetadata(c, id, func(p *schema.Publication) {
 		if req.Description != nil {
 			p.Description = *req.Description
@@ -470,31 +474,23 @@ func (s *Service) handleV2Update(w http.ResponseWriter, r *http.Request) {
 		}
 	})
 	if err != nil {
-		writeV2Error(w, r, err)
-		return
+		return 0, nil, err
 	}
 	doc, err := s.Get(c, id)
 	if err != nil {
-		writeV2Error(w, r, err)
-		return
+		return 0, nil, err
 	}
-	writeV2(w, r, http.StatusOK, doc)
+	return http.StatusOK, doc, nil
 }
 
 // handleV2Unpublish removes a servable (all versions) from the
 // repository. Owner-only; in-flight runs of the servable fail at their
 // next resolution.
-func (s *Service) handleV2Unpublish(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.callerV2(w, r)
-	if !ok {
-		return
+func (s *Service) handleV2Unpublish(r *http.Request, c Caller, _ *noBody) (int, any, error) {
+	if err := s.Unpublish(c, pathID(r)); err != nil {
+		return 0, nil, err
 	}
-	id := r.PathValue("owner") + "/" + r.PathValue("name")
-	if err := s.Unpublish(c, id); err != nil {
-		writeV2Error(w, r, err)
-		return
-	}
-	writeV2(w, r, http.StatusOK, map[string]string{"status": "unpublished"})
+	return http.StatusOK, map[string]string{"status": "unpublished"}, nil
 }
 
 // SearchRequest is the query part of the POST /api/v2/search body: a
@@ -529,19 +525,10 @@ type SearchPageV2 struct {
 	Facets map[string]map[string]int `json:"facets,omitempty"`
 }
 
-func (s *Service) handleV2Search(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.callerV2(w, r)
-	if !ok {
-		return
-	}
-	var req SearchRequestV2
-	if !readV2(w, r, &req) {
-		return
-	}
+func (s *Service) handleV2Search(r *http.Request, c Caller, req *SearchRequestV2) (int, any, error) {
 	offset, err := decodeCursor(req.Cursor)
 	if err != nil {
-		writeV2Error(w, r, err)
-		return
+		return 0, nil, err
 	}
 	limit := req.Limit
 	switch {
@@ -572,8 +559,7 @@ func (s *Service) handleV2Search(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.Search(r.Context(), c, q)
 	if err != nil {
-		writeV2Error(w, r, err)
-		return
+		return 0, nil, err
 	}
 	page := SearchPageV2{Facets: res.Facets}
 	page.Total = res.Total
@@ -584,7 +570,7 @@ func (s *Service) handleV2Search(w http.ResponseWriter, r *http.Request) {
 	if offset+len(page.Items) < res.Total {
 		page.NextCursor = encodeCursor(offset + len(page.Items))
 	}
-	writeV2(w, r, http.StatusOK, page)
+	return http.StatusOK, page, nil
 }
 
 // --- serving ----------------------------------------------------------------
@@ -594,11 +580,10 @@ func (s *Service) handleV2Search(w http.ResponseWriter, r *http.Request) {
 // cache from them and forwards them, and only the servable decodes them.
 type RunRequest struct {
 	Input    json.RawMessage   `json:"input,omitempty"`
-	Inputs   []json.RawMessage `json:"inputs,omitempty"` // batch mode when present
+	Inputs   []json.RawMessage `json:"inputs,omitempty"` // batch mode when present (an empty batch is an error)
 	Async    bool              `json:"async,omitempty"`
 	NoMemo   bool              `json:"no_memo,omitempty"`
 	NoCache  bool              `json:"no_cache,omitempty"` // bypass the service-layer cache only
-	Coalesce bool              `json:"coalesce,omitempty"`
 	Executor string            `json:"executor,omitempty"`
 }
 
@@ -612,10 +597,10 @@ var jsonNull = json.RawMessage("null")
 // no_cache/no_memo).
 const CacheHeader = "X-DLHub-Cache"
 
-// setCacheHeader annotates a synchronous run response for servableID.
-func (s *Service) setCacheHeader(w http.ResponseWriter, servableID string, opts RunOptions, res RunResult) {
+// setCacheHeader annotates a synchronous run response.
+func (s *Service) setCacheHeader(w http.ResponseWriter, opts RunOptions, res RunResult) {
 	switch {
-	case !s.cacheUsable(opts) || !s.cacheableID(servableID) || res.cacheSkipped:
+	case !s.cacheUsable(opts) || res.cacheSkipped:
 		w.Header().Set(CacheHeader, "bypass")
 	case res.CacheHit:
 		w.Header().Set(CacheHeader, "hit")
@@ -637,13 +622,10 @@ func (s *Service) handleV2Run(w http.ResponseWriter, r *http.Request) {
 	case req.Inputs != nil && req.Input != nil:
 		writeV2Error(w, r, ErrBadRequest.WithDetail("input and inputs are mutually exclusive"))
 		return
-	case req.Inputs != nil && len(req.Inputs) == 0:
-		writeV2Error(w, r, ErrBadRequest.WithDetail("inputs is empty"))
-		return
 	case req.Input == nil:
 		req.Input = jsonNull
 	}
-	id := r.PathValue("owner") + "/" + r.PathValue("name")
+	id := pathID(r)
 	opts := RunOptions{Executor: req.Executor, NoMemo: req.NoMemo, NoCache: req.NoCache}
 	s.idempotent(w, r, c, func() (int, any, error) {
 		if req.Async {
@@ -655,18 +637,15 @@ func (s *Service) handleV2Run(w http.ResponseWriter, r *http.Request) {
 		}
 		var res RunResult
 		var err error
-		switch {
-		case req.Inputs != nil:
+		if req.Inputs != nil {
 			res, err = s.runBatch(r.Context(), c, id, req.Inputs, opts)
-		case req.Coalesce:
-			res, err = s.runCoalesced(r.Context(), c, id, req.Input, opts)
-		default:
+		} else {
 			res, err = s.run(r.Context(), c, id, req.Input, opts)
 		}
 		if err != nil {
 			return 0, nil, err
 		}
-		s.setCacheHeader(w, id, opts, res)
+		s.setCacheHeader(w, opts, res)
 		return http.StatusOK, res, nil
 	})
 }
@@ -677,116 +656,65 @@ type DeployRequest struct {
 	Executor string `json:"executor,omitempty"`
 	// TM pins the deploy to a named registered Task Manager (DeployTo)
 	// — how operators place pipeline steps on disjoint sites. Empty
-	// routes via pickTM. Scale ignores it.
+	// routes via route.pick. Scale ignores it.
 	TM string `json:"tm,omitempty"`
 }
 
-func (s *Service) handleV2Deploy(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.callerV2(w, r)
-	if !ok {
-		return
+func (s *Service) handleV2Deploy(r *http.Request, c Caller, req *DeployRequest) (int, any, error) {
+	if err := s.DeployTo(r.Context(), c, pathID(r), req.Replicas, req.Executor, req.TM); err != nil {
+		return 0, nil, err
 	}
-	var req DeployRequest
-	if !readV2(w, r, &req) {
-		return
-	}
-	id := r.PathValue("owner") + "/" + r.PathValue("name")
-	if err := s.DeployTo(r.Context(), c, id, req.Replicas, req.Executor, req.TM); err != nil {
-		writeV2Error(w, r, err)
-		return
-	}
-	writeV2(w, r, http.StatusOK, map[string]string{"status": "deployed"})
+	return http.StatusOK, map[string]string{"status": "deployed"}, nil
 }
 
-func (s *Service) handleV2Scale(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.callerV2(w, r)
-	if !ok {
-		return
+func (s *Service) handleV2Scale(r *http.Request, c Caller, req *DeployRequest) (int, any, error) {
+	if err := s.Scale(r.Context(), c, pathID(r), req.Replicas, req.Executor); err != nil {
+		return 0, nil, err
 	}
-	var req DeployRequest
-	if !readV2(w, r, &req) {
-		return
-	}
-	id := r.PathValue("owner") + "/" + r.PathValue("name")
-	if err := s.Scale(r.Context(), c, id, req.Replicas, req.Executor); err != nil {
-		writeV2Error(w, r, err)
-		return
-	}
-	writeV2(w, r, http.StatusOK, map[string]string{"status": "scaled"})
+	return http.StatusOK, map[string]string{"status": "scaled"}, nil
 }
 
 // handleV2Undeploy removes one placement of a servable from a named
 // Task Manager (owner-only) — the operator's tool for shrinking where a
 // servable runs without unpublishing it.
-func (s *Service) handleV2Undeploy(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.callerV2(w, r)
-	if !ok {
-		return
-	}
-	id := r.PathValue("owner") + "/" + r.PathValue("name")
-	tmID := r.PathValue("tm")
+func (s *Service) handleV2Undeploy(r *http.Request, c Caller, _ *noBody) (int, any, error) {
+	id, tmID := pathID(r), r.PathValue("tm")
 	if err := s.Undeploy(r.Context(), c, id, tmID); err != nil {
-		writeV2Error(w, r, err)
-		return
+		return 0, nil, err
 	}
 	placed, err := s.ServablePlacements(c, id)
 	if err != nil {
-		writeV2Error(w, r, err)
-		return
+		return 0, nil, err
 	}
-	writeV2(w, r, http.StatusOK, map[string]any{"status": "undeployed", "tm": tmID, "placements": placed})
+	return http.StatusOK, map[string]any{"status": "undeployed", "tm": tmID, "placements": placed}, nil
 }
 
 // handleV2AutoscaleGet reports a servable's autoscaler policy + state.
-func (s *Service) handleV2AutoscaleGet(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.callerV2(w, r)
-	if !ok {
-		return
-	}
-	st, err := s.AutoscaleStatus(c, r.PathValue("owner")+"/"+r.PathValue("name"))
+func (s *Service) handleV2AutoscaleGet(r *http.Request, c Caller, _ *noBody) (int, any, error) {
+	st, err := s.AutoscaleStatus(c, pathID(r))
 	if err != nil {
-		writeV2Error(w, r, err)
-		return
+		return 0, nil, err
 	}
-	writeV2(w, r, http.StatusOK, st)
+	return http.StatusOK, st, nil
 }
 
 // handleV2AutoscalePut installs (or disables, with "enabled": false) a
 // servable's autoscale policy and returns the resulting status.
-func (s *Service) handleV2AutoscalePut(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.callerV2(w, r)
-	if !ok {
-		return
+func (s *Service) handleV2AutoscalePut(r *http.Request, c Caller, policy *AutoscalePolicy) (int, any, error) {
+	if err := s.SetAutoscalePolicy(c, pathID(r), *policy); err != nil {
+		return 0, nil, err
 	}
-	var policy AutoscalePolicy
-	if !readV2(w, r, &policy) {
-		return
-	}
-	id := r.PathValue("owner") + "/" + r.PathValue("name")
-	if err := s.SetAutoscalePolicy(c, id, policy); err != nil {
-		writeV2Error(w, r, err)
-		return
-	}
-	st, err := s.AutoscaleStatus(c, id)
-	if err != nil {
-		writeV2Error(w, r, err)
-		return
-	}
-	writeV2(w, r, http.StatusOK, st)
+	return s.handleV2AutoscaleGet(r, c, nil)
 }
 
 // --- tasks ------------------------------------------------------------------
 
-func (s *Service) handleV2Task(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.callerV2(w, r); !ok {
-		return
-	}
+func (s *Service) handleV2Task(r *http.Request, _ Caller, _ *noBody) (int, any, error) {
 	at, err := s.TaskStatus(r.PathValue("task"))
 	if err != nil {
-		writeV2Error(w, r, err)
-		return
+		return 0, nil, err
 	}
-	writeV2(w, r, http.StatusOK, at)
+	return http.StatusOK, at, nil
 }
 
 // TaskEventHeartbeat is the SSE keep-alive interval: comments flow this
@@ -856,87 +784,63 @@ func (s *Service) handleV2TaskEvents(w http.ResponseWriter, r *http.Request) {
 
 // --- operations -------------------------------------------------------------
 
-func (s *Service) handleV2TMs(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.callerV2(w, r); !ok {
-		return
-	}
-	writeV2(w, r, http.StatusOK, map[string]any{
+func (s *Service) handleV2TMs(*http.Request, Caller, *noBody) (int, any, error) {
+	return http.StatusOK, map[string]any{
 		"task_managers": s.TaskManagers(),
 		"live":          s.LiveTaskManagers(),
 		"draining":      s.DrainingTMs(),
 		"load":          s.TMLoad(),
 		"queue_depth":   s.TMQueueDepth(),
 		"active":        s.TMActive(),
-	})
+	}, nil
 }
 
 // handleV2TMDrain gracefully drains a Task Manager: routing stops
 // immediately, queued work finishes, placements migrate to the
 // remaining TMs. The response reports what moved where.
-func (s *Service) handleV2TMDrain(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.callerV2(w, r); !ok {
-		return
-	}
+func (s *Service) handleV2TMDrain(r *http.Request, _ Caller, _ *noBody) (int, any, error) {
 	res, err := s.DrainTM(r.Context(), r.PathValue("tm"))
 	if err != nil {
-		writeV2Error(w, r, err)
-		return
+		return 0, nil, err
 	}
-	writeV2(w, r, http.StatusOK, res)
+	return http.StatusOK, res, nil
 }
 
 // handleV2TMRejoin reverses a drain: the TM clears its drain
 // acknowledgement and returns to the routable pool (placements a drain
 // migrated away are NOT restored — redeploy explicitly).
-func (s *Service) handleV2TMRejoin(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.callerV2(w, r); !ok {
-		return
-	}
+func (s *Service) handleV2TMRejoin(r *http.Request, _ Caller, _ *noBody) (int, any, error) {
 	tmID := r.PathValue("tm")
 	if err := s.RejoinTM(r.Context(), tmID); err != nil {
-		writeV2Error(w, r, err)
-		return
+		return 0, nil, err
 	}
-	writeV2(w, r, http.StatusOK, map[string]string{"status": "rejoined", "tm": tmID})
+	return http.StatusOK, map[string]string{"status": "rejoined", "tm": tmID}, nil
 }
 
 // handleV2TMDeregister removes a Task Manager from the registry and
 // routing state (normally after a drain).
-func (s *Service) handleV2TMDeregister(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.callerV2(w, r); !ok {
-		return
-	}
+func (s *Service) handleV2TMDeregister(r *http.Request, _ Caller, _ *noBody) (int, any, error) {
 	tmID := r.PathValue("tm")
 	if err := s.DeregisterTM(tmID); err != nil {
-		writeV2Error(w, r, err)
-		return
+		return 0, nil, err
 	}
-	writeV2(w, r, http.StatusOK, map[string]string{"status": "deregistered", "tm": tmID})
+	return http.StatusOK, map[string]string{"status": "deregistered", "tm": tmID}, nil
 }
 
-func (s *Service) handleV2CacheStats(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.callerV2(w, r); !ok {
-		return
-	}
-	writeV2(w, r, http.StatusOK, map[string]any{
+func (s *Service) handleV2CacheStats(*http.Request, Caller, *noBody) (int, any, error) {
+	return http.StatusOK, map[string]any{
 		"enabled": s.CacheEnabled(),
 		"stats":   s.CacheStats(),
-	})
+	}, nil
 }
 
-func (s *Service) handleV2CacheFlush(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.callerV2(w, r); !ok {
-		return
-	}
+func (s *Service) handleV2CacheFlush(*http.Request, Caller, *noBody) (int, any, error) {
 	s.FlushCache()
-	writeV2(w, r, http.StatusOK, map[string]string{"status": "flushed"})
+	return http.StatusOK, map[string]string{"status": "flushed"}, nil
 }
 
-func (s *Service) handleV2Stats(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.callerV2(w, r); !ok {
-		return
-	}
-	writeV2(w, r, http.StatusOK, map[string]any{
+func (s *Service) handleV2Stats(*http.Request, Caller, *noBody) (int, any, error) {
+	return http.StatusOK, map[string]any{
 		"routes":     s.RouteStats(),
 		"autoscaler": s.AutoscalerStats(),
 		"tasks":      s.TaskStats(),
@@ -959,19 +863,16 @@ func (s *Service) handleV2Stats(w http.ResponseWriter, r *http.Request) {
 			"pending_requests": uint64(s.broker.PendingRequests()),
 			"orphan_replies":   s.broker.OrphanReplies(),
 		},
-	})
+	}, nil
 }
 
 // --- tenants ----------------------------------------------------------------
 
 // handleV2Tenants lists the known tenants and their quota/priority
 // configuration.
-func (s *Service) handleV2Tenants(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.callerV2(w, r); !ok {
-		return
-	}
+func (s *Service) handleV2Tenants(*http.Request, Caller, *noBody) (int, any, error) {
 	views := s.TenantList()
-	writeV2(w, r, http.StatusOK, Page[TenantView]{Items: views, Total: len(views)})
+	return http.StatusOK, Page[TenantView]{Items: views, Total: len(views)}, nil
 }
 
 // TenantQuotaRequest is the PUT /api/v2/tenants/{tenant}/quota body.
@@ -983,22 +884,14 @@ type TenantQuotaRequest struct {
 
 // handleV2TenantQuota installs (or replaces) a tenant's quota spec and
 // fairness weight; the tenant record is created if absent.
-func (s *Service) handleV2TenantQuota(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.callerV2(w, r); !ok {
-		return
-	}
-	var req TenantQuotaRequest
-	if !readV2(w, r, &req) {
-		return
-	}
+func (s *Service) handleV2TenantQuota(r *http.Request, _ Caller, req *TenantQuotaRequest) (int, any, error) {
 	view, err := s.SetTenantQuota(r.PathValue("tenant"), auth.Quota{
 		MaxInFlight: req.MaxInFlight,
 		RatePerSec:  req.RatePerSec,
 		Priority:    req.Priority,
 	})
 	if err != nil {
-		writeV2Error(w, r, err)
-		return
+		return 0, nil, err
 	}
-	writeV2(w, r, http.StatusOK, view)
+	return http.StatusOK, view, nil
 }

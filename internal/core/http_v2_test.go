@@ -613,6 +613,12 @@ func TestV2IdempotencyWaiterSurvivesCanceledLeader(t *testing.T) {
 	if err := <-leaderDone; err == nil {
 		t.Fatal("leader request should have failed on cancel")
 	}
+	// The client has its error at once; the server notices the hang-up a
+	// moment later. Until the leader's handler has returned its task is
+	// still queued, and replyOnce would answer that one.
+	waitFor(t, 2*time.Second, func() bool {
+		return ms.RouteStats()["POST /api/v2/servables/{owner}/{name}/run"].Requests == 1
+	})
 	// The duplicate re-executes: serve its fresh dispatch.
 	replyOnce(t, ms, tmID, "survived")
 	select {

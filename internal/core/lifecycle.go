@@ -60,18 +60,6 @@ func (s *Service) failoverBudget() int {
 	}
 }
 
-// tmLost reports whether a TM currently fails the liveness window (or
-// was deregistered outright). Always false with liveness disabled —
-// there is no dead-TM signal to act on.
-func (s *Service) tmLost(tmID string) bool {
-	return s.route.isLost(tmID, s.timeFunc(), s.cfg.TMStaleAfter)
-}
-
-// tmIsDraining reports whether a TM is marked draining.
-func (s *Service) tmIsDraining(tmID string) bool {
-	return s.route.isDraining(tmID)
-}
-
 // DrainingTMs lists TMs currently marked draining.
 func (s *Service) DrainingTMs() []string {
 	return s.route.drainingAll()
@@ -156,7 +144,7 @@ type DrainResult struct {
 }
 
 // DrainTM gracefully takes a Task Manager out of rotation: it is
-// immediately excluded from every routing decision (pickTM, the
+// immediately excluded from every routing decision (route.pick, the
 // pipeline monolith chooser, autoscaler scale dispatches), a drain task
 // tells the site to expect no new work (acknowledged in its subsequent
 // heartbeats), in-flight and already-queued tasks are allowed to
@@ -174,7 +162,7 @@ type DrainResult struct {
 // the watchdog, its queue is purged instead of waited on, and migration
 // proceeds.
 func (s *Service) DrainTM(ctx context.Context, tmID string) (*DrainResult, error) {
-	if !s.tmRegistered(tmID) {
+	if !s.route.isRegistered(tmID) {
 		return nil, ErrNoTaskManager.WithDetail(fmt.Sprintf("task manager %q not registered", tmID))
 	}
 	ctx, cancel := deployCtx(ctx)
@@ -246,16 +234,15 @@ func (s *Service) migratePlacements(ctx context.Context, tmID string) (*DrainRes
 		// servable placed only on a dead site.
 		elsewhere := s.route.hostedElsewhereLive(id, s.timeFunc(), s.cfg.TMStaleAfter)
 		replicas := s.route.replicasOf(id)
-		s.mu.RLock()
-		pkg := s.packages[id]
-		s.mu.RUnlock()
+		pkg := s.repo.pkg(id)
 		if !elsewhere {
 			if pkg == nil {
 				// A placement for a since-unpublished servable; nothing
 				// to migrate, just drop the entry below.
 				elsewhere = true
 			} else {
-				target, err := s.pickTM("") // routable pool; tmID is draining
+				// The routable pool; tmID is draining.
+				target, err := s.route.pick("", nil, s.timeFunc(), s.cfg.TMStaleAfter)
 				if err != nil {
 					return nil, fmt.Errorf("drain %s: cannot migrate %s: %w", tmID, id, err)
 				}
@@ -293,18 +280,12 @@ func (s *Service) migratePlacements(ctx context.Context, tmID string) (*DrainRes
 		if elsewhere {
 			res.Removed = append(res.Removed, id)
 		}
-		if s.removePlacement(id, tmID) {
+		if s.route.removePlacement(id, tmID) {
 			s.logged(recKindUndeploy, recPlacement{ID: id, TM: tmID})
 		}
 		s.undeployAsync(id, tmID)
 	}
 	return res, nil
-}
-
-// removePlacement drops one (servable, TM) placement entry, deleting
-// the map key when it was the last one.
-func (s *Service) removePlacement(servableID, tmID string) bool {
-	return s.route.removePlacement(servableID, tmID)
 }
 
 // DeregisterTM removes a Task Manager from the registry and every piece
@@ -355,7 +336,7 @@ const rejoinGrace = 3 * time.Second
 // A dead or unresponsive TM cannot rejoin — the ack dispatch fails and
 // the drain mark stays.
 func (s *Service) RejoinTM(ctx context.Context, tmID string) error {
-	if !s.tmRegistered(tmID) {
+	if !s.route.isRegistered(tmID) {
 		return ErrNoTaskManager.WithDetail(fmt.Sprintf("task manager %q not registered", tmID))
 	}
 	ctx, cancel := deployCtx(ctx)
@@ -383,16 +364,14 @@ func (s *Service) RejoinTM(ctx context.Context, tmID string) error {
 // die with it). The desired-replica record is untouched: it describes
 // per-site scale, which the remaining placements keep.
 func (s *Service) Undeploy(ctx context.Context, caller Caller, servableID, tmID string) error {
-	s.mu.RLock()
-	doc, ok := s.docs[servableID]
-	s.mu.RUnlock()
-	if !ok || !visibleTo(doc, caller) {
-		return fmt.Errorf("%w: %s", ErrNotFound, servableID)
+	doc, err := s.Get(caller, servableID)
+	if err != nil {
+		return err
 	}
 	if doc.Owner != caller.IdentityID {
 		return fmt.Errorf("%w: only the owner may undeploy %s", ErrForbidden, servableID)
 	}
-	if !s.removePlacement(servableID, tmID) {
+	if !s.route.removePlacement(servableID, tmID) {
 		return ErrNotFound.WithDetail(fmt.Sprintf("%s has no placement on task manager %q", servableID, tmID))
 	}
 	s.logged(recKindUndeploy, recPlacement{ID: servableID, TM: tmID})

@@ -468,6 +468,13 @@ func TestUndeployRemovesOnePlacement(t *testing.T) {
 		t.Fatalf("placements after undeploy = %v, want [site-b]", placed)
 	}
 	// The servable is still published and still runs — on site-b only.
+	// (A site counts a task after answering it: let site-a's deploy and
+	// undeploy both land in the count before taking the baseline.)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if n, _ := tmA.Stats(); n >= 2 || time.Now().After(deadline) {
+			break
+		}
+	}
 	doneA, _ := tmA.Stats()
 	for i := 0; i < 4; i++ {
 		if _, err := ms.Run(context.Background(), core.Anonymous, id, fmt.Sprintf("post-undeploy-%d", i), core.RunOptions{}); err != nil {

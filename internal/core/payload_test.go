@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -213,6 +214,11 @@ func TestV2RunRejectsAmbiguousInputs(t *testing.T) {
 		if status != http.StatusBadRequest || env.Error == nil || env.Error.Code != string(core.CodeBadRequest) {
 			t.Errorf("%q: status %d, error %+v; want 400 bad_request", body, status, env.Error)
 		}
+	}
+	// The in-process door gives the empty batch the same answer (it used
+	// to dispatch an empty task).
+	if _, err := ms.RunBatch(context.Background(), core.Anonymous, id, []any{}, core.RunOptions{}); !errors.Is(err, core.ErrBadRequest) {
+		t.Errorf("in-process RunBatch of no inputs: %v, want bad_request", err)
 	}
 	if got := ex.take(t); len(got) != 0 {
 		t.Fatalf("a rejected request reached the executor: %q", got)

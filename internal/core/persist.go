@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/auth"
 	"repro/internal/schema"
-	"repro/internal/search"
-	"repro/internal/servable"
 )
 
 // Repository persistence: the DLHub service is long-lived — published
@@ -46,61 +44,33 @@ type snapshot struct {
 	Users    map[string]userRecord
 }
 
-// captureSnapshot deep-copies repository state for serialization.
-// Documents are copied under the repository lock: the encoder runs
-// after RUnlock, and serializing live *schema.Document pointers there
-// would race UpdateMetadata mutating them concurrently. Autoscale
-// policies are collected FIRST, outside s.mu — the scaler's status path
-// acquires its own lock before s.mu, so nesting s.mu → scaler.mu here
-// would invert that order. The tenant registry and user table are
-// collected outside s.mu too (each has its own lock and no s.mu
-// nesting), with the same mutation-then-append guarantee as drain
-// marks: a quota the snapshot misses still has its record in the tail.
+// captureSnapshot collects repository state for serialization. The
+// catalogue costs pointers and slice headers only: installed documents
+// and component maps are immutable (repository.go), so the encoder can
+// read them after the lock is dropped with nothing to race. Autoscale
+// policies are collected FIRST, outside the repository lock — the
+// scaler's status path acquires its own lock before it, so nesting
+// repository.mu → scaler.mu here would invert that order. The tenant
+// registry and user table are collected outside it too (each has its
+// own lock and never nests with it), with the same mutation-then-append
+// guarantee as drain marks: a quota the snapshot misses still has its
+// record in the tail.
 //
 // The routing slice (placements/replicas/draining) is captured while
-// s.mu is still held for reading: every durable routing mutation
-// (recordDeployment, recordReplicas, Unpublish, replay) nests its
-// routing write under s.mu, so holding s.mu read-side here gives the
-// checkpoint the same repository-vs-routing consistency the monolithic
-// lock did. Drain/rejoin marks mutate outside s.mu, but each is
-// logged() AFTER its in-memory mutation, and the checkpoint hook
+// the repository lock is still held for reading: every durable routing
+// mutation (recordDeployment, recordReplicas, Unpublish, replay) nests
+// its routing write under that lock, so holding it read-side here gives
+// the checkpoint the same repository-vs-routing consistency the
+// monolithic lock did. Drain/rejoin marks mutate outside it, but each
+// is logged() AFTER its in-memory mutation, and the checkpoint hook
 // blocks appends — a mark the snapshot misses still has its record
 // replayed from the tail.
 func (s *Service) captureSnapshot() snapshot {
-	policies := s.scaler.policies()
-	tenants, bindings := s.tenants.Snapshot()
-	users := s.snapshotUsers()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	snap := snapshot{
-		Docs:       make(map[string]*schema.Document, len(s.docs)),
-		Versions:   make(map[string][]*schema.Document, len(s.versions)),
-		Components: make(map[string]map[string][]byte, len(s.packages)),
-		Policies:   policies,
-		Tenants:    tenants,
-		Bindings:   bindings,
-		Users:      users,
-	}
-	for id, doc := range s.docs {
-		snap.Docs[id] = doc.Clone()
-	}
-	for id, vs := range s.versions {
-		cp := make([]*schema.Document, len(vs))
-		for i, doc := range vs {
-			cp[i] = doc.Clone()
-		}
-		snap.Versions[id] = cp
-	}
-	for id, pkg := range s.packages {
-		// Component payloads are immutable after publish; copying the
-		// map itself is enough to decouple from later republications.
-		comps := make(map[string][]byte, len(pkg.Components))
-		for name, data := range pkg.Components {
-			comps[name] = data
-		}
-		snap.Components[id] = comps
-	}
-	snap.Placements, snap.Replicas, snap.Draining = s.route.routeSnapshot()
+	snap := snapshot{Policies: s.scaler.policies(), Users: s.snapshotUsers()}
+	snap.Tenants, snap.Bindings = s.tenants.Snapshot()
+	s.repo.capture(&snap, func() {
+		snap.Placements, snap.Replicas, snap.Draining = s.route.routeSnapshot()
+	})
 	return snap
 }
 
@@ -120,37 +90,23 @@ func (s *Service) writeSnapshot(w io.Writer) error {
 // restoreSnapshot decodes a snapshot from r and installs it, replacing
 // current repository state. Restored placements are kept verbatim — at
 // the usual boot-time restore no TM has registered yet, so filtering
-// here would drop every placement; instead pickTM ignores placement
+// here would drop every placement; instead route.pick ignores placement
 // entries naming unregistered TMs at routing time, which both survives
 // the boot ordering (a TM re-registering under its old ID gets its
 // placements back) and never routes a request into a ghost TM's queue.
 //
-// The search index and result cache are NOT touched here: restore can
-// be followed by WAL replay (durable.go), and rebuilding per record
-// would be quadratic. Callers finish with finishRestore.
+// The repository rebuilds its index from the restored catalogue; the
+// result cache is flushed once by Recover, after the WAL tail.
 func (s *Service) restoreSnapshot(r io.Reader) error {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return fmt.Errorf("core: snapshot decode: %w", err)
 	}
 
-	s.mu.Lock()
-	s.docs = make(map[string]*schema.Document, len(snap.Docs))
-	s.versions = make(map[string][]*schema.Document, len(snap.Versions))
-	s.packages = make(map[string]*servable.Package, len(snap.Components))
-	for id, doc := range snap.Docs {
-		s.docs[id] = doc
-	}
-	for id, vs := range snap.Versions {
-		s.versions[id] = vs
-	}
-	for id, comps := range snap.Components {
-		s.packages[id] = &servable.Package{Doc: snap.Docs[id], Components: comps}
-	}
-	// Routing state is installed while s.mu is still held, mirroring
-	// the nesting every durable routing mutation uses (see routing.go).
-	s.route.restore(snap.Placements, snap.Replicas, snap.Draining)
-	s.mu.Unlock()
+	// Routing state is installed while the repository lock is still
+	// held, mirroring the nesting every durable routing mutation uses
+	// (see routing.go).
+	s.repo.restore(&snap, func() { s.route.restore(snap.Placements, snap.Replicas, snap.Draining) })
 
 	for id, p := range snap.Policies {
 		if err := s.scaler.setPolicy(id, p); err != nil {
@@ -174,30 +130,4 @@ func (s *Service) restoreSnapshot(r io.Reader) error {
 		s.installUser(u)
 	}
 	return nil
-}
-
-// finishRestore rebuilds the derived state a restore+replay leaves
-// stale: the search index is rebuilt from scratch (entries for
-// servables published before the load must not survive it) and the
-// result cache is flushed (generation bump), so no pre-load cached
-// result survives into the restored repository's world.
-func (s *Service) finishRestore() {
-	s.mu.RLock()
-	docs := make([]*schema.Document, 0, len(s.docs))
-	for _, doc := range s.docs {
-		docs = append(docs, doc)
-	}
-	s.mu.RUnlock()
-	s.index.Reset()
-	for _, doc := range docs {
-		s.index.Ingest(search.Doc{
-			ID:        doc.ID,
-			Fields:    schema.Flatten(doc),
-			VisibleTo: doc.Publication.VisibleTo,
-		})
-	}
-	// Cached results predate the restored repository; the flush also
-	// bumps the cache epoch so in-flight computations from the old
-	// world cannot write back after the load.
-	s.FlushCache()
 }

@@ -20,7 +20,7 @@ import (
 // demand to the first step.
 //
 // The service now orchestrates pipelines itself. Each step is routed
-// independently through pickTM (placement + least-outstanding load for
+// independently through route.pick (placement + least-outstanding load for
 // THAT step), its output feeds the next step's input, and every step
 // participates in the result cache and in admission/demand accounting
 // under its OWN servable ID — an autoscale policy on an individual
@@ -61,7 +61,7 @@ func (s *Service) runPipeline(ctx context.Context, caller Caller, doc *schema.Do
 		return RunResult{}, err
 	}
 	defer release()
-	if tmID, ok := s.pipelineMonolithTM(steps); ok {
+	if tmID, ok := s.route.monolithTM(steps, s.timeFunc(), s.cfg.TMStaleAfter); ok {
 		// Fast path: the whole chain runs on one TM; demand is charged
 		// to the pipeline ID by dispatchTo.
 		task := taskmanager.Task{
@@ -90,15 +90,6 @@ func (s *Service) runPipeline(ctx context.Context, caller Caller, doc *schema.Do
 		return res, err
 	}
 	return s.runPipelineSteps(ctx, caller, steps, input, opts, start)
-}
-
-// pipelineMonolithTM returns a routable (registered, not draining),
-// live Task Manager hosting EVERY step (least loaded wins, round-robin
-// on ties) — the condition for the TM-local fast path. Any step
-// unplaced, or no common routable live site, means the service must
-// orchestrate the steps itself.
-func (s *Service) pipelineMonolithTM(steps []string) (string, bool) {
-	return s.route.monolithTM(steps, s.timeFunc(), s.cfg.TMStaleAfter)
 }
 
 // runPipelineSteps is the distributed engine: each step is resolved,

@@ -4,19 +4,20 @@ package core
 // state, split out of the repository (PR 8) so routing never contends
 // with repository writes: TM registry and heartbeat freshness,
 // placements, desired replicas, drain marks, in-flight and
-// admission-reservation counters. It has its OWN lock; the repository
-// (docs/versions/packages) stays under Service.mu.
+// admission-reservation counters. It has its OWN lock; the catalogue
+// has the repository's (repository.go).
 //
-// Lock order: Service.mu may be HELD while calling into the routing
+// Lock order: repository.mu may be HELD while calling into the routing
 // table (the few cross-domain control-plane operations —
-// recordDeployment, Unpublish, WAL replay — nest this way to stay
-// atomic against each other), but routing-table methods never touch
-// Service.mu, and no caller may acquire Service.mu while holding
-// rt.mu (rt.mu is private to this file, so that cannot happen by
-// construction). The hot path — pickTM, in-flight accounting,
+// recordDeployment, recordReplicas, Unpublish, WAL replay — run their
+// routing write inside repository.whilePublished or repository.remove
+// to stay atomic against each other), but routing-table methods never
+// reach the repository, and no caller may acquire repository.mu while
+// holding rt.mu (rt.mu is private to this file, so that cannot happen
+// by construction). The hot path — pick, in-flight accounting,
 // admission reserve/release — therefore only ever takes rt.mu, and a
-// Publish holding Service.mu for a large document cannot stall a
-// single routed run. See docs/ARCHITECTURE.md "Concurrency model".
+// Publish holding repository.mu cannot stall a single routed run. See
+// docs/ARCHITECTURE.md "Concurrency model".
 //
 // Methods are self-locking; the *Locked helpers at the bottom require
 // rt.mu (read or write as documented) and exist so composite routing
@@ -137,22 +138,6 @@ func (rt *routingTable) live(now time.Time, staleAfter time.Duration) []string {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
 	return rt.liveLocked(rt.tms, now, staleAfter)
-}
-
-// isLost reports whether a TM currently fails the liveness window (or
-// was deregistered outright). Always false with liveness disabled —
-// there is no dead-TM signal to act on.
-func (rt *routingTable) isLost(tmID string, now time.Time, staleAfter time.Duration) bool {
-	if staleAfter <= 0 {
-		return false
-	}
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	seen, ok := rt.seen[tmID]
-	if !ok {
-		return true
-	}
-	return now.Sub(seen) > staleAfter
 }
 
 // isRegistered reports whether a TM ID is in the registry.

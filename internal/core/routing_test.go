@@ -14,14 +14,14 @@ import (
 
 // The lock split's contract: the routing table (TM registry,
 // placements, in-flight counts, drain marks) has its own lock, so the
-// service hot path — pickTM, admission, load reads — never contends
+// service hot path — pick, admission, load reads — never contends
 // with repository writes (Publish, UpdateMetadata, WAL-backed
 // mutations). These tests pin that contract directly.
 
 // TestRoutingReadsDoNotBlockOnRepositoryWrite is the held-write-lock
 // canary: with the repository lock held exclusively (as a slow Publish
 // or a checkpoint capture would), every routing-path operation must
-// still complete. Before the split all of these queued behind s.mu.
+// still complete. Before the split all of these queued behind one lock.
 func TestRoutingReadsDoNotBlockOnRepositoryWrite(t *testing.T) {
 	s := New(Config{Registry: container.NewRegistry(), TMStaleAfter: time.Minute})
 	defer s.Close()
@@ -32,7 +32,7 @@ func TestRoutingReadsDoNotBlockOnRepositoryWrite(t *testing.T) {
 	s.route.beat("tm-b", 0, false, now)
 	s.route.applyDeploy("sv", "tm-a", 2)
 
-	s.mu.Lock()
+	s.repo.mu.Lock()
 	done := make(chan error, 1)
 	go func() {
 		done <- func() error {
@@ -71,7 +71,7 @@ func TestRoutingReadsDoNotBlockOnRepositoryWrite(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("routing-path operation blocked on the held repository write lock")
 	}
-	s.mu.Unlock()
+	s.repo.mu.Unlock()
 }
 
 // TestWatcherWaiterAccounting pins the O(#TMs) watcher design at the

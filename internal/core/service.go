@@ -9,18 +9,33 @@
 // container building, search indexing), the ZeroMQ-style task queue to
 // registered Task Managers, synchronous and asynchronous task
 // execution, batching, pipelines and access control via the auth
-// substrate. The REST API in http_v2.go wraps the methods here; benches
-// and tests may also drive the service in-process. Pipelines are
-// service-orchestrated: each step routes, caches and accounts demand
-// independently, with a TM-local monolith fast path when every step is
-// co-deployed on one site (pipeline.go).
+// substrate. Service has three jobs, each stated once:
+//
+//   - Repository (repository.go): one self-locking type holds every
+//     version of every servable and the search index. Installed
+//     documents are immutable — a metadata edit installs an edited copy
+//     — so readers, the WAL and checkpoints share pointers and never
+//     copy, and the index changes only in the critical section that
+//     changes the entry it describes.
+//   - Serving (this file): run, runBatch and every pipeline step end in
+//     serve — result cache, singleflight, admission by weight, dispatch
+//     — over the routing table (routing.go), which has its own lock so
+//     the hot path never waits for a repository write. Pipelines are
+//     service-orchestrated: each step routes, caches and accounts demand
+//     independently, with a TM-local monolith fast path when every step
+//     is co-deployed on one site (pipeline.go).
+//   - HTTP (http_v2.go): the REST API wraps the methods here; most
+//     routes are a plain function behind the one endpoint adapter that
+//     resolves the caller, decodes the body and writes the envelope.
+//     Benches and tests may also drive the service in-process.
 //
 // Two serving-layer mechanisms extend the paper's design for multi-TM
 // deployments: a service-layer result cache with singleflight
 // de-duplication (cache.go) that answers repeated identical requests
-// before routing, and least-outstanding-requests routing (pickTM) that
-// sends new work to the idlest live Task Manager instead of blind
-// round-robin. See docs/ARCHITECTURE.md for the request lifecycle.
+// before routing, and least-outstanding-requests routing
+// (routingTable.pick) that sends new work to the idlest live Task
+// Manager instead of blind round-robin. See docs/ARCHITECTURE.md for
+// the request lifecycle and the lock order.
 //
 // The API is context-first: Run, RunBatch, RunAsync, Publish, Search,
 // Deploy, Scale and RunCoalesced take a context whose cancellation or
@@ -138,27 +153,23 @@ type Config struct {
 type Service struct {
 	cfg     Config
 	broker  *queue.Broker
-	index   *search.Index
 	builder *container.Builder
+
+	// repo is the model repository: documents, versions, components and
+	// the search index, under its own lock (repository.go).
+	repo *repository
 
 	// cache is the service-layer result cache (nil when disabled);
 	// flight collapses concurrent identical dispatches.
 	cache  *resultCache
 	flight flightGroup
 
-	// mu is the REPOSITORY lock: it guards docs, versions and packages
-	// only. Routing/placement state lives in route (routing.go) under
-	// its own lock, so the serving hot path never contends with
-	// repository writes. Lock order: mu may be held while calling into
-	// route; route methods never take mu.
-	mu       sync.RWMutex
-	docs     map[string]*schema.Document   // id -> latest
-	versions map[string][]*schema.Document // id -> all versions
-	packages map[string]*servable.Package  // id -> latest package
-
 	// route is the routing table: TM registry, heartbeat freshness,
 	// placements, desired replicas, drain marks, in-flight and
-	// admission counters (routing.go).
+	// admission counters (routing.go), under its own lock, so the
+	// serving hot path never contends with repository writes. Lock
+	// order: the repository's lock may be held while calling into route;
+	// route methods never reach the repository.
 	route *routingTable
 	// watcher is the per-TM broadcast dead-TM watcher (watcher.go): one
 	// timer per TM, re-armed by heartbeats, fanning errTMLost out to
@@ -262,11 +273,8 @@ func New(cfg Config) *Service {
 		// chunks in the Fig. 7 sweeps run for minutes at one replica);
 		// redelivery is for lost Task Managers, not slow ones.
 		broker:    queue.NewBroker(10 * time.Minute),
-		index:     search.NewIndex(),
 		builder:   container.NewBuilder(cfg.Registry),
-		docs:      make(map[string]*schema.Document),
-		versions:  make(map[string][]*schema.Document),
-		packages:  make(map[string]*servable.Package),
+		repo:      newRepository(),
 		tasks:     make(map[string]*asyncTask),
 		route:     newRoutingTable(),
 		stop:      make(chan struct{}),
@@ -367,28 +375,6 @@ func (s *Service) WaitForTM(n int, timeout time.Duration) error {
 	return fmt.Errorf("%w: %d registered after %v", ErrNoTaskManager, len(s.TaskManagers()), timeout)
 }
 
-// pickTM selects a Task Manager by least outstanding requests: among
-// the live candidates (restricted to placement sites when servableID is
-// known to be placed), the one with the fewest in-flight dispatches
-// wins; ties fall back to round-robin so uniform load still spreads.
-// Placement entries naming unregistered OR draining TMs — snapshot
-// ghosts, sites being taken out of rotation — are ignored: routing into
-// their queues would strand the request until its deadline. When no
-// placed TM is routable, routing falls back to every routable
-// registered TM (a fast task_failed from an undeployed site beats a
-// silent hang).
-func (s *Service) pickTM(servableID string) (string, error) {
-	return s.pickTMExcluding(servableID, nil)
-}
-
-// pickTMExcluding is pickTM with an exclusion list — the failover path
-// re-picks with the lost TM excluded so routing cannot hand the request
-// straight back to the dead site while its last heartbeat still looks
-// fresh.
-func (s *Service) pickTMExcluding(servableID string, excluded []string) (string, error) {
-	return s.route.pick(servableID, excluded, s.timeFunc(), s.cfg.TMStaleAfter)
-}
-
 // TMLoad reports in-flight (dispatched, not yet answered) task counts
 // per registered Task Manager.
 func (s *Service) TMLoad() map[string]int {
@@ -447,15 +433,14 @@ func (s *Service) LiveTaskManagers() []string {
 // Unpublish removes a servable's placements while holding the lock for
 // writing, so a deploy here and an unpublish there stay mutually
 // exclusive — no placement entry can be resurrected for a servable
-// deleted between the existence check and the routing write. (s.mu →
-// rt.mu is the one sanctioned nesting; see routing.go.)
+// deleted between the existence check and the routing write.
+// (repository.mu → rt.mu is the one sanctioned nesting; see routing.go.)
 func (s *Service) recordDeployment(servableID, tmID string, replicas int) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if _, ok := s.docs[servableID]; !ok {
+	var err error
+	if !s.repo.whilePublished(servableID, func() { err = s.route.recordDeployment(servableID, tmID, replicas) }) {
 		return fmt.Errorf("%w: %s (unpublished during deploy)", ErrNotFound, servableID)
 	}
-	return s.route.recordDeployment(servableID, tmID, replicas)
+	return err
 }
 
 // --- identity ---------------------------------------------------------------
@@ -507,9 +492,10 @@ func (s *Service) ResolveCaller(bearer string) (Caller, error) {
 
 // --- repository --------------------------------------------------------------
 
-// Publish validates, versions, builds and indexes a servable package
+// Publish validates, versions, indexes and builds a servable package
 // (§IV-A "Servables"). It returns the assigned servable ID. ctx bounds
-// the container build; a canceled publish returns before indexing.
+// the container build. The service keeps pkg.Doc: it is stamped here
+// (ID, owner, version, time) and never written again.
 func (s *Service) Publish(ctx context.Context, caller Caller, pkg *servable.Package) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", wrapCtxErr(err)
@@ -522,31 +508,23 @@ func (s *Service) Publish(ctx context.Context, caller Caller, pkg *servable.Pack
 	short := ownerShort(owner)
 	id := short + "/" + doc.Publication.Name
 
-	s.mu.Lock()
-	version := len(s.versions[id]) + 1
 	doc.ID = id
 	doc.Owner = owner
-	doc.Version = version
 	doc.PublishedAt = s.timeFunc()
 	if len(doc.Publication.VisibleTo) == 0 {
 		// Owner-only by default.
 		doc.Publication.VisibleTo = []string{owner}
 	}
-	s.docs[id] = doc
-	s.versions[id] = append(s.versions[id], doc)
-	s.packages[id] = pkg
-	// The durable record needs a copy taken under the lock: the live
-	// doc pointer keeps mutating through UpdateMetadata after unlock.
-	var durableDoc *schema.Document
-	if s.cfg.Store != nil {
-		durableDoc = doc.Clone()
-	}
-	s.mu.Unlock()
+	// Versioned, installed and indexed in one critical section: from
+	// here on the servable resolves and is discoverable, or neither.
+	s.repo.install(doc, pkg.Components)
 	// Logged at the repository transition, not after the build: a
 	// failed build leaves the version installed (matching in-memory
-	// semantics), and recovery replays exactly what the maps held.
-	if durableDoc != nil {
-		s.logged(recKindPublish, recPublish{Doc: durableDoc, Components: pkg.Components})
+	// semantics), and recovery replays exactly what the repository
+	// held. (Guarded: boxing the record costs an object per publish
+	// even when there is no store to take it.)
+	if s.cfg.Store != nil {
+		s.logged(recKindPublish, recPublish{Doc: doc, Components: pkg.Components})
 	}
 
 	// Build the servable container and store it in the registry
@@ -560,12 +538,6 @@ func (s *Service) Publish(ctx context.Context, caller Caller, pkg *servable.Pack
 		}
 	}
 
-	// Index for discovery.
-	s.index.Ingest(search.Doc{
-		ID:        id,
-		Fields:    schema.Flatten(doc),
-		VisibleTo: doc.Publication.VisibleTo,
-	})
 	// A new version obsoletes cached results (the version in the cache
 	// key would miss anyway; dropping eagerly frees the space now).
 	s.invalidateCache(id)
@@ -580,32 +552,18 @@ func ownerShort(identityID string) string {
 
 // UpdateMetadata modifies a published servable's metadata (the CLI
 // `update` command; also how CANDLE flips access control on release,
-// §VI-A).
+// §VI-A). Owner-only. update is applied to a copy of the publication
+// block; an edit that does not validate is rejected and changes
+// nothing, and a document obtained before an accepted edit still reads
+// as it did.
 func (s *Service) UpdateMetadata(caller Caller, id string, update func(*schema.Publication)) error {
-	s.mu.Lock()
-	doc, ok := s.docs[id]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	if doc.Owner != caller.IdentityID {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: only the owner may update %s", ErrForbidden, id)
-	}
-	update(&doc.Publication)
-	if err := schema.Validate(doc); err != nil {
-		s.mu.Unlock()
+	doc, err := s.repo.update(id, caller.IdentityID, update)
+	if err != nil {
 		return err
 	}
-	var durableDoc *schema.Document
 	if s.cfg.Store != nil {
-		durableDoc = doc.Clone()
+		s.logged(recKindMetadata, recMetadata{ID: id, Doc: doc})
 	}
-	s.mu.Unlock()
-	if durableDoc != nil {
-		s.logged(recKindMetadata, recMetadata{ID: id, Doc: durableDoc})
-	}
-	s.index.Ingest(search.Doc{ID: id, Fields: schema.Flatten(doc), VisibleTo: doc.Publication.VisibleTo})
 	// Metadata changes can alter who may see results (e.g. VisibleTo
 	// flips); drop cached results rather than reason about which edits
 	// are benign.
@@ -622,36 +580,21 @@ func (s *Service) UpdateMetadata(caller Caller, id string, update func(*schema.P
 // pipeline step resolved before the unpublish completes normally; one
 // resolved after fails with ErrNotFound at its step boundary.
 func (s *Service) Unpublish(caller Caller, id string) error {
-	s.mu.Lock()
-	doc, ok := s.docs[id]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
+	var placed []string
+	// Routing state and cached results go in the SAME repository
+	// critical section as the entry and its index entry (repository.go,
+	// remove). The cache takes only its own lock; no inversion.
+	err := s.repo.remove(id, caller.IdentityID, func() {
+		placed = s.route.dropServable(id)
+		s.invalidateCache(id)
+	})
+	if err != nil {
+		return err
 	}
-	if doc.Owner != caller.IdentityID {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: only the owner may unpublish %s", ErrForbidden, id)
-	}
-	delete(s.docs, id)
-	delete(s.versions, id)
-	delete(s.packages, id)
-	// Routing state goes under the SAME repository critical section
-	// (s.mu held for writing while rt.mu is taken): recordDeployment
-	// checks existence and records placement under s.mu.RLock, so this
-	// write-side removal cannot interleave with it and leave a ghost
-	// placement for the deleted servable.
-	placed := s.route.dropServable(id)
-	// The index entry and cached results go under the same critical
-	// section: dropping them after unlock would race a concurrent
-	// re-Publish of the id and could destroy the fresh publication's
-	// entries. (The cache takes only its own lock; no inversion.)
-	s.index.Delete(id) //nolint:errcheck — already-absent is fine
-	s.invalidateCache(id)
-	s.mu.Unlock()
 	s.logged(recKindUnpublish, recServable{ID: id})
-	// Controller state cleanup happens outside s.mu (the autoscaler's
-	// status path acquires its own lock before s.mu — nesting here
-	// would invert that order). A re-Publish racing this exact window
+	// Controller state cleanup happens outside the repository lock (the
+	// autoscaler's status path acquires its own lock before it — nesting
+	// here would invert that order). A re-Publish racing this exact window
 	// may need to re-install its policy; the window is benign
 	// otherwise. Without the cleanup, the autoscaler would keep
 	// driving Scale tasks (and logging ErrNotFound) for a servable
@@ -670,14 +613,9 @@ func (s *Service) Unpublish(caller Caller, id string) error {
 
 // Get returns a servable document, enforcing visibility.
 func (s *Service) Get(caller Caller, id string) (*schema.Document, error) {
-	s.mu.RLock()
-	doc, ok := s.docs[id]
-	s.mu.RUnlock()
-	if !ok {
+	doc, ok := s.repo.latest(id)
+	if !ok || !visibleTo(doc, caller) { // a hidden document does not exist
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	if !visibleTo(doc, caller) {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id) // hide existence
 	}
 	return doc, nil
 }
@@ -687,9 +625,7 @@ func (s *Service) Versions(caller Caller, id string) ([]*schema.Document, error)
 	if _, err := s.Get(caller, id); err != nil {
 		return nil, err
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]*schema.Document(nil), s.versions[id]...), nil
+	return s.repo.versionsOf(id), nil
 }
 
 func visibleTo(doc *schema.Document, caller Caller) bool {
@@ -720,7 +656,7 @@ func (s *Service) Search(ctx context.Context, caller Caller, q search.Query) (se
 		return search.Result{}, wrapCtxErr(err)
 	}
 	q.Principals = caller.Principals
-	return s.index.Search(q), nil
+	return s.repo.search(q), nil
 }
 
 // buildImage builds the servable container exactly as §IV-A describes.
@@ -754,9 +690,7 @@ func (s *Service) Dockerfile(caller Caller, id string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.mu.RLock()
-	pkg := s.packages[id]
-	s.mu.RUnlock()
+	pkg := s.repo.pkg(id)
 	deps := map[string]string{"dlhub_sdk": "0.8.4"}
 	for k, v := range doc.Servable.Dependencies {
 		deps[k] = v
@@ -847,17 +781,6 @@ func (s *Service) cacheUsable(opts RunOptions) bool {
 // CacheEnabled reports whether the service-layer result cache is on.
 func (s *Service) CacheEnabled() bool { return s.cache != nil }
 
-// cacheableID reports whether requests for servableID can be answered
-// from the result cache. Pipelines qualify through their per-step
-// entries (a run whose every step hits is itself reported as a hit)
-// even though they have no pipeline-level entry of their own.
-func (s *Service) cacheableID(servableID string) bool {
-	s.mu.RLock()
-	_, ok := s.docs[servableID]
-	s.mu.RUnlock()
-	return ok
-}
-
 // CacheStats snapshots the service-layer cache counters (zero when the
 // cache is disabled).
 func (s *Service) CacheStats() CacheStats {
@@ -881,32 +804,33 @@ func (s *Service) invalidateCache(servableID string) {
 	}
 }
 
-// runCached serves task from the result cache when possible, collapsing
-// concurrent identical requests into one dispatch (singleflight). The
+// serve is the tail every synchronous run ends in — single runs,
+// batches and pipeline steps alike: result cache, singleflight, admit
+// weight units, dispatch. An empty key means the cache does not apply
+// to this request (disabled, opted out, or a pipeline batch). With a
+// key, concurrent identical requests collapse into one dispatch: the
 // leader's successful result is cached; followers and later callers are
 // marked CacheHit with their own request time. A follower's wait is
 // bounded by its own ctx, never the leader's; a canceled leader
 // releases its followers, one of which re-dispatches.
-func (s *Service) runCached(ctx context.Context, caller Caller, key, servableID string, task taskmanager.Task) (RunResult, error) {
+func (s *Service) serve(ctx context.Context, caller Caller, key string, task taskmanager.Task, weight int) (RunResult, error) {
+	if key == "" {
+		return s.admitAndDispatch(ctx, caller, task, weight)
+	}
 	start := time.Now()
 	if res, ok := s.cache.get(key); ok {
 		return markCacheHit(res, start), nil
 	}
-	gen := s.cache.generation(servableID)
+	gen := s.cache.generation(task.Servable)
 	res, err, shared := s.flight.do(ctx, key, func() (RunResult, error) {
 		// Admission is checked by the leader only: followers add no
 		// load, and a leader rejection is the overload answer for the
 		// whole flight. The leader's tenant is billed — followers on
 		// the same key share its reservation like they share its
 		// dispatch.
-		release, aerr := s.admitRun(caller, servableID, 1)
-		if aerr != nil {
-			return RunResult{}, aerr
-		}
-		defer release()
-		res, err := s.dispatch(ctx, task)
+		res, err := s.admitAndDispatch(ctx, caller, task, weight)
 		if err == nil {
-			s.cache.put(key, servableID, gen, res)
+			s.cache.put(key, task.Servable, gen, res)
 		}
 		return res, err
 	})
@@ -918,6 +842,20 @@ func (s *Service) runCached(ctx context.Context, caller Caller, key, servableID 
 		res = markCacheHit(res, start)
 	}
 	return res, nil
+}
+
+// admitAndDispatch reserves weight admission units under the task's
+// servable for the length of the dispatch. A batch reserves its input
+// count: admitting a 250-item batch as one unit would let a single
+// request blow far past the bound. (A method, not a closure in serve:
+// the uncached path would pay an object for it on every run.)
+func (s *Service) admitAndDispatch(ctx context.Context, caller Caller, task taskmanager.Task, weight int) (RunResult, error) {
+	release, err := s.admitRun(caller, task.Servable, weight)
+	if err != nil {
+		return RunResult{}, err
+	}
+	defer release()
+	return s.dispatch(ctx, task)
 }
 
 // The serving entry points come in pairs. The exported methods take Go
@@ -979,17 +917,11 @@ func (s *Service) runOne(ctx context.Context, caller Caller, servableID string, 
 		NoMemo:   opts.NoMemo,
 		Tenant:   caller.Tenant,
 	}
+	var key string
 	if s.cacheUsable(opts) {
-		if key, err := resultKey(servableID, version, input); err == nil {
-			return s.runCached(ctx, caller, key, servableID, task)
-		}
+		key, _ = resultKey(servableID, version, input) // no canonical form, no key: runs uncached
 	}
-	release, err := s.admitRun(caller, servableID, 1)
-	if err != nil {
-		return RunResult{}, err
-	}
-	defer release()
-	return s.dispatch(ctx, task)
+	return s.serve(ctx, caller, key, task, 1)
 }
 
 // RunBatch synchronously invokes a servable on many inputs in one task
@@ -1009,6 +941,10 @@ func (s *Service) RunBatch(ctx context.Context, caller Caller, servableID string
 }
 
 func (s *Service) runBatch(ctx context.Context, caller Caller, servableID string, inputs []json.RawMessage, opts RunOptions) (RunResult, error) {
+	if len(inputs) == 0 {
+		// One answer at both doors; there is no empty task to dispatch.
+		return RunResult{}, ErrBadRequest.WithDetail("inputs is empty")
+	}
 	ctx, cancel := s.reqCtx(ctx)
 	defer cancel()
 	doc, err := s.Get(caller, servableID)
@@ -1026,26 +962,17 @@ func (s *Service) runBatch(ctx context.Context, caller Caller, servableID string
 	}
 	// Pipelines are uncacheable here for the same reason as in Run:
 	// step servables version independently of the pipeline document.
-	if s.cacheUsable(opts) && doc.Servable.Type != schema.TypePipeline {
-		if key, err := batchKey(servableID, doc.Version, inputs); err == nil {
-			return s.runCached(ctx, caller, key, servableID, task)
-		}
+	pipeline := doc.Servable.Type == schema.TypePipeline
+	var key string
+	if s.cacheUsable(opts) && !pipeline {
+		key, _ = batchKey(servableID, doc.Version, inputs)
 	}
-	// A batch reserves its input count: admitting a 250-item batch as
-	// one unit would let a single request blow far past the bound.
-	release, err := s.admitRun(caller, servableID, len(inputs))
-	if err != nil {
-		return RunResult{}, err
-	}
-	defer release()
-	res, err := s.dispatch(ctx, task)
-	if doc.Servable.Type == schema.TypePipeline {
-		res.cacheSkipped = true
-	}
+	res, err := s.serve(ctx, caller, key, task, len(inputs))
+	res.cacheSkipped = pipeline
 	return res, err
 }
 
-// dispatch routes a task via pickTM and waits for the reply, bounded by
+// dispatch routes a task via route.pick and waits for the reply, bounded by
 // ctx. Synchronous serving dispatches (plain runs and batch runs —
 // including pipeline steps, which dispatch as plain runs) are
 // failover-protected: when the routed TM misses its liveness window
@@ -1058,9 +985,12 @@ func (s *Service) runBatch(ctx context.Context, caller Caller, servableID string
 // specific sites, so they fast-fail on a lost TM rather than re-route.
 func (s *Service) dispatch(ctx context.Context, task taskmanager.Task) (RunResult, error) {
 	eligible := task.Kind == "run" || task.Kind == "run_batch"
+	// A lost TM is excluded from the re-pick so routing cannot hand the
+	// request straight back to the dead site while its last heartbeat
+	// still looks fresh.
 	var excluded []string
 	for {
-		tmID, err := s.pickTMExcluding(task.Servable, excluded)
+		tmID, err := s.route.pick(task.Servable, excluded, s.timeFunc(), s.cfg.TMStaleAfter)
 		if err != nil {
 			if len(excluded) > 0 {
 				s.noteFailoverExhausted()
@@ -1085,8 +1015,8 @@ func (s *Service) dispatch(ctx context.Context, task taskmanager.Task) (RunResul
 }
 
 // dispatchTo pushes a task to a specific TM queue and waits until the
-// reply arrives or ctx ends. It owns the in-flight accounting pickTM
-// routes on: the count rises for the whole queue+execute+reply round
+// reply arrives or ctx ends. It owns the in-flight accounting
+// route.pick routes on: the count rises for the whole queue+execute+reply round
 // trip, so slow or backed-up TMs naturally shed new work to idle ones.
 // A canceled or timed-out dispatch also decrements — the count tracks
 // requests this service is waiting on, not TM health, and must not leak
@@ -1299,7 +1229,7 @@ func (s *Service) TaskWatch(taskID string) (<-chan struct{}, error) {
 // Deploy ships a published servable package to a Task Manager and
 // starts replicas on the named executor route. A deadline-free ctx gets
 // the 5-minute deployment budget (container shipping dominates). The
-// target site is chosen by pickTM, so re-deploys land where the
+// target site is chosen by route.pick, so re-deploys land where the
 // servable already lives; DeployTo pins one explicitly.
 func (s *Service) Deploy(ctx context.Context, caller Caller, servableID string, replicas int, executorRoute string) error {
 	return s.deploy(ctx, caller, servableID, replicas, executorRoute, "")
@@ -1316,16 +1246,14 @@ func (s *Service) DeployTo(ctx context.Context, caller Caller, servableID string
 }
 
 // deploy is the shared Deploy/DeployTo core; an empty tmID routes via
-// pickTM.
+// route.pick.
 func (s *Service) deploy(ctx context.Context, caller Caller, servableID string, replicas int, executorRoute, tmID string) error {
 	ctx, cancel := deployCtx(ctx)
 	defer cancel()
 	if _, err := s.Get(caller, servableID); err != nil {
 		return err
 	}
-	s.mu.RLock()
-	pkg := s.packages[servableID]
-	s.mu.RUnlock()
+	pkg := s.repo.pkg(servableID)
 	if pkg == nil {
 		return fmt.Errorf("%w: package for %s", ErrNotFound, servableID)
 	}
@@ -1342,13 +1270,13 @@ func (s *Service) deploy(ctx context.Context, caller Caller, servableID string, 
 		Package:  wire,
 	}
 	if tmID == "" {
-		tmID, err = s.pickTM(servableID)
+		tmID, err = s.route.pick(servableID, nil, s.timeFunc(), s.cfg.TMStaleAfter)
 		if err != nil {
 			return err
 		}
-	} else if !s.tmRegistered(tmID) {
+	} else if !s.route.isRegistered(tmID) {
 		return ErrNoTaskManager.WithDetail(fmt.Sprintf("task manager %q not registered", tmID))
-	} else if s.tmIsDraining(tmID) {
+	} else if s.route.isDraining(tmID) {
 		return fmt.Errorf("%w: task manager %s is draining", ErrConflict, tmID)
 	}
 	if _, err := s.dispatchWatched(ctx, tmID, task); err != nil {
@@ -1380,11 +1308,6 @@ func (s *Service) undeployAsync(servableID, tmID string) {
 	}()
 }
 
-// tmRegistered reports whether a Task Manager ID has registered.
-func (s *Service) tmRegistered(id string) bool {
-	return s.route.isRegistered(id)
-}
-
 // recordReplicas remembers the desired replica count set by the last
 // successful Scale — the autoscaler's view of current scale. A Scale
 // that raced an Unpublish records nothing (the replicas map must not
@@ -1393,13 +1316,7 @@ func (s *Service) tmRegistered(id string) bool {
 func (s *Service) recordReplicas(servableID string, replicas int) bool {
 	// Repository lock held across the routing write, for the same
 	// atomicity-vs-Unpublish reason as recordDeployment.
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if _, ok := s.docs[servableID]; !ok {
-		return false
-	}
-	s.route.setReplicas(servableID, replicas)
-	return true
+	return s.repo.whilePublished(servableID, func() { s.route.setReplicas(servableID, replicas) })
 }
 
 // DesiredReplicas reports the replica count last set by Deploy or Scale
