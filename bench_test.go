@@ -70,7 +70,3 @@ func BenchmarkFig6BatchScaling(b *testing.B) { runFigure(b, bench.Fig6) }
 func BenchmarkFig7ReplicaScaling(b *testing.B) { runFigure(b, bench.Fig7) }
 
 func BenchmarkFig8ServingComparison(b *testing.B) { runFigure(b, bench.Fig8) }
-
-// BenchmarkAblationCoalescing measures the adaptive request-coalescing
-// extension (§V-B3 future work) against the per-request baseline.
-func BenchmarkAblationCoalescing(b *testing.B) { runFigure(b, bench.AblationCoalescing) }

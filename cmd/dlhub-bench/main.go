@@ -43,7 +43,7 @@ import (
 )
 
 func main() {
-	exps := flag.String("exp", "table1,table2,fig3,fig4,fig5,fig6,fig7,fig8,ablation,cache,autoscale,pipeline", "comma-separated experiments to run")
+	exps := flag.String("exp", "table1,table2,fig3,fig4,fig5,fig6,fig7,fig8,cache,autoscale,pipeline", "comma-separated experiments to run")
 	paperScale := flag.Bool("paper-scale", false, "use the paper's full experiment sizes (slow)")
 	scale := flag.Float64("scale", 1, "divide injected environmental latencies by this factor")
 	requests := flag.Int("requests", 0, "override requests per configuration (figs 3/4/8)")
@@ -99,7 +99,6 @@ func main() {
 		{"fig6", bench.Fig6},
 		{"fig7", bench.Fig7},
 		{"fig8", bench.Fig8},
-		{"ablation", bench.AblationCoalescing},
 		{"cache", bench.AblationServiceCache},
 		{"autoscale", bench.AblationAutoscale},
 		{"pipeline", bench.AblationPipeline},

@@ -12,10 +12,9 @@ import (
 // shows throughput rising with "the number of deployed model replicas",
 // but leaves the operator to pick that number by hand via Deploy/Scale.
 // The autoscaler closes the loop: a per-servable controller samples the
-// demand signals the service already maintains — in-flight dispatches
-// (ServableLoad, which spans queue wait + execution), coalescing
-// backlog (batcher pending), and the batcher's EWMA per-item service
-// time — and drives Scale toward a replica target.
+// demand signal the service already maintains — in-flight dispatches
+// (ServableLoad, which spans queue wait + execution, a batch weighing
+// its input count) — and drives Scale toward a replica target.
 //
 // The control law is deliberately boring: demand is smoothed with an
 // EWMA, the target is ceil(demand / TargetLoad) clamped to
@@ -28,7 +27,8 @@ import (
 // seconds, so when demand outruns even the scaling response the service
 // must shed load rather than queue unboundedly. When a servable's
 // pending demand reaches its MaxQueue bound, new synchronous runs fail
-// fast with ErrOverloaded (HTTP 429) — see Service.admitRun.
+// fast with ErrOverloaded (HTTP 429) — see Service.admitRun
+// (tenancy.go).
 
 // AutoscalePolicy configures autoscaling for one servable.
 type AutoscalePolicy struct {
@@ -50,7 +50,7 @@ type AutoscalePolicy struct {
 	ScaleDownCooldown time.Duration `json:"scale_down_cooldown,omitempty"`
 	// MaxQueue is the admission-control bound: when > 0, synchronous
 	// runs fail fast with ErrOverloaded once the servable's pending
-	// demand (dispatched + coalescing) reaches it. 0 falls back to the
+	// demand (admitted, not yet answered) reaches it. 0 falls back to the
 	// service-wide Config.MaxQueue; < 0 disables admission control for
 	// this servable outright.
 	MaxQueue int `json:"max_queue,omitempty"`
@@ -299,9 +299,8 @@ func (a *autoscaler) tick() {
 		}
 		p := st.policy
 		// Demand = tasks this service is waiting on for the servable
-		// (queue wait + execution, from dispatchTo accounting) plus
-		// requests still held by its coalescing batcher.
-		demand := float64(a.svc.ServableLoad(id) + a.svc.batcherPending(id))
+		// (queue wait + execution, from dispatchTo accounting).
+		demand := float64(a.svc.ServableLoad(id))
 		if st.ewma == 0 {
 			st.ewma = demand
 		} else {
@@ -409,54 +408,4 @@ func (s *Service) AutoscaleStatus(caller Caller, servableID string) (AutoscaleSt
 // the /api/v2/stats view.
 func (s *Service) AutoscalerStats() map[string]AutoscaleStatus {
 	return s.scaler.all()
-}
-
-// admitRun is the admission-control gate for synchronous runs. Two
-// independent bounds are enforced, with distinct rejections so a
-// client can tell "you are over budget" from "the servable is busy":
-//
-//   - the servable's resolved MaxQueue bound → ErrOverloaded, which
-//     also feeds the autoscaler's rejection signal;
-//   - the caller's tenant quota (MaxInFlight across all servables,
-//     plus the RatePerSec token bucket) → ErrQuotaExceeded, which
-//     deliberately does NOT drive the autoscaler — a tenant over its
-//     own budget is not servable pressure to scale for.
-//
-// Admission is check-AND-reserve under one lock in the routing
-// table's (tenant × servable) matrix — a simultaneous burst cannot
-// all slip past either bound the way a read-then-dispatch check would
-// allow. Every admitted request holds its reservation (weight units
-// for batches) from admission until completion; the caller must
-// invoke the returned release exactly once. Cache hits and
-// singleflight followers are never gated — they add no load.
-func (s *Service) admitRun(caller Caller, servableID string, weight int) (release func(), err error) {
-	if weight < 1 {
-		weight = 1
-	}
-	tenant := caller.Tenant
-	quota, limited := s.tenantQuota(tenant)
-	if limited && quota.RatePerSec > 0 && !s.takeTenantToken(tenant, quota.RatePerSec) {
-		s.noteQuotaRejected(tenant)
-		return nil, ErrQuotaExceeded.WithDetail(fmt.Sprintf("tenant %q over rate limit %g req/s", tenantLabel(tenant), quota.RatePerSec))
-	}
-	svBound := s.scaler.maxQueue(servableID)
-	tenantBound := 0
-	if limited {
-		tenantBound = quota.MaxInFlight
-	}
-	pending, verdict := s.route.reserve(tenant, servableID, weight, svBound, tenantBound)
-	switch verdict {
-	case admitOverloaded:
-		s.scaler.noteRejection(servableID)
-		s.noteOverloadRejected(tenant)
-		return nil, ErrOverloaded.WithDetail(fmt.Sprintf("%s: %d requests pending (bound %d)", servableID, pending, svBound))
-	case admitQuota:
-		s.noteQuotaRejected(tenant)
-		return nil, ErrQuotaExceeded.WithDetail(fmt.Sprintf("tenant %q: %d runs in flight (quota %d)", tenantLabel(tenant), pending, tenantBound))
-	}
-	s.noteAdmitted(tenant)
-	var once sync.Once
-	return func() {
-		once.Do(func() { s.route.unreserve(tenant, servableID, weight) })
-	}, nil
 }

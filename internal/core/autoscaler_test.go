@@ -376,47 +376,3 @@ func TestAutoscaleHTTPPolicyRoundTrip(t *testing.T) {
 		t.Fatalf("ghost autoscale: status %d", miss.StatusCode)
 	}
 }
-
-// TestCloseFailsPendingCoalesced pins the shutdown contract: a request
-// parked in a coalescing batcher is failed with ErrCanceled when the
-// service closes, instead of blocking until its own deadline, and the
-// failure is counted.
-func TestCloseFailsPendingCoalesced(t *testing.T) {
-	tb := newTB(t, bench.Options{})
-	id, err := tb.MS.Publish(context.Background(), core.Anonymous, servable.MatminerUtilPackage())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.MS.Deploy(context.Background(), core.Anonymous, id, 1, "parsl"); err != nil {
-		t.Fatal(err)
-	}
-	// A huge batch and hold window park the request far past the test's
-	// patience; only Close can release it promptly.
-	tb.MS.EnableCoalescing(id, core.BatchPolicy{MaxBatch: 1000, MaxDelay: time.Minute})
-
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := tb.MS.RunCoalesced(context.Background(), core.Anonymous, id, "NaCl", core.RunOptions{})
-		errCh <- err
-	}()
-	waitFor(t, 5*time.Second, func() bool {
-		return tb.MS.CoalescingStats(id).Pending == 1
-	})
-
-	start := time.Now()
-	tb.MS.Close() // idempotent: testbed cleanup closes again harmlessly
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, core.ErrCanceled) {
-			t.Fatalf("pending coalesced request got %v, want ErrCanceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("pending coalesced request still blocked after Close")
-	}
-	if waited := time.Since(start); waited > 2*time.Second {
-		t.Fatalf("release took %v — stranded until some other deadline", waited)
-	}
-	if st := tb.MS.CoalescingStats(id); st.Failures == 0 {
-		t.Fatalf("failed dispatch not counted: %+v", st)
-	}
-}

@@ -298,8 +298,8 @@ func (c *resultCache) evictOverBudgetLocked(reserve int64) {
 
 // resultSize estimates a result's memory charge as its JSON length —
 // the length of the wire reply when dispatchTo recorded one, else a
-// fresh marshal (coalesced per-item results); unmarshalable results
-// charge a token minimum.
+// fresh marshal (results the cache unit tests build by hand);
+// unmarshalable results charge a token minimum.
 func resultSize(res RunResult) int64 {
 	if res.wireSize > 0 {
 		return res.wireSize

@@ -57,18 +57,16 @@ type routingTable struct {
 	// work units per servable (batches weigh their input count) — the
 	// demand signal the autoscaler acts on.
 	svInflight map[string]int
-	// Admission-control reservation table, two-level (tenant ×
-	// servable): admitted-but-unfinished requests, reserved atomically
-	// at the admission check so a concurrent burst cannot overrun
-	// either bound. resvSv and resvTenant are the per-axis totals the
-	// two bounds are checked against (the servable MaxQueue bound and
-	// the tenant MaxInFlight quota); resvCell is the full matrix, kept
-	// for stats and for the drain-to-zero invariant tests. Entries are
-	// deleted when they reach zero, so a fully drained table is
-	// literally empty.
+	// Admission-control reservation table: admitted-but-unfinished
+	// requests, reserved atomically at the admission check so a
+	// concurrent burst cannot overrun either bound. resvSv and
+	// resvTenant are the per-servable and per-tenant totals the two
+	// bounds are checked against (the servable MaxQueue bound and the
+	// tenant MaxInFlight quota); resvTenant is also the in-flight count
+	// stats report. Entries are deleted when they reach zero, so a fully
+	// drained table is literally empty.
 	resvSv     map[string]int
 	resvTenant map[string]int
-	resvCell   map[resvKey]int
 	// replicas tracks the desired replica count per servable, updated
 	// by Deploy/Scale — the autoscaler's notion of current scale.
 	replicas map[string]int
@@ -88,7 +86,6 @@ func newRoutingTable() *routingTable {
 		svInflight: make(map[string]int),
 		resvSv:     make(map[string]int),
 		resvTenant: make(map[string]int),
-		resvCell:   make(map[resvKey]int),
 		replicas:   make(map[string]int),
 		placements: make(map[string][]string),
 	}
@@ -357,13 +354,6 @@ func (rt *routingTable) servableLoad(servableID string) int {
 	return rt.svInflight[servableID]
 }
 
-// resvKey addresses one cell of the (tenant × servable) reservation
-// matrix. The empty tenant is the anonymous/default lane.
-type resvKey struct {
-	tenant   string
-	servable string
-}
-
 // admitVerdict is reserve's outcome: admitted, refused by the
 // servable's pending bound (overloaded), or refused by the tenant's
 // in-flight quota (quota exceeded).
@@ -375,13 +365,13 @@ const (
 	admitQuota
 )
 
-// reserve is the admission-control check-and-reserve over the
-// two-level table: the servable's pending bound and the tenant's
-// in-flight quota are checked and the reservation taken under ONE
-// critical section, so a simultaneous burst cannot slip past either
-// bound. A bound <= 0 is unenforced; the reservation itself is always
-// recorded (it is the in-flight accounting for stats and release).
-// pending reports the count the refused axis was observed at.
+// reserve is the admission-control check-and-reserve: the servable's
+// pending bound and the tenant's in-flight quota are checked and the
+// reservation taken under ONE critical section, so a simultaneous
+// burst cannot slip past either bound. A bound <= 0 is unenforced; the
+// reservation itself is always recorded (it is the in-flight accounting
+// for stats and release). pending reports the count the refused axis
+// was observed at.
 func (rt *routingTable) reserve(tenant, servableID string, weight, svBound, tenantBound int) (pending int, v admitVerdict) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -397,7 +387,6 @@ func (rt *routingTable) reserve(tenant, servableID string, weight, svBound, tena
 	}
 	rt.resvSv[servableID] += weight
 	rt.resvTenant[tenant] += weight
-	rt.resvCell[resvKey{tenant, servableID}] += weight
 	return 0, admitOK
 }
 
@@ -415,12 +404,6 @@ func (rt *routingTable) unreserve(tenant, servableID string, weight int) {
 	}
 	dec(rt.resvSv, servableID)
 	dec(rt.resvTenant, tenant)
-	key := resvKey{tenant, servableID}
-	if rt.resvCell[key] > weight {
-		rt.resvCell[key] -= weight
-	} else {
-		delete(rt.resvCell, key)
-	}
 }
 
 // reservedByTenant snapshots the per-tenant in-flight reservation
@@ -440,7 +423,7 @@ func (rt *routingTable) reservedByTenant() map[string]int {
 func (rt *routingTable) reservationsEmpty() bool {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
-	return len(rt.resvSv) == 0 && len(rt.resvTenant) == 0 && len(rt.resvCell) == 0
+	return len(rt.resvSv) == 0 && len(rt.resvTenant) == 0
 }
 
 // placementsAll reports which TMs host each servable (copies).

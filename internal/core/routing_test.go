@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/auth"
 	"repro/internal/container"
 )
 
@@ -218,6 +219,30 @@ func BenchmarkRoutingInflight(b *testing.B) {
 		rt.addInflight("tm-3", "sv-1", 1)
 		rt.subInflight("tm-3", "sv-1", 1)
 	}
+}
+
+// BenchmarkAdmitRun is one admission and its release for a tenant with
+// both quota kinds set (never reached, so every iteration takes the
+// whole path: token bucket, reservation, counters), from parallel
+// callers — the tenant ledger's cost on an uncached run.
+func BenchmarkAdmitRun(b *testing.B) {
+	s := New(Config{Registry: container.NewRegistry()})
+	defer s.Close()
+	if _, err := s.SetTenantQuota("bench", auth.Quota{MaxInFlight: 1 << 20, RatePerSec: 1e12}); err != nil {
+		b.Fatal(err)
+	}
+	caller := Caller{IdentityID: "urn:identity:local:bench", Tenant: "bench"}
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			release, err := s.admitRun(caller, "sv-1", 1)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			release()
+		}
+	})
 }
 
 func BenchmarkRoutingPickParallel(b *testing.B) {

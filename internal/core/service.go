@@ -38,8 +38,8 @@
 // the request lifecycle and the lock order.
 //
 // The API is context-first: Run, RunBatch, RunAsync, Publish, Search,
-// Deploy, Scale and RunCoalesced take a context whose cancellation or
-// deadline propagates through routing, the queue and the reply wait —
+// Deploy and Scale take a context whose cancellation or deadline
+// propagates through routing, the queue and the reply wait —
 // a canceled request frees its TM load slot immediately, withdraws its
 // still-unclaimed task, and releases its singleflight followers.
 // Failures are classified *Error values (errors.go) with stable codes
@@ -125,8 +125,8 @@ type Config struct {
 	// map read under a mutex.
 	AutoscaleInterval time.Duration
 	// MaxQueue is the service-wide admission-control default: when > 0,
-	// synchronous runs for a servable whose pending demand (dispatched
-	// + coalescing) reaches this bound fail fast with ErrOverloaded
+	// synchronous runs for a servable whose pending demand (admitted,
+	// not yet answered) reaches this bound fail fast with ErrOverloaded
 	// instead of queueing. A per-servable AutoscalePolicy.MaxQueue
 	// overrides it.
 	MaxQueue int
@@ -189,9 +189,6 @@ type Service struct {
 	// sweeper (exposed in /api/v2/stats).
 	taskSwept uint64
 
-	batchMu  sync.Mutex
-	batchers map[string]*batcher
-
 	// idem stores idempotency-keyed v2 responses for replay.
 	idem *idemStore
 
@@ -201,14 +198,11 @@ type Service struct {
 
 	// tenants is the quota/priority registry (tenancy.go) — shared
 	// with cfg.Auth when authentication is on, standalone in open
-	// mode so quota admin always works. tbuckets holds the per-tenant
-	// rate-limit token buckets; tcounters the per-tenant admission
-	// counters surfaced in /api/v2/stats.
-	tenants   *auth.TenantRegistry
-	tbMu      sync.Mutex
-	tbuckets  map[string]*tokenBucket
-	tcMu      sync.Mutex
-	tcounters map[string]*tenantCounters
+	// mode so quota admin always works. ledger holds each tenant's
+	// rate-limit token bucket and the admission counters surfaced in
+	// /api/v2/stats, under its own lock.
+	tenants *auth.TenantRegistry
+	ledger  *tenantLedger
 
 	// users is the durable identity table (auth_http.go): registrations
 	// accepted over HTTP, keyed provider/username, mirrored into
@@ -228,8 +222,8 @@ type Service struct {
 	regWG     sync.WaitGroup
 	timeFunc  func() time.Time
 	// lifeCtx is the service lifetime context: background dispatches
-	// (coalesced batches, autoscaler scale tasks) run under it so Close
-	// aborts them instead of leaving them to their own deadlines.
+	// (async runs, autoscaler scale tasks) run under it so Close aborts
+	// them instead of leaving them to their own deadlines.
 	lifeCtx    context.Context
 	lifeCancel context.CancelFunc
 }
@@ -272,16 +266,15 @@ func New(cfg Config) *Service {
 		// Visibility must exceed the longest single task (large batch
 		// chunks in the Fig. 7 sweeps run for minutes at one replica);
 		// redelivery is for lost Task Managers, not slow ones.
-		broker:    queue.NewBroker(10 * time.Minute),
-		builder:   container.NewBuilder(cfg.Registry),
-		repo:      newRepository(),
-		tasks:     make(map[string]*asyncTask),
-		route:     newRoutingTable(),
-		stop:      make(chan struct{}),
-		timeFunc:  time.Now,
-		tbuckets:  make(map[string]*tokenBucket),
-		tcounters: make(map[string]*tenantCounters),
-		users:     make(map[string]userRecord),
+		broker:   queue.NewBroker(10 * time.Minute),
+		builder:  container.NewBuilder(cfg.Registry),
+		repo:     newRepository(),
+		tasks:    make(map[string]*asyncTask),
+		route:    newRoutingTable(),
+		stop:     make(chan struct{}),
+		timeFunc: time.Now,
+		ledger:   newTenantLedger(),
+		users:    make(map[string]userRecord),
 	}
 	if cfg.Auth != nil {
 		s.tenants = cfg.Auth.Tenants()
@@ -316,15 +309,14 @@ func New(cfg Config) *Service {
 // remote via queue.Server) can connect to it.
 func (s *Service) Broker() *queue.Broker { return s.broker }
 
-// Close shuts the service down: background loops stop, in-flight
-// lifetime-scoped dispatches are canceled, and pending coalesced
-// requests are failed with ErrCanceled rather than stranded until
-// their own deadlines (batcher.go). Safe to call more than once.
+// Close shuts the service down: background loops stop, and in-flight
+// dispatches — synchronous callers included (dispatchTo) — are canceled
+// with ErrCanceled rather than stranded until their own deadlines. Safe
+// to call more than once.
 func (s *Service) Close() {
 	s.closeOnce.Do(func() {
 		close(s.stop)
 		s.lifeCancel()
-		s.closeBatchers()
 		s.regWG.Wait()
 		s.watcher.stop()
 		s.broker.Close()
@@ -573,10 +565,10 @@ func (s *Service) UpdateMetadata(caller Caller, id string, update func(*schema.P
 
 // Unpublish removes a servable from the repository entirely: every
 // version, its package, search entry, cached results, placements,
-// replica record, autoscale policy and batcher — and best-effort
-// undeploys its replicas from every placed Task Manager, so serving
-// capacity does not stay stranded on sites for a servable no API can
-// reach anymore. Owner-only. In-flight work races naturally — a
+// replica record and autoscale policy — and best-effort undeploys its
+// replicas from every placed Task Manager, so serving capacity does not
+// stay stranded on sites for a servable no API can reach anymore.
+// Owner-only. In-flight work races naturally — a
 // pipeline step resolved before the unpublish completes normally; one
 // resolved after fails with ErrNotFound at its step boundary.
 func (s *Service) Unpublish(caller Caller, id string) error {
@@ -598,10 +590,8 @@ func (s *Service) Unpublish(caller Caller, id string) error {
 	// may need to re-install its policy; the window is benign
 	// otherwise. Without the cleanup, the autoscaler would keep
 	// driving Scale tasks (and logging ErrNotFound) for a servable
-	// that no longer exists, and a batcher entry would leak for the
-	// service lifetime.
+	// that no longer exists.
 	s.scaler.removePolicy(id)
-	s.DisableCoalescing(id)
 	// Undeploy is asynchronous and best-effort: the repository entry is
 	// already gone, and a site that misses the task only leaks until
 	// its own restart.
@@ -1042,13 +1032,13 @@ func (s *Service) dispatchTo(ctx context.Context, tmID string, task taskmanager.
 	// (run/run_batch/pipeline) so control-plane tasks (deploy, scale —
 	// notably the autoscaler's own scale-ups under load) never trip
 	// admission control or inflate the demand signal. A batch weighs
-	// its input count: one flushed coalesced batch of N members is N
-	// units of demand, not 1, so the autoscaler's signal does not
-	// collapse every flush cycle. Demand is charged to the task's OWN
-	// servable: a monolith pipeline carries its published pipeline ID
-	// and distributed steps dispatch as plain runs under their step ID
-	// — never the old Steps[0] fallback, which billed whole pipelines
-	// to whatever servable happened to come first.
+	// its input count: N inputs are N units of work for the replicas,
+	// not 1, and the autoscaler's signal must say so. Demand is charged
+	// to the task's OWN servable: a monolith pipeline carries its
+	// published pipeline ID and distributed steps dispatch as plain
+	// runs under their step ID — never the old Steps[0] fallback, which
+	// billed whole pipelines to whatever servable happened to come
+	// first.
 	sv, svWeight := "", 0
 	switch task.Kind {
 	case "run", "run_batch", "pipeline":

@@ -164,6 +164,43 @@ func TestCloseFailsPendingAsync(t *testing.T) {
 	}
 }
 
+// TestCloseAbortsInFlightRun: Close releases a SYNCHRONOUS caller too.
+// The TM has pulled the task and never answers; once Close tears the
+// broker down no reply can arrive, so the Run must come back with
+// ErrCanceled promptly instead of waiting out the 30s TaskTimeout.
+func TestCloseAbortsInFlightRun(t *testing.T) {
+	ms := core.New(core.Config{Registry: container.NewRegistry(), TaskTimeout: 30 * time.Second})
+	defer ms.Close()
+	tm := startScriptedTM(t, ms, "mute-tm")
+	if err := ms.WaitForTM(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	id, err := ms.Publish(context.Background(), core.Anonymous, servable.NoopPackage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := ms.Run(context.Background(), core.Anonymous, id, "x", core.RunOptions{})
+		errCh <- err
+	}()
+	tm.waitTask(5 * time.Second) // pulled and parked: the run is in flight at the site
+
+	start := time.Now()
+	ms.Close()
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, core.ErrCanceled) {
+			t.Fatalf("in-flight run got %v, want ErrCanceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("in-flight run still blocked after Close")
+	}
+	if waited := time.Since(start); waited > 2*time.Second {
+		t.Fatalf("release took %v — stranded until some other deadline", waited)
+	}
+}
+
 // jsonMarshalReg builds a minimal TM registration body.
 func jsonMarshalReg(tmID string) ([]byte, error) {
 	return []byte(`{"tm_id":"` + tmID + `","executors":["parsl"]}`), nil

@@ -3,12 +3,13 @@ package core
 // Tenancy: the service-side half of multi-tenant QoS. The tenant
 // registry (internal/auth.TenantRegistry) holds who maps to which
 // tenant and each tenant's quota spec; this file owns enforcement
-// state that must live with the serving path — per-tenant rate-limit
-// token buckets and per-tenant admission counters — plus the admin
-// surface (SetTenantQuota, TenantList, TenantStats) the HTTP layer
-// and CLI wrap. In-flight accounting itself lives in the routing
-// table's (tenant × servable) reservation matrix (routing.go), and
-// dequeue fairness in the broker's weighted lanes (internal/queue).
+// state that must live with the serving path — the tenant ledger: one
+// record per tenant holding its rate-limit token bucket and admission
+// counters — the admission gate that reads it (admitRun), and the
+// admin surface (SetTenantQuota, TenantList, TenantStats) the HTTP
+// layer and CLI wrap. In-flight accounting itself lives in the routing
+// table's per-servable and per-tenant reservation counts (routing.go),
+// and dequeue fairness in the broker's weighted lanes (internal/queue).
 //
 // Quotas are durable policy: every SetTenantQuota and BindTenant is
 // logged through the durability seam (durable.go) and the registry is
@@ -19,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/auth"
@@ -46,78 +48,145 @@ func (s *Service) tenantQuota(tenant string) (auth.Quota, bool) {
 	return t.Quota, true
 }
 
-// tokenBucket is one tenant's rate-limit state: a standard token
-// bucket with capacity max(rate, 1) — a one-second burst.
-type tokenBucket struct {
+// tenantAccount is one tenant's enforcement state: its rate-limit
+// token bucket — a standard token bucket with capacity max(rate, 1), a
+// one-second burst — and its admission outcomes.
+type tenantAccount struct {
 	tokens float64
-	last   time.Time
-}
+	// last is when the bucket was last refilled; zero until the tenant's
+	// first rate-limited admission, which starts the bucket full.
+	last time.Time
 
-// takeTenantToken consumes one admission token from the tenant's
-// bucket, reporting false (reject) when the bucket is empty. The rate
-// is passed in from the quota at each admission so a quota update
-// applies immediately.
-func (s *Service) takeTenantToken(tenant string, rate float64) bool {
-	now := s.timeFunc()
-	s.tbMu.Lock()
-	defer s.tbMu.Unlock()
-	b, ok := s.tbuckets[tenant]
-	if !ok {
-		b = &tokenBucket{tokens: rate, last: now}
-		s.tbuckets[tenant] = b
-	}
-	if elapsed := now.Sub(b.last).Seconds(); elapsed > 0 {
-		b.tokens += elapsed * rate
-		b.last = now
-	}
-	burst := rate
-	if burst < 1 {
-		burst = 1
-	}
-	if b.tokens > burst {
-		b.tokens = burst
-	}
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-// tenantCounters are one tenant's admission outcomes, guarded by
-// Service.tcMu.
-type tenantCounters struct {
 	admitted         uint64
 	rejectedQuota    uint64
 	rejectedOverload uint64
 }
 
-// countersLocked returns the tenant's counter record; tcMu held.
-func (s *Service) countersLocked(tenant string) *tenantCounters {
-	c, ok := s.tcounters[tenant]
+// tenantLedger is the per-tenant runtime accounting: one record per
+// tenant tag under one lock. The lock is a leaf — taken in this file
+// only, with nothing acquired under it.
+type tenantLedger struct {
+	mu       sync.Mutex
+	accounts map[string]*tenantAccount
+}
+
+func newTenantLedger() *tenantLedger {
+	return &tenantLedger{accounts: make(map[string]*tenantAccount)}
+}
+
+// accountLocked returns the tenant's record, creating it; l.mu held.
+func (l *tenantLedger) accountLocked(tenant string) *tenantAccount {
+	a, ok := l.accounts[tenant]
 	if !ok {
-		c = &tenantCounters{}
-		s.tcounters[tenant] = c
+		a = &tenantAccount{}
+		l.accounts[tenant] = a
 	}
-	return c
+	return a
 }
 
-func (s *Service) noteAdmitted(tenant string) {
-	s.tcMu.Lock()
-	defer s.tcMu.Unlock()
-	s.countersLocked(tenant).admitted++
+// takeToken consumes one admission token from the tenant's bucket,
+// reporting false (reject, counted as a quota rejection) when the
+// bucket is empty. The rate is passed in from the quota at each
+// admission so a quota update applies immediately, and the clock is the
+// caller's so the service's timeFunc stays the one source of time.
+func (l *tenantLedger) takeToken(tenant string, rate float64, now time.Time) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	a := l.accountLocked(tenant)
+	if a.last.IsZero() {
+		a.tokens, a.last = rate, now
+	}
+	if elapsed := now.Sub(a.last).Seconds(); elapsed > 0 {
+		a.tokens += elapsed * rate
+		a.last = now
+	}
+	if burst := max(rate, 1); a.tokens > burst {
+		a.tokens = burst
+	}
+	if a.tokens < 1 {
+		a.rejectedQuota++
+		return false
+	}
+	a.tokens--
+	return true
 }
 
-func (s *Service) noteQuotaRejected(tenant string) {
-	s.tcMu.Lock()
-	defer s.tcMu.Unlock()
-	s.countersLocked(tenant).rejectedQuota++
+// note counts the outcome of one reservation attempt.
+func (l *tenantLedger) note(tenant string, v admitVerdict) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	a := l.accountLocked(tenant)
+	switch v {
+	case admitOK:
+		a.admitted++
+	case admitOverloaded:
+		a.rejectedOverload++
+	case admitQuota:
+		a.rejectedQuota++
+	}
 }
 
-func (s *Service) noteOverloadRejected(tenant string) {
-	s.tcMu.Lock()
-	defer s.tcMu.Unlock()
-	s.countersLocked(tenant).rejectedOverload++
+// stats snapshots every tenant's admission counters, keyed by label —
+// the map TenantStatsAll fills in from the other two sources.
+func (l *tenantLedger) stats() map[string]TenantStats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make(map[string]TenantStats, len(l.accounts))
+	for tag, a := range l.accounts {
+		out[tenantLabel(tag)] = TenantStats{
+			Admitted:         a.admitted,
+			RejectedQuota:    a.rejectedQuota,
+			RejectedOverload: a.rejectedOverload,
+		}
+	}
+	return out
+}
+
+// admitRun is the admission-control gate for synchronous runs. Two
+// independent bounds are enforced, with distinct rejections so a
+// client can tell "you are over budget" from "the servable is busy":
+//
+//   - the servable's resolved MaxQueue bound → ErrOverloaded, which
+//     also feeds the autoscaler's rejection signal;
+//   - the caller's tenant quota (MaxInFlight across all servables,
+//     plus the RatePerSec token bucket) → ErrQuotaExceeded, which
+//     deliberately does NOT drive the autoscaler — a tenant over its
+//     own budget is not servable pressure to scale for.
+//
+// Admission is check-AND-reserve under one lock in the routing
+// table's reservation counts — a simultaneous burst cannot all slip
+// past either bound the way a read-then-dispatch check would allow.
+// Every admitted request holds its reservation (weight units
+// for batches) from admission until completion; the caller must
+// invoke the returned release exactly once. Cache hits and
+// singleflight followers are never gated — they add no load.
+func (s *Service) admitRun(caller Caller, servableID string, weight int) (release func(), err error) {
+	if weight < 1 {
+		weight = 1
+	}
+	tenant := caller.Tenant
+	quota, limited := s.tenantQuota(tenant)
+	if limited && quota.RatePerSec > 0 && !s.ledger.takeToken(tenant, quota.RatePerSec, s.timeFunc()) {
+		return nil, ErrQuotaExceeded.WithDetail(fmt.Sprintf("tenant %q over rate limit %g req/s", tenantLabel(tenant), quota.RatePerSec))
+	}
+	svBound := s.scaler.maxQueue(servableID)
+	tenantBound := 0
+	if limited {
+		tenantBound = quota.MaxInFlight
+	}
+	pending, verdict := s.route.reserve(tenant, servableID, weight, svBound, tenantBound)
+	s.ledger.note(tenant, verdict)
+	switch verdict {
+	case admitOverloaded:
+		s.scaler.noteRejection(servableID)
+		return nil, ErrOverloaded.WithDetail(fmt.Sprintf("%s: %d requests pending (bound %d)", servableID, pending, svBound))
+	case admitQuota:
+		return nil, ErrQuotaExceeded.WithDetail(fmt.Sprintf("tenant %q: %d runs in flight (quota %d)", tenantLabel(tenant), pending, tenantBound))
+	}
+	var once sync.Once
+	return func() {
+		once.Do(func() { s.route.unreserve(tenant, servableID, weight) })
+	}, nil
 }
 
 // --- admin surface -----------------------------------------------------------
@@ -204,19 +273,9 @@ type TenantStats struct {
 // counters, reservation-table in-flight, broker lane dequeues — keyed
 // by tenant (the anonymous lane under "anonymous").
 func (s *Service) TenantStatsAll() map[string]TenantStats {
-	out := map[string]TenantStats{}
+	out := s.ledger.stats()
 	get := func(tag string) TenantStats { return out[tenantLabel(tag)] }
 	put := func(tag string, st TenantStats) { out[tenantLabel(tag)] = st }
-
-	s.tcMu.Lock()
-	for tag, c := range s.tcounters {
-		st := get(tag)
-		st.Admitted = c.admitted
-		st.RejectedQuota = c.rejectedQuota
-		st.RejectedOverload = c.rejectedOverload
-		put(tag, st)
-	}
-	s.tcMu.Unlock()
 
 	for tag, n := range s.route.reservedByTenant() {
 		st := get(tag)

@@ -606,10 +606,15 @@ func (b *Broker) RequestCtx(ctx context.Context, queueName string, body []byte, 
 // goes to msg.ReplyTo (the requester's inbox slot, or a named queue; ""
 // expects no reply) carrying the request's correlation ID and tenant
 // tag, then msg leaves the redelivery set. Reply is therefore the
-// consumer's ack — a consumer that replies need not also Ack.
+// consumer's ack — a consumer that replies need not also Ack. A reply
+// that arrives after the visibility timeout finds msg back on its ready
+// lane instead: the requester has its answer now, so the queued copy is
+// withdrawn rather than left to run again for nobody.
 func (b *Broker) Reply(msg Message, body []byte) {
 	if msg.ReplyTo != "" {
 		b.Push(msg.ReplyTo, body, "", msg.CorrelationID, msg.Tenant)
 	}
-	b.Ack(msg.Queue, msg.ID)
+	if !b.Ack(msg.Queue, msg.ID) {
+		b.Drop(msg.Queue, msg.ID)
+	}
 }

@@ -90,6 +90,31 @@ func TestVisibilityTimeoutRedelivers(t *testing.T) {
 	}
 }
 
+// TestLateReplyDropsRedeliveredCopy: a consumer that answers after the
+// visibility timeout finds its message back on the ready lane, not in
+// flight. Its reply answers the requester, so the queued copy must go
+// with it instead of running again for nobody.
+func TestLateReplyDropsRedeliveredCopy(t *testing.T) {
+	b := NewBroker(20 * time.Millisecond)
+	defer b.Close()
+	b.Push("tasks", []byte("slow"), "", "", "")
+	msg, ok := b.Pull("tasks", 0)
+	if !ok {
+		t.Fatal("delivery missing")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for b.Len("tasks") != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("message was never put back on the ready lane")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	b.Reply(msg, []byte("done"))
+	if n := b.Len("tasks") + b.InFlight("tasks"); n != 0 {
+		t.Fatalf("answered task still queued: %d", n)
+	}
+}
+
 func TestNackImmediateRequeue(t *testing.T) {
 	b := NewBroker(time.Hour)
 	defer b.Close()
