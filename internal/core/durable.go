@@ -208,7 +208,7 @@ func (s *Service) applyRecord(rec store.Record) error {
 		if err != nil {
 			return err
 		}
-		s.repo.whilePublished(d.ID, func() { s.route.applyDeploy(d.ID, d.TM, d.Replicas) })
+		s.repo.whilePublished(d.ID, func() { s.route.place(d.ID, d.TM, d.Replicas) })
 
 	case recKindUndeploy:
 		d, err := decodeRec[recPlacement](rec.Data)
@@ -236,14 +236,14 @@ func (s *Service) applyRecord(rec store.Record) error {
 		if err != nil {
 			return err
 		}
-		s.route.applyRejoin(t.TM)
+		s.route.clearDrainMark(t.TM)
 
 	case recKindDeregister:
 		t, err := decodeRec[recTM](rec.Data)
 		if err != nil {
 			return err
 		}
-		s.route.applyDeregister(t.TM)
+		s.route.deregister(t.TM)
 
 	case recKindPolicy:
 		p, err := decodeRec[recPolicyPut](rec.Data)

@@ -785,13 +785,14 @@ func (s *Service) handleV2TaskEvents(w http.ResponseWriter, r *http.Request) {
 // --- operations -------------------------------------------------------------
 
 func (s *Service) handleV2TMs(*http.Request, Caller, *noBody) (int, any, error) {
+	tms := s.route.snapshotTMs() // one view: the six fields agree with each other
 	return http.StatusOK, map[string]any{
-		"task_managers": s.TaskManagers(),
-		"live":          s.LiveTaskManagers(),
-		"draining":      s.DrainingTMs(),
-		"load":          s.TMLoad(),
-		"queue_depth":   s.TMQueueDepth(),
-		"active":        s.TMActive(),
+		"task_managers": tms.registered,
+		"live":          tms.live,
+		"draining":      tms.draining,
+		"load":          tms.load,
+		"queue_depth":   s.queueDepth(tms.registered),
+		"active":        tms.active,
 	}, nil
 }
 
@@ -845,8 +846,9 @@ func (s *Service) handleV2Stats(*http.Request, Caller, *noBody) (int, any, error
 		"autoscaler": s.AutoscalerStats(),
 		"tasks":      s.TaskStats(),
 		"failovers":  s.FailoverStats(),
-		// The dead-TM watcher footprint: tms must track the registered
-		// TM count, never the in-flight dispatch count.
+		// The dead-TM watch's footprint: tms tracks the registered TM
+		// count (one liveness timer each), never the in-flight dispatch
+		// count.
 		"watcher": s.WatcherStats(),
 		// null when the server runs without a durable store (-data-dir
 		// unset); counters otherwise.

@@ -671,3 +671,21 @@ func TestV2TMRejoin(t *testing.T) {
 		t.Fatalf("rejoin unknown TM: status %d env %+v", resp.StatusCode, env.Error)
 	}
 }
+
+// TestV2NegativeReplicasRejected: a negative replica count is a bad
+// request at the door, for scale and deploy alike, and never reaches a
+// Task Manager — where it used to be accepted, dispatched, and panic the
+// TM process slicing its pod list. The TM must still answer a run.
+func TestV2NegativeReplicasRejected(t *testing.T) {
+	_, srv := v2TB(t)
+	base := srv.URL + "/api/v2/servables/" + v2Flow(t, srv)
+	for _, route := range []string{"/scale", "/deploy"} {
+		resp, env := doV2(t, http.MethodPost, base+route, map[string]any{"replicas": -3}, nil)
+		if resp.StatusCode != http.StatusBadRequest || env.Error == nil || env.Error.Code != string(core.CodeBadRequest) {
+			t.Fatalf("%s replicas=-3: status %d env %+v, want 400 bad_request", route, resp.StatusCode, env.Error)
+		}
+	}
+	if resp, env := doV2(t, http.MethodPost, base+"/run", map[string]any{"input": "after", "no_memo": true}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("run after the refused scale: status %d err %+v", resp.StatusCode, env.Error)
+	}
+}

@@ -12,11 +12,12 @@ package core
 //     has its placements migrated onto the remaining routable TMs
 //     (replica records follow) before DeregisterTM removes it.
 //
-//   - The dead-TM watchdog (dispatchWatched) aborts a dispatch as soon
-//     as its routed TM misses the liveness window, instead of letting
-//     the caller wait out the full task deadline; dispatch() then
-//     re-routes still-idempotent serving tasks to another placed TM
-//     under a bounded retry budget. Idempotency is structural: plain
+//   - The routing table's per-TM liveness timer aborts a dispatch
+//     (dispatchTo, errTMLost) as soon as its routed TM misses the
+//     liveness window, instead of letting the caller wait out the
+//     full task deadline; dispatch() then re-routes still-idempotent
+//     serving tasks to another placed TM under a bounded retry
+//     budget. Idempotency is structural: plain
 //     run / run_batch tasks (and pipeline steps, which dispatch as
 //     plain runs) are pure inference — re-executing one after an
 //     uncertain first attempt returns the same answer and mutates
@@ -39,8 +40,8 @@ import (
 	"repro/internal/taskmanager"
 )
 
-// errTMLost marks a dispatch aborted by the dead-TM watchdog: the
-// routed Task Manager missed its liveness window while the request
+// errTMLost marks a dispatch aborted because the routed Task Manager
+// missed its liveness window (or was deregistered) while the request
 // waited. Always wrapped together with ErrNoTaskManager so an
 // unrecovered loss maps to 503, while errors.Is(err, errTMLost) stays
 // a precise failover trigger (ErrNoTaskManager alone also matches
@@ -60,35 +61,7 @@ func (s *Service) failoverBudget() int {
 	}
 }
 
-// DrainingTMs lists TMs currently marked draining.
-func (s *Service) DrainingTMs() []string {
-	return s.route.drainingAll()
-}
-
-// dispatchWatched is dispatchTo plus the dead-TM watcher: the dispatch
-// registers its cancel func with the routed TM's broadcast watcher
-// (watcher.go) and is aborted with errTMLost the moment the TM misses
-// its liveness window — the reply will never come, and failing fast is
-// what gives dispatch() room to re-route inside the caller's deadline.
-// Unlike the previous per-dispatch polling goroutine, the wait itself
-// costs nothing: one timer per TM covers every waiter. With liveness
-// disabled (TMStaleAfter == 0) it degenerates to plain dispatchTo.
-func (s *Service) dispatchWatched(ctx context.Context, tmID string, task taskmanager.Task) (RunResult, error) {
-	if s.cfg.TMStaleAfter <= 0 {
-		return s.dispatchTo(ctx, tmID, task)
-	}
-	wctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	unwatch := s.watcher.watch(tmID, cancel)
-	defer unwatch()
-	res, err := s.dispatchTo(wctx, tmID, task)
-	if err != nil && context.Cause(wctx) == errTMLost && ctx.Err() == nil {
-		return RunResult{}, fmt.Errorf("%w: %s: %w", ErrNoTaskManager, tmID, errTMLost)
-	}
-	return res, err
-}
-
-// noteTMLost reacts to a watcher-detected loss: tasks the dead TM
+// noteTMLost reacts to a detected loss: tasks the dead TM
 // claimed or never pulled are withdrawn from its broker queue (their
 // requesters' waiters fire too — nothing waits for a queue nobody
 // consumes), and the loss is counted. Deliberately NOT a
@@ -158,11 +131,11 @@ type DrainResult struct {
 // migration, which converges to nothing left to move. If migration
 // cannot place a servable (no routable TM remains), DrainTM returns the
 // error with the drain mark still set — add capacity and retry. A dead
-// or unresponsive TM is drained too: the ack dispatch fails fast via
-// the watchdog, its queue is purged instead of waited on, and migration
-// proceeds.
+// or unresponsive TM is drained too: the ack dispatch fails fast on its
+// lapsed liveness window, its queue is purged instead of waited on, and
+// migration proceeds.
 func (s *Service) DrainTM(ctx context.Context, tmID string) (*DrainResult, error) {
-	if !s.route.isRegistered(tmID) {
+	if registered, _ := s.route.state(tmID); !registered {
 		return nil, ErrNoTaskManager.WithDetail(fmt.Sprintf("task manager %q not registered", tmID))
 	}
 	ctx, cancel := deployCtx(ctx)
@@ -180,7 +153,7 @@ func (s *Service) DrainTM(ctx context.Context, tmID string) (*DrainResult, error
 	// Ask the site to acknowledge; tolerate a dead site (that is what
 	// draining a crashed TM before deregistering it looks like).
 	ackTask := taskmanager.Task{ID: queue.NewID(), Kind: "drain"}
-	if _, err := s.dispatchWatched(ctx, tmID, ackTask); err != nil {
+	if _, err := s.dispatchTo(ctx, tmID, ackTask); err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, wrapCtxErr(ctxErr)
 		}
@@ -205,7 +178,7 @@ func (s *Service) DrainTM(ctx context.Context, tmID string) (*DrainResult, error
 func (s *Service) awaitTMIdle(ctx context.Context, tmID string) error {
 	q := taskmanager.TaskQueue(tmID)
 	for {
-		inflight := s.route.inflightOf(tmID)
+		inflight := s.route.snapshotTMs().load[tmID]
 		if inflight == 0 && s.broker.Len(q) == 0 && s.broker.InFlight(q) == 0 {
 			return nil
 		}
@@ -232,8 +205,7 @@ func (s *Service) migratePlacements(ctx context.Context, tmID string) (*DrainRes
 		// draining, heartbeats stopped) must not excuse skipping the
 		// migration — dropping the drained placement would leave the
 		// servable placed only on a dead site.
-		elsewhere := s.route.hostedElsewhereLive(id, s.timeFunc(), s.cfg.TMStaleAfter)
-		replicas := s.route.replicasOf(id)
+		elsewhere := s.route.hostedElsewhereLive(id)
 		pkg := s.repo.pkg(id)
 		if !elsewhere {
 			if pkg == nil {
@@ -242,38 +214,22 @@ func (s *Service) migratePlacements(ctx context.Context, tmID string) (*DrainRes
 				elsewhere = true
 			} else {
 				// The routable pool; tmID is draining.
-				target, err := s.route.pick("", nil, s.timeFunc(), s.cfg.TMStaleAfter)
+				target, err := s.route.pick("", nil)
 				if err != nil {
 					return nil, fmt.Errorf("drain %s: cannot migrate %s: %w", tmID, id, err)
 				}
-				if replicas < 1 {
-					replicas = 1
-				}
-				wire, err := taskmanager.EncodePackage(pkg)
-				if err != nil {
-					return nil, fmt.Errorf("drain %s: migrate %s: %w", tmID, id, err)
-				}
-				task := taskmanager.Task{
-					ID:       queue.NewID(),
-					Kind:     "deploy",
-					Servable: id,
-					Replicas: replicas,
-					Package:  wire,
-				}
-				if _, err := s.dispatchWatched(ctx, target, task); err != nil {
-					return nil, fmt.Errorf("drain %s: migrate %s to %s: %w", tmID, id, target, err)
-				}
-				if err := s.recordDeployment(id, target, replicas); err != nil {
-					// Unpublished mid-drain (or the target itself began
-					// draining): undo and skip — the entry is dropped
-					// either way.
-					s.undeployAsync(id, target)
-				} else {
-					s.logged(recKindDeploy, recPlacement{ID: id, TM: target, Replicas: replicas})
+				switch err := s.deployOn(ctx, id, pkg, target, max(s.route.replicasOf(id), 1), ""); {
+				case err == nil:
 					if res.Migrated == nil {
 						res.Migrated = make(map[string]string)
 					}
 					res.Migrated[id] = target
+				case errors.Is(err, ErrNotFound), errors.Is(err, ErrConflict):
+					// Unpublished mid-drain (or the target itself began
+					// draining): deployOn undid the deploy; skip — the
+					// entry is dropped either way.
+				default:
+					return nil, fmt.Errorf("drain %s: migrate %s to %s: %w", tmID, id, target, err)
 				}
 			}
 		}
@@ -296,16 +252,13 @@ func (s *Service) migratePlacements(ctx context.Context, tmID string) (*DrainRes
 // pool until re-deployed. A deregistered TM that is still alive and
 // heartbeating re-registers on its next beat (as draining, if it had
 // acknowledged a drain — the ack is sticky TM-side); stop the process
-// to make removal final.
+// to make removal final. A TM known only from recovered state (its
+// placements or drain mark came back from the WAL, the site itself never
+// did) can be deregistered too — that is how an operator forgets it.
 func (s *Service) DeregisterTM(tmID string) error {
 	if !s.route.deregister(tmID) {
 		return ErrNoTaskManager.WithDetail(fmt.Sprintf("task manager %q not registered", tmID))
 	}
-	// Dispatches still waiting on the removed TM get errTMLost NOW —
-	// the registry entry is gone, so no heartbeat deadline remains to
-	// wait out. This is what keeps the deregister path and the
-	// broadcast watcher in agreement.
-	s.watcher.markLost(tmID)
 	s.logged(recKindDeregister, recTM{TM: tmID})
 	if purged := s.broker.Purge(taskmanager.TaskQueue(tmID)); purged > 0 {
 		log.Printf("core: withdrew %d task(s) queued to deregistered TM %s", purged, tmID)
@@ -336,19 +289,19 @@ const rejoinGrace = 3 * time.Second
 // A dead or unresponsive TM cannot rejoin — the ack dispatch fails and
 // the drain mark stays.
 func (s *Service) RejoinTM(ctx context.Context, tmID string) error {
-	if !s.route.isRegistered(tmID) {
+	if registered, _ := s.route.state(tmID); !registered {
 		return ErrNoTaskManager.WithDetail(fmt.Sprintf("task manager %q not registered", tmID))
 	}
 	ctx, cancel := deployCtx(ctx)
 	defer cancel()
 	task := taskmanager.Task{ID: queue.NewID(), Kind: "rejoin"}
-	if _, err := s.dispatchWatched(ctx, tmID, task); err != nil {
+	if _, err := s.dispatchTo(ctx, tmID, task); err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return wrapCtxErr(ctxErr)
 		}
 		return fmt.Errorf("rejoin %s: site did not acknowledge (a dead TM cannot rejoin): %w", tmID, err)
 	}
-	s.route.clearDrainMark(tmID, s.timeFunc())
+	s.route.clearDrainMark(tmID)
 	s.logged(recKindRejoin, recTM{TM: tmID})
 	return nil
 }
@@ -378,7 +331,7 @@ func (s *Service) Undeploy(ctx context.Context, caller Caller, servableID, tmID 
 	ctx, cancel := deployCtx(ctx)
 	defer cancel()
 	task := taskmanager.Task{ID: queue.NewID(), Kind: "undeploy", Servable: servableID}
-	if _, err := s.dispatchWatched(ctx, tmID, task); err != nil {
+	if _, err := s.dispatchTo(ctx, tmID, task); err != nil {
 		if errors.Is(err, errTMLost) || errors.Is(err, ErrTimeout) {
 			// The site is gone or unreachable; the placement record is
 			// already removed, which is the part that matters.

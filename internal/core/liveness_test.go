@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"testing"
 	"time"
@@ -123,5 +124,48 @@ func TestLivenessDisabledByDefault(t *testing.T) {
 	// No staleness window configured: the TM stays routable forever.
 	if got := len(ms.LiveTaskManagers()); got != 1 {
 		t.Fatalf("liveness filtering should be off by default, got %d live", got)
+	}
+}
+
+// TestDeregisterFreesLivenessRecord: a deregistered Task Manager leaves
+// nothing behind to count. The dead-TM watch used to be a second
+// structure that DeregisterTM could only mark — its entry stayed forever
+// and /api/v2/stats read "watcher": {tms: 2, lost: 1} with one TM
+// registered; now the liveness timer lives in the TM's one record and
+// goes with it.
+func TestDeregisterFreesLivenessRecord(t *testing.T) {
+	ms := core.New(core.Config{Registry: container.NewRegistry(), TMStaleAfter: time.Minute})
+	defer ms.Close()
+	for _, id := range []string{"site-a", "site-b"} {
+		reg, err := json.Marshal(taskmanager.Registration{TMID: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms.Broker().Push(taskmanager.RegisterQueue, reg, "", "", "")
+	}
+	if err := ms.WaitForTM(2, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := ms.DeregisterTM("site-b"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ms.WatcherStats(), (core.WatcherStats{TMs: 1}); got != want {
+		t.Fatalf("after deregistering one of two TMs: watcher stats = %+v, want %+v", got, want)
+	}
+	if live := ms.LiveTaskManagers(); len(live) != 1 || live[0] != "site-a" {
+		t.Fatalf("live = %v, want [site-a]", live)
+	}
+}
+
+// TestCloseDoesNotSitOutAPoll: Close of an idle service returns at once.
+// The registration loop's long poll is bounded by the service lifetime,
+// not by its 300 ms poll interval.
+func TestCloseDoesNotSitOutAPoll(t *testing.T) {
+	ms := core.New(core.Config{Registry: container.NewRegistry()})
+	time.Sleep(10 * time.Millisecond) // let the loop park in its first poll
+	start := time.Now()
+	ms.Close()
+	if took := time.Since(start); took > 50*time.Millisecond {
+		t.Fatalf("Close of an idle service took %v, want < 50ms", took)
 	}
 }

@@ -61,7 +61,7 @@ func (s *Service) runPipeline(ctx context.Context, caller Caller, doc *schema.Do
 		return RunResult{}, err
 	}
 	defer release()
-	if tmID, ok := s.route.monolithTM(steps, s.timeFunc(), s.cfg.TMStaleAfter); ok {
+	if tmID, ok := s.route.monolithTM(steps); ok {
 		// Fast path: the whole chain runs on one TM; demand is charged
 		// to the pipeline ID by dispatchTo.
 		task := taskmanager.Task{
@@ -74,7 +74,7 @@ func (s *Service) runPipeline(ctx context.Context, caller Caller, doc *schema.Do
 			NoMemo:   opts.NoMemo,
 			Tenant:   caller.Tenant,
 		}
-		res, err := s.dispatchWatched(ctx, tmID, task)
+		res, err := s.dispatchTo(ctx, tmID, task)
 		if err != nil && errors.Is(err, errTMLost) && ctx.Err() == nil {
 			// The co-hosting TM died mid-chain. The steps are
 			// idempotent plain runs, so fail over to the distributed

@@ -413,3 +413,42 @@ func TestRestartMSRecoversDeployments(t *testing.T) {
 		t.Fatalf("rejoin after recovery: %v", err)
 	}
 }
+
+// TestRestartMSReplaysDeregister: a deregistration is durable state —
+// the placements it abandoned must stay gone across a kill and recovery.
+// Replay runs before any Task Manager registers, and used to skip the
+// removal for exactly that reason, so the recovered service routed to
+// (and fingerprinted) placements the live one had dropped. RestartMS
+// fails on the fingerprint divergence by itself.
+func TestRestartMSReplaysDeregister(t *testing.T) {
+	tb, err := bench.NewTestbed(bench.Options{Nodes: 4, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	if _, err := tb.AddTM("cooley-tm-2", 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.MS.WaitForTM(2, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	id, err := tb.MS.Publish(ctx, core.Anonymous, servable.NoopPackage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tm := range []string{"cooley-tm-1", "cooley-tm-2"} {
+		if err := tb.MS.DeployTo(ctx, core.Anonymous, id, 1, "parsl", tm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tb.MS.DeregisterTM("cooley-tm-2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.RestartMS(); err != nil {
+		t.Fatal(err)
+	}
+	if placed, err := tb.Service().ServablePlacements(core.Anonymous, id); err != nil || len(placed) != 1 || placed[0] != "cooley-tm-1" {
+		t.Fatalf("placements after recovery = %v, %v; want [cooley-tm-1]", placed, err)
+	}
+}

@@ -2,10 +2,17 @@ package core
 
 // routingTable is the serving-path half of the Management Service's
 // state, split out of the repository (PR 8) so routing never contends
-// with repository writes: TM registry and heartbeat freshness,
-// placements, desired replicas, drain marks, in-flight and
-// admission-reservation counters. It has its OWN lock; the catalogue
-// has the repository's (repository.go).
+// with repository writes. It keeps ONE record per Task Manager —
+// registration, heartbeat freshness, load, drain mark, and the
+// dispatches waiting on it — and ONE per servable — placements, desired
+// replicas, in-flight demand, admission reservations — under one lock.
+//
+// Liveness is one predicate, liveLocked: now − seen < staleAfter. Routing
+// filters on it, and the same record's timer (one per TM, re-armed by
+// each heartbeat) fans errTMLost out to the record's waiters when it
+// stops holding — so "is this TM live" cannot be answered two ways.
+// Waiting costs O(#TMs) timers, and O(waiters) work only at the moment
+// a TM is actually lost.
 //
 // Lock order: repository.mu may be HELD while calling into the routing
 // table (the few cross-domain control-plane operations —
@@ -14,241 +21,294 @@ package core
 // to stay atomic against each other), but routing-table methods never
 // reach the repository, and no caller may acquire repository.mu while
 // holding rt.mu (rt.mu is private to this file, so that cannot happen
-// by construction). The hot path — pick, in-flight accounting,
-// admission reserve/release — therefore only ever takes rt.mu, and a
-// Publish holding repository.mu cannot stall a single routed run. See
-// docs/ARCHITECTURE.md "Concurrency model".
+// by construction). Waiters' cancel funcs fire under rt.mu; they are
+// context cancels and take no lock of ours. The hot path — pick,
+// charge/discharge, admission reserve/release — therefore only ever
+// takes rt.mu, and a Publish holding repository.mu cannot stall a
+// single routed run. See docs/ARCHITECTURE.md "Concurrency model".
 //
 // Methods are self-locking; the *Locked helpers at the bottom require
-// rt.mu (read or write as documented) and exist so composite routing
-// decisions (pick, monolithTM) make one decision under one critical
-// section.
+// rt.mu.
 
 import (
+	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 )
 
-type routingTable struct {
-	mu   sync.RWMutex
-	tms  []string
-	seen map[string]time.Time
-	rr   int
-	// draining marks TMs taken out of rotation by DrainTM: they stay
-	// registered (heartbeats keep arriving, in-flight work finishes)
-	// but no routing decision selects them. Cleared by RejoinTM and
-	// deregister.
-	draining map[string]struct{}
-	// rejoined records when RejoinTM last cleared a TM's drain mark.
-	// Heartbeats are set-only for the drain mark, so a beat marshaled
-	// BEFORE the TM acknowledged the rejoin (still carrying
-	// Draining=true) could re-mark a freshly rejoined site forever;
-	// beat ignores the flag within rejoinGrace of a rejoin. markDraining
-	// deletes the entry, so a deliberate re-drain is never suppressed.
-	rejoined map[string]time.Time
-	// inflight counts dispatched-but-unanswered tasks per TM; pick
-	// routes to the least loaded live candidate.
-	inflight map[string]int
-	// active holds the executing-task counts each TM self-reports in
-	// its heartbeat registrations — the TM-side view of queue depth.
-	active map[string]int
-	// svInflight counts dispatched-but-unanswered run/batch/pipeline
-	// work units per servable (batches weigh their input count) — the
-	// demand signal the autoscaler acts on.
-	svInflight map[string]int
-	// Admission-control reservation table: admitted-but-unfinished
-	// requests, reserved atomically at the admission check so a
-	// concurrent burst cannot overrun either bound. resvSv and
-	// resvTenant are the per-servable and per-tenant totals the two
-	// bounds are checked against (the servable MaxQueue bound and the
-	// tenant MaxInFlight quota); resvTenant is also the in-flight count
-	// stats report. Entries are deleted when they reach zero, so a fully
-	// drained table is literally empty.
-	resvSv     map[string]int
-	resvTenant map[string]int
-	// replicas tracks the desired replica count per servable, updated
-	// by Deploy/Scale — the autoscaler's notion of current scale.
-	replicas map[string]int
-	// placements maps servable ID -> Task Managers hosting it, so runs
-	// are routed to capable sites (§IV-A: the Management Service
-	// "route[s] workloads to suitable executors").
-	placements map[string][]string
+// tmEntry is everything the service knows about one Task Manager.
+type tmEntry struct {
+	id string
+	// registered is false for a TM known only from durable state — a
+	// restored placement or drain mark whose site has not (re-)registered
+	// since boot. Such a record is never routed to; its first heartbeat
+	// gives it back its placements and its mark.
+	registered bool
+	// seen is the last registration/heartbeat; the zero time (never seen)
+	// fails the liveness predicate.
+	seen time.Time
+	// active is the executing-task count the TM self-reported in its
+	// last heartbeat — the TM-side view of queue depth.
+	active int
+	// inflight counts dispatched-but-unanswered tasks; pick routes to the
+	// least loaded live candidate.
+	inflight int
+	// draining marks a TM taken out of rotation by DrainTM: it stays
+	// registered (heartbeats keep arriving, in-flight work finishes) but
+	// no routing decision selects it. Cleared by RejoinTM and deregister.
+	draining bool
+	// rejoined is when RejoinTM last cleared the drain mark. Heartbeats
+	// are set-only for the mark, so a beat marshaled BEFORE the TM
+	// acknowledged the rejoin (still carrying Draining=true) could re-mark
+	// a freshly rejoined site forever; beat ignores the flag within
+	// rejoinGrace of a rejoin. markDraining zeroes it, so a deliberate
+	// re-drain is never suppressed.
+	rejoined time.Time
+	// timer fires staleAfter after the last heartbeat (nil with liveness
+	// off); waiters are the cancel funcs of the dispatches it then fails.
+	timer   *time.Timer
+	waiters map[uint64]context.CancelCauseFunc
 }
 
-func newRoutingTable() *routingTable {
+// routable reports whether routing may select the TM: registered, not
+// draining, and not on the caller's exclusion list. Placement entries
+// naming unregistered OR draining TMs — snapshot ghosts, sites being
+// taken out of rotation — fail it: routing into their queues would
+// strand the request until its deadline.
+func (tm *tmEntry) routable(excluded []string) bool {
+	return tm.registered && !tm.draining && !slices.Contains(excluded, tm.id)
+}
+
+// servableEntry is the routing state of one servable. Entries are
+// stored by value and deleted when nothing is left in them (putLocked),
+// so a fully drained table is literally empty.
+type servableEntry struct {
+	// placements are the Task Managers hosting the servable, so runs are
+	// routed to capable sites (§IV-A: the Management Service "route[s]
+	// workloads to suitable executors").
+	placements []*tmEntry
+	// replicas is the desired replica count, updated by Deploy/Scale —
+	// the autoscaler's notion of current scale.
+	replicas int
+	// inflight counts dispatched-but-unanswered run/batch/pipeline work
+	// units (batches weigh their input count) — the demand signal the
+	// autoscaler acts on.
+	inflight int
+	// reserved counts admitted-but-unfinished requests, taken atomically
+	// at the admission check so a concurrent burst cannot overrun the
+	// servable's MaxQueue bound. Distinct from inflight: a distributed
+	// pipeline is admitted under its own ID while its demand lands on
+	// its steps.
+	reserved int
+}
+
+type routingTable struct {
+	// staleAfter is the liveness window (<= 0: every registered TM is
+	// live and nothing is watched); clock is the service's time source.
+	staleAfter time.Duration
+	clock      func() time.Time
+
+	mu        sync.Mutex
+	tms       []*tmEntry
+	servables map[string]servableEntry
+	// tenants is the tenant axis of the admission reservations: the
+	// totals the MaxInFlight quota is checked against and stats report.
+	// Entries are deleted at zero.
+	tenants    map[string]int
+	rr         int
+	nextWaiter uint64
+}
+
+func newRoutingTable(staleAfter time.Duration, clock func() time.Time) *routingTable {
 	return &routingTable{
-		seen:       make(map[string]time.Time),
-		draining:   make(map[string]struct{}),
-		rejoined:   make(map[string]time.Time),
-		inflight:   make(map[string]int),
-		active:     make(map[string]int),
-		svInflight: make(map[string]int),
-		resvSv:     make(map[string]int),
-		resvTenant: make(map[string]int),
-		replicas:   make(map[string]int),
-		placements: make(map[string][]string),
+		staleAfter: staleAfter,
+		clock:      clock,
+		servables:  make(map[string]servableEntry),
+		tenants:    make(map[string]int),
 	}
 }
 
 // beat records one registration/heartbeat: the TM is (re-)registered,
-// its freshness stamped, its self-reported active count stored, and a
-// draining assertion folded in under the rejoin-grace rule.
-func (rt *routingTable) beat(tmID string, active int, draining bool, now time.Time) {
+// its freshness stamped and its liveness timer pushed out, its
+// self-reported active count stored, and a draining assertion folded in
+// under the rejoin-grace rule. A TM that was merely partitioned resumes
+// on its next heartbeat.
+func (rt *routingTable) beat(tmID string, active int, draining bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	present := false
-	for _, id := range rt.tms {
-		if id == tmID {
-			present = true
-			break
+	now := rt.clock()
+	tm := rt.ensureTMLocked(tmID)
+	tm.registered = true
+	tm.seen = now
+	tm.active = active
+	// The TM asserts it is draining (the drain-task ack echoed in
+	// heartbeats). Set-only: a heartbeat without the flag must not clear
+	// a service-side drain mark the drain task simply has not reached
+	// yet. The one exception is a beat marshaled just BEFORE the TM
+	// acknowledged a rejoin — ignore the stale assertion inside the
+	// rejoin grace window.
+	if draining && (tm.rejoined.IsZero() || now.Sub(tm.rejoined) > rejoinGrace) {
+		tm.draining = true
+	}
+	if rt.staleAfter <= 0 {
+		return
+	}
+	if tm.timer == nil {
+		tm.timer = time.AfterFunc(rt.staleAfter, func() { rt.expire(tm) })
+	} else {
+		tm.timer.Reset(rt.staleAfter)
+	}
+}
+
+// expire is the timer callback: if the TM truly went silent every
+// waiter is canceled with errTMLost; if a beat raced the firing, the
+// timer is re-armed for the remaining window.
+func (rt *routingTable) expire(tm *tmEntry) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if !tm.registered {
+		return
+	}
+	if left := rt.staleAfter - rt.clock().Sub(tm.seen); left > 0 {
+		tm.timer.Reset(left)
+		return
+	}
+	failWaitersLocked(tm)
+}
+
+// stop halts every timer (Service shutdown). Waiters are NOT failed
+// with errTMLost — the lifetime context cancels their dispatches with
+// the correct shutdown cause.
+func (rt *routingTable) stop() {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	for _, tm := range rt.tms {
+		if tm.timer != nil {
+			tm.timer.Stop()
 		}
 	}
-	if !present {
-		rt.tms = append(rt.tms, tmID)
+}
+
+// fleetView is one consistent reading of every TM record: the registered
+// TMs in first-seen order, which of them pass the liveness predicate,
+// every drain mark (a recovered mark may name a TM that has not
+// registered yet), and the registered TMs' in-flight dispatch counts and
+// self-reported executing-task counts.
+type fleetView struct {
+	registered, live, draining []string
+	load, active               map[string]int
+}
+
+// snapshotTMs is the one view of the fleet that every TM accessor and
+// GET /api/v2/tms read.
+func (rt *routingTable) snapshotTMs() fleetView {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	now := rt.clock()
+	v := fleetView{
+		registered: []string{}, live: []string{}, draining: []string{},
+		load: make(map[string]int, len(rt.tms)), active: make(map[string]int, len(rt.tms)),
 	}
-	rt.seen[tmID] = now
-	rt.active[tmID] = active
-	if draining {
-		// The TM asserts it is draining (the drain-task ack echoed in
-		// heartbeats). Set-only: a heartbeat without the flag must not
-		// clear a service-side drain mark the drain task simply has not
-		// reached yet. The one exception is a beat marshaled just BEFORE
-		// the TM acknowledged a rejoin — ignore the stale assertion
-		// inside the rejoin grace window.
-		if at, rejoined := rt.rejoined[tmID]; !rejoined || now.Sub(at) > rejoinGrace {
-			rt.draining[tmID] = struct{}{}
+	for _, tm := range rt.tms {
+		if tm.draining {
+			v.draining = append(v.draining, tm.id)
 		}
+		if !tm.registered {
+			continue
+		}
+		v.registered = append(v.registered, tm.id)
+		if rt.liveLocked(tm, now) {
+			v.live = append(v.live, tm.id)
+		}
+		v.load[tm.id], v.active[tm.id] = tm.inflight, tm.active
 	}
+	return v
 }
 
-// list returns the registered TM IDs.
-func (rt *routingTable) list() []string {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return append([]string(nil), rt.tms...)
-}
-
-// live filters the registry by heartbeat freshness; with liveness
-// disabled (staleAfter <= 0) every registered TM passes.
-func (rt *routingTable) live(now time.Time, staleAfter time.Duration) []string {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.liveLocked(rt.tms, now, staleAfter)
-}
-
-// isRegistered reports whether a TM ID is in the registry.
-func (rt *routingTable) isRegistered(tmID string) bool {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return len(rt.registeredLocked([]string{tmID})) > 0
-}
-
-// isDraining reports whether a TM is marked draining.
-func (rt *routingTable) isDraining(tmID string) bool {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	_, draining := rt.draining[tmID]
-	return draining
-}
-
-// drainingAll lists TMs currently marked draining.
-func (rt *routingTable) drainingAll() []string {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	out := make([]string, 0, len(rt.draining))
-	for id := range rt.draining {
-		out = append(out, id)
+// state reports whether a TM is registered and whether it is marked
+// draining.
+func (rt *routingTable) state(tmID string) (registered, draining bool) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if tm := rt.tmLocked(tmID); tm != nil {
+		return tm.registered, tm.draining
 	}
-	return out
+	return false, false
 }
 
-// markDraining sets a TM's drain mark (DrainTM and WAL replay). A
-// deliberate (re-)drain must never be suppressed by the rejoin grace
-// window, so the grace entry is cleared too.
+// markDraining sets a TM's drain mark (DrainTM and WAL replay, where the
+// TM has usually not registered yet). A deliberate (re-)drain must never
+// be suppressed by the rejoin grace window, so the grace stamp is
+// cleared too.
 func (rt *routingTable) markDraining(tmID string) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.draining[tmID] = struct{}{}
-	delete(rt.rejoined, tmID)
+	tm := rt.ensureTMLocked(tmID)
+	tm.draining = true
+	tm.rejoined = time.Time{}
 }
 
 // clearDrainMark drops a TM's drain mark and stamps the rejoin-grace
-// window (RejoinTM).
-func (rt *routingTable) clearDrainMark(tmID string, now time.Time) {
+// window (RejoinTM and its WAL replay).
+func (rt *routingTable) clearDrainMark(tmID string) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	delete(rt.draining, tmID)
-	rt.rejoined[tmID] = now
+	if tm := rt.tmLocked(tmID); tm != nil {
+		tm.draining = false
+		tm.rejoined = rt.clock()
+	}
 }
 
-// applyRejoin drops a TM's drain mark without stamping the grace
-// window — the WAL replay form (at boot there is no in-flight stale
-// heartbeat to guard against).
-func (rt *routingTable) applyRejoin(tmID string) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	delete(rt.draining, tmID)
-}
-
-// deregister removes a TM from the registry and every piece of routing
-// state naming it. Reports whether the TM was registered.
+// deregister forgets a TM: its record, every placement naming it and its
+// liveness timer go, and dispatches still waiting on it get errTMLost
+// NOW — no heartbeat deadline remains to wait out. Reports whether there
+// was a record; it need not have been registered (WAL replay runs before
+// any TM registers, and an operator may remove a recovered site that
+// never came back). A later beat starts a fresh record; dispatches still
+// holding this one discharge against it harmlessly.
 func (rt *routingTable) deregister(tmID string) bool {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	found := false
-	for i, id := range rt.tms {
-		if id == tmID {
-			rt.tms = append(rt.tms[:i], rt.tms[i+1:]...)
-			found = true
-			break
-		}
-	}
-	if !found {
+	i := slices.IndexFunc(rt.tms, func(tm *tmEntry) bool { return tm.id == tmID })
+	if i < 0 {
 		return false
 	}
-	delete(rt.seen, tmID)
-	delete(rt.active, tmID)
-	delete(rt.inflight, tmID)
-	delete(rt.draining, tmID)
-	delete(rt.rejoined, tmID)
-	for id := range rt.placements {
-		rt.removePlacementLocked(id, tmID)
+	tm := rt.tms[i]
+	rt.tms = slices.Delete(rt.tms, i, i+1)
+	tm.registered = false
+	if tm.timer != nil {
+		tm.timer.Stop()
+	}
+	failWaitersLocked(tm)
+	for id := range rt.servables {
+		rt.removePlacementLocked(id, tm)
 	}
 	return true
 }
-
-// applyDeregister is deregister for WAL replay: identical removal, but
-// an absent TM is not an error (the checkpoint may already contain the
-// removal).
-func (rt *routingTable) applyDeregister(tmID string) { rt.deregister(tmID) }
 
 // pick selects a Task Manager by least outstanding requests: among the
 // live candidates (restricted to placement sites when servableID is
 // known to be placed), the one with the fewest in-flight dispatches
 // wins; ties fall back to round-robin so uniform load still spreads.
-// Placement entries naming unregistered OR draining TMs — snapshot
-// ghosts, sites being taken out of rotation — are ignored: routing
-// into their queues would strand the request until its deadline. When
-// no placed TM is routable, routing falls back to every routable
+// When no placed TM is routable, routing falls back to every routable
 // registered TM (a fast task_failed from an undeployed site beats a
 // silent hang). excluded is the failover path's exclusion list.
-func (rt *routingTable) pick(servableID string, excluded []string, now time.Time, staleAfter time.Duration) (string, error) {
+func (rt *routingTable) pick(servableID string, excluded []string) (string, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	candidates := rt.routableLocked(rt.tms, excluded)
-	if servableID != "" {
-		if placed := rt.placements[servableID]; len(placed) > 0 {
-			if routable := rt.routableLocked(placed, excluded); len(routable) > 0 {
-				candidates = routable
-			}
-		}
+	pool, placed := rt.tms, rt.servables[servableID].placements
+	if slices.ContainsFunc(placed, func(tm *tmEntry) bool { return tm.routable(excluded) }) {
+		pool = placed
 	}
-	tm, ok := rt.leastLoadedLocked(rt.liveLocked(candidates, now, staleAfter))
-	if !ok {
+	var buf [8]*tmEntry
+	tm := rt.leastLoadedLocked(rt.candidatesLocked(buf[:0], pool, excluded))
+	if tm == nil {
 		return "", ErrNoTaskManager
 	}
-	return tm, nil
+	return tm.id, nil
 }
 
 // monolithTM returns a routable (registered, not draining), live Task
@@ -256,102 +316,88 @@ func (rt *routingTable) pick(servableID string, excluded []string, now time.Time
 // — the condition for the pipeline TM-local fast path. Any step
 // unplaced, or no common routable live site, means the service must
 // orchestrate the steps itself.
-func (rt *routingTable) monolithTM(steps []string, now time.Time, staleAfter time.Duration) (string, bool) {
+func (rt *routingTable) monolithTM(steps []string) (string, bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	var common []string
+	var buf [8]*tmEntry
+	var common []*tmEntry
 	for i, step := range steps {
-		placed := rt.placements[step]
-		if len(placed) == 0 {
-			return "", false
-		}
+		placed := rt.servables[step].placements
 		if i == 0 {
-			common = append([]string(nil), placed...)
+			common = rt.candidatesLocked(buf[:0], placed, nil)
 			continue
 		}
-		kept := common[:0]
-		for _, tm := range common {
-			for _, p := range placed {
-				if tm == p {
-					kept = append(kept, tm)
-					break
-				}
-			}
-		}
-		common = kept
-		if len(common) == 0 {
-			return "", false
-		}
+		common = slices.DeleteFunc(common, func(tm *tmEntry) bool { return !slices.Contains(placed, tm) })
 	}
-	return rt.leastLoadedLocked(rt.liveLocked(rt.routableLocked(common, nil), now, staleAfter))
-}
-
-// loadAll reports in-flight (dispatched, not yet answered) task counts
-// per registered TM.
-func (rt *routingTable) loadAll() map[string]int {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	load := make(map[string]int, len(rt.tms))
-	for _, id := range rt.tms {
-		load[id] = rt.inflight[id]
+	tm := rt.leastLoadedLocked(common)
+	if tm == nil {
+		return "", false
 	}
-	return load
+	return tm.id, true
 }
 
-// activeAll reports the executing-task counts each TM last
-// self-reported in its heartbeat registration.
-func (rt *routingTable) activeAll() map[string]int {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	active := make(map[string]int, len(rt.tms))
-	for _, id := range rt.tms {
-		active[id] = rt.active[id]
-	}
-	return active
+// dispatchRef is what charge hands back for discharge to undo.
+type dispatchRef struct {
+	tm       *tmEntry
+	waiter   uint64
+	servable string
+	weight   int
 }
 
-// inflightOf reports one TM's in-flight dispatch count.
-func (rt *routingTable) inflightOf(tmID string) int {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.inflight[tmID]
-}
-
-// addInflight charges one dispatch to a TM (and, for serving kinds, its
-// weighted demand to the servable) — dispatchTo's accounting.
-func (rt *routingTable) addInflight(tmID, servableID string, weight int) {
+// charge accounts one dispatch, in one critical section: the TM's
+// in-flight count rises, weight units of demand land on the servable
+// ("" for control-plane kinds, which carry none), and cancel is
+// registered to fire with errTMLost when the TM's liveness window
+// lapses. If the TM is not live right now — never seen, deregistered,
+// silent past the window — cancel fires immediately, which is what lets
+// a dispatch routed at a stale snapshot fail fast instead of waiting out
+// its deadline. With liveness off nothing is registered. The caller must
+// discharge the returned ref when the dispatch ends.
+func (rt *routingTable) charge(tmID, servableID string, weight int, cancel context.CancelCauseFunc) dispatchRef {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.inflight[tmID]++
+	ref := dispatchRef{tm: rt.tmLocked(tmID), servable: servableID, weight: weight}
 	if servableID != "" {
-		rt.svInflight[servableID] += weight
+		sv := rt.servables[servableID]
+		sv.inflight += weight
+		rt.servables[servableID] = sv
 	}
+	if ref.tm != nil {
+		ref.tm.inflight++
+	}
+	switch {
+	case rt.staleAfter <= 0:
+	case ref.tm == nil || !rt.liveLocked(ref.tm, rt.clock()):
+		cancel(errTMLost)
+	default:
+		rt.nextWaiter++
+		ref.waiter = rt.nextWaiter
+		ref.tm.waiters[ref.waiter] = cancel
+	}
+	return ref
 }
 
-// subInflight reverses addInflight, clamping at zero — the counters
-// track requests the service is waiting on and must not go negative
-// when replies and deregistrations race.
-func (rt *routingTable) subInflight(tmID, servableID string, weight int) {
+// discharge undoes charge: counts fall and the waiter is dropped.
+func (rt *routingTable) discharge(ref dispatchRef) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.inflight[tmID] > 0 {
-		rt.inflight[tmID]--
+	if ref.tm != nil {
+		ref.tm.inflight--
+		delete(ref.tm.waiters, ref.waiter)
 	}
-	if servableID != "" {
-		if rt.svInflight[servableID] >= weight {
-			rt.svInflight[servableID] -= weight
-		} else {
-			rt.svInflight[servableID] = 0
-		}
+	if ref.servable != "" {
+		sv := rt.servables[ref.servable]
+		sv.inflight -= ref.weight
+		rt.putLocked(ref.servable, sv)
 	}
 }
 
 // servableLoad reports the in-flight run/batch/pipeline work-unit count
 // for one servable — the autoscaler's demand signal.
 func (rt *routingTable) servableLoad(servableID string) int {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.svInflight[servableID]
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.servables[servableID].inflight
 }
 
 // admitVerdict is reserve's outcome: admitted, refused by the
@@ -375,87 +421,57 @@ const (
 func (rt *routingTable) reserve(tenant, servableID string, weight, svBound, tenantBound int) (pending int, v admitVerdict) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if svBound > 0 {
-		if p := rt.resvSv[servableID]; p >= svBound {
-			return p, admitOverloaded
-		}
+	sv := rt.servables[servableID]
+	if svBound > 0 && sv.reserved >= svBound {
+		return sv.reserved, admitOverloaded
 	}
-	if tenantBound > 0 {
-		if p := rt.resvTenant[tenant]; p >= tenantBound {
-			return p, admitQuota
-		}
+	if p := rt.tenants[tenant]; tenantBound > 0 && p >= tenantBound {
+		return p, admitQuota
 	}
-	rt.resvSv[servableID] += weight
-	rt.resvTenant[tenant] += weight
+	sv.reserved += weight
+	rt.servables[servableID] = sv
+	rt.tenants[tenant] += weight
 	return 0, admitOK
 }
 
-// unreserve releases an admission reservation, clamping at zero and
-// deleting exhausted entries so a drained table is empty.
+// unreserve releases an admission reservation.
 func (rt *routingTable) unreserve(tenant, servableID string, weight int) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	dec := func(m map[string]int, k string) {
-		if m[k] > weight {
-			m[k] -= weight
-		} else {
-			delete(m, k)
-		}
+	sv := rt.servables[servableID]
+	sv.reserved -= weight
+	rt.putLocked(servableID, sv)
+	if left := rt.tenants[tenant] - weight; left > 0 {
+		rt.tenants[tenant] = left
+	} else {
+		delete(rt.tenants, tenant)
 	}
-	dec(rt.resvSv, servableID)
-	dec(rt.resvTenant, tenant)
 }
 
 // reservedByTenant snapshots the per-tenant in-flight reservation
 // totals (the stats view of the tenant axis).
 func (rt *routingTable) reservedByTenant() map[string]int {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	out := make(map[string]int, len(rt.resvTenant))
-	for t, n := range rt.resvTenant {
-		out[t] = n
-	}
-	return out
-}
-
-// reservationsEmpty reports whether every admission reservation has
-// been released — the drain-to-zero invariant the storm test pins.
-func (rt *routingTable) reservationsEmpty() bool {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return len(rt.resvSv) == 0 && len(rt.resvTenant) == 0
-}
-
-// placementsAll reports which TMs host each servable (copies).
-func (rt *routingTable) placementsAll() map[string][]string {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	out := make(map[string][]string, len(rt.placements))
-	for id, tms := range rt.placements {
-		out[id] = append([]string(nil), tms...)
-	}
-	return out
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return maps.Clone(rt.tenants)
 }
 
 // placementsOf reports which TMs host one servable.
 func (rt *routingTable) placementsOf(servableID string) []string {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return append([]string{}, rt.placements[servableID]...)
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return tmIDs(rt.servables[servableID].placements)
 }
 
 // heldBy lists the servables with a placement on the given TM — the
 // drain migration work list.
 func (rt *routingTable) heldBy(tmID string) []string {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	var held []string
-	for id, placed := range rt.placements {
-		for _, p := range placed {
-			if p == tmID {
-				held = append(held, id)
-				break
-			}
+	for id, sv := range rt.servables {
+		if slices.ContainsFunc(sv.placements, func(tm *tmEntry) bool { return tm.id == tmID }) {
+			held = append(held, id)
 		}
 	}
 	return held
@@ -465,10 +481,11 @@ func (rt *routingTable) heldBy(tmID string) []string {
 // site routing would actually pick: routable AND live. Used by drain
 // migration — a stale peer (registered, not draining, heartbeats
 // stopped) must not excuse skipping a migration.
-func (rt *routingTable) hostedElsewhereLive(servableID string, now time.Time, staleAfter time.Duration) bool {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return len(rt.liveLocked(rt.routableLocked(rt.placements[servableID], nil), now, staleAfter)) > 0
+func (rt *routingTable) hostedElsewhereLive(servableID string) bool {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	var buf [8]*tmEntry
+	return len(rt.candidatesLocked(buf[:0], rt.servables[servableID].placements, nil)) > 0
 }
 
 // recordDeployment records placement and desired replicas for a
@@ -482,46 +499,45 @@ func (rt *routingTable) hostedElsewhereLive(servableID string, now time.Time, st
 func (rt *routingTable) recordDeployment(servableID, tmID string, replicas int) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if _, draining := rt.draining[tmID]; draining {
+	switch tm := rt.tmLocked(tmID); {
+	case tm == nil || !tm.registered:
+		return fmt.Errorf("%w: task manager %s deregistered during deploy", ErrConflict, tmID)
+	case tm.draining:
 		return fmt.Errorf("%w: task manager %s is draining", ErrConflict, tmID)
 	}
-	if len(rt.registeredLocked([]string{tmID})) == 0 {
-		return fmt.Errorf("%w: task manager %s deregistered during deploy", ErrConflict, tmID)
-	}
-	rt.addPlacementLocked(servableID, tmID)
-	rt.replicas[servableID] = replicas
+	rt.placeLocked(servableID, tmID, replicas)
 	return nil
 }
 
-// applyDeploy is the WAL-replay upsert form of recordDeployment: no
-// routability checks (the record describes a deploy that already
-// happened), replicas only updated when the record carries a count.
-func (rt *routingTable) applyDeploy(servableID, tmID string, replicas int) {
+// place installs a placement as durable state describes it, without
+// recordDeployment's routability checks: the record is of a deploy that
+// already happened, and at boot its TM has not registered yet. replicas
+// is only taken when the record carries a count.
+func (rt *routingTable) place(servableID, tmID string, replicas int) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.addPlacementLocked(servableID, tmID)
-	if replicas > 0 {
-		rt.replicas[servableID] = replicas
-	}
+	rt.placeLocked(servableID, tmID, replicas)
 }
 
-// removePlacement drops one (servable, TM) placement entry, deleting
-// the map key when it was the last one.
+// removePlacement drops one (servable, TM) placement entry.
 func (rt *routingTable) removePlacement(servableID, tmID string) bool {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.removePlacementLocked(servableID, tmID)
+	tm := rt.tmLocked(tmID)
+	return tm != nil && rt.removePlacementLocked(servableID, tm)
 }
 
-// dropServable removes every routing trace of a servable (Unpublish),
-// returning the TMs that were hosting it so the caller can tear their
-// replicas down.
+// dropServable removes a servable's placements and replica record
+// (Unpublish), returning the TMs that were hosting it so the caller can
+// tear their replicas down. Demand and reservations of runs still in
+// flight stay until those runs release them.
 func (rt *routingTable) dropServable(servableID string) (placed []string) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	placed = append(placed, rt.placements[servableID]...)
-	delete(rt.placements, servableID)
-	delete(rt.replicas, servableID)
+	sv := rt.servables[servableID]
+	placed = tmIDs(sv.placements)
+	sv.placements, sv.replicas = nil, 0
+	rt.putLocked(servableID, sv)
 	return placed
 }
 
@@ -530,31 +546,37 @@ func (rt *routingTable) dropServable(servableID string) (placed []string) {
 func (rt *routingTable) setReplicas(servableID string, replicas int) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.replicas[servableID] = replicas
+	sv := rt.servables[servableID]
+	sv.replicas = replicas
+	rt.putLocked(servableID, sv)
 }
 
 // replicasOf reports the desired replica count (0 when never deployed).
 func (rt *routingTable) replicasOf(servableID string) int {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.replicas[servableID]
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.servables[servableID].replicas
 }
 
-// routeSnapshot deep-copies the durable slice of routing state —
-// placements, replicas, drain marks — for checkpointing.
+// routeSnapshot copies the durable slice of routing state — placements,
+// replicas, drain marks — for checkpointing.
 func (rt *routingTable) routeSnapshot() (placements map[string][]string, replicas map[string]int, draining []string) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	placements = make(map[string][]string, len(rt.placements))
-	for id, tms := range rt.placements {
-		placements[id] = append([]string(nil), tms...)
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	placements = make(map[string][]string, len(rt.servables))
+	replicas = make(map[string]int, len(rt.servables))
+	for id, sv := range rt.servables {
+		if len(sv.placements) > 0 {
+			placements[id] = tmIDs(sv.placements)
+		}
+		if sv.replicas != 0 {
+			replicas[id] = sv.replicas
+		}
 	}
-	replicas = make(map[string]int, len(rt.replicas))
-	for id, n := range rt.replicas {
-		replicas[id] = n
-	}
-	for id := range rt.draining {
-		draining = append(draining, id)
+	for _, tm := range rt.tms {
+		if tm.draining {
+			draining = append(draining, tm.id)
+		}
 	}
 	return placements, replicas, draining
 }
@@ -568,120 +590,183 @@ func (rt *routingTable) routeSnapshot() (placements map[string][]string, replica
 func (rt *routingTable) restore(placements map[string][]string, replicas map[string]int, draining []string) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.placements = make(map[string][]string, len(placements))
-	for id, tms := range placements {
-		rt.placements[id] = tms
+	for id, sv := range rt.servables {
+		sv.placements, sv.replicas = nil, 0
+		rt.putLocked(id, sv)
 	}
-	rt.replicas = make(map[string]int, len(replicas))
+	for id, tms := range placements {
+		for _, tmID := range tms {
+			rt.placeLocked(id, tmID, 0)
+		}
+	}
 	for id, n := range replicas {
-		rt.replicas[id] = n
+		sv := rt.servables[id]
+		sv.replicas = n
+		rt.putLocked(id, sv)
 	}
 	for _, id := range draining {
-		rt.draining[id] = struct{}{}
+		rt.ensureTMLocked(id).draining = true
 	}
+}
+
+// WatcherStats counts the dead-TM watch's footprint: liveness timers
+// and currently registered dispatch waiters. TMs is the number that
+// must stay O(#TMs) regardless of in-flight load.
+type WatcherStats struct {
+	// TMs is the number of TMs with a liveness timer: the registered
+	// ones, when liveness is on.
+	TMs int `json:"tms"`
+	// Waiters is the number of in-flight dispatches registered for
+	// errTMLost fan-out.
+	Waiters int `json:"waiters"`
+	// Lost is how many of those TMs currently fail the liveness
+	// predicate.
+	Lost int `json:"lost"`
+}
+
+// stats snapshots the watch's footprint.
+func (rt *routingTable) stats() WatcherStats {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	now := rt.clock()
+	var st WatcherStats
+	for _, tm := range rt.tms {
+		if tm.timer == nil {
+			continue
+		}
+		st.TMs++
+		st.Waiters += len(tm.waiters)
+		if !rt.liveLocked(tm, now) {
+			st.Lost++
+		}
+	}
+	return st
 }
 
 // --- locked helpers ----------------------------------------------------------
 
-// routableLocked filters ids to TMs routing may select: registered, not
-// draining, and not on the caller's exclusion list. Caller holds rt.mu.
-func (rt *routingTable) routableLocked(ids, excluded []string) []string {
-	out := make([]string, 0, len(ids))
-next:
-	for _, id := range rt.registeredLocked(ids) {
-		if _, draining := rt.draining[id]; draining {
-			continue
-		}
-		for _, ex := range excluded {
-			if id == ex {
-				continue next
-			}
-		}
-		out = append(out, id)
-	}
-	return out
+// liveLocked is THE liveness predicate: a heartbeat arrived within the
+// window. With liveness disabled (staleAfter <= 0) every TM passes.
+func (rt *routingTable) liveLocked(tm *tmEntry, now time.Time) bool {
+	return rt.staleAfter <= 0 || now.Sub(tm.seen) < rt.staleAfter
 }
 
-// registeredLocked filters ids to those currently registered. Caller
-// holds rt.mu.
-func (rt *routingTable) registeredLocked(ids []string) []string {
-	registered := make([]string, 0, len(ids))
-	for _, id := range ids {
-		for _, known := range rt.tms {
-			if id == known {
-				registered = append(registered, id)
-				break
-			}
+// candidatesLocked appends to dst the TMs of pool a routing decision
+// may select: routable and live. Callers pass a stack buffer, so a
+// decision over up to its length allocates nothing.
+func (rt *routingTable) candidatesLocked(dst, pool []*tmEntry, excluded []string) []*tmEntry {
+	now := rt.clock()
+	for _, tm := range pool {
+		if tm.routable(excluded) && rt.liveLocked(tm, now) {
+			dst = append(dst, tm)
 		}
 	}
-	return registered
-}
-
-// liveLocked filters candidates by heartbeat freshness; with liveness
-// disabled (staleAfter <= 0) every candidate passes. Caller holds
-// rt.mu.
-func (rt *routingTable) liveLocked(candidates []string, now time.Time, staleAfter time.Duration) []string {
-	if staleAfter <= 0 {
-		return candidates
-	}
-	cutoff := now.Add(-staleAfter)
-	live := make([]string, 0, len(candidates))
-	for _, id := range candidates {
-		if seen, ok := rt.seen[id]; ok && seen.After(cutoff) {
-			live = append(live, id)
-		}
-	}
-	return live
+	return dst
 }
 
 // leastLoadedLocked picks the candidate with the fewest in-flight
 // dispatches, breaking ties round-robin (shared with every routing
-// decision so policies cannot diverge). Caller holds rt.mu for writing
-// (the tie-break counter advances).
-func (rt *routingTable) leastLoadedLocked(candidates []string) (string, bool) {
+// decision so policies cannot diverge): one pass finds the minimum and
+// how many share it, a second takes the rr-th of those. Nil when there
+// are no candidates.
+func (rt *routingTable) leastLoadedLocked(candidates []*tmEntry) *tmEntry {
 	if len(candidates) == 0 {
-		return "", false
+		return nil
 	}
-	minLoad := -1
-	var tied []string
-	for _, id := range candidates {
-		switch load := rt.inflight[id]; {
-		case minLoad < 0 || load < minLoad:
-			minLoad = load
-			tied = tied[:0]
-			tied = append(tied, id)
-		case load == minLoad:
-			tied = append(tied, id)
+	minLoad, tied := candidates[0].inflight, 0
+	for _, tm := range candidates {
+		switch {
+		case tm.inflight < minLoad:
+			minLoad, tied = tm.inflight, 1
+		case tm.inflight == minLoad:
+			tied++
 		}
 	}
-	tm := tied[rt.rr%len(tied)]
+	nth := rt.rr % tied
 	rt.rr++
-	return tm, true
-}
-
-// addPlacementLocked appends a placement if absent. Caller holds rt.mu
-// for writing.
-func (rt *routingTable) addPlacementLocked(servableID, tmID string) {
-	for _, id := range rt.placements[servableID] {
-		if id == tmID {
-			return
-		}
-	}
-	rt.placements[servableID] = append(rt.placements[servableID], tmID)
-}
-
-// removePlacementLocked is removePlacement with rt.mu already held for
-// writing (the deregistration path batches many removals).
-func (rt *routingTable) removePlacementLocked(servableID, tmID string) bool {
-	placed := rt.placements[servableID]
-	for i, p := range placed {
-		if p == tmID {
-			rt.placements[servableID] = append(placed[:i], placed[i+1:]...)
-			if len(rt.placements[servableID]) == 0 {
-				delete(rt.placements, servableID)
+	for _, tm := range candidates {
+		if tm.inflight == minLoad {
+			if nth == 0 {
+				return tm
 			}
-			return true
+			nth--
 		}
 	}
-	return false
+	return nil // unreachable: tied counts the matches of the second pass
+}
+
+// tmLocked finds a TM's record (nil when there is none).
+func (rt *routingTable) tmLocked(tmID string) *tmEntry {
+	for _, tm := range rt.tms {
+		if tm.id == tmID {
+			return tm
+		}
+	}
+	return nil
+}
+
+// ensureTMLocked finds or starts a TM's record.
+func (rt *routingTable) ensureTMLocked(tmID string) *tmEntry {
+	tm := rt.tmLocked(tmID)
+	if tm == nil {
+		tm = &tmEntry{id: tmID, waiters: make(map[uint64]context.CancelCauseFunc)}
+		rt.tms = append(rt.tms, tm)
+	}
+	return tm
+}
+
+// failWaitersLocked cancels every dispatch waiting on the TM with
+// errTMLost. Canceled waiters are dropped now rather than at each
+// dispatch's discharge: the map is what stats reports, and a second
+// fan-out must not re-cancel them.
+func failWaitersLocked(tm *tmEntry) {
+	for _, cancel := range tm.waiters {
+		cancel(errTMLost)
+	}
+	clear(tm.waiters)
+}
+
+// putLocked stores a servable's entry, or deletes it once nothing is
+// left in it.
+func (rt *routingTable) putLocked(servableID string, sv servableEntry) {
+	if len(sv.placements) == 0 && sv.replicas == 0 && sv.inflight == 0 && sv.reserved == 0 {
+		delete(rt.servables, servableID)
+		return
+	}
+	rt.servables[servableID] = sv
+}
+
+// placeLocked appends a placement if absent and, when replicas > 0,
+// sets the desired count.
+func (rt *routingTable) placeLocked(servableID, tmID string, replicas int) {
+	sv := rt.servables[servableID]
+	if tm := rt.ensureTMLocked(tmID); !slices.Contains(sv.placements, tm) {
+		sv.placements = append(sv.placements, tm)
+	}
+	if replicas > 0 {
+		sv.replicas = replicas
+	}
+	rt.servables[servableID] = sv
+}
+
+// removePlacementLocked drops tm from a servable's placements, reporting
+// whether it was there.
+func (rt *routingTable) removePlacementLocked(servableID string, tm *tmEntry) bool {
+	sv := rt.servables[servableID]
+	i := slices.Index(sv.placements, tm)
+	if i < 0 {
+		return false
+	}
+	sv.placements = slices.Delete(sv.placements, i, i+1)
+	rt.putLocked(servableID, sv)
+	return true
+}
+
+// tmIDs lists the IDs of tms (non-nil even when empty).
+func tmIDs(tms []*tmEntry) []string {
+	ids := make([]string, len(tms))
+	for i, tm := range tms {
+		ids[i] = tm.id
+	}
+	return ids
 }

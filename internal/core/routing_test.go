@@ -26,18 +26,15 @@ import (
 func TestRoutingReadsDoNotBlockOnRepositoryWrite(t *testing.T) {
 	s := New(Config{Registry: container.NewRegistry(), TMStaleAfter: time.Minute})
 	defer s.Close()
-	now := s.timeFunc()
-	s.watcher.beat("tm-a")
-	s.route.beat("tm-a", 0, false, now)
-	s.watcher.beat("tm-b")
-	s.route.beat("tm-b", 0, false, now)
-	s.route.applyDeploy("sv", "tm-a", 2)
+	s.route.beat("tm-a", 0, false)
+	s.route.beat("tm-b", 0, false)
+	s.route.place("sv", "tm-a", 2)
 
 	s.repo.mu.Lock()
 	done := make(chan error, 1)
 	go func() {
 		done <- func() error {
-			if tm, err := s.route.pick("sv", nil, s.timeFunc(), s.cfg.TMStaleAfter); err != nil || tm != "tm-a" {
+			if tm, err := s.route.pick("sv", nil); err != nil || tm != "tm-a" {
 				return fmt.Errorf("pick = %q, %v", tm, err)
 			}
 			if got := len(s.TaskManagers()); got != 2 {
@@ -57,10 +54,7 @@ func TestRoutingReadsDoNotBlockOnRepositoryWrite(t *testing.T) {
 				return fmt.Errorf("admitRun: %v", err)
 			}
 			release()
-			s.route.addInflight("tm-a", "sv", 1)
-			s.route.subInflight("tm-a", "sv", 1)
-			unwatch := s.watcher.watch("tm-a", func(error) {})
-			unwatch()
+			s.route.discharge(s.route.charge("tm-a", "sv", 1, func(error) {}))
 			return nil
 		}()
 	}()
@@ -75,70 +69,80 @@ func TestRoutingReadsDoNotBlockOnRepositoryWrite(t *testing.T) {
 	s.repo.mu.Unlock()
 }
 
-// TestWatcherWaiterAccounting pins the O(#TMs) watcher design at the
+// TestWatcherWaiterAccounting pins the O(#TMs) dead-TM watch at the
 // unit level: any number of in-flight waiters on one TM share one
 // timer — the stats report (TMs, Waiters) accordingly, and registering
 // a thousand waiters spawns no goroutines.
 func TestWatcherWaiterAccounting(t *testing.T) {
 	now := time.Now()
-	lw := newLivenessWatcher(time.Minute, func() time.Time { return now })
-	defer lw.stop()
-	lw.beat("tm-1")
+	rt := newRoutingTable(time.Minute, func() time.Time { return now })
+	defer rt.stop()
+	rt.beat("tm-1", 0, false)
 
 	const waiters = 1000
 	before := runtime.NumGoroutine()
 	var mu sync.Mutex
 	fired := 0
-	unwatch := make([]func(), 0, waiters)
+	refs := make([]dispatchRef, 0, waiters)
 	for i := 0; i < waiters; i++ {
-		unwatch = append(unwatch, lw.watch("tm-1", func(error) {
+		refs = append(refs, rt.charge("tm-1", "", 0, func(error) {
 			mu.Lock()
 			fired++
 			mu.Unlock()
 		}))
 	}
 	if d := runtime.NumGoroutine() - before; d > 5 {
-		t.Fatalf("registering %d waiters spawned %d goroutines; the watcher must be timer-driven, O(#TMs)", waiters, d)
+		t.Fatalf("registering %d waiters spawned %d goroutines; the watch must be timer-driven, O(#TMs)", waiters, d)
 	}
-	if st := lw.stats(); st.TMs != 1 || st.Waiters != waiters || st.Lost != 0 {
+	if st := rt.stats(); st.TMs != 1 || st.Waiters != waiters || st.Lost != 0 {
 		t.Fatalf("stats = %+v, want {TMs:1 Waiters:%d Lost:0}", st, waiters)
 	}
+	if got := rt.snapshotTMs().load["tm-1"]; got != waiters {
+		t.Fatalf("in-flight = %d, want %d: charge counts and registers in one step", got, waiters)
+	}
 
-	// Half unwatch (dispatches completing normally)...
-	for _, u := range unwatch[:waiters/2] {
-		u()
+	// Half discharge (dispatches completing normally)...
+	for _, ref := range refs[:waiters/2] {
+		rt.discharge(ref)
 	}
-	if st := lw.stats(); st.Waiters != waiters/2 {
-		t.Fatalf("after unwatch: Waiters = %d, want %d", st.Waiters, waiters/2)
+	if st := rt.stats(); st.Waiters != waiters/2 {
+		t.Fatalf("after discharge: Waiters = %d, want %d", st.Waiters, waiters/2)
 	}
-	// ...then the TM is lost: every remaining waiter is canceled.
-	lw.markLost("tm-1")
+	// ...then the TM is removed: every remaining waiter is canceled, and
+	// nothing of the TM is left to count
+	// (TestDeregisterFreesLivenessRecord pins that over the API).
+	rt.deregister("tm-1")
 	mu.Lock()
 	got := fired
 	mu.Unlock()
 	if got != waiters/2 {
-		t.Fatalf("markLost fanned to %d waiters, want %d", got, waiters/2)
+		t.Fatalf("deregister fanned to %d waiters, want %d", got, waiters/2)
 	}
-	if st := lw.stats(); st.Waiters != 0 || st.Lost != 1 {
-		t.Fatalf("after markLost: stats = %+v, want {Waiters:0 Lost:1}", st)
+	if st := rt.stats(); st != (WatcherStats{}) {
+		t.Fatalf("after deregister: stats = %+v, want all zero", st)
+	}
+	// The canceled dispatches still discharge, against the record they
+	// charged.
+	for _, ref := range refs[waiters/2:] {
+		rt.discharge(ref)
 	}
 }
 
 // TestWatcherExpiryFansOut drives the timer path with a real clock: a
 // TM that stops beating expires once its window lapses, and the fan-out
-// carries errTMLost so dispatchWatched's failover trigger fires.
+// carries errTMLost so dispatchTo's failover trigger fires.
 func TestWatcherExpiryFansOut(t *testing.T) {
-	lw := newLivenessWatcher(50*time.Millisecond, time.Now)
-	defer lw.stop()
-	lw.beat("tm-1")
+	rt := newRoutingTable(50*time.Millisecond, time.Now)
+	defer rt.stop()
+	rt.beat("tm-1", 0, false)
 
 	causes := make(chan error, 2)
 	ctx1, cancel1 := context.WithCancelCause(context.Background())
 	defer cancel1(nil)
-	lw.watch("tm-1", cancel1)
+	rt.charge("tm-1", "", 0, cancel1)
 	ctx2, cancel2 := context.WithCancelCause(context.Background())
 	defer cancel2(nil)
-	lw.watch("tm-1", cancel2)
+	rt.charge("tm-1", "", 0, cancel2)
 	go func() { <-ctx1.Done(); causes <- context.Cause(ctx1) }()
 	go func() { <-ctx2.Done(); causes <- context.Cause(ctx2) }()
 
@@ -149,35 +153,78 @@ func TestWatcherExpiryFansOut(t *testing.T) {
 				t.Fatalf("waiter canceled with %v, want errTMLost", cause)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("watcher never expired the silent TM")
+			t.Fatal("the liveness timer never expired the silent TM")
 		}
 	}
-	// A late watch on the lost TM cancels immediately.
+	if st := rt.stats(); st.TMs != 1 || st.Waiters != 0 || st.Lost != 1 {
+		t.Fatalf("after expiry: stats = %+v, want {TMs:1 Waiters:0 Lost:1}", st)
+	}
+	// A late charge on the lost TM cancels immediately.
 	ctx3, cancel3 := context.WithCancelCause(context.Background())
 	defer cancel3(nil)
-	lw.watch("tm-1", cancel3)
+	rt.charge("tm-1", "", 0, cancel3)
 	select {
 	case <-ctx3.Done():
 		if !errors.Is(context.Cause(ctx3), errTMLost) {
-			t.Fatalf("late watch canceled with %v, want errTMLost", context.Cause(ctx3))
+			t.Fatalf("late charge canceled with %v, want errTMLost", context.Cause(ctx3))
 		}
 	case <-time.After(time.Second):
-		t.Fatal("watch on an already-lost TM must cancel immediately")
+		t.Fatal("charge on an already-lost TM must cancel immediately")
+	}
+	// So does one on a TM the table has never seen.
+	ctx4, cancel4 := context.WithCancelCause(context.Background())
+	defer cancel4(nil)
+	rt.charge("tm-unknown", "", 0, cancel4)
+	if !errors.Is(context.Cause(ctx4), errTMLost) {
+		t.Fatalf("charge on an unknown TM: cause %v, want errTMLost", context.Cause(ctx4))
+	}
+	// And the routing filter reads the same predicate.
+	if tm, err := rt.pick("", nil); err == nil {
+		t.Fatalf("pick chose %q while the only TM is lost", tm)
 	}
 }
 
 // TestWatcherBeatRearms verifies a beat between timer arm and expiry
 // re-arms rather than losing the TM.
 func TestWatcherBeatRearms(t *testing.T) {
-	lw := newLivenessWatcher(80*time.Millisecond, time.Now)
-	defer lw.stop()
-	lw.beat("tm-1")
+	rt := newRoutingTable(80*time.Millisecond, time.Now)
+	defer rt.stop()
+	rt.beat("tm-1", 0, false)
 	for i := 0; i < 5; i++ {
 		time.Sleep(40 * time.Millisecond)
-		lw.beat("tm-1")
+		rt.beat("tm-1", 0, false)
 	}
-	if st := lw.stats(); st.Lost != 0 {
+	if st := rt.stats(); st.Lost != 0 {
 		t.Fatalf("heartbeating TM marked lost: %+v", st)
+	}
+}
+
+// TestRoutingPickAllocs pins the routing decision at zero objects while
+// its candidates fit the stack buffer (8): a pick over a full pool, one
+// over a servable's placements, and one with an exclusion list.
+func TestRoutingPickAllocs(t *testing.T) {
+	rt := benchRoutingTable(8, 4)
+	excluded := []string{"tm-1"}
+	for name, pick := range map[string]func() (string, error){
+		"pool":     func() (string, error) { return rt.pick("", nil) },
+		"placed":   func() (string, error) { return rt.pick("sv-1", nil) },
+		"excluded": func() (string, error) { return rt.pick("sv-1", excluded) },
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := pick(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("pick (%s) allocates %v objects per call, want 0", name, n)
+		}
+	}
+	steps := []string{"sv-0", "sv-1"} // both placed on tm-1 and tm-2
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := rt.monolithTM(steps); !ok {
+			t.Fatal("no common site")
+		}
+	}); n != 0 {
+		t.Errorf("monolithTM allocates %v objects per call, want 0", n)
 	}
 }
 
@@ -186,14 +233,13 @@ func TestWatcherBeatRearms(t *testing.T) {
 // or admission path shows up in the bench job's output.
 
 func benchRoutingTable(tms, servables int) *routingTable {
-	rt := newRoutingTable()
-	now := time.Now()
+	rt := newRoutingTable(time.Minute, time.Now)
 	for i := 0; i < tms; i++ {
-		rt.beat(fmt.Sprintf("tm-%d", i), 0, false, now)
+		rt.beat(fmt.Sprintf("tm-%d", i), 0, false)
 	}
 	for s := 0; s < servables; s++ {
 		for i := 0; i < 3 && i < tms; i++ {
-			rt.applyDeploy(fmt.Sprintf("sv-%d", s), fmt.Sprintf("tm-%d", (s+i)%tms), 2)
+			rt.place(fmt.Sprintf("sv-%d", s), fmt.Sprintf("tm-%d", (s+i)%tms), 2)
 		}
 	}
 	return rt
@@ -201,11 +247,11 @@ func benchRoutingTable(tms, servables int) *routingTable {
 
 func BenchmarkRoutingPick(b *testing.B) {
 	rt := benchRoutingTable(16, 64)
-	now := time.Now()
+	defer rt.stop()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rt.pick(fmt.Sprintf("sv-%d", i%64), nil, now, time.Minute); err != nil {
+		if _, err := rt.pick(fmt.Sprintf("sv-%d", i%64), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -213,11 +259,12 @@ func BenchmarkRoutingPick(b *testing.B) {
 
 func BenchmarkRoutingInflight(b *testing.B) {
 	rt := benchRoutingTable(16, 64)
+	defer rt.stop()
+	cancel := func(error) {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.addInflight("tm-3", "sv-1", 1)
-		rt.subInflight("tm-3", "sv-1", 1)
+		rt.discharge(rt.charge("tm-3", "sv-1", 1, cancel))
 	}
 }
 
@@ -247,27 +294,15 @@ func BenchmarkAdmitRun(b *testing.B) {
 
 func BenchmarkRoutingPickParallel(b *testing.B) {
 	rt := benchRoutingTable(16, 64)
-	now := time.Now()
+	defer rt.stop()
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
 			i++
-			if _, err := rt.pick(fmt.Sprintf("sv-%d", i%64), nil, now, time.Minute); err != nil {
+			if _, err := rt.pick(fmt.Sprintf("sv-%d", i%64), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-}
-
-func BenchmarkWatcherWatch(b *testing.B) {
-	lw := newLivenessWatcher(time.Minute, time.Now)
-	defer lw.stop()
-	lw.beat("tm-1")
-	cancel := func(error) {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lw.watch("tm-1", cancel)()
-	}
 }

@@ -19,9 +19,11 @@
 //     changes the entry it describes.
 //   - Serving (this file): run, runBatch and every pipeline step end in
 //     serve — result cache, singleflight, admission by weight, dispatch
-//     — over the routing table (routing.go), which has its own lock so
-//     the hot path never waits for a repository write. Pipelines are
-//     service-orchestrated: each step routes, caches and accounts demand
+//     — over the routing table (routing.go): one record per Task Manager
+//     and one per servable under their own lock, so the hot path never
+//     waits for a repository write, and one liveness predicate that both
+//     routing and the dead-TM fan-out read. Pipelines are service-
+//     orchestrated: each step routes, caches and accounts demand
 //     independently, with a TM-local monolith fast path when every step
 //     is co-deployed on one site (pipeline.go).
 //   - HTTP (http_v2.go): the REST API wraps the methods here; most
@@ -164,21 +166,19 @@ type Service struct {
 	cache  *resultCache
 	flight flightGroup
 
-	// route is the routing table: TM registry, heartbeat freshness,
-	// placements, desired replicas, drain marks, in-flight and
-	// admission counters (routing.go), under its own lock, so the
-	// serving hot path never contends with repository writes. Lock
-	// order: the repository's lock may be held while calling into route;
-	// route methods never reach the repository.
+	// route is the routing table (routing.go): one record per TM —
+	// registration, heartbeat freshness and the liveness timer that fans
+	// errTMLost out to its in-flight dispatches, load, drain mark — and
+	// one per servable — placements, desired replicas, in-flight and
+	// admission counters — under its own lock, so the serving hot path
+	// never contends with repository writes. Lock order: the
+	// repository's lock may be held while calling into route; route
+	// methods never reach the repository.
 	route *routingTable
-	// watcher is the per-TM broadcast dead-TM watcher (watcher.go): one
-	// timer per TM, re-armed by heartbeats, fanning errTMLost out to
-	// that TM's in-flight dispatches.
-	watcher *livenessWatcher
 
-	// failover counters (lifecycle.go): dispatches aborted by the
-	// dead-TM watcher, re-dispatches to another site, and requests
-	// that ran out of budget or sites.
+	// failover counters (lifecycle.go): dispatches aborted because their
+	// TM went silent, re-dispatches to another site, and requests that
+	// ran out of budget or sites.
 	failoverLost         atomic.Uint64
 	failoverRedispatched atomic.Uint64
 	failoverExhausted    atomic.Uint64
@@ -270,7 +270,6 @@ func New(cfg Config) *Service {
 		builder:  container.NewBuilder(cfg.Registry),
 		repo:     newRepository(),
 		tasks:    make(map[string]*asyncTask),
-		route:    newRoutingTable(),
 		stop:     make(chan struct{}),
 		timeFunc: time.Now,
 		ledger:   newTenantLedger(),
@@ -281,7 +280,7 @@ func New(cfg Config) *Service {
 	} else {
 		s.tenants = auth.NewTenantRegistry()
 	}
-	s.watcher = newLivenessWatcher(cfg.TMStaleAfter, func() time.Time { return s.timeFunc() })
+	s.route = newRoutingTable(cfg.TMStaleAfter, func() time.Time { return s.timeFunc() })
 	s.lifeCtx, s.lifeCancel = context.WithCancel(context.Background())
 	if !cfg.Cache.Disabled {
 		s.cache = newResultCache(cfg.Cache)
@@ -318,7 +317,7 @@ func (s *Service) Close() {
 		close(s.stop)
 		s.lifeCancel()
 		s.regWG.Wait()
-		s.watcher.stop()
+		s.route.stop()
 		s.broker.Close()
 	})
 }
@@ -326,25 +325,15 @@ func (s *Service) Close() {
 // registrationLoop consumes TM registrations.
 func (s *Service) registrationLoop() {
 	defer s.regWG.Done()
-	for {
-		select {
-		case <-s.stop:
-			return
-		default:
-		}
-		msg, ok := s.broker.Pull(taskmanager.RegisterQueue, 300*time.Millisecond)
+	for s.lifeCtx.Err() == nil {
+		// Bounded by the lifetime ctx, so Close does not sit out a poll.
+		msg, ok := s.broker.PullCtx(s.lifeCtx, taskmanager.RegisterQueue, 300*time.Millisecond)
 		if !ok {
 			continue
 		}
 		var reg taskmanager.Registration
 		if err := json.Unmarshal(msg.Body, &reg); err == nil && reg.TMID != "" {
-			// The watcher's deadline is re-armed BEFORE the routing
-			// table learns the beat: a dispatch can only route to a TM
-			// routing considers live, and by then the watcher already
-			// tracks it — watch() never sees a routable-but-untracked
-			// TM.
-			s.watcher.beat(reg.TMID)
-			s.route.beat(reg.TMID, reg.Active, reg.Draining, s.timeFunc())
+			s.route.beat(reg.TMID, reg.Active, reg.Draining)
 		}
 		s.broker.Ack(taskmanager.RegisterQueue, msg.ID)
 	}
@@ -352,7 +341,7 @@ func (s *Service) registrationLoop() {
 
 // TaskManagers lists registered TMs.
 func (s *Service) TaskManagers() []string {
-	return s.route.list()
+	return s.route.snapshotTMs().registered
 }
 
 // WaitForTM blocks until at least n Task Managers are registered.
@@ -370,7 +359,7 @@ func (s *Service) WaitForTM(n int, timeout time.Duration) error {
 // TMLoad reports in-flight (dispatched, not yet answered) task counts
 // per registered Task Manager.
 func (s *Service) TMLoad() map[string]int {
-	return s.route.loadAll()
+	return s.route.snapshotTMs().load
 }
 
 // TMQueueDepth reports broker-side backlog per registered Task Manager:
@@ -378,7 +367,10 @@ func (s *Service) TMLoad() map[string]int {
 // but unacknowledged. The broker lives with the Management Service, so
 // this view is exact for local and remote TMs alike.
 func (s *Service) TMQueueDepth() map[string]int {
-	tms := s.route.list()
+	return s.queueDepth(s.route.snapshotTMs().registered)
+}
+
+func (s *Service) queueDepth(tms []string) map[string]int {
 	depth := make(map[string]int, len(tms))
 	for _, id := range tms {
 		q := taskmanager.TaskQueue(id)
@@ -391,7 +383,7 @@ func (s *Service) TMQueueDepth() map[string]int {
 // self-reported in its heartbeat registration — the TM-side complement
 // to TMQueueDepth (tasks already pulled and running at the site).
 func (s *Service) TMActive() map[string]int {
-	return s.route.activeAll()
+	return s.route.snapshotTMs().active
 }
 
 // ServableLoad reports the in-flight (dispatched, not yet answered)
@@ -403,13 +395,23 @@ func (s *Service) ServableLoad(servableID string) int {
 
 // Placements reports which Task Managers host each servable.
 func (s *Service) Placements() map[string][]string {
-	return s.route.placementsAll()
+	placements, _, _ := s.route.routeSnapshot()
+	return placements
 }
 
 // LiveTaskManagers lists TMs passing the liveness filter.
 func (s *Service) LiveTaskManagers() []string {
-	return s.route.live(s.timeFunc(), s.cfg.TMStaleAfter)
+	return s.route.snapshotTMs().live
 }
+
+// DrainingTMs lists TMs currently marked draining.
+func (s *Service) DrainingTMs() []string {
+	return s.route.snapshotTMs().draining
+}
+
+// WatcherStats snapshots the dead-TM watch's footprint (the
+// /api/v2/stats "watcher" block).
+func (s *Service) WatcherStats() WatcherStats { return s.route.stats() }
 
 // recordDeployment records placement and desired replicas for a
 // completed deploy, but ONLY while the servable is still published AND
@@ -966,8 +968,8 @@ func (s *Service) runBatch(ctx context.Context, caller Caller, servableID string
 // ctx. Synchronous serving dispatches (plain runs and batch runs —
 // including pipeline steps, which dispatch as plain runs) are
 // failover-protected: when the routed TM misses its liveness window
-// mid-wait (the dead-TM watchdog in dispatchWatched), the task is
-// re-dispatched to another routable TM up to the failover retry budget
+// mid-wait (dispatchTo's errTMLost), the task is re-dispatched to
+// another routable TM up to the failover retry budget
 // instead of letting the caller eat ErrTimeout. These tasks are
 // idempotent by construction — pure inference with no site-side state —
 // so a re-dispatch after an uncertain first execution is safe; control
@@ -980,7 +982,7 @@ func (s *Service) dispatch(ctx context.Context, task taskmanager.Task) (RunResul
 	// still looks fresh.
 	var excluded []string
 	for {
-		tmID, err := s.route.pick(task.Servable, excluded, s.timeFunc(), s.cfg.TMStaleAfter)
+		tmID, err := s.route.pick(task.Servable, excluded)
 		if err != nil {
 			if len(excluded) > 0 {
 				s.noteFailoverExhausted()
@@ -991,7 +993,7 @@ func (s *Service) dispatch(ctx context.Context, task taskmanager.Task) (RunResul
 		if len(excluded) > 0 {
 			s.noteFailoverRedispatch()
 		}
-		res, err := s.dispatchWatched(ctx, tmID, task)
+		res, err := s.dispatchTo(ctx, tmID, task)
 		if err == nil || !eligible || !errors.Is(err, errTMLost) || ctx.Err() != nil {
 			return res, err
 		}
@@ -1005,7 +1007,8 @@ func (s *Service) dispatch(ctx context.Context, task taskmanager.Task) (RunResul
 }
 
 // dispatchTo pushes a task to a specific TM queue and waits until the
-// reply arrives or ctx ends. It owns the in-flight accounting
+// reply arrives or ctx ends — every dispatch there is, serving and
+// control plane alike. It owns the in-flight accounting
 // route.pick routes on: the count rises for the whole queue+execute+reply round
 // trip, so slow or backed-up TMs naturally shed new work to idle ones.
 // A canceled or timed-out dispatch also decrements — the count tracks
@@ -1014,19 +1017,28 @@ func (s *Service) dispatch(ctx context.Context, task taskmanager.Task) (RunResul
 // permanently is the liveness filter's (TMStaleAfter) job, not load
 // accounting's. A ctx with no deadline gets the service default so the
 // wait is always bounded.
+//
+// The same accounting call registers the dispatch with the TM's record,
+// which aborts it with errTMLost the moment the TM misses its liveness
+// window (routing.go, charge) — the reply will never come, and failing
+// fast is what gives dispatch() room to re-route inside the caller's
+// deadline. The wait itself costs nothing: one timer per TM covers
+// every waiter.
 func (s *Service) dispatchTo(ctx context.Context, tmID string, task taskmanager.Task) (RunResult, error) {
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.TaskTimeout)
 		defer cancel()
 	}
-	// A closing service aborts in-flight synchronous dispatches too: the
-	// broker reply can never arrive once Close tears the broker down, so
-	// without this a caller would wait out the full task timeout against
-	// a dead service.
-	ctx, cancelLife := context.WithCancel(ctx)
-	defer cancelLife()
-	stopLife := context.AfterFunc(s.lifeCtx, cancelLife)
+	// One cancel serves both early ends of the wait; its cause tells them
+	// apart. A closing service aborts in-flight synchronous dispatches
+	// too: the broker reply can never arrive once Close tears the broker
+	// down, so without this a caller would wait out the full task timeout
+	// against a dead service.
+	caller := ctx
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	stopLife := context.AfterFunc(s.lifeCtx, func() { cancel(nil) })
 	defer stopLife()
 	// Demand accounting: servable-level counts cover only serving kinds
 	// (run/run_batch/pipeline) so control-plane tasks (deploy, scale —
@@ -1048,8 +1060,8 @@ func (s *Service) dispatchTo(ctx context.Context, tmID string, task taskmanager.
 			svWeight = len(task.Inputs)
 		}
 	}
-	s.route.addInflight(tmID, sv, svWeight)
-	defer s.route.subInflight(tmID, sv, svWeight)
+	ref := s.route.charge(tmID, sv, svWeight, cancel)
+	defer s.route.discharge(ref)
 	start := time.Now()
 	body, err := json.Marshal(task)
 	if err != nil {
@@ -1057,6 +1069,9 @@ func (s *Service) dispatchTo(ctx context.Context, tmID string, task taskmanager.
 	}
 	replyBody, err := s.broker.RequestCtx(ctx, taskmanager.TaskQueue(tmID), body, task.Tenant)
 	if err != nil {
+		if context.Cause(ctx) == errTMLost && caller.Err() == nil {
+			return RunResult{}, fmt.Errorf("%w: %s: %w", ErrNoTaskManager, tmID, errTMLost)
+		}
 		return RunResult{}, wrapCtxErr(err)
 	}
 	var reply taskmanager.Reply
@@ -1222,7 +1237,7 @@ func (s *Service) TaskWatch(taskID string) (<-chan struct{}, error) {
 // target site is chosen by route.pick, so re-deploys land where the
 // servable already lives; DeployTo pins one explicitly.
 func (s *Service) Deploy(ctx context.Context, caller Caller, servableID string, replicas int, executorRoute string) error {
-	return s.deploy(ctx, caller, servableID, replicas, executorRoute, "")
+	return s.DeployTo(ctx, caller, servableID, replicas, executorRoute, "")
 }
 
 // DeployTo is Deploy pinned to a specific registered Task Manager —
@@ -1232,12 +1247,9 @@ func (s *Service) Deploy(ctx context.Context, caller Caller, servableID string, 
 // so the HTTP handlers can pass the request's optional "tm" field
 // through unconditionally.
 func (s *Service) DeployTo(ctx context.Context, caller Caller, servableID string, replicas int, executorRoute, tmID string) error {
-	return s.deploy(ctx, caller, servableID, replicas, executorRoute, tmID)
-}
-
-// deploy is the shared Deploy/DeployTo core; an empty tmID routes via
-// route.pick.
-func (s *Service) deploy(ctx context.Context, caller Caller, servableID string, replicas int, executorRoute, tmID string) error {
+	if replicas < 0 {
+		return ErrBadRequest.WithDetail(fmt.Sprintf("replicas must not be negative (got %d)", replicas))
+	}
 	ctx, cancel := deployCtx(ctx)
 	defer cancel()
 	if _, err := s.Get(caller, servableID); err != nil {
@@ -1247,6 +1259,23 @@ func (s *Service) deploy(ctx context.Context, caller Caller, servableID string, 
 	if pkg == nil {
 		return fmt.Errorf("%w: package for %s", ErrNotFound, servableID)
 	}
+	if tmID == "" {
+		var err error
+		if tmID, err = s.route.pick(servableID, nil); err != nil {
+			return err
+		}
+	} else if registered, draining := s.route.state(tmID); !registered {
+		return ErrNoTaskManager.WithDetail(fmt.Sprintf("task manager %q not registered", tmID))
+	} else if draining {
+		return fmt.Errorf("%w: task manager %s is draining", ErrConflict, tmID)
+	}
+	return s.deployOn(ctx, servableID, pkg, tmID, replicas, executorRoute)
+}
+
+// deployOn is the one deploy path (Deploy/DeployTo and drain migration):
+// ship pkg to tmID, start replicas there, record the placement and log
+// it. At least one replica is recorded whatever the task asked for.
+func (s *Service) deployOn(ctx context.Context, servableID string, pkg *servable.Package, tmID string, replicas int, executorRoute string) error {
 	wire, err := taskmanager.EncodePackage(pkg)
 	if err != nil {
 		return err
@@ -1259,20 +1288,11 @@ func (s *Service) deploy(ctx context.Context, caller Caller, servableID string, 
 		Replicas: replicas,
 		Package:  wire,
 	}
-	if tmID == "" {
-		tmID, err = s.route.pick(servableID, nil, s.timeFunc(), s.cfg.TMStaleAfter)
-		if err != nil {
-			return err
-		}
-	} else if !s.route.isRegistered(tmID) {
-		return ErrNoTaskManager.WithDetail(fmt.Sprintf("task manager %q not registered", tmID))
-	} else if s.route.isDraining(tmID) {
-		return fmt.Errorf("%w: task manager %s is draining", ErrConflict, tmID)
-	}
-	if _, err := s.dispatchWatched(ctx, tmID, task); err != nil {
+	if _, err := s.dispatchTo(ctx, tmID, task); err != nil {
 		return err
 	}
-	if err := s.recordDeployment(servableID, tmID, max(replicas, 1)); err != nil {
+	replicas = max(replicas, 1)
+	if err := s.recordDeployment(servableID, tmID, replicas); err != nil {
 		// Unpublished (or the target drained/deregistered) while the
 		// deploy task was in flight: the fresh replicas belong to
 		// routing state that must not exist. Tear them down instead of
@@ -1280,7 +1300,7 @@ func (s *Service) deploy(ctx context.Context, caller Caller, servableID string, 
 		s.undeployAsync(servableID, tmID)
 		return err
 	}
-	s.logged(recKindDeploy, recPlacement{ID: servableID, TM: tmID, Replicas: max(replicas, 1)})
+	s.logged(recKindDeploy, recPlacement{ID: servableID, TM: tmID, Replicas: replicas})
 	return nil
 }
 
@@ -1371,6 +1391,9 @@ func (s *Service) Scale(ctx context.Context, caller Caller, servableID string, r
 // autoscaler drives directly (its decisions are service-internal, not
 // made on behalf of any caller).
 func (s *Service) scaleReplicas(ctx context.Context, servableID string, replicas int, executorRoute string) error {
+	if replicas < 0 {
+		return ErrBadRequest.WithDetail(fmt.Sprintf("replicas must not be negative (got %d)", replicas))
+	}
 	ctx, cancel := deployCtx(ctx)
 	defer cancel()
 	task := taskmanager.Task{

@@ -341,6 +341,9 @@ func (c *Cluster) CreateDeployment(name string, template PodSpec, replicas int) 
 
 // Scale changes a deployment's replica count and reconciles.
 func (c *Cluster) Scale(name string, replicas int) error {
+	if replicas < 0 {
+		return fmt.Errorf("k8s: deployment %s: negative replica count %d", name, replicas)
+	}
 	c.mu.RLock()
 	d, ok := c.deployments[name]
 	c.mu.RUnlock()

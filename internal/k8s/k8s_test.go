@@ -123,6 +123,15 @@ func TestDeploymentReconcilesReplicas(t *testing.T) {
 	if err := c.Scale("ghost", 1); !errors.Is(err, ErrDeploymentNotFound) {
 		t.Fatalf("scaling unknown deployment should fail, got %v", err)
 	}
+
+	// A negative count is refused and stores nothing (it used to reach
+	// reconcile and panic slicing the pod list).
+	if err := c.Scale("inception", -3); err == nil {
+		t.Fatal("scaling to a negative count should fail")
+	}
+	if got := len(c.PodsMatching(map[string]string{"deployment": "inception"})); got != 3 {
+		t.Fatalf("want 3 after the refused scale, got %d", got)
+	}
 }
 
 func TestDeleteDeployment(t *testing.T) {
