@@ -228,7 +228,7 @@ func (c *resultCache) get(key string) (RunResult, bool) {
 	}
 	e := elem.Value.(*cacheEntry)
 	if !e.expires.IsZero() && c.now().After(e.expires) {
-		c.removeLocked(elem)
+		c.unlinkLocked(elem)
 		c.expirations.Inc()
 		c.misses.Inc()
 		return RunResult{}, false
@@ -291,7 +291,7 @@ func (c *resultCache) evictOverBudgetLocked(reserve int64) {
 		return c.bytes+reserve > c.maxBytes
 	}
 	for c.lru.Len() > 0 && over() {
-		c.removeLocked(c.lru.Back())
+		c.unlinkLocked(c.lru.Back())
 		c.evictions.Inc()
 	}
 }
@@ -318,8 +318,8 @@ func (c *resultCache) expiry() time.Time {
 	return c.now().Add(c.ttl)
 }
 
-// removeLocked unlinks an element from all indexes. Caller holds c.mu.
-func (c *resultCache) removeLocked(elem *list.Element) {
+// unlinkLocked unlinks an element from all indexes. Caller holds c.mu.
+func (c *resultCache) unlinkLocked(elem *list.Element) {
 	e := elem.Value.(*cacheEntry)
 	c.lru.Remove(elem)
 	c.bytes -= e.size

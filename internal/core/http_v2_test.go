@@ -215,6 +215,14 @@ func TestV2SearchCursor(t *testing.T) {
 	if len(page.Items) != 1 || page.NextCursor != "" {
 		t.Fatalf("second page wrong: items=%d cursor=%q", len(page.Items), page.NextCursor)
 	}
+	// A term of several tokens: the model type the type facet offers.
+	_, env = doV2(t, http.MethodPost, srv.URL+"/api/v2/search", map[string]any{"terms": map[string]string{"type": "python_function"}}, nil)
+	if err := json.Unmarshal(env.Data, &page); err != nil {
+		t.Fatal(err)
+	}
+	if page.Total != 4 {
+		t.Fatalf(`terms {"type":"python_function"} found %d of 4`, page.Total)
+	}
 }
 
 func TestV2RunAndIdempotency(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/schema"
@@ -12,18 +13,19 @@ import (
 // repository is the model repository (§IV-A): every published version
 // of every servable, the latest version's components, and the search
 // index over the latest documents. It has its own lock, touched in this
-// file only (as rt.mu is in routing.go).
+// file only (as rt.mu is in routing.go), which guards the index too.
 //
 // Documents are IMMUTABLE once installed: nothing writes through a
 // *schema.Document reachable from here. A metadata edit installs an
 // edited, validated copy in the latest slot, so a pointer handed out by
 // latest() — to an HTTP response being encoded, the WAL, a checkpoint —
-// stays a consistent document forever and readers never copy. The index
-// changes only inside the write-locked section that changes the entry
-// it describes, so a search hit always names a servable latest()
-// resolves, and the other way round.
+// stays a consistent document forever and readers never copy. The same
+// holds for the flattened document the index keeps and every search hit
+// shares. The index changes only inside the write-locked section that
+// changes the entry it describes, so a search hit always names a
+// servable latest() resolves, and the other way round.
 //
-// Lock order: r.mu → {rt.mu, result cache, index}, never the reverse.
+// Lock order: r.mu → {rt.mu, result cache}, never the reverse.
 // The control-plane operations that must be atomic against an unpublish
 // run their routing write inside whilePublished (read side) or remove
 // (write side). logged() is never called with r.mu held: the WAL runs
@@ -48,9 +50,12 @@ func newRepository() *repository {
 	return &repository{entries: make(map[string]*entry), index: search.NewIndex()}
 }
 
-// ingestLocked makes the index describe doc; r.mu held for writing.
+// ingestLocked makes the index describe doc; r.mu held for writing. The
+// owner is a principal of the document, as it is to Service.Get: list
+// and search show a servable to whoever Get shows it to.
 func (r *repository) ingestLocked(doc *schema.Document) {
-	r.index.Ingest(search.Doc{ID: doc.ID, Fields: schema.Flatten(doc), VisibleTo: doc.Publication.VisibleTo})
+	acl := append(slices.Clip(doc.Publication.VisibleTo), doc.Owner)
+	r.index.Ingest(search.Doc{ID: doc.ID, Fields: schema.Flatten(doc), VisibleTo: acl})
 }
 
 // latest returns the current document of a servable.
@@ -86,9 +91,12 @@ func (r *repository) pkg(id string) *servable.Package {
 	return &servable.Package{Doc: e.latest(), Components: e.components}
 }
 
-// search queries the index under the index's own read lock only, so
-// discovery never waits behind a repository write.
-func (r *repository) search(q search.Query) search.Result { return r.index.Search(q) }
+// search queries the index; its hits share the index's documents.
+func (r *repository) search(q search.Query) search.Result {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.index.Search(q)
+}
 
 // install publishes doc as the next version of doc.ID, stamping the
 // version number on it. The repository owns doc from here on.
@@ -169,7 +177,7 @@ func (r *repository) remove(id, owner string, under func()) error {
 		return err
 	}
 	delete(r.entries, id)
-	r.index.Delete(id) //nolint:errcheck — already-absent is fine
+	r.index.Delete(id)
 	under()
 	return nil
 }
@@ -236,7 +244,7 @@ func (r *repository) restore(snap *snapshot, under func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.entries = make(map[string]*entry, len(snap.Docs))
-	r.index.Reset()
+	r.index = search.NewIndex()
 	for id, doc := range snap.Docs {
 		vs := snap.Versions[id]
 		if len(vs) == 0 {

@@ -75,6 +75,18 @@ func TestRepositoryReadsBesideWritesOverHTTP(t *testing.T) {
 	})
 	worker(func(int) error { return call(http.MethodPost, "/api/v2/search", `{"q":"noop"}`) })
 	worker(func(int) error { return ms.Checkpoint() })
+	// Delete and re-ingest beside the search, on a second servable so
+	// that the GET and PATCH above always find theirs.
+	churned := publishStep(t, ms, core.Anonymous, "churned")
+	worker(func(int) error {
+		if err := call(http.MethodDelete, "/api/v2/servables/"+churned, ""); err != nil {
+			return err
+		}
+		pkg := servable.NoopPackage()
+		pkg.Doc.Publication.Name = "churned"
+		_, err := ms.Publish(context.Background(), core.Anonymous, pkg)
+		return err
+	})
 	wg.Wait()
 }
 
@@ -114,6 +126,66 @@ func TestUpdateMetadataIsCopyOnWrite(t *testing.T) {
 	}
 	if vs, _ := ms.Versions(core.Anonymous, id); len(vs) != 1 || vs[0] != after {
 		t.Fatalf("the edit must replace the latest version in place, not add one: %d version(s)", len(vs))
+	}
+}
+
+// TestSearchHitOutlivesAnUpdate: a hit shares the indexed document and
+// does not copy it, so what keeps a held hit consistent is that an update
+// indexes a new document and leaves the old one alone.
+func TestSearchHitOutlivesAnUpdate(t *testing.T) {
+	ms := newPipelineMS(t)
+	id := publishStep(t, ms, core.Anonymous, "held")
+	byID := search.Query{Must: []search.Clause{{Field: "id", Term: id}}}
+	held, err := ms.Search(context.Background(), core.Anonymous, byID)
+	if err != nil || held.Total != 1 {
+		t.Fatalf("search by id: total %d, err %v", held.Total, err)
+	}
+	title := held.Hits[0].Doc.Fields["title"]
+
+	if err := ms.UpdateMetadata(core.Anonymous, id, func(p *schema.Publication) { p.Title = "retitled" }); err != nil {
+		t.Fatal(err)
+	}
+	if got := held.Hits[0].Doc.Fields["title"]; got != title {
+		t.Fatalf("a hit held across the update changed under its reader: title %q, was %q", got, title)
+	}
+	fresh, _ := ms.Search(context.Background(), core.Anonymous, byID)
+	if fresh.Total != 1 || fresh.Hits[0].Doc.Fields["title"] != "retitled" {
+		t.Fatalf("a search after the update: %+v", fresh.Hits)
+	}
+}
+
+// TestOwnerFindsWhatGetShows: Get shows a servable to its owner whoever
+// visible_to names, so list and search must too. After the §VI-A CANDLE
+// flow — the owner restricts a model to a tester group they are not in —
+// the index used to filter on visible_to alone and hid it from them.
+func TestOwnerFindsWhatGetShows(t *testing.T) {
+	ms := newPipelineMS(t)
+	id := publishStep(t, ms, core.Anonymous, "restricted")
+	err := ms.UpdateMetadata(core.Anonymous, id, func(p *schema.Publication) {
+		p.VisibleTo = []string{"urn:group:candle-testers"}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ms.Get(core.Anonymous, id); err != nil {
+		t.Fatalf("the owner's Get: %v", err)
+	}
+	res, err := ms.Search(context.Background(), core.Anonymous, search.Query{})
+	if err != nil || res.Total != 1 || res.Hits[0].Doc.ID != id {
+		t.Fatalf("the owner's search: total %d, err %v; Get shows %s", res.Total, err, id)
+	}
+	rec := httptest.NewRecorder()
+	ms.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v2/servables", nil))
+	if !strings.Contains(rec.Body.String(), `"`+id+`"`) {
+		t.Fatalf("the owner's list does not name %s: %s", id, rec.Body)
+	}
+
+	stranger := core.Caller{IdentityID: "urn:identity:stranger", Principals: []string{"public", "urn:identity:stranger"}}
+	if _, err := ms.Get(stranger, id); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("a stranger's Get: %v, want not found", err)
+	}
+	if res, _ := ms.Search(context.Background(), stranger, search.Query{}); res.Total != 0 {
+		t.Fatalf("a stranger's search found %d restricted servable(s)", res.Total)
 	}
 }
 

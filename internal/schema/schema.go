@@ -237,7 +237,8 @@ func validateDataType(field string, dt DataType) string {
 
 // Flatten produces the key->value view the search index ingests:
 // dotted field names with scalar or []string values, mirroring how
-// DLHub metadata is indexed in Globus Search.
+// DLHub metadata is indexed in Globus Search. The lists are d's own,
+// not copies: the view is read-only, as an installed document is.
 func Flatten(d *Document) map[string]any {
 	m := map[string]any{
 		"id":           d.ID,
@@ -246,8 +247,8 @@ func Flatten(d *Document) map[string]any {
 		"name":         d.Publication.Name,
 		"title":        d.Publication.Title,
 		"description":  d.Publication.Description,
-		"authors":      append([]string(nil), d.Publication.Authors...),
-		"domains":      append([]string(nil), d.Publication.Domains...),
+		"authors":      d.Publication.Authors,
+		"domains":      d.Publication.Domains,
 		"identifier":   d.Publication.Identifier,
 		"license":      d.Publication.License,
 		"year":         d.Publication.Year,
@@ -258,7 +259,7 @@ func Flatten(d *Document) map[string]any {
 		"published_at": d.PublishedAt.Unix(),
 	}
 	if len(d.Servable.Steps) > 0 {
-		m["steps"] = append([]string(nil), d.Servable.Steps...)
+		m["steps"] = d.Servable.Steps
 	}
 	// Empty values would pollute term dictionaries; drop them.
 	for k, v := range m {

@@ -4,22 +4,23 @@
 // range queries, faceted search, and more."
 //
 // Documents are flat maps of dotted field names to scalars or string
-// lists. The index maintains an inverted index for text fields, sorted
-// numeric postings for range queries, and a per-document principal list
+// lists. The index maintains an inverted index for text fields, numeric
+// postings for range queries, and a per-document principal list
 // ("visible_to") applied as a mandatory filter on every query.
 package search
 
 import (
-	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"unicode"
 )
 
-// Doc is an indexed document.
+// Doc is an indexed document. The index keeps the Doc it is handed and
+// hands the same one out in every Hit: Fields and VisibleTo are
+// read-only from Ingest on, for the caller and for whoever holds a hit.
 type Doc struct {
 	ID     string
 	Fields map[string]any
@@ -27,13 +28,11 @@ type Doc struct {
 	VisibleTo []string
 }
 
-// ErrNotFound is returned when a document ID is absent.
-var ErrNotFound = errors.New("search: document not found")
-
-// Index is a concurrency-safe in-memory search index.
+// Index is an in-memory search index with no lock of its own: its owner
+// (core's repository) runs Ingest and Delete one at a time, and never
+// beside a Search, under the lock that guards what the index describes.
 type Index struct {
-	mu   sync.RWMutex
-	docs map[string]*Doc
+	docs map[string]*indexed
 	// inverted: field -> token -> docID set.
 	inverted map[string]map[string]map[string]bool
 	// numeric: field -> docID -> value (range queries scan; fine at
@@ -41,10 +40,24 @@ type Index struct {
 	numeric map[string]map[string]float64
 }
 
+// indexed is a document and its postings, so that a replace or delete
+// visits the document's own entries and not every posting list.
+type indexed struct {
+	Doc
+	postings []posting
+}
+
+// posting is what the index holds for one field of a document: its ID
+// under each of tokens in inverted, or (tokens nil) its value in numeric.
+type posting struct {
+	field  string
+	tokens []string
+}
+
 // NewIndex returns an empty index.
 func NewIndex() *Index {
 	return &Index{
-		docs:     make(map[string]*Doc),
+		docs:     make(map[string]*indexed),
 		inverted: make(map[string]map[string]map[string]bool),
 		numeric:  make(map[string]map[string]float64),
 	}
@@ -59,122 +72,84 @@ func Tokenize(s string) []string {
 
 // Ingest adds or replaces a document.
 func (ix *Index) Ingest(doc Doc) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if _, ok := ix.docs[doc.ID]; ok {
-		ix.removeLocked(doc.ID)
-	}
-	stored := &Doc{ID: doc.ID, Fields: make(map[string]any, len(doc.Fields)), VisibleTo: append([]string(nil), doc.VisibleTo...)}
-	for k, v := range doc.Fields {
-		stored.Fields[k] = v
-	}
-	ix.docs[doc.ID] = stored
-
-	for field, value := range stored.Fields {
+	ix.Delete(doc.ID)
+	// A field is one posting at most, so the slice is sized once.
+	d := &indexed{Doc: doc, postings: make([]posting, 0, len(doc.Fields))}
+	ix.docs[doc.ID] = d
+	for field, value := range doc.Fields {
 		switch v := value.(type) {
 		case string:
-			ix.indexTokens(field, v, doc.ID)
+			ix.indexTokens(d, field, v)
 		case []string:
-			for _, s := range v {
-				ix.indexTokens(field, s, doc.ID)
-			}
+			ix.indexTokens(d, field, strings.Join(v, " "))
 		case int:
-			ix.indexNumber(field, float64(v), doc.ID)
+			ix.indexNumber(d, field, float64(v))
 		case int64:
-			ix.indexNumber(field, float64(v), doc.ID)
+			ix.indexNumber(d, field, float64(v))
 		case float64:
-			ix.indexNumber(field, v, doc.ID)
+			ix.indexNumber(d, field, v)
 		}
 	}
 }
 
-func (ix *Index) indexTokens(field, text, docID string) {
-	for _, tok := range Tokenize(text) {
-		byTok, ok := ix.inverted[field]
-		if !ok {
-			byTok = make(map[string]map[string]bool)
-			ix.inverted[field] = byTok
-		}
+func (ix *Index) indexTokens(d *indexed, field, text string) {
+	tokens := Tokenize(text)
+	if len(tokens) == 0 {
+		return
+	}
+	byTok, ok := ix.inverted[field]
+	if !ok {
+		byTok = make(map[string]map[string]bool)
+		ix.inverted[field] = byTok
+	}
+	for _, tok := range tokens {
 		set, ok := byTok[tok]
 		if !ok {
 			set = make(map[string]bool)
 			byTok[tok] = set
 		}
-		set[docID] = true
+		set[d.ID] = true
 	}
+	d.postings = append(d.postings, posting{field, tokens})
 }
 
-func (ix *Index) indexNumber(field string, v float64, docID string) {
+func (ix *Index) indexNumber(d *indexed, field string, v float64) {
 	byDoc, ok := ix.numeric[field]
 	if !ok {
 		byDoc = make(map[string]float64)
 		ix.numeric[field] = byDoc
 	}
-	byDoc[docID] = v
+	byDoc[d.ID] = v
+	d.postings = append(d.postings, posting{field: field})
 }
 
-// Reset empties the index in place: every document, posting and
-// numeric entry is dropped while concurrent readers keep a consistent
-// (old-or-new) view. Snapshot restore uses it so loading over a
-// non-empty index cannot leave stale entries behind.
-func (ix *Index) Reset() {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.docs = make(map[string]*Doc)
-	ix.inverted = make(map[string]map[string]map[string]bool)
-	ix.numeric = make(map[string]map[string]float64)
-}
-
-// Delete removes a document. It returns ErrNotFound for unknown IDs.
-func (ix *Index) Delete(id string) error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if _, ok := ix.docs[id]; !ok {
-		return ErrNotFound
+// Delete removes a document and every posting it has, leaving no empty
+// token set or field behind; an unknown ID is a no-op.
+func (ix *Index) Delete(id string) {
+	d, ok := ix.docs[id]
+	if !ok {
+		return
 	}
-	ix.removeLocked(id)
-	return nil
-}
-
-func (ix *Index) removeLocked(id string) {
 	delete(ix.docs, id)
-	for _, byTok := range ix.inverted {
-		for tok, set := range byTok {
-			delete(set, id)
-			if len(set) == 0 {
+	for _, p := range d.postings {
+		if p.tokens == nil {
+			byDoc := ix.numeric[p.field]
+			if delete(byDoc, id); len(byDoc) == 0 {
+				delete(ix.numeric, p.field)
+			}
+			continue
+		}
+		byTok := ix.inverted[p.field]
+		for _, tok := range p.tokens { // a repeated token finds its set gone
+			set := byTok[tok]
+			if delete(set, id); len(set) == 0 {
 				delete(byTok, tok)
 			}
 		}
+		if len(byTok) == 0 {
+			delete(ix.inverted, p.field)
+		}
 	}
-	for _, byDoc := range ix.numeric {
-		delete(byDoc, id)
-	}
-}
-
-// Get fetches a document without ACL checks (repository internals).
-func (ix *Index) Get(id string) (*Doc, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	d, ok := ix.docs[id]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return copyDoc(d), nil
-}
-
-// Len reports the number of indexed documents.
-func (ix *Index) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.docs)
-}
-
-func copyDoc(d *Doc) *Doc {
-	out := &Doc{ID: d.ID, Fields: make(map[string]any, len(d.Fields)), VisibleTo: append([]string(nil), d.VisibleTo...)}
-	for k, v := range d.Fields {
-		out.Fields[k] = v
-	}
-	return out
 }
 
 // --- query model --------------------------------------------------------
@@ -187,7 +162,7 @@ type Clause struct {
 	FreeText string
 	// Field + one matcher below for fielded constraints.
 	Field string
-	// Term requires an exact token in Field.
+	// Term requires every token of its value in Field.
 	Term string
 	// Prefix requires a token with the given prefix in Field (partial
 	// matching).
@@ -218,7 +193,8 @@ type Query struct {
 	Offset int
 }
 
-// Hit is one scored result.
+// Hit is one scored result. Doc is the indexed document itself, shared
+// with the index and every other hit for it: read-only.
 type Hit struct {
 	Doc   *Doc
 	Score float64
@@ -233,13 +209,10 @@ type Result struct {
 
 // Search evaluates q.
 func (ix *Index) Search(q Query) Result {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-
 	// Start from all ACL-visible docs, then intersect clause by clause.
 	candidates := make(map[string]float64) // docID -> score
-	for id, doc := range ix.docs {
-		if visible(doc, q.Principals) {
+	for id, d := range ix.docs {
+		if visible(&d.Doc, q.Principals) {
 			candidates[id] = 0
 		}
 	}
@@ -257,7 +230,7 @@ func (ix *Index) Search(q Query) Result {
 
 	hits := make([]Hit, 0, len(candidates))
 	for id, score := range candidates {
-		hits = append(hits, Hit{Doc: copyDoc(ix.docs[id]), Score: score})
+		hits = append(hits, Hit{Doc: &ix.docs[id].Doc, Score: score})
 	}
 	sort.Slice(hits, func(i, j int) bool {
 		if hits[i].Score != hits[j].Score {
@@ -281,24 +254,14 @@ func (ix *Index) Search(q Query) Result {
 					for _, s := range v {
 						counts[s]++
 					}
-				case int:
-					counts[fmt.Sprint(v)]++
-				case int64:
-					counts[fmt.Sprint(v)]++
-				case float64:
+				case int, int64, float64:
 					counts[fmt.Sprint(v)]++
 				}
 			}
 			res.Facets[field] = counts
 		}
 	}
-	if q.Offset > 0 {
-		if q.Offset >= len(hits) {
-			hits = nil
-		} else {
-			hits = hits[q.Offset:]
-		}
-	}
+	hits = hits[min(max(q.Offset, 0), len(hits)):]
 	if q.Limit > 0 && len(hits) > q.Limit {
 		hits = hits[:q.Limit]
 	}
@@ -308,13 +271,8 @@ func (ix *Index) Search(q Query) Result {
 
 func visible(d *Doc, principals []string) bool {
 	for _, v := range d.VisibleTo {
-		if v == "public" {
+		if v == "public" || slices.Contains(principals, v) {
 			return true
-		}
-		for _, p := range principals {
-			if v == p {
-				return true
-			}
 		}
 	}
 	return false
@@ -339,32 +297,36 @@ func (ix *Index) evalClause(c Clause) map[string]float64 {
 			}
 		}
 	case c.Term != "":
-		tok := strings.ToLower(c.Term)
-		if byTok, ok := ix.inverted[c.Field]; ok {
-			if set, ok := byTok[tok]; ok {
+		// A value is indexed as its tokens ("python_function" as python
+		// and function), so it matches where the field has all of them.
+		byTok := ix.inverted[c.Field]
+		for i, tok := range Tokenize(c.Term) {
+			set := byTok[tok]
+			if i == 0 {
 				for id := range set {
-					out[id] += 1
+					out[id] = 1
+				}
+			}
+			for id := range out {
+				if !set[id] {
+					delete(out, id)
 				}
 			}
 		}
 	case c.Prefix != "":
 		pre := strings.ToLower(c.Prefix)
-		if byTok, ok := ix.inverted[c.Field]; ok {
-			for tok, set := range byTok {
-				if strings.HasPrefix(tok, pre) {
-					for id := range set {
-						out[id] += 1
-					}
+		for tok, set := range ix.inverted[c.Field] {
+			if strings.HasPrefix(tok, pre) {
+				for id := range set {
+					out[id] += 1
 				}
 			}
 		}
 	case c.Range != nil:
-		if byDoc, ok := ix.numeric[c.Field]; ok {
-			for id, v := range byDoc {
-				if (math.IsNaN(c.Range.Min) || v >= c.Range.Min) &&
-					(math.IsNaN(c.Range.Max) || v <= c.Range.Max) {
-					out[id] += 1
-				}
+		for id, v := range ix.numeric[c.Field] {
+			if (math.IsNaN(c.Range.Min) || v >= c.Range.Min) &&
+				(math.IsNaN(c.Range.Max) || v <= c.Range.Max) {
+				out[id] += 1
 			}
 		}
 	}

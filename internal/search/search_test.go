@@ -1,9 +1,9 @@
 package search
 
 import (
-	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -94,6 +94,27 @@ func TestTermQuery(t *testing.T) {
 	r := ix.Search(Query{Must: []Clause{{Field: "type", Term: "keras"}}})
 	if !reflect.DeepEqual(ids(r), []string{"rchard/cifar10"}) {
 		t.Fatalf("term query leaked private docs or missed: %v", ids(r))
+	}
+	// A value of several tokens matches where the field has every one of
+	// them — "python_function" is indexed as python, function — and an ID
+	// is such a value.
+	ix.Ingest(Doc{ID: "ward/featurize", Fields: map[string]any{"id": "ward/featurize", "type": "python_function"}, VisibleTo: []string{"public"}})
+	ix.Ingest(Doc{ID: "ward/parse", Fields: map[string]any{"id": "ward/parse", "type": "python_static_method"}, VisibleTo: []string{"public"}})
+	for _, tc := range []struct {
+		field, term string
+		want        []string
+	}{
+		{"type", "python_function", []string{"ward/featurize"}},
+		{"type", "Python", []string{"ward/featurize", "ward/parse"}},
+		{"type", "python_class", []string{}},
+		{"id", "ward/parse", []string{"ward/parse"}},
+		{"id", "ward/matminer-model", []string{}}, // seeded without an id field
+		{"type", "_", []string{}},
+	} {
+		r := ix.Search(Query{Must: []Clause{{Field: tc.field, Term: tc.term}}})
+		if !reflect.DeepEqual(ids(r), tc.want) {
+			t.Errorf("%s: %q matched %v, want %v", tc.field, tc.term, ids(r), tc.want)
+		}
 	}
 }
 
@@ -209,34 +230,14 @@ func TestUpdateReplacesDoc(t *testing.T) {
 
 func TestDelete(t *testing.T) {
 	ix := seedIndex()
-	if err := ix.Delete("rchard/cifar10"); err != nil {
-		t.Fatal(err)
+	ix.Delete("rchard/cifar10")
+	ix.Delete("rchard/cifar10") // a double delete is a no-op
+	testers := []string{"urn:group:candle-testers"}
+	if r := ix.Search(Query{Principals: testers}); r.Total != 2 {
+		t.Fatalf("want 2 docs after delete, got %d", r.Total)
 	}
-	if err := ix.Delete("rchard/cifar10"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double delete should be ErrNotFound, got %v", err)
-	}
-	if ix.Len() != 2 {
-		t.Fatalf("want 2 docs after delete, got %d", ix.Len())
-	}
-	if r := ix.Search(Query{Must: []Clause{{FreeText: "cifar"}}}); r.Total != 0 {
+	if r := ix.Search(Query{Must: []Clause{{FreeText: "cifar"}}, Principals: testers}); r.Total != 0 {
 		t.Fatal("deleted doc still searchable")
-	}
-}
-
-func TestGet(t *testing.T) {
-	ix := seedIndex()
-	d, err := ix.Get("ward/matminer-model")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mutating the returned doc must not corrupt the index.
-	d.Fields["title"] = "tampered"
-	d2, _ := ix.Get("ward/matminer-model")
-	if d2.Fields["title"] == "tampered" {
-		t.Fatal("Get must return a copy")
-	}
-	if _, err := ix.Get("nope"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("want ErrNotFound, got %v", err)
 	}
 }
 
@@ -277,9 +278,7 @@ func TestIngestFindDeleteProperty(t *testing.T) {
 				return false
 			}
 		}
-		if err := ix.Delete(id); err != nil {
-			return false
-		}
+		ix.Delete(id)
 		for _, tok := range toks {
 			r := ix.Search(Query{Must: []Clause{{Field: "title", Term: tok}}})
 			for _, h := range r.Hits {
@@ -324,5 +323,62 @@ func TestEmptyQueryReturnsAllVisible(t *testing.T) {
 	r := ix.Search(Query{})
 	if r.Total != 2 {
 		t.Fatalf("empty query should return public docs, got %d", r.Total)
+	}
+}
+
+// TestPostingsAgainstRebuild is the model test for the per-document
+// postings: after every step of a seeded random sequence of ingest,
+// replace with different tokens, delete and re-ingest, inverted and
+// numeric must equal those of an index built from the surviving
+// documents alone — no stale posting, no empty token set or field left
+// behind, no numeric entry for a deleted ID.
+func TestPostingsAgainstRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	words := []string{"neural", "network", "random", "forest", "Cancer", "drug-response", "x_ray", "tomography", "10", ""}
+	pick := func() string { return words[rng.Intn(len(words))] }
+	randomDoc := func(id string) Doc {
+		fields := map[string]any{"id": id, "title": pick() + " " + pick() + " " + pick() + " " + pick()}
+		if rng.Intn(2) == 0 {
+			fields["domains"] = []string{pick(), pick() + " " + pick()}
+		}
+		if rng.Intn(2) == 0 {
+			fields["year"] = 2014 + rng.Intn(6)
+		}
+		if rng.Intn(3) == 0 {
+			fields["published_at"] = int64(rng.Intn(1000))
+		}
+		if rng.Intn(3) == 0 {
+			fields["score"] = rng.Float64()
+		}
+		return Doc{ID: id, Fields: fields, VisibleTo: []string{"public"}}
+	}
+
+	ix := NewIndex()
+	live := map[string]Doc{}
+	for step := 0; step < 2000; step++ {
+		id := fmt.Sprintf("owner%d/model-%d", rng.Intn(5), rng.Intn(10))
+		if _, ok := live[id]; ok && rng.Intn(3) == 0 {
+			ix.Delete(id)
+			delete(live, id)
+		} else {
+			live[id] = randomDoc(id)
+			ix.Ingest(live[id])
+		}
+		rebuilt := NewIndex()
+		for _, d := range live {
+			rebuilt.Ingest(d)
+		}
+		if !reflect.DeepEqual(ix.inverted, rebuilt.inverted) {
+			t.Fatalf("step %d (%s): inverted differs from a rebuild of the %d live documents\n got %v\nwant %v", step, id, len(live), ix.inverted, rebuilt.inverted)
+		}
+		if !reflect.DeepEqual(ix.numeric, rebuilt.numeric) {
+			t.Fatalf("step %d (%s): numeric differs from a rebuild\n got %v\nwant %v", step, id, ix.numeric, rebuilt.numeric)
+		}
+	}
+	for id := range live {
+		ix.Delete(id)
+	}
+	if len(ix.inverted)+len(ix.numeric) != 0 {
+		t.Fatalf("emptied index still holds inverted %v numeric %v", ix.inverted, ix.numeric)
 	}
 }

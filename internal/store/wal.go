@@ -160,7 +160,7 @@ func (w *WAL) Recover(restore func(r io.Reader) error, apply func(rec Record) er
 		w.mu.Unlock()
 		return info, err
 	}
-	good, records, bytes, truncated, err := w.scan(f, apply)
+	good, records, truncated, err := w.scan(f, apply)
 	if err != nil {
 		f.Close()
 		w.mu.Unlock()
@@ -201,40 +201,39 @@ func (w *WAL) Recover(restore func(r io.Reader) error, apply func(rec Record) er
 			return info, fmt.Errorf("store: post-recovery compaction: %w", err)
 		}
 	}
-	_ = bytes
 	return info, nil
 }
 
 // scan replays intact frames through apply and reports the offset of
-// the last intact frame end, the record count, total bytes consumed,
-// and whether a torn/corrupt tail was found. Caller holds w.mu.
-func (w *WAL) scan(f *os.File, apply func(rec Record) error) (good int64, records int, bytes int64, truncated bool, err error) {
+// the last intact frame end, the record count, and whether a
+// torn/corrupt tail was found. Caller holds w.mu.
+func (w *WAL) scan(f *os.File, apply func(rec Record) error) (good int64, records int, truncated bool, err error) {
 	r := bufio.NewReader(f)
 	var header [frameHeaderLen]byte
 	for {
 		if _, err := io.ReadFull(r, header[:]); err != nil {
 			if err == io.EOF {
-				return good, records, bytes, false, nil
+				return good, records, false, nil
 			}
 			// Short header: torn mid-frame.
-			return good, records, bytes, true, nil
+			return good, records, true, nil
 		}
 		bodyLen := binary.LittleEndian.Uint32(header[0:4])
 		wantCRC := binary.LittleEndian.Uint32(header[4:8])
 		if bodyLen < 10 || bodyLen > maxRecordLen {
-			return good, records, bytes, true, nil
+			return good, records, true, nil
 		}
 		body := make([]byte, bodyLen)
 		if _, err := io.ReadFull(r, body); err != nil {
-			return good, records, bytes, true, nil
+			return good, records, true, nil
 		}
 		if crc32.ChecksumIEEE(body) != wantCRC {
-			return good, records, bytes, true, nil
+			return good, records, true, nil
 		}
 		seq := binary.LittleEndian.Uint64(body[0:8])
 		kindLen := int(binary.LittleEndian.Uint16(body[8:10]))
 		if 10+kindLen > len(body) {
-			return good, records, bytes, true, nil
+			return good, records, true, nil
 		}
 		rec := Record{
 			Seq:  seq,
@@ -242,14 +241,13 @@ func (w *WAL) scan(f *os.File, apply func(rec Record) error) (good int64, record
 			Data: body[10+kindLen:],
 		}
 		if err := apply(rec); err != nil {
-			return good, records, bytes, false, fmt.Errorf("store: replay record %d (%s): %w", seq, rec.Kind, err)
+			return good, records, false, fmt.Errorf("store: replay record %d (%s): %w", seq, rec.Kind, err)
 		}
 		if seq > w.seq {
 			w.seq = seq
 		}
 		good += int64(frameHeaderLen) + int64(bodyLen)
 		records++
-		bytes = good
 	}
 }
 
