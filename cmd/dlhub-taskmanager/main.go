@@ -49,9 +49,6 @@ func main() {
 	registry := container.NewRegistry()
 	builder := container.NewBuilder(registry)
 	runtime := container.NewRuntime(registry)
-	runtime.RegisterProcess("dlhub-ipp-engine", executor.NewPodProcessFactory(true))
-	runtime.RegisterProcess(tfserving.Entrypoint, tfserving.NewProcessFactory())
-	runtime.RegisterProcess(sagemaker.Entrypoint, sagemaker.NewProcessFactory())
 	cluster := k8s.NewCluster(runtime, *nodes, k8s.Resources{MilliCPU: 32000, MemMB: 128 * 1024})
 	clusterLink := netsim.RTT(simconst.D(simconst.RTTTMToCluster), simconst.LinkBandwidth)
 

@@ -143,30 +143,22 @@ func NewTestbed(opts Options) (*Testbed, error) {
 		sites: make(map[string]*site),
 	}
 
-	// Site 3: the Kubernetes cluster.
+	// Site 3: the Kubernetes cluster, and the executors at the TM site.
 	registry := container.NewRegistry()
 	builder := container.NewBuilder(registry)
-	tb.Runtime = container.NewRuntime(registry)
-	tb.Runtime.RegisterProcess("dlhub-ipp-engine", executor.NewPodProcessFactory(true))
-	tb.Runtime.RegisterProcess(tfserving.Entrypoint, tfserving.NewProcessFactory())
-	tb.Runtime.RegisterProcess(sagemaker.Entrypoint, sagemaker.NewProcessFactory())
-	tb.Cluster = k8s.NewCluster(tb.Runtime, opts.Nodes, k8s.Resources{MilliCPU: 32000, MemMB: 128 * 1024})
-
-	// TM <-> cluster link (0.17 ms RTT, 40GbE).
-	tmClusterLink := netsim.RTT(simconst.D(simconst.RTTTMToCluster), simconst.LinkBandwidth)
-
-	// Executors at the TM site.
-	tb.execs["parsl"] = executor.NewParsl(tb.Cluster, builder, tmClusterLink)
+	link := tmClusterLink()
+	tb.Cluster, tb.execs["parsl"] = newCluster(registry, opts.Nodes)
+	tb.Runtime = tb.Cluster.Runtime()
 	for _, name := range opts.Executors {
 		switch name {
 		case "tfserving-grpc":
-			tb.execs[name] = tfserving.New(tb.Cluster, builder, tmClusterLink, tfserving.GRPC)
+			tb.execs[name] = tfserving.New(tb.Cluster, builder, link, tfserving.GRPC)
 		case "tfserving-rest":
-			tb.execs[name] = tfserving.New(tb.Cluster, builder, tmClusterLink, tfserving.REST)
+			tb.execs[name] = tfserving.New(tb.Cluster, builder, link, tfserving.REST)
 		case "sagemaker":
-			tb.execs[name] = sagemaker.New(tb.Cluster, builder, tmClusterLink)
+			tb.execs[name] = sagemaker.New(tb.Cluster, builder, link)
 		case "clipper":
-			sys, err := clipper.New(tb.Cluster, builder, tb.Runtime, tmClusterLink)
+			sys, err := clipper.New(tb.Cluster, builder, tb.Runtime, link)
 			if err != nil {
 				return nil, fmt.Errorf("bench: clipper: %w", err)
 			}
@@ -239,6 +231,19 @@ func NewTestbed(opts Options) (*Testbed, error) {
 	return tb, nil
 }
 
+// tmClusterLink is the TM <-> cluster link (0.17 ms RTT, 40GbE).
+func tmClusterLink() netsim.Profile {
+	return netsim.RTT(simconst.D(simconst.RTTTMToCluster), simconst.LinkBandwidth)
+}
+
+// newCluster builds one site's serving side: a cluster of PetrelKube
+// nodes (32 hyperthreads, 128 GB) running images from registry, and the
+// Parsl executor every site has.
+func newCluster(registry *container.Registry, nodes int) (*k8s.Cluster, executor.Executor) {
+	cluster := k8s.NewCluster(container.NewRuntime(registry), nodes, k8s.Resources{MilliCPU: 32000, MemMB: 128 * 1024})
+	return cluster, executor.NewParsl(cluster, container.NewBuilder(registry), tmClusterLink())
+}
+
 // connectQueue returns a broker connection for a TM site: a fresh
 // WAN-shaped TCP client when the testbed runs in WAN mode, the
 // in-process adapter otherwise.
@@ -298,12 +303,7 @@ func (tb *Testbed) AddTM(id string, nodes int) (*taskmanager.TM, error) {
 	if _, dup := tb.sites[id]; dup {
 		return nil, fmt.Errorf("bench: site %q already exists", id)
 	}
-	registry := container.NewRegistry()
-	rt := container.NewRuntime(registry)
-	rt.RegisterProcess("dlhub-ipp-engine", executor.NewPodProcessFactory(true))
-	cluster := k8s.NewCluster(rt, nodes, k8s.Resources{MilliCPU: 32000, MemMB: 64 * 1024})
-	link := netsim.RTT(simconst.D(simconst.RTTTMToCluster), simconst.LinkBandwidth)
-	parsl := executor.NewParsl(cluster, container.NewBuilder(registry), link)
+	_, parsl := newCluster(container.NewRegistry(), nodes)
 
 	st := &site{execs: map[string]executor.Executor{"parsl": parsl}, pullers: 8}
 	if err := tb.startSite(id, st); err != nil {

@@ -1,4 +1,5 @@
-// Package clipper reproduces the Clipper baseline of §III-B and §V-B5:
+// Package clipper reproduces the Clipper baseline of §III-B and §V-B5
+// (the two Clipper rows of Fig. 8):
 // a prediction-serving system whose query frontend runs as a pod on the
 // Kubernetes cluster, fronting model containers over in-cluster RPC.
 // Its defining contrast with DLHub in Fig. 8 is cache placement:
@@ -24,7 +25,6 @@ import (
 	"repro/internal/k8s"
 	"repro/internal/netsim"
 	"repro/internal/rpc"
-	"repro/internal/servable"
 	"repro/internal/simconst"
 )
 
@@ -40,27 +40,15 @@ type Frontend struct {
 	mu       sync.Mutex
 	srv      *rpc.Server
 	addr     string
-	models   map[string][]*rpc.Client // servable id -> model container conns
-	rr       map[string]int
+	fleet    *executor.Fleet[*rpc.Client] // the System's table of model containers
 	cache    map[string][]byte
 	caching  bool
 	hits     uint64
 	requests uint64
 }
 
-// NewFrontendFactory returns the frontend's container process factory.
-func NewFrontendFactory() container.ProcessFactory {
-	return func() container.Process {
-		return &Frontend{
-			models: make(map[string][]*rpc.Client),
-			rr:     make(map[string]int),
-			cache:  make(map[string][]byte),
-		}
-	}
-}
-
 // Start implements container.Process: the frontend serves immediately;
-// model containers register afterwards via AttachModel.
+// the System hands it the model-container table once it exists.
 func (f *Frontend) Start(fs map[string][]byte, env map[string]string) error {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -103,17 +91,15 @@ func (f *Frontend) handlePredict(ctx context.Context, payload []byte) ([]byte, e
 			return cached, nil
 		}
 	}
-	conns := f.models[req.Servable]
-	if len(conns) == 0 {
-		f.mu.Unlock()
-		return nil, fmt.Errorf("clipper: model %q not registered", req.Servable)
-	}
-	idx := f.rr[req.Servable]
-	f.rr[req.Servable] = idx + 1
-	client := conns[idx%len(conns)]
+	fleet := f.fleet
 	f.mu.Unlock()
 
-	out, err := client.Call(ctx, "run", req.Input)
+	model, err := fleet.Pick(req.Servable)
+	if err != nil {
+		return nil, err
+	}
+	out, err := model.Conn.Call(ctx, "run", req.Input)
+	fleet.Release(model)
 	if err != nil {
 		return nil, err
 	}
@@ -123,17 +109,6 @@ func (f *Frontend) handlePredict(ctx context.Context, payload []byte) ([]byte, e
 		f.mu.Unlock()
 	}
 	return out, nil
-}
-
-// AttachModel registers model-container connections for a servable.
-func (f *Frontend) AttachModel(servableID string, conns []*rpc.Client) {
-	f.mu.Lock()
-	old := f.models[servableID]
-	f.models[servableID] = conns
-	f.mu.Unlock()
-	for _, c := range old {
-		c.Close()
-	}
 }
 
 // SetCaching toggles the frontend cache (Fig. 8 ±memoization runs).
@@ -160,11 +135,6 @@ func (f *Frontend) Stop() {
 	if f.srv != nil {
 		f.srv.Close()
 	}
-	for _, conns := range f.models {
-		for _, c := range conns {
-			c.Close()
-		}
-	}
 }
 
 // Addr returns the frontend's serving address.
@@ -178,26 +148,25 @@ func (f *Frontend) Addr() string {
 
 // System is a deployed Clipper instance: one query frontend plus model
 // deployments, all on the cluster. It implements executor.Executor so
-// the Task Manager can route to it like any serving system.
+// the Task Manager can route to it like any serving system. The model
+// deployments are the embedded Fleet's, dialed over the cluster-internal
+// link because it is the frontend, not the Task Manager, that calls them.
 type System struct {
+	*executor.Fleet[*rpc.Client]
 	cluster *k8s.Cluster
-	builder *container.Builder
-	tmLink  netsim.Profile // TM <-> cluster (requests enter here)
 
-	mu       sync.Mutex
 	frontend *Frontend
 	fePod    string
-	feClient *rpc.Client
-	models   map[string]string // servable id -> model deployment name
+	feClient *rpc.Client // TM <-> cluster: requests enter here
 }
 
 // New deploys the Clipper query frontend on the cluster. Model
 // containers use executor.PodServer (python-hosted), matching Clipper's
 // Docker model containers.
 func New(cluster *k8s.Cluster, builder *container.Builder, runtime *container.Runtime, tmLink netsim.Profile) (*System, error) {
-	runtime.RegisterProcess(FrontendEntrypoint, NewFrontendFactory())
-	runtime.RegisterProcess(ModelEntrypoint, executor.NewPodProcessFactory(true))
-
+	runtime.RegisterProcess(FrontendEntrypoint, func() container.Process {
+		return &Frontend{cache: make(map[string][]byte)}
+	})
 	if _, err := builder.Build(container.BuildSpec{
 		Name: "clipper/frontend", Tag: "0.3", Entrypoint: FrontendEntrypoint,
 	}); err != nil {
@@ -211,20 +180,30 @@ func New(cluster *k8s.Cluster, builder *container.Builder, runtime *container.Ru
 	if err != nil {
 		return nil, err
 	}
-	fe := pod.Container().Proc.(*Frontend)
-	conn, err := net.Dial("tcp", fe.Addr())
+	feClient, err := executor.DialPod(pod, tmLink)
 	if err != nil {
+		cluster.DeletePod(pod.Name) //nolint:errcheck — err is the failure to report
 		return nil, err
 	}
-	return &System{
+	clusterLink := netsim.RTT(simconst.D(simconst.ClusterInternalRTT), simconst.LinkBandwidth)
+	s := &System{
+		Fleet: executor.NewFleet(cluster, builder, executor.Protocol[*rpc.Client]{
+			Prefix:     "clipper-",
+			Entrypoint: ModelEntrypoint,
+			Process:    executor.NewPodProcessFactory(true),
+			Requests:   k8s.Resources{MilliCPU: 1000, MemMB: 2048},
+			Dial:       func(pod *k8s.Pod) (*rpc.Client, error) { return executor.DialPod(pod, clusterLink) },
+			Hangup:     func(c *rpc.Client) { c.Close() },
+		}),
 		cluster:  cluster,
-		builder:  builder,
-		tmLink:   tmLink,
-		frontend: fe,
+		frontend: pod.Container().Proc.(*Frontend),
 		fePod:    pod.Name,
-		feClient: rpc.NewClient(netsim.Wrap(conn, tmLink)),
-		models:   make(map[string]string),
-	}, nil
+		feClient: feClient,
+	}
+	s.frontend.mu.Lock()
+	s.frontend.fleet = s.Fleet
+	s.frontend.mu.Unlock()
+	return s, nil
 }
 
 // Name implements executor.Executor.
@@ -236,78 +215,12 @@ func (s *System) SetCaching(on bool) { s.frontend.SetCaching(on) }
 // CacheStats exposes frontend cache statistics.
 func (s *System) CacheStats() (uint64, uint64) { return s.frontend.CacheStats() }
 
-// Deploy implements executor.Executor: build the model image, deploy
-// replicas, connect the frontend to them over the in-cluster link.
-func (s *System) Deploy(pkg *servable.Package, replicas int) error {
-	img, err := executor.BuildServableImage(s.builder, pkg, ModelEntrypoint)
-	if err != nil {
-		return err
-	}
-	depName := "clipper-" + pkg.Doc.Publication.Name
-	if _, err := s.cluster.CreateDeployment(depName, k8s.PodSpec{
-		Image:    img.Ref(),
-		Requests: k8s.Resources{MilliCPU: 1000, MemMB: 2048},
-	}, replicas); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.models[pkg.Doc.ID] = depName
-	s.mu.Unlock()
-	return s.reattach(pkg.Doc.ID, depName)
-}
-
-// reattach connects the frontend to current model pods over the
-// cluster-internal link.
-func (s *System) reattach(servableID, depName string) error {
-	pods := s.cluster.PodsMatching(map[string]string{"deployment": depName})
-	clusterLink := netsim.RTT(simconst.D(simconst.ClusterInternalRTT), simconst.LinkBandwidth)
-	var conns []*rpc.Client
-	for _, pod := range pods {
-		client, err := executor.DialPod(pod, clusterLink)
-		if err != nil {
-			return err
-		}
-		conns = append(conns, client)
-	}
-	s.frontend.AttachModel(servableID, conns)
-	return nil
-}
-
-// Scale implements executor.Executor.
-func (s *System) Scale(servableID string, replicas int) error {
-	s.mu.Lock()
-	depName, ok := s.models[servableID]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", executor.ErrNotDeployed, servableID)
-	}
-	if err := s.cluster.Scale(depName, replicas); err != nil {
-		return err
-	}
-	return s.reattach(servableID, depName)
-}
-
-// Replicas implements executor.Executor.
-func (s *System) Replicas(servableID string) int {
-	s.mu.Lock()
-	depName, ok := s.models[servableID]
-	s.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	return len(s.cluster.PodsMatching(map[string]string{"deployment": depName}))
-}
-
 // Invoke implements executor.Executor: requests go TM -> frontend ->
 // model container, the topology whose cache placement Fig. 8 exposes.
 func (s *System) Invoke(ctx context.Context, servableID string, input any) (executor.Result, error) {
-	s.mu.Lock()
-	if _, ok := s.models[servableID]; !ok {
-		s.mu.Unlock()
-		return executor.Result{}, fmt.Errorf("%w: %s", executor.ErrNotDeployed, servableID)
+	if err := s.Check(servableID); err != nil {
+		return executor.Result{}, err
 	}
-	s.mu.Unlock()
-
 	inputData, err := json.Marshal(input)
 	if err != nil {
 		return executor.Result{}, err
@@ -327,32 +240,10 @@ func (s *System) Invoke(ctx context.Context, servableID string, input any) (exec
 	return res, nil
 }
 
-// Undeploy implements executor.Executor.
-func (s *System) Undeploy(servableID string) error {
-	s.mu.Lock()
-	depName, ok := s.models[servableID]
-	if ok {
-		delete(s.models, servableID)
-	}
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", executor.ErrNotDeployed, servableID)
-	}
-	s.frontend.AttachModel(servableID, nil)
-	return s.cluster.DeleteDeployment(depName)
-}
-
-// Close implements executor.Executor.
+// Close implements executor.Executor: the model deployments, then the
+// frontend.
 func (s *System) Close() {
-	s.mu.Lock()
-	ids := make([]string, 0, len(s.models))
-	for id := range s.models {
-		ids = append(ids, id)
-	}
-	s.mu.Unlock()
-	for _, id := range ids {
-		s.Undeploy(id) //nolint:errcheck
-	}
+	s.Fleet.Close()
 	s.feClient.Close()
-	s.cluster.DeletePod(s.fePod) //nolint:errcheck
+	s.cluster.DeletePod(s.fePod) //nolint:errcheck — gone already on a second Close
 }

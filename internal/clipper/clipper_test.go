@@ -8,8 +8,10 @@ import (
 
 	"repro/internal/container"
 	"repro/internal/executor"
+	"repro/internal/executor/executortest"
 	"repro/internal/k8s"
 	"repro/internal/netsim"
+	"repro/internal/rpc"
 	"repro/internal/servable"
 	"repro/internal/simconst"
 )
@@ -158,4 +160,22 @@ func TestClipperScale(t *testing.T) {
 	if _, err := sys.Invoke(context.Background(), "dlhub/noop", "x"); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestConformance: the model deployments behind the frontend keep the
+// shared lifecycle; every invocation here goes through the frontend.
+func TestConformance(t *testing.T) {
+	executortest.Run(t, executortest.Suite[*rpc.Client]{
+		New: func(t *testing.T, cluster *k8s.Cluster, builder *container.Builder) executortest.Subject[*rpc.Client] {
+			sys, err := New(cluster, builder, cluster.Runtime(), netsim.RTT(170*time.Microsecond, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sys
+		},
+		Package: executortest.PythonPackage,
+		Input:   "abc",
+		Replica: k8s.Resources{MilliCPU: 1000, MemMB: 2048},
+		Fixed:   k8s.Resources{MilliCPU: 2000, MemMB: 4096},
+	})
 }

@@ -206,13 +206,6 @@ func (r *Registry) List() []string {
 	return refs
 }
 
-// LayerCount reports distinct stored layers (dedup effectiveness).
-func (r *Registry) LayerCount() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.layers)
-}
-
 // Builder assembles images from BuildSpecs against a registry.
 type Builder struct {
 	registry *Registry

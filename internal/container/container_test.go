@@ -72,8 +72,8 @@ func TestRegistryLayerDedup(t *testing.T) {
 	shared := NewLayer([]File{{Path: "/usr/lib/python3", Data: []byte("py")}})
 	r.Push(&Image{Name: "a", Tag: "latest", Layers: []Layer{shared}})
 	r.Push(&Image{Name: "b", Tag: "latest", Layers: []Layer{shared, NewLayer([]File{{Path: "/model", Data: []byte("w")}})}})
-	if r.LayerCount() != 2 {
-		t.Fatalf("shared layer should be stored once: %d layers", r.LayerCount())
+	if len(r.layers) != 2 {
+		t.Fatalf("shared layer should be stored once: %d layers", len(r.layers))
 	}
 	if len(r.List()) != 2 {
 		t.Fatalf("want 2 images, got %v", r.List())

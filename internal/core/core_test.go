@@ -406,3 +406,54 @@ func pipelineDoc(name string, steps []string) *schema.Document {
 		},
 	}
 }
+
+// TestRedeployServesTheRepublishedVersion: publish v1, deploy, run;
+// publish v2 with a different entry, deploy, run. The second deploy must
+// replace v1's pods, and a result cached between the publish and the
+// deploy — v1's answer under v2's key — must not outlive it.
+func TestRedeployServesTheRepublishedVersion(t *testing.T) {
+	tb := newTB(t, bench.Options{ServiceCache: true})
+	ms, ctx := tb.MS, context.Background()
+	run := func(opts core.RunOptions) any {
+		t.Helper()
+		res, err := ms.Run(ctx, core.Anonymous, "anonymous/noop", "abc", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Output
+	}
+
+	id, err := ms.Publish(ctx, core.Anonymous, servable.NoopPackage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ms.Deploy(ctx, core.Anonymous, id, 1, "parsl"); err != nil {
+		t.Fatal(err)
+	}
+	if out := run(core.RunOptions{}); out != "hello world" {
+		t.Fatalf("v1 answered %v", out)
+	}
+
+	v2 := servable.NoopPackage()
+	v2.Doc.Servable.Entry = "test:length"
+	if _, err := ms.Publish(ctx, core.Anonymous, v2); err != nil {
+		t.Fatal(err)
+	}
+	// Published, not yet deployed: the site still serves v1, and this
+	// answer is cached under v2's key.
+	if out := run(core.RunOptions{}); out != "hello world" {
+		t.Fatalf("before the redeploy the old pods answer, got %v", out)
+	}
+	if err := ms.Deploy(ctx, core.Anonymous, id, 2, "parsl"); err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.ExecutorReplicas("parsl", id); got != 2 {
+		t.Fatalf("redeploy at 2 replicas left %d", got)
+	}
+	if out := run(core.RunOptions{NoCache: true}); out != float64(3) {
+		t.Fatalf("v2 deployed; past the cache the site answered %v", out)
+	}
+	if out := run(core.RunOptions{}); out != float64(3) {
+		t.Fatalf("v2 deployed; through the cache the answer was %v", out)
+	}
+}

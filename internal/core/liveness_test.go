@@ -22,11 +22,8 @@ import (
 func liveSite(t *testing.T, ms *core.Service, tmID string, hb time.Duration) *taskmanager.TM {
 	t.Helper()
 	reg := container.NewRegistry()
-	builder := container.NewBuilder(reg)
-	rt := container.NewRuntime(reg)
-	rt.RegisterProcess("dlhub-ipp-engine", executor.NewPodProcessFactory(true))
-	cluster := k8s.NewCluster(rt, 2, k8s.Resources{MilliCPU: 32000, MemMB: 64 * 1024})
-	parsl := executor.NewParsl(cluster, builder, netsim.Profile{})
+	cluster := k8s.NewCluster(container.NewRuntime(reg), 2, k8s.Resources{MilliCPU: 32000, MemMB: 64 * 1024})
+	parsl := executor.NewParsl(cluster, container.NewBuilder(reg), netsim.Profile{})
 	tm, err := taskmanager.New(taskmanager.Config{
 		ID:                tmID,
 		Queue:             taskmanager.BrokerAdapter{B: ms.Broker()},

@@ -66,6 +66,7 @@ import (
 
 	"repro/internal/auth"
 	"repro/internal/container"
+	"repro/internal/executor"
 	"repro/internal/queue"
 	"repro/internal/schema"
 	"repro/internal/search"
@@ -651,28 +652,20 @@ func (s *Service) Search(ctx context.Context, caller Caller, q search.Query) (se
 	return s.repo.search(q), nil
 }
 
-// buildImage builds the servable container exactly as §IV-A describes.
+// shimEntrypoint is the entrypoint of the repository's own image: the
+// DLHub shim, which an executor swaps for its serving process when it
+// builds the image it deploys.
+const shimEntrypoint = "dlhub-shim"
+
+// buildImage builds the servable container exactly as §IV-A describes,
+// from the one image recipe, under the repository's name for it.
 func buildImage(b *container.Builder, pkg *servable.Package) (*container.Image, error) {
-	docData, err := json.Marshal(pkg.Doc)
+	spec, err := executor.ImageSpec(pkg, shimEntrypoint)
 	if err != nil {
 		return nil, err
 	}
-	files := []container.File{{Path: "/dlhub/doc.json", Data: docData}}
-	for name, data := range pkg.Components {
-		files = append(files, container.File{Path: "/dlhub/components/" + name, Data: data})
-	}
-	deps := map[string]string{"dlhub_sdk": "0.8.4"}
-	for k, v := range pkg.Doc.Servable.Dependencies {
-		deps[k] = v
-	}
-	return b.Build(container.BuildSpec{
-		Name:       "dlhub/" + strings.ReplaceAll(pkg.Doc.ID, "/", "-"),
-		Tag:        fmt.Sprintf("v%d", pkg.Doc.Version),
-		Deps:       deps,
-		Files:      files,
-		Entrypoint: "dlhub-shim",
-		Labels:     map[string]string{"dlhub.servable": pkg.Doc.ID},
-	})
+	spec.Name = "dlhub/" + strings.ReplaceAll(pkg.Doc.ID, "/", "-")
+	return b.Build(spec)
 }
 
 // Dockerfile returns the rendered build recipe for a published
@@ -683,19 +676,14 @@ func (s *Service) Dockerfile(caller Caller, id string) (string, error) {
 		return "", err
 	}
 	pkg := s.repo.pkg(id)
-	deps := map[string]string{"dlhub_sdk": "0.8.4"}
-	for k, v := range doc.Servable.Dependencies {
-		deps[k] = v
+	if pkg == nil { // unpublished since the Get
+		pkg = &servable.Package{Doc: doc}
 	}
-	var files []container.File
-	if pkg != nil {
-		for name := range pkg.Components {
-			files = append(files, container.File{Path: "/dlhub/components/" + name})
-		}
+	spec, err := executor.ImageSpec(pkg, shimEntrypoint)
+	if err != nil {
+		return "", err
 	}
-	spec := container.BuildSpec{
-		Base: "python:3.7", Deps: deps, Files: files, Entrypoint: "dlhub-shim",
-	}
+	spec.Base = "python:3.7"
 	return spec.Dockerfile(), nil
 }
 
@@ -1301,6 +1289,10 @@ func (s *Service) deployOn(ctx context.Context, servableID string, pkg *servable
 		return err
 	}
 	s.logged(recKindDeploy, recPlacement{ID: servableID, TM: tmID, Replicas: replicas})
+	// The pods now run the latest version. A result cached since that
+	// version was published came from the pods it replaced, stored under
+	// the new version's key.
+	s.invalidateCache(servableID)
 	return nil
 }
 

@@ -4,11 +4,14 @@
 // model that currently supports three serving systems: TensorFlow
 // Serving, SageMaker, and a general-purpose Parsl executor."
 //
-// This package holds the Executor interface, the servable pod host (the
+// This package holds the Executor interface; the one deployment
+// lifecycle all four serving systems share (Fleet, fleet.go); the
+// servable image layout (image.go); the servable pod host (the
 // in-container process that exposes the standard execution interface
-// over the cluster network), and the Parsl executor itself. The
-// TF-Serving and SageMaker executors live in their own packages and
-// implement the same interface.
+// over the cluster network); and the Parsl executor itself, whose
+// replica scaling is Fig. 7. The TF-Serving, SageMaker and Clipper
+// executors live in their own packages, embed a Fleet and add their
+// protocol.
 package executor
 
 import (
@@ -17,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
 	"sync"
 	"time"
 
@@ -24,7 +28,6 @@ import (
 	"repro/internal/k8s"
 	"repro/internal/netsim"
 	"repro/internal/rpc"
-	"repro/internal/schema"
 	"repro/internal/servable"
 )
 
@@ -82,35 +85,17 @@ type PodServer struct {
 }
 
 // NewPodProcessFactory returns a container.ProcessFactory that starts a
-// PodServer for each container instance. Images built by the repository
-// bake the servable document under /dlhub/doc.json and components under
-// /dlhub/components/<name>.
+// PodServer for each container instance.
 func NewPodProcessFactory(pythonHosted bool) container.ProcessFactory {
 	return func() container.Process { return &PodServer{pythonHosted: pythonHosted} }
 }
 
 // Start implements container.Process: load the servable and listen.
 func (p *PodServer) Start(fs map[string][]byte, env map[string]string) error {
-	docData, ok := fs["/dlhub/doc.json"]
-	if !ok {
-		return fmt.Errorf("executor: image missing /dlhub/doc.json")
-	}
-	var doc schema.Document
-	if err := json.Unmarshal(docData, &doc); err != nil {
-		return fmt.Errorf("executor: bad servable doc: %w", err)
-	}
-	components := map[string][]byte{}
-	const prefix = "/dlhub/components/"
-	for path, data := range fs {
-		if len(path) > len(prefix) && path[:len(prefix)] == prefix {
-			components[path[len(prefix):]] = data
-		}
-	}
-	sv, err := servable.Load(&doc, components, p.pythonHosted)
+	sv, err := LoadImage(fs, p.pythonHosted)
 	if err != nil {
 		return err
 	}
-
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		sv.Close()
@@ -188,39 +173,16 @@ func DialPod(pod *k8s.Pod, link netsim.Profile) (*rpc.Client, error) {
 	return rpc.NewClient(netsim.Wrap(conn, link)), nil
 }
 
-// --- image packaging ----------------------------------------------------------
-
-// BuildServableImage bakes a servable package into a container image
-// using the given builder, exactly as the Management Service does at
-// publication time (§IV-A): DLHub dependencies + user dependencies +
-// model components + doc, entrypoint = the DLHub shim.
-func BuildServableImage(b *container.Builder, pkg *servable.Package, entrypoint string) (*container.Image, error) {
-	docData, err := json.Marshal(pkg.Doc)
-	if err != nil {
-		return nil, err
-	}
-	files := []container.File{{Path: "/dlhub/doc.json", Data: docData}}
-	for name, data := range pkg.Components {
-		files = append(files, container.File{Path: "/dlhub/components/" + name, Data: data})
-	}
-	deps := map[string]string{"dlhub_sdk": "0.8.4", "parsl": "0.7.2"}
-	for k, v := range pkg.Doc.Servable.Dependencies {
-		deps[k] = v
-	}
-	spec := container.BuildSpec{
-		Name:       "servables/" + pkg.Doc.Publication.Name,
-		Tag:        fmt.Sprintf("v%d", max(1, pkg.Doc.Version)),
-		Deps:       deps,
-		Files:      files,
-		Entrypoint: entrypoint,
-		Labels:     map[string]string{"dlhub.servable": pkg.Doc.ID},
-	}
-	return b.Build(spec)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// HTTPClient returns a client whose connections are shaped by link —
+// how the HTTP-speaking executors reach their pods.
+func HTTPClient(link netsim.Profile) *http.Client {
+	return &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			conn, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+			if err != nil {
+				return nil, err
+			}
+			return netsim.Wrap(conn, link), nil
+		},
+	}}
 }

@@ -18,16 +18,13 @@ func init() {
 	simconst.Scale = 1000
 }
 
-// testbed assembles registry/runtime/cluster with the IPP engine
-// process registered.
+// testbed assembles registry/runtime/cluster; NewParsl registers the
+// IPP engine process itself.
 func testbed(t *testing.T) (*k8s.Cluster, *container.Builder) {
 	t.Helper()
 	reg := container.NewRegistry()
-	builder := container.NewBuilder(reg)
-	rt := container.NewRuntime(reg)
-	rt.RegisterProcess("dlhub-ipp-engine", NewPodProcessFactory(true))
-	cluster := k8s.NewCluster(rt, 4, k8s.Resources{MilliCPU: 32000, MemMB: 128 * 1024})
-	return cluster, builder
+	cluster := k8s.NewCluster(container.NewRuntime(reg), 4, k8s.Resources{MilliCPU: 32000, MemMB: 128 * 1024})
+	return cluster, container.NewBuilder(reg)
 }
 
 func newParsl(t *testing.T) *Parsl {
@@ -192,7 +189,7 @@ func TestBuildServableImageContents(t *testing.T) {
 	pkg := servable.MatminerUtilPackage()
 	pkg.Doc.ID = "u/util"
 	pkg.Doc.Version = 3
-	img, err := BuildServableImage(builder, pkg, "dlhub-ipp-engine")
+	img, err := BuildServableImage(builder, pkg, ParslEntrypoint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,5 +227,54 @@ func TestDeployTwiceScalesInstead(t *testing.T) {
 	}
 	if p.Replicas("dlhub/noop") != 3 {
 		t.Fatalf("second deploy should rescale to 3, got %d", p.Replicas("dlhub/noop"))
+	}
+}
+
+// TestFleetConcurrentLifecycle drives deploy, scale, undeploy and invoke
+// of one servable from many goroutines: whatever order they land in, no
+// call may hang or corrupt the table, and Close must leave no pod behind.
+func TestFleetConcurrentLifecycle(t *testing.T) {
+	cluster, builder := testbed(t)
+	p := NewParsl(cluster, builder, netsim.Profile{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(3)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				pkg := servable.NoopPackage()
+				pkg.Doc.ID = "dlhub/noop"
+				pkg.Doc.Version = 1 + (g+i)%2 // alternate scale and replace
+				if err := p.Deploy(pkg, 1+i%3); err != nil {
+					t.Errorf("deploy: %v", err)
+				}
+			}
+		}(g)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				if err := p.Scale("dlhub/noop", 1+i%2); err != nil && !errors.Is(err, ErrNotDeployed) {
+					t.Errorf("scale: %v", err)
+				}
+				if err := p.Undeploy("dlhub/noop"); err != nil && !errors.Is(err, ErrNotDeployed) {
+					t.Errorf("undeploy: %v", err)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				// A pod may be hung up under the call; only a hang is a failure.
+				p.Invoke(context.Background(), "dlhub/noop", "x") //nolint:errcheck
+			}
+		}()
+	}
+	wg.Wait()
+	p.Close()
+	if pods := cluster.PodsMatching(nil); len(pods) != 0 {
+		t.Fatalf("%d pods outlive Close", len(pods))
+	}
+	if n := cluster.Runtime().Running(); n != 0 {
+		t.Fatalf("%d containers outlive Close", n)
 	}
 }

@@ -11,9 +11,11 @@ import (
 	"repro/internal/k8s"
 	"repro/internal/netsim"
 	"repro/internal/rpc"
-	"repro/internal/servable"
 	"repro/internal/simconst"
 )
+
+// ParslEntrypoint is the image entrypoint of the IPP engine process.
+const ParslEntrypoint = "dlhub-ipp-engine"
 
 // Parsl is the general-purpose executor of §IV-C: "Parsl then deploys
 // IPythonParallel (IPP) engines in each servable container and connects
@@ -21,44 +23,22 @@ import (
 // Parsl dispatches requests to the appropriate containers using IPP,
 // load balancing them automatically across the available pods."
 //
-// Servables run Python-hosted (they are IPython engines). Dispatch runs
-// through a single routing loop per executor, charging DispatchOverhead
-// per task — the serialization point whose saturation Fig. 7 measures
-// ("task dispatch activities eventually come to dominate execution
-// time").
+// Servables run Python-hosted (they are IPython engines); an endpoint
+// of the embedded Fleet is one engine. Dispatch runs through a single
+// routing loop per executor, charging DispatchOverhead per task — the
+// serialization point whose saturation Fig. 7 measures ("task dispatch
+// activities eventually come to dominate execution time").
 type Parsl struct {
-	cluster *k8s.Cluster
-	builder *container.Builder
-	link    netsim.Profile // TM <-> cluster
+	*Fleet[*rpc.Client]
 
-	mu     sync.Mutex
-	deps   map[string]*parslDeployment
-	closed bool
-
-	tasks chan *parslTask
-	done  chan struct{}
-	wg    sync.WaitGroup
-}
-
-type parslDeployment struct {
-	id      string
-	image   string
-	pkg     *servable.Package
-	epMu    sync.Mutex
-	engines []*engine
-	rr      int
-}
-
-// engine is one IPP engine: a connection to a pod plus an in-flight
-// counter for least-busy load balancing.
-type engine struct {
-	pod      *k8s.Pod
-	client   *rpc.Client
-	inflight int
+	tasks    chan *parslTask
+	done     chan struct{}
+	stopOnce sync.Once
+	wg       sync.WaitGroup
 }
 
 type parslTask struct {
-	dep     *parslDeployment
+	id      string
 	payload []byte
 	ctx     context.Context
 	done    chan taskOutcome
@@ -73,12 +53,17 @@ type taskOutcome struct {
 // TM<->pod connections (0.17 ms RTT in the paper's testbed).
 func NewParsl(cluster *k8s.Cluster, builder *container.Builder, link netsim.Profile) *Parsl {
 	p := &Parsl{
-		cluster: cluster,
-		builder: builder,
-		link:    link,
-		deps:    make(map[string]*parslDeployment),
-		tasks:   make(chan *parslTask, 4096),
-		done:    make(chan struct{}),
+		Fleet: NewFleet(cluster, builder, Protocol[*rpc.Client]{
+			Prefix:     "parsl-",
+			Entrypoint: ParslEntrypoint,
+			Process:    NewPodProcessFactory(true),
+			Requests:   k8s.Resources{MilliCPU: 1000, MemMB: 2048},
+			Dial:       func(pod *k8s.Pod) (*rpc.Client, error) { return DialPod(pod, link) },
+			Hangup:     func(c *rpc.Client) { c.Close() },
+		}),
+		// Deep enough that Invoke rarely blocks on the dispatcher.
+		tasks: make(chan *parslTask, 4096),
+		done:  make(chan struct{}),
 	}
 	p.wg.Add(1)
 	go p.dispatchLoop()
@@ -105,153 +90,29 @@ func (p *Parsl) dispatchLoop() {
 		// channel, completion bookkeeping.
 		time.Sleep(simconst.D(simconst.DispatchOverhead))
 
-		eng := task.dep.pickEngine()
-		if eng == nil {
-			task.done <- taskOutcome{err: fmt.Errorf("%w: %s has no engines", ErrNotDeployed, task.dep.id)}
-			continue
-		}
-		go func(task *parslTask, eng *engine) {
-			data, err := eng.client.Call(task.ctx, "run", task.payload)
-			task.dep.release(eng)
-			task.done <- taskOutcome{data: data, err: err}
-		}(task, eng)
-	}
-}
-
-// pickEngine returns the least-busy engine and bumps its counter.
-func (d *parslDeployment) pickEngine() *engine {
-	d.epMu.Lock()
-	defer d.epMu.Unlock()
-	if len(d.engines) == 0 {
-		return nil
-	}
-	best := -1
-	for i := range d.engines {
-		idx := (d.rr + i) % len(d.engines)
-		if best == -1 || d.engines[idx].inflight < d.engines[best].inflight {
-			best = idx
-		}
-	}
-	d.rr = (best + 1) % len(d.engines)
-	d.engines[best].inflight++
-	return d.engines[best]
-}
-
-func (d *parslDeployment) release(e *engine) {
-	d.epMu.Lock()
-	e.inflight--
-	d.epMu.Unlock()
-}
-
-// Deploy implements Executor: build the image (if needed), create a
-// k8s deployment, connect an engine to every pod.
-func (p *Parsl) Deploy(pkg *servable.Package, replicas int) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
-	}
-	if _, exists := p.deps[pkg.Doc.ID]; exists {
-		p.mu.Unlock()
-		return p.Scale(pkg.Doc.ID, replicas)
-	}
-	p.mu.Unlock()
-
-	img, err := BuildServableImage(p.builder, pkg, "dlhub-ipp-engine")
-	if err != nil {
-		return err
-	}
-	depName := "parsl-" + pkg.Doc.Publication.Name
-	if _, err := p.cluster.CreateDeployment(depName, k8s.PodSpec{
-		Image:    img.Ref(),
-		Requests: k8s.Resources{MilliCPU: 1000, MemMB: 2048},
-	}, replicas); err != nil {
-		return err
-	}
-	d := &parslDeployment{id: pkg.Doc.ID, image: depName, pkg: pkg}
-	if err := p.connectEngines(d); err != nil {
-		return err
-	}
-	p.mu.Lock()
-	p.deps[pkg.Doc.ID] = d
-	p.mu.Unlock()
-	return nil
-}
-
-// connectEngines reconciles engine connections with current pods.
-func (p *Parsl) connectEngines(d *parslDeployment) error {
-	pods := p.cluster.PodsMatching(map[string]string{"deployment": d.image})
-	d.epMu.Lock()
-	defer d.epMu.Unlock()
-
-	current := map[string]*engine{}
-	for _, e := range d.engines {
-		current[e.pod.Name] = e
-	}
-	var next []*engine
-	for _, pod := range pods {
-		if e, ok := current[pod.Name]; ok {
-			next = append(next, e)
-			delete(current, pod.Name)
-			continue
-		}
-		client, err := DialPod(pod, p.link)
+		eng, err := p.Pick(task.id)
 		if err != nil {
-			return fmt.Errorf("executor: engine for %s: %w", pod.Name, err)
+			task.done <- taskOutcome{err: err}
+			continue
 		}
-		next = append(next, &engine{pod: pod, client: client})
+		go func() {
+			data, err := eng.Conn.Call(task.ctx, "run", task.payload)
+			p.Release(eng)
+			task.done <- taskOutcome{data: data, err: err}
+		}()
 	}
-	for _, stale := range current {
-		stale.client.Close()
-	}
-	d.engines = next
-	return nil
-}
-
-// Scale implements Executor.
-func (p *Parsl) Scale(servableID string, replicas int) error {
-	p.mu.Lock()
-	d, ok := p.deps[servableID]
-	p.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotDeployed, servableID)
-	}
-	if err := p.cluster.Scale(d.image, replicas); err != nil {
-		return err
-	}
-	return p.connectEngines(d)
-}
-
-// Replicas implements Executor.
-func (p *Parsl) Replicas(servableID string) int {
-	p.mu.Lock()
-	d, ok := p.deps[servableID]
-	p.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	d.epMu.Lock()
-	defer d.epMu.Unlock()
-	return len(d.engines)
 }
 
 // Invoke implements Executor: enqueue for the dispatcher and wait.
 func (p *Parsl) Invoke(ctx context.Context, servableID string, input any) (Result, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return Result{}, ErrClosed
-	}
-	d, ok := p.deps[servableID]
-	p.mu.Unlock()
-	if !ok {
-		return Result{}, fmt.Errorf("%w: %s", ErrNotDeployed, servableID)
+	if err := p.Check(servableID); err != nil {
+		return Result{}, err
 	}
 	payload, err := json.Marshal(input)
 	if err != nil {
 		return Result{}, fmt.Errorf("executor: cannot marshal input: %w", err)
 	}
-	task := &parslTask{dep: d, payload: payload, ctx: ctx, done: make(chan taskOutcome, 1)}
+	task := &parslTask{id: servableID, payload: payload, ctx: ctx, done: make(chan taskOutcome, 1)}
 	select {
 	case p.tasks <- task:
 	case <-p.done:
@@ -274,42 +135,10 @@ func (p *Parsl) Invoke(ctx context.Context, servableID string, input any) (Resul
 	}
 }
 
-// Undeploy implements Executor.
-func (p *Parsl) Undeploy(servableID string) error {
-	p.mu.Lock()
-	d, ok := p.deps[servableID]
-	if ok {
-		delete(p.deps, servableID)
-	}
-	p.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotDeployed, servableID)
-	}
-	d.epMu.Lock()
-	for _, e := range d.engines {
-		e.client.Close()
-	}
-	d.engines = nil
-	d.epMu.Unlock()
-	return p.cluster.DeleteDeployment(d.image)
-}
-
-// Close implements Executor.
+// Close implements Executor: undeploy everything, then stop the
+// dispatcher.
 func (p *Parsl) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	ids := make([]string, 0, len(p.deps))
-	for id := range p.deps {
-		ids = append(ids, id)
-	}
-	p.mu.Unlock()
-	for _, id := range ids {
-		p.Undeploy(id) //nolint:errcheck — best-effort shutdown
-	}
-	close(p.done)
+	p.Fleet.Close()
+	p.stopOnce.Do(func() { close(p.done) })
 	p.wg.Wait()
 }

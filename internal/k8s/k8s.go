@@ -30,6 +30,7 @@ var (
 	ErrNodeNotFound       = errors.New("k8s: node not found")
 	ErrPodNotFound        = errors.New("k8s: pod not found")
 	ErrDeploymentNotFound = errors.New("k8s: deployment not found")
+	ErrDeploymentExists   = errors.New("k8s: deployment already exists")
 	ErrUnschedulable      = errors.New("k8s: no node with sufficient capacity")
 	ErrNoEndpoints        = errors.New("k8s: service has no ready endpoints")
 )
@@ -182,6 +183,10 @@ func PetrelKube(runtime *container.Runtime) *Cluster {
 	return NewCluster(runtime, 14, Resources{MilliCPU: 32000, MemMB: 128 * 1024})
 }
 
+// Runtime returns the container runtime the cluster's pods run on —
+// where an executor registers the process behind its image entrypoint.
+func (c *Cluster) Runtime() *container.Runtime { return c.runtime }
+
 // Nodes returns node names, sorted.
 func (c *Cluster) Nodes() []string {
 	c.mu.RLock()
@@ -323,14 +328,25 @@ func (c *Cluster) PodsMatching(selector map[string]string) []*Pod {
 }
 
 // CreateDeployment creates a deployment and synchronously reconciles it
-// to the requested replica count.
+// to the requested replica count. A name in use is ErrDeploymentExists:
+// a second record under it would restart the pod serial and overwrite
+// the first one's live pods by name. When reconciling fails the
+// deployment stays, with the pods that did start, for the caller to
+// delete.
 func (c *Cluster) CreateDeployment(name string, template PodSpec, replicas int) (*Deployment, error) {
+	if replicas < 0 {
+		return nil, fmt.Errorf("k8s: deployment %s: negative replica count %d", name, replicas)
+	}
 	if template.Labels == nil {
 		template.Labels = map[string]string{}
 	}
 	template.Labels["deployment"] = name
 	d := &Deployment{Name: name, Template: template, replicas: replicas}
 	c.mu.Lock()
+	if _, exists := c.deployments[name]; exists {
+		c.mu.Unlock()
+		return nil, fmt.Errorf("%w: %s", ErrDeploymentExists, name)
+	}
 	c.deployments[name] = d
 	c.mu.Unlock()
 	if err := c.reconcile(d); err != nil {

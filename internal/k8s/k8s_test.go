@@ -134,6 +134,37 @@ func TestDeploymentReconcilesReplicas(t *testing.T) {
 	}
 }
 
+// TestCreateDeploymentRejectsDuplicateName: a second deployment under a
+// live name used to replace the record and restart the pod serial, so
+// its first pod overwrote the running "d-1" by name — one visible pod,
+// two containers, the node charged twice.
+func TestCreateDeploymentRejectsDuplicateName(t *testing.T) {
+	c := newTestCluster(t, 1, Resources{MilliCPU: 4000, MemMB: 8192})
+	spec := PodSpec{Image: "model", Requests: Resources{MilliCPU: 1000}}
+	if _, err := c.CreateDeployment("d", spec, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateDeployment("d", spec, 2); !errors.Is(err, ErrDeploymentExists) {
+		t.Fatalf("want ErrDeploymentExists, got %v", err)
+	}
+	if got := len(c.PodsMatching(map[string]string{"deployment": "d"})); got != 1 {
+		t.Fatalf("the refused create changed the pods: %d", got)
+	}
+	if got := c.Runtime().Running(); got != 1 {
+		t.Fatalf("%d containers run for one pod", got)
+	}
+	if _, err := c.CreateDeployment("neg", spec, -1); err == nil {
+		t.Fatal("a negative replica count should be refused")
+	}
+	// The name is free again once the deployment is deleted.
+	if err := c.DeleteDeployment("d"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateDeployment("d", spec, 2); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDeleteDeployment(t *testing.T) {
 	c := newTestCluster(t, 2, Resources{MilliCPU: 32000, MemMB: 64 * 1024})
 	if _, err := c.CreateDeployment("d", PodSpec{Image: "model", Requests: Resources{MilliCPU: 100}}, 4); err != nil {

@@ -172,75 +172,3 @@ func Throughput(n int, makespan time.Duration) float64 {
 	}
 	return float64(n) / makespan.Seconds()
 }
-
-// Collector groups several named series, e.g. the request/invocation/
-// inference decomposition captured at the three measurement points of
-// §V-A.
-type Collector struct {
-	mu     sync.Mutex
-	series map[string]*Series
-}
-
-// NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{series: make(map[string]*Series)}
-}
-
-// Series returns the named series, creating it if needed.
-func (c *Collector) Series(name string) *Series {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.series[name]
-	if !ok {
-		s = NewSeries(name)
-		c.series[name] = s
-	}
-	return s
-}
-
-// Names returns the sorted names of all series.
-func (c *Collector) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.series))
-	for n := range c.series {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Histogram buckets durations into fixed-width bins for quick textual
-// distribution inspection.
-type Histogram struct {
-	Width   time.Duration
-	Buckets map[int]int
-
-	mu sync.Mutex
-}
-
-// NewHistogram creates a histogram with the given bucket width.
-func NewHistogram(width time.Duration) *Histogram {
-	if width <= 0 {
-		width = time.Millisecond
-	}
-	return &Histogram{Width: width, Buckets: make(map[int]int)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(d time.Duration) {
-	h.mu.Lock()
-	h.Buckets[int(d/h.Width)]++
-	h.mu.Unlock()
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := 0
-	for _, c := range h.Buckets {
-		n += c
-	}
-	return n
-}

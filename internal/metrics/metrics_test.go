@@ -171,41 +171,6 @@ func TestThroughput(t *testing.T) {
 	}
 }
 
-func TestCollector(t *testing.T) {
-	c := NewCollector()
-	c.Series("request").Add(time.Millisecond)
-	c.Series("invocation").Add(2 * time.Millisecond)
-	c.Series("request").Add(3 * time.Millisecond)
-	if c.Series("request").Len() != 2 {
-		t.Fatal("series should persist across Series() calls")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "invocation" || names[1] != "request" {
-		t.Fatalf("Names wrong: %v", names)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10 * time.Millisecond)
-	h.Add(5 * time.Millisecond)  // bucket 0
-	h.Add(15 * time.Millisecond) // bucket 1
-	h.Add(19 * time.Millisecond) // bucket 1
-	h.Add(25 * time.Millisecond) // bucket 2
-	if h.Total() != 4 {
-		t.Fatalf("want 4 observations, got %d", h.Total())
-	}
-	if h.Buckets[1] != 2 {
-		t.Fatalf("bucket 1 should have 2, got %d", h.Buckets[1])
-	}
-}
-
-func TestHistogramDefaultWidth(t *testing.T) {
-	h := NewHistogram(0)
-	if h.Width != time.Millisecond {
-		t.Fatalf("zero width should default to 1ms, got %v", h.Width)
-	}
-}
-
 func TestMillis(t *testing.T) {
 	if Millis(1500*time.Microsecond) != 1.5 {
 		t.Fatalf("Millis(1.5ms) = %v", Millis(1500*time.Microsecond))

@@ -176,87 +176,3 @@ func (l *Listener) Accept() (net.Conn, error) {
 	}
 	return Wrap(conn, l.p), nil
 }
-
-// Dialer dials TCP connections shaped with a profile.
-type Dialer struct {
-	P Profile
-	// Timeout bounds connection establishment; zero means no timeout.
-	Timeout time.Duration
-}
-
-// Dial connects to addr and wraps the connection. The configured one-way
-// propagation delay is also charged once for connection establishment.
-func (d Dialer) Dial(network, addr string) (net.Conn, error) {
-	var (
-		conn net.Conn
-		err  error
-	)
-	if d.Timeout > 0 {
-		conn, err = net.DialTimeout(network, addr, d.Timeout)
-	} else {
-		conn, err = net.Dial(network, addr)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if d.P.OneWay > 0 {
-		time.Sleep(d.P.OneWay)
-	}
-	return Wrap(conn, d.P), nil
-}
-
-// Host names the paper's three sites.
-type Host string
-
-// The three sites of §V-A.
-const (
-	HostEC2     Host = "ec2"        // Management Service
-	HostCooley  Host = "cooley"     // Task Manager
-	HostCluster Host = "petrelkube" // Kubernetes cluster with servables
-)
-
-// Topology maps ordered host pairs to link profiles. It is symmetric:
-// Link(a,b) == Link(b,a).
-type Topology struct {
-	mu    sync.RWMutex
-	links map[[2]Host]Profile
-}
-
-// NewTopology returns an empty topology.
-func NewTopology() *Topology {
-	return &Topology{links: make(map[[2]Host]Profile)}
-}
-
-func key(a, b Host) [2]Host {
-	if b < a {
-		a, b = b, a
-	}
-	return [2]Host{a, b}
-}
-
-// SetLink installs a symmetric link profile between two hosts. The
-// profile's OneWay should already be half the desired RTT (use RTT()).
-func (t *Topology) SetLink(a, b Host, p Profile) {
-	t.mu.Lock()
-	t.links[key(a, b)] = p
-	t.mu.Unlock()
-}
-
-// Link returns the profile between two hosts. Unknown pairs — including
-// a host to itself — get a zero (unshaped) profile.
-func (t *Topology) Link(a, b Host) Profile {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.links[key(a, b)]
-}
-
-// Paper builds the §V-A topology: EC2<->Cooley at 20.7 ms RTT over the
-// WAN, Cooley<->PetrelKube at 0.17 ms over the lab fabric. The caller
-// supplies the constants so this package stays dependency-free.
-func Paper(wanRTT, labRTT time.Duration, wanBW, labBW float64) *Topology {
-	t := NewTopology()
-	t.SetLink(HostEC2, HostCooley, RTT(wanRTT, wanBW))
-	t.SetLink(HostCooley, HostCluster, RTT(labRTT, labBW))
-	t.SetLink(HostEC2, HostCluster, RTT(wanRTT+labRTT, wanBW))
-	return t
-}

@@ -202,69 +202,6 @@ func TestListenerWrapsAccepted(t *testing.T) {
 	}
 }
 
-func TestDialer(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go io.Copy(c, c)
-		}
-	}()
-
-	d := Dialer{P: Profile{OneWay: 5 * time.Millisecond}, Timeout: time.Second}
-	conn, err := d.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	start := time.Now()
-	conn.Write([]byte("a"))
-	buf := make([]byte, 1)
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		t.Fatal(err)
-	}
-	// Outbound shaped 5ms; echo return unshaped.
-	if time.Since(start) < 5*time.Millisecond {
-		t.Fatal("dialer conn not shaped")
-	}
-}
-
-func TestTopologySymmetric(t *testing.T) {
-	topo := NewTopology()
-	p := RTT(20*time.Millisecond, 1e9)
-	topo.SetLink(HostEC2, HostCooley, p)
-	if got := topo.Link(HostCooley, HostEC2); got != p {
-		t.Fatalf("link not symmetric: %+v", got)
-	}
-	if got := topo.Link(HostEC2, HostEC2); got != (Profile{}) {
-		t.Fatalf("self link should be zero, got %+v", got)
-	}
-}
-
-func TestPaperTopology(t *testing.T) {
-	topo := Paper(20700*time.Microsecond, 170*time.Microsecond, 1e8, 5e9)
-	wan := topo.Link(HostEC2, HostCooley)
-	if wan.OneWay != 10350*time.Microsecond {
-		t.Fatalf("WAN one-way should be half of 20.7ms, got %v", wan.OneWay)
-	}
-	lab := topo.Link(HostCooley, HostCluster)
-	if lab.OneWay != 85*time.Microsecond {
-		t.Fatalf("lab one-way should be 85us, got %v", lab.OneWay)
-	}
-	direct := topo.Link(HostEC2, HostCluster)
-	if direct.OneWay <= wan.OneWay {
-		t.Fatal("EC2->cluster should be longer than EC2->Cooley")
-	}
-}
-
-// Property: RTT() always halves the round trip exactly.
 func TestRTTProperty(t *testing.T) {
 	f := func(ms uint16) bool {
 		rtt := time.Duration(ms) * time.Millisecond

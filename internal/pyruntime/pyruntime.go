@@ -23,7 +23,6 @@
 package pyruntime
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -113,13 +112,6 @@ func (it *Interpreter) Import(module string) {
 	it.mu.Unlock()
 }
 
-// Calls returns the number of completed Call invocations.
-func (it *Interpreter) Calls() uint64 {
-	it.mu.Lock()
-	defer it.mu.Unlock()
-	return it.calls
-}
-
 func (it *Interpreter) factor() float64 {
 	if it.CallFactor > 0 {
 		return it.CallFactor
@@ -187,19 +179,4 @@ func (it *Interpreter) Stop() {
 	it.mu.Lock()
 	it.started = false
 	it.mu.Unlock()
-}
-
-// MarshalArg round-trips v through JSON, mimicking the serialization
-// boundary between the shim and the interpreter (and normalizing Go
-// types to JSON types the way real DLHub payloads are normalized).
-func MarshalArg(v any) (any, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	var out any
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -44,12 +44,6 @@ func DecodeFloats(p []byte) ([]float32, error) {
 	return out, nil
 }
 
-// EncodeJSON marshals v; panics are never used — errors propagate.
-func EncodeJSON(v any) ([]byte, error) { return json.Marshal(v) }
-
-// DecodeJSON unmarshals p into v.
-func DecodeJSON(p []byte, v any) error { return json.Unmarshal(p, v) }
-
 // --- REST helpers -----------------------------------------------------
 
 // WriteJSON writes v as a JSON response with the given status code.
@@ -131,23 +125,6 @@ func PostJSON(client *http.Client, url string, in, out any) error {
 	}
 	if out == nil {
 		return nil
-	}
-	return json.Unmarshal(data, out)
-}
-
-// GetJSON issues a GET and decodes the JSON response into out.
-func GetJSON(client *http.Client, url string, out any) error {
-	resp, err := client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, MaxFrameSize))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("http %d: %s", resp.StatusCode, bytes.TrimSpace(data))
 	}
 	return json.Unmarshal(data, out)
 }

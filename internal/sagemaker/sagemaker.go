@@ -1,6 +1,7 @@
 // Package sagemaker reproduces the SageMaker serving path of §IV-C and
-// §V-B5: "The SageMaker container includes a Python Flask application
-// that exposes an HTTP-based model inference interface." The Flask app
+// §V-B5 (the SageMaker-Flask row of Fig. 8): "The SageMaker container
+// includes a Python Flask application that exposes an HTTP-based model
+// inference interface." The Flask app
 // hosts the servable under the simulated Python runtime and adds the
 // calibrated WSGI per-request overhead; SageMaker can alternatively
 // front TensorFlow Serving ("SageMaker-TFServing"), which the Fig. 8
@@ -10,11 +11,8 @@ package sagemaker
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -23,7 +21,6 @@ import (
 	"repro/internal/k8s"
 	"repro/internal/netsim"
 	"repro/internal/rpc"
-	"repro/internal/schema"
 	"repro/internal/servable"
 	"repro/internal/simconst"
 )
@@ -40,29 +37,9 @@ type FlaskApp struct {
 	addr    string
 }
 
-// NewProcessFactory returns the container process factory.
-func NewProcessFactory() container.ProcessFactory {
-	return func() container.Process { return &FlaskApp{} }
-}
-
 // Start implements container.Process.
 func (a *FlaskApp) Start(fs map[string][]byte, env map[string]string) error {
-	docData, ok := fs["/dlhub/doc.json"]
-	if !ok {
-		return fmt.Errorf("sagemaker: image missing /dlhub/doc.json")
-	}
-	var doc schema.Document
-	if err := json.Unmarshal(docData, &doc); err != nil {
-		return err
-	}
-	components := map[string][]byte{}
-	const prefix = "/dlhub/components/"
-	for path, data := range fs {
-		if strings.HasPrefix(path, prefix) {
-			components[path[len(prefix):]] = data
-		}
-	}
-	sv, err := servable.Load(&doc, components, true /* Flask is Python */)
+	sv, err := executor.LoadImage(fs, true /* Flask is Python */)
 	if err != nil {
 		return err
 	}
@@ -136,23 +113,10 @@ func (a *FlaskApp) Addr() string {
 
 // Executor deploys SageMaker Flask containers on Kubernetes (§IV-C
 // "SageMaker executor ... composes HTTP requests to the SageMaker
-// interface to perform inference").
+// interface to perform inference"). The deployment lifecycle is the
+// embedded Fleet's; an endpoint is one Flask app's /invocations URL.
 type Executor struct {
-	cluster *k8s.Cluster
-	builder *container.Builder
-	link    netsim.Profile
-
-	mu   sync.Mutex
-	deps map[string]*deployment
-}
-
-type deployment struct {
-	id      string
-	depName string
-
-	epMu sync.Mutex
-	eps  []endpoint
-	rr   int
+	*executor.Fleet[endpoint]
 }
 
 type endpoint struct {
@@ -162,140 +126,32 @@ type endpoint struct {
 
 // New creates a SageMaker executor.
 func New(cluster *k8s.Cluster, builder *container.Builder, link netsim.Profile) *Executor {
-	return &Executor{cluster: cluster, builder: builder, link: link, deps: make(map[string]*deployment)}
+	return &Executor{executor.NewFleet(cluster, builder, executor.Protocol[endpoint]{
+		Prefix:     "sm-",
+		Entrypoint: Entrypoint,
+		Process:    func() container.Process { return &FlaskApp{} },
+		Requests:   k8s.Resources{MilliCPU: 2000, MemMB: 4096},
+		Dial: func(pod *k8s.Pod) (endpoint, error) {
+			addr, err := executor.PodAddr(pod)
+			return endpoint{url: "http://" + addr + "/invocations", client: executor.HTTPClient(link)}, err
+		},
+		Hangup: func(ep endpoint) { ep.client.CloseIdleConnections() },
+	})}
 }
 
 // Name implements executor.Executor.
 func (e *Executor) Name() string { return "sagemaker-flask" }
 
-// Deploy implements executor.Executor.
-func (e *Executor) Deploy(pkg *servable.Package, replicas int) error {
-	img, err := executor.BuildServableImage(e.builder, pkg, Entrypoint)
-	if err != nil {
-		return err
-	}
-	depName := "sm-" + pkg.Doc.Publication.Name
-	if _, err := e.cluster.CreateDeployment(depName, k8s.PodSpec{
-		Image:    img.Ref(),
-		Requests: k8s.Resources{MilliCPU: 2000, MemMB: 4096},
-	}, replicas); err != nil {
-		return err
-	}
-	d := &deployment{id: pkg.Doc.ID, depName: depName}
-	if err := e.connect(d); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	e.deps[pkg.Doc.ID] = d
-	e.mu.Unlock()
-	return nil
-}
-
-func (e *Executor) connect(d *deployment) error {
-	pods := e.cluster.PodsMatching(map[string]string{"deployment": d.depName})
-	d.epMu.Lock()
-	defer d.epMu.Unlock()
-	d.eps = nil
-	for _, pod := range pods {
-		ctr := pod.Container()
-		if ctr == nil {
-			continue
-		}
-		app, ok := ctr.Proc.(*FlaskApp)
-		if !ok {
-			return fmt.Errorf("sagemaker: pod %s is not a Flask app", pod.Name)
-		}
-		link := e.link
-		d.eps = append(d.eps, endpoint{
-			url: "http://" + app.Addr() + "/invocations",
-			client: &http.Client{Transport: &http.Transport{
-				DialContext: func(_ context.Context, network, addr string) (net.Conn, error) {
-					conn, err := net.Dial(network, addr)
-					if err != nil {
-						return nil, err
-					}
-					return netsim.Wrap(conn, link), nil
-				},
-			}},
-		})
-	}
-	return nil
-}
-
-// Scale implements executor.Executor.
-func (e *Executor) Scale(servableID string, replicas int) error {
-	e.mu.Lock()
-	d, ok := e.deps[servableID]
-	e.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", executor.ErrNotDeployed, servableID)
-	}
-	if err := e.cluster.Scale(d.depName, replicas); err != nil {
-		return err
-	}
-	return e.connect(d)
-}
-
-// Replicas implements executor.Executor.
-func (e *Executor) Replicas(servableID string) int {
-	e.mu.Lock()
-	d, ok := e.deps[servableID]
-	e.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	d.epMu.Lock()
-	defer d.epMu.Unlock()
-	return len(d.eps)
-}
-
 // Invoke implements executor.Executor.
 func (e *Executor) Invoke(_ context.Context, servableID string, input any) (executor.Result, error) {
-	e.mu.Lock()
-	d, ok := e.deps[servableID]
-	e.mu.Unlock()
-	if !ok {
-		return executor.Result{}, fmt.Errorf("%w: %s", executor.ErrNotDeployed, servableID)
+	ep, err := e.Pick(servableID)
+	if err != nil {
+		return executor.Result{}, err
 	}
-	d.epMu.Lock()
-	if len(d.eps) == 0 {
-		d.epMu.Unlock()
-		return executor.Result{}, fmt.Errorf("%w: no endpoints", executor.ErrNotDeployed)
-	}
-	ep := d.eps[d.rr%len(d.eps)]
-	d.rr++
-	d.epMu.Unlock()
-
+	defer e.Release(ep)
 	var res executor.Result
-	if err := rpc.PostJSON(ep.client, ep.url, input, &res); err != nil {
+	if err := rpc.PostJSON(ep.Conn.client, ep.Conn.url, input, &res); err != nil {
 		return executor.Result{}, err
 	}
 	return res, nil
-}
-
-// Undeploy implements executor.Executor.
-func (e *Executor) Undeploy(servableID string) error {
-	e.mu.Lock()
-	d, ok := e.deps[servableID]
-	if ok {
-		delete(e.deps, servableID)
-	}
-	e.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", executor.ErrNotDeployed, servableID)
-	}
-	return e.cluster.DeleteDeployment(d.depName)
-}
-
-// Close implements executor.Executor.
-func (e *Executor) Close() {
-	e.mu.Lock()
-	ids := make([]string, 0, len(e.deps))
-	for id := range e.deps {
-		ids = append(ids, id)
-	}
-	e.mu.Unlock()
-	for _, id := range ids {
-		e.Undeploy(id) //nolint:errcheck
-	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/container"
 	"repro/internal/executor"
+	"repro/internal/executor/executortest"
 	"repro/internal/k8s"
 	"repro/internal/netsim"
 	"repro/internal/servable"
@@ -21,11 +22,8 @@ func init() {
 func newExec(t *testing.T) *Executor {
 	t.Helper()
 	reg := container.NewRegistry()
-	builder := container.NewBuilder(reg)
-	rt := container.NewRuntime(reg)
-	rt.RegisterProcess(Entrypoint, NewProcessFactory())
-	cluster := k8s.NewCluster(rt, 4, k8s.Resources{MilliCPU: 32000, MemMB: 128 * 1024})
-	e := New(cluster, builder, netsim.RTT(170*time.Microsecond, 0))
+	cluster := k8s.NewCluster(container.NewRuntime(reg), 4, k8s.Resources{MilliCPU: 32000, MemMB: 128 * 1024})
+	e := New(cluster, container.NewBuilder(reg), netsim.RTT(170*time.Microsecond, 0))
 	t.Cleanup(e.Close)
 	return e
 }
@@ -109,4 +107,15 @@ func TestScaleAndUndeploy(t *testing.T) {
 	if err := e.Scale("ghost", 1); !errors.Is(err, executor.ErrNotDeployed) {
 		t.Fatalf("want not deployed, got %v", err)
 	}
+}
+
+func TestConformance(t *testing.T) {
+	executortest.Run(t, executortest.Suite[endpoint]{
+		New: func(t *testing.T, cluster *k8s.Cluster, builder *container.Builder) executortest.Subject[endpoint] {
+			return New(cluster, builder, netsim.RTT(170*time.Microsecond, 0))
+		},
+		Package: executortest.PythonPackage,
+		Input:   "abc",
+		Replica: k8s.Resources{MilliCPU: 2000, MemMB: 4096},
+	})
 }

@@ -1,6 +1,7 @@
-// Package tfserving reproduces TensorFlow Serving as used in §V-B5: the
-// C++ tensorflow_model_server serving trained models over both gRPC and
-// REST APIs. The server process hosts the servable *natively* (no
+// Package tfserving reproduces TensorFlow Serving as used in §V-B5 — the
+// TFServing and SageMaker-TFServing rows of Fig. 8: the C++
+// tensorflow_model_server serving trained models over both gRPC and REST
+// APIs. The server process hosts the servable *natively* (no
 // simulated-Python costs — this is the compiled runtime whose speed
 // advantage Fig. 8 shows), exposes a binary framed "gRPC" endpoint
 // carrying raw float32 tensors, and a REST endpoint carrying JSON — so
@@ -50,35 +51,15 @@ type Server struct {
 	name     string
 }
 
-// NewProcessFactory returns the container process factory for the model
-// server.
-func NewProcessFactory() container.ProcessFactory {
-	return func() container.Process { return &Server{} }
-}
-
 // Start implements container.Process.
 func (s *Server) Start(fs map[string][]byte, env map[string]string) error {
-	docData, ok := fs["/dlhub/doc.json"]
-	if !ok {
-		return fmt.Errorf("tfserving: image missing /dlhub/doc.json")
-	}
-	var doc schema.Document
-	if err := json.Unmarshal(docData, &doc); err != nil {
-		return err
-	}
-	if doc.Servable.Type != schema.TypeTensorFlow && doc.Servable.Type != schema.TypeKeras {
-		return fmt.Errorf("tfserving: cannot export %s as a TensorFlow servable", doc.Servable.Type)
-	}
-	components := map[string][]byte{}
-	const prefix = "/dlhub/components/"
-	for path, data := range fs {
-		if strings.HasPrefix(path, prefix) {
-			components[path[len(prefix):]] = data
-		}
-	}
-	sv, err := servable.Load(&doc, components, false /* native C++ host */)
+	sv, err := executor.LoadImage(fs, false /* native C++ host */)
 	if err != nil {
 		return err
+	}
+	if t := sv.Doc.Servable.Type; t != schema.TypeTensorFlow && t != schema.TypeKeras {
+		sv.Close()
+		return fmt.Errorf("tfserving: cannot export %s as a TensorFlow servable", t)
 	}
 
 	// gRPC listener.
@@ -146,7 +127,7 @@ func (s *Server) Start(fs map[string][]byte, env map[string]string) error {
 	s.httpSrv = httpSrv
 	s.grpcAddr = gl.Addr().String()
 	s.restAddr = rl.Addr().String()
-	s.name = doc.Publication.Name
+	s.name = sv.Doc.Publication.Name
 	s.mu.Unlock()
 	return nil
 }
@@ -191,174 +172,72 @@ func (s *Server) ModelName() string {
 
 // Executor deploys TensorFlow Serving containers on Kubernetes and
 // routes invocations over the chosen API (§IV-C "TensorFlow Serving
-// executor").
+// executor"). The deployment lifecycle is the embedded Fleet's; an
+// endpoint is one model server reached over that API.
 type Executor struct {
-	cluster *k8s.Cluster
-	builder *container.Builder
-	link    netsim.Profile
-	api     API
-
-	mu   sync.Mutex
-	deps map[string]*deployment
+	*executor.Fleet[endpoint]
+	api API
 }
 
-type deployment struct {
-	id      string
-	depName string
-
-	epMu  sync.Mutex
-	grpc  []*rpc.Client
-	rest  []restEndpoint
-	rr    int
-	model string
-}
-
-type restEndpoint struct {
-	url    string
-	client *http.Client
+// endpoint is one model server: a framed connection for gRPC, a URL and
+// a shaped client for REST.
+type endpoint struct {
+	grpc *rpc.Client
+	url  string
+	http *http.Client
 }
 
 // New creates a TF-Serving executor using the given API variant.
 func New(cluster *k8s.Cluster, builder *container.Builder, link netsim.Profile, api API) *Executor {
-	return &Executor{
-		cluster: cluster,
-		builder: builder,
-		link:    link,
-		api:     api,
-		deps:    make(map[string]*deployment),
-	}
+	return &Executor{api: api, Fleet: executor.NewFleet(cluster, builder, executor.Protocol[endpoint]{
+		// Per API: both variants may serve one model on one cluster.
+		Prefix:     "tfs-" + string(api) + "-",
+		Entrypoint: Entrypoint,
+		Process:    func() container.Process { return &Server{} },
+		Requests:   k8s.Resources{MilliCPU: 2000, MemMB: 4096},
+		Dial: func(pod *k8s.Pod) (endpoint, error) {
+			srv, ok := pod.Container().Proc.(*Server)
+			if !ok {
+				return endpoint{}, fmt.Errorf("tfserving: pod %s is not a model server", pod.Name)
+			}
+			if api == GRPC {
+				client, err := executor.DialPod(pod, link)
+				return endpoint{grpc: client}, err
+			}
+			url := "http://" + srv.RESTAddr() + "/v1/models/" + srv.ModelName() + ":predict"
+			return endpoint{url: url, http: executor.HTTPClient(link)}, nil
+		},
+		Hangup: func(ep endpoint) {
+			if ep.grpc != nil {
+				ep.grpc.Close()
+			} else {
+				ep.http.CloseIdleConnections()
+			}
+		},
+	})}
 }
 
 // Name implements executor.Executor.
 func (e *Executor) Name() string { return "tfserving-" + string(e.api) }
 
-// Deploy implements executor.Executor.
-func (e *Executor) Deploy(pkg *servable.Package, replicas int) error {
-	img, err := executor.BuildServableImage(e.builder, pkg, Entrypoint)
-	if err != nil {
-		return err
-	}
-	depName := "tfs-" + pkg.Doc.Publication.Name
-	if _, err := e.cluster.CreateDeployment(depName, k8s.PodSpec{
-		Image:    img.Ref(),
-		Requests: k8s.Resources{MilliCPU: 2000, MemMB: 4096},
-	}, replicas); err != nil {
-		return err
-	}
-	d := &deployment{id: pkg.Doc.ID, depName: depName, model: pkg.Doc.Publication.Name}
-	if err := e.connect(d); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	e.deps[pkg.Doc.ID] = d
-	e.mu.Unlock()
-	return nil
-}
-
-func (e *Executor) connect(d *deployment) error {
-	pods := e.cluster.PodsMatching(map[string]string{"deployment": d.depName})
-	d.epMu.Lock()
-	defer d.epMu.Unlock()
-	for _, c := range d.grpc {
-		c.Close()
-	}
-	d.grpc = nil
-	d.rest = nil
-	for _, pod := range pods {
-		ctr := pod.Container()
-		if ctr == nil {
-			continue
-		}
-		srv, ok := ctr.Proc.(*Server)
-		if !ok {
-			return fmt.Errorf("tfserving: pod %s is not a model server", pod.Name)
-		}
-		switch e.api {
-		case GRPC:
-			conn, err := net.Dial("tcp", srv.Addr())
-			if err != nil {
-				return err
-			}
-			d.grpc = append(d.grpc, rpc.NewClient(netsim.Wrap(conn, e.link)))
-		case REST:
-			link := e.link
-			d.rest = append(d.rest, restEndpoint{
-				url: "http://" + srv.RESTAddr() + "/v1/models/" + d.model + ":predict",
-				client: &http.Client{Transport: &http.Transport{
-					DialContext: func(_ context.Context, network, addr string) (net.Conn, error) {
-						conn, err := net.Dial(network, addr)
-						if err != nil {
-							return nil, err
-						}
-						return netsim.Wrap(conn, link), nil
-					},
-				}},
-			})
-		}
-	}
-	return nil
-}
-
-// Scale implements executor.Executor.
-func (e *Executor) Scale(servableID string, replicas int) error {
-	e.mu.Lock()
-	d, ok := e.deps[servableID]
-	e.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", executor.ErrNotDeployed, servableID)
-	}
-	if err := e.cluster.Scale(d.depName, replicas); err != nil {
-		return err
-	}
-	return e.connect(d)
-}
-
-// Replicas implements executor.Executor.
-func (e *Executor) Replicas(servableID string) int {
-	e.mu.Lock()
-	d, ok := e.deps[servableID]
-	e.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	d.epMu.Lock()
-	defer d.epMu.Unlock()
-	if e.api == GRPC {
-		return len(d.grpc)
-	}
-	return len(d.rest)
-}
-
 // Invoke implements executor.Executor.
 func (e *Executor) Invoke(ctx context.Context, servableID string, input any) (executor.Result, error) {
-	e.mu.Lock()
-	d, ok := e.deps[servableID]
-	e.mu.Unlock()
-	if !ok {
-		return executor.Result{}, fmt.Errorf("%w: %s", executor.ErrNotDeployed, servableID)
+	ep, err := e.Pick(servableID)
+	if err != nil {
+		return executor.Result{}, err
 	}
-	switch e.api {
-	case GRPC:
-		return e.invokeGRPC(ctx, d, input)
-	default:
-		return e.invokeREST(d, input)
+	defer e.Release(ep)
+	if e.api == GRPC {
+		return invokeGRPC(ctx, ep.Conn.grpc, input)
 	}
+	return invokeREST(ep.Conn, input)
 }
 
-func (e *Executor) invokeGRPC(ctx context.Context, d *deployment, input any) (executor.Result, error) {
+func invokeGRPC(ctx context.Context, client *rpc.Client, input any) (executor.Result, error) {
 	vec, err := servable.ToFloat32Slice(input)
 	if err != nil {
 		return executor.Result{}, err
 	}
-	d.epMu.Lock()
-	if len(d.grpc) == 0 {
-		d.epMu.Unlock()
-		return executor.Result{}, fmt.Errorf("%w: no gRPC endpoints", executor.ErrNotDeployed)
-	}
-	client := d.grpc[d.rr%len(d.grpc)]
-	d.rr++
-	d.epMu.Unlock()
-
 	data, err := client.Call(ctx, "tensorflow.serving.predict", rpc.EncodeFloats(vec))
 	if err != nil {
 		return executor.Result{}, err
@@ -370,63 +249,20 @@ func (e *Executor) invokeGRPC(ctx context.Context, d *deployment, input any) (ex
 	return res, nil
 }
 
-func (e *Executor) invokeREST(d *deployment, input any) (executor.Result, error) {
+func invokeREST(ep endpoint, input any) (executor.Result, error) {
 	vec, err := servable.ToFloat64Slice(input)
 	if err != nil {
 		return executor.Result{}, err
 	}
-	d.epMu.Lock()
-	if len(d.rest) == 0 {
-		d.epMu.Unlock()
-		return executor.Result{}, fmt.Errorf("%w: no REST endpoints", executor.ErrNotDeployed)
-	}
-	ep := d.rest[d.rr%len(d.rest)]
-	d.rr++
-	d.epMu.Unlock()
-
 	var resp struct {
 		Predictions []any `json:"predictions"`
 		InferenceUS int64 `json:"inference_us"`
 	}
-	if err := rpc.PostJSON(ep.client, ep.url, map[string]any{"instances": [][]float64{vec}}, &resp); err != nil {
+	if err := rpc.PostJSON(ep.http, ep.url, map[string]any{"instances": [][]float64{vec}}, &resp); err != nil {
 		return executor.Result{}, err
 	}
 	if len(resp.Predictions) != 1 {
 		return executor.Result{}, errors.New("tfserving: malformed REST response")
 	}
 	return executor.Result{Output: resp.Predictions[0], InferenceMicros: resp.InferenceUS}, nil
-}
-
-// Undeploy implements executor.Executor.
-func (e *Executor) Undeploy(servableID string) error {
-	e.mu.Lock()
-	d, ok := e.deps[servableID]
-	if ok {
-		delete(e.deps, servableID)
-	}
-	e.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", executor.ErrNotDeployed, servableID)
-	}
-	d.epMu.Lock()
-	for _, c := range d.grpc {
-		c.Close()
-	}
-	d.grpc = nil
-	d.rest = nil
-	d.epMu.Unlock()
-	return e.cluster.DeleteDeployment(d.depName)
-}
-
-// Close implements executor.Executor.
-func (e *Executor) Close() {
-	e.mu.Lock()
-	ids := make([]string, 0, len(e.deps))
-	for id := range e.deps {
-		ids = append(ids, id)
-	}
-	e.mu.Unlock()
-	for _, id := range ids {
-		e.Undeploy(id) //nolint:errcheck
-	}
 }

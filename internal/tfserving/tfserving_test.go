@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/container"
 	"repro/internal/executor"
+	"repro/internal/executor/executortest"
 	"repro/internal/k8s"
 	"repro/internal/netsim"
 	"repro/internal/servable"
@@ -23,11 +24,8 @@ func init() {
 func testbed(t *testing.T) (*k8s.Cluster, *container.Builder) {
 	t.Helper()
 	reg := container.NewRegistry()
-	builder := container.NewBuilder(reg)
-	rt := container.NewRuntime(reg)
-	rt.RegisterProcess(Entrypoint, NewProcessFactory())
-	cluster := k8s.NewCluster(rt, 4, k8s.Resources{MilliCPU: 32000, MemMB: 128 * 1024})
-	return cluster, builder
+	cluster := k8s.NewCluster(container.NewRuntime(reg), 4, k8s.Resources{MilliCPU: 32000, MemMB: 128 * 1024})
+	return cluster, container.NewBuilder(reg)
 }
 
 func cifarInput() []float32 {
@@ -205,5 +203,30 @@ func TestGRPCFasterThanREST(t *testing.T) {
 	// due to the overhead of the HTTP protocol."
 	if grpcTime >= restTime {
 		t.Logf("warning: grpc=%v rest=%v (expected grpc < rest; timing noise possible)", grpcTime, restTime)
+	}
+}
+
+// TestConformance: both APIs keep the shared deployment lifecycle.
+// Version 2 is the same network from another seed.
+func TestConformance(t *testing.T) {
+	for _, api := range []API{GRPC, REST} {
+		t.Run(string(api), func(t *testing.T) {
+			executortest.Run(t, executortest.Suite[endpoint]{
+				New: func(t *testing.T, cluster *k8s.Cluster, builder *container.Builder) executortest.Subject[endpoint] {
+					return New(cluster, builder, netsim.RTT(170*time.Microsecond, 0), api)
+				},
+				Package: func(t *testing.T, version int) *servable.Package {
+					pkg, err := servable.CIFAR10Package(int64(version))
+					if err != nil {
+						t.Fatal(err)
+					}
+					pkg.Doc.ID = "dlhub/cifar10"
+					pkg.Doc.Version = version
+					return pkg
+				},
+				Input:   cifarInput(),
+				Replica: k8s.Resources{MilliCPU: 2000, MemMB: 4096},
+			})
+		})
 	}
 }

@@ -6,9 +6,8 @@
 // model components and inputs from Globus endpoints seamlessly" on the
 // user's behalf.
 //
-// Endpoints are named stores with per-endpoint bandwidth; transfers are
-// asynchronous tasks with progress, integrity checking (sha256) and
-// token-authorized access, mirroring the Globus Transfer task model.
+// Endpoints are named stores with per-endpoint bandwidth and an access
+// list; Fetch is the token-authorized download publication uses.
 package transfer
 
 import (
@@ -20,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/auth"
-	"repro/internal/queue"
 	"repro/internal/simconst"
 )
 
@@ -28,9 +26,7 @@ import (
 var (
 	ErrEndpointNotFound = errors.New("transfer: endpoint not found")
 	ErrFileNotFound     = errors.New("transfer: file not found")
-	ErrTaskNotFound     = errors.New("transfer: task not found")
 	ErrDenied           = errors.New("transfer: access denied")
-	ErrChecksum         = errors.New("transfer: checksum mismatch")
 )
 
 // Endpoint is a Globus endpoint: a named file store with an egress
@@ -86,77 +82,18 @@ func (e *Endpoint) readable(principals []string) bool {
 	return false
 }
 
-// Status is a transfer task's lifecycle state.
-type Status string
-
-// Transfer task states, mirroring Globus Transfer.
-const (
-	StatusActive    Status = "ACTIVE"
-	StatusSucceeded Status = "SUCCEEDED"
-	StatusFailed    Status = "FAILED"
-)
-
-// Task is one asynchronous transfer.
-type Task struct {
-	ID          string
-	Source      string // endpoint:path
-	Destination string // endpoint:path
-	Bytes       int64
-
-	mu          sync.RWMutex
-	status      Status
-	transferred int64
-	err         error
-	done        chan struct{}
-}
-
-// Status returns the current state.
-func (t *Task) Status() Status {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.status
-}
-
-// Progress returns bytes transferred so far.
-func (t *Task) Progress() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.transferred
-}
-
-// Err returns the failure cause for failed tasks.
-func (t *Task) Err() error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.err
-}
-
-// Wait blocks until the task reaches a terminal state.
-func (t *Task) Wait(timeout time.Duration) error {
-	select {
-	case <-t.done:
-	case <-time.After(timeout):
-		return fmt.Errorf("transfer: task %s still %s after %v", t.ID, t.Status(), timeout)
-	}
-	if t.Status() == StatusFailed {
-		return t.Err()
-	}
-	return nil
-}
-
-// Service is the transfer authority: it owns endpoints and runs tasks.
-// Auth may be nil (open access, as in benches).
+// Service is the transfer authority: it owns the endpoints. Auth may be
+// nil (open access, as in benches).
 type Service struct {
 	Auth *auth.Service
 
 	mu        sync.RWMutex
 	endpoints map[string]*Endpoint
-	tasks     map[string]*Task
 }
 
 // NewService creates an empty transfer service.
 func NewService(a *auth.Service) *Service {
-	return &Service{Auth: a, endpoints: make(map[string]*Endpoint), tasks: make(map[string]*Task)}
+	return &Service{Auth: a, endpoints: make(map[string]*Endpoint)}
 }
 
 // AddEndpoint registers an endpoint.
@@ -218,104 +155,6 @@ func (s *Service) Fetch(token, endpointName, path string) ([]byte, error) {
 	out := make([]byte, len(data))
 	copy(out, data)
 	return out, nil
-}
-
-// Submit starts an asynchronous endpoint-to-endpoint transfer and
-// returns its task.
-func (s *Service) Submit(token, srcEndpoint, srcPath, dstEndpoint, dstPath string) (*Task, error) {
-	prins, err := s.principals(token)
-	if err != nil {
-		return nil, err
-	}
-	src, err := s.Endpoint(srcEndpoint)
-	if err != nil {
-		return nil, err
-	}
-	if !src.readable(prins) {
-		return nil, fmt.Errorf("%w: endpoint %s", ErrDenied, srcEndpoint)
-	}
-	dst, err := s.Endpoint(dstEndpoint)
-	if err != nil {
-		return nil, err
-	}
-	size, wantSum, err := src.Stat(srcPath)
-	if err != nil {
-		return nil, err
-	}
-
-	task := &Task{
-		ID:          queue.NewID(),
-		Source:      srcEndpoint + ":" + srcPath,
-		Destination: dstEndpoint + ":" + dstPath,
-		Bytes:       size,
-		status:      StatusActive,
-		done:        make(chan struct{}),
-	}
-	s.mu.Lock()
-	s.tasks[task.ID] = task
-	s.mu.Unlock()
-
-	go s.run(task, src, srcPath, dst, dstPath, wantSum)
-	return task, nil
-}
-
-// run executes the transfer in chunks, updating progress.
-func (s *Service) run(task *Task, src *Endpoint, srcPath string, dst *Endpoint, dstPath, wantSum string) {
-	defer close(task.done)
-	src.mu.RLock()
-	data, ok := src.files[srcPath]
-	src.mu.RUnlock()
-	if !ok {
-		task.fail(fmt.Errorf("%w: %s", ErrFileNotFound, task.Source))
-		return
-	}
-	// Effective bandwidth is the slower of the two endpoints.
-	bw := src.BytesPerSec
-	if dst.BytesPerSec > 0 && (bw == 0 || dst.BytesPerSec < bw) {
-		bw = dst.BytesPerSec
-	}
-	const chunk = 1 << 20
-	for off := 0; off < len(data); off += chunk {
-		end := off + chunk
-		if end > len(data) {
-			end = len(data)
-		}
-		if bw > 0 {
-			cost := time.Duration(float64(end-off) / bw * float64(time.Second))
-			time.Sleep(simconst.D(cost))
-		}
-		task.mu.Lock()
-		task.transferred = int64(end)
-		task.mu.Unlock()
-	}
-	// Integrity check, then commit.
-	sum := sha256.Sum256(data)
-	if hex.EncodeToString(sum[:]) != wantSum {
-		task.fail(ErrChecksum)
-		return
-	}
-	dst.Put(dstPath, data)
-	task.mu.Lock()
-	task.status = StatusSucceeded
-	task.mu.Unlock()
-}
-
-func (t *Task) fail(err error) {
-	t.mu.Lock()
-	t.status = StatusFailed
-	t.err = err
-	t.mu.Unlock()
-}
-
-// GetTask fetches a submitted task by ID.
-func (s *Service) GetTask(id string) (*Task, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, ok := s.tasks[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrTaskNotFound, id)
-	}
-	return t, nil
 }
 
 // Reference names a file on an endpoint ("globus://endpoint/path"),

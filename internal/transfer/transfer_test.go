@@ -59,57 +59,6 @@ func TestFetchErrors(t *testing.T) {
 	}
 }
 
-func TestAsyncTransfer(t *testing.T) {
-	s := openService()
-	ep, _ := s.Endpoint("petrel")
-	payload := bytes.Repeat([]byte{7}, 3<<20) // 3 MiB, multiple chunks
-	ep.Put("/big.bin", payload)
-
-	task, err := s.Submit("", "petrel", "/big.bin", "laptop", "/local.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := task.Wait(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if task.Status() != StatusSucceeded {
-		t.Fatalf("want SUCCEEDED, got %s", task.Status())
-	}
-	if task.Progress() != int64(len(payload)) {
-		t.Fatalf("progress should reach total: %d", task.Progress())
-	}
-	dst, _ := s.Endpoint("laptop")
-	got, err := s.Fetch("", "laptop", "/local.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("transferred bytes corrupted")
-	}
-	_ = dst
-
-	// Task lookup.
-	if _, err := s.GetTask(task.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.GetTask("nope"); !errors.Is(err, ErrTaskNotFound) {
-		t.Fatalf("want task not found, got %v", err)
-	}
-}
-
-func TestSubmitErrors(t *testing.T) {
-	s := openService()
-	if _, err := s.Submit("", "ghost", "/x", "laptop", "/y"); !errors.Is(err, ErrEndpointNotFound) {
-		t.Fatalf("want endpoint not found, got %v", err)
-	}
-	if _, err := s.Submit("", "petrel", "/missing", "laptop", "/y"); !errors.Is(err, ErrFileNotFound) {
-		t.Fatalf("want file not found, got %v", err)
-	}
-	if _, err := s.Submit("", "petrel", "/x", "ghost", "/y"); !errors.Is(err, ErrEndpointNotFound) {
-		t.Fatalf("want dest endpoint not found, got %v", err)
-	}
-}
-
 func TestBandwidthEnforced(t *testing.T) {
 	simconst.Scale = 1 // measure real sleeps here
 	defer func() { simconst.Scale = 1000 }()
