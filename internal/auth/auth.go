@@ -1,9 +1,9 @@
 // Package auth reproduces the slice of Globus Auth that DLHub depends on
 // (§IV-D): brokered authentication against many identity providers,
-// linked identities, short-term access tokens with scopes, token
-// introspection by resource servers, dependent tokens, and groups used
-// for fine-grained access control on models (the CANDLE use case,
-// §VI-A, shares unreleased models with "a subset of selected users").
+// short-term access tokens with scopes, token introspection by resource
+// servers, dependent tokens, and groups used for fine-grained access
+// control on models (the CANDLE use case, §VI-A, shares unreleased
+// models with "a subset of selected users").
 package auth
 
 import (
@@ -118,7 +118,6 @@ type Service struct {
 	mu         sync.RWMutex
 	providers  map[string]*provider
 	identities map[string]*Identity
-	linked     map[string]map[string]bool // identity id -> set of linked identity ids
 	clients    map[string]*Client
 	tokens     map[string]*Token
 	groups     map[string]map[string]bool // group id -> member identity ids
@@ -141,7 +140,6 @@ func NewService(tokenTTL time.Duration) *Service {
 	return &Service{
 		providers:  make(map[string]*provider),
 		identities: make(map[string]*Identity),
-		linked:     make(map[string]map[string]bool),
 		clients:    make(map[string]*Client),
 		tokens:     make(map[string]*Token),
 		groups:     make(map[string]map[string]bool),
@@ -150,9 +148,6 @@ func NewService(tokenTTL time.Duration) *Service {
 		now:        time.Now,
 	}
 }
-
-// SetClock overrides the time source (tests).
-func (s *Service) SetClock(now func() time.Time) { s.now = now }
 
 func hashPassword(pw string) string {
 	sum := sha256.Sum256([]byte(pw))
@@ -239,53 +234,6 @@ func (s *Service) RegisterClient(id, name string, scopes ...string) *Client {
 	c := &Client{ID: id, Name: name, Scopes: scopes}
 	s.clients[id] = c
 	return c
-}
-
-// LinkIdentities records that two identities belong to the same person.
-// Linking is symmetric and transitive closure is applied at query time.
-func (s *Service) LinkIdentities(a, b string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.identities[a]; !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownIdentity, a)
-	}
-	if _, ok := s.identities[b]; !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownIdentity, b)
-	}
-	if s.linked[a] == nil {
-		s.linked[a] = make(map[string]bool)
-	}
-	if s.linked[b] == nil {
-		s.linked[b] = make(map[string]bool)
-	}
-	s.linked[a][b] = true
-	s.linked[b][a] = true
-	return nil
-}
-
-// LinkedIdentities returns the transitive closure of identities linked
-// to id, including id itself, sorted.
-func (s *Service) LinkedIdentities(id string) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	seen := map[string]bool{id: true}
-	stack := []string{id}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for next := range s.linked[cur] {
-			if !seen[next] {
-				seen[next] = true
-				stack = append(stack, next)
-			}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Authenticate validates provider credentials and issues a token for the
@@ -422,39 +370,16 @@ func (s *Service) AddToGroup(groupID, identityID string) error {
 	return nil
 }
 
-// RemoveFromGroup removes an identity from a group.
-func (s *Service) RemoveFromGroup(groupID, identityID string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g, ok := s.groups[groupID]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownGroup, groupID)
-	}
-	delete(g, identityID)
-	return nil
-}
-
-// InGroup reports group membership.
-func (s *Service) InGroup(groupID, identityID string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.groups[groupID][identityID]
-}
-
 // Principals returns every ACL principal the identity matches: its own
-// URN (and linked identities' URNs), every group it belongs to, and the
-// public principal. Model visibility lists are checked against this set.
+// URN, every group it belongs to, and the public principal. Model
+// visibility lists are checked against this set.
 func (s *Service) Principals(identityID string) []string {
-	ids := s.LinkedIdentities(identityID)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	set := map[string]bool{PublicPrincipal: true}
-	for _, id := range ids {
-		set[id] = true
-		for gid, members := range s.groups {
-			if members[id] {
-				set[GroupURN(gid)] = true
-			}
+	set := map[string]bool{PublicPrincipal: true, identityID: true}
+	for gid, members := range s.groups {
+		if members[identityID] {
+			set[GroupURN(gid)] = true
 		}
 	}
 	out := make([]string, 0, len(set))

@@ -13,7 +13,7 @@ func TestChaosScenarioIntegration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second integration run")
 	}
-	spec, err := ParseFile("../../../scenarios/chaos-tm-kill.yaml")
+	spec, err := parseFile("../../../scenarios/chaos-tm-kill.yaml")
 	if err != nil {
 		t.Fatal(err)
 	}

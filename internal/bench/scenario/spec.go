@@ -15,7 +15,6 @@ package scenario
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -236,15 +235,6 @@ func splitAssertion(name string) (base, tenant string) {
 
 // TMID names a 1-based site index the way the testbed does.
 func TMID(i int) string { return fmt.Sprintf("cooley-tm-%d", i) }
-
-// ParseFile reads, parses and validates a scenario spec file.
-func ParseFile(path string) (*Spec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Parse(data)
-}
 
 // Parse parses and validates a scenario spec from YAML bytes.
 func Parse(data []byte) (*Spec, error) {

@@ -1,11 +1,21 @@
 package scenario
 
 import (
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
+
+// parseFile reads, parses and validates a scenario spec file.
+func parseFile(path string) (*Spec, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return Parse(data)
+}
 
 // minimalSpec is the smallest valid scenario; test cases mutate it.
 const minimalSpec = `
@@ -432,7 +442,7 @@ func TestCommittedScenarios(t *testing.T) {
 	files := []string{"diurnal-ramp", "hotkey-skew", "wan-pipeline", "chaos-tm-kill", "cache-churn", "tenant-fairness"}
 	for _, name := range files {
 		t.Run(name, func(t *testing.T) {
-			spec, err := ParseFile("../../../scenarios/" + name + ".yaml")
+			spec, err := parseFile("../../../scenarios/" + name + ".yaml")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -314,17 +314,6 @@ func (tb *Testbed) AddTM(id string, nodes int) (*taskmanager.TM, error) {
 	return st.tm, nil
 }
 
-// TMByID returns a site's current TM process (nil for unknown sites —
-// including sites whose TM was killed and not yet restarted, whose
-// stale process object is deliberately not handed out).
-func (tb *Testbed) TMByID(id string) *taskmanager.TM {
-	st, ok := tb.sites[id]
-	if !ok {
-		return nil
-	}
-	return st.tm
-}
-
 // KillTM kills a site's TM process the way `kill -9` would: pull loops
 // and heartbeats stop instantly, claimed tasks never get replies, and
 // the site's executors (the cluster's pods) keep running. The

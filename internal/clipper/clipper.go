@@ -121,13 +121,6 @@ func (f *Frontend) SetCaching(on bool) {
 	f.mu.Unlock()
 }
 
-// CacheStats reports (requests, hits).
-func (f *Frontend) CacheStats() (uint64, uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.requests, f.hits
-}
-
 // Stop implements container.Process.
 func (f *Frontend) Stop() {
 	f.mu.Lock()
@@ -211,9 +204,6 @@ func (s *System) Name() string { return "clipper" }
 
 // SetCaching toggles frontend memoization.
 func (s *System) SetCaching(on bool) { s.frontend.SetCaching(on) }
-
-// CacheStats exposes frontend cache statistics.
-func (s *System) CacheStats() (uint64, uint64) { return s.frontend.CacheStats() }
 
 // Invoke implements executor.Executor: requests go TM -> frontend ->
 // model container, the topology whose cache placement Fig. 8 exposes.

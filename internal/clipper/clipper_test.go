@@ -16,6 +16,13 @@ import (
 	"repro/internal/simconst"
 )
 
+// cacheStats reads the frontend's (requests, hits) counters.
+func cacheStats(s *System) (uint64, uint64) {
+	s.frontend.mu.Lock()
+	defer s.frontend.mu.Unlock()
+	return s.frontend.requests, s.frontend.hits
+}
+
 func init() {
 	simconst.Scale = 1000
 }
@@ -68,7 +75,7 @@ func TestClipperCacheHits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reqs, hits := sys.CacheStats()
+	reqs, hits := cacheStats(sys)
 	if reqs != 5 || hits != 4 {
 		t.Fatalf("want 5 requests/4 hits, got %d/%d", reqs, hits)
 	}
@@ -76,7 +83,7 @@ func TestClipperCacheHits(t *testing.T) {
 	if _, err := sys.Invoke(ctx, "dlhub/util", "NaCl"); err != nil {
 		t.Fatal(err)
 	}
-	_, hits2 := sys.CacheStats()
+	_, hits2 := cacheStats(sys)
 	if hits2 != 4 {
 		t.Fatalf("different input should miss, hits=%d", hits2)
 	}
@@ -95,7 +102,7 @@ func TestClipperCacheDisabledNoHits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, hits := sys.CacheStats()
+	_, hits := cacheStats(sys)
 	if hits != 0 {
 		t.Fatalf("caching disabled should have 0 hits, got %d", hits)
 	}
@@ -113,7 +120,7 @@ func TestClipperCachedStillPaysFrontendHop(t *testing.T) {
 	sys.SetCaching(true)
 	sys.Invoke(context.Background(), "dlhub/util", "MgO") //nolint:errcheck
 	sys.Invoke(context.Background(), "dlhub/util", "MgO") //nolint:errcheck
-	reqs, hits := sys.CacheStats()
+	reqs, hits := cacheStats(sys)
 	if reqs != 2 {
 		t.Fatalf("frontend must see every request (got %d) — cache is in-cluster", reqs)
 	}

@@ -76,24 +76,6 @@ type Image struct {
 // Ref returns the image reference "name:tag".
 func (im *Image) Ref() string { return im.Name + ":" + im.Tag }
 
-// ID returns the image's content digest over its layer digests + config.
-func (im *Image) ID() string {
-	h := sha256.New()
-	for _, l := range im.Layers {
-		h.Write([]byte(l.Digest))
-	}
-	h.Write([]byte(im.Entrypoint))
-	keys := make([]string, 0, len(im.Env))
-	for k := range im.Env {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		h.Write([]byte(k + "=" + im.Env[k]))
-	}
-	return "sha256:" + hex.EncodeToString(h.Sum(nil))
-}
-
 // Files returns the merged filesystem view (later layers win).
 func (im *Image) Files() map[string][]byte {
 	fs := make(map[string][]byte)
@@ -194,18 +176,6 @@ func (r *Registry) Pull(ref string) (*Image, error) {
 	return &cp, nil
 }
 
-// List returns all image refs, sorted.
-func (r *Registry) List() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	refs := make([]string, 0, len(r.images))
-	for ref := range r.images {
-		refs = append(refs, ref)
-	}
-	sort.Strings(refs)
-	return refs
-}
-
 // Builder assembles images from BuildSpecs against a registry.
 type Builder struct {
 	registry *Registry
@@ -282,25 +252,10 @@ type State int32
 
 // Container lifecycle states.
 const (
-	StateCreated State = iota
-	StateStarting
+	StateStarting State = iota + 1
 	StateRunning
 	StateStopped
 )
-
-func (s State) String() string {
-	switch s {
-	case StateCreated:
-		return "created"
-	case StateStarting:
-		return "starting"
-	case StateRunning:
-		return "running"
-	case StateStopped:
-		return "stopped"
-	}
-	return "unknown"
-}
 
 // Process is the in-Go stand-in for a container's main process: it is
 // given the image filesystem and environment, and may expose an Invoke
@@ -346,15 +301,11 @@ func (rt *Runtime) RegisterProcess(entrypoint string, f ProcessFactory) {
 
 // Container is one running instance.
 type Container struct {
-	ID      string
-	Image   *Image
-	Proc    Process
-	state   atomic.Int32
-	started time.Time
+	ID    string
+	Image *Image
+	Proc  Process
+	state atomic.Int32
 }
-
-// State returns the lifecycle state.
-func (c *Container) State() State { return State(c.state.Load()) }
 
 // Run pulls the image, instantiates its entrypoint process and starts
 // it, paying the injected container start latency.
@@ -370,10 +321,9 @@ func (rt *Runtime) Run(imageRef string) (*Container, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNoEntrypoint, im.Entrypoint)
 	}
 	c := &Container{
-		ID:      fmt.Sprintf("ctr-%d", rt.nextID.Add(1)),
-		Image:   im,
-		Proc:    factory(),
-		started: time.Now(),
+		ID:    fmt.Sprintf("ctr-%d", rt.nextID.Add(1)),
+		Image: im,
+		Proc:  factory(),
 	}
 	c.state.Store(int32(StateStarting))
 	time.Sleep(simconst.D(simconst.ContainerStartLatency))
@@ -404,17 +354,6 @@ func (rt *Runtime) Stop(id string) error {
 	}
 	c.Proc.Stop()
 	return nil
-}
-
-// Get returns a running container by ID.
-func (rt *Runtime) Get(id string) (*Container, error) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	c, ok := rt.containers[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrContainerNotFound, id)
-	}
-	return c, nil
 }
 
 // Running returns the number of running containers.

@@ -75,8 +75,8 @@ func TestRegistryLayerDedup(t *testing.T) {
 	if len(r.layers) != 2 {
 		t.Fatalf("shared layer should be stored once: %d layers", len(r.layers))
 	}
-	if len(r.List()) != 2 {
-		t.Fatalf("want 2 images, got %v", r.List())
+	if len(r.images) != 2 {
+		t.Fatalf("want 2 images, got %v", r.images)
 	}
 }
 
@@ -146,15 +146,6 @@ func TestDockerfileRendering(t *testing.T) {
 	}
 }
 
-func TestImageIDStable(t *testing.T) {
-	l := NewLayer([]File{{Path: "/a", Data: []byte("a")}})
-	a := &Image{Name: "x", Tag: "1", Layers: []Layer{l}, Entrypoint: "e", Env: map[string]string{"K": "1", "B": "2"}}
-	b := &Image{Name: "y", Tag: "2", Layers: []Layer{l}, Entrypoint: "e", Env: map[string]string{"B": "2", "K": "1"}}
-	if a.ID() != b.ID() {
-		t.Fatal("image ID should depend on content, not name, and be env-order independent")
-	}
-}
-
 type testProc struct {
 	mu      sync.Mutex
 	started bool
@@ -198,8 +189,8 @@ func TestRuntimeLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.State() != StateRunning || !proc.started {
-		t.Fatalf("container should be running: %s", c.State())
+	if State(c.state.Load()) != StateRunning || !proc.started {
+		t.Fatalf("container should be running: state %d", c.state.Load())
 	}
 	if string(proc.fs["/data"]) != "d" {
 		t.Fatal("process should see image filesystem")
@@ -207,14 +198,11 @@ func TestRuntimeLifecycle(t *testing.T) {
 	if rt.Running() != 1 {
 		t.Fatalf("want 1 running, got %d", rt.Running())
 	}
-	if _, err := rt.Get(c.ID); err != nil {
-		t.Fatal(err)
-	}
 
 	if err := rt.Stop(c.ID); err != nil {
 		t.Fatal(err)
 	}
-	if !proc.stopped || c.State() != StateStopped {
+	if !proc.stopped || State(c.state.Load()) != StateStopped {
 		t.Fatal("stop not propagated")
 	}
 	if err := rt.Stop(c.ID); !errors.Is(err, ErrContainerNotFound) {
@@ -243,15 +231,7 @@ func TestRuntimeErrors(t *testing.T) {
 	if rt.Running() != 0 {
 		t.Fatal("failed container should not be tracked")
 	}
-	if _, err := rt.Get("ctr-404"); !errors.Is(err, ErrContainerNotFound) {
+	if err := rt.Stop("ctr-404"); !errors.Is(err, ErrContainerNotFound) {
 		t.Fatalf("want container not found, got %v", err)
-	}
-}
-
-func TestStateString(t *testing.T) {
-	for s, want := range map[State]string{StateCreated: "created", StateStarting: "starting", StateRunning: "running", StateStopped: "stopped", State(99): "unknown"} {
-		if s.String() != want {
-			t.Fatalf("State(%d).String() = %s", s, s.String())
-		}
 	}
 }

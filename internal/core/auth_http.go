@@ -202,7 +202,7 @@ type RevokeRequest struct {
 	Token string `json:"token,omitempty"`
 }
 
-func (s *Service) routesV2Auth(mux *http.ServeMux) {
+func (s *Service) routesV2Auth(mux *door) {
 	mux.HandleFunc("POST /api/v2/auth/register", s.handleV2AuthRegister)
 	mux.HandleFunc("POST /api/v2/auth/login", s.handleV2AuthLogin)
 	mux.HandleFunc("POST /api/v2/auth/revoke", s.handleV2AuthRevoke)

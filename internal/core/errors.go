@@ -104,15 +104,6 @@ var (
 	ErrInternal      = &Error{Code: CodeInternal, HTTPStatus: http.StatusInternalServerError, Message: "core: internal error"}
 )
 
-// sentinels enumerates every Err* value; the tests derive their tables
-// from it so a new sentinel cannot be forgotten.
-var sentinels = []*Error{
-	ErrBadRequest, ErrTooLarge, ErrUnauthorized, ErrForbidden, ErrNotFound,
-	ErrTaskNotFound, ErrConflict, ErrNoTaskManager, ErrTimeout,
-	ErrCanceled, ErrTaskFailed, ErrOverloaded, ErrQuotaExceeded,
-	ErrUpstream, ErrInternal,
-}
-
 // wrapCtxErr converts a context termination into its typed service
 // error, keeping the original as the cause so errors.Is(err,
 // context.Canceled) / errors.Is(err, context.DeadlineExceeded) hold.

@@ -44,15 +44,12 @@ type EnvelopeError struct {
 	Detail  string `json:"detail,omitempty"`
 }
 
-// Handler returns the REST API behind the middleware chain (request
+// Handler returns the REST API behind the door (middleware.go: request
 // IDs, optional access logs, per-route metrics, panic containment).
-func (s *Service) Handler() http.Handler {
-	mux := http.NewServeMux()
-	s.routesV2(mux)
-	return s.middleware(mux)
-}
+func (s *Service) Handler() http.Handler { return http.HandlerFunc(s.serveHTTP) }
 
-func (s *Service) routesV2(mux *http.ServeMux) {
+// routesV2 mounts the API; New calls it, once.
+func (s *Service) routesV2(mux *door) {
 	mux.HandleFunc("GET /api/v2/healthz", s.handleV2Healthz)
 	mux.HandleFunc("GET /api/v2/readyz", s.handleV2Readyz)
 	mux.HandleFunc("POST /api/v2/servables", s.handleV2Publish)
@@ -130,7 +127,9 @@ func (s *Service) callerV2(w http.ResponseWriter, r *http.Request) (Caller, bool
 			c.Tenant = h
 		}
 	}
-	stampTenant(r.Context(), c.Tenant)
+	if sc := scopeOf(r.Context()); sc != nil {
+		sc.tenant = c.Tenant // for the access-log line
+	}
 	return c, true
 }
 

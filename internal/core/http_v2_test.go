@@ -532,6 +532,26 @@ func TestHandlerIsV2Only(t *testing.T) {
 	}
 }
 
+// TestUnmatchedMethodsShareOneBucket: net/http accepts any token as a
+// method and the door counts before auth, so a client inventing methods
+// must not grow the counter table: all of them land in one fixed bucket.
+// Each request goes through a fresh Handler(), which shares the counters.
+func TestUnmatchedMethodsShareOneBucket(t *testing.T) {
+	ms := core.New(core.Config{})
+	defer ms.Close()
+	for i := 0; i < 100; i++ {
+		rec := httptest.NewRecorder()
+		ms.Handler().ServeHTTP(rec, httptest.NewRequest(fmt.Sprintf("AAAA%d", i), "/", nil))
+		if rec.Code != http.StatusNotFound {
+			t.Fatalf("invented method %d: status %d, want 404", i, rec.Code)
+		}
+	}
+	stats := ms.RouteStats()
+	if len(stats) != 1 || stats["OTHER (unmatched)"].Requests != 100 {
+		t.Fatalf("100 invented methods left %d route keys, want the one OTHER (unmatched) with 100 requests: %v", len(stats), stats)
+	}
+}
+
 // TestV2IdempotencyTransientNotReplayed: transient failures (here
 // no_task_manager 503) must not be stored for replay — the retry the
 // key exists for has to execute fresh. Definitive 4xx outcomes ARE

@@ -39,21 +39,19 @@ func (e *idemEntry) finish(status int, body []byte, err *Error) {
 	close(e.done)
 }
 
+// idemTTL bounds how long a completed keyed response is replayable.
+const idemTTL = 10 * time.Minute
+
 // idemStore holds keyed executions with TTL expiry and a size cap.
 type idemStore struct {
 	mu      sync.Mutex
-	ttl     time.Duration
 	max     int
 	entries map[string]*idemEntry
 	now     func() time.Time
 }
 
-func newIdemStore(ttl time.Duration) *idemStore {
-	if ttl <= 0 {
-		ttl = 10 * time.Minute
-	}
+func newIdemStore() *idemStore {
 	return &idemStore{
-		ttl:     ttl,
 		max:     4096,
 		entries: make(map[string]*idemEntry),
 		now:     time.Now,
@@ -68,7 +66,7 @@ func (st *idemStore) begin(key string) (e *idemEntry, isNew bool) {
 	defer st.mu.Unlock()
 	now := st.now()
 	if e, ok := st.entries[key]; ok {
-		expired := now.Sub(e.created) > st.ttl
+		expired := now.Sub(e.created) > idemTTL
 		// Only completed entries expire: an in-flight execution must
 		// keep absorbing duplicates however long it runs.
 		select {
@@ -108,7 +106,7 @@ func (st *idemStore) sweepLocked(now time.Time) {
 	for key, e := range st.entries {
 		select {
 		case <-e.done:
-			if now.Sub(e.created) > st.ttl {
+			if now.Sub(e.created) > idemTTL {
 				delete(st.entries, key)
 			}
 		default:

@@ -10,108 +10,65 @@ import (
 	"repro/internal/queue"
 )
 
-// HTTP middleware: every request gets a request ID (minted or
-// propagated), per-route counters, optional access logging, and panic
-// containment. The chain wraps the whole mux, so unmatched paths are
-// counted and logged too.
+// The HTTP door: every request passes serveHTTP once, which gives it a
+// request ID (minted or propagated), counts it under its route, logs it
+// when access logging is on, and contains a handler panic. The door is
+// in front of the mux, so unmatched paths are counted and logged too.
 
 // RequestIDHeader carries the request correlation ID in both
 // directions: clients may supply one, responses always echo it, and the
 // v2 envelope repeats it in request_id.
 const RequestIDHeader = "X-Request-ID"
 
-type ctxKey int
+// requestScope is one request's record. It is the ResponseWriter the
+// handler writes to — so the status is seen once, for the counters, the
+// log line and the panic tail alike — and the request context's one
+// value: the request ID, and the tenant callerV2 stamps once the
+// identity is known.
+type requestScope struct {
+	http.ResponseWriter
+	status int
+	id     string
+	tenant string
+}
 
-const (
-	ctxKeyRequestID ctxKey = iota
-	ctxKeyTenant
-)
+type scopeKey struct{}
+
+// scopeOf returns the request's scope (nil outside a request).
+func scopeOf(ctx context.Context) *requestScope {
+	sc, _ := ctx.Value(scopeKey{}).(*requestScope)
+	return sc
+}
 
 // RequestIDFromContext returns the request's correlation ID ("" outside
 // a request).
 func RequestIDFromContext(ctx context.Context) string {
-	id, _ := ctx.Value(ctxKeyRequestID).(string)
-	return id
-}
-
-// tenantHolder carries the resolved tenant tag outward to the access-log
-// middleware: the holder is installed before routing, and the handler's
-// caller resolution stamps it once the identity is known.
-type tenantHolder struct{ tag string }
-
-// stampTenant records the request's resolved tenant for the access log.
-// A no-op when logging is off (no holder installed) or the tag is empty.
-func stampTenant(ctx context.Context, tenant string) {
-	if h, ok := ctx.Value(ctxKeyTenant).(*tenantHolder); ok && tenant != "" {
-		h.tag = tenant
+	if sc := scopeOf(ctx); sc != nil {
+		return sc.id
 	}
+	return ""
 }
 
-// middleware assembles the chain: request-ID → access log → per-route
-// metrics → panic recovery → mux.
-func (s *Service) middleware(next http.Handler) http.Handler {
-	return s.withRequestID(s.withAccessLog(s.withRouteMetrics(s.withRecovery(next))))
-}
-
-// statusWriter records the response status for logs and metrics while
-// passing http.Flusher through — SSE streams flush through the chain.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	if w.status == 0 {
-		w.status = status
+func (sc *requestScope) WriteHeader(status int) {
+	if sc.status == 0 {
+		sc.status = status
 	}
-	w.ResponseWriter.WriteHeader(status)
+	sc.ResponseWriter.WriteHeader(status)
 }
 
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
+func (sc *requestScope) Write(p []byte) (int, error) {
+	if sc.status == 0 {
+		sc.status = http.StatusOK
 	}
-	return w.ResponseWriter.Write(p)
+	return sc.ResponseWriter.Write(p)
 }
 
-// Flush implements http.Flusher when the underlying writer does.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
+// Flush implements http.Flusher when the underlying writer does — SSE
+// streams flush through the scope.
+func (sc *requestScope) Flush() {
+	if f, ok := sc.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
-}
-
-func (s *Service) withRequestID(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(RequestIDHeader)
-		if id == "" || len(id) > 64 {
-			id = queue.NewID()[:16]
-		}
-		w.Header().Set(RequestIDHeader, id)
-		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), ctxKeyRequestID, id)))
-	})
-}
-
-func (s *Service) withAccessLog(next http.Handler) http.Handler {
-	if !s.cfg.LogRequests {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		hold := &tenantHolder{}
-		r = r.WithContext(context.WithValue(r.Context(), ctxKeyTenant, hold))
-		next.ServeHTTP(sw, r)
-		// The tenant field appears only when a tenant resolved, so
-		// anonymous traffic logs the exact pre-tenancy line.
-		tenant := ""
-		if hold.tag != "" {
-			tenant = " tenant=" + hold.tag
-		}
-		log.Printf("http %s %s -> %d (%s) rid=%s%s",
-			r.Method, r.URL.Path, sw.status, time.Since(start).Round(time.Microsecond),
-			RequestIDFromContext(r.Context()), tenant)
-	})
 }
 
 // RouteStat is a snapshot of one route pattern's counters.
@@ -127,68 +84,94 @@ type routeStat struct {
 	totalUS  atomic.Int64
 }
 
-func (s *Service) withRouteMetrics(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		next.ServeHTTP(sw, r)
-		// The mux pattern ("POST /api/v2/.../run") keys the counter so
-		// path parameters do not explode cardinality; unmatched
-		// requests aggregate under the method alone.
-		route := r.Pattern
-		if route == "" {
-			route = r.Method + " (unmatched)"
-		}
-		st := s.routeStat(route)
-		st.requests.Add(1)
-		if sw.status >= 400 {
-			st.errors.Add(1)
-		}
-		st.totalUS.Add(time.Since(start).Microseconds())
-	})
+// door is the mux and one counter per key a request can be counted
+// under. New mounts every route and nothing writes the table afterwards,
+// so requests read it without a lock.
+type door struct {
+	mux   *http.ServeMux
+	stats map[string]*routeStat
 }
 
-func (s *Service) routeStat(route string) *routeStat {
-	s.routeMu.Lock()
-	defer s.routeMu.Unlock()
-	if s.routeStats == nil {
-		s.routeStats = make(map[string]*routeStat)
+// otherUnmatched counts unmatched requests whose method is none of
+// net/http's: a method is any token the client cares to invent, and the
+// door runs before auth, so the key set must not grow with them.
+const otherUnmatched = "OTHER (unmatched)"
+
+func newDoor() *door {
+	d := &door{mux: http.NewServeMux(), stats: map[string]*routeStat{otherUnmatched: {}}}
+	for _, m := range []string{
+		http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch,
+		http.MethodDelete, http.MethodConnect, http.MethodOptions, http.MethodTrace,
+	} {
+		d.stats[m+" (unmatched)"] = &routeStat{}
 	}
-	st, ok := s.routeStats[route]
-	if !ok {
-		st = &routeStat{}
-		s.routeStats[route] = st
-	}
-	return st
+	return d
 }
 
-// RouteStats snapshots the per-route request counters, keyed by mux
-// pattern, exposed at GET /api/v2/stats.
+// HandleFunc mounts a route and creates its counter.
+func (d *door) HandleFunc(pattern string, h http.HandlerFunc) {
+	d.mux.HandleFunc(pattern, h)
+	d.stats[pattern] = &routeStat{}
+}
+
+// stat returns the counter for a served request. The mux pattern ("POST
+// /api/v2/.../run") keys it so path parameters do not explode
+// cardinality; unmatched requests aggregate under the method alone.
+func (d *door) stat(r *http.Request) *routeStat {
+	if st := d.stats[r.Pattern]; st != nil {
+		return st
+	}
+	if st := d.stats[r.Method+" (unmatched)"]; st != nil {
+		return st
+	}
+	return d.stats[otherUnmatched]
+}
+
+// RouteStats snapshots the per-route request counters of every route
+// that has served a request, keyed by mux pattern, exposed at GET
+// /api/v2/stats.
 func (s *Service) RouteStats() map[string]RouteStat {
-	s.routeMu.Lock()
-	defer s.routeMu.Unlock()
-	out := make(map[string]RouteStat, len(s.routeStats))
-	for route, st := range s.routeStats {
-		out[route] = RouteStat{
-			Requests:    st.requests.Load(),
-			Errors:      st.errors.Load(),
-			TotalMicros: st.totalUS.Load(),
+	out := make(map[string]RouteStat)
+	for route, st := range s.door.stats {
+		if n := st.requests.Load(); n > 0 {
+			out[route] = RouteStat{Requests: n, Errors: st.errors.Load(), TotalMicros: st.totalUS.Load()}
 		}
 	}
 	return out
 }
 
-func (s *Service) withRecovery(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
-		defer func() {
-			if rec := recover(); rec != nil {
-				log.Printf("http panic on %s %s: %v (rid=%s)", r.Method, r.URL.Path, rec, RequestIDFromContext(r.Context()))
-				if sw.status == 0 {
-					writeV2Error(sw, r, ErrInternal)
-				}
+func (s *Service) serveHTTP(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	sc := &requestScope{ResponseWriter: w, id: r.Header.Get(RequestIDHeader)}
+	if sc.id == "" || len(sc.id) > 64 {
+		sc.id = queue.NewID()[:16]
+	}
+	w.Header().Set(RequestIDHeader, sc.id)
+	r = r.WithContext(context.WithValue(r.Context(), scopeKey{}, sc))
+	defer func() {
+		if rec := recover(); rec != nil {
+			log.Printf("http panic on %s %s: %v (rid=%s)", r.Method, r.URL.Path, rec, sc.id)
+			if sc.status == 0 {
+				writeV2Error(sc, r, ErrInternal)
 			}
-		}()
-		next.ServeHTTP(sw, r)
-	})
+		}
+		elapsed := time.Since(start)
+		st := s.door.stat(r)
+		st.requests.Add(1)
+		if sc.status >= 400 {
+			st.errors.Add(1)
+		}
+		st.totalUS.Add(elapsed.Microseconds())
+		if s.cfg.LogRequests {
+			// The tenant field appears only when a tenant resolved, so
+			// anonymous traffic logs the exact pre-tenancy line.
+			tenant := ""
+			if sc.tenant != "" {
+				tenant = " tenant=" + sc.tenant
+			}
+			log.Printf("http %s %s -> %d (%s) rid=%s%s",
+				r.Method, r.URL.Path, sc.status, elapsed.Round(time.Microsecond), sc.id, tenant)
+		}
+	}()
+	s.door.mux.ServeHTTP(sc, r)
 }

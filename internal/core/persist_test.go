@@ -162,7 +162,7 @@ func checkpointDeployedUtil(t *testing.T, dir string) string {
 	if err := tb.MS.Deploy(context.Background(), core.Anonymous, utilID, 1, "parsl"); err != nil {
 		t.Fatal(err)
 	}
-	if got := tb.MS.Placements()[utilID]; len(got) != 1 {
+	if got, _ := tb.MS.ServablePlacements(core.Anonymous, utilID); len(got) != 1 {
 		t.Fatalf("testbed deploy recorded no placement: %v", got)
 	}
 	if err := tb.MS.Checkpoint(); err != nil {
@@ -202,7 +202,7 @@ func TestRecoverOverNonEmptyService(t *testing.T) {
 	// registered yet, so dropping unknown-TM placements here would drop
 	// everything on every restart. Routing (pickTM) is what ignores
 	// placements naming unregistered TMs — see the ghost-routing test.
-	if got := ms.Placements()[utilID]; len(got) != 1 {
+	if got, _ := ms.ServablePlacements(core.Anonymous, utilID); len(got) != 1 {
 		t.Fatalf("restored placement lost: %v", got)
 	}
 	// Recovering into a service that DOES know the TM keeps the
@@ -212,7 +212,7 @@ func TestRecoverOverNonEmptyService(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tb2.Close()
-	if got := tb2.MS.Placements()[utilID]; len(got) != 1 {
+	if got, _ := tb2.MS.ServablePlacements(core.Anonymous, utilID); len(got) != 1 {
 		t.Fatalf("valid placement dropped: %v", got)
 	}
 }

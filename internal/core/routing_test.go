@@ -43,10 +43,8 @@ func TestRoutingReadsDoNotBlockOnRepositoryWrite(t *testing.T) {
 			if got := len(s.LiveTaskManagers()); got != 2 {
 				return fmt.Errorf("LiveTaskManagers = %d, want 2", got)
 			}
-			s.TMLoad()
-			s.TMActive()
-			s.Placements()
-			s.DrainingTMs()
+			s.route.snapshotTMs()
+			s.route.routeSnapshot()
 			s.FailoverStats()
 			s.WatcherStats()
 			release, err := s.admitRun(Anonymous, "sv", 1)

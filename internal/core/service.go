@@ -39,8 +39,8 @@
 // Manager instead of blind round-robin. See docs/ARCHITECTURE.md for
 // the request lifecycle and the lock order.
 //
-// The API is context-first: Run, RunBatch, RunAsync, Publish, Search,
-// Deploy and Scale take a context whose cancellation or deadline
+// The API is context-first: Run, RunBatch, Publish, Search, Deploy and
+// Scale take a context whose cancellation or deadline
 // propagates through routing, the queue and the reply wait —
 // a canceled request frees its TM load slot immediately, withdraws its
 // still-unclaimed task, and releases its singleflight followers.
@@ -117,12 +117,9 @@ type Config struct {
 	// Cache tunes the service-layer result cache (zero value: enabled
 	// with defaults; set Disabled to turn it off).
 	Cache CacheConfig
-	// LogRequests enables HTTP access logging through the middleware
-	// chain (off by default: benches and tests stay quiet).
+	// LogRequests enables HTTP access logging at the door (off by
+	// default: benches and tests stay quiet).
 	LogRequests bool
-	// IdempotencyTTL bounds how long completed idempotency-keyed
-	// responses are replayable (default 10m).
-	IdempotencyTTL time.Duration
 	// AutoscaleInterval is the autoscaler control-loop tick (default
 	// 1s). The loop is idle-cheap: with no enabled policies a tick is a
 	// map read under a mutex.
@@ -136,7 +133,7 @@ type Config struct {
 	// TaskRetention bounds how long a finished async task stays
 	// queryable: the sweeper deletes completed/failed tasks this long
 	// after they finish (default 15m; < 0 retains forever). Without it
-	// the task map grows one entry per RunAsync for the service
+	// the task map grows one entry per async run for the service
 	// lifetime.
 	TaskRetention time.Duration
 	// FailoverRetries bounds how many times one synchronous run may be
@@ -213,10 +210,9 @@ type Service struct {
 	userMu sync.Mutex
 	users  map[string]userRecord
 
-	// routeMu guards routeStats, the per-route HTTP counters the
-	// middleware chain maintains.
-	routeMu    sync.Mutex
-	routeStats map[string]*routeStat
+	// door is the HTTP mux and the per-route counters (middleware.go),
+	// mounted in New and read-only afterwards.
+	door *door
 
 	stop      chan struct{}
 	closeOnce sync.Once
@@ -275,7 +271,9 @@ func New(cfg Config) *Service {
 		timeFunc: time.Now,
 		ledger:   newTenantLedger(),
 		users:    make(map[string]userRecord),
+		door:     newDoor(),
 	}
+	s.routesV2(s.door)
 	if cfg.Auth != nil {
 		s.tenants = cfg.Auth.Tenants()
 	} else {
@@ -286,7 +284,7 @@ func New(cfg Config) *Service {
 	if !cfg.Cache.Disabled {
 		s.cache = newResultCache(cfg.Cache)
 	}
-	s.idem = newIdemStore(cfg.IdempotencyTTL)
+	s.idem = newIdemStore()
 	s.scaler = newAutoscaler(s, cfg.AutoscaleInterval)
 	s.regWG.Add(1)
 	go s.registrationLoop()
@@ -357,20 +355,10 @@ func (s *Service) WaitForTM(n int, timeout time.Duration) error {
 	return fmt.Errorf("%w: %d registered after %v", ErrNoTaskManager, len(s.TaskManagers()), timeout)
 }
 
-// TMLoad reports in-flight (dispatched, not yet answered) task counts
-// per registered Task Manager.
-func (s *Service) TMLoad() map[string]int {
-	return s.route.snapshotTMs().load
-}
-
-// TMQueueDepth reports broker-side backlog per registered Task Manager:
-// tasks ready on its queue (pushed, not yet pulled) plus tasks pulled
-// but unacknowledged. The broker lives with the Management Service, so
-// this view is exact for local and remote TMs alike.
-func (s *Service) TMQueueDepth() map[string]int {
-	return s.queueDepth(s.route.snapshotTMs().registered)
-}
-
+// queueDepth reports broker-side backlog per Task Manager: tasks ready
+// on its queue (pushed, not yet pulled) plus tasks pulled but
+// unacknowledged. The broker lives with the Management Service, so this
+// view is exact for local and remote TMs alike.
 func (s *Service) queueDepth(tms []string) map[string]int {
 	depth := make(map[string]int, len(tms))
 	for _, id := range tms {
@@ -380,13 +368,6 @@ func (s *Service) queueDepth(tms []string) map[string]int {
 	return depth
 }
 
-// TMActive reports the executing-task counts each Task Manager last
-// self-reported in its heartbeat registration — the TM-side complement
-// to TMQueueDepth (tasks already pulled and running at the site).
-func (s *Service) TMActive() map[string]int {
-	return s.route.snapshotTMs().active
-}
-
 // ServableLoad reports the in-flight (dispatched, not yet answered)
 // run/batch/pipeline task count for one servable — the demand signal
 // the autoscaler steers on.
@@ -394,20 +375,9 @@ func (s *Service) ServableLoad(servableID string) int {
 	return s.route.servableLoad(servableID)
 }
 
-// Placements reports which Task Managers host each servable.
-func (s *Service) Placements() map[string][]string {
-	placements, _, _ := s.route.routeSnapshot()
-	return placements
-}
-
 // LiveTaskManagers lists TMs passing the liveness filter.
 func (s *Service) LiveTaskManagers() []string {
 	return s.route.snapshotTMs().live
-}
-
-// DrainingTMs lists TMs currently marked draining.
-func (s *Service) DrainingTMs() []string {
-	return s.route.snapshotTMs().draining
 }
 
 // WatcherStats snapshots the dead-TM watch's footprint (the
@@ -622,20 +592,7 @@ func (s *Service) Versions(caller Caller, id string) ([]*schema.Document, error)
 }
 
 func visibleTo(doc *schema.Document, caller Caller) bool {
-	if doc.Owner == caller.IdentityID {
-		return true
-	}
-	for _, v := range doc.Publication.VisibleTo {
-		if v == auth.PublicPrincipal {
-			return true
-		}
-		for _, p := range caller.Principals {
-			if v == p {
-				return true
-			}
-		}
-	}
-	return false
+	return doc.Owner == caller.IdentityID || search.Visible(doc.Publication.VisibleTo, caller.Principals)
 }
 
 // Search runs an ACL-filtered query over the repository (§IV-A "Model
@@ -1073,7 +1030,7 @@ func (s *Service) dispatchTo(ctx context.Context, tmID string, task taskmanager.
 	return res, nil
 }
 
-// RunAsync starts an asynchronous invocation and returns its task UUID.
+// runAsync starts an asynchronous invocation and returns its task UUID.
 // ctx gates only the submission (visibility check): the spawned task is
 // detached from the CALLER's cancellation, because the paper's async
 // contract is exactly that the client may go away and poll (or stream)
@@ -1081,14 +1038,6 @@ func (s *Service) dispatchTo(ctx context.Context, tmID string, task taskmanager.
 // re-parented onto the service lifetime context, so Close fails
 // still-pending async tasks with ErrCanceled instead of leaving their
 // goroutines dispatching into a closed broker.
-func (s *Service) RunAsync(ctx context.Context, caller Caller, servableID string, input any, opts RunOptions) (string, error) {
-	raw, err := encodeInput(input)
-	if err != nil {
-		return "", err
-	}
-	return s.runAsync(ctx, caller, servableID, raw, opts)
-}
-
 func (s *Service) runAsync(ctx context.Context, caller Caller, servableID string, input json.RawMessage, opts RunOptions) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", wrapCtxErr(err)

@@ -8,9 +8,7 @@
 //   - Deployments with a replica count, reconciled by a controller —
 //     scaling these is the Fig. 7 experiment ("the number of deployed
 //     model replicas is increased");
-//   - a least-allocated scheduler placing pods on nodes;
-//   - Services with round-robin endpoint selection, the load-balancing
-//     path used by the executors.
+//   - a least-allocated scheduler placing pods on nodes.
 package k8s
 
 import (
@@ -18,7 +16,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/container"
@@ -27,12 +24,10 @@ import (
 
 // Errors.
 var (
-	ErrNodeNotFound       = errors.New("k8s: node not found")
 	ErrPodNotFound        = errors.New("k8s: pod not found")
 	ErrDeploymentNotFound = errors.New("k8s: deployment not found")
 	ErrDeploymentExists   = errors.New("k8s: deployment already exists")
 	ErrUnschedulable      = errors.New("k8s: no node with sufficient capacity")
-	ErrNoEndpoints        = errors.New("k8s: service has no ready endpoints")
 )
 
 // Resources describes CPU (millicores) and memory (MB).
@@ -61,13 +56,6 @@ type Node struct {
 	pods map[string]bool
 }
 
-// Used returns the node's current resource allocation.
-func (n *Node) Used() Resources {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.used
-}
-
 // PodPhase is a pod lifecycle phase.
 type PodPhase string
 
@@ -91,11 +79,10 @@ type Pod struct {
 	Name string
 	Spec PodSpec
 
-	mu        sync.RWMutex
-	phase     PodPhase
-	node      string
-	ctr       *container.Container
-	createdAt time.Time
+	mu    sync.RWMutex
+	phase PodPhase
+	node  string
+	ctr   *container.Container
 }
 
 // Phase returns the pod's lifecycle phase.
@@ -103,13 +90,6 @@ func (p *Pod) Phase() PodPhase {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	return p.phase
-}
-
-// Node returns the assigned node name ("" while pending).
-func (p *Pod) Node() string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.node
 }
 
 // Container returns the running container (nil unless Running).
@@ -154,9 +134,6 @@ type Cluster struct {
 	nodes       map[string]*Node
 	pods        map[string]*Pod
 	deployments map[string]*Deployment
-	services    map[string]*Service
-	podSerial   atomic.Int64
-	log         *eventLog
 }
 
 // NewCluster creates a cluster with n homogeneous nodes backed by the
@@ -168,8 +145,6 @@ func NewCluster(runtime *container.Runtime, n int, perNode Resources) *Cluster {
 		nodes:       make(map[string]*Node),
 		pods:        make(map[string]*Pod),
 		deployments: make(map[string]*Deployment),
-		services:    make(map[string]*Service),
-		log:         newEventLog(4096),
 	}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("node-%02d", i)
@@ -178,26 +153,9 @@ func NewCluster(runtime *container.Runtime, n int, perNode Resources) *Cluster {
 	return c
 }
 
-// PetrelKube returns the paper's cluster dimensions.
-func PetrelKube(runtime *container.Runtime) *Cluster {
-	return NewCluster(runtime, 14, Resources{MilliCPU: 32000, MemMB: 128 * 1024})
-}
-
 // Runtime returns the container runtime the cluster's pods run on —
 // where an executor registers the process behind its image entrypoint.
 func (c *Cluster) Runtime() *container.Runtime { return c.runtime }
-
-// Nodes returns node names, sorted.
-func (c *Cluster) Nodes() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	names := make([]string, 0, len(c.nodes))
-	for n := range c.nodes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // schedule picks the least-allocated node (by CPU fraction) that fits.
 // Caller must hold c.mu at least for reading nodes map.
@@ -238,10 +196,9 @@ func (c *Cluster) RunPod(name string, spec PodSpec) (*Pod, error) {
 	node.pods[name] = true
 	node.mu.Unlock()
 
-	pod := &Pod{Name: name, Spec: spec, phase: PodPending, node: node.Name, createdAt: time.Now()}
+	pod := &Pod{Name: name, Spec: spec, phase: PodPending, node: node.Name}
 	c.pods[name] = pod
 	c.mu.Unlock()
-	c.log.record(EventPodScheduled, name, "assigned to %s", node.Name)
 
 	time.Sleep(simconst.D(simconst.PodStartLatency))
 	ctr, err := c.runtime.Run(spec.Image)
@@ -250,14 +207,12 @@ func (c *Cluster) RunPod(name string, spec PodSpec) (*Pod, error) {
 		pod.phase = PodFailed
 		pod.mu.Unlock()
 		c.releaseNode(node.Name, name, spec.Requests)
-		c.log.record(EventPodFailed, name, "container start: %v", err)
 		return nil, fmt.Errorf("k8s: pod %s: %w", name, err)
 	}
 	pod.mu.Lock()
 	pod.ctr = ctr
 	pod.phase = PodRunning
 	pod.mu.Unlock()
-	c.log.record(EventPodStarted, name, "container %s running", ctr.ID)
 	return pod, nil
 }
 
@@ -297,19 +252,7 @@ func (c *Cluster) DeletePod(name string) error {
 		c.runtime.Stop(ctr.ID) //nolint:errcheck — stopping a failed container is fine
 	}
 	c.releaseNode(node, name, pod.Spec.Requests)
-	c.log.record(EventPodDeleted, name, "freed %dm CPU on %s", pod.Spec.Requests.MilliCPU, node)
 	return nil
-}
-
-// GetPod returns a pod by name.
-func (c *Cluster) GetPod(name string) (*Pod, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	p, ok := c.pods[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrPodNotFound, name)
-	}
-	return p, nil
 }
 
 // PodsMatching returns running pods carrying all selector labels,
@@ -369,7 +312,6 @@ func (c *Cluster) Scale(name string, replicas int) error {
 	d.mu.Lock()
 	d.replicas = replicas
 	d.mu.Unlock()
-	c.log.record(EventDeploymentScaled, name, "replicas -> %d", replicas)
 	return c.reconcile(d)
 }
 
@@ -427,45 +369,4 @@ func (c *Cluster) reconcile(d *Deployment) error {
 		wg.Wait()
 	}
 	return nil
-}
-
-// Service load-balances over pods matching a selector.
-type Service struct {
-	Name     string
-	Selector map[string]string
-
-	cluster *Cluster
-	rr      atomic.Uint64
-}
-
-// CreateService registers a service for a label selector.
-func (c *Cluster) CreateService(name string, selector map[string]string) *Service {
-	s := &Service{Name: name, Selector: selector, cluster: c}
-	c.mu.Lock()
-	c.services[name] = s
-	c.mu.Unlock()
-	return s
-}
-
-// GetService fetches a registered service.
-func (c *Cluster) GetService(name string) (*Service, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	s, ok := c.services[name]
-	return s, ok
-}
-
-// Endpoints returns the service's ready pods.
-func (s *Service) Endpoints() []*Pod {
-	return s.cluster.PodsMatching(s.Selector)
-}
-
-// Pick returns the next endpoint round-robin.
-func (s *Service) Pick() (*Pod, error) {
-	eps := s.Endpoints()
-	if len(eps) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNoEndpoints, s.Name)
-	}
-	idx := s.rr.Add(1)
-	return eps[int(idx-1)%len(eps)], nil
 }

@@ -42,10 +42,10 @@ func TestRunPodSchedulesAndRuns(t *testing.T) {
 	if pod.Phase() != PodRunning {
 		t.Fatalf("pod should be running, is %s", pod.Phase())
 	}
-	if pod.Node() == "" {
+	if pod.node == "" {
 		t.Fatal("pod should be bound to a node")
 	}
-	if pod.Container() == nil || pod.Container().State() != container.StateRunning {
+	if pod.Container() == nil || c.runtime.Running() != 1 {
 		t.Fatal("pod container should be running")
 	}
 }
@@ -57,8 +57,8 @@ func TestSchedulerPrefersLeastAllocated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p1.Node() == p2.Node() {
-		t.Fatalf("second pod should land on the empty node, both on %s", p1.Node())
+	if p1.node == p2.node {
+		t.Fatalf("second pod should land on the empty node, both on %s", p1.node)
 	}
 }
 
@@ -181,51 +181,6 @@ func TestDeleteDeployment(t *testing.T) {
 	}
 }
 
-func TestServiceRoundRobin(t *testing.T) {
-	c := newTestCluster(t, 2, Resources{MilliCPU: 32000, MemMB: 64 * 1024})
-	if _, err := c.CreateDeployment("m", PodSpec{Image: "model", Requests: Resources{MilliCPU: 100}}, 3); err != nil {
-		t.Fatal(err)
-	}
-	svc := c.CreateService("m-svc", map[string]string{"deployment": "m"})
-	if got, ok := c.GetService("m-svc"); !ok || got != svc {
-		t.Fatal("GetService should return the registered service")
-	}
-
-	counts := map[string]int{}
-	for i := 0; i < 9; i++ {
-		p, err := svc.Pick()
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[p.Name]++
-	}
-	if len(counts) != 3 {
-		t.Fatalf("round robin should hit all 3 pods, got %v", counts)
-	}
-	for name, n := range counts {
-		if n != 3 {
-			t.Fatalf("uneven distribution: %s got %d", name, n)
-		}
-	}
-}
-
-func TestServiceNoEndpoints(t *testing.T) {
-	c := newTestCluster(t, 1, Resources{MilliCPU: 1000, MemMB: 1024})
-	svc := c.CreateService("empty", map[string]string{"deployment": "none"})
-	if _, err := svc.Pick(); !errors.Is(err, ErrNoEndpoints) {
-		t.Fatalf("want no endpoints, got %v", err)
-	}
-}
-
-func TestPetrelKubeDimensions(t *testing.T) {
-	reg := container.NewRegistry()
-	rt := container.NewRuntime(reg)
-	c := PetrelKube(rt)
-	if len(c.Nodes()) != 14 {
-		t.Fatalf("PetrelKube has 14 nodes, got %d", len(c.Nodes()))
-	}
-}
-
 func TestConcurrentScaling(t *testing.T) {
 	c := newTestCluster(t, 4, Resources{MilliCPU: 32000, MemMB: 128 * 1024})
 	if _, err := c.CreateDeployment("d", PodSpec{Image: "model", Requests: Resources{MilliCPU: 100}}, 1); err != nil {
@@ -280,17 +235,6 @@ func TestPodsMatchingSelector(t *testing.T) {
 	}
 }
 
-func TestGetPod(t *testing.T) {
-	c := newTestCluster(t, 1, Resources{MilliCPU: 32000, MemMB: 64 * 1024})
-	c.RunPod("p", PodSpec{Image: "model"}) //nolint:errcheck
-	if _, err := c.GetPod("p"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.GetPod("ghost"); !errors.Is(err, ErrPodNotFound) {
-		t.Fatalf("want pod not found, got %v", err)
-	}
-}
-
 func TestManyReplicasAcrossNodes(t *testing.T) {
 	c := newTestCluster(t, 14, Resources{MilliCPU: 32000, MemMB: 128 * 1024})
 	if _, err := c.CreateDeployment("big", PodSpec{Image: "model", Requests: Resources{MilliCPU: 8000, MemMB: 4096}}, 32); err != nil {
@@ -303,7 +247,7 @@ func TestManyReplicasAcrossNodes(t *testing.T) {
 	// Pods should be spread over many nodes.
 	nodes := map[string]bool{}
 	for _, p := range pods {
-		nodes[p.Node()] = true
+		nodes[p.node] = true
 	}
 	if len(nodes) < 8 {
 		t.Fatalf("replicas should spread across nodes, got %d nodes", len(nodes))

@@ -137,15 +137,6 @@ func (c Composition) Fractions() ([]string, []float64) {
 	return syms, fr
 }
 
-// NumAtoms returns the total (possibly fractional) atom count.
-func (c Composition) NumAtoms() float64 {
-	var t float64
-	for _, n := range c {
-		t += n
-	}
-	return t
-}
-
 // ReducedFormula renders a normalized formula string with amounts
 // divided by their integer GCD when all are integers (NaCl not Na1Cl1).
 func (c Composition) ReducedFormula() string {

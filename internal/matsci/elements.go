@@ -216,6 +216,3 @@ func Lookup(symbol string) (*Element, bool) {
 	e, ok := table[symbol]
 	return e, ok
 }
-
-// NumElements reports the table size.
-func NumElements() int { return len(table) }

@@ -37,39 +37,6 @@ var stats = []string{"mean", "avgdev", "range", "min", "max", "mode"}
 // stoichiometric p-norms computed over mole fractions.
 var pNorms = []float64{0, 2, 3, 5, 7, 10}
 
-// FeatureNames returns the stable, ordered feature vector layout.
-func FeatureNames() []string {
-	names := make([]string, 0, NumFeatures())
-	for _, p := range pNorms {
-		if p == 0 {
-			names = append(names, "stoich_nelements")
-		} else {
-			names = append(names, "stoich_p"+itoa(int(p))+"_norm")
-		}
-	}
-	for _, prop := range properties {
-		for _, s := range stats {
-			names = append(names, "magpie_"+prop.Name+"_"+s)
-		}
-	}
-	for _, orb := range []string{"s", "p", "d", "f"} {
-		names = append(names, "valence_frac_"+orb)
-	}
-	return names
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var digits []byte
-	for n > 0 {
-		digits = append([]byte{byte('0' + n%10)}, digits...)
-		n /= 10
-	}
-	return string(digits)
-}
-
 // NumFeatures is the feature vector length.
 func NumFeatures() int {
 	return len(pNorms) + len(properties)*len(stats) + 4

@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -28,12 +27,6 @@ func (c *Counter) Add(delta uint64) { c.n.Add(delta) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n.Load() }
 
-// Sample is one observed duration.
-type Sample struct {
-	When  time.Time
-	Value time.Duration
-}
-
 // Series is a concurrency-safe collection of duration samples for one
 // named quantity (e.g. "invocation_time" of one servable).
 type Series struct {
@@ -53,21 +46,6 @@ func (s *Series) Add(d time.Duration) {
 	s.mu.Lock()
 	s.samples = append(s.samples, d)
 	s.mu.Unlock()
-}
-
-// Time runs fn and records its wall-clock duration. It returns fn's error.
-func (s *Series) Time(fn func() error) error {
-	start := time.Now()
-	err := fn()
-	s.Add(time.Since(start))
-	return err
-}
-
-// Len reports the number of samples recorded.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.samples)
 }
 
 // Snapshot returns a copy of the recorded samples.
@@ -153,12 +131,6 @@ func Percentile(sorted []time.Duration, p float64) time.Duration {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo] + time.Duration(frac*float64(sorted[hi]-sorted[lo]))
-}
-
-func (st Stats) String() string {
-	return fmt.Sprintf("n=%d median=%s p5=%s p95=%s mean=%s",
-		st.N, st.Median.Round(time.Microsecond), st.P5.Round(time.Microsecond),
-		st.P95.Round(time.Microsecond), st.Mean.Round(time.Microsecond))
 }
 
 // Millis renders a duration as fractional milliseconds, the unit the

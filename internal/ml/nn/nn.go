@@ -21,8 +21,6 @@ type Layer interface {
 	// Forward computes the layer output; implementations must not
 	// mutate in (replicas share one loaded model across goroutines).
 	Forward(in *tensor.Tensor) *tensor.Tensor
-	// Name identifies the layer for description/serialization.
-	Name() string
 }
 
 // Conv is a 2D convolution layer with optional bias and ReLU.
@@ -47,9 +45,6 @@ func (c *Conv) Forward(in *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Name implements Layer.
-func (c *Conv) Name() string { return c.LayerName }
-
 // MaxPool is a max-pooling layer.
 type MaxPool struct {
 	LayerName      string
@@ -61,9 +56,6 @@ func (p *MaxPool) Forward(in *tensor.Tensor) *tensor.Tensor {
 	return tensor.MaxPool2D(in, p.Window, p.Stride)
 }
 
-// Name implements Layer.
-func (p *MaxPool) Name() string { return p.LayerName }
-
 // AvgPool is an average-pooling layer.
 type AvgPool struct {
 	LayerName      string
@@ -74,9 +66,6 @@ type AvgPool struct {
 func (p *AvgPool) Forward(in *tensor.Tensor) *tensor.Tensor {
 	return tensor.AvgPool2D(in, p.Window, p.Stride)
 }
-
-// Name implements Layer.
-func (p *AvgPool) Name() string { return p.LayerName }
 
 // Inception is one Inception module: four parallel towers (1x1; 1x1→3x3;
 // 1x1→5x5; pool→1x1) concatenated along channels, as in Szegedy et al.
@@ -116,9 +105,6 @@ func padForPool(in *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Name implements Layer.
-func (m *Inception) Name() string { return m.LayerName }
-
 // Dense is a fully connected layer over the flattened input.
 type Dense struct {
 	LayerName string
@@ -144,9 +130,6 @@ func (d *Dense) Forward(in *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Name implements Layer.
-func (d *Dense) Name() string { return d.LayerName }
-
 // GlobalPool reduces HWC to a C vector.
 type GlobalPool struct{ LayerName string }
 
@@ -155,9 +138,6 @@ func (g *GlobalPool) Forward(in *tensor.Tensor) *tensor.Tensor {
 	v := tensor.GlobalAvgPool(in)
 	return tensor.FromData(v, len(v))
 }
-
-// Name implements Layer.
-func (g *GlobalPool) Name() string { return g.LayerName }
 
 // Model is a sequential stack of layers with class labels.
 type Model struct {
@@ -197,31 +177,6 @@ func (m *Model) Predict(in *tensor.Tensor, k int) []Prediction {
 type Prediction struct {
 	Label       string  `json:"label"`
 	Probability float32 `json:"probability"`
-}
-
-// NumParams counts trainable parameters.
-func (m *Model) NumParams() int {
-	n := 0
-	for _, l := range m.Layers {
-		switch v := l.(type) {
-		case *Conv:
-			n += v.Kernel.Len() + len(v.Bias)
-		case *Dense:
-			n += len(v.W) + len(v.B)
-		case *Inception:
-			for _, c := range v.allConvs() {
-				n += c.Kernel.Len() + len(c.Bias)
-			}
-		}
-	}
-	return n
-}
-
-func (m *Inception) allConvs() []*Conv {
-	out := []*Conv{m.Tower1, m.TowerPool}
-	out = append(out, m.Tower2...)
-	out = append(out, m.Tower3...)
-	return out
 }
 
 // --- builders -------------------------------------------------------------

@@ -51,26 +51,6 @@ func (t *Tree) Predict(x []float64) float64 {
 	}
 }
 
-// Depth returns the maximum depth (root = 1).
-func (t *Tree) Depth() int {
-	var walk func(i int32) int
-	walk = func(i int32) int {
-		n := &t.Nodes[i]
-		if n.Feature < 0 {
-			return 1
-		}
-		l, r := walk(n.Left), walk(n.Right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	if len(t.Nodes) == 0 {
-		return 0
-	}
-	return walk(0)
-}
-
 // Config controls forest training.
 type Config struct {
 	// Trees in the ensemble (sklearn default: 100).
@@ -268,41 +248,6 @@ func (f *Forest) Predict(x []float64) (float64, error) {
 		s += f.Trees[i].Predict(x)
 	}
 	return s / float64(len(f.Trees)), nil
-}
-
-// PredictBatch predicts many samples.
-func (f *Forest) PredictBatch(xs [][]float64) ([]float64, error) {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		v, err := f.Predict(x)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// R2 computes the coefficient of determination on a test set.
-func (f *Forest) R2(x [][]float64, y []float64) (float64, error) {
-	pred, err := f.PredictBatch(x)
-	if err != nil {
-		return 0, err
-	}
-	var mean float64
-	for _, v := range y {
-		mean += v
-	}
-	mean /= float64(len(y))
-	var ssRes, ssTot float64
-	for i := range y {
-		ssRes += (y[i] - pred[i]) * (y[i] - pred[i])
-		ssTot += (y[i] - mean) * (y[i] - mean)
-	}
-	if ssTot == 0 {
-		return 0, nil
-	}
-	return 1 - ssRes/ssTot, nil
 }
 
 // Encode serializes the forest with gob.

@@ -44,26 +44,6 @@ func FromData(data []float32, shape ...int) *Tensor {
 // Len returns the number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
-// Clone deep-copies the tensor.
-func (t *Tensor) Clone() *Tensor {
-	data := make([]float32, len(t.Data))
-	copy(data, t.Data)
-	return FromData(data, t.Shape...)
-}
-
-// SameShape reports whether two tensors have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
-	if len(t.Shape) != len(o.Shape) {
-		return false
-	}
-	for i := range t.Shape {
-		if t.Shape[i] != o.Shape[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // At returns the element at [h,w,c] of an HWC tensor.
 func (t *Tensor) At(h, w, c int) float32 {
 	return t.Data[(h*t.Shape[1]+w)*t.Shape[2]+c]
@@ -99,14 +79,6 @@ func (t *Tensor) AddBias(bias []float32) *Tensor {
 	c := len(bias)
 	for i := range t.Data {
 		t.Data[i] += bias[i%c]
-	}
-	return t
-}
-
-// Scale multiplies every element in place.
-func (t *Tensor) Scale(f float32) *Tensor {
-	for i := range t.Data {
-		t.Data[i] *= f
 	}
 	return t
 }
@@ -321,19 +293,4 @@ func ConcatChannels(ts ...*Tensor) *Tensor {
 		}
 	}
 	return out
-}
-
-// BatchNorm applies y = gamma*(x-mean)/sqrt(var+eps) + beta per channel
-// in place (inference mode with precomputed statistics).
-func BatchNorm(t *Tensor, gamma, beta, mean, variance []float32, eps float32) *Tensor {
-	c := len(gamma)
-	inv := make([]float32, c)
-	for i := range inv {
-		inv[i] = gamma[i] / float32(math.Sqrt(float64(variance[i]+eps)))
-	}
-	for i := range t.Data {
-		ch := i % c
-		t.Data[i] = (t.Data[i]-mean[ch])*inv[ch] + beta[ch]
-	}
-	return t
 }

@@ -52,7 +52,7 @@ func benchRequests(b *testing.B, br *Broker) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := br.Request("svc", body, 5*time.Second); !ok {
+		if _, ok := request(br, "svc", body, 5*time.Second); !ok {
 			b.Fatal("request timed out")
 		}
 	}

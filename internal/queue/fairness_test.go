@@ -7,6 +7,17 @@ import (
 	"time"
 )
 
+// laneLen reports ready messages on one tenant lane of a queue.
+func laneLen(b *Broker, queueName, tenant string) int {
+	q := b.queue(queueName)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if ln, ok := q.lanes[tenant]; ok {
+		return ln.ready.Len()
+	}
+	return 0
+}
+
 // The DRR fairness contract, pinned: a queue striped into per-tenant
 // lanes serves each backlogged lane in proportion to its weight, a
 // flood from one tenant deepens only its own lane, and a queue that
@@ -163,7 +174,7 @@ func TestDRRPropertyRandomized(t *testing.T) {
 			}
 			nextSeq[msg.Tenant]++
 			for _, tenant := range tenants {
-				if tenant == msg.Tenant || b.LaneLen("q", tenant) == 0 {
+				if tenant == msg.Tenant || laneLen(b, "q", tenant) == 0 {
 					unserved[tenant] = 0
 					continue
 				}
@@ -192,10 +203,10 @@ func TestNackReturnsToOwnLane(t *testing.T) {
 		t.Fatalf("pull = %+v, %v", msg, ok)
 	}
 	b.Nack("q", msg.ID)
-	if got := b.LaneLen("q", "acme"); got != 1 {
+	if got := laneLen(b, "q", "acme"); got != 1 {
 		t.Fatalf("after nack: acme lane has %d messages, want 1", got)
 	}
-	if got := b.LaneLen("q", ""); got != 0 {
+	if got := laneLen(b, "q", ""); got != 0 {
 		t.Fatalf("after nack: default lane has %d messages, want 0", got)
 	}
 	msg2, ok := b.Pull("q", 0)

@@ -503,17 +503,6 @@ func (b *Broker) Len(queueName string) int {
 	return q.readyLenLocked()
 }
 
-// LaneLen reports ready messages on one tenant lane of a queue.
-func (b *Broker) LaneLen(queueName, tenant string) int {
-	q := b.queue(queueName)
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if ln, ok := q.lanes[tenant]; ok {
-		return ln.ready.Len()
-	}
-	return 0
-}
-
 // InFlight reports delivered-but-unacknowledged messages on a queue.
 func (b *Broker) InFlight(queueName string) int {
 	q := b.queue(queueName)
@@ -561,15 +550,6 @@ func (b *Broker) sweep(now time.Time) {
 			b.deliver(q, msg)
 		}
 	}
-}
-
-// Request is RequestCtx with a flat timeout; ok is false when it passed
-// without a reply.
-func (b *Broker) Request(queueName string, body []byte, timeout time.Duration) ([]byte, bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	reply, err := b.RequestCtx(ctx, queueName, body, "")
-	return reply, err == nil
 }
 
 // RequestCtx pushes body on queueName and waits for the reply. It is

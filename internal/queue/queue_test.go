@@ -11,6 +11,15 @@ import (
 	"time"
 )
 
+// request is RequestCtx under a flat timeout; ok is false when it passed
+// without a reply.
+func request(b *Broker, queueName string, body []byte, timeout time.Duration) ([]byte, bool) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	reply, err := b.RequestCtx(ctx, queueName, body, "")
+	return reply, err == nil
+}
+
 func TestPushPull(t *testing.T) {
 	b := NewBroker(time.Second)
 	defer b.Close()
@@ -165,7 +174,7 @@ func TestRequestReply(t *testing.T) {
 		}
 		b.Reply(msg, append([]byte("echo:"), msg.Body...))
 	}()
-	out, ok := b.Request("svc", []byte("hi"), 2*time.Second)
+	out, ok := request(b, "svc", []byte("hi"), 2*time.Second)
 	if !ok {
 		t.Fatal("Request timed out")
 	}
@@ -177,7 +186,7 @@ func TestRequestReply(t *testing.T) {
 func TestRequestTimeout(t *testing.T) {
 	b := NewBroker(time.Second)
 	defer b.Close()
-	if _, ok := b.Request("nobody-home", []byte("x"), 50*time.Millisecond); ok {
+	if _, ok := request(b, "nobody-home", []byte("x"), 50*time.Millisecond); ok {
 		t.Fatal("Request with no consumer should time out")
 	}
 }
@@ -319,7 +328,7 @@ func TestTransportRequestReply(t *testing.T) {
 		consumer.Reply(msg, append([]byte("pong:"), msg.Body...)) //nolint:errcheck
 	}()
 
-	out, ok := b.Request("svc", []byte("ping"), 2*time.Second)
+	out, ok := request(b, "svc", []byte("ping"), 2*time.Second)
 	if !ok || string(out) != "pong:ping" {
 		t.Fatalf("request failed: ok=%v reply=%q", ok, out)
 	}
@@ -360,7 +369,7 @@ func TestRequestCleansReplyQueue(t *testing.T) {
 		}
 		b.Reply(msg, []byte("pong"))
 	}()
-	if _, ok := b.Request("work", []byte("ping"), 2*time.Second); !ok {
+	if _, ok := request(b, "work", []byte("ping"), 2*time.Second); !ok {
 		t.Fatal("request failed")
 	}
 	<-done

@@ -27,7 +27,6 @@ import (
 //	q2.pull   queue | timeout_ms                       empty = nothing ready, else
 //	                                                   id queue replyTo corr tenant | attempt | body
 //	q2.ack    queue id                                 empty
-//	q2.nack   queue id                                 empty
 //	q2.reply  id queue replyTo corr tenant | attempt | body   empty
 //
 // q2.reply is the pulled message echoed with the response as its body;
@@ -38,7 +37,6 @@ const (
 	opPush  = "q2.push"
 	opPull  = "q2.pull"
 	opAck   = "q2.ack"
-	opNack  = "q2.nack"
 	opReply = "q2.reply"
 )
 
@@ -134,8 +132,7 @@ func NewServer(b *Broker) *Server {
 	s := &Server{broker: b, rpc: rpc.NewServer()}
 	s.rpc.Handle(opPush, s.handlePush)
 	s.rpc.HandleUndo(opPull, s.handlePull, s.undoPull)
-	s.rpc.Handle(opAck, handleRef(b.Ack))
-	s.rpc.Handle(opNack, handleRef(b.Nack))
+	s.rpc.Handle(opAck, s.handleAck)
 	s.rpc.Handle(opReply, s.handleReply)
 	return s
 }
@@ -195,16 +192,14 @@ func (s *Server) undoPull(resp []byte) {
 	}
 }
 
-// handleRef serves q2.ack and q2.nack: exactly (queue, id), applied by op.
-func handleRef(op func(queueName, id string) bool) rpc.Handler {
-	return func(_ context.Context, payload []byte) ([]byte, error) {
-		var f [2]string
-		if rest, err := decodeFields(payload, f[:]); err != nil || len(rest) != 0 {
-			return nil, errFrame
-		}
-		op(f[0], f[1])
-		return nil, nil
+// handleAck serves q2.ack: exactly (queue, id).
+func (s *Server) handleAck(_ context.Context, payload []byte) ([]byte, error) {
+	var f [2]string
+	if rest, err := decodeFields(payload, f[:]); err != nil || len(rest) != 0 {
+		return nil, errFrame
 	}
+	s.broker.Ack(f[0], f[1])
+	return nil, nil
 }
 
 func (s *Server) handleReply(_ context.Context, payload []byte) ([]byte, error) {
@@ -261,11 +256,6 @@ func (c *Client) call(op string, frame []byte) error {
 // Ack confirms processing of a delivered message.
 func (c *Client) Ack(queueName, msgID string) error {
 	return c.call(opAck, encodeFrame(nil, -1, queueName, msgID))
-}
-
-// Nack requeues a delivered message immediately.
-func (c *Client) Nack(queueName, msgID string) error {
-	return c.call(opNack, encodeFrame(nil, -1, queueName, msgID))
 }
 
 // Reply answers msg and acknowledges it in one round trip (see

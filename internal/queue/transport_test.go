@@ -11,7 +11,7 @@ import (
 )
 
 // frameOps names every decoder the transport runs on bytes from the
-// wire: the five request handlers (against a live broker) and the
+// wire: the four request handlers (against a live broker) and the
 // client's pull-response parse. The handlers run under a dead
 // connection's context so that a well-formed pull returns instead of
 // parking.
@@ -25,8 +25,7 @@ func frameOps(b *Broker) map[string]func([]byte) error {
 	return map[string]func([]byte) error{
 		opPush:  handler(s.handlePush),
 		opPull:  handler(s.handlePull),
-		opAck:   handler(handleRef(b.Ack)),
-		opNack:  handler(handleRef(b.Nack)),
+		opAck:   handler(s.handleAck),
 		opReply: handler(s.handleReply),
 		"pull response": func(p []byte) error {
 			_, err := decodeMessage(p)
@@ -61,7 +60,6 @@ func TestMalformedFramesRejected(t *testing.T) {
 	// Ops without a body must also refuse trailing bytes.
 	for op, frame := range map[string][]byte{
 		opAck:  encodeFrame([]byte("junk"), -1, "q", "id"),
-		opNack: encodeFrame([]byte("junk"), -1, "q", "id"),
 		opPull: encodeFrame([]byte("junk"), 5, "q"),
 	} {
 		if err := frameOps(b)[op](frame); err == nil {
@@ -143,8 +141,8 @@ func TestTransportCarriesMessage(t *testing.T) {
 		msg.Tenant != "テナント" || msg.Attempt != 1 || !bytes.Equal(msg.Body, body) {
 		t.Fatalf("message changed in transit: %+v", Message{ID: msg.ID, Queue: msg.Queue, ReplyTo: msg.ReplyTo, CorrelationID: msg.CorrelationID, Tenant: msg.Tenant, Attempt: msg.Attempt})
 	}
-	if err := c.Nack("remote", msg.ID); err != nil {
-		t.Fatal(err)
+	if !b.Nack("remote", msg.ID) {
+		t.Fatal("the broker does not hold the pulled message")
 	}
 	if msg, ok, _ = c.Pull("remote", 0); !ok || msg.Attempt != 2 {
 		t.Fatalf("nacked message not redelivered by a zero-timeout poll: ok=%v %+v", ok, msg.Attempt)
@@ -154,8 +152,8 @@ func TestTransportCarriesMessage(t *testing.T) {
 	if err := c.Reply(msg, []byte("answer")); err != nil {
 		t.Fatal(err)
 	}
-	if b.InFlight("remote") != 0 || b.LaneLen("answers", "テナント") != 1 {
-		t.Fatalf("reply did not ack+push: inflight=%d answers=%d", b.InFlight("remote"), b.LaneLen("answers", "テナント"))
+	if b.InFlight("remote") != 0 || laneLen(b, "answers", "テナント") != 1 {
+		t.Fatalf("reply did not ack+push: inflight=%d answers=%d", b.InFlight("remote"), laneLen(b, "answers", "テナント"))
 	}
 	if _, _, err := c.Pull("remote", -time.Second); err != nil {
 		t.Fatalf("negative timeout must poll, not fail: %v", err)

@@ -212,7 +212,7 @@ func (ix *Index) Search(q Query) Result {
 	// Start from all ACL-visible docs, then intersect clause by clause.
 	candidates := make(map[string]float64) // docID -> score
 	for id, d := range ix.docs {
-		if visible(&d.Doc, q.Principals) {
+		if Visible(d.VisibleTo, q.Principals) {
 			candidates[id] = 0
 		}
 	}
@@ -269,8 +269,11 @@ func (ix *Index) Search(q Query) Result {
 	return res
 }
 
-func visible(d *Doc, principals []string) bool {
-	for _, v := range d.VisibleTo {
+// Visible is the one visibility rule: a document is visible to a caller
+// when its visible_to list names "public" or one of the caller's
+// principals.
+func Visible(visibleTo, principals []string) bool {
+	for _, v := range visibleTo {
 		if v == "public" || slices.Contains(principals, v) {
 			return true
 		}

@@ -113,10 +113,6 @@ func (s *Servable) decode(input any) (any, error) {
 	return s.runner.Decode(raw)
 }
 
-// PythonHosted reports whether the servable runs under the simulated
-// interpreter.
-func (s *Servable) PythonHosted() bool { return s.py != nil }
-
 // Close shuts down the runner and interpreter.
 func (s *Servable) Close() {
 	if s.py != nil {

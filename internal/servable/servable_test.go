@@ -41,7 +41,7 @@ func TestNoopServable(t *testing.T) {
 	if out != "hello world" {
 		t.Fatalf("noop returned %v", out)
 	}
-	if !s.PythonHosted() {
+	if s.py == nil {
 		t.Fatal("should be python hosted")
 	}
 }

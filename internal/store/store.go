@@ -5,8 +5,8 @@
 // managed database; the reproduction's single-node stand-in is a
 // write-ahead log (wal.go) whose checkpoint format is the existing gob
 // snapshot, so a directory written by the old snapshot-only mode is a
-// valid (record-free) store. A Null backend keeps tests and the bench
-// testbed free of any I/O.
+// valid (record-free) store. A service configured with no Store logs
+// nothing, so tests and the bench testbed stay free of any I/O.
 //
 // Contract highlights:
 //
@@ -86,22 +86,3 @@ type Store interface {
 	// Close flushes and releases resources. Append after Close errors.
 	Close() error
 }
-
-// Null is the no-op in-memory backend: every operation succeeds and
-// nothing is retained. It exists so code paths that require a non-nil
-// Store (generic harnesses, tests) pay nothing; the core service
-// additionally skips payload encoding entirely when its configured
-// Store is nil.
-type Null struct{}
-
-// NewNull returns the no-op backend.
-func NewNull() *Null { return &Null{} }
-
-func (*Null) Append(Record) error                   { return nil }
-func (*Null) SetCheckpointer(func(io.Writer) error) {}
-func (*Null) Recover(func(r io.Reader) error, func(rec Record) error) (RecoveryInfo, error) {
-	return RecoveryInfo{}, nil
-}
-func (*Null) Checkpoint() error { return nil }
-func (*Null) Stats() Stats      { return Stats{} }
-func (*Null) Close() error      { return nil }

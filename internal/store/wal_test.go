@@ -322,22 +322,3 @@ func TestWALConcurrentAppend(t *testing.T) {
 		t.Fatalf("recovered %d keys, want 200", got)
 	}
 }
-
-func TestNullStore(t *testing.T) {
-	n := NewNull()
-	if _, err := n.Recover(nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Append(Record{Kind: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if st := n.Stats(); st != (Stats{}) {
-		t.Fatalf("Null stats = %+v", st)
-	}
-	if err := n.Close(); err != nil {
-		t.Fatal(err)
-	}
-}

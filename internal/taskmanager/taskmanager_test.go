@@ -20,6 +20,15 @@ func init() {
 	simconst.Scale = 1000
 }
 
+// roundTrip is one message through the broker under a flat timeout; ok
+// is false when it passed without a reply.
+func roundTrip(b *queue.Broker, queueName string, body []byte, timeout time.Duration) ([]byte, bool) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	reply, err := b.RequestCtx(ctx, queueName, body, "")
+	return reply, err == nil
+}
+
 // fakeExecutor counts invocations and returns canned outputs. The Task
 // Manager hands an executor the payload's bytes; like a servable, the
 // fake decodes them itself, and keeps what it was handed for the tests
@@ -120,7 +129,7 @@ func request(t *testing.T, broker *queue.Broker, task Task) Reply {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replyBody, ok := broker.Request(TaskQueue("tm-test"), body, 5*time.Second)
+	replyBody, ok := roundTrip(broker, TaskQueue("tm-test"), body, 5*time.Second)
 	if !ok {
 		t.Fatal("request timed out")
 	}
@@ -409,7 +418,7 @@ func TestUnknownKind(t *testing.T) {
 
 func TestBadTaskJSON(t *testing.T) {
 	_, broker, _ := startTM(t, false)
-	replyBody, ok := broker.Request(TaskQueue("tm-test"), []byte("{not json"), 5*time.Second)
+	replyBody, ok := roundTrip(broker, TaskQueue("tm-test"), []byte("{not json"), 5*time.Second)
 	if !ok {
 		t.Fatal("should still reply to malformed tasks")
 	}
@@ -439,7 +448,7 @@ func TestConcurrentTasks(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			body, _ := json.Marshal(Task{ID: fmt.Sprintf("c%d", i), Kind: "run", Servable: "dlhub/noop", Input: i})
-			replyBody, ok := broker.Request(TaskQueue("tm-test"), body, 5*time.Second)
+			replyBody, ok := roundTrip(broker, TaskQueue("tm-test"), body, 5*time.Second)
 			if !ok {
 				errs[i] = errors.New("timeout")
 				return

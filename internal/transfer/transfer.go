@@ -11,8 +11,6 @@
 package transfer
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -51,18 +49,6 @@ func (e *Endpoint) Put(path string, data []byte) {
 	}
 	e.files[path] = append([]byte(nil), data...)
 	e.mu.Unlock()
-}
-
-// Stat returns a file's size and sha256.
-func (e *Endpoint) Stat(path string) (int64, string, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	data, ok := e.files[path]
-	if !ok {
-		return 0, "", fmt.Errorf("%w: %s:%s", ErrFileNotFound, e.Name, path)
-	}
-	sum := sha256.Sum256(data)
-	return int64(len(data)), hex.EncodeToString(sum[:]), nil
 }
 
 func (e *Endpoint) readable(principals []string) bool {
