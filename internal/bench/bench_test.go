@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -104,8 +105,8 @@ func TestTestbedPublishAndServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Output != "hello world" {
-		t.Fatalf("wrong output %v", res.Output)
+	if string(res.Output) != `"hello world"` {
+		t.Fatalf("wrong output %s", res.Output)
 	}
 }
 
@@ -133,7 +134,8 @@ func TestPublishPaperServables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := res.Output.(map[string]any); len(m) != 2 {
-		t.Fatalf("NaCl wrong: %v", m)
+	var m map[string]any
+	if err := json.Unmarshal(res.Output, &m); err != nil || len(m) != 2 {
+		t.Fatalf("NaCl wrong: %s (%v)", res.Output, err)
 	}
 }

@@ -223,11 +223,7 @@ func (s *System) Invoke(ctx context.Context, servableID string, input any) (exec
 	if err != nil {
 		return executor.Result{}, err
 	}
-	var res executor.Result
-	if err := json.Unmarshal(data, &res); err != nil {
-		return executor.Result{}, err
-	}
-	return res, nil
+	return executor.DecodeResult(data)
 }
 
 // Close implements executor.Executor: the model deployments, then the

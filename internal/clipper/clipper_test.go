@@ -52,9 +52,9 @@ func TestClipperServesModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, ok := res.Output.(map[string]any)
+	m, ok := executortest.Value(t, res.Output).(map[string]any)
 	if !ok || len(m) != 2 {
-		t.Fatalf("bad output %v", res.Output)
+		t.Fatalf("bad output %s", res.Output)
 	}
 	if sys.Replicas("dlhub/util") != 2 {
 		t.Fatalf("want 2 replicas, got %d", sys.Replicas("dlhub/util"))

@@ -5,7 +5,6 @@ import (
 	"container/list"
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -39,9 +38,9 @@ type CacheConfig struct {
 	// MaxEntries bounds the cache; the least recently used entry is
 	// evicted at capacity (default 4096).
 	MaxEntries int
-	// MaxBytes bounds the summed JSON size of cached results (default
-	// 256 MiB). Entries above MaxBytes/4 are never cached, so one
-	// giant batch result cannot dominate the budget.
+	// MaxBytes bounds the bytes cached results hold, payload and task
+	// ID, exactly (default 256 MiB). Entries above MaxBytes/4 are never
+	// cached, so one giant batch result cannot dominate the budget.
 	MaxBytes int64
 	// TTL expires entries after this long (default 5m; <0 disables
 	// expiry).
@@ -76,11 +75,15 @@ type CacheStats struct {
 	Collapsed uint64 `json:"collapsed"`
 }
 
+// cacheKey is the sha256 of a request's servable, version, kind and
+// canonical input (hashKey); the zero value means the cache does not apply.
+type cacheKey [sha256.Size]byte
+
 type cacheEntry struct {
-	key      string
+	key      cacheKey
 	servable string
-	res      RunResult
-	size     int64     // JSON size of res, charged against maxBytes
+	res      RunResult // what a response carries: the payload is the reply's bytes
+	size     int64     // bytes res holds, charged against maxBytes
 	expires  time.Time // zero = never
 }
 
@@ -91,9 +94,9 @@ type resultCache struct {
 	maxBytes   int64
 	bytes      int64
 	ttl        time.Duration
-	lru        *list.List               // front = most recently used, of *cacheEntry
-	entries    map[string]*list.Element // key -> element
-	byServable map[string]map[string]*list.Element
+	lru        *list.List // front = most recently used, of *cacheEntry
+	entries    map[cacheKey]*list.Element
+	byServable map[string]map[cacheKey]*list.Element
 	// gens (per servable, bumped by invalidate) and epoch (bumped by
 	// flush) guard against the lookaside stale-write race: a put whose
 	// compute started under an older generation is discarded, so a
@@ -116,45 +119,50 @@ func newResultCache(cfg CacheConfig) *resultCache {
 		maxBytes:   cfg.MaxBytes,
 		ttl:        cfg.TTL,
 		lru:        list.New(),
-		entries:    make(map[string]*list.Element),
-		byServable: make(map[string]map[string]*list.Element),
+		entries:    make(map[cacheKey]*list.Element),
+		byServable: make(map[string]map[cacheKey]*list.Element),
 		gens:       make(map[string]uint64),
 		now:        time.Now,
 	}
 }
 
-// keyBufs recycles the buffers cache keys are assembled in; maxKeyBuf
-// keeps one rare giant request from pinning its megabytes in the pool.
-var keyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// bufPool recycles the buffers cache keys and run responses are assembled
+// in; a rare giant one is dropped rather than pinned in the pool.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-const maxKeyBuf = 1 << 20
+func getBuf() *bytes.Buffer {
+	buf := bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	return buf
+}
+
+func putBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= 1<<20 {
+		bufPool.Put(buf)
+	}
+}
 
 // resultKey builds the cache key of a single run: sha256 over servable
 // ID, published version, task kind and the input's canonical JSON — the
 // text json.Marshal emits for the decoded input, so neither whitespace,
 // member order nor the spelling of a string splits entries.
-func resultKey(servableID string, version int, input json.RawMessage) (string, error) {
+func resultKey(servableID string, version int, input json.RawMessage) (cacheKey, error) {
 	return hashKey(servableID, version, false, input)
 }
 
 // batchKey is resultKey for a whole batch: the inputs hash as one JSON
 // array, so a batch is one cache unit.
-func batchKey(servableID string, version int, inputs []json.RawMessage) (string, error) {
+func batchKey(servableID string, version int, inputs []json.RawMessage) (cacheKey, error) {
 	return hashKey(servableID, version, true, inputs...)
 }
 
-func hashKey(servableID string, version int, batch bool, inputs ...json.RawMessage) (string, error) {
+func hashKey(servableID string, version int, batch bool, inputs ...json.RawMessage) (cacheKey, error) {
 	kind := "run"
 	if batch {
 		kind = "batch"
 	}
-	buf := keyBufs.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxKeyBuf {
-			keyBufs.Put(buf)
-		}
-	}()
-	buf.Reset()
+	buf := getBuf()
+	defer putBuf(buf)
 	buf.WriteString(servableID)
 	buf.WriteByte(0)
 	buf.Write([]byte{byte(version), byte(version >> 8), byte(version >> 16), byte(version >> 24)})
@@ -168,14 +176,13 @@ func hashKey(servableID string, version int, batch bool, inputs ...json.RawMessa
 			buf.WriteByte(',')
 		}
 		if err := appendCanonical(buf, in); err != nil {
-			return "", err
+			return cacheKey{}, err
 		}
 	}
 	if batch {
 		buf.WriteByte(']')
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:]), nil
+	return sha256.Sum256(buf.Bytes()), nil
 }
 
 // appendCanonical appends raw's canonical JSON to buf. Compacting the
@@ -218,7 +225,7 @@ func respelled(raw []byte) bool {
 }
 
 // get returns the cached result for key, counting a hit or miss.
-func (c *resultCache) get(key string) (RunResult, bool) {
+func (c *resultCache) get(key cacheKey) (RunResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	elem, ok := c.entries[key]
@@ -250,8 +257,10 @@ func (c *resultCache) generation(servableID string) uint64 {
 // entries past the entry or byte budget. Puts from before an
 // invalidation (stale gen) and oversized results (more than a quarter
 // of the byte budget) are discarded.
-func (c *resultCache) put(key, servableID string, gen uint64, res RunResult) {
-	size := resultSize(res)
+func (c *resultCache) put(key cacheKey, servableID string, gen uint64, res RunResult) {
+	// The charge is the bytes the entry keeps alive. (Only successful
+	// non-pipeline results are cached: Error and Steps are empty.)
+	size := int64(len(res.TaskID) + len(res.Output) + len(res.Outputs))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if gen != c.epoch+c.gens[servableID] || size > c.maxBytes/4 {
@@ -275,7 +284,7 @@ func (c *resultCache) put(key, servableID string, gen uint64, res RunResult) {
 	c.bytes += size
 	keys := c.byServable[servableID]
 	if keys == nil {
-		keys = make(map[string]*list.Element)
+		keys = make(map[cacheKey]*list.Element)
 		c.byServable[servableID] = keys
 	}
 	keys[key] = elem
@@ -294,21 +303,6 @@ func (c *resultCache) evictOverBudgetLocked(reserve int64) {
 		c.unlinkLocked(c.lru.Back())
 		c.evictions.Inc()
 	}
-}
-
-// resultSize estimates a result's memory charge as its JSON length —
-// the length of the wire reply when dispatchTo recorded one, else a
-// fresh marshal (results the cache unit tests build by hand);
-// unmarshalable results charge a token minimum.
-func resultSize(res RunResult) int64 {
-	if res.wireSize > 0 {
-		return res.wireSize
-	}
-	data, err := json.Marshal(res)
-	if err != nil {
-		return 64
-	}
-	return int64(len(data))
 }
 
 func (c *resultCache) expiry() time.Time {
@@ -357,8 +351,8 @@ func (c *resultCache) flush() {
 	defer c.mu.Unlock()
 	n := c.lru.Len()
 	c.lru.Init()
-	c.entries = make(map[string]*list.Element)
-	c.byServable = make(map[string]map[string]*list.Element)
+	c.entries = make(map[cacheKey]*list.Element)
+	c.byServable = make(map[string]map[cacheKey]*list.Element)
 	c.bytes = 0
 	c.epoch++
 	c.invalidations.Add(uint64(n))
@@ -389,7 +383,7 @@ func (c *resultCache) stats() CacheStats {
 // singleflight; no external deps).
 type flightGroup struct {
 	mu    sync.Mutex
-	calls map[string]*flightCall
+	calls map[cacheKey]*flightCall
 }
 
 type flightCall struct {
@@ -407,11 +401,11 @@ type flightCall struct {
 // re-dispatches, so a canceled leader never takes its followers down
 // with it. shared reports whether this caller piggybacked on (or was
 // woken by) another's execution.
-func (g *flightGroup) do(ctx context.Context, key string, fn func() (RunResult, error)) (res RunResult, err error, shared bool) {
+func (g *flightGroup) do(ctx context.Context, key cacheKey, fn func() (RunResult, error)) (res RunResult, err error, shared bool) {
 	for {
 		g.mu.Lock()
 		if g.calls == nil {
-			g.calls = make(map[string]*flightCall)
+			g.calls = make(map[cacheKey]*flightCall)
 		}
 		if call, ok := g.calls[key]; ok {
 			g.mu.Unlock()

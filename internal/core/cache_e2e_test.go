@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -110,8 +111,8 @@ func TestServiceCacheHitMissBypass(t *testing.T) {
 	if !r2.CacheHit || !r2.Cached {
 		t.Fatalf("second identical run must hit the service cache: %+v", r2)
 	}
-	if r2.Output != r1.Output {
-		t.Fatalf("cached output differs: %v vs %v", r2.Output, r1.Output)
+	if !bytes.Equal(r2.Output, r1.Output) || r2.TaskID != r1.TaskID {
+		t.Fatalf("a hit carries the stored result: %s (%s) vs %s (%s)", r2.Output, r2.TaskID, r1.Output, r1.TaskID)
 	}
 	if got := tm.handled.Load(); got != 1 {
 		t.Fatalf("hit must not reach the TM: handled=%d", got)
@@ -136,6 +137,45 @@ func TestServiceCacheHitMissBypass(t *testing.T) {
 	st := ms.CacheStats()
 	if st.Hits != 1 || st.Misses < 1 || st.Entries != 1 {
 		t.Fatalf("stats wrong: %+v", st)
+	}
+}
+
+// TestServiceCacheHitRequiresVisibility: the ACL check comes before the
+// lookup. A caller who cannot see the servable gets not_found on a
+// request whose answer is cached — without the cache being consulted, and
+// whether or not the owner's run is still in flight to share.
+func TestServiceCacheHitRequiresVisibility(t *testing.T) {
+	ms := newCachedMS(t, core.CacheConfig{})
+	tm := startFakeTM(t, ms, "tm-1", nil)
+	if err := ms.WaitForTM(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	pkg := servable.NoopPackage()
+	pkg.Doc.Publication.VisibleTo = nil // owner-only
+	id, err := ms.Publish(context.Background(), core.Anonymous, pkg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, wantHit := range []bool{false, true} {
+		res, err := ms.Run(ctx, core.Anonymous, id, "secret", core.RunOptions{})
+		if err != nil || res.CacheHit != wantHit {
+			t.Fatalf("owner: hit %v (want %v), err %v", res.CacheHit, wantHit, err)
+		}
+	}
+	before := ms.CacheStats()
+	eve := core.Caller{IdentityID: "urn:identity:local:eve", Principals: []string{"public", "urn:identity:local:eve"}}
+	if _, err := ms.Run(ctx, eve, id, "secret", core.RunOptions{}); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("a caller who cannot see the servable ran it: %v", err)
+	}
+	if _, err := ms.RunBatch(ctx, eve, id, []any{"secret"}, core.RunOptions{}); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("a caller who cannot see the servable ran a batch on it: %v", err)
+	}
+	if after := ms.CacheStats(); after != before {
+		t.Fatalf("the refused runs touched the cache: %+v -> %+v", before, after)
+	}
+	if got := tm.handled.Load(); got != 1 {
+		t.Fatalf("TM handled %d tasks, want the owner's one", got)
 	}
 }
 
@@ -332,8 +372,8 @@ func TestLeastOutstandingRouting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Output != "from-tm-idle" {
-			t.Fatalf("request %d routed to the busy TM: %v", i, res.Output)
+		if string(res.Output) != `"from-tm-idle"` {
+			t.Fatalf("request %d routed to the busy TM: %s", i, res.Output)
 		}
 	}
 	if got := idle.handled.Load() - idleBefore; got != 5 {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,25 +13,29 @@ import (
 	"time"
 )
 
+// key is a cache key for a test that names its entries.
+func key(name string) cacheKey { return sha256.Sum256([]byte(name)) }
+
+// testResult is a hand-built result whose payload is out's bytes.
 func testResult(out string) RunResult {
 	res := RunResult{}
 	res.OK = true
-	res.Output = out
+	res.Output = json.RawMessage(out)
 	return res
 }
 
 func TestResultCacheLRUEviction(t *testing.T) {
 	c := newResultCache(CacheConfig{MaxEntries: 2})
-	c.put("a", "s1", 0, testResult("a"))
-	c.put("b", "s1", 0, testResult("b"))
-	if _, ok := c.get("a"); !ok { // touch a -> b becomes LRU
+	c.put(key("a"), "s1", 0, testResult("a"))
+	c.put(key("b"), "s1", 0, testResult("b"))
+	if _, ok := c.get(key("a")); !ok { // touch a -> b becomes LRU
 		t.Fatal("a should be cached")
 	}
-	c.put("c", "s1", 0, testResult("c"))
-	if _, ok := c.get("b"); ok {
+	c.put(key("c"), "s1", 0, testResult("c"))
+	if _, ok := c.get(key("b")); ok {
 		t.Fatal("b should have been evicted as LRU")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.get(key("a")); !ok {
 		t.Fatal("a should have survived eviction")
 	}
 	st := c.stats()
@@ -45,12 +48,12 @@ func TestResultCacheTTL(t *testing.T) {
 	now := time.Now()
 	c := newResultCache(CacheConfig{TTL: time.Minute})
 	c.now = func() time.Time { return now }
-	c.put("k", "s1", 0, testResult("v"))
-	if _, ok := c.get("k"); !ok {
+	c.put(key("k"), "s1", 0, testResult("v"))
+	if _, ok := c.get(key("k")); !ok {
 		t.Fatal("fresh entry should hit")
 	}
 	now = now.Add(2 * time.Minute)
-	if _, ok := c.get("k"); ok {
+	if _, ok := c.get(key("k")); ok {
 		t.Fatal("expired entry should miss")
 	}
 	st := c.stats()
@@ -61,16 +64,16 @@ func TestResultCacheTTL(t *testing.T) {
 
 func TestResultCacheInvalidate(t *testing.T) {
 	c := newResultCache(CacheConfig{})
-	c.put("k1", "s1", 0, testResult("1"))
-	c.put("k2", "s1", 0, testResult("2"))
-	c.put("k3", "s2", 0, testResult("3"))
+	c.put(key("k1"), "s1", 0, testResult("1"))
+	c.put(key("k2"), "s1", 0, testResult("2"))
+	c.put(key("k3"), "s2", 0, testResult("3"))
 	if n := c.invalidate("s1"); n != 2 {
 		t.Fatalf("want 2 invalidated, got %d", n)
 	}
-	if _, ok := c.get("k1"); ok {
+	if _, ok := c.get(key("k1")); ok {
 		t.Fatal("k1 should be gone")
 	}
-	if _, ok := c.get("k3"); !ok {
+	if _, ok := c.get(key("k3")); !ok {
 		t.Fatal("k3 (other servable) should survive")
 	}
 	c.flush()
@@ -107,11 +110,11 @@ func TestResultKeyCanonicalJSON(t *testing.T) {
 	}
 	// Version, kind, servable and input all partition the key space.
 	in := raw(`{"a":1.0,"b":"x"}`)
-	others := map[string]func() (string, error){
-		"version":  func() (string, error) { return resultKey("o/m", 2, in) },
-		"kind":     func() (string, error) { return batchKey("o/m", 1, []json.RawMessage{in}) },
-		"servable": func() (string, error) { return resultKey("o/m2", 1, in) },
-		"input":    func() (string, error) { return resultKey("o/m", 1, raw(`{"a":2.0,"b":"x"}`)) },
+	others := map[string]func() (cacheKey, error){
+		"version":  func() (cacheKey, error) { return resultKey("o/m", 2, in) },
+		"kind":     func() (cacheKey, error) { return batchKey("o/m", 1, []json.RawMessage{in}) },
+		"servable": func() (cacheKey, error) { return resultKey("o/m2", 1, in) },
+		"input":    func() (cacheKey, error) { return resultKey("o/m", 1, raw(`{"a":2.0,"b":"x"}`)) },
 	}
 	for what, key := range others {
 		if k, err := key(); err != nil || k == k1 {
@@ -172,7 +175,7 @@ func FuzzResultKey(f *testing.F) {
 		h := sha256.New()
 		h.Write([]byte("o/m\x00\x03\x00\x00\x00run\x00"))
 		h.Write(canonical)
-		if want != hex.EncodeToString(h.Sum(nil)) {
+		if want != cacheKey(h.Sum(nil)) {
 			t.Fatalf("key of %s is not the hash of its canonical bytes", canonical)
 		}
 	})
@@ -193,7 +196,7 @@ func TestFlightGroupCollapses(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err, shared := g.do(context.Background(), "k", func() (RunResult, error) {
+			res, err, shared := g.do(context.Background(), key("k"), func() (RunResult, error) {
 				leaderOnce.Do(func() { close(started) })
 				<-release
 				mu.Lock()
@@ -201,8 +204,8 @@ func TestFlightGroupCollapses(t *testing.T) {
 				mu.Unlock()
 				return testResult("once"), nil
 			})
-			if err != nil || res.Output != "once" {
-				t.Errorf("caller %d: res=%v err=%v", i, res.Output, err)
+			if err != nil || string(res.Output) != "once" {
+				t.Errorf("caller %d: res=%s err=%v", i, res.Output, err)
 			}
 			results[i] = shared
 		}(i)
@@ -231,14 +234,14 @@ func TestFlightGroupCollapses(t *testing.T) {
 func TestFlightGroupPropagatesError(t *testing.T) {
 	var g flightGroup
 	wantErr := fmt.Errorf("boom")
-	_, err, _ := g.do(context.Background(), "k", func() (RunResult, error) { return RunResult{}, wantErr })
+	_, err, _ := g.do(context.Background(), key("k"), func() (RunResult, error) { return RunResult{}, wantErr })
 	if err != wantErr {
 		t.Fatalf("want error propagated, got %v", err)
 	}
 	// A failed call must not poison the key for later calls.
-	res, err, _ := g.do(context.Background(), "k", func() (RunResult, error) { return testResult("ok"), nil })
-	if err != nil || res.Output != "ok" {
-		t.Fatalf("retry after failure broken: %v %v", res.Output, err)
+	res, err, _ := g.do(context.Background(), key("k"), func() (RunResult, error) { return testResult("ok"), nil })
+	if err != nil || string(res.Output) != "ok" {
+		t.Fatalf("retry after failure broken: %s %v", res.Output, err)
 	}
 }
 
@@ -246,7 +249,7 @@ func TestFlightGroupFollowerTimeout(t *testing.T) {
 	var g flightGroup
 	release := make(chan struct{})
 	leaderIn := make(chan struct{})
-	go g.do(context.Background(), "k", func() (RunResult, error) { //nolint:errcheck
+	go g.do(context.Background(), key("k"), func() (RunResult, error) { //nolint:errcheck
 		close(leaderIn)
 		<-release
 		return testResult("slow"), nil
@@ -257,7 +260,7 @@ func TestFlightGroupFollowerTimeout(t *testing.T) {
 	start := time.Now()
 	followerCtx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err, shared := g.do(followerCtx, "k", func() (RunResult, error) {
+	_, err, shared := g.do(followerCtx, key("k"), func() (RunResult, error) {
 		t.Error("follower must not execute fn")
 		return RunResult{}, nil
 	})
@@ -276,53 +279,75 @@ func TestResultCacheStaleGenerationPut(t *testing.T) {
 	c.invalidate("s1") // bumps s1's generation
 	// A result computed before the invalidation must not be stored
 	// after it.
-	c.put("k", "s1", gen, testResult("stale"))
-	if _, ok := c.get("k"); ok {
+	c.put(key("k"), "s1", gen, testResult("stale"))
+	if _, ok := c.get(key("k")); ok {
 		t.Fatal("stale-generation put must be discarded")
 	}
-	c.put("k", "s1", c.generation("s1"), testResult("fresh"))
-	if res, ok := c.get("k"); !ok || res.Output != "fresh" {
+	c.put(key("k"), "s1", c.generation("s1"), testResult("fresh"))
+	if res, ok := c.get(key("k")); !ok || string(res.Output) != "fresh" {
 		t.Fatal("current-generation put must store")
 	}
 	// Another servable's invalidation must not discard s2's put.
 	gen2 := c.generation("s2")
 	c.invalidate("s1")
-	c.put("k2", "s2", gen2, testResult("s2"))
-	if _, ok := c.get("k2"); !ok {
+	c.put(key("k2"), "s2", gen2, testResult("s2"))
+	if _, ok := c.get(key("k2")); !ok {
 		t.Fatal("unrelated invalidation must not discard s2's result")
 	}
 	// A flush invalidates every in-flight compute.
 	gen2 = c.generation("s2")
 	c.flush()
-	c.put("k3", "s2", gen2, testResult("late"))
-	if _, ok := c.get("k3"); ok {
+	c.put(key("k3"), "s2", gen2, testResult("late"))
+	if _, ok := c.get(key("k3")); ok {
 		t.Fatal("pre-flush compute must not be stored post-flush")
 	}
 }
 
 func TestResultCacheByteBudget(t *testing.T) {
-	big := func(n int) RunResult { // result whose JSON is a bit over n bytes
+	big := func(n int) RunResult { // result holding exactly n bytes
 		return testResult(strings.Repeat("x", n))
 	}
 	c := newResultCache(CacheConfig{MaxEntries: 100, MaxBytes: 4096})
-	// Four ~900-byte entries fit (each under the 1024-byte oversize
+	// An entry is charged exactly the bytes it holds: payload (a run's
+	// output or a batch's outputs) plus task ID, nothing measured by
+	// encoding it.
+	c.put(key("a"), "s1", 0, big(1000))
+	if st := c.stats(); st.Entries != 1 || st.Bytes != 1000 {
+		t.Fatalf("one 1000-byte entry: %+v", st)
+	}
+	batch := RunResult{}
+	batch.TaskID = "0123456789abcdef"
+	batch.Outputs = json.RawMessage(`["x","y"]`)
+	c.put(key("batch"), "s1", 0, batch)
+	if st := c.stats(); st.Bytes != 1000+16+9 {
+		t.Fatalf("entry with a task ID and outputs: %+v", st)
+	}
+	c.put(key("a"), "s1", 0, big(10)) // a refresh is re-charged
+	if st := c.stats(); st.Entries != 2 || st.Bytes != 10+16+9 {
+		t.Fatalf("after refreshing a: %+v", st)
+	}
+	c = newResultCache(CacheConfig{MaxEntries: 100, MaxBytes: 4096})
+	// Four 1000-byte entries fit (each under the 1024-byte oversize
 	// threshold); the fifth pushes the sum past 4096 and evicts LRU.
 	for _, k := range []string{"a", "b", "c", "d"} {
-		c.put(k, "s1", 0, big(900))
+		c.put(key(k), "s1", 0, big(1000))
 	}
-	if st := c.stats(); st.Entries != 4 || st.Bytes <= 0 {
+	if st := c.stats(); st.Entries != 4 || st.Bytes != 4000 {
 		t.Fatalf("setup wrong: %+v", st)
 	}
-	c.put("e", "s1", 0, big(900))
-	if _, ok := c.get("a"); ok {
+	c.put(key("e"), "s1", 0, big(1000))
+	if _, ok := c.get(key("a")); ok {
 		t.Fatal("a should have been evicted for the byte budget")
 	}
-	if st := c.stats(); st.Bytes > 4096 {
+	if st := c.stats(); st.Entries != 4 || st.Bytes != 4000 {
 		t.Fatalf("byte budget exceeded: %+v", st)
 	}
 	// Oversized results (> MaxBytes/4) are never cached.
-	c.put("huge", "s1", 0, big(1500))
-	if _, ok := c.get("huge"); ok {
+	c.put(key("huge"), "s1", 0, big(1025))
+	if _, ok := c.get(key("huge")); ok {
 		t.Fatal("oversized entry should not be cached")
+	}
+	if _, ok := c.get(key("e")); !ok {
+		t.Fatal("refusing the oversized entry must not evict a cached one")
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -125,8 +127,8 @@ func TestCancelLeaderReleasesFollowers(t *testing.T) {
 		if out.err != nil {
 			t.Fatalf("follower inherited the leader's cancellation: %v", out.err)
 		}
-		if out.res.Output != "late-but-real" {
-			t.Fatalf("follower got %v, want late-but-real", out.res.Output)
+		if string(out.res.Output) != `"late-but-real"` {
+			t.Fatalf("follower got %s, want late-but-real", out.res.Output)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("follower still blocked after leader cancel")
@@ -138,7 +140,7 @@ func TestCancelLeaderReleasesFollowers(t *testing.T) {
 		t.Fatalf("want exactly 1 cache entry, got %d", stats.Entries)
 	}
 	res, err := ms.Run(context.Background(), core.Anonymous, id, "shared-input", core.RunOptions{})
-	if err != nil || !res.CacheHit || res.Output != "late-but-real" {
+	if err != nil || !res.CacheHit || string(res.Output) != `"late-but-real"` {
 		t.Fatalf("post-cancel cache broken: res=%+v err=%v", res, err)
 	}
 	if load := ms.TMLoad()[tmID]; load != 0 {
@@ -186,6 +188,44 @@ func TestRunCtxDeadlineBoundsRequest(t *testing.T) {
 	}
 	if !errors.Is(err, core.ErrTimeout) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want ErrTimeout + DeadlineExceeded, got %v", err)
+	}
+}
+
+// TestMalformedTMReplyIsUpstream: a task answered with bytes that are
+// not JSON is the site's failure — 502 upstream_error, never the
+// client's 400 — and nothing of it is cached: the same request dispatches
+// again.
+func TestMalformedTMReplyIsUpstream(t *testing.T) {
+	ms, tmID := blackHoleTM(t)
+	id, err := ms.Publish(context.Background(), core.Anonymous, servable.NoopPackage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := ms.Handler()
+	answer := func(body string) {
+		msg, ok := ms.Broker().Pull(taskmanager.TaskQueue(tmID), 2*time.Second)
+		if !ok {
+			t.Error("no task arrived on the TM queue")
+			return
+		}
+		ms.Broker().Reply(msg, []byte(body))
+	}
+
+	go answer(`{"ok":tr`)
+	status, cache, env := postRun(t, h, id, strings.NewReader(`{"input":"x"}`))
+	if status != http.StatusBadGateway || env.Error == nil || env.Error.Code != string(core.CodeUpstream) {
+		t.Fatalf("status %d, cache %q, error %+v; want 502 upstream_error", status, cache, env.Error)
+	}
+	if st := ms.CacheStats(); st.Entries != 0 {
+		t.Fatalf("a failed dispatch was cached: %+v", st)
+	}
+
+	go answer(`<html>502 Bad Gateway</html>`)
+	if _, err := ms.Run(context.Background(), core.Anonymous, id, "x", core.RunOptions{}); !errors.Is(err, core.ErrUpstream) {
+		t.Fatalf("in-process: %v, want ErrUpstream", err)
+	}
+	if load := ms.TMLoad()[tmID]; load != 0 {
+		t.Fatalf("in-flight slots leaked: %d", load)
 	}
 }
 

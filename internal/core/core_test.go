@@ -52,8 +52,8 @@ func TestPublishRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Output != "hello world" {
-		t.Fatalf("wrong output %v", res.Output)
+	if string(res.Output) != `"hello world"` {
+		t.Fatalf("wrong output %s", res.Output)
 	}
 	if res.RequestMicros <= 0 || res.InvocationMicros <= 0 {
 		t.Fatalf("timings missing: %+v", res)
@@ -259,10 +259,11 @@ func TestBatchEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Outputs) != 3 {
-		t.Fatalf("want 3 outputs, got %d", len(res.Outputs))
+	outs, ok := outValue(t, res.Outputs).([]any)
+	if !ok || len(outs) != 3 {
+		t.Fatalf("want 3 outputs, got %s", res.Outputs)
 	}
-	first := res.Outputs[0].(map[string]any)
+	first := outs[0].(map[string]any)
 	if len(first) != 2 {
 		t.Fatalf("NaCl should parse to 2 elements: %v", first)
 	}
@@ -311,8 +312,8 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := res.Output.(float64); !ok {
-		t.Fatalf("pipeline should end in a formation energy float, got %T", res.Output)
+	if _, ok := outValue(t, res.Output).(float64); !ok {
+		t.Fatalf("pipeline should end in a formation energy float, got %s", res.Output)
 	}
 }
 
@@ -333,8 +334,8 @@ func TestAsyncTask(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st.Status == "completed" {
-			if st.Reply.Output != "hello world" {
-				t.Fatalf("async result wrong: %v", st.Reply.Output)
+			if string(st.Reply.Output) != `"hello world"` {
+				t.Fatalf("async result wrong: %s", st.Reply.Output)
 			}
 			break
 		}
@@ -420,7 +421,7 @@ func TestRedeployServesTheRepublishedVersion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Output
+		return outValue(t, res.Output)
 	}
 
 	id, err := ms.Publish(ctx, core.Anonymous, servable.NoopPackage())

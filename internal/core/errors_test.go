@@ -77,6 +77,10 @@ func TestClassifyContextErrors(t *testing.T) {
 		{context.DeadlineExceeded, CodeTimeout, http.StatusGatewayTimeout},
 		{fmt.Errorf("dispatch: %w", context.Canceled), CodeCanceled, StatusClientClosedRequest},
 		{errors.New("anything else"), CodeBadRequest, http.StatusBadRequest},
+		// A reply this service cannot read is the site's failure, as
+		// dispatchTo wraps it; bare, it would fall to bad_request above.
+		{fmt.Errorf("%w: bad reply from task manager tm-1: %v", ErrUpstream, errors.New("unexpected end of JSON input")),
+			CodeUpstream, http.StatusBadGateway},
 	}
 	for _, tc := range cases {
 		e := Classify(tc.err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/auth"
@@ -88,6 +90,19 @@ func (s *Service) routesV2(mux *door) {
 // spoofable, the hole this release closes.
 const TenantHeader = "X-DLHub-Tenant"
 
+// The headers every request touches, under the canonical key net/http
+// stores them by — reading or assigning by it is a map operation, where
+// Header.Get/Set with the documented spelling first allocates this form —
+// and the values every response shares.
+var (
+	requestIDKey = http.CanonicalHeaderKey(RequestIDHeader)
+	tenantKey    = http.CanonicalHeaderKey(TenantHeader)
+	cacheHdrKey  = http.CanonicalHeaderKey(CacheHeader)
+
+	cacheBypass, cacheHit, cacheMiss = []string{"bypass"}, []string{"hit"}, []string{"miss"}
+	jsonContentType                  = []string{"application/json"}
+)
+
 // writeV2 writes a success envelope.
 func writeV2(w http.ResponseWriter, r *http.Request, status int, data any) {
 	rpc.WriteJSON(w, status, Envelope{Data: data, RequestID: RequestIDFromContext(r.Context())})
@@ -104,6 +119,80 @@ func writeV2Error(w http.ResponseWriter, r *http.Request, err error) {
 	})
 }
 
+// envelopeOpen starts a success envelope: the data, one JSON value,
+// follows it, and finishEnvelope closes it with the request ID (which
+// needs no escaping: the door admits only [A-Za-z0-9._:-]) and writes it.
+const envelopeOpen = `{"data":`
+
+func finishEnvelope(w http.ResponseWriter, r *http.Request, status int, buf *bytes.Buffer) {
+	buf.WriteString(`,"request_id":"`)
+	buf.WriteString(RequestIDFromContext(r.Context()))
+	buf.WriteString("\"}\n")
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
+	w.Write(buf.Bytes()) //nolint:errcheck — client gone
+}
+
+// writeRunResult appends res as the JSON object encoding/json writes for
+// it — same fields, same order, same omitempty — except that the payload
+// is copied, not parsed: hit, miss, batch, pipeline and idempotent replay
+// carry the host's bytes (FuzzRunEnvelope holds it to encoding/json).
+func writeRunResult(b *bytes.Buffer, res *RunResult) {
+	writeString(b, `{"task_id":`, res.TaskID, false)
+	b.WriteString(`,"ok":`)
+	b.WriteString(strconv.FormatBool(res.OK))
+	writeString(b, `,"error":`, res.Error, true)
+	if len(res.Output) > 0 {
+		b.WriteString(`,"output":`)
+		b.Write(res.Output)
+	}
+	if len(res.Outputs) > 0 {
+		b.WriteString(`,"outputs":`)
+		b.Write(res.Outputs)
+	}
+	writeInt(b, `,"inference_us":`, res.InferenceMicros, true)
+	writeInt(b, `,"invocation_us":`, res.InvocationMicros, true)
+	if res.Cached {
+		b.WriteString(`,"cached":true`)
+	}
+	if len(res.Steps) > 0 { // pipelines only: a few small records, left to encoding/json
+		steps, _ := json.Marshal(res.Steps)
+		b.WriteString(`,"steps":`)
+		b.Write(steps)
+	}
+	writeInt(b, `,"request_us":`, res.RequestMicros, false)
+	if res.CacheHit {
+		b.WriteString(`,"cache_hit":true`)
+	}
+	b.WriteByte('}')
+}
+
+func writeInt(b *bytes.Buffer, field string, v int64, omitZero bool) {
+	if v != 0 || !omitZero {
+		b.WriteString(field)
+		b.Write(strconv.AppendInt(b.AvailableBuffer(), v, 10))
+	}
+}
+
+// writeString appends field and s as a JSON string: plain ASCII — every
+// ID this service mints — as it is, anything else as encoding/json does.
+func writeString(b *bytes.Buffer, field, s string, omitEmpty bool) {
+	if s == "" && omitEmpty {
+		return
+	}
+	b.WriteString(field)
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || strings.IndexByte(`"\<>&`, c) >= 0 {
+			enc, _ := json.Marshal(s) // a string always marshals
+			b.Write(enc)
+			return
+		}
+	}
+	b.WriteByte('"')
+	b.WriteString(s)
+	b.WriteByte('"')
+}
+
 // callerV2 resolves the request identity, writing the enveloped 401 on
 // failure. Without an auth service, the X-DLHub-Tenant header may tag
 // the caller's tenant directly; with auth, tenancy is derived
@@ -111,7 +200,7 @@ func writeV2Error(w http.ResponseWriter, r *http.Request, err error) {
 // header at all is rejected — see TenantHeader.
 func (s *Service) callerV2(w http.ResponseWriter, r *http.Request) (Caller, bool) {
 	if s.cfg.Auth != nil {
-		if r.Header.Get(TenantHeader) != "" {
+		if r.Header.Get(tenantKey) != "" {
 			writeV2Error(w, r, ErrUnauthorized.WithDetail(
 				TenantHeader+" is not accepted when authentication is enabled; tenancy follows the token identity"))
 			return Caller{}, false
@@ -123,7 +212,7 @@ func (s *Service) callerV2(w http.ResponseWriter, r *http.Request) (Caller, bool
 		return Caller{}, false
 	}
 	if s.cfg.Auth == nil {
-		if h := r.Header.Get(TenantHeader); h != "" {
+		if h := r.Header.Get(tenantKey); h != "" {
 			c.Tenant = h
 		}
 	}
@@ -190,7 +279,9 @@ func pathID(r *http.Request) string { return r.PathValue("owner") + "/" + r.Path
 // idempotent executes fn under the request's Idempotency-Key (if any):
 // the first execution's outcome is stored and replayed to duplicates,
 // and a duplicate arriving mid-execution waits for the original rather
-// than re-executing. Without a key, fn runs unconditionally.
+// than re-executing. Without a key, fn runs unconditionally. fn writes
+// the response's data, one JSON value; the envelope around it is finished
+// here, the same way for a first answer and a replay.
 //
 // Only definitive outcomes are replayable: successes and 4xx failures.
 // Transient failures (any 5xx, and 499/canceled) release their waiters
@@ -199,15 +290,18 @@ func pathID(r *http.Request) string { return r.PathValue("owner") + "/" + r.Path
 // of replaying a stale outage. An execution that never finishes (panic
 // unwinding through us) is finished as internal and forgotten too, so
 // the key can never wedge.
-func (s *Service) idempotent(w http.ResponseWriter, r *http.Request, c Caller, fn func() (int, any, error)) {
+func (s *Service) idempotent(w http.ResponseWriter, r *http.Request, c Caller, fn func(data *bytes.Buffer) (status int, err error)) {
+	buf := getBuf()
+	defer putBuf(buf)
+	buf.WriteString(envelopeOpen)
 	key := r.Header.Get(IdempotencyKeyHeader)
 	if key == "" {
-		status, data, err := fn()
+		status, err := fn(buf)
 		if err != nil {
 			writeV2Error(w, r, err)
 			return
 		}
-		writeV2(w, r, status, data)
+		finishEnvelope(w, r, status, buf)
 		return
 	}
 	scoped := c.IdentityID + "|" + r.Method + " " + r.URL.Path + "|" + key
@@ -233,7 +327,8 @@ func (s *Service) idempotent(w http.ResponseWriter, r *http.Request, c Caller, f
 				writeV2Error(w, r, e.err)
 				return
 			}
-			rpc.WriteJSON(w, e.status, Envelope{Data: json.RawMessage(e.body), RequestID: RequestIDFromContext(r.Context())})
+			buf.Write(e.body)
+			finishEnvelope(w, r, e.status, buf)
 		case <-r.Context().Done():
 			writeV2Error(w, r, wrapCtxErr(r.Context().Err()))
 		}
@@ -255,21 +350,14 @@ func (s *Service) idempotent(w http.ResponseWriter, r *http.Request, c Caller, f
 			s.idem.forget(scoped, e)
 		}
 	}
-	status, data, err := fn()
+	status, err := fn(buf)
 	if err != nil {
-		serr := Classify(err)
-		settle(0, nil, serr)
+		settle(0, nil, Classify(err))
 		writeV2Error(w, r, err)
 		return
 	}
-	body, merr := json.Marshal(data)
-	if merr != nil {
-		settle(0, nil, Classify(merr))
-		writeV2Error(w, r, merr)
-		return
-	}
-	settle(status, body, nil)
-	rpc.WriteJSON(w, status, Envelope{Data: json.RawMessage(body), RequestID: RequestIDFromContext(r.Context())})
+	settle(status, bytes.Clone(buf.Bytes()[len(envelopeOpen):]), nil) // buf goes back to the pool
+	finishEnvelope(w, r, status, buf)
 }
 
 // replayable reports whether a failure is definitive enough to replay
@@ -317,16 +405,16 @@ func (s *Service) handleV2Publish(w http.ResponseWriter, r *http.Request) {
 	if !readV2(w, r, &req) {
 		return
 	}
-	s.idempotent(w, r, c, func() (int, any, error) {
+	s.idempotent(w, r, c, func(data *bytes.Buffer) (int, error) {
 		pkg := &servable.Package{Components: req.Components}
 		pkg.Doc = new(schema.Document)
 		if err := json.Unmarshal(req.Document, pkg.Doc); err != nil {
-			return 0, nil, ErrBadRequest.WithDetail("bad document: " + err.Error())
+			return 0, ErrBadRequest.WithDetail("bad document: " + err.Error())
 		}
 		if len(req.ComponentRefs) > 0 {
 			fetched, err := s.ResolveComponents(r.Header.Get("Authorization"), req.ComponentRefs)
 			if err != nil {
-				return 0, nil, fmt.Errorf("%w: %v", ErrUpstream, err)
+				return 0, fmt.Errorf("%w: %v", ErrUpstream, err)
 			}
 			if pkg.Components == nil {
 				pkg.Components = map[string][]byte{}
@@ -337,9 +425,11 @@ func (s *Service) handleV2Publish(w http.ResponseWriter, r *http.Request) {
 		}
 		id, err := s.Publish(r.Context(), c, pkg)
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
-		return http.StatusCreated, map[string]string{"id": id}, nil
+		writeString(data, `{"id":`, id, false)
+		data.WriteByte('}')
+		return http.StatusCreated, nil
 	})
 }
 
@@ -597,14 +687,14 @@ var jsonNull = json.RawMessage("null")
 const CacheHeader = "X-DLHub-Cache"
 
 // setCacheHeader annotates a synchronous run response.
-func (s *Service) setCacheHeader(w http.ResponseWriter, opts RunOptions, res RunResult) {
+func (s *Service) setCacheHeader(w http.ResponseWriter, opts RunOptions, res *RunResult) {
 	switch {
 	case !s.cacheUsable(opts) || res.cacheSkipped:
-		w.Header().Set(CacheHeader, "bypass")
+		w.Header()[cacheHdrKey] = cacheBypass
 	case res.CacheHit:
-		w.Header().Set(CacheHeader, "hit")
+		w.Header()[cacheHdrKey] = cacheHit
 	default:
-		w.Header().Set(CacheHeader, "miss")
+		w.Header()[cacheHdrKey] = cacheMiss
 	}
 }
 
@@ -626,13 +716,15 @@ func (s *Service) handleV2Run(w http.ResponseWriter, r *http.Request) {
 	}
 	id := pathID(r)
 	opts := RunOptions{Executor: req.Executor, NoMemo: req.NoMemo, NoCache: req.NoCache}
-	s.idempotent(w, r, c, func() (int, any, error) {
+	s.idempotent(w, r, c, func(data *bytes.Buffer) (int, error) {
 		if req.Async {
 			taskID, err := s.runAsync(r.Context(), c, id, req.Input, opts)
 			if err != nil {
-				return 0, nil, err
+				return 0, err
 			}
-			return http.StatusAccepted, map[string]string{"task_id": taskID}, nil
+			writeString(data, `{"task_id":`, taskID, false)
+			data.WriteByte('}')
+			return http.StatusAccepted, nil
 		}
 		var res RunResult
 		var err error
@@ -642,10 +734,11 @@ func (s *Service) handleV2Run(w http.ResponseWriter, r *http.Request) {
 			res, err = s.run(r.Context(), c, id, req.Input, opts)
 		}
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
-		s.setCacheHeader(w, opts, res)
-		return http.StatusOK, res, nil
+		s.setCacheHeader(w, opts, &res)
+		writeRunResult(data, &res)
+		return http.StatusOK, nil
 	})
 }
 

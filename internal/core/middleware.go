@@ -4,6 +4,7 @@ import (
 	"context"
 	"log"
 	"net/http"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -20,6 +21,20 @@ import (
 // v2 envelope repeats it in request_id.
 const RequestIDHeader = "X-Request-ID"
 
+// validRequestID reports whether a client-supplied ID may be propagated:
+// 1–64 characters of [A-Za-z0-9._:-]. The ID is echoed into the access
+// log, where a space would forge a field, and into the run route's
+// hand-written envelope, where a quote would break it.
+func validRequestID(id string) bool {
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || strings.IndexByte("._:-", c) >= 0) {
+			return false
+		}
+	}
+	return 1 <= len(id) && len(id) <= 64
+}
+
 // requestScope is one request's record. It is the ResponseWriter the
 // handler writes to — so the status is seen once, for the counters, the
 // log line and the panic tail alike — and the request context's one
@@ -29,6 +44,7 @@ type requestScope struct {
 	http.ResponseWriter
 	status int
 	id     string
+	idv    [1]string // the response header's value slice for id
 	tenant string
 }
 
@@ -142,11 +158,12 @@ func (s *Service) RouteStats() map[string]RouteStat {
 
 func (s *Service) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	sc := &requestScope{ResponseWriter: w, id: r.Header.Get(RequestIDHeader)}
-	if sc.id == "" || len(sc.id) > 64 {
+	sc := &requestScope{ResponseWriter: w, id: r.Header.Get(requestIDKey)}
+	if !validRequestID(sc.id) {
 		sc.id = queue.NewID()[:16]
 	}
-	w.Header().Set(RequestIDHeader, sc.id)
+	sc.idv[0] = sc.id
+	w.Header()[requestIDKey] = sc.idv[:]
 	r = r.WithContext(context.WithValue(r.Context(), scopeKey{}, sc))
 	defer func() {
 		if rec := recover(); rec != nil {

@@ -23,17 +23,19 @@ import (
 )
 
 // The payload path: a request's input is bytes from the HTTP body (or
-// from the in-process door's one marshal) to the executor. These tests
-// put a real Task Manager behind the service with an executor that
-// records what it is handed.
+// from the in-process door's one marshal) to the executor, and a result's
+// output is bytes from the executor to the HTTP response. These tests put
+// a real Task Manager behind the service with an executor that records
+// what it is handed.
 
 // recordingExecutor keeps every input it is invoked with and answers
-// "ok". With keep off it is the discard executor of the allocation
-// guards.
+// "ok" — or, with echo on, the input's own bytes, the way an executor
+// hands on what a pod encoded. With keep off it is the discard executor
+// of the allocation guards.
 type recordingExecutor struct {
-	keep bool
-	mu   sync.Mutex
-	got  []any
+	keep, echo bool
+	mu         sync.Mutex
+	got        []any
 }
 
 func (e *recordingExecutor) Name() string                        { return "recording" }
@@ -48,6 +50,9 @@ func (e *recordingExecutor) Invoke(_ context.Context, _ string, input any) (exec
 		e.mu.Lock()
 		e.got = append(e.got, input)
 		e.mu.Unlock()
+	}
+	if e.echo {
+		return executor.Result{Output: input, InferenceMicros: 1}, nil
 	}
 	return executor.Result{Output: "ok", InferenceMicros: 1}, nil
 }
@@ -76,8 +81,17 @@ func payloadStack(t testing.TB, ex executor.Executor) (*core.Service, string) {
 	t.Helper()
 	ms := core.New(core.Config{Registry: container.NewRegistry()})
 	t.Cleanup(ms.Close)
+	return ms, payloadSite(t, ms, "tm-1", "noop", ex)
+}
+
+// payloadSite adds a real in-process Task Manager tmID whose only
+// executor is ex, and publishes a noop-schema servable under name,
+// deployed there.
+func payloadSite(t testing.TB, ms *core.Service, tmID, name string, ex executor.Executor) string {
+	t.Helper()
+	before := len(ms.TaskManagers())
 	tm, err := taskmanager.New(taskmanager.Config{
-		ID:        "tm-1",
+		ID:        tmID,
 		Queue:     taskmanager.BrokerAdapter{B: ms.Broker()},
 		Executors: map[string]executor.Executor{"parsl": ex},
 	})
@@ -85,18 +99,31 @@ func payloadStack(t testing.TB, ex executor.Executor) (*core.Service, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(tm.Close)
-	if err := ms.WaitForTM(1, 5*time.Second); err != nil {
+	if err := ms.WaitForTM(before+1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	id, err := ms.Publish(ctx, core.Anonymous, servable.NoopPackage())
+	pkg := servable.NoopPackage()
+	pkg.Doc.Publication.Name = name
+	id, err := ms.Publish(ctx, core.Anonymous, pkg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ms.Deploy(ctx, core.Anonymous, id, 1, ""); err != nil {
+	if err := ms.DeployTo(ctx, core.Anonymous, id, 1, "", tmID); err != nil {
 		t.Fatal(err)
 	}
-	return ms, id
+	return id
+}
+
+// outValue decodes a result's payload — the service holds it as the
+// bytes the servable's host encoded — for a test that wants the value.
+func outValue(t testing.TB, raw json.RawMessage) any {
+	t.Helper()
+	var v any
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatalf("payload is not JSON: %v: %q", err, raw)
+	}
+	return v
 }
 
 // postRun sends body to id's run route through h and returns the status,
@@ -195,6 +222,105 @@ func TestPayloadBytesReachExecutor(t *testing.T) {
 			t.Fatalf("in-process batch of the same inputs: hit %v err %v", res.CacheHit, err)
 		}
 	})
+}
+
+// TestOutputBytesReachClient is the table above turned round: what the
+// servable's host encoded is what the client reads, byte for byte — on
+// the miss, on every hit after it, inside a batch's outputs and as the
+// next pipeline step's input. The executors echo their input, so a row's
+// value is both. (While the reply's output was decoded to a Go value and
+// encoded again at every hop, 9007199254740993 came back as
+// 9007199254740992, 1.0 as 1, [2.50] as [2.5] and 1e400 as a 400.)
+func TestOutputBytesReachClient(t *testing.T) {
+	ex1 := &recordingExecutor{keep: true, echo: true}
+	ex2 := &recordingExecutor{keep: true, echo: true}
+	ms, id := payloadStack(t, ex1)
+	// The pipeline's second step lives on another site, so the service
+	// chains the steps itself (no one Task Manager hosts both).
+	step2 := payloadSite(t, ms, "tm-2", "echo2", ex2)
+	pipe, err := ms.Publish(context.Background(), core.Anonymous, &servable.Package{Doc: pipelineDoc("echo-pipe", []string{id, step2})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := ms.Handler()
+
+	type runData struct {
+		TaskID    string          `json:"task_id"`
+		Output    json.RawMessage `json:"output"`
+		Outputs   json.RawMessage `json:"outputs"`
+		RequestUS *int64          `json:"request_us"`
+		CacheHit  bool            `json:"cache_hit"`
+	}
+	post := func(t *testing.T, servableID, body, wantCache string) runData {
+		t.Helper()
+		status, cache, env := postRun(t, h, servableID, strings.NewReader(body))
+		if status != http.StatusOK || cache != wantCache {
+			t.Fatalf("%s: status %d, header %q (want %q): %+v", body, status, cache, wantCache, env.Error)
+		}
+		var data runData
+		if err := json.Unmarshal(env.Data, &data); err != nil {
+			t.Fatal(err)
+		}
+		if data.RequestUS == nil || data.CacheHit != (wantCache == "hit") {
+			t.Fatalf("%s: request_us %v, cache_hit %v beside header %q: %s", body, data.RequestUS, data.CacheHit, wantCache, env.Data)
+		}
+		return data
+	}
+
+	for _, row := range []struct {
+		name, value string
+		// want is the output the client reads when it is not value itself:
+		// the Task Manager's reply encode spells <, > and & as escapes.
+		want string
+	}{
+		{name: "integer past 2^53", value: `9007199254740993`},
+		{name: "float that is an integer", value: `1.0`},
+		{name: "exponent", value: `1e-7`},
+		{name: "beyond float64", value: `1e400`},
+		{name: "trailing zero", value: `[2.50]`},
+		{name: "member order", value: `{"b":1,"a":null}`},
+		{name: "non-ASCII string", value: `"é"`},
+		{name: "markup", value: `"<a>"`, want: `"\u003ca\u003e"`},
+		{name: "null", value: `null`},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			want := row.want
+			if want == "" {
+				want = row.value
+			}
+			miss := post(t, id, `{"input":`+row.value+`}`, "miss")
+			if string(miss.Output) != want {
+				t.Fatalf("miss: output %s, want %s", miss.Output, want)
+			}
+			hit := post(t, id, `{"input":`+row.value+`}`, "hit")
+			if string(hit.Output) != want || hit.TaskID != miss.TaskID {
+				t.Fatalf("hit: output %s of task %s, want %s of task %s", hit.Output, hit.TaskID, want, miss.TaskID)
+			}
+
+			batch := `{"inputs":[` + row.value + `,` + row.value + `]}`
+			wantOutputs := `[` + want + `,` + want + `]`
+			if got := post(t, id, batch, "miss"); string(got.Outputs) != wantOutputs {
+				t.Fatalf("batch miss: outputs %s, want %s", got.Outputs, wantOutputs)
+			}
+			if got := post(t, id, batch, "hit"); string(got.Outputs) != wantOutputs {
+				t.Fatalf("batch hit: outputs %s, want %s", got.Outputs, wantOutputs)
+			}
+
+			// Step 1 is the run above (a hit); step 2 is handed step 1's
+			// output bytes as its input.
+			ex1.take(t)
+			ex2.take(t)
+			if got := post(t, pipe, `{"input":`+row.value+`}`, "miss"); string(got.Output) != want {
+				t.Fatalf("pipeline: output %s, want %s", got.Output, want)
+			}
+			if got1, got2 := ex1.take(t), ex2.take(t); len(got1) != 0 || len(got2) != 1 || got2[0] != want {
+				t.Fatalf("pipeline: step 1 dispatched %q (want a hit), step 2 was handed %q, want exactly %q", got1, got2, want)
+			}
+			if got := post(t, pipe, `{"input":`+row.value+`}`, "hit"); string(got.Output) != want {
+				t.Fatalf("pipeline hit: output %s, want %s", got.Output, want)
+			}
+		})
+	}
 }
 
 func TestV2RunRejectsAmbiguousInputs(t *testing.T) {
@@ -316,23 +442,26 @@ func batchBody(n, m int) seqBody {
 }
 
 // runOnce drives one request through the handler and fails on anything
-// but a dispatched 200.
-func runOnce(t testing.TB, h http.Handler, path string, body []byte) {
+// but a 200 the cache answered as want says ("miss": dispatched).
+func runOnce(t testing.TB, h http.Handler, path string, body []byte, want string) {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-	if rec.Code != http.StatusOK || rec.Header().Get(core.CacheHeader) != "miss" {
-		t.Fatalf("status %d, cache %q: %s", rec.Code, rec.Header().Get(core.CacheHeader), rec.Body.Bytes())
+	if rec.Code != http.StatusOK || rec.Header().Get(core.CacheHeader) != want {
+		t.Fatalf("status %d, cache %q, want %q: %s", rec.Code, rec.Header().Get(core.CacheHeader), want, rec.Body.Bytes())
 	}
 }
 
-// TestRunHTTPAllocs guards the payload path's allocation bill from the
-// handler through an in-process Task Manager to an executor that
-// discards its input: everything a request costs this side of the
-// servable. A 100 x 64 batch holds 6,400 numbers; a path that decodes
-// them to values even once costs upwards of 13,000 objects (27,769
-// before payloads passed through as bytes, which decoded them twice), so
-// the bound of 1,000 fails on the first decode anyone adds. The single
-// run's bound is what the same test measured before that change.
+// TestRunHTTPAllocs guards the allocation bill of a run from the handler
+// through an in-process Task Manager to an executor that discards its
+// input: everything a request costs this side of the servable, the
+// harness's request and recorder included. Each bound is what this test
+// measures at this commit plus two. A 100 x 64 batch holds 6,400 numbers
+// and answers 100 outputs; decoding either side to values even once costs
+// thousands of objects (27,769 before inputs passed through as bytes, 834
+// while the reply's outputs were still decoded and re-encoded). A cache
+// hit does nothing a hit does not need — no deadline context, no task ID,
+// no reflection over the stored result — so the first of those anyone
+// adds back fails its row.
 func TestRunHTTPAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
@@ -343,14 +472,24 @@ func TestRunHTTPAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		body  seqBody
+		hit   bool // the same body every time
 		bound float64
 	}{
-		{"batch 100x64", batchBody(100, 64), 1000},
-		{"single run", newSeqBody(`{"input":"k`, `"}`), singleRunAllocsBefore},
+		{"batch 100x64", batchBody(100, 64), false, batchAllocs + 2},
+		{"single run", newSeqBody(`{"input":"k`, `"}`), false, singleRunAllocs + 2},
+		{"cache hit", newSeqBody(`{"input":"h`, `"}`), true, hitAllocs + 2},
 	} {
-		seq := 0
-		run := func() { seq++; runOnce(t, h, path, c.body.setSeq(seq)) }
-		run() // pools filled, routes learned
+		seq, want := 0, "miss"
+		run := func() {
+			if !c.hit {
+				seq++
+			}
+			runOnce(t, h, path, c.body.setSeq(seq), want)
+		}
+		run() // pools filled, routes learned, the hit row's entry stored
+		if c.hit {
+			want = "hit"
+		}
 		got := testing.AllocsPerRun(50, run)
 		t.Logf("%s: %.0f objects per request", c.name, got)
 		if got > c.bound {
@@ -358,6 +497,14 @@ func TestRunHTTPAllocs(t *testing.T) {
 		}
 	}
 }
+
+// What TestRunHTTPAllocs measures at this commit (at the parent: batch
+// 834, single run 105, and 52 for a hit).
+const (
+	batchAllocs     = 613
+	singleRunAllocs = 90
+	hitAllocs       = 34
+)
 
 // BenchmarkRunBatchHTTP is TestRunHTTPAllocs's batch as a benchmark, so
 // CI's bench.txt tracks its allocs/op per commit.
@@ -369,11 +516,21 @@ func BenchmarkRunBatchHTTP(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runOnce(b, h, path, body.setSeq(i+1))
+		runOnce(b, h, path, body.setSeq(i+1), "miss")
 	}
 }
 
-// singleRunAllocsBefore is what TestRunHTTPAllocs measured at the commit
-// before payloads passed through as bytes: 116 objects for a single run
-// (111 after) and 27,769 for the batch (839 after).
-const singleRunAllocsBefore = 116
+// BenchmarkRunHitHTTP is TestRunHTTPAllocs's cache hit as a benchmark:
+// one body, answered from the result cache every time after the first.
+func BenchmarkRunHitHTTP(b *testing.B) {
+	ms, id := payloadStack(b, &recordingExecutor{})
+	h := ms.Handler()
+	path := "/api/v2/servables/" + id + "/run"
+	body := []byte(`{"input":"hot"}`)
+	runOnce(b, h, path, body, "miss")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runOnce(b, h, path, body, "hit")
+	}
+}

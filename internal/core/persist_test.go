@@ -140,7 +140,7 @@ func TestCheckpointServesAfterRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := res.Output.(map[string]any); len(m) != 2 {
+	if m := outValue(t, res.Output).(map[string]any); len(m) != 2 {
 		t.Fatalf("restored servable broken: %v", m)
 	}
 }

@@ -99,23 +99,12 @@ func (s *Service) runPipeline(ctx context.Context, caller Caller, doc *schema.Do
 // never dispatches the remainder.
 func (s *Service) runPipelineSteps(ctx context.Context, caller Caller, steps []string, input json.RawMessage, opts RunOptions, start time.Time) (RunResult, error) {
 	current := input
-	var output any
 	stats := make([]taskmanager.StepStat, 0, len(steps))
 	var totalInf, totalInv int64
 	allHits := true
 	for i, stepID := range steps {
 		if err := ctx.Err(); err != nil {
 			return RunResult{}, wrapCtxErr(err)
-		}
-		if i > 0 {
-			// The previous step's output re-enters as this step's input
-			// the way any in-process value does: marshaled once. (Cache
-			// hits alias stored entries, read-only by contract; encoding
-			// one only reads it.)
-			var err error
-			if current, err = encodeInput(output); err != nil {
-				return RunResult{}, fmt.Errorf("pipeline step %d (%s): output: %w", i, steps[i-1], err)
-			}
 		}
 		// Re-resolve per step: a step unpublished or hidden from the
 		// caller while the pipeline runs fails here, not with a stale
@@ -149,12 +138,14 @@ func (s *Service) runPipelineSteps(ctx context.Context, caller Caller, steps []s
 		totalInf += res.InferenceMicros
 		totalInv += res.InvocationMicros
 		allHits = allHits && res.CacheHit
-		output = res.Output
+		// The step's output bytes are the next step's input (a hit's
+		// alias the stored entry; nothing here writes them).
+		current = res.Output
 	}
 	res := RunResult{
-		Reply: taskmanager.Reply{
+		Reply: Reply{
 			OK:               true,
-			Output:           output,
+			Output:           current,
 			InferenceMicros:  totalInf,
 			InvocationMicros: totalInv,
 			Steps:            stats,

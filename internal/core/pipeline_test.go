@@ -181,9 +181,9 @@ func TestPipelineAcrossTwoTMs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pipeline across two TMs failed: %v", err)
 	}
-	feats, ok := res.Output.([]any)
+	feats, ok := outValue(t, res.Output).([]any)
 	if !ok || len(feats) == 0 {
-		t.Fatalf("pipeline should end in a feature vector, got %T", res.Output)
+		t.Fatalf("pipeline should end in a feature vector, got %s", res.Output)
 	}
 	// Both sites executed exactly their own step (deploy task + run).
 	doneA, _ := tmA.Stats()

@@ -50,7 +50,8 @@
 // A request's input is never decoded here: it is JSON bytes from the
 // HTTP body (or from one json.Marshal of an in-process caller's value)
 // to the servable, keyed for the cache and put on the task as bytes
-// (docs/ARCHITECTURE.md, "Payload path").
+// (docs/ARCHITECTURE.md, "Payload path"); a result's output comes back
+// the same way, the host's bytes to the HTTP response ("Result path").
 package core
 
 import (
@@ -229,13 +230,13 @@ type Service struct {
 // Service returns a unique task UUID that can be used subsequently to
 // monitor the status of the task and retrieve its result").
 type AsyncTask struct {
-	ID       string             `json:"id"`
-	Status   string             `json:"status"` // pending | completed | failed
-	Tenant   string             `json:"tenant,omitempty"`
-	Reply    *taskmanager.Reply `json:"reply,omitempty"`
-	Error    string             `json:"error,omitempty"`
-	Created  time.Time          `json:"created"`
-	Finished time.Time          `json:"finished,omitempty"`
+	ID       string    `json:"id"`
+	Status   string    `json:"status"` // pending | completed | failed
+	Tenant   string    `json:"tenant,omitempty"`
+	Reply    *Reply    `json:"reply,omitempty"`
+	Error    string    `json:"error,omitempty"`
+	Created  time.Time `json:"created"`
+	Finished time.Time `json:"finished,omitempty"`
 }
 
 // asyncTask pairs the public task state with its completion signal;
@@ -671,26 +672,39 @@ func (s *Service) reqCtx(ctx context.Context) (context.Context, context.CancelFu
 	return context.WithCancel(ctx)
 }
 
+// A result's payload is bytes from the servable's host to the HTTP
+// response, the mirror image of a request's input: encoded once at the
+// host, embedded by the Task Manager, and here stored, chained into the
+// next pipeline step and written to the client as it arrived, on a miss
+// and on every hit (docs/ARCHITECTURE.md, "Result path").
+
+// Reply is a Task Manager's reply as this service holds it:
+// taskmanager.Reply's wire fields, with the payload left as the bytes
+// the reply carried (a batch's outputs as one JSON array).
+type Reply struct {
+	TaskID           string                 `json:"task_id"`
+	OK               bool                   `json:"ok"`
+	Error            string                 `json:"error,omitempty"`
+	Output           json.RawMessage        `json:"output,omitempty"`
+	Outputs          json.RawMessage        `json:"outputs,omitempty"`
+	InferenceMicros  int64                  `json:"inference_us,omitempty"`
+	InvocationMicros int64                  `json:"invocation_us,omitempty"`
+	Cached           bool                   `json:"cached,omitempty"`
+	Steps            []taskmanager.StepStat `json:"steps,omitempty"`
+}
+
 // RunResult augments the TM reply with the MS-side request time (§V-A:
 // "Request time is captured at the Management Service and measures the
 // time from receipt of the task request to receipt of its result").
 type RunResult struct {
-	taskmanager.Reply
+	Reply
 	RequestMicros int64 `json:"request_us"`
 	// CacheHit reports the result was served from the service-layer
 	// cache (or shared with an identical in-flight request) without
 	// dispatching a task. Reply.Cached additionally covers TM-side
-	// memoization hits.
-	//
-	// On a hit, Output/Outputs alias the stored cache entry: in-process
-	// callers must treat them as read-only (mutation would corrupt the
-	// result every later hit receives). HTTP callers are unaffected —
-	// results are serialized per response.
+	// memoization hits. On a hit, Output/Outputs alias the stored cache
+	// entry: in-process callers must treat them as read-only.
 	CacheHit bool `json:"cache_hit,omitempty"`
-	// wireSize is the reply's wire length, recorded by dispatchTo so
-	// the result cache can charge its byte budget without
-	// re-marshaling.
-	wireSize int64
 	// cacheSkipped marks a result whose execution path never consulted
 	// the service-layer cache even though the request options allowed
 	// it (monolith pipelines, pipeline batches) — the X-DLHub-Cache
@@ -699,7 +713,8 @@ type RunResult struct {
 }
 
 // markCacheHit stamps a result served without dispatching: hit flags
-// set and the request time re-measured for this caller.
+// set and the request time re-measured for this caller. The payload, the
+// task ID and the executor-side timings stay the stored result's.
 func markCacheHit(res RunResult, start time.Time) RunResult {
 	res.CacheHit = true
 	res.Cached = true
@@ -742,21 +757,38 @@ func (s *Service) invalidateCache(servableID string) {
 }
 
 // serve is the tail every synchronous run ends in — single runs,
-// batches and pipeline steps alike: result cache, singleflight, admit
-// weight units, dispatch. An empty key means the cache does not apply
-// to this request (disabled, opted out, or a pipeline batch). With a
-// key, concurrent identical requests collapse into one dispatch: the
-// leader's successful result is cached; followers and later callers are
-// marked CacheHit with their own request time. A follower's wait is
-// bounded by its own ctx, never the leader's; a canceled leader
-// releases its followers, one of which re-dispatches.
-func (s *Service) serve(ctx context.Context, caller Caller, key string, task taskmanager.Task, weight int) (RunResult, error) {
-	if key == "" {
-		return s.admitAndDispatch(ctx, caller, task, weight)
-	}
+// batches and pipeline steps alike — after the caller's ACL check: the
+// result cache, and only on a miss the deadline, singleflight, admission
+// by weight and dispatch (serveMiss). A hit costs the lookup and nothing
+// else: it adds no load, so it is not admitted, and task arrives without
+// its ID and a single run's without its input (each an object only a
+// dispatch needs). The zero key means the cache does not apply (disabled,
+// opted out, or a pipeline batch).
+func (s *Service) serve(ctx context.Context, caller Caller, key cacheKey, task taskmanager.Task, input json.RawMessage, weight int) (RunResult, error) {
 	start := time.Now()
-	if res, ok := s.cache.get(key); ok {
-		return markCacheHit(res, start), nil
+	if key != (cacheKey{}) {
+		if res, ok := s.cache.get(key); ok {
+			return markCacheHit(res, start), nil
+		}
+	}
+	if input != nil {
+		task.Input = input
+	}
+	return s.serveMiss(ctx, caller, key, task, weight, start)
+}
+
+// serveMiss dispatches under the request deadline. With a key,
+// concurrent identical requests collapse into one dispatch: the leader's
+// successful result is cached; followers are marked CacheHit with their
+// own request time and wait under their own ctx, never the leader's; a
+// canceled leader releases its followers, one of which re-dispatches.
+// (Not serve's body: a parameter a closure captures is moved to the heap
+// on entry, and a hit would pay for task.)
+func (s *Service) serveMiss(ctx context.Context, caller Caller, key cacheKey, task taskmanager.Task, weight int, start time.Time) (RunResult, error) {
+	ctx, cancel := s.reqCtx(ctx)
+	defer cancel()
+	if key == (cacheKey{}) {
+		return s.admitAndDispatch(ctx, caller, task, weight)
 	}
 	gen := s.cache.generation(task.Servable)
 	res, err, shared := s.flight.do(ctx, key, func() (RunResult, error) {
@@ -792,6 +824,7 @@ func (s *Service) admitAndDispatch(ctx context.Context, caller Caller, task task
 		return RunResult{}, err
 	}
 	defer release()
+	task.ID = queue.NewID()
 	return s.dispatch(ctx, task)
 }
 
@@ -823,8 +856,6 @@ func (s *Service) Run(ctx context.Context, caller Caller, servableID string, inp
 }
 
 func (s *Service) run(ctx context.Context, caller Caller, servableID string, input json.RawMessage, opts RunOptions) (RunResult, error) {
-	ctx, cancel := s.reqCtx(ctx)
-	defer cancel()
 	doc, err := s.Get(caller, servableID)
 	if err != nil {
 		return RunResult{}, err
@@ -833,7 +864,10 @@ func (s *Service) run(ctx context.Context, caller Caller, servableID string, inp
 		// Pipelines have no pipeline-LEVEL cache entry (step servables
 		// version independently, so one key cannot see staleness in an
 		// updated step); the engine caches per step instead — see
-		// pipeline.go for the execution and cache-key contract.
+		// pipeline.go for the execution and cache-key contract. One
+		// deadline covers the whole chain.
+		ctx, cancel := s.reqCtx(ctx)
+		defer cancel()
 		return s.runPipeline(ctx, caller, doc, input, opts)
 	}
 	return s.runOne(ctx, caller, servableID, doc.Version, input, opts)
@@ -842,23 +876,21 @@ func (s *Service) run(ctx context.Context, caller Caller, servableID string, inp
 // runOne serves one input on one non-pipeline servable — a plain run or
 // a pipeline step, which is nothing else: result cache + singleflight
 // when usable (one key space for both), admission under the servable's
-// own ID, placement-aware least-loaded routing. Caller owns the deadline
-// on ctx and has resolved the servable's visibility and version.
+// own ID, placement-aware least-loaded routing. Caller has resolved the
+// servable's visibility and version.
 func (s *Service) runOne(ctx context.Context, caller Caller, servableID string, version int, input json.RawMessage, opts RunOptions) (RunResult, error) {
 	task := taskmanager.Task{
-		ID:       queue.NewID(),
 		Kind:     "run",
 		Servable: servableID,
 		Executor: opts.Executor,
-		Input:    input,
 		NoMemo:   opts.NoMemo,
 		Tenant:   caller.Tenant,
 	}
-	var key string
+	var key cacheKey
 	if s.cacheUsable(opts) {
 		key, _ = resultKey(servableID, version, input) // no canonical form, no key: runs uncached
 	}
-	return s.serve(ctx, caller, key, task, 1)
+	return s.serve(ctx, caller, key, task, input, 1)
 }
 
 // RunBatch synchronously invokes a servable on many inputs in one task
@@ -882,14 +914,11 @@ func (s *Service) runBatch(ctx context.Context, caller Caller, servableID string
 		// One answer at both doors; there is no empty task to dispatch.
 		return RunResult{}, ErrBadRequest.WithDetail("inputs is empty")
 	}
-	ctx, cancel := s.reqCtx(ctx)
-	defer cancel()
 	doc, err := s.Get(caller, servableID)
 	if err != nil {
 		return RunResult{}, err
 	}
 	task := taskmanager.Task{
-		ID:       queue.NewID(),
 		Kind:     "run_batch",
 		Servable: servableID,
 		Executor: opts.Executor,
@@ -900,11 +929,11 @@ func (s *Service) runBatch(ctx context.Context, caller Caller, servableID string
 	// Pipelines are uncacheable here for the same reason as in Run:
 	// step servables version independently of the pipeline document.
 	pipeline := doc.Servable.Type == schema.TypePipeline
-	var key string
+	var key cacheKey
 	if s.cacheUsable(opts) && !pipeline {
 		key, _ = batchKey(servableID, doc.Version, inputs)
 	}
-	res, err := s.serve(ctx, caller, key, task, len(inputs))
+	res, err := s.serve(ctx, caller, key, task, nil, len(inputs))
 	res.cacheSkipped = pipeline
 	return res, err
 }
@@ -1019,13 +1048,15 @@ func (s *Service) dispatchTo(ctx context.Context, tmID string, task taskmanager.
 		}
 		return RunResult{}, wrapCtxErr(err)
 	}
-	var reply taskmanager.Reply
-	if err := json.Unmarshal(replyBody, &reply); err != nil {
-		return RunResult{}, fmt.Errorf("core: bad TM reply: %w", err)
+	// Only the reply's envelope is decoded (Reply.Output stays bytes). A
+	// reply that is not JSON is the site's fault, never the client's.
+	var res RunResult
+	if err := json.Unmarshal(replyBody, &res.Reply); err != nil {
+		return RunResult{}, fmt.Errorf("%w: bad reply from task manager %s: %v", ErrUpstream, tmID, err)
 	}
-	res := RunResult{Reply: reply, RequestMicros: time.Since(start).Microseconds(), wireSize: int64(len(replyBody))}
-	if !reply.OK {
-		return res, fmt.Errorf("%w: %s", ErrTaskFailed, reply.Error)
+	res.RequestMicros = time.Since(start).Microseconds()
+	if !res.OK {
+		return res, fmt.Errorf("%w: %s", ErrTaskFailed, res.Error)
 	}
 	return res, nil
 }

@@ -39,12 +39,29 @@ var (
 
 // Result is the executor-independent output format of §IV-C: every
 // executor "translat[es] the results into a common DLHub
-// executor-independent format".
+// executor-independent format". The servable host encodes it, once; an
+// executor that receives that encoding hands the output on as bytes
+// (DecodeResult).
 type Result struct {
 	Output any `json:"output"`
 	// InferenceMicros is the time spent inside the servable (the
 	// paper's "inference time", measured at the servable).
 	InferenceMicros int64 `json:"inference_us"`
+}
+
+// DecodeResult reads a servable host's encoded Result and leaves the
+// output as the bytes the host wrote: a json.RawMessage, which the Task
+// Manager's reply encode embeds, so a number keeps its text and an object
+// its member order all the way to the client.
+func DecodeResult(data []byte) (Result, error) {
+	var wire struct {
+		Output          json.RawMessage `json:"output"`
+		InferenceMicros int64           `json:"inference_us"`
+	}
+	if err := json.Unmarshal(data, &wire); err != nil {
+		return Result{}, fmt.Errorf("executor: bad pod response: %w", err)
+	}
+	return Result{Output: wire.Output, InferenceMicros: wire.InferenceMicros}, nil
 }
 
 // Executor deploys servables and routes invocations to them.

@@ -2,6 +2,7 @@ package executor
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
@@ -49,8 +50,9 @@ func TestParslDeployAndInvokeNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Output != "hello world" {
-		t.Fatalf("noop output wrong: %v", res.Output)
+	// The pod's encoding, handed on as bytes.
+	if raw, ok := res.Output.(json.RawMessage); !ok || string(raw) != `"hello world"` {
+		t.Fatalf("noop output wrong: %T %s", res.Output, res.Output)
 	}
 	if res.InferenceMicros < 0 {
 		t.Fatal("inference time should be measured")
@@ -94,7 +96,10 @@ func TestParslScaleUpDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := res.Output.(map[string]any)
+	var m map[string]any
+	if err := json.Unmarshal(res.Output.(json.RawMessage), &m); err != nil {
+		t.Fatal(err)
+	}
 	if len(m) != 2 {
 		t.Fatalf("SiO2 should have 2 elements: %v", m)
 	}

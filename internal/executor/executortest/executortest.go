@@ -7,6 +7,7 @@ package executortest
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
@@ -93,13 +94,29 @@ func (st *site[E]) endpoints(t *testing.T, id string) map[*executor.Endpoint[E]]
 	return seen
 }
 
+// Value decodes a Result.Output for inspection: an executor that got
+// its result from a pod hands the output on as the pod's bytes
+// (executor.DecodeResult), and a test wants the value in them.
+func Value(t testing.TB, out any) any {
+	t.Helper()
+	raw, ok := out.(json.RawMessage)
+	if !ok {
+		return out
+	}
+	var v any
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatalf("output is not JSON: %v: %s", err, raw)
+	}
+	return v
+}
+
 func invoke[E any](t *testing.T, st *site[E], id string, input any) any {
 	t.Helper()
 	res, err := st.ex.Invoke(context.Background(), id, input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Output
+	return Value(t, res.Output)
 }
 
 // Run runs every conformance case against s.

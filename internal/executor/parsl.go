@@ -125,11 +125,7 @@ func (p *Parsl) Invoke(ctx context.Context, servableID string, input any) (Resul
 		if out.err != nil {
 			return Result{}, out.err
 		}
-		var res Result
-		if err := json.Unmarshal(out.data, &res); err != nil {
-			return Result{}, fmt.Errorf("executor: bad pod response: %w", err)
-		}
-		return res, nil
+		return DecodeResult(out.data)
 	case <-ctx.Done():
 		return Result{}, ctx.Err()
 	}

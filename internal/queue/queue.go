@@ -60,13 +60,15 @@ type Message struct {
 // against the requesters waiting in Broker.inbox and never stored.
 const inboxName = "dlhub.inbox"
 
-// NewID returns a random 128-bit hex identifier.
+// NewID returns a random 128-bit hex identifier (one allocation).
 func NewID() string {
 	var b [16]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		panic("queue: crypto/rand failed: " + err.Error())
 	}
-	return hex.EncodeToString(b[:])
+	var id [2 * len(b)]byte
+	hex.Encode(id[:], b[:])
+	return string(id[:])
 }
 
 type pendingMsg struct {

@@ -11,6 +11,7 @@ package sagemaker
 
 import (
 	"context"
+	"encoding/json"
 	"net"
 	"net/http"
 	"sync"
@@ -149,9 +150,9 @@ func (e *Executor) Invoke(_ context.Context, servableID string, input any) (exec
 		return executor.Result{}, err
 	}
 	defer e.Release(ep)
-	var res executor.Result
-	if err := rpc.PostJSON(ep.Conn.client, ep.Conn.url, input, &res); err != nil {
+	var body json.RawMessage
+	if err := rpc.PostJSON(ep.Conn.client, ep.Conn.url, input, &body); err != nil {
 		return executor.Result{}, err
 	}
-	return res, nil
+	return executor.DecodeResult(body)
 }

@@ -43,9 +43,9 @@ func TestFlaskServesCIFAR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds, ok := res.Output.([]any)
+	preds, ok := executortest.Value(t, res.Output).([]any)
 	if !ok || len(preds) != 5 {
-		t.Fatalf("want top-5, got %v", res.Output)
+		t.Fatalf("want top-5, got %s", res.Output)
 	}
 	if e.Replicas("dlhub/cifar10") != 2 {
 		t.Fatalf("want 2 replicas")
@@ -64,7 +64,7 @@ func TestFlaskServesPythonFunctions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := res.Output.(map[string]any); len(m) != 2 {
+	if m := executortest.Value(t, res.Output).(map[string]any); len(m) != 2 {
 		t.Fatalf("Fe2O3 should parse to 2 elements: %v", m)
 	}
 }

@@ -71,7 +71,11 @@ type PackageWire struct {
 	Components map[string][]byte `json:"components,omitempty"`
 }
 
-// Reply is the wire format of a task result.
+// Reply is the wire format of a task result. Output and Outputs hold
+// what the executor returned: the pod's encoding as a json.RawMessage
+// (executor.DecodeResult), which the reply encode embeds, or a Go value,
+// which it encodes — once either way; the Management Service forwards
+// the bytes.
 type Reply struct {
 	TaskID  string `json:"task_id"`
 	OK      bool   `json:"ok"`
@@ -180,7 +184,7 @@ type TM struct {
 	cfg Config
 
 	memoMu sync.RWMutex
-	memo   map[string][]byte // key -> JSON reply body
+	memo   map[string]Reply // key -> the reply as first computed (read-only)
 	memoOn bool
 	// memoKeys indexes memo keys per servable so deploy/undeploy can
 	// drop exactly that servable's entries: a redeploy may carry a
@@ -236,7 +240,7 @@ func New(cfg Config) (*TM, error) {
 	}
 	tm := &TM{
 		cfg:      cfg,
-		memo:     make(map[string][]byte),
+		memo:     make(map[string]Reply),
 		memoOn:   cfg.Memoize,
 		memoKeys: make(map[string]map[string]struct{}),
 		routes:   make(map[string]string),
@@ -308,7 +312,7 @@ func (tm *TM) SetMemoize(on bool) {
 	tm.memoMu.Lock()
 	tm.memoOn = on
 	if !on {
-		tm.memo = make(map[string][]byte)
+		tm.memo = make(map[string]Reply)
 		tm.memoKeys = make(map[string]map[string]struct{})
 	}
 	tm.memoMu.Unlock()
@@ -605,19 +609,16 @@ func (tm *TM) handleRun(task *Task) Reply {
 	if useMemo {
 		key = memoKey(task.Servable, task.Input)
 		tm.memoMu.RLock()
-		cached, ok := tm.memo[key]
+		rep, ok := tm.memo[key]
 		tm.memoMu.RUnlock()
 		if ok {
-			var rep Reply
-			if json.Unmarshal(cached, &rep) == nil {
-				rep.Cached = true
-				rep.InferenceMicros = 0
-				rep.InvocationMicros = invocationMicros(start)
-				tm.statMu.Lock()
-				tm.hits++
-				tm.statMu.Unlock()
-				return rep
-			}
+			rep.Cached = true
+			rep.InferenceMicros = 0
+			rep.InvocationMicros = invocationMicros(start)
+			tm.statMu.Lock()
+			tm.hits++
+			tm.statMu.Unlock()
+			return rep
 		}
 	}
 
@@ -636,17 +637,15 @@ func (tm *TM) handleRun(task *Task) Reply {
 		InvocationMicros: invocationMicros(start),
 	}
 	if useMemo {
-		if body, err := json.Marshal(rep); err == nil {
-			tm.memoMu.Lock()
-			tm.memo[key] = body
-			keys := tm.memoKeys[task.Servable]
-			if keys == nil {
-				keys = make(map[string]struct{})
-				tm.memoKeys[task.Servable] = keys
-			}
-			keys[key] = struct{}{}
-			tm.memoMu.Unlock()
+		tm.memoMu.Lock()
+		tm.memo[key] = rep
+		keys := tm.memoKeys[task.Servable]
+		if keys == nil {
+			keys = make(map[string]struct{})
+			tm.memoKeys[task.Servable] = keys
 		}
+		keys[key] = struct{}{}
+		tm.memoMu.Unlock()
 	}
 	return rep
 }

@@ -242,11 +242,7 @@ func invokeGRPC(ctx context.Context, client *rpc.Client, input any) (executor.Re
 	if err != nil {
 		return executor.Result{}, err
 	}
-	var res executor.Result
-	if err := json.Unmarshal(data, &res); err != nil {
-		return executor.Result{}, err
-	}
-	return res, nil
+	return executor.DecodeResult(data)
 }
 
 func invokeREST(ep endpoint, input any) (executor.Result, error) {
@@ -255,8 +251,8 @@ func invokeREST(ep endpoint, input any) (executor.Result, error) {
 		return executor.Result{}, err
 	}
 	var resp struct {
-		Predictions []any `json:"predictions"`
-		InferenceUS int64 `json:"inference_us"`
+		Predictions []json.RawMessage `json:"predictions"`
+		InferenceUS int64             `json:"inference_us"`
 	}
 	if err := rpc.PostJSON(ep.http, ep.url, map[string]any{"instances": [][]float64{vec}}, &resp); err != nil {
 		return executor.Result{}, err

@@ -58,9 +58,9 @@ func TestGRPCInvoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds, ok := res.Output.([]any)
+	preds, ok := executortest.Value(t, res.Output).([]any)
 	if !ok || len(preds) != 5 {
-		t.Fatalf("want top-5 predictions, got %v", res.Output)
+		t.Fatalf("want top-5 predictions, got %s", res.Output)
 	}
 	if res.InferenceMicros <= 0 {
 		t.Fatal("inference time should be positive")
@@ -76,9 +76,9 @@ func TestRESTInvoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds, ok := res.Output.([]any)
+	preds, ok := executortest.Value(t, res.Output).([]any)
 	if !ok || len(preds) != 5 {
-		t.Fatalf("want top-5 predictions, got %v", res.Output)
+		t.Fatalf("want top-5 predictions, got %s", res.Output)
 	}
 }
 
@@ -94,8 +94,8 @@ func TestGRPCAndRESTAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg := resG.Output.([]any)[0].(map[string]any)["label"]
-	lr := resR.Output.([]any)[0].(map[string]any)["label"]
+	lg := executortest.Value(t, resG.Output).([]any)[0].(map[string]any)["label"]
+	lr := executortest.Value(t, resR.Output).([]any)[0].(map[string]any)["label"]
 	if lg != lr {
 		t.Fatalf("APIs must serve the same model: %v vs %v", lg, lr)
 	}
