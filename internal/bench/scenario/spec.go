@@ -15,6 +15,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -388,8 +389,8 @@ func (s *Spec) Validate() error {
 		if t.MaxInFlight < 0 {
 			return fmt.Errorf("scenario %s: tenant %s: max_in_flight must be >= 0", s.Name, t.ID)
 		}
-		if t.RatePerSec < 0 {
-			return fmt.Errorf("scenario %s: tenant %s: rate_per_sec must be >= 0", s.Name, t.ID)
+		if !(t.RatePerSec >= 0 && t.RatePerSec <= math.MaxFloat64) { // NaN fails both
+			return fmt.Errorf("scenario %s: tenant %s: rate_per_sec must be >= 0 and finite", s.Name, t.ID)
 		}
 	}
 	if shareSum > 1+1e-9 {

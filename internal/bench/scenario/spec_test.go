@@ -182,6 +182,9 @@ func TestParseErrors(t *testing.T) {
 		{"tenant-bad-priority", minimalSpec + "tenants:\n  - id: a\n    share: 0.5\n    priority: urgent\n", `priority "urgent"`},
 		{"tenant-negative-inflight", minimalSpec + "tenants:\n  - id: a\n    share: 0.5\n    max_in_flight: -1\n", "max_in_flight must be >= 0"},
 		{"tenant-negative-rate", minimalSpec + "tenants:\n  - id: a\n    share: 0.5\n    rate_per_sec: -2\n", "rate_per_sec must be >= 0"},
+		{"tenant-nan-rate", minimalSpec + "tenants:\n  - id: a\n    share: 0.5\n    rate_per_sec: nan\n", "rate_per_sec must be >= 0 and finite"},
+		{"tenant-inf-rate", minimalSpec + "tenants:\n  - id: a\n    share: 0.5\n    rate_per_sec: inf\n", "rate_per_sec must be >= 0 and finite"},
+		{"tenant-minus-inf-rate", minimalSpec + "tenants:\n  - id: a\n    share: 0.5\n    rate_per_sec: -inf\n", "rate_per_sec must be >= 0 and finite"},
 		{"auth-without-tenants", minimalSpec + "auth: true\n", "auth requires a tenants block"},
 		{"assertion-unknown-tenant", minimalSpec + "tenants:\n  - id: a\n    share: 0.5\nassertions:\n  max_p99_ms.b: 100\n", `unknown tenant "b"`},
 		{"assertion-not-per-tenant", minimalSpec + "tenants:\n  - id: a\n    share: 0.5\nassertions:\n  min_cache_hit_rate.a: 0.5\n", "cannot be tenant-qualified"},

@@ -89,8 +89,8 @@ func (p AutoscalePolicy) validate() error {
 	if p.MinReplicas < 0 || p.MaxReplicas < 0 {
 		return ErrBadRequest.WithDetail("autoscale: replica bounds must be non-negative")
 	}
-	if p.TargetLoad < 0 {
-		return ErrBadRequest.WithDetail("autoscale: target_load must be non-negative")
+	if !(p.TargetLoad >= 0 && p.TargetLoad <= math.MaxFloat64) { // NaN fails both
+		return ErrBadRequest.WithDetail("autoscale: target_load must be finite and non-negative")
 	}
 	eff := p.withDefaults()
 	if eff.MinReplicas > eff.MaxReplicas {

@@ -1,10 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"log"
 	"sort"
@@ -20,7 +19,8 @@ import (
 // (internal/store WAL). With no store configured (tests, the bench
 // testbed) logged is a nil check and nothing is encoded.
 //
-// Record taxonomy (one kind per mutation; payloads gob-encoded):
+// Record taxonomy (one kind per mutation; each payload is the JSON of a
+// plain struct, so a record costs its payload and no type descriptors):
 //
 //	publish           recPublish   — new servable version (full doc + components)
 //	metadata          recMetadata  — UpdateMetadata outcome (full updated doc)
@@ -148,20 +148,24 @@ func (s *Service) logged(kind string, payload any) {
 	if st == nil {
 		return
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
+	data, err := json.Marshal(payload)
+	if err != nil {
 		log.Printf("core: wal: encode %s record: %v", kind, err)
 		return
 	}
-	if err := st.Append(store.Record{Kind: kind, Data: buf.Bytes()}); err != nil {
+	if err := st.Append(store.Record{Kind: kind, Data: data}); err != nil {
 		log.Printf("core: wal: append %s record failed: %v (mutation applied in memory; durability degraded)", kind, err)
 	}
 }
 
+// decodeRec decodes a record's payload. A record from before JSON records
+// has no fallback (a clean shutdown leaves none): the boot is refused.
 func decodeRec[T any](data []byte) (T, error) {
 	var v T
-	err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v)
-	return v, err
+	if err := json.Unmarshal(data, &v); err != nil {
+		return v, fmt.Errorf("not a JSON record (a log an older build left behind: start that build on this directory and stop it with SIGTERM, then upgrade): %w", err)
+	}
+	return v, nil
 }
 
 // applyRecord re-applies one WAL record during recovery. The repository

@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -230,8 +231,8 @@ func (s *Service) SetTenantQuota(tenantID string, q auth.Quota) (TenantView, err
 	if !auth.ValidPriority(q.Priority) {
 		return TenantView{}, ErrBadRequest.WithDetail(fmt.Sprintf("unknown priority class %q (want high|normal|low)", q.Priority))
 	}
-	if q.MaxInFlight < 0 || q.RatePerSec < 0 {
-		return TenantView{}, ErrBadRequest.WithDetail("quota bounds must be >= 0 (0 = unlimited)")
+	if q.MaxInFlight < 0 || !(q.RatePerSec >= 0 && q.RatePerSec <= math.MaxFloat64) { // NaN fails both
+		return TenantView{}, ErrBadRequest.WithDetail("quota bounds must be finite and >= 0 (0 = unlimited)")
 	}
 	t := s.tenants.SetQuota(tenantID, q)
 	s.broker.SetLaneWeight(tenantID, auth.PriorityWeight(q.Priority))

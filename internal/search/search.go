@@ -70,13 +70,27 @@ func Tokenize(s string) []string {
 	})
 }
 
-// Ingest adds or replaces a document.
+// Ingest adds or replaces a document. A replace keeps the postings of
+// unchanged fields and re-posts only changed, vanished and new ones.
 func (ix *Index) Ingest(doc Doc) {
-	ix.Delete(doc.ID)
 	// A field is one posting at most, so the slice is sized once.
 	d := &indexed{Doc: doc, postings: make([]posting, 0, len(doc.Fields))}
+	var old Doc // a first ingest keeps nothing
+	if o, ok := ix.docs[doc.ID]; ok {
+		old = o.Doc
+		for _, p := range o.postings {
+			if sameValue(old.Fields[p.field], doc.Fields[p.field]) {
+				d.postings = append(d.postings, p)
+			} else {
+				ix.unpost(doc.ID, p)
+			}
+		}
+	}
 	ix.docs[doc.ID] = d
 	for field, value := range doc.Fields {
+		if sameValue(old.Fields[field], value) {
+			continue // its posting, if it has one, was kept
+		}
 		switch v := value.(type) {
 		case string:
 			ix.indexTokens(d, field, v)
@@ -90,6 +104,18 @@ func (ix *Index) Ingest(doc Doc) {
 			ix.indexNumber(d, field, v)
 		}
 	}
+}
+
+// sameValue reports whether a and b are one value of a kind Ingest posts.
+func sameValue(a, b any) bool {
+	switch a := a.(type) {
+	case []string:
+		b, ok := b.([]string)
+		return ok && slices.Equal(a, b)
+	case string, int, int64, float64:
+		return a == b
+	}
+	return false
 }
 
 func (ix *Index) indexTokens(d *indexed, field, text string) {
@@ -132,23 +158,28 @@ func (ix *Index) Delete(id string) {
 	}
 	delete(ix.docs, id)
 	for _, p := range d.postings {
-		if p.tokens == nil {
-			byDoc := ix.numeric[p.field]
-			if delete(byDoc, id); len(byDoc) == 0 {
-				delete(ix.numeric, p.field)
-			}
-			continue
+		ix.unpost(id, p)
+	}
+}
+
+// unpost removes one posting of document id.
+func (ix *Index) unpost(id string, p posting) {
+	if p.tokens == nil {
+		byDoc := ix.numeric[p.field]
+		if delete(byDoc, id); len(byDoc) == 0 {
+			delete(ix.numeric, p.field)
 		}
-		byTok := ix.inverted[p.field]
-		for _, tok := range p.tokens { // a repeated token finds its set gone
-			set := byTok[tok]
-			if delete(set, id); len(set) == 0 {
-				delete(byTok, tok)
-			}
+		return
+	}
+	byTok := ix.inverted[p.field]
+	for _, tok := range p.tokens { // a repeated token finds its set gone
+		set := byTok[tok]
+		if delete(set, id); len(set) == 0 {
+			delete(byTok, tok)
 		}
-		if len(byTok) == 0 {
-			delete(ix.inverted, p.field)
-		}
+	}
+	if len(byTok) == 0 {
+		delete(ix.inverted, p.field)
 	}
 }
 
@@ -207,30 +238,44 @@ type Result struct {
 	Facets map[string]map[string]int
 }
 
-// Search evaluates q.
+// Search evaluates q. The candidates are the matches of the clause that
+// matched fewest documents, kept where every clause matched and the
+// caller may see them; a query without clauses lists what it may see.
 func (ix *Index) Search(q Query) Result {
-	// Start from all ACL-visible docs, then intersect clause by clause.
-	candidates := make(map[string]float64) // docID -> score
-	for id, d := range ix.docs {
-		if Visible(d.VisibleTo, q.Principals) {
-			candidates[id] = 0
+	var hits []Hit
+	if len(q.Must) == 0 {
+		hits = make([]Hit, 0, len(ix.docs))
+		for _, d := range ix.docs {
+			if Visible(d.VisibleTo, q.Principals) {
+				hits = append(hits, Hit{Doc: &d.Doc})
+			}
 		}
-	}
-	for _, c := range q.Must {
-		matched := ix.evalClause(c)
-		for id := range candidates {
-			sc, ok := matched[id]
-			if !ok {
-				delete(candidates, id)
+	} else {
+		matched := make([]map[string]float64, len(q.Must))
+		rarest := 0
+		for i, c := range q.Must {
+			if matched[i] = ix.evalClause(c); len(matched[i]) < len(matched[rarest]) {
+				rarest = i
+			}
+		}
+		hits = make([]Hit, 0, len(matched[rarest]))
+	candidates:
+		for id := range matched[rarest] {
+			d := ix.docs[id]
+			if !Visible(d.VisibleTo, q.Principals) {
 				continue
 			}
-			candidates[id] += sc
+			// In clause order, whichever clause supplied the candidates.
+			var score float64
+			for _, m := range matched {
+				sc, ok := m[id]
+				if !ok {
+					continue candidates
+				}
+				score += sc
+			}
+			hits = append(hits, Hit{Doc: &d.Doc, Score: score})
 		}
-	}
-
-	hits := make([]Hit, 0, len(candidates))
-	for id, score := range candidates {
-		hits = append(hits, Hit{Doc: &ix.docs[id].Doc, Score: score})
 	}
 	sort.Slice(hits, func(i, j int) bool {
 		if hits[i].Score != hits[j].Score {
@@ -288,10 +333,16 @@ func (ix *Index) evalClause(c Clause) map[string]float64 {
 	case c.FreeText != "":
 		// TF-IDF-ish: rarer tokens score higher; any-token match (OR
 		// within the clause), all-clause AND at the query level.
+		// Fields in name order: a match in several sums alike every time.
 		n := float64(len(ix.docs))
+		fields := make([]string, 0, len(ix.inverted))
+		for field := range ix.inverted {
+			fields = append(fields, field)
+		}
+		slices.Sort(fields)
 		for _, tok := range Tokenize(c.FreeText) {
-			for _, byTok := range ix.inverted {
-				if set, ok := byTok[tok]; ok {
+			for _, field := range fields {
+				if set, ok := ix.inverted[field][tok]; ok {
 					idf := math.Log(1 + n/float64(len(set)))
 					for id := range set {
 						out[id] += idf

@@ -357,10 +357,16 @@ func TestPostingsAgainstRebuild(t *testing.T) {
 	live := map[string]Doc{}
 	for step := 0; step < 2000; step++ {
 		id := fmt.Sprintf("owner%d/model-%d", rng.Intn(5), rng.Intn(10))
-		if _, ok := live[id]; ok && rng.Intn(3) == 0 {
+		old, ok := live[id]
+		switch {
+		case ok && rng.Intn(3) == 0:
 			ix.Delete(id)
 			delete(live, id)
-		} else {
+		case ok && rng.Intn(2) == 0:
+			// A replace that changes, adds or drops a single field.
+			live[id] = replaceOneField(old, randomDoc(id), rng)
+			ix.Ingest(live[id])
+		default:
 			live[id] = randomDoc(id)
 			ix.Ingest(live[id])
 		}
@@ -380,5 +386,171 @@ func TestPostingsAgainstRebuild(t *testing.T) {
 	}
 	if len(ix.inverted)+len(ix.numeric) != 0 {
 		t.Fatalf("emptied index still holds inverted %v numeric %v", ix.inverted, ix.numeric)
+	}
+}
+
+// replaceOneField is old with one field taken from fresh — changed,
+// added, or (absent from fresh) dropped — as a metadata PATCH makes it.
+// The index holds old's map, so the copy is a new one.
+func replaceOneField(old, fresh Doc, rng *rand.Rand) Doc {
+	fields := make(map[string]any, len(old.Fields)+1)
+	for k, v := range old.Fields {
+		fields[k] = v
+	}
+	names := []string{"title", "domains", "year", "published_at", "score"}
+	name := names[rng.Intn(len(names))]
+	if v, ok := fresh.Fields[name]; ok {
+		fields[name] = v
+	} else {
+		delete(fields, name)
+	}
+	return Doc{ID: old.ID, Fields: fields, VisibleTo: fresh.VisibleTo}
+}
+
+// referenceSearch is Search as it was before its candidates came from the
+// clauses: every visible document, then intersected clause by clause.
+func referenceSearch(ix *Index, q Query) Result {
+	candidates := make(map[string]float64)
+	for id, d := range ix.docs {
+		if Visible(d.VisibleTo, q.Principals) {
+			candidates[id] = 0
+		}
+	}
+	for _, c := range q.Must {
+		matched := ix.evalClause(c)
+		for id := range candidates {
+			sc, ok := matched[id]
+			if !ok {
+				delete(candidates, id)
+				continue
+			}
+			candidates[id] += sc
+		}
+	}
+	hits := make([]Hit, 0, len(candidates))
+	for id, score := range candidates {
+		hits = append(hits, Hit{Doc: &ix.docs[id].Doc, Score: score})
+	}
+	sort.Slice(hits, func(i, j int) bool {
+		if hits[i].Score != hits[j].Score {
+			return hits[i].Score > hits[j].Score
+		}
+		return hits[i].Doc.ID < hits[j].Doc.ID
+	})
+	res := Result{Total: len(hits)}
+	if len(q.FacetOn) > 0 {
+		res.Facets = make(map[string]map[string]int)
+		for _, field := range q.FacetOn {
+			counts := make(map[string]int)
+			for _, h := range hits {
+				switch v := h.Doc.Fields[field].(type) {
+				case string:
+					counts[v]++
+				case []string:
+					for _, s := range v {
+						counts[s]++
+					}
+				case int, int64, float64:
+					counts[fmt.Sprint(v)]++
+				}
+			}
+			res.Facets[field] = counts
+		}
+	}
+	hits = hits[min(max(q.Offset, 0), len(hits)):]
+	if q.Limit > 0 && len(hits) > q.Limit {
+		hits = hits[:q.Limit]
+	}
+	res.Hits = hits
+	return res
+}
+
+// TestSearchAgainstReference runs random multi-clause queries as random
+// principals over a random catalogue while it is ingested, replaced one
+// field or whole, deleted and re-ingested, and requires every answer —
+// hits, their order, bit-exact scores, Total and facets — to equal the
+// reference's.
+func TestSearchAgainstReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	words := []string{"neural", "network", "random", "forest", "cancer", "drug", "x_ray", "tomography", "10", "perovskite"}
+	pick := func() string { return words[rng.Intn(len(words))] }
+	acls := [][]string{{"public"}, {"urn:owner:0"}, {"urn:owner:1"}, {"urn:group:a", "urn:owner:2"}, {"public", "urn:group:b"}, nil}
+	randomDoc := func(id string) Doc {
+		fields := map[string]any{"id": id, "title": pick() + " " + pick(), "description": pick() + " " + pick() + " " + pick()}
+		if rng.Intn(2) == 0 {
+			fields["domains"] = []string{pick(), pick()}
+		}
+		if rng.Intn(2) == 0 {
+			fields["year"] = 2014 + rng.Intn(6)
+		}
+		if rng.Intn(2) == 0 {
+			fields["score"] = rng.Float64()
+		}
+		return Doc{ID: id, Fields: fields, VisibleTo: acls[rng.Intn(len(acls))]}
+	}
+	randomClause := func() Clause {
+		switch rng.Intn(4) {
+		case 0:
+			return Clause{FreeText: pick() + " " + pick()}
+		case 1:
+			return Clause{Field: []string{"title", "description", "domains"}[rng.Intn(3)], Term: pick()}
+		case 2:
+			w := pick()
+			return Clause{Field: []string{"title", "description"}[rng.Intn(2)], Prefix: w[:1+rng.Intn(len(w))]}
+		}
+		switch rng.Intn(3) {
+		case 0:
+			return Clause{Field: "score", Range: &Range{Min: rng.Float64() / 2, Max: 0.5 + rng.Float64()/2}}
+		case 1:
+			return Clause{Field: "year", Range: &Range{Min: math.NaN(), Max: 2016}}
+		}
+		return Clause{Field: "year", Range: &Range{Min: 2014 + float64(rng.Intn(6)), Max: math.NaN()}}
+	}
+	principals := [][]string{nil, {"urn:owner:0"}, {"urn:owner:1"}, {"urn:group:a", "urn:owner:2"}, {"urn:group:b"}}
+	facets := [][]string{nil, {"domains"}, {"year", "title"}}
+
+	ix := NewIndex()
+	live := map[string]Doc{}
+	var gone []string
+	for step := 0; step < 600; step++ {
+		id := fmt.Sprintf("owner%d/model-%d", rng.Intn(4), rng.Intn(20))
+		old, ok := live[id]
+		switch {
+		case ok && rng.Intn(4) == 0:
+			ix.Delete(id)
+			delete(live, id)
+			gone = append(gone, id)
+		case ok && rng.Intn(2) == 0:
+			live[id] = replaceOneField(old, randomDoc(id), rng)
+			ix.Ingest(live[id])
+		case !ok && len(gone) > 0 && rng.Intn(2) == 0: // re-ingest a deleted ID
+			id = gone[rng.Intn(len(gone))]
+			if _, back := live[id]; !back {
+				live[id] = randomDoc(id)
+				ix.Ingest(live[id])
+			}
+		default: // first ingest or replace-all
+			live[id] = randomDoc(id)
+			ix.Ingest(live[id])
+		}
+		for i := 0; i < 4; i++ {
+			q := Query{Principals: principals[rng.Intn(len(principals))], FacetOn: facets[rng.Intn(len(facets))]}
+			for n := rng.Intn(4); n > 0; n-- {
+				q.Must = append(q.Must, randomClause())
+			}
+			if rng.Intn(2) == 0 {
+				q.Offset, q.Limit = rng.Intn(5), rng.Intn(8)
+			}
+			got, want := ix.Search(q), referenceSearch(ix, q)
+			if got.Total != want.Total || len(got.Hits) != len(want.Hits) || !reflect.DeepEqual(got.Facets, want.Facets) {
+				t.Fatalf("step %d %+v: total %d, %d hits, facets %v; want %d, %d, %v", step, q, got.Total, len(got.Hits), got.Facets, want.Total, len(want.Hits), want.Facets)
+			}
+			for j := range got.Hits {
+				g, w := got.Hits[j], want.Hits[j]
+				if g.Doc.ID != w.Doc.ID || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+					t.Fatalf("step %d %+v: hit %d is %s (%v), want %s (%v)", step, q, j, g.Doc.ID, g.Score, w.Doc.ID, w.Score)
+				}
+			}
+		}
 	}
 }

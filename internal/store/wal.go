@@ -208,6 +208,10 @@ func (w *WAL) Recover(restore func(r io.Reader) error, apply func(rec Record) er
 // the last intact frame end, the record count, and whether a
 // torn/corrupt tail was found. Caller holds w.mu.
 func (w *WAL) scan(f *os.File, apply func(rec Record) error) (good int64, records int, truncated bool, err error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, 0, false, err
+	}
 	r := bufio.NewReader(f)
 	var header [frameHeaderLen]byte
 	for {
@@ -220,7 +224,8 @@ func (w *WAL) scan(f *os.File, apply func(rec Record) error) (good int64, record
 		}
 		bodyLen := binary.LittleEndian.Uint32(header[0:4])
 		wantCRC := binary.LittleEndian.Uint32(header[4:8])
-		if bodyLen < 10 || bodyLen > maxRecordLen {
+		// A length past what the file holds is torn: it sizes no allocation.
+		if bodyLen < 10 || bodyLen > maxRecordLen || int64(bodyLen) > fi.Size()-good-frameHeaderLen {
 			return good, records, true, nil
 		}
 		body := make([]byte, bodyLen)
@@ -253,7 +258,8 @@ func (w *WAL) scan(f *os.File, apply func(rec Record) error) (good int64, record
 
 // Append durably logs one record. The store assigns rec.Seq.
 func (w *WAL) Append(rec Record) error {
-	body := make([]byte, 10+len(rec.Kind)+len(rec.Data))
+	frame := make([]byte, frameHeaderLen+10+len(rec.Kind)+len(rec.Data))
+	body := frame[frameHeaderLen:]
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -267,11 +273,8 @@ func (w *WAL) Append(rec Record) error {
 	binary.LittleEndian.PutUint16(body[8:10], uint16(len(rec.Kind)))
 	copy(body[10:], rec.Kind)
 	copy(body[10+len(rec.Kind):], rec.Data)
-
-	frame := make([]byte, frameHeaderLen+len(body))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(body)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(body))
-	copy(frame[frameHeaderLen:], body)
 
 	if _, err := w.f.Write(frame); err != nil {
 		return fmt.Errorf("store: append: %w", err)

@@ -1,11 +1,15 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -63,7 +67,7 @@ func (k *kvStore) snapshot() map[string]string {
 	return out
 }
 
-func openWAL(t *testing.T, dir string, kv *kvStore, opts Options) (*WAL, RecoveryInfo) {
+func openWAL(t testing.TB, dir string, kv *kvStore, opts Options) (*WAL, RecoveryInfo) {
 	t.Helper()
 	opts.Dir = dir
 	if opts.Logf == nil {
@@ -321,4 +325,97 @@ func TestWALConcurrentAppend(t *testing.T) {
 	if got := len(kv2.snapshot()); got != 200 {
 		t.Fatalf("recovered %d keys, want 200", got)
 	}
+}
+
+// intactFrames reads the frame layout by hand: the records of the intact
+// frames before the first bad one, and the offset where that one starts.
+func intactFrames(data []byte) (recs []Record, good int) {
+	for {
+		rest := data[good:]
+		if len(rest) < frameHeaderLen {
+			return recs, good
+		}
+		n := int(binary.LittleEndian.Uint32(rest[0:4]))
+		if n < 10 || n > len(rest)-frameHeaderLen {
+			return recs, good
+		}
+		body := rest[frameHeaderLen : frameHeaderLen+n]
+		kindLen := int(binary.LittleEndian.Uint16(body[8:10]))
+		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(rest[4:8]) || 10+kindLen > n {
+			return recs, good
+		}
+		recs = append(recs, Record{Seq: binary.LittleEndian.Uint64(body), Kind: string(body[10 : 10+kindLen]), Data: body[10+kindLen:]})
+		good += frameHeaderLen + n
+	}
+}
+
+// FuzzWALScan recovers from arbitrary bytes as wal.log. Recover must not
+// panic or allocate for a length the file does not hold, must apply the
+// intact frames before the first bad one and nothing else, in order,
+// must truncate the file there, and must replay the same records from
+// the truncated file on the next boot.
+func FuzzWALScan(f *testing.F) {
+	kv := newKV()
+	dir := f.TempDir()
+	w, _ := openWAL(f, dir, kv, Options{CompactEvery: -1, CompactBytes: -1})
+	for i := 0; i < 3; i++ {
+		if err := kv.set(w, fmt.Sprintf("k%d", i), "v"); err != nil {
+			f.Fatal(err)
+		}
+	}
+	w.Close()
+	valid, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	corrupt := bytes.Clone(valid)
+	corrupt[len(corrupt)/2] ^= 1
+	huge := binary.LittleEndian.AppendUint32(nil, maxRecordLen)
+	for _, seed := range [][]byte{valid, valid[:len(valid)-3], corrupt, huge, append(huge, 0, 0, 0, 0), nil} {
+		f.Add(seed)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, good := intactFrames(data)
+		dir := t.TempDir()
+		path := filepath.Join(dir, walName)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for boot := 0; boot < 2; boot++ {
+			var got []Record
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			w, err := Open(Options{Dir: dir, CompactEvery: -1, CompactBytes: -1, Logf: func(string, ...any) {}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			info, err := w.Recover(func(io.Reader) error { return nil }, func(rec Record) error {
+				got = append(got, Record{Seq: rec.Seq, Kind: rec.Kind, Data: bytes.Clone(rec.Data)})
+				return nil
+			})
+			runtime.ReadMemStats(&after)
+			w.Close()
+			if err != nil {
+				t.Fatalf("boot %d: %v", boot, err)
+			}
+			if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20+4*uint64(len(data)) {
+				t.Fatalf("boot %d: recovering %d bytes allocated %d", boot, len(data), grown)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("boot %d: applied %d records, want %d", boot, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Seq != want[i].Seq || got[i].Kind != want[i].Kind || !bytes.Equal(got[i].Data, want[i].Data) {
+					t.Fatalf("boot %d: record %d is %+v, want %+v", boot, i, got[i], want[i])
+				}
+			}
+			if wantCut := boot == 0 && good != len(data); info.Truncated != wantCut || info.Replayed != len(want) {
+				t.Fatalf("boot %d: info %+v, want Truncated=%t Replayed=%d", boot, info, wantCut, len(want))
+			}
+			if fi, err := os.Stat(path); err != nil || fi.Size() != int64(good) {
+				t.Fatalf("boot %d: log is %v bytes (%v), want cut at %d", boot, fi.Size(), err, good)
+			}
+		}
+	})
 }
