@@ -5,6 +5,7 @@ import (
 	"container/list"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -185,8 +186,8 @@ func hashKey(servableID string, version int, batch bool, inputs ...json.RawMessa
 	return sha256.Sum256(buf.Bytes()), nil
 }
 
-// appendCanonical appends raw's canonical JSON to buf. Compacting the
-// bytes is enough unless they hold something json.Marshal would spell
+// appendCanonical appends raw's canonical JSON to buf. The compact bytes
+// are enough unless they hold something json.Marshal would spell
 // differently: an object (member order, duplicate names), a string
 // escape, a character Marshal escapes (<, >, &) or anything outside
 // ASCII (U+2028/9, invalid UTF-8). Only then is the input decoded —
@@ -197,6 +198,10 @@ func appendCanonical(buf *bytes.Buffer, raw json.RawMessage) error {
 		return nil
 	}
 	if !respelled(raw) {
+		if !spaced(raw) {
+			buf.Write(raw)
+			return nil
+		}
 		return json.Compact(buf, raw)
 	}
 	dec := json.NewDecoder(bytes.NewReader(raw))
@@ -222,6 +227,45 @@ func respelled(raw []byte) bool {
 		}
 	}
 	return false
+}
+
+// spaced reports whether raw holds whitespace outside its strings (in a
+// valid document, any byte below '!' there). A word of eight bytes with
+// neither such a byte nor a quote is passed over whole.
+func spaced(raw []byte) bool {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	for i := 0; i < len(raw); i++ {
+		for ; i+8 <= len(raw); i += 8 {
+			x := binary.LittleEndian.Uint64(raw[i:])
+			if q := x ^ ones*'"'; ((x-ones*'!')&^x|(q-ones)&^q)&highs != 0 {
+				break
+			}
+		}
+		switch {
+		case i == len(raw):
+			return false
+		case raw[i] <= ' ':
+			return true
+		case raw[i] == '"':
+			for i++; i < len(raw) && raw[i] != '"'; i++ {
+				if raw[i] == '\\' {
+					i++ // the escaped byte cannot end the string
+				}
+			}
+		}
+	}
+	return false
+}
+
+// compacted is a payload as the door passes it on: compact, by at most
+// one json.Compact, so the key and the task line take its bytes as is.
+func compacted(raw json.RawMessage) json.RawMessage {
+	if !spaced(raw) {
+		return raw
+	}
+	var buf bytes.Buffer
+	json.Compact(&buf, raw) //nolint:errcheck — the door's decode validated raw
+	return buf.Bytes()
 }
 
 // get returns the cached result for key, counting a hit or miss.

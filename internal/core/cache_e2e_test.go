@@ -59,8 +59,8 @@ func startFakeTM(t *testing.T, ms *core.Service, id string, block chan struct{})
 					return
 				}
 			}
-			var task taskmanager.Task
-			if err := json.Unmarshal(msg.Body, &task); err != nil {
+			task, err := taskmanager.DecodeTask(msg.Body)
+			if err != nil {
 				continue
 			}
 			rep, _ := json.Marshal(taskmanager.Reply{TaskID: task.ID, OK: true, Output: "from-" + id})

@@ -132,10 +132,11 @@ func TestResultKeyCanonicalJSON(t *testing.T) {
 }
 
 // FuzzResultKey checks the canonical-key contract on arbitrary
-// documents: the key computed from raw bytes (compacted, re-encoded only
-// when they hold something Marshal would spell differently) equals the
-// key of the decode-and-Marshal form the cache was keyed on before
-// payloads passed through as bytes.
+// documents: the key computed from raw bytes (written as they are when
+// compact, compacted when spaced, re-encoded only when they hold
+// something Marshal would spell differently) equals the key of the
+// decode-and-Marshal form the cache was keyed on before payloads passed
+// through as bytes — for the document as sent, compact or spaced out.
 func FuzzResultKey(f *testing.F) {
 	for _, seed := range []string{
 		`"x"`, `9007199254740993`, `1e-7`, `-0`, `1E+2`, `null`, `true`,
@@ -163,12 +164,22 @@ func FuzzResultKey(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical form %s: %v", canonical, err)
 		}
-		got, err := resultKey("o/m", 3, doc)
-		if err != nil {
-			t.Fatalf("raw form %q: %v", doc, err)
+		// The document as sent, compact, and spaced out with newlines and
+		// tabs: one key. spaced is exactly "json.Compact would change it".
+		var compact, indented bytes.Buffer
+		json.Compact(&compact, doc)                        //nolint:errcheck — doc decoded above
+		json.Indent(&indented, compact.Bytes(), " ", "\t") //nolint:errcheck — as above
+		if spaced(doc) == bytes.Equal(compact.Bytes(), doc) {
+			t.Fatalf("spaced(%q) = %v, but Compact gives %q", doc, spaced(doc), compact.Bytes())
 		}
-		if got != want {
-			t.Fatalf("raw %q keyed apart from its canonical form %s", doc, canonical)
+		for _, form := range [][]byte{doc, compact.Bytes(), indented.Bytes(), compacted(indented.Bytes())} {
+			got, err := resultKey("o/m", 3, form)
+			if err != nil {
+				t.Fatalf("raw form %q: %v", form, err)
+			}
+			if got != want {
+				t.Fatalf("raw %q keyed apart from its canonical form %s", form, canonical)
+			}
 		}
 		// The canonical form is a fixed point: hashing it is hashing
 		// its own bytes.

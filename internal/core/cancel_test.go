@@ -237,8 +237,8 @@ func replyOnce(t *testing.T, ms *core.Service, tmID, output string) {
 	if !ok {
 		t.Fatal("no task arrived on the TM queue")
 	}
-	var task taskmanager.Task
-	if err := json.Unmarshal(msg.Body, &task); err != nil {
+	task, err := taskmanager.DecodeTask(msg.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
 	body, err := json.Marshal(taskmanager.Reply{TaskID: task.ID, OK: true, Output: output, InvocationMicros: 1})

@@ -665,8 +665,8 @@ func (s *Service) handleV2Search(r *http.Request, c Caller, req *SearchRequestV2
 // --- serving ----------------------------------------------------------------
 
 // RunRequest is the POST /api/v2/servables/{owner}/{name}/run body.
-// Input and Inputs stay the bytes the client sent: the service keys its
-// cache from them and forwards them, and only the servable decodes them.
+// Input and Inputs stay the bytes the client sent, compacted at the door:
+// the service keys and forwards them, and only the servable decodes them.
 type RunRequest struct {
 	Input    json.RawMessage   `json:"input,omitempty"`
 	Inputs   []json.RawMessage `json:"inputs,omitempty"` // batch mode when present (an empty batch is an error)
@@ -713,6 +713,10 @@ func (s *Service) handleV2Run(w http.ResponseWriter, r *http.Request) {
 		return
 	case req.Input == nil:
 		req.Input = jsonNull
+	}
+	req.Input = compacted(req.Input)
+	for i, in := range req.Inputs {
+		req.Inputs[i] = compacted(in)
 	}
 	id := pathID(r)
 	opts := RunOptions{Executor: req.Executor, NoMemo: req.NoMemo, NoCache: req.NoCache}

@@ -64,8 +64,8 @@ func (s *scriptedTM) loop() {
 		if !ok {
 			continue
 		}
-		var task taskmanager.Task
-		if err := json.Unmarshal(msg.Body, &task); err != nil {
+		task, err := taskmanager.DecodeTask(msg.Body)
+		if err != nil {
 			continue
 		}
 		reply := func(rep taskmanager.Reply) {
@@ -79,7 +79,7 @@ func (s *scriptedTM) loop() {
 			continue
 		}
 		s.mu.Lock()
-		s.tasks = append(s.tasks, pulledTask{task: task, reply: reply})
+		s.tasks = append(s.tasks, pulledTask{task: *task, reply: reply})
 		s.mu.Unlock()
 		select {
 		case s.notify <- struct{}{}:

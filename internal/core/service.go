@@ -999,6 +999,14 @@ func (s *Service) dispatch(ctx context.Context, task taskmanager.Task) (RunResul
 // deadline. The wait itself costs nothing: one timer per TM covers
 // every waiter.
 func (s *Service) dispatchTo(ctx context.Context, tmID string, task taskmanager.Task) (RunResult, error) {
+	body, err := taskmanager.EncodeTask(task) // never pooled: the TM's payloads alias it
+	if err != nil {
+		return RunResult{}, err
+	}
+	queueName := taskmanager.TaskQueue(tmID)
+	if !queue.FitsRequest(queueName, task.Tenant, body) { // the door admits a frame; a task adds its envelope
+		return RunResult{}, ErrTooLarge.WithDetail(fmt.Sprintf("task of %d bytes does not fit the queue's frame", len(body)))
+	}
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.TaskTimeout)
@@ -1037,11 +1045,7 @@ func (s *Service) dispatchTo(ctx context.Context, tmID string, task taskmanager.
 	ref := s.route.charge(tmID, sv, svWeight, cancel)
 	defer s.route.discharge(ref)
 	start := time.Now()
-	body, err := json.Marshal(task)
-	if err != nil {
-		return RunResult{}, err
-	}
-	replyBody, err := s.broker.RequestCtx(ctx, taskmanager.TaskQueue(tmID), body, task.Tenant)
+	replyBody, err := s.broker.RequestCtx(ctx, queueName, body, task.Tenant)
 	if err != nil {
 		if context.Cause(ctx) == errTMLost && caller.Err() == nil {
 			return RunResult{}, fmt.Errorf("%w: %s: %w", ErrNoTaskManager, tmID, errTMLost)

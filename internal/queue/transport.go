@@ -19,28 +19,38 @@ import (
 // Wire format. Each op is one rpc call whose payload is a run of header
 // fields, each a uvarint length followed by that many bytes, then any
 // numeric field as a bare uvarint, then the body as the rest of the
-// payload — never length-prefixed, never re-encoded, so the task JSON
-// the MS marshalled is the byte string the TM unmarshals.
+// payload — never length-prefixed, never re-encoded, so the task body
+// the MS wrote is the byte string the TM reads.
 //
 //	op        request                                  response
-//	q2.push   queue replyTo corr tenant | body         message ID (raw)
-//	q2.pull   queue | timeout_ms                       empty = nothing ready, else
+//	q3.push   queue replyTo corr tenant | body         message ID (raw)
+//	q3.pull   queue | timeout_ms                       empty = nothing ready, else
 //	                                                   id queue replyTo corr tenant | attempt | body
-//	q2.ack    queue id                                 empty
-//	q2.reply  id queue replyTo corr tenant | attempt | body   empty
+//	q3.ack    queue id                                 empty
+//	q3.reply  id queue replyTo corr tenant | attempt | body   empty
 //
-// q2.reply is the pulled message echoed with the response as its body;
+// q3.reply is the pulled message echoed with the response as its body;
 // the broker answers ReplyTo and acks (queue, id) in one step.
-// The q2 prefix is the protocol version: a peer speaking the earlier
-// JSON protocol gets "unknown method", not a mis-decoded frame.
+// The prefix versions the protocol and the task body it carries: a peer
+// of another version gets "unknown method", not a task it misreads.
 const (
-	opPush  = "q2.push"
-	opPull  = "q2.pull"
-	opAck   = "q2.ack"
-	opReply = "q2.reply"
+	opPush  = "q3.push"
+	opPull  = "q3.pull"
+	opAck   = "q3.ack"
+	opReply = "q3.reply"
 )
 
 var errFrame = errors.New("queue: malformed frame")
+
+// requestHeader bounds the rest of a RequestCtx message's q3.pull header:
+// five lengths, ID, inbox, correlation ID (base 36) and attempt.
+const requestHeader = 5*binary.MaxVarintLen32 + 32 + len(inboxName) + 13 + binary.MaxVarintLen64
+
+// FitsRequest reports whether a q3.pull response — one rpc frame — can
+// carry body to a remote consumer after RequestCtx pushed it.
+func FitsRequest(queueName, tenant string, body []byte) bool {
+	return requestHeader+len(queueName)+len(tenant)+len(body) <= rpc.MaxPayload("")
+}
 
 // encodeFrame lays out fields, then num (when non-negative), then body,
 // in one exactly-sized allocation.
@@ -101,7 +111,7 @@ func decodeNum(p []byte) (int64, []byte, error) {
 	return int64(v), p[n:], nil
 }
 
-// encodeMessage is the layout the q2.pull response and the q2.reply
+// encodeMessage is the layout the q3.pull response and the q3.reply
 // request share: m's header and attempt, then body.
 func encodeMessage(m Message, body []byte) []byte {
 	return encodeFrame(body, int64(m.Attempt), m.ID, m.Queue, m.ReplyTo, m.CorrelationID, m.Tenant)
@@ -181,7 +191,12 @@ func (s *Server) handlePull(ctx context.Context, payload []byte) ([]byte, error)
 		s.broker.Nack(msg.Queue, msg.ID)
 		return nil, err
 	}
-	return encodeMessage(msg, msg.Body), nil
+	resp := encodeMessage(msg, msg.Body)
+	if len(resp) > rpc.MaxPayload("") { // unframeable: requeued, it would loop forever
+		s.broker.Ack(msg.Queue, msg.ID)
+		return nil, rpc.ErrFrameTooLarge
+	}
+	return resp, nil
 }
 
 // undoPull requeues a pulled message whose response frame could not be
@@ -192,7 +207,7 @@ func (s *Server) undoPull(resp []byte) {
 	}
 }
 
-// handleAck serves q2.ack: exactly (queue, id).
+// handleAck serves q3.ack: exactly (queue, id).
 func (s *Server) handleAck(_ context.Context, payload []byte) ([]byte, error) {
 	var f [2]string
 	if rest, err := decodeFields(payload, f[:]); err != nil || len(rest) != 0 {

@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
+	"math"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/rpc"
 )
 
 // frameOps names every decoder the transport runs on bytes from the
@@ -169,6 +174,42 @@ func TestOldProtocolRefused(t *testing.T) {
 	_, err := c.rc.Call(context.Background(), "queue.push", []byte(`{"queue":"q","body":"eA=="}`))
 	if err == nil || !strings.Contains(err.Error(), "unknown method") {
 		t.Fatalf("old method name: want unknown method, got %v", err)
+	}
+	// A q2 peer — a Task Manager that would read a task body as one JSON
+	// document — is refused at its first call, its registration push.
+	_, err = c.rc.Call(context.Background(), "q2.push", encodeFrame([]byte(`{"tm_id":"tm-old"}`), -1, "dlhub.register", "", "", ""))
+	if err == nil || !strings.Contains(err.Error(), "unknown method: q2.push") {
+		t.Fatalf("q2 push: want unknown method, got %v", err)
+	}
+	if b.Len("dlhub.register") != 0 {
+		t.Fatal("a q2 registration reached the broker")
+	}
+}
+
+// TestFitsRequestBoundsThePull: FitsRequest's header allowance covers the
+// largest header a RequestCtx message can have, and a message that does
+// not fit anyway (pushed by a remote peer) is dropped at the pull rather
+// than requeued to be refused forever.
+func TestFitsRequestBoundsThePull(t *testing.T) {
+	worst := Message{ID: NewID(), Queue: "dlhub.tasks.tm-1", ReplyTo: inboxName,
+		CorrelationID: strconv.FormatUint(math.MaxUint64, 36), Tenant: "acme", Attempt: math.MaxInt32}
+	if hdr := len(encodeMessage(worst, nil)); hdr > requestHeader+len(worst.Queue)+len(worst.Tenant) {
+		t.Fatalf("a pull header is %d bytes, FitsRequest allows %d", hdr, requestHeader+len(worst.Queue)+len(worst.Tenant))
+	}
+	limit := rpc.MaxPayload("") - requestHeader - len(worst.Queue) - len(worst.Tenant)
+	if !FitsRequest(worst.Queue, worst.Tenant, make([]byte, limit)) || FitsRequest(worst.Queue, worst.Tenant, make([]byte, limit+1)) {
+		t.Fatal("FitsRequest is not the bound it states")
+	}
+
+	b := NewBroker(time.Hour)
+	defer b.Close()
+	s := NewServer(b)
+	b.Push("tasks", make([]byte, rpc.MaxPayload("")), "", "", "")
+	if _, err := s.handlePull(context.Background(), encodeFrame(nil, 0, "tasks")); !errors.Is(err, rpc.ErrFrameTooLarge) {
+		t.Fatalf("pull of an unframeable message: %v", err)
+	}
+	if b.Len("tasks") != 0 || b.InFlight("tasks") != 0 {
+		t.Fatalf("unframeable message kept: ready=%d inflight=%d", b.Len("tasks"), b.InFlight("tasks"))
 	}
 }
 

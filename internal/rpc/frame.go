@@ -29,6 +29,12 @@ const (
 // MaxFrameSize bounds a single frame (64 MiB) to catch corrupt lengths.
 const MaxFrameSize = 64 << 20
 
+// frameHeader is a frame's type, stream id and method length.
+const frameHeader = 1 + 8 + 2
+
+// MaxPayload is the largest payload of a frame naming method (a response: "").
+func MaxPayload(method string) int { return MaxFrameSize - frameHeader - len(method) }
+
 // ErrFrameTooLarge is returned when a frame header declares a length
 // beyond MaxFrameSize.
 var ErrFrameTooLarge = errors.New("rpc: frame exceeds maximum size")
@@ -92,7 +98,7 @@ func writeFrame(w io.Writer, f frame) error {
 	if len(f.method) > 0xFFFF {
 		return fmt.Errorf("rpc: method name too long (%d bytes)", len(f.method))
 	}
-	total := 1 + 8 + 2 + len(f.method) + len(f.payload)
+	total := frameHeader + len(f.method) + len(f.payload)
 	if total > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
@@ -135,7 +141,7 @@ func readFrameInto(r io.Reader, pooled bool) (frame, error) {
 	if total > MaxFrameSize {
 		return frame{}, ErrFrameTooLarge
 	}
-	if total < 11 {
+	if total < frameHeader {
 		return frame{}, fmt.Errorf("rpc: frame too short (%d bytes)", total)
 	}
 	var body []byte

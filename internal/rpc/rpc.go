@@ -131,6 +131,10 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			wmu.Lock()
 			werr := writeFrame(conn, resp)
+			if errors.Is(werr, ErrFrameTooLarge) {
+				// Nothing was written: answer, or the caller waits out its deadline.
+				writeFrame(conn, frame{typ: frameError, id: f.id, payload: []byte(werr.Error())}) //nolint:errcheck — as for any response
+			}
 			wmu.Unlock()
 			if werr != nil && rt.undo != nil && resp.typ == frameResponse {
 				rt.undo(resp.payload)

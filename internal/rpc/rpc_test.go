@@ -124,6 +124,41 @@ func TestFrameTooLarge(t *testing.T) {
 	}
 }
 
+// TestUnframeableResponseFailsCall: a response no frame can carry is
+// answered with an error frame, so the caller hears at once instead of
+// waiting out its deadline, and the undo still takes the response back.
+func TestUnframeableResponseFailsCall(t *testing.T) {
+	s := NewServer()
+	undone := make(chan int, 1)
+	s.HandleUndo("big", func(context.Context, []byte) ([]byte, error) {
+		return make([]byte, MaxFrameSize+1), nil
+	}, func(resp []byte) { undone <- len(resp) })
+	c, err := Dial(startServer(t, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err = c.Call(ctx, "big", nil)
+	var remote RemoteError
+	if !errors.As(err, &remote) || !strings.Contains(err.Error(), ErrFrameTooLarge.Error()) {
+		t.Fatalf("want the remote %q, got %v", ErrFrameTooLarge, err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("Call took %v to fail", d)
+	}
+	if n := <-undone; n != MaxFrameSize+1 {
+		t.Fatalf("undo saw %d bytes", n)
+	}
+	// The connection still serves.
+	s.Handle("echo", func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
+	if out, err := c.Call(ctx, "echo", []byte("ok")); err != nil || string(out) != "ok" {
+		t.Fatalf("after the refusal: %q, %v", out, err)
+	}
+}
+
 func TestCallEcho(t *testing.T) {
 	s := NewServer()
 	s.Handle("echo", func(_ context.Context, p []byte) ([]byte, error) { return p, nil })

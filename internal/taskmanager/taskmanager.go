@@ -40,7 +40,7 @@ const (
 // TaskQueue returns the task queue name for a TM id.
 func TaskQueue(tmID string) string { return fmt.Sprintf(TaskQueueFmt, tmID) }
 
-// Task is the wire format of one queued task.
+// Task is one queued task; EncodeTask and DecodeTask are its wire format.
 type Task struct {
 	ID       string `json:"id"`
 	Kind     string `json:"kind"` // run | run_batch | pipeline | deploy | scale | undeploy | drain | ping
@@ -49,9 +49,9 @@ type Task struct {
 	// "tfserving-rest", "sagemaker", "clipper" for comparisons).
 	Executor string `json:"executor,omitempty"`
 	// Input and Inputs are the request payload. The Management Service
-	// puts the client's JSON on the task as it arrived (json.RawMessage)
-	// and the Task Manager hands the same bytes to the executor: neither
-	// decodes them, the servable does.
+	// puts the client's JSON on the task as the door compacted it
+	// (json.RawMessage) and the Task Manager hands the same bytes to the
+	// executor: neither decodes them, the servable does.
 	Input    any               `json:"input,omitempty"`
 	Inputs   []json.RawMessage `json:"inputs,omitempty"` // batch
 	Steps    []string          `json:"steps,omitempty"`  // pipeline
@@ -382,23 +382,11 @@ func (tm *TM) pullLoop() {
 	}
 }
 
-// wireTask decodes a task's envelope and leaves its payload as bytes:
-// the input field here shadows Task.Input, so one Unmarshal fills both
-// and builds no value from the payload.
-type wireTask struct {
-	Task
-	Input json.RawMessage `json:"input"`
-}
-
 func (tm *TM) handle(msg queue.Message) {
-	var wire wireTask
-	if err := json.Unmarshal(msg.Body, &wire); err != nil {
+	task, err := DecodeTask(msg.Body)
+	if err != nil {
 		tm.reply(msg, Reply{OK: false, Error: "bad task: " + err.Error()})
 		return
-	}
-	task := &wire.Task
-	if wire.Input != nil {
-		task.Input = wire.Input
 	}
 	tm.statMu.Lock()
 	tm.active++
@@ -573,9 +561,9 @@ func invocationMicros(start time.Time) int64 {
 }
 
 // memoKey hashes servable + the input's JSON bytes as the task carried
-// them. The Management Service's task encode compacts a payload, so
-// whitespace a client sent never splits entries; member order inside an
-// object does (the service-layer cache in front is keyed canonically).
+// them. The Management Service's door compacts a payload, so whitespace
+// a client sent never splits entries; member order inside an object does
+// (the service-layer cache in front is keyed canonically).
 func memoKey(servableID string, input any) string {
 	raw, _ := input.(json.RawMessage)
 	h := sha256.New()
