@@ -216,10 +216,10 @@ func (s *Service) handleV2AuthRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	identityID, err := s.RegisterUser(req.Provider, req.Username, req.Password, req.Name, req.Email, req.Tenant)
 	if err != nil {
-		writeV2Error(w, r, err)
+		writeV2Error(w, err)
 		return
 	}
-	writeV2(w, r, http.StatusCreated, map[string]string{
+	writeV2(w, http.StatusCreated, map[string]string{
 		"identity_id": identityID,
 		"tenant":      req.Tenant,
 	})
@@ -232,10 +232,10 @@ func (s *Service) handleV2AuthLogin(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.Login(req.Provider, req.Username, req.Password)
 	if err != nil {
-		writeV2Error(w, r, err)
+		writeV2Error(w, err)
 		return
 	}
-	writeV2(w, r, http.StatusOK, res)
+	writeV2(w, http.StatusOK, res)
 }
 
 func (s *Service) handleV2AuthRevoke(w http.ResponseWriter, r *http.Request) {
@@ -248,14 +248,14 @@ func (s *Service) handleV2AuthRevoke(w http.ResponseWriter, r *http.Request) {
 		token = r.Header.Get("Authorization")
 	}
 	if token == "" {
-		writeV2Error(w, r, ErrBadRequest.WithDetail("no token to revoke (body token or Authorization header)"))
+		writeV2Error(w, ErrBadRequest.WithDetail("no token to revoke (body token or Authorization header)"))
 		return
 	}
 	if err := s.RevokeToken(token); err != nil {
-		writeV2Error(w, r, err)
+		writeV2Error(w, err)
 		return
 	}
-	writeV2(w, r, http.StatusOK, map[string]string{"status": "revoked"})
+	writeV2(w, http.StatusOK, map[string]string{"status": "revoked"})
 }
 
 // handleV2AuthWhoami echoes the resolved caller — the smoke tests' and

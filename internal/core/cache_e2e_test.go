@@ -63,7 +63,7 @@ func startFakeTM(t *testing.T, ms *core.Service, id string, block chan struct{})
 			if err != nil {
 				continue
 			}
-			rep, _ := json.Marshal(taskmanager.Reply{TaskID: task.ID, OK: true, Output: "from-" + id})
+			rep, _ := taskmanager.EncodeReply(taskmanager.Reply{TaskID: task.ID, OK: true, Output: "from-" + id})
 			// Counted before the reply: a caller that has its answer must
 			// already see the task in the count.
 			f.handled.Add(1)

@@ -191,10 +191,11 @@ func TestRunCtxDeadlineBoundsRequest(t *testing.T) {
 	}
 }
 
-// TestMalformedTMReplyIsUpstream: a task answered with bytes that are
-// not JSON is the site's failure — 502 upstream_error, never the
-// client's 400 — and nothing of it is cached: the same request dispatches
-// again.
+// TestMalformedTMReplyIsUpstream: a task answered with anything but a
+// reply frame for that task whose output is one JSON value is the site's
+// failure — 502 upstream_error, never the client's 400 — and nothing of it
+// is cached (the same request dispatches again) or left holding a load
+// slot.
 func TestMalformedTMReplyIsUpstream(t *testing.T) {
 	ms, tmID := blackHoleTM(t)
 	id, err := ms.Publish(context.Background(), core.Anonymous, servable.NoopPackage())
@@ -202,30 +203,65 @@ func TestMalformedTMReplyIsUpstream(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := ms.Handler()
-	answer := func(body string) {
-		msg, ok := ms.Broker().Pull(taskmanager.TaskQueue(tmID), 2*time.Second)
-		if !ok {
-			t.Error("no task arrived on the TM queue")
-			return
+	frame := func(rep taskmanager.Reply) []byte {
+		body, err := taskmanager.EncodeReply(rep)
+		if err != nil {
+			t.Fatal(err)
 		}
-		ms.Broker().Reply(msg, []byte(body))
+		return body
+	}
+	for _, row := range []struct {
+		name  string
+		reply func(taskID string) []byte
+	}{
+		{"JSON, the old reply", func(string) []byte { return []byte(`{"ok":tr`) }},
+		{"an HTML error page", func(string) []byte { return []byte(`<html>502 Bad Gateway</html>`) }},
+		{"a truncated header", func(task string) []byte {
+			return frame(taskmanager.Reply{TaskID: task, OK: true, Output: "x"})[:len(task)]
+		}},
+		{"an output that is not JSON", func(task string) []byte {
+			return frame(taskmanager.Reply{TaskID: task, OK: true, Output: json.RawMessage(`{"a":`)})
+		}},
+		{"a task-ID mismatch", func(string) []byte {
+			return frame(taskmanager.Reply{TaskID: "another-task", OK: true, Output: "x"})
+		}},
+		{"trailing bytes", func(task string) []byte {
+			return append(frame(taskmanager.Reply{TaskID: task, OK: true, Output: "x"}), " junk"...)
+		}},
+	} {
+		go func() {
+			msg, ok := ms.Broker().Pull(taskmanager.TaskQueue(tmID), 2*time.Second)
+			if !ok {
+				t.Error("no task arrived on the TM queue")
+				return
+			}
+			task, err := taskmanager.DecodeTask(msg.Body)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ms.Broker().Reply(msg, row.reply(task.ID))
+		}()
+		status, cache, env := postRun(t, h, id, strings.NewReader(`{"input":"x"}`))
+		if status != http.StatusBadGateway || env.Error == nil || env.Error.Code != string(core.CodeUpstream) {
+			t.Fatalf("%s: status %d, cache %q, error %+v; want 502 upstream_error", row.name, status, cache, env.Error)
+		}
+		if st := ms.CacheStats(); st.Entries != 0 {
+			t.Fatalf("%s: a failed dispatch was cached: %+v", row.name, st)
+		}
+		if load := ms.TMLoad()[tmID]; load != 0 {
+			t.Fatalf("%s: in-flight slots leaked: %d", row.name, load)
+		}
 	}
 
-	go answer(`{"ok":tr`)
-	status, cache, env := postRun(t, h, id, strings.NewReader(`{"input":"x"}`))
-	if status != http.StatusBadGateway || env.Error == nil || env.Error.Code != string(core.CodeUpstream) {
-		t.Fatalf("status %d, cache %q, error %+v; want 502 upstream_error", status, cache, env.Error)
-	}
-	if st := ms.CacheStats(); st.Entries != 0 {
-		t.Fatalf("a failed dispatch was cached: %+v", st)
-	}
-
-	go answer(`<html>502 Bad Gateway</html>`)
-	if _, err := ms.Run(context.Background(), core.Anonymous, id, "x", core.RunOptions{}); !errors.Is(err, core.ErrUpstream) {
-		t.Fatalf("in-process: %v, want ErrUpstream", err)
-	}
-	if load := ms.TMLoad()[tmID]; load != 0 {
-		t.Fatalf("in-flight slots leaked: %d", load)
+	done := make(chan error, 1)
+	go func() {
+		_, err := ms.Run(context.Background(), core.Anonymous, id, "x", core.RunOptions{})
+		done <- err
+	}()
+	replyOnce(t, ms, tmID, "fine")
+	if err := <-done; err != nil {
+		t.Fatalf("a well-formed reply after the malformed ones: %v", err)
 	}
 }
 
@@ -241,7 +277,7 @@ func replyOnce(t *testing.T, ms *core.Service, tmID, output string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := json.Marshal(taskmanager.Reply{TaskID: task.ID, OK: true, Output: output, InvocationMicros: 1})
+	body, err := taskmanager.EncodeReply(taskmanager.Reply{TaskID: task.ID, OK: true, Output: output, InvocationMicros: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -25,14 +24,12 @@ import (
 // request ID id.
 func runEnvelope(t testing.TB, res *RunResult, id string) []byte {
 	t.Helper()
-	r := httptest.NewRequest(http.MethodPost, "/", nil)
-	r = r.WithContext(context.WithValue(r.Context(), scopeKey{}, &requestScope{id: id}))
 	rec := httptest.NewRecorder()
 	buf := getBuf()
 	defer putBuf(buf)
 	buf.WriteString(envelopeOpen)
 	writeRunResult(buf, res)
-	finishEnvelope(rec, r, http.StatusOK, buf)
+	finishEnvelope(&requestScope{ResponseWriter: rec, id: id}, http.StatusOK, buf)
 	if ct := rec.Header().Get("Content-Type"); rec.Code != http.StatusOK || ct != "application/json" {
 		t.Fatalf("status %d, content type %q", rec.Code, ct)
 	}

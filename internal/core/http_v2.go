@@ -104,18 +104,18 @@ var (
 )
 
 // writeV2 writes a success envelope.
-func writeV2(w http.ResponseWriter, r *http.Request, status int, data any) {
-	rpc.WriteJSON(w, status, Envelope{Data: data, RequestID: RequestIDFromContext(r.Context())})
+func writeV2(w http.ResponseWriter, status int, data any) {
+	rpc.WriteJSON(w, status, Envelope{Data: data, RequestID: requestID(w)})
 }
 
 // writeV2Error classifies err and writes the error envelope. A client
 // that hung up (canceled ctx) gets the 499 status for the logs even
 // though no one reads the body.
-func writeV2Error(w http.ResponseWriter, r *http.Request, err error) {
+func writeV2Error(w http.ResponseWriter, err error) {
 	e := Classify(err)
 	rpc.WriteJSON(w, e.HTTPStatus, Envelope{
 		Error:     &EnvelopeError{Code: string(e.Code), Message: e.Message, Detail: e.Detail},
-		RequestID: RequestIDFromContext(r.Context()),
+		RequestID: requestID(w),
 	})
 }
 
@@ -124,9 +124,9 @@ func writeV2Error(w http.ResponseWriter, r *http.Request, err error) {
 // needs no escaping: the door admits only [A-Za-z0-9._:-]) and writes it.
 const envelopeOpen = `{"data":`
 
-func finishEnvelope(w http.ResponseWriter, r *http.Request, status int, buf *bytes.Buffer) {
+func finishEnvelope(w http.ResponseWriter, status int, buf *bytes.Buffer) {
 	buf.WriteString(`,"request_id":"`)
-	buf.WriteString(RequestIDFromContext(r.Context()))
+	buf.WriteString(requestID(w))
 	buf.WriteString("\"}\n")
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
@@ -201,14 +201,14 @@ func writeString(b *bytes.Buffer, field, s string, omitEmpty bool) {
 func (s *Service) callerV2(w http.ResponseWriter, r *http.Request) (Caller, bool) {
 	if s.cfg.Auth != nil {
 		if r.Header.Get(tenantKey) != "" {
-			writeV2Error(w, r, ErrUnauthorized.WithDetail(
+			writeV2Error(w, ErrUnauthorized.WithDetail(
 				TenantHeader+" is not accepted when authentication is enabled; tenancy follows the token identity"))
 			return Caller{}, false
 		}
 	}
 	c, err := s.ResolveCaller(r.Header.Get("Authorization"))
 	if err != nil {
-		writeV2Error(w, r, ErrUnauthorized.WithDetail(err.Error()))
+		writeV2Error(w, ErrUnauthorized.WithDetail(err.Error()))
 		return Caller{}, false
 	}
 	if s.cfg.Auth == nil {
@@ -216,7 +216,7 @@ func (s *Service) callerV2(w http.ResponseWriter, r *http.Request) (Caller, bool
 			c.Tenant = h
 		}
 	}
-	if sc := scopeOf(r.Context()); sc != nil {
+	if sc := scopeOf(w); sc != nil {
 		sc.tenant = c.Tenant // for the access-log line
 	}
 	return c, true
@@ -235,9 +235,9 @@ func readV2(w http.ResponseWriter, r *http.Request, v any) bool {
 	case err == nil:
 		return true
 	case errors.Is(err, rpc.ErrBodyTooLarge):
-		writeV2Error(w, r, ErrTooLarge.WithDetail(fmt.Sprintf("body exceeds %d bytes", rpc.MaxFrameSize)))
+		writeV2Error(w, ErrTooLarge.WithDetail(fmt.Sprintf("body exceeds %d bytes", rpc.MaxFrameSize)))
 	default:
-		writeV2Error(w, r, ErrBadRequest.WithDetail("bad body: "+err.Error()))
+		writeV2Error(w, ErrBadRequest.WithDetail("bad body: "+err.Error()))
 	}
 	return false
 }
@@ -266,10 +266,10 @@ func endpoint[Req any](s *Service, h func(r *http.Request, c Caller, req *Req) (
 		}
 		status, data, err := h(r, c, &req)
 		if err != nil {
-			writeV2Error(w, r, err)
+			writeV2Error(w, err)
 			return
 		}
-		writeV2(w, r, status, data)
+		writeV2(w, status, data)
 	}
 }
 
@@ -298,10 +298,10 @@ func (s *Service) idempotent(w http.ResponseWriter, r *http.Request, c Caller, f
 	if key == "" {
 		status, err := fn(buf)
 		if err != nil {
-			writeV2Error(w, r, err)
+			writeV2Error(w, err)
 			return
 		}
-		finishEnvelope(w, r, status, buf)
+		finishEnvelope(w, status, buf)
 		return
 	}
 	scoped := c.IdentityID + "|" + r.Method + " " + r.URL.Path + "|" + key
@@ -324,13 +324,13 @@ func (s *Service) idempotent(w http.ResponseWriter, r *http.Request, c Caller, f
 			}
 			w.Header().Set(IdempotencyReplayedHeader, "true")
 			if e.err != nil {
-				writeV2Error(w, r, e.err)
+				writeV2Error(w, e.err)
 				return
 			}
 			buf.Write(e.body)
-			finishEnvelope(w, r, e.status, buf)
+			finishEnvelope(w, e.status, buf)
 		case <-r.Context().Done():
-			writeV2Error(w, r, wrapCtxErr(r.Context().Err()))
+			writeV2Error(w, wrapCtxErr(r.Context().Err()))
 		}
 		return
 	}
@@ -353,11 +353,11 @@ func (s *Service) idempotent(w http.ResponseWriter, r *http.Request, c Caller, f
 	status, err := fn(buf)
 	if err != nil {
 		settle(0, nil, Classify(err))
-		writeV2Error(w, r, err)
+		writeV2Error(w, err)
 		return
 	}
 	settle(status, bytes.Clone(buf.Bytes()[len(envelopeOpen):]), nil) // buf goes back to the pool
-	finishEnvelope(w, r, status, buf)
+	finishEnvelope(w, status, buf)
 }
 
 // replayable reports whether a failure is definitive enough to replay
@@ -370,7 +370,7 @@ func replayable(e *Error) bool {
 // --- health -----------------------------------------------------------------
 
 func (s *Service) handleV2Healthz(w http.ResponseWriter, r *http.Request) {
-	writeV2(w, r, http.StatusOK, map[string]string{"status": "ok"})
+	writeV2(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleV2Readyz reports readiness: at least one live Task Manager must
@@ -378,10 +378,10 @@ func (s *Service) handleV2Healthz(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleV2Readyz(w http.ResponseWriter, r *http.Request) {
 	live := s.LiveTaskManagers()
 	if len(live) == 0 {
-		writeV2Error(w, r, ErrNoTaskManager.WithDetail("not ready: 0 live task managers"))
+		writeV2Error(w, ErrNoTaskManager.WithDetail("not ready: 0 live task managers"))
 		return
 	}
-	writeV2(w, r, http.StatusOK, map[string]any{"status": "ready", "task_managers": len(live)})
+	writeV2(w, http.StatusOK, map[string]any{"status": "ready", "task_managers": len(live)})
 }
 
 // --- repository -------------------------------------------------------------
@@ -709,7 +709,7 @@ func (s *Service) handleV2Run(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case req.Inputs != nil && req.Input != nil:
-		writeV2Error(w, r, ErrBadRequest.WithDetail("input and inputs are mutually exclusive"))
+		writeV2Error(w, ErrBadRequest.WithDetail("input and inputs are mutually exclusive"))
 		return
 	case req.Input == nil:
 		req.Input = jsonNull
@@ -833,12 +833,12 @@ func (s *Service) handleV2TaskEvents(w http.ResponseWriter, r *http.Request) {
 	taskID := r.PathValue("task")
 	done, err := s.TaskWatch(taskID)
 	if err != nil {
-		writeV2Error(w, r, err)
+		writeV2Error(w, err)
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeV2Error(w, r, ErrInternal.WithDetail("response writer does not support streaming"))
+		writeV2Error(w, ErrInternal.WithDetail("response writer does not support streaming"))
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"log"
 	"net/http"
 	"strings"
@@ -35,11 +34,11 @@ func validRequestID(id string) bool {
 	return 1 <= len(id) && len(id) <= 64
 }
 
-// requestScope is one request's record. It is the ResponseWriter the
-// handler writes to — so the status is seen once, for the counters, the
-// log line and the panic tail alike — and the request context's one
-// value: the request ID, and the tenant callerV2 stamps once the
-// identity is known.
+// requestScope is one request's record: the request ID, and the tenant
+// callerV2 stamps once the identity is known. It is the ResponseWriter
+// the handler writes to — so the status is seen once, for the counters,
+// the log line and the panic tail alike — and that is also how a handler
+// finds it: the request's context carries nothing of it.
 type requestScope struct {
 	http.ResponseWriter
 	status int
@@ -48,18 +47,15 @@ type requestScope struct {
 	tenant string
 }
 
-type scopeKey struct{}
-
-// scopeOf returns the request's scope (nil outside a request).
-func scopeOf(ctx context.Context) *requestScope {
-	sc, _ := ctx.Value(scopeKey{}).(*requestScope)
+// scopeOf returns the scope a handler's writer is (nil outside the door).
+func scopeOf(w http.ResponseWriter) *requestScope {
+	sc, _ := w.(*requestScope)
 	return sc
 }
 
-// RequestIDFromContext returns the request's correlation ID ("" outside
-// a request).
-func RequestIDFromContext(ctx context.Context) string {
-	if sc := scopeOf(ctx); sc != nil {
+// requestID returns the request's correlation ID ("" outside the door).
+func requestID(w http.ResponseWriter) string {
+	if sc := scopeOf(w); sc != nil {
 		return sc.id
 	}
 	return ""
@@ -164,12 +160,11 @@ func (s *Service) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	sc.idv[0] = sc.id
 	w.Header()[requestIDKey] = sc.idv[:]
-	r = r.WithContext(context.WithValue(r.Context(), scopeKey{}, sc))
 	defer func() {
 		if rec := recover(); rec != nil {
 			log.Printf("http panic on %s %s: %v (rid=%s)", r.Method, r.URL.Path, rec, sc.id)
 			if sc.status == 0 {
-				writeV2Error(sc, r, ErrInternal)
+				writeV2Error(sc, ErrInternal)
 			}
 		}
 		elapsed := time.Since(start)

@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -270,12 +271,7 @@ func TestOutputBytesReachClient(t *testing.T) {
 		return data
 	}
 
-	for _, row := range []struct {
-		name, value string
-		// want is the output the client reads when it is not value itself:
-		// the Task Manager's reply encode spells <, > and & as escapes.
-		want string
-	}{
+	for _, row := range []struct{ name, value string }{
 		{name: "integer past 2^53", value: `9007199254740993`},
 		{name: "float that is an integer", value: `1.0`},
 		{name: "exponent", value: `1e-7`},
@@ -283,14 +279,12 @@ func TestOutputBytesReachClient(t *testing.T) {
 		{name: "trailing zero", value: `[2.50]`},
 		{name: "member order", value: `{"b":1,"a":null}`},
 		{name: "non-ASCII string", value: `"é"`},
-		{name: "markup", value: `"<a>"`, want: `"\u003ca\u003e"`},
+		{name: "markup", value: `"<a>"`},
+		{name: "line separator", value: "\"\u2028\""},
 		{name: "null", value: `null`},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			want := row.want
-			if want == "" {
-				want = row.value
-			}
+			want := row.value // the reply frame carries an output as the host wrote it
 			miss := post(t, id, `{"input":`+row.value+`}`, "miss")
 			if string(miss.Output) != want {
 				t.Fatalf("miss: output %s, want %s", miss.Output, want)
@@ -402,6 +396,85 @@ func TestV2BodySizeLimit(t *testing.T) {
 // until the task timeout makes it a 504.
 func TestTaskOverFrameIs413(t *testing.T) {
 	ex := &recordingExecutor{keep: true}
+	ms, id := tcpStack(t, ex)
+
+	const open, end = `{"input":"`, `"}`
+	size := rpc.MaxFrameSize - 64
+	body := io.MultiReader(strings.NewReader(open), io.LimitReader(fillReader('a'), int64(size-len(open)-len(end))), strings.NewReader(end))
+	req := httptest.NewRequest(http.MethodPost, "/api/v2/servables/"+id+"/run", body)
+	req.ContentLength = int64(size)
+	rec := httptest.NewRecorder()
+	start := time.Now()
+	ms.Handler().ServeHTTP(rec, req)
+	took := time.Since(start)
+	var env envelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusRequestEntityTooLarge || env.Error == nil || env.Error.Code != string(core.CodeTooLarge) {
+		t.Fatalf("status %d, error %+v; want 413 payload_too_large", rec.Code, env.Error)
+	}
+	// Well inside the task timeout, the old answer's wait: most of the
+	// time is the door's decode of 64 MiB (0.7 s on two cores; slower
+	// beside other packages' tests, and 10–12 s under the race detector).
+	limit := 10 * time.Second
+	if raceEnabled {
+		limit = 20 * time.Second
+	}
+	if took > limit {
+		t.Fatalf("413 took %v", took)
+	}
+	if n := ms.Broker().Len(taskmanager.TaskQueue("tm-1")) + ms.Broker().InFlight(taskmanager.TaskQueue("tm-1")); n != 0 || len(ex.take(t)) != 0 {
+		t.Fatalf("the refused task was pushed (%d queued) or ran", n)
+	}
+	// The site still serves.
+	if _, err := ms.Run(context.Background(), core.Anonymous, id, "small", core.RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// bigResultExecutor answers every input with a JSON string of
+// rpc.MaxFrameSize bytes: a result no queue frame can carry back.
+type bigResultExecutor struct {
+	recordingExecutor
+	calls atomic.Int32
+}
+
+func (e *bigResultExecutor) Invoke(context.Context, string, any) (executor.Result, error) {
+	e.calls.Add(1)
+	out := bytes.Repeat([]byte{'a'}, rpc.MaxFrameSize)
+	out[0], out[len(out)-1] = '"', '"'
+	return executor.Result{Output: json.RawMessage(out), InferenceMicros: 1}, nil
+}
+
+// TestResultOverFrameFailsFast: the reply to a task whose result no frame
+// can carry is a short error reply, which acknowledges the task. Before,
+// the reply failed before a byte left the Task Manager: the caller waited
+// out the task timeout for a 504, and the task stayed claimed, to be run
+// again every visibility timeout.
+func TestResultOverFrameFailsFast(t *testing.T) {
+	ex := &bigResultExecutor{}
+	ms, id := tcpStack(t, ex)
+	start := time.Now()
+	status, _, env := postRun(t, ms.Handler(), id, strings.NewReader(`{"input":"x"}`))
+	if status != http.StatusBadGateway || env.Error == nil || env.Error.Code != string(core.CodeTaskFailed) {
+		t.Fatalf("status %d, error %+v; want 502 task_failed", status, env.Error)
+	}
+	if took := time.Since(start); took > 10*time.Second {
+		t.Fatalf("502 took %v", took)
+	}
+	q := taskmanager.TaskQueue("tm-1")
+	waitFor(t, time.Second, func() bool { return ms.Broker().InFlight(q) == 0 })
+	if n := ex.calls.Load(); n != 1 {
+		t.Fatalf("the executor ran %d times, want 1", n)
+	}
+}
+
+// tcpStack is a Management Service with one real Task Manager across the
+// loopback TCP queue whose only executor is ex, a 30 s task timeout, and
+// noop published and deployed.
+func tcpStack(t *testing.T, ex executor.Executor) (*core.Service, string) {
+	t.Helper()
 	ms := core.New(core.Config{Registry: container.NewRegistry(), TaskTimeout: 30 * time.Second})
 	t.Cleanup(ms.Close)
 	qsrv := queue.NewServer(ms.Broker())
@@ -433,36 +506,7 @@ func TestTaskOverFrameIs413(t *testing.T) {
 	if err := ms.Deploy(ctx, core.Anonymous, id, 1, ""); err != nil {
 		t.Fatal(err)
 	}
-
-	const open, end = `{"input":"`, `"}`
-	size := rpc.MaxFrameSize - 64
-	body := io.MultiReader(strings.NewReader(open), io.LimitReader(fillReader('a'), int64(size-len(open)-len(end))), strings.NewReader(end))
-	req := httptest.NewRequest(http.MethodPost, "/api/v2/servables/"+id+"/run", body)
-	req.ContentLength = int64(size)
-	rec := httptest.NewRecorder()
-	start := time.Now()
-	ms.Handler().ServeHTTP(rec, req)
-	took := time.Since(start)
-	var env envelope
-	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Code != http.StatusRequestEntityTooLarge || env.Error == nil || env.Error.Code != string(core.CodeTooLarge) {
-		t.Fatalf("status %d, error %+v; want 413 payload_too_large", rec.Code, env.Error)
-	}
-	// Well inside the task timeout, the old answer's wait: most of the
-	// time is the door's decode of 64 MiB (0.7 s on two cores; slower
-	// under the race detector or beside other packages' tests).
-	if took > 10*time.Second {
-		t.Fatalf("413 took %v", took)
-	}
-	if n := ms.Broker().Len(taskmanager.TaskQueue("tm-1")) + ms.Broker().InFlight(taskmanager.TaskQueue("tm-1")); n != 0 || len(ex.take(t)) != 0 {
-		t.Fatalf("the refused task was pushed (%d queued) or ran", n)
-	}
-	// The site still serves.
-	if _, err := ms.Run(ctx, core.Anonymous, id, "small", core.RunOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	return ms, id
 }
 
 // fillReader reads as an endless run of one byte.
@@ -653,13 +697,14 @@ func TestRunHTTPAllocs(t *testing.T) {
 	}
 }
 
-// What TestRunHTTPAllocs measures at this commit (before the task body
-// carried payloads as lines, and the door compacted them once: batch 613,
-// single run 90).
+// What TestRunHTTPAllocs measures at this commit (before the reply was a
+// binary frame and the hop lost its per-request context, closures and
+// strings: batch 502, single run 88, cache hit 34; before the task body
+// carried payloads as lines: batch 613, single run 90).
 const (
-	batchAllocs     = 502
-	singleRunAllocs = 88
-	hitAllocs       = 34
+	batchAllocs     = 484
+	singleRunAllocs = 71
+	hitAllocs       = 32
 )
 
 // BenchmarkRunBatchHTTP is TestRunHTTPAllocs's batch as a benchmark, so

@@ -56,11 +56,10 @@ func (s *Service) runPipeline(ctx context.Context, caller Caller, doc *schema.Do
 	// same thing whether placement happens to allow the monolith or
 	// not. (The distributed engine additionally admits each step under
 	// its own ID as it dispatches.)
-	release, err := s.admitRun(caller, doc.ID, 1)
-	if err != nil {
+	if err := s.admitRun(caller, doc.ID, 1); err != nil {
 		return RunResult{}, err
 	}
-	defer release()
+	defer s.route.unreserve(caller.Tenant, doc.ID, 1)
 	if tmID, ok := s.route.monolithTM(steps); ok {
 		// Fast path: the whole chain runs on one TM; demand is charged
 		// to the pipeline ID by dispatchTo.

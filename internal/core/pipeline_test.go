@@ -70,7 +70,7 @@ func (s *scriptedTM) loop() {
 		}
 		reply := func(rep taskmanager.Reply) {
 			rep.TaskID = task.ID
-			body, _ := json.Marshal(rep)
+			body, _ := taskmanager.EncodeReply(rep)
 			s.ms.Broker().Reply(msg, body)
 		}
 		switch task.Kind {

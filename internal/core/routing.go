@@ -37,11 +37,14 @@ import (
 	"slices"
 	"sync"
 	"time"
+
+	"repro/internal/taskmanager"
 )
 
 // tmEntry is everything the service knows about one Task Manager.
 type tmEntry struct {
-	id string
+	id    string
+	queue string // its task queue's name, built once with the record
 	// registered is false for a TM known only from durable state — a
 	// restored placement or drain mark whose site has not (re-)registered
 	// since boot. Such a record is never routed to; its first heartbeat
@@ -120,6 +123,7 @@ type routingTable struct {
 	tenants    map[string]int
 	rr         int
 	nextWaiter uint64
+	closed     bool // set by stop: a dispatch charged after it is canceled at once
 }
 
 func newRoutingTable(staleAfter time.Duration, clock func() time.Time) *routingTable {
@@ -176,19 +180,21 @@ func (rt *routingTable) expire(tm *tmEntry) {
 		tm.timer.Reset(left)
 		return
 	}
-	failWaitersLocked(tm)
+	failWaitersLocked(tm, errTMLost)
 }
 
-// stop halts every timer (Service shutdown). Waiters are NOT failed
-// with errTMLost — the lifetime context cancels their dispatches with
-// the correct shutdown cause.
+// stop is Service shutdown: timers halt, and every waiting dispatch — and
+// any charged afterwards — is canceled with no cause (ErrCanceled to its
+// caller: the service is closing, no TM was lost).
 func (rt *routingTable) stop() {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
+	rt.closed = true
 	for _, tm := range rt.tms {
 		if tm.timer != nil {
 			tm.timer.Stop()
 		}
+		failWaitersLocked(tm, nil)
 	}
 }
 
@@ -282,7 +288,7 @@ func (rt *routingTable) deregister(tmID string) bool {
 	if tm.timer != nil {
 		tm.timer.Stop()
 	}
-	failWaitersLocked(tm)
+	failWaitersLocked(tm, errTMLost)
 	for id := range rt.servables {
 		rt.removePlacementLocked(id, tm)
 	}
@@ -342,17 +348,18 @@ type dispatchRef struct {
 	waiter   uint64
 	servable string
 	weight   int
+	queue    string
 }
 
 // charge accounts one dispatch, in one critical section: the TM's
 // in-flight count rises, weight units of demand land on the servable
 // ("" for control-plane kinds, which carry none), and cancel is
-// registered to fire with errTMLost when the TM's liveness window
-// lapses. If the TM is not live right now — never seen, deregistered,
-// silent past the window — cancel fires immediately, which is what lets
-// a dispatch routed at a stale snapshot fail fast instead of waiting out
-// its deadline. With liveness off nothing is registered. The caller must
-// discharge the returned ref when the dispatch ends.
+// registered to fire with errTMLost when the TM's liveness window lapses
+// or it is deregistered (and with no cause at stop). If the TM is not
+// live right now — unknown, never seen, silent past the window — cancel
+// fires immediately, which is what lets a dispatch routed at a stale
+// snapshot fail fast instead of waiting out its deadline. The caller
+// must discharge the returned ref when the dispatch ends.
 func (rt *routingTable) charge(tmID, servableID string, weight int, cancel context.CancelCauseFunc) dispatchRef {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -364,9 +371,13 @@ func (rt *routingTable) charge(tmID, servableID string, weight int, cancel conte
 	}
 	if ref.tm != nil {
 		ref.tm.inflight++
+		ref.queue = ref.tm.queue
+	} else {
+		ref.queue = taskmanager.TaskQueue(tmID)
 	}
 	switch {
-	case rt.staleAfter <= 0:
+	case rt.closed:
+		cancel(nil)
 	case ref.tm == nil || !rt.liveLocked(ref.tm, rt.clock()):
 		cancel(errTMLost)
 	default:
@@ -616,8 +627,8 @@ type WatcherStats struct {
 	// TMs is the number of TMs with a liveness timer: the registered
 	// ones, when liveness is on.
 	TMs int `json:"tms"`
-	// Waiters is the number of in-flight dispatches registered for
-	// errTMLost fan-out.
+	// Waiters is the number of in-flight dispatches registered with a
+	// TM's record for the fan-out.
 	Waiters int `json:"waiters"`
 	// Lost is how many of those TMs currently fail the liveness
 	// predicate.
@@ -631,11 +642,11 @@ func (rt *routingTable) stats() WatcherStats {
 	now := rt.clock()
 	var st WatcherStats
 	for _, tm := range rt.tms {
+		st.Waiters += len(tm.waiters)
 		if tm.timer == nil {
 			continue
 		}
 		st.TMs++
-		st.Waiters += len(tm.waiters)
 		if !rt.liveLocked(tm, now) {
 			st.Lost++
 		}
@@ -709,19 +720,19 @@ func (rt *routingTable) tmLocked(tmID string) *tmEntry {
 func (rt *routingTable) ensureTMLocked(tmID string) *tmEntry {
 	tm := rt.tmLocked(tmID)
 	if tm == nil {
-		tm = &tmEntry{id: tmID, waiters: make(map[uint64]context.CancelCauseFunc)}
+		tm = &tmEntry{id: tmID, queue: taskmanager.TaskQueue(tmID), waiters: make(map[uint64]context.CancelCauseFunc)}
 		rt.tms = append(rt.tms, tm)
 	}
 	return tm
 }
 
-// failWaitersLocked cancels every dispatch waiting on the TM with
-// errTMLost. Canceled waiters are dropped now rather than at each
-// dispatch's discharge: the map is what stats reports, and a second
-// fan-out must not re-cancel them.
-func failWaitersLocked(tm *tmEntry) {
+// failWaitersLocked cancels every dispatch waiting on the TM with cause.
+// Canceled waiters are dropped now rather than at each dispatch's
+// discharge: the map is what stats reports, and a second fan-out must not
+// re-cancel them.
+func failWaitersLocked(tm *tmEntry, cause error) {
 	for _, cancel := range tm.waiters {
-		cancel(errTMLost)
+		cancel(cause)
 	}
 	clear(tm.waiters)
 }

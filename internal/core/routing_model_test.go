@@ -235,7 +235,7 @@ func testRoutingModel(t *testing.T, seed int64, staleAfter time.Duration) {
 			if rng.Intn(4) > 0 {
 				c.sv = svID
 			}
-			c.want = staleAfter > 0 && (c.tm == nil || !m.live(c.tm))
+			c.want = c.tm == nil || !m.live(c.tm)
 			c.ref = m.rt.charge(tmID, c.sv, c.weight, func(error) { *c.fired = true })
 			if c.tm != nil {
 				c.tm.inflight++
@@ -321,7 +321,7 @@ func testRoutingModel(t *testing.T, seed int64, staleAfter time.Duration) {
 			// Its waiters are failed now; the dispatches still hold (and
 			// will discharge against) the record they charged.
 			for _, c := range m.charges {
-				if c.tm == tm && staleAfter > 0 {
+				if c.tm == tm {
 					c.want = true
 				}
 			}

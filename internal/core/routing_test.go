@@ -47,11 +47,10 @@ func TestRoutingReadsDoNotBlockOnRepositoryWrite(t *testing.T) {
 			s.route.routeSnapshot()
 			s.FailoverStats()
 			s.WatcherStats()
-			release, err := s.admitRun(Anonymous, "sv", 1)
-			if err != nil {
+			if err := s.admitRun(Anonymous, "sv", 1); err != nil {
 				return fmt.Errorf("admitRun: %v", err)
 			}
-			release()
+			s.route.unreserve(Anonymous.Tenant, "sv", 1)
 			s.route.discharge(s.route.charge("tm-a", "sv", 1, func(error) {}))
 			return nil
 		}()
@@ -280,12 +279,11 @@ func BenchmarkAdmitRun(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			release, err := s.admitRun(caller, "sv-1", 1)
-			if err != nil {
+			if err := s.admitRun(caller, "sv-1", 1); err != nil {
 				b.Error(err)
 				return
 			}
-			release()
+			s.route.unreserve(caller.Tenant, "sv-1", 1)
 		}
 	})
 }

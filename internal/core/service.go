@@ -219,9 +219,9 @@ type Service struct {
 	closeOnce sync.Once
 	regWG     sync.WaitGroup
 	timeFunc  func() time.Time
-	// lifeCtx is the service lifetime context: background dispatches
-	// (async runs, autoscaler scale tasks) run under it so Close aborts
-	// them instead of leaving them to their own deadlines.
+	// lifeCtx is the service lifetime context: background work (async
+	// runs, autoscaler scale tasks, registrations) runs under it so Close
+	// aborts it instead of leaving it to its own deadlines.
 	lifeCtx    context.Context
 	lifeCancel context.CancelFunc
 }
@@ -309,9 +309,9 @@ func New(cfg Config) *Service {
 func (s *Service) Broker() *queue.Broker { return s.broker }
 
 // Close shuts the service down: background loops stop, and in-flight
-// dispatches — synchronous callers included (dispatchTo) — are canceled
-// with ErrCanceled rather than stranded until their own deadlines. Safe
-// to call more than once.
+// dispatches — synchronous callers included — are canceled with
+// ErrCanceled (routingTable.stop) rather than stranded until their own
+// deadlines. Safe to call more than once.
 func (s *Service) Close() {
 	s.closeOnce.Do(func() {
 		close(s.stop)
@@ -678,9 +678,9 @@ func (s *Service) reqCtx(ctx context.Context) (context.Context, context.CancelFu
 // next pipeline step and written to the client as it arrived, on a miss
 // and on every hit (docs/ARCHITECTURE.md, "Result path").
 
-// Reply is a Task Manager's reply as this service holds it:
-// taskmanager.Reply's wire fields, with the payload left as the bytes
-// the reply carried (a batch's outputs as one JSON array).
+// Reply is a Task Manager's reply as this service holds it: the reply
+// frame's fields (taskmanager.DecodeReply), with the payload left as the
+// bytes the reply carried (a batch's outputs as one JSON array).
 type Reply struct {
 	TaskID           string                 `json:"task_id"`
 	OK               bool                   `json:"ok"`
@@ -819,11 +819,10 @@ func (s *Service) serveMiss(ctx context.Context, caller Caller, key cacheKey, ta
 // request blow far past the bound. (A method, not a closure in serve:
 // the uncached path would pay an object for it on every run.)
 func (s *Service) admitAndDispatch(ctx context.Context, caller Caller, task taskmanager.Task, weight int) (RunResult, error) {
-	release, err := s.admitRun(caller, task.Servable, weight)
-	if err != nil {
+	if err := s.admitRun(caller, task.Servable, weight); err != nil {
 		return RunResult{}, err
 	}
-	defer release()
+	defer s.route.unreserve(caller.Tenant, task.Servable, weight)
 	task.ID = queue.NewID()
 	return s.dispatch(ctx, task)
 }
@@ -996,32 +995,22 @@ func (s *Service) dispatch(ctx context.Context, task taskmanager.Task) (RunResul
 // which aborts it with errTMLost the moment the TM misses its liveness
 // window (routing.go, charge) — the reply will never come, and failing
 // fast is what gives dispatch() room to re-route inside the caller's
-// deadline. The wait itself costs nothing: one timer per TM covers
-// every waiter.
+// deadline — and with ErrCanceled when the service closes. The wait
+// itself costs nothing: one timer per TM covers every waiter.
 func (s *Service) dispatchTo(ctx context.Context, tmID string, task taskmanager.Task) (RunResult, error) {
 	body, err := taskmanager.EncodeTask(task) // never pooled: the TM's payloads alias it
 	if err != nil {
 		return RunResult{}, err
-	}
-	queueName := taskmanager.TaskQueue(tmID)
-	if !queue.FitsRequest(queueName, task.Tenant, body) { // the door admits a frame; a task adds its envelope
-		return RunResult{}, ErrTooLarge.WithDetail(fmt.Sprintf("task of %d bytes does not fit the queue's frame", len(body)))
 	}
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.TaskTimeout)
 		defer cancel()
 	}
-	// One cancel serves both early ends of the wait; its cause tells them
-	// apart. A closing service aborts in-flight synchronous dispatches
-	// too: the broker reply can never arrive once Close tears the broker
-	// down, so without this a caller would wait out the full task timeout
-	// against a dead service.
+	// One cancel serves every early end of the wait; its cause tells them apart.
 	caller := ctx
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
-	stopLife := context.AfterFunc(s.lifeCtx, func() { cancel(nil) })
-	defer stopLife()
 	// Demand accounting: servable-level counts cover only serving kinds
 	// (run/run_batch/pipeline) so control-plane tasks (deploy, scale —
 	// notably the autoscaler's own scale-ups under load) never trip
@@ -1044,21 +1033,30 @@ func (s *Service) dispatchTo(ctx context.Context, tmID string, task taskmanager.
 	}
 	ref := s.route.charge(tmID, sv, svWeight, cancel)
 	defer s.route.discharge(ref)
+	if !queue.FitsRequest(ref.queue, task.Tenant, body) { // the door admits a frame; a task adds its envelope
+		return RunResult{}, ErrTooLarge.WithDetail(fmt.Sprintf("task of %d bytes does not fit the queue's frame", len(body)))
+	}
 	start := time.Now()
-	replyBody, err := s.broker.RequestCtx(ctx, queueName, body, task.Tenant)
+	replyBody, err := s.broker.RequestCtx(ctx, ref.queue, body, task.Tenant)
 	if err != nil {
 		if context.Cause(ctx) == errTMLost && caller.Err() == nil {
 			return RunResult{}, fmt.Errorf("%w: %s: %w", ErrNoTaskManager, tmID, errTMLost)
 		}
 		return RunResult{}, wrapCtxErr(err)
 	}
-	// Only the reply's envelope is decoded (Reply.Output stays bytes). A
-	// reply that is not JSON is the site's fault, never the client's.
-	var res RunResult
-	if err := json.Unmarshal(replyBody, &res.Reply); err != nil {
+	// The output aliases the reply body, which is this dispatch's own. A
+	// reply that is not one to this task is the site's fault, never the client's.
+	rep, err := taskmanager.DecodeReply(replyBody)
+	if err == nil && string(rep.TaskID) != task.ID {
+		err = fmt.Errorf("reply names task %q", rep.TaskID)
+	}
+	if err != nil {
 		return RunResult{}, fmt.Errorf("%w: bad reply from task manager %s: %v", ErrUpstream, tmID, err)
 	}
-	res.RequestMicros = time.Since(start).Microseconds()
+	res := RunResult{Reply: Reply{
+		TaskID: task.ID, OK: rep.OK, Error: string(rep.Error), Output: rep.Output, Outputs: rep.Outputs, Cached: rep.Cached,
+		InferenceMicros: rep.InferenceMicros, InvocationMicros: rep.InvocationMicros, Steps: rep.Steps,
+	}, RequestMicros: time.Since(start).Microseconds()}
 	if !res.OK {
 		return res, fmt.Errorf("%w: %s", ErrTaskFailed, res.Error)
 	}
@@ -1089,8 +1087,8 @@ func (s *Service) runAsync(ctx context.Context, caller Caller, servableID string
 	s.tasks[id] = at
 	s.taskMu.Unlock()
 
-	// The detached context keeps ctx's values (identity, request ID)
-	// but not its cancellation; Run applies the usual deadline policy.
+	// The detached context keeps ctx's values but not its cancellation;
+	// Run applies the usual deadline policy.
 	// Service.Close cancels it through the lifetime context.
 	bg, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	stop := context.AfterFunc(s.lifeCtx, cancel)

@@ -201,6 +201,32 @@ func TestCloseAbortsInFlightRun(t *testing.T) {
 	}
 }
 
+// TestDispatchAfterCloseCancelsAtOnce: a dispatch that starts after Close
+// — the routing table's fan-out has already run — is canceled when it is
+// charged, and leaves no waiter behind.
+func TestDispatchAfterCloseCancelsAtOnce(t *testing.T) {
+	ms := core.New(core.Config{Registry: container.NewRegistry(), TaskTimeout: 30 * time.Second})
+	startScriptedTM(t, ms, "mute-tm")
+	if err := ms.WaitForTM(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	id, err := ms.Publish(context.Background(), core.Anonymous, servable.NoopPackage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms.Close()
+	start := time.Now()
+	if _, err := ms.Run(context.Background(), core.Anonymous, id, "x", core.RunOptions{}); !errors.Is(err, core.ErrCanceled) {
+		t.Fatalf("run after Close: %v, want ErrCanceled", err)
+	}
+	if waited := time.Since(start); waited > time.Second {
+		t.Fatalf("run after Close took %v", waited)
+	}
+	if st := ms.WatcherStats(); st.Waiters != 0 {
+		t.Fatalf("a canceled dispatch is still a waiter: %+v", st)
+	}
+}
+
 // jsonMarshalReg builds a minimal TM registration body.
 func jsonMarshalReg(tmID string) ([]byte, error) {
 	return []byte(`{"tm_id":"` + tmID + `","executors":["parsl"]}`), nil

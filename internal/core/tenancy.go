@@ -159,16 +159,14 @@ func (l *tenantLedger) stats() map[string]TenantStats {
 // past either bound the way a read-then-dispatch check would allow.
 // Every admitted request holds its reservation (weight units
 // for batches) from admission until completion; the caller must
-// invoke the returned release exactly once. Cache hits and
-// singleflight followers are never gated — they add no load.
-func (s *Service) admitRun(caller Caller, servableID string, weight int) (release func(), err error) {
-	if weight < 1 {
-		weight = 1
-	}
+// give it back exactly once, with s.route.unreserve(caller.Tenant,
+// servableID, weight). Cache hits and singleflight followers are never
+// gated — they add no load.
+func (s *Service) admitRun(caller Caller, servableID string, weight int) error {
 	tenant := caller.Tenant
 	quota, limited := s.tenantQuota(tenant)
 	if limited && quota.RatePerSec > 0 && !s.ledger.takeToken(tenant, quota.RatePerSec, s.timeFunc()) {
-		return nil, ErrQuotaExceeded.WithDetail(fmt.Sprintf("tenant %q over rate limit %g req/s", tenantLabel(tenant), quota.RatePerSec))
+		return ErrQuotaExceeded.WithDetail(fmt.Sprintf("tenant %q over rate limit %g req/s", tenantLabel(tenant), quota.RatePerSec))
 	}
 	svBound := s.scaler.maxQueue(servableID)
 	tenantBound := 0
@@ -180,14 +178,11 @@ func (s *Service) admitRun(caller Caller, servableID string, weight int) (releas
 	switch verdict {
 	case admitOverloaded:
 		s.scaler.noteRejection(servableID)
-		return nil, ErrOverloaded.WithDetail(fmt.Sprintf("%s: %d requests pending (bound %d)", servableID, pending, svBound))
+		return ErrOverloaded.WithDetail(fmt.Sprintf("%s: %d requests pending (bound %d)", servableID, pending, svBound))
 	case admitQuota:
-		return nil, ErrQuotaExceeded.WithDetail(fmt.Sprintf("tenant %q: %d runs in flight (quota %d)", tenantLabel(tenant), pending, tenantBound))
+		return ErrQuotaExceeded.WithDetail(fmt.Sprintf("tenant %q: %d runs in flight (quota %d)", tenantLabel(tenant), pending, tenantBound))
 	}
-	var once sync.Once
-	return func() {
-		once.Do(func() { s.route.unreserve(tenant, servableID, weight) })
-	}, nil
+	return nil
 }
 
 // --- admin surface -----------------------------------------------------------

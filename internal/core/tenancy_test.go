@@ -54,7 +54,8 @@ func TestTenantLedgerExact(t *testing.T) {
 		{name: "anonymous carries no quota (2)", caller: Anonymous, sv: "b"},
 		{name: "anonymous carries no quota (3)", caller: Anonymous, sv: "b"},
 	}
-	var held []func()
+	type reservation struct{ tenant, sv string }
+	var held []reservation
 	for _, st := range steps {
 		now = now.Add(st.advance)
 		if st.quota != nil {
@@ -62,16 +63,16 @@ func TestTenantLedgerExact(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		release, err := s.admitRun(st.caller, st.sv, 1)
+		err := s.admitRun(st.caller, st.sv, 1)
 		if !errors.Is(err, st.want) { // errors.Is(err, nil) is err == nil
 			t.Fatalf("%s: got %v, want %v", st.name, err, st.want)
 		}
 		switch {
 		case err != nil:
 		case st.hold:
-			held = append(held, release)
+			held = append(held, reservation{st.caller.Tenant, st.sv})
 		default:
-			release()
+			s.route.unreserve(st.caller.Tenant, st.sv, 1)
 		}
 	}
 
@@ -88,8 +89,8 @@ func TestTenantLedgerExact(t *testing.T) {
 	if st, ok := s.scaler.status("b"); ok && st.Rejected != 0 {
 		t.Fatalf("a quota refusal fed the autoscaler: %+v", st)
 	}
-	for _, release := range held {
-		release()
+	for _, r := range held {
+		s.route.unreserve(r.tenant, r.sv, 1)
 	}
 	if !s.route.reservationsEmpty() {
 		t.Fatal("reservations did not drain to zero")

@@ -315,7 +315,7 @@ func TestTransportPushPullAck(t *testing.T) {
 
 // TestTransportRequestReply is the deployed shape: the requester calls
 // the broker in process (the MS), the consumer pulls and replies over
-// the transport (a TM). One q3.reply both answers and acks.
+// the transport (a TM). One q4.reply both answers and acks.
 func TestTransportRequestReply(t *testing.T) {
 	b := NewBroker(time.Minute)
 	defer b.Close()

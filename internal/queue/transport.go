@@ -23,30 +23,30 @@ import (
 // the MS wrote is the byte string the TM reads.
 //
 //	op        request                                  response
-//	q3.push   queue replyTo corr tenant | body         message ID (raw)
-//	q3.pull   queue | timeout_ms                       empty = nothing ready, else
+//	q4.push   queue replyTo corr tenant | body         message ID (raw)
+//	q4.pull   queue | timeout_ms                       empty = nothing ready, else
 //	                                                   id queue replyTo corr tenant | attempt | body
-//	q3.ack    queue id                                 empty
-//	q3.reply  id queue replyTo corr tenant | attempt | body   empty
+//	q4.ack    queue id                                 empty
+//	q4.reply  id queue replyTo corr tenant | attempt | body   empty
 //
-// q3.reply is the pulled message echoed with the response as its body;
+// q4.reply is the pulled message echoed with the response as its body;
 // the broker answers ReplyTo and acks (queue, id) in one step.
-// The prefix versions the protocol and the task body it carries: a peer
-// of another version gets "unknown method", not a task it misreads.
+// The prefix versions the protocol and the bodies it carries: a peer of
+// another version gets "unknown method", not a body it misreads.
 const (
-	opPush  = "q3.push"
-	opPull  = "q3.pull"
-	opAck   = "q3.ack"
-	opReply = "q3.reply"
+	opPush  = "q4.push"
+	opPull  = "q4.pull"
+	opAck   = "q4.ack"
+	opReply = "q4.reply"
 )
 
 var errFrame = errors.New("queue: malformed frame")
 
-// requestHeader bounds the rest of a RequestCtx message's q3.pull header:
+// requestHeader bounds the rest of a RequestCtx message's q4.pull header:
 // five lengths, ID, inbox, correlation ID (base 36) and attempt.
 const requestHeader = 5*binary.MaxVarintLen32 + 32 + len(inboxName) + 13 + binary.MaxVarintLen64
 
-// FitsRequest reports whether a q3.pull response — one rpc frame — can
+// FitsRequest reports whether a q4.pull response — one rpc frame — can
 // carry body to a remote consumer after RequestCtx pushed it.
 func FitsRequest(queueName, tenant string, body []byte) bool {
 	return requestHeader+len(queueName)+len(tenant)+len(body) <= rpc.MaxPayload("")
@@ -111,7 +111,7 @@ func decodeNum(p []byte) (int64, []byte, error) {
 	return int64(v), p[n:], nil
 }
 
-// encodeMessage is the layout the q3.pull response and the q3.reply
+// encodeMessage is the layout the q4.pull response and the q4.reply
 // request share: m's header and attempt, then body.
 func encodeMessage(m Message, body []byte) []byte {
 	return encodeFrame(body, int64(m.Attempt), m.ID, m.Queue, m.ReplyTo, m.CorrelationID, m.Tenant)
@@ -207,7 +207,7 @@ func (s *Server) undoPull(resp []byte) {
 	}
 }
 
-// handleAck serves q3.ack: exactly (queue, id).
+// handleAck serves q4.ack: exactly (queue, id).
 func (s *Server) handleAck(_ context.Context, payload []byte) ([]byte, error) {
 	var f [2]string
 	if rest, err := decodeFields(payload, f[:]); err != nil || len(rest) != 0 {

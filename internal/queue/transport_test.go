@@ -181,8 +181,13 @@ func TestOldProtocolRefused(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unknown method: q2.push") {
 		t.Fatalf("q2 push: want unknown method, got %v", err)
 	}
+	// So is a q3 peer, which would answer every task with a JSON reply.
+	_, err = c.rc.Call(context.Background(), "q3.push", encodeFrame([]byte(`{"tm_id":"tm-old"}`), -1, "dlhub.register", "", "", ""))
+	if err == nil || !strings.Contains(err.Error(), "unknown method: q3.push") {
+		t.Fatalf("q3 push: want unknown method, got %v", err)
+	}
 	if b.Len("dlhub.register") != 0 {
-		t.Fatal("a q2 registration reached the broker")
+		t.Fatal("an old registration reached the broker")
 	}
 }
 
@@ -341,49 +346,54 @@ func echoLoop(pull func() (Message, bool), reply func(Message, []byte), stop <-c
 	return done
 }
 
-// TestRoundTripAllocs is the tier-1 guard on what this transport exists
-// for: objects per dispatched request. One request/reply costs at most
-// 16 objects in process and 40 with the consumer across loopback TCP
-// (the JSON transport it replaced cost 28 and 106).
-func TestRoundTripAllocs(t *testing.T) {
+// roundTripAllocs is the objects one RequestCtx on b costs while an echo
+// consumer answers through pull and reply.
+func roundTripAllocs(t *testing.T, b *Broker, pull func() (Message, bool), reply func(Message, []byte)) float64 {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
 	body := []byte(`{"id":"0123456789abcdef","kind":"run","servable":"bench/noop","input":"k000000000000000"}`)
-	measure := func(b *Broker) float64 {
-		ctx := context.Background()
-		return testing.AllocsPerRun(2000, func() {
-			if _, err := b.RequestCtx(ctx, "svc", body, ""); err != nil {
-				t.Error(err)
-			}
-		})
-	}
-
-	b := NewBroker(time.Minute)
 	stop := make(chan struct{})
-	done := echoLoop(func() (Message, bool) { return b.Pull("svc", 50*time.Millisecond) }, b.Reply, stop)
-	inproc := measure(b)
-	close(stop)
-	<-done
-	b.Close()
+	done := echoLoop(pull, reply, stop)
+	defer func() { close(stop); <-done }()
+	ctx := context.Background()
+	return testing.AllocsPerRun(2000, func() {
+		if _, err := b.RequestCtx(ctx, "svc", body, ""); err != nil {
+			t.Error(err)
+		}
+	})
+}
 
-	b = NewBroker(time.Minute)
+// TestRoundTripAllocs is the tier-1 guard on what this transport exists
+// for: objects per dispatched request. One request/reply with the
+// consumer in process costs at most 16 objects (the JSON transport it
+// replaced cost 28).
+func TestRoundTripAllocs(t *testing.T) {
+	b := NewBroker(time.Minute)
+	defer b.Close()
+	got := roundTripAllocs(t, b, func() (Message, bool) { return b.Pull("svc", 50*time.Millisecond) }, b.Reply)
+	t.Logf("objects per request/reply in process: %.1f", got)
+	if got > 16 {
+		t.Errorf("in-process request/reply allocates %.1f objects, budget 16", got)
+	}
+}
+
+// TestTCPRoundTripAllocs pins the same round trip with the consumer
+// across loopback TCP — the shape of the benchmark's queue.tcp_roundtrip —
+// at what it measures at this commit plus two: 34 objects (36 while the
+// rpc server made a string of every request's method name; the JSON
+// transport cost 106).
+func TestTCPRoundTripAllocs(t *testing.T) {
+	b := NewBroker(time.Minute)
 	defer b.Close()
 	c := startTransport(t, b)
-	stop = make(chan struct{})
-	done = echoLoop(func() (Message, bool) {
+	got := roundTripAllocs(t, b, func() (Message, bool) {
 		msg, ok, _ := c.Pull("svc", 50*time.Millisecond)
 		return msg, ok
-	}, func(m Message, body []byte) { c.Reply(m, body) }, stop) //nolint:errcheck
-	tcp := measure(b)
-	close(stop)
-	<-done
-
-	t.Logf("objects per request/reply: in-process %.1f, loopback TCP %.1f", inproc, tcp)
-	if inproc > 16 {
-		t.Errorf("in-process request/reply allocates %.1f objects, budget 16", inproc)
-	}
-	if tcp > 40 {
-		t.Errorf("loopback TCP request/reply allocates %.1f objects, budget 40", tcp)
+	}, func(m Message, body []byte) { c.Reply(m, body) }) //nolint:errcheck
+	t.Logf("objects per request/reply across loopback TCP: %.1f", got)
+	if got > 34+2 {
+		t.Errorf("loopback TCP request/reply allocates %.1f objects, budget %d", got, 34+2)
 	}
 }

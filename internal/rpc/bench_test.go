@@ -96,7 +96,7 @@ func BenchmarkConcurrentCalls(b *testing.B) {
 // noise. Steady state should be ~0 allocs/op for pooled-size frames.
 func BenchmarkFrameRoundTrip(b *testing.B) {
 	payload := EncodeFloats(make([]float32, 32*32*3))
-	f := frame{typ: frameRequest, id: 7, method: "echo", payload: payload}
+	f := frame{typ: frameRequest, id: 7, method: []byte("echo"), payload: payload}
 	var buf bytes.Buffer
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()

@@ -46,7 +46,7 @@ var ErrFrameTooLarge = errors.New("rpc: frame exceeds maximum size")
 type frame struct {
 	typ     byte
 	id      uint64
-	method  string
+	method  []byte
 	payload []byte
 	body    *[]byte
 }
@@ -165,20 +165,19 @@ func readFrameInto(r io.Reader, pooled bool) (frame, error) {
 		putBuf(bp)
 		return frame{}, fmt.Errorf("rpc: method length %d overruns frame", mlen)
 	}
-	f.method = string(body[11 : 11+mlen])
+	f.method = body[11 : 11+mlen]
 	f.payload = body[11+mlen:]
 	f.body = bp
 	return f, nil
 }
 
 // recycleFrame returns a pooled frame body for reuse. Must only be
-// called once every slice derived from the frame (method string aside —
-// string conversion copies) is dead.
+// called once every slice derived from the frame is dead.
 func recycleFrame(f *frame) {
 	if f.body == nil {
 		return
 	}
 	bp := f.body
-	f.body, f.payload = nil, nil
+	f.body, f.method, f.payload = nil, nil, nil
 	putBuf(bp)
 }

@@ -116,14 +116,14 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		s.mu.RLock()
-		rt, ok := s.handlers[f.method]
+		rt, ok := s.handlers[string(f.method)] // a lookup by bytes: no string is made
 		s.mu.RUnlock()
 		// Each request runs in its own goroutine: the protocol is
 		// multiplexed, like gRPC streams over one HTTP/2 connection.
 		go func(f frame) {
 			var resp frame
 			if !ok {
-				resp = frame{typ: frameError, id: f.id, payload: []byte("unknown method: " + f.method)}
+				resp = frame{typ: frameError, id: f.id, payload: []byte("unknown method: " + string(f.method))}
 			} else if out, err := rt.h(ctx, f.payload); err != nil {
 				resp = frame{typ: frameError, id: f.id, payload: []byte(err.Error())}
 			} else {
@@ -226,7 +226,7 @@ func (c *Client) Call(ctx context.Context, method string, payload []byte) ([]byt
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	err := writeFrame(c.conn, frame{typ: frameRequest, id: id, method: method, payload: payload})
+	err := writeFrame(c.conn, frame{typ: frameRequest, id: id, method: []byte(method), payload: payload})
 	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()

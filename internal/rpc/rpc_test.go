@@ -29,7 +29,7 @@ func startServer(t *testing.T, s *Server) string {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := frame{typ: frameRequest, id: 42, method: "predict", payload: []byte("data")}
+	in := frame{typ: frameRequest, id: 42, method: []byte("predict"), payload: []byte("data")}
 	if err := writeFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.typ != in.typ || out.id != in.id || out.method != in.method || !bytes.Equal(out.payload, in.payload) {
+	if out.typ != in.typ || out.id != in.id || !bytes.Equal(out.method, in.method) || !bytes.Equal(out.payload, in.payload) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", out, in)
 	}
 }
@@ -48,14 +48,14 @@ func TestFrameRoundTripProperty(t *testing.T) {
 			method = method[:1000]
 		}
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, frame{typ: frameResponse, id: id, method: method, payload: payload}); err != nil {
+		if err := writeFrame(&buf, frame{typ: frameResponse, id: id, method: []byte(method), payload: payload}); err != nil {
 			return false
 		}
 		out, err := readFrame(&buf)
 		if err != nil {
 			return false
 		}
-		return out.id == id && out.method == method && bytes.Equal(out.payload, payload)
+		return out.id == id && string(out.method) == method && bytes.Equal(out.payload, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestFramePoolReuse(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 100; i++ {
 		payload := bytes.Repeat([]byte{byte(i)}, 100+i)
-		if err := writeFrame(&buf, frame{typ: frameRequest, id: uint64(i), method: "m", payload: payload}); err != nil {
+		if err := writeFrame(&buf, frame{typ: frameRequest, id: uint64(i), method: []byte("m"), payload: payload}); err != nil {
 			t.Fatal(err)
 		}
 		f, err := readFramePooled(&buf)
@@ -80,7 +80,7 @@ func TestFramePoolReuse(t *testing.T) {
 		if f.body == nil {
 			t.Fatal("pooled read returned no pooled body")
 		}
-		if f.id != uint64(i) || f.method != "m" || !bytes.Equal(f.payload, payload) {
+		if f.id != uint64(i) || string(f.method) != "m" || !bytes.Equal(f.payload, payload) {
 			t.Fatalf("frame %d corrupted after pool reuse: %+v", i, f)
 		}
 		recycleFrame(&f)
@@ -99,7 +99,7 @@ func TestFramePoolOversized(t *testing.T) {
 		payload[i] = byte(i)
 	}
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, frame{typ: frameResponse, id: 9, method: "big", payload: payload}); err != nil {
+	if err := writeFrame(&buf, frame{typ: frameResponse, id: 9, method: []byte("big"), payload: payload}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := readFramePooled(&buf)

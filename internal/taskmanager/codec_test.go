@@ -117,6 +117,94 @@ func FuzzTaskCodec(f *testing.F) {
 	})
 }
 
+// FuzzReplyCodec holds the reply frame to its contract: every field of a
+// single, batch or pipeline reply survives EncodeReply → DecodeReply, a
+// json.RawMessage output comes back byte for byte (no escape added, no
+// whitespace taken), a string or batch output decodes to what was sent,
+// and DecodeReply answers any bytes — the fuzzed ones and every cut of a
+// valid frame — without panicking.
+func FuzzReplyCodec(f *testing.F) {
+	for i, p := range []string{
+		`"hello world"`, "[1,\n2.50]", "\"<>&\u2028\"", `{"b":1,"a":null}`, `9007199254740993`, `null`, `""`,
+	} {
+		f.Add("0123456789abcdef", "", true, false, uint32(3), uint32(41), []byte(p), uint8(i))
+	}
+	f.Add("t", "batch item 3: boom", false, false, uint32(0), uint32(1), []byte(`"x"`), uint8(2))
+	f.Add("t", "écrasé: ошибка \u2028 <&>", false, true, uint32(0), uint32(9), []byte("a\nb<>&"), uint8(3))
+	f.Add("", "", true, true, uint32(1<<31), uint32(7), []byte(`[0.25]`), uint8(4))
+	f.Fuzz(func(t *testing.T, id, errText string, ok, cached bool, inference, invocation uint32, payload []byte, shape uint8) {
+		DecodeReply(payload) //nolint:errcheck — any bytes, no panic
+		if !utf8.ValidString(id) || !utf8.ValidString(errText) {
+			t.Skip() // encoding/json replaces invalid UTF-8 in the steps
+		}
+		rep := Reply{TaskID: id, OK: ok, Error: errText, Cached: cached, InferenceMicros: int64(inference), InvocationMicros: int64(invocation)}
+		raw := json.Valid(payload)
+		switch shape % 5 {
+		case 1:
+			if !raw {
+				t.Skip()
+			}
+			rep.Output = json.RawMessage(payload)
+		case 2:
+			if !raw {
+				t.Skip()
+			}
+			for i := 0; i <= int(shape/5)%4; i++ {
+				rep.Outputs = append(rep.Outputs, json.RawMessage(payload))
+			}
+		case 3:
+			if !utf8.Valid(payload) {
+				t.Skip()
+			}
+			rep.Output = string(payload)
+		case 4:
+			if !raw {
+				t.Skip()
+			}
+			rep.Output = json.RawMessage(payload)
+			rep.Steps = []StepStat{{Servable: id, InferenceMicros: 1, InvocationMicros: 2}, {Servable: errText, Version: 3}}
+		}
+		body, err := EncodeReply(rep)
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		got, err := DecodeReply(body)
+		if err != nil {
+			t.Fatalf("decode %q: %v", body, err)
+		}
+		if string(got.TaskID) != id || string(got.Error) != errText || got.OK != ok || got.Cached != cached ||
+			got.InferenceMicros != int64(inference) || got.InvocationMicros != int64(invocation) ||
+			(got.Outputs != nil) != (rep.Outputs != nil) || !reflect.DeepEqual(got.Steps, rep.Steps) {
+			t.Fatalf("header changed:\n got %+v\nwant %+v", got, rep)
+		}
+		switch shape % 5 {
+		case 0:
+			if got.Output != nil || got.Outputs != nil {
+				t.Fatalf("a reply without output decoded one: %q %q", got.Output, got.Outputs)
+			}
+		case 1, 4:
+			if !bytes.Equal(got.Output, payload) {
+				t.Fatalf("output %q came back %q", payload, got.Output)
+			}
+		case 2:
+			want := make([]any, len(rep.Outputs))
+			for i := range want {
+				want[i] = value(t, payload)
+			}
+			if gv := value(t, got.Outputs); !reflect.DeepEqual(gv, want) {
+				t.Fatalf("outputs %q, want %d × %q", got.Outputs, len(rep.Outputs), payload)
+			}
+		case 3:
+			if gv := value(t, got.Output); gv != string(payload) {
+				t.Fatalf("string output %q came back %q", payload, got.Output)
+			}
+		}
+		for cut := 0; cut < len(body); cut += 1 + len(body)/16 {
+			DecodeReply(body[:cut]) //nolint:errcheck — any bytes, no panic
+		}
+	})
+}
+
 // TestDecodeTaskRefusesMixedForms: a payload comes inline or on lines,
 // and a task that is not a batch has at most one line.
 func TestDecodeTaskRefusesMixedForms(t *testing.T) {

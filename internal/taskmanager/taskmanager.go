@@ -21,24 +21,23 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/executor"
 	"repro/internal/queue"
+	"repro/internal/rpc"
 	"repro/internal/schema"
 	"repro/internal/servable"
 )
 
-// Queue names shared with the Management Service.
-const (
-	RegisterQueue = "dlhub.register"
-	TaskQueueFmt  = "dlhub.tasks.%s" // per-TM task queue
-)
+// RegisterQueue is the queue Task Managers announce themselves on.
+const RegisterQueue = "dlhub.register"
 
 // TaskQueue returns the task queue name for a TM id.
-func TaskQueue(tmID string) string { return fmt.Sprintf(TaskQueueFmt, tmID) }
+func TaskQueue(tmID string) string { return "dlhub.tasks." + tmID }
 
 // Task is one queued task; EncodeTask and DecodeTask are its wire format.
 type Task struct {
@@ -71,27 +70,25 @@ type PackageWire struct {
 	Components map[string][]byte `json:"components,omitempty"`
 }
 
-// Reply is the wire format of a task result. Output and Outputs hold
-// what the executor returned: the pod's encoding as a json.RawMessage
-// (executor.DecodeResult), which the reply encode embeds, or a Go value,
-// which it encodes — once either way; the Management Service forwards
-// the bytes.
+// Reply is a task result; EncodeReply and DecodeReply are its wire
+// format. Output and Outputs hold what the executor returned: the pod's
+// encoding as a json.RawMessage (executor.DecodeResult), which the reply
+// frame carries as it is, or a Go value, which it encodes — once either
+// way; the Management Service forwards the bytes.
 type Reply struct {
-	TaskID  string `json:"task_id"`
-	OK      bool   `json:"ok"`
-	Error   string `json:"error,omitempty"`
-	Output  any    `json:"output,omitempty"`
-	Outputs []any  `json:"outputs,omitempty"`
+	TaskID     string
+	OK, Cached bool
+	Error      string
+	Output     any
+	Outputs    []any
 	// Timings (µs): inference measured at the servable, invocation
 	// measured at the Task Manager (§V-A metrics).
-	InferenceMicros  int64 `json:"inference_us,omitempty"`
-	InvocationMicros int64 `json:"invocation_us,omitempty"`
-	Cached           bool  `json:"cached,omitempty"`
+	InferenceMicros, InvocationMicros int64
 	// Steps decomposes a pipeline reply per step, in execution order.
 	// The TM-local monolith path fills the executor-side timings; the
 	// Management Service's distributed path adds MS-side request time
 	// and cache flags.
-	Steps []StepStat `json:"steps,omitempty"`
+	Steps []StepStat
 }
 
 // StepStat reports one pipeline step's execution: where the time went
@@ -439,11 +436,15 @@ func (tm *TM) reply(msg queue.Message, rep Reply) {
 		// lost so the watchdog-and-purge path owns the recovery.
 		return
 	}
-	body, err := json.Marshal(rep)
+	body, err := EncodeReply(rep)
 	if err != nil {
-		body, _ = json.Marshal(Reply{TaskID: rep.TaskID, OK: false, Error: "unserializable reply: " + err.Error()})
+		body, _ = EncodeReply(Reply{TaskID: rep.TaskID, Error: "unserializable reply: " + err.Error()})
 	}
-	tm.cfg.Queue.Reply(msg, body) //nolint:errcheck — redelivery handles loss
+	if err := tm.cfg.Queue.Reply(msg, body); errors.Is(err, rpc.ErrFrameTooLarge) {
+		// Nothing was sent: unanswered, the task would run again every visibility timeout.
+		body, _ = EncodeReply(Reply{TaskID: rep.TaskID, Error: fmt.Sprintf("result of %d bytes exceeds the queue frame", len(body))})
+		tm.cfg.Queue.Reply(msg, body) //nolint:errcheck — redelivery handles loss
+	}
 }
 
 func (tm *TM) executorFor(task *Task) (executor.Executor, error) {

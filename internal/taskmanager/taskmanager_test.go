@@ -140,9 +140,27 @@ func request(t *testing.T, broker *queue.Broker, task Task) Reply {
 	if !ok {
 		t.Fatal("request timed out")
 	}
-	var rep Reply
-	if err := json.Unmarshal(replyBody, &rep); err != nil {
-		t.Fatal(err)
+	return readReply(t, replyBody)
+}
+
+// readReply decodes a reply frame into a Reply whose outputs are Go
+// values again.
+func readReply(t *testing.T, body []byte) Reply {
+	t.Helper()
+	d, err := DecodeReply(body)
+	if err != nil {
+		t.Fatalf("%q: %v", body, err)
+	}
+	rep := Reply{TaskID: string(d.TaskID), OK: d.OK, Error: string(d.Error), Cached: d.Cached, Steps: d.Steps,
+		InferenceMicros: d.InferenceMicros, InvocationMicros: d.InvocationMicros}
+	switch {
+	case d.Outputs != nil:
+		err = json.Unmarshal(d.Outputs, &rep.Outputs)
+	case d.Output != nil:
+		err = json.Unmarshal(d.Output, &rep.Output)
+	}
+	if err != nil {
+		t.Fatalf("output %q: %v", d.Output, err)
 	}
 	return rep
 }
@@ -429,10 +447,8 @@ func TestBadTaskJSON(t *testing.T) {
 	if !ok {
 		t.Fatal("should still reply to malformed tasks")
 	}
-	var rep Reply
-	json.Unmarshal(replyBody, &rep) //nolint:errcheck
-	if rep.OK {
-		t.Fatal("malformed task should fail")
+	if rep := readReply(t, replyBody); rep.OK || !strings.HasPrefix(rep.Error, "bad task") {
+		t.Fatalf("malformed task should fail: %+v", rep)
 	}
 }
 
@@ -460,8 +476,7 @@ func TestConcurrentTasks(t *testing.T) {
 				errs[i] = errors.New("timeout")
 				return
 			}
-			var rep Reply
-			if err := json.Unmarshal(replyBody, &rep); err != nil || !rep.OK {
+			if rep, err := DecodeReply(replyBody); err != nil || !rep.OK {
 				errs[i] = fmt.Errorf("bad reply: %+v %v", rep, err)
 			}
 		}(i)
