@@ -2,13 +2,14 @@
 // on -http and the ZeroMQ-style task queue on -queue, to which Task
 // Managers (cmd/dlhub-taskmanager) connect.
 //
-// Durability is -data-dir: a write-ahead log plus periodic checkpoints
+// Durability is -data-dir: a write-ahead log, wal.log, plus periodic
+// checkpoints, checkpoint.log, both files of the same records
 // (internal/store). Every publish/deploy/scale/drain/... is fsynced
 // before the API call returns, so kill -9 at any point loses at most
-// the single in-flight mutation; boot replays the log tail over the
-// last checkpoint. Without the flag state lives in memory only. (A
-// directory written by the removed -snapshot mode loads as a -data-dir:
-// the checkpoint file is the same repository.gob.)
+// the single in-flight mutation; boot replays the checkpoint, then the
+// log tail. Without the flag state lives in memory only. A directory
+// holding repository.gob was written by an older build and is refused
+// (docs/OPERATIONS.md).
 //
 // Authentication is off by default (open mode; the X-DLHub-Tenant
 // header may tag tenancy for development). -auth makes bearer tokens

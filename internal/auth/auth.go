@@ -203,7 +203,7 @@ func (s *Service) RegisterUser(providerName, username, password, fullName, email
 }
 
 // RegisterUserHashed installs an account from its stored credential —
-// the WAL-replay and snapshot-restore path, where only the hash
+// the WAL-replay path (tail and checkpoint), where only the hash
 // survives. It is an idempotent upsert: re-applying a record converges,
 // and the provider is created if the replaying process never registered
 // it explicitly.

@@ -118,16 +118,7 @@ func (r *TenantRegistry) SetQuota(id string, q Quota) Tenant {
 	return t
 }
 
-// Install upserts a tenant record verbatim — the snapshot-restore and
-// WAL-replay primitive. Unlike SetQuota it preserves the record's
-// HasQuota flag as logged.
-func (r *TenantRegistry) Install(t Tenant) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.tenants[t.ID] = t
-}
-
-// Snapshot copies the registry for serialization: every tenant record
+// Snapshot copies the registry for a checkpoint: every tenant record
 // (sorted by ID) and every identity→tenant binding.
 func (r *TenantRegistry) Snapshot() ([]Tenant, map[string]string) {
 	r.mu.RLock()
@@ -153,14 +144,16 @@ func (r *TenantRegistry) Get(id string) (Tenant, bool) {
 }
 
 // Bind maps an identity URN onto a tenant, creating the tenant record
-// if it does not exist yet.
+// if it does not exist yet. An empty identityID only creates the record.
 func (r *TenantRegistry) Bind(identityID, tenantID string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.tenants[tenantID]; !ok {
 		r.tenants[tenantID] = Tenant{ID: tenantID, Name: tenantID}
 	}
-	r.byIdentity[identityID] = tenantID
+	if identityID != "" {
+		r.byIdentity[identityID] = tenantID
+	}
 }
 
 // TenantOf resolves an identity to its tenant ID, or "" (anonymous)

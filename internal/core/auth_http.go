@@ -37,7 +37,7 @@ func (s *Service) defaultProvider() string {
 
 // installUser upserts one durable user record into the service's table
 // and mirrors it into the configured auth service. It is the replay
-// primitive — WAL replay and snapshot restore only — where upsert
+// primitive — WAL replay of the tail and the checkpoint only — where upsert
 // semantics are what make re-applying a record the checkpoint already
 // contains converge on the same state. Live registration goes through
 // installUserIfAbsent instead, which refuses to clobber. With no auth
@@ -73,7 +73,7 @@ func (s *Service) installUserIfAbsent(u userRecord) bool {
 	return true
 }
 
-// snapshotUsers copies the user table for the checkpoint codec.
+// snapshotUsers copies the user table for the checkpoint.
 func (s *Service) snapshotUsers() map[string]userRecord {
 	s.userMu.Lock()
 	defer s.userMu.Unlock()

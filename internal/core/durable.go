@@ -53,7 +53,10 @@ import (
 // record may describe state the checkpoint already contains. Replaying
 // it must converge, not duplicate.
 //
-// Lock discipline: compaction runs writeSnapshot (which takes the
+// The checkpoint is the same records (persist.go): one per durable fact,
+// written by writeCheckpoint and read back by applyRecord like the tail.
+//
+// Lock discipline: compaction runs writeCheckpoint (which takes the
 // repository lock) while holding the store's own lock and blocking
 // appends — so logged() must NEVER be called with the repository lock
 // held. No call site is inside a repository method or one of its
@@ -281,23 +284,23 @@ func (s *Service) applyRecord(rec store.Record) error {
 		s.installUser(u)
 
 	default:
-		// Forward compatibility: a newer build's record kind is skipped
-		// with a warning rather than failing the whole boot.
-		log.Printf("core: wal: ignoring unknown record kind %q (seq %d)", rec.Kind, rec.Seq)
+		// A newer build's record. Skipping it would lose it for good: the
+		// compaction after replay writes a checkpoint without it.
+		return fmt.Errorf("core: unknown record kind %q (seq %d), written by a newer build", rec.Kind, rec.Seq)
 	}
 	return nil
 }
 
-// Recover restores state from the configured store: last checkpoint,
-// then the WAL tail (torn final record tolerated), then a cache flush.
-// Call once, right after New and before serving traffic. A
-// nil store recovers nothing.
+// Recover rebuilds state from the configured store: the checkpoint's
+// records, then the WAL tail's (torn final record tolerated), both
+// through applyRecord, then a cache flush. Call once, right after New and
+// before serving traffic. A nil store recovers nothing.
 func (s *Service) Recover() (store.RecoveryInfo, error) {
 	st := s.cfg.Store
 	if st == nil {
 		return store.RecoveryInfo{}, nil
 	}
-	info, err := st.Recover(s.restoreSnapshot, s.applyRecord)
+	info, err := st.Recover(nil, s.applyRecord)
 	if err != nil {
 		return info, err
 	}
@@ -353,7 +356,6 @@ func (s *Service) StateFingerprint() string {
 	for _, id := range sortedKeys(snap.Replicas) {
 		fmt.Fprintf(&b, "replicas %s = %d\n", id, snap.Replicas[id])
 	}
-	sort.Strings(snap.Draining)
 	for _, tm := range snap.Draining {
 		fmt.Fprintf(&b, "draining %s\n", tm)
 	}

@@ -1,26 +1,24 @@
 package core
 
 import (
-	"encoding/gob"
+	"encoding/json"
 	"fmt"
 	"io"
 
 	"repro/internal/auth"
 	"repro/internal/schema"
+	"repro/internal/store"
 )
 
 // Repository persistence: the DLHub service is long-lived — published
-// models must survive restarts. This file is the checkpoint CODEC: it
-// serializes/restores whole repository state through the internal/store
-// checkpoint hooks (writeSnapshot/restoreSnapshot). The WAL compacts
-// its record tail into exactly this gob, writes it atomically as
-// repository.gob, and recovery restores it before replaying the tail
-// (durable.go). The format is unchanged since the removed -snapshot
-// mode, so a directory that mode wrote loads as a -data-dir.
+// models must survive restarts. The WAL compacts its record tail into a
+// checkpoint, and this file writes that checkpoint: every durable fact as
+// the record that would have created it (the taxonomy in durable.go), so
+// recovery reads the checkpoint with the same applyRecord as the tail and
+// there is one format on disk.
 
-// snapshot is the serialized repository state. New fields decode as
-// their zero value from older snapshots (gob skips missing fields), so
-// extending it is backward compatible.
+// snapshot is an in-memory capture of the durable state, read by
+// writeCheckpoint and StateFingerprint.
 type snapshot struct {
 	Docs       map[string]*schema.Document
 	Versions   map[string][]*schema.Document
@@ -34,27 +32,25 @@ type snapshot struct {
 	Draining []string
 	// Policies are the installed autoscale policies.
 	Policies map[string]AutoscalePolicy
-	// Tenants and Bindings persist the tenant registry — quota specs
-	// and identity→tenant mappings — so fairness policy survives a
-	// restart; Users persists registered accounts (credential hashes
-	// only) so operators and clients can log back in after recovery.
-	// All three decode as nil from pre-tenancy snapshots.
+	// Tenants and Bindings are the tenant registry — quota specs and
+	// identity→tenant mappings — so fairness policy survives a restart;
+	// Users are the registered accounts (credential hashes only) so
+	// operators and clients can log back in after recovery.
 	Tenants  []auth.Tenant
 	Bindings map[string]string
 	Users    map[string]userRecord
 }
 
-// captureSnapshot collects repository state for serialization. The
-// catalogue costs pointers and slice headers only: installed documents
-// and component maps are immutable (repository.go), so the encoder can
-// read them after the lock is dropped with nothing to race. Autoscale
-// policies are collected FIRST, outside the repository lock — the
-// scaler's status path acquires its own lock before it, so nesting
-// repository.mu → scaler.mu here would invert that order. The tenant
-// registry and user table are collected outside it too (each has its
-// own lock and never nests with it), with the same mutation-then-append
-// guarantee as drain marks: a quota the snapshot misses still has its
-// record in the tail.
+// captureSnapshot collects the durable state. The catalogue costs
+// pointers and slice headers only: installed documents and component maps
+// are immutable (repository.go), so the encoder can read them after the
+// lock is dropped with nothing to race. Autoscale policies are collected
+// FIRST, outside the repository lock — the scaler's status path acquires
+// its own lock before it, so nesting repository.mu → scaler.mu here would
+// invert that order. The tenant registry and user table are collected
+// outside it too (each has its own lock and never nests with it), with
+// the same mutation-then-append guarantee as drain marks: a quota the
+// checkpoint misses still has its record in the tail.
 //
 // The routing slice (placements/replicas/draining) is captured while
 // the repository lock is still held for reading: every durable routing
@@ -63,7 +59,7 @@ type snapshot struct {
 // the checkpoint the same repository-vs-routing consistency the
 // monolithic lock did. Drain/rejoin marks mutate outside it, but each
 // is logged() AFTER its in-memory mutation, and the checkpoint hook
-// blocks appends — a mark the snapshot misses still has its record
+// blocks appends — a mark the checkpoint misses still has its record
 // replayed from the tail.
 func (s *Service) captureSnapshot() snapshot {
 	snap := snapshot{Policies: s.scaler.policies(), Users: s.snapshotUsers()}
@@ -74,60 +70,72 @@ func (s *Service) captureSnapshot() snapshot {
 	return snap
 }
 
-// writeSnapshot serializes the repository to w — the store checkpoint
-// hook (registered via store.SetCheckpointer). The WAL calls it with
-// its own lock held while appends are blocked, so the state written
-// provably includes every record about to be truncated; it must
+// writeCheckpoint writes every durable fact to w as one record — the
+// store checkpoint hook (registered via store.SetCheckpointer). The WAL
+// calls it with its own lock held while appends are blocked, so the state
+// written provably includes every record about to be truncated; it must
 // therefore never call store.Append (deadlock) — it only reads.
-func (s *Service) writeSnapshot(w io.Writer) error {
-	snap := s.captureSnapshot()
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("core: snapshot encode: %w", err)
-	}
-	return nil
-}
-
-// restoreSnapshot decodes a snapshot from r and installs it, replacing
-// current repository state. Restored placements are kept verbatim — at
-// the usual boot-time restore no TM has registered yet, so filtering
-// here would drop every placement; instead route.pick ignores placement
-// entries naming unregistered TMs at routing time, which both survives
-// the boot ordering (a TM re-registering under its old ID gets its
-// placements back) and never routes a request into a ghost TM's queue.
 //
-// The repository rebuilds its index from the restored catalogue; the
-// result cache is flushed once by Recover, after the WAL tail.
-func (s *Service) restoreSnapshot(r io.Reader) error {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("core: snapshot decode: %w", err)
+// Records come in the order replay needs them — a servable before its
+// placements, a tenant's quota before its bindings — and in sorted key
+// order within a kind, so the same state always gives the same bytes.
+// Every version of a servable is a publish record; only the latest
+// carries the components, as only the latest keeps them in memory. The
+// latest comes first: replay then indexes it once and fills the older
+// slots below it without indexing them.
+func (s *Service) writeCheckpoint(w io.Writer) error {
+	snap := s.captureSnapshot()
+	var err error
+	put := func(kind string, payload any) {
+		if err != nil {
+			return
+		}
+		var data []byte
+		if data, err = json.Marshal(payload); err != nil {
+			err = fmt.Errorf("core: checkpoint %s record: %w", kind, err)
+			return
+		}
+		err = store.WriteRecord(w, store.Record{Kind: kind, Data: data})
 	}
-
-	// Routing state is installed while the repository lock is still
-	// held, mirroring the nesting every durable routing mutation uses
-	// (see routing.go).
-	s.repo.restore(&snap, func() { s.route.restore(snap.Placements, snap.Replicas, snap.Draining) })
-
-	for id, p := range snap.Policies {
-		if err := s.scaler.setPolicy(id, p); err != nil {
-			// A policy that validated when set cannot fail now; guard
-			// against a hand-edited snapshot without aborting the boot.
-			return fmt.Errorf("core: snapshot policy %s: %w", id, err)
+	for _, id := range sortedKeys(snap.Versions) {
+		vs := snap.Versions[id]
+		last := len(vs) - 1
+		put(recKindPublish, recPublish{Doc: vs[last], Components: snap.Components[id]})
+		for _, doc := range vs[:last] {
+			// A slot whose publish record was lost holds no version to keep.
+			if doc != nil {
+				put(recKindPublish, recPublish{Doc: doc})
+			}
 		}
 	}
-	// Tenancy & identity: tenants install before bindings (Bind would
-	// otherwise auto-create a record and lose the HasQuota flag), and
-	// every restored quota re-pushes its broker lane weight exactly as
-	// SetTenantQuota did originally.
+	for _, id := range sortedKeys(snap.Placements) {
+		for _, tm := range snap.Placements[id] {
+			put(recKindDeploy, recPlacement{ID: id, TM: tm})
+		}
+	}
+	for _, id := range sortedKeys(snap.Replicas) {
+		put(recKindScale, recPlacement{ID: id, Replicas: snap.Replicas[id]})
+	}
+	for _, tm := range snap.Draining {
+		put(recKindDrain, recTM{TM: tm})
+	}
+	for _, id := range sortedKeys(snap.Policies) {
+		put(recKindPolicy, recPolicyPut{ID: id, Policy: snap.Policies[id]})
+	}
 	for _, t := range snap.Tenants {
-		s.tenants.Install(t)
-		s.broker.SetLaneWeight(t.ID, auth.PriorityWeight(t.Quota.Priority))
+		if t.HasQuota {
+			put(recKindTenant, recTenantQuota{ID: t.ID, Quota: t.Quota})
+		} else {
+			// A binding made this tenant and may since have moved on: the
+			// record with no identity keeps the tenant and binds nothing.
+			put(recKindTenantBind, recTenantBind{TenantID: t.ID})
+		}
 	}
-	for id, tid := range snap.Bindings {
-		s.tenants.Bind(id, tid)
+	for _, id := range sortedKeys(snap.Bindings) {
+		put(recKindTenantBind, recTenantBind{IdentityID: id, TenantID: snap.Bindings[id]})
 	}
-	for _, u := range snap.Users {
-		s.installUser(u)
+	for _, key := range sortedKeys(snap.Users) {
+		put(recKindUser, snap.Users[key])
 	}
-	return nil
+	return err
 }

@@ -1,11 +1,14 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,16 +21,15 @@ import (
 	"repro/internal/store"
 )
 
-// The checkpoint codec (persist.go) is reached only through the store:
-// Checkpoint() folds the whole repository into dir/repository.gob and
-// empties the log, so a fresh service's Recover() over that directory
-// restores purely from the codec — every test below asserts
-// CheckpointLoaded with nothing replayed where that matters.
+// The checkpoint (persist.go) is reached only through the store:
+// Checkpoint() writes the whole repository as records to
+// dir/checkpoint.log and empties the log, so a fresh service's Recover()
+// over that directory rebuilds purely from the checkpoint — every test
+// below asserts CheckpointLoaded with nothing replayed where that matters.
 
 // unrecovered builds a store-backed service over dir WITHOUT recovering.
 // The store refuses appends until Recover, so whatever the caller does
-// to the service first lives in memory only: the "live state" a restore
-// must replace.
+// to the service first lives in memory only.
 func unrecovered(t *testing.T, dir string, compactEvery int) *core.Service {
 	t.Helper()
 	ms, _ := unrecoveredStore(t, dir, compactEvery)
@@ -59,7 +61,7 @@ func recoverFromCheckpoint(t *testing.T, ms *core.Service) {
 		t.Fatal(err)
 	}
 	if !info.CheckpointLoaded || info.Replayed != 0 {
-		t.Fatalf("want a pure checkpoint restore, got %+v", info)
+		t.Fatalf("want a checkpoint and no tail, got %+v", info)
 	}
 }
 
@@ -171,39 +173,26 @@ func checkpointDeployedUtil(t *testing.T, dir string) string {
 	return utilID
 }
 
-// TestRecoverOverNonEmptyService pins the restore-over-live-state
-// contract: the search index is rebuilt from scratch (no entries
-// surviving for servables absent from the checkpoint, no duplicates)
-// and restored placements are kept verbatim.
-func TestRecoverOverNonEmptyService(t *testing.T) {
+// TestRecoverKeepsPlacementsOfUnregisteredTMs pins what recovery from a
+// checkpoint gives the catalogue and routing: the checkpoint's document
+// indexed exactly once, and its placements kept verbatim although no TM
+// has registered yet.
+func TestRecoverKeepsPlacementsOfUnregisteredTMs(t *testing.T) {
 	dir := t.TempDir()
 	utilID := checkpointDeployedUtil(t, dir)
 
-	// The target service is NOT empty: it has its own publication (not
-	// in the checkpoint).
 	ms := unrecovered(t, dir, 0)
-	if _, err := ms.Publish(context.Background(), core.Anonymous, servable.NoopPackage()); err != nil {
-		t.Fatal(err)
-	}
 	recoverFromCheckpoint(t, ms)
-
-	// The pre-load publication is gone from the repository AND from the
-	// index: a search for it must find nothing, not a ghost hit.
-	res, _ := ms.Search(context.Background(), core.Anonymous, search.Query{Must: []search.Clause{{FreeText: "noop baseline"}}})
-	if res.Total != 0 {
-		t.Fatalf("stale index entry survived the load: %d hits", res.Total)
-	}
-	// The restored publication is indexed exactly once.
-	res, _ = ms.Search(context.Background(), core.Anonymous, search.Query{})
+	res, _ := ms.Search(context.Background(), core.Anonymous, search.Query{})
 	if res.Total != 1 {
 		t.Fatalf("index should hold exactly the checkpoint's 1 doc, got %d", res.Total)
 	}
-	// Placements are restored verbatim: at boot-time restore no TM has
-	// registered yet, so dropping unknown-TM placements here would drop
-	// everything on every restart. Routing (pickTM) is what ignores
-	// placements naming unregistered TMs — see the ghost-routing test.
+	// Placements are kept verbatim: at boot no TM has registered yet, so
+	// dropping unknown-TM placements here would drop everything on every
+	// restart. Routing (pickTM) is what ignores placements naming
+	// unregistered TMs — see the ghost-routing test.
 	if got, _ := ms.ServablePlacements(core.Anonymous, utilID); len(got) != 1 {
-		t.Fatalf("restored placement lost: %v", got)
+		t.Fatalf("recovered placement lost: %v", got)
 	}
 	// Recovering into a service that DOES know the TM keeps the
 	// placement usable end to end.
@@ -328,20 +317,75 @@ func TestCheckpointConcurrentMetadataUpdates(t *testing.T) {
 }
 
 // TestRecoverCheckpointErrors: a directory with no checkpoint is a
-// first boot (empty, no error); a corrupt checkpoint fails recovery
-// instead of silently starting empty.
+// first boot (empty, no error). A checkpoint that is not records, one
+// with a flipped byte, and a gob checkpoint an older build wrote each
+// fail recovery instead of silently starting empty, and leave the
+// directory exactly as it was.
 func TestRecoverCheckpointErrors(t *testing.T) {
 	info, err := unrecovered(t, t.TempDir(), 0).Recover()
 	if err != nil || info.CheckpointLoaded {
 		t.Fatalf("missing checkpoint should be a clean first boot, got %+v / %v", info, err)
 	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "repository.gob"), []byte("junk"), 0o644); err != nil {
+
+	src := t.TempDir()
+	ms, _ := openRecovered(t, src, 0)
+	if _, err := ms.Publish(context.Background(), core.Anonymous, servable.MatminerUtilPackage()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := unrecovered(t, dir, 0).Recover(); err == nil {
-		t.Fatal("corrupt checkpoint should error")
+	if err := ms.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
+	ms.Close()
+	valid, err := os.ReadFile(filepath.Join(src, "checkpoint.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(valid)
+	flipped[len(flipped)/2] ^= 0x10
+
+	for _, tc := range []struct {
+		name  string
+		files map[string][]byte
+		want  string
+	}{
+		{"junk", map[string][]byte{"checkpoint.log": []byte("junk")}, "checkpoint.log"},
+		{"flipped byte", map[string][]byte{"checkpoint.log": flipped, "wal.log": nil, "checkpoint.log.tmp-1": []byte("partial")}, "checkpoint.log"},
+		{"gob checkpoint", map[string][]byte{"repository.gob": []byte("an older build's checkpoint")}, "repository.gob was written by an older build"},
+		{"gob beside records", map[string][]byte{"repository.gob": {1}, "checkpoint.log": valid, "wal.log": nil}, "repository.gob"},
+	} {
+		dir := t.TempDir()
+		for name, data := range tc.files {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := dirContents(t, dir)
+		_, err := unrecovered(t, dir, 0).Recover()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Recover error %v, want one naming %q", tc.name, err, tc.want)
+		}
+		if after := dirContents(t, dir); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: the refused directory changed: %v, was %v", tc.name, after, before)
+		}
+	}
+}
+
+// dirContents maps every file in dir to its bytes.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
 }
 
 func TestCheckpointAtomicNoTempLeftovers(t *testing.T) {
@@ -359,42 +403,7 @@ func TestCheckpointAtomicNoTempLeftovers(t *testing.T) {
 	for i, e := range entries {
 		names[i] = e.Name()
 	}
-	if len(names) != 2 || names[0] != "repository.gob" || names[1] != "wal.log" {
+	if len(names) != 2 || names[0] != "checkpoint.log" || names[1] != "wal.log" {
 		t.Fatalf("temp files left behind: %v", names)
-	}
-}
-
-// TestRecoverFromSnapshotOnlyDir is the upgrade path promised to users
-// of the removed -snapshot mode (docs/OPERATIONS.md): a directory
-// holding only repository.gob — no wal.log — recovers as a -data-dir
-// with identical state.
-func TestRecoverFromSnapshotOnlyDir(t *testing.T) {
-	src := t.TempDir()
-	ms, _ := openRecovered(t, src, 0)
-	id, err := ms.Publish(context.Background(), core.Anonymous, servable.MatminerUtilPackage())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ms.SetAutoscalePolicy(core.Anonymous, id, core.AutoscalePolicy{Enabled: true, MinReplicas: 1, MaxReplicas: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ms.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	want := ms.StateFingerprint()
-	ms.Close()
-
-	gob, err := os.ReadFile(filepath.Join(src, "repository.gob"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "repository.gob"), gob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ms2 := unrecovered(t, dir, 0)
-	recoverFromCheckpoint(t, ms2)
-	if got := ms2.StateFingerprint(); got != want {
-		t.Fatalf("snapshot-only dir recovered differently\n--- want\n%s--- got\n%s", want, got)
 	}
 }

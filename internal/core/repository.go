@@ -195,7 +195,7 @@ func (r *repository) whilePublished(id string, fn func()) bool {
 	return ok
 }
 
-// --- WAL replay (durable.go) and the checkpoint codec (persist.go) ----------
+// --- WAL replay (durable.go) and the checkpoint (persist.go) ----------------
 
 // replayVersion is install for a publish record. Replay is an upsert:
 // the checkpoint may already hold the version, and records of
@@ -233,26 +233,6 @@ func (r *repository) capture(snap *snapshot, under func()) {
 		snap.Docs[id] = e.latest()
 		snap.Versions[id] = append([]*schema.Document(nil), e.versions...)
 		snap.Components[id] = e.components
-	}
-	under()
-}
-
-// restore replaces the catalogue with snap's and rebuilds the index
-// from it (entries for servables published before the load must not
-// survive it), then calls under with the write lock still held.
-func (r *repository) restore(snap *snapshot, under func()) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.entries = make(map[string]*entry, len(snap.Docs))
-	r.index = search.NewIndex()
-	for id, doc := range snap.Docs {
-		vs := snap.Versions[id]
-		if len(vs) == 0 {
-			vs = []*schema.Document{doc}
-		}
-		e := &entry{versions: vs, components: snap.Components[id]}
-		r.entries[id] = e
-		r.ingestLocked(e.latest())
 	}
 	under()
 }

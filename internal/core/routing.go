@@ -570,7 +570,7 @@ func (rt *routingTable) replicasOf(servableID string) int {
 }
 
 // routeSnapshot copies the durable slice of routing state — placements,
-// replicas, drain marks — for checkpointing.
+// replicas, drain marks (sorted) — for checkpointing.
 func (rt *routingTable) routeSnapshot() (placements map[string][]string, replicas map[string]int, draining []string) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -589,35 +589,8 @@ func (rt *routingTable) routeSnapshot() (placements map[string][]string, replica
 			draining = append(draining, tm.id)
 		}
 	}
+	slices.Sort(draining)
 	return placements, replicas, draining
-}
-
-// restore installs snapshot state: placements and replicas are replaced
-// wholesale, drain marks are added (a mark set since the snapshot was
-// cut must survive the restore). Restored placements are kept verbatim
-// — at the usual boot-time restore no TM has registered yet, so
-// filtering here would drop every placement; pick ignores entries
-// naming unregistered TMs at routing time instead.
-func (rt *routingTable) restore(placements map[string][]string, replicas map[string]int, draining []string) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	for id, sv := range rt.servables {
-		sv.placements, sv.replicas = nil, 0
-		rt.putLocked(id, sv)
-	}
-	for id, tms := range placements {
-		for _, tmID := range tms {
-			rt.placeLocked(id, tmID, 0)
-		}
-	}
-	for id, n := range replicas {
-		sv := rt.servables[id]
-		sv.replicas = n
-		rt.putLocked(id, sv)
-	}
-	for _, id := range draining {
-		rt.ensureTMLocked(id).draining = true
-	}
 }
 
 // WatcherStats counts the dead-TM watch's footprint: liveness timers

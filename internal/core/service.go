@@ -147,7 +147,7 @@ type Config struct {
 	// mutation appends a record to it, and Recover replays it at boot.
 	// Nil disables durable logging entirely — tests and the bench
 	// testbed pay nothing.
-	Store store.Store
+	Store *store.WAL
 }
 
 // Service is the Management Service.
@@ -296,10 +296,10 @@ func New(cfg Config) *Service {
 		go s.taskSweepLoop()
 	}
 	if cfg.Store != nil {
-		// The store compacts its log by serializing the whole repository
-		// through this hook; registration must precede Recover so the
-		// post-replay fold-in can run.
-		cfg.Store.SetCheckpointer(s.writeSnapshot)
+		// The store compacts its log by writing the whole repository as
+		// records through this hook; registration must precede Recover so
+		// the post-replay fold-in can run.
+		cfg.Store.SetCheckpointer(s.writeCheckpoint)
 	}
 	return s
 }

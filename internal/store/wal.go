@@ -16,11 +16,10 @@ import (
 
 // WAL file layout inside Options.Dir:
 //
-//	repository.gob   last checkpoint (the legacy snapshot format — a
-//	                 directory written by snapshot-only mode is a valid
-//	                 store with an empty log)
+//	checkpoint.log   last checkpoint: one record per durable fact, Seq 0
 //	wal.log          record tail appended since that checkpoint
 //
+// Both files are the same frames, so recovery reads both with scan.
 // Record framing, all little-endian:
 //
 //	[4B body length][4B CRC32-IEEE of body][body]
@@ -29,12 +28,17 @@ import (
 // The CRC covers the whole body, so a torn write (crash mid-append) or
 // bit rot in the final record is detected on recovery and the tail is
 // truncated at the last intact frame — at most the single in-flight
-// mutation is lost, never an earlier one.
+// mutation is lost, never an earlier one. The checkpoint is written to a
+// temp file, fsynced and renamed whole, so a bad frame in it is
+// corruption, not a torn write: it fails the boot instead.
 
 const (
 	walName        = "wal.log"
-	checkpointName = "repository.gob"
-	frameHeaderLen = 8
+	checkpointName = "checkpoint.log"
+	// gobCheckpointName is the checkpoint builds before the record
+	// checkpoint wrote. Recover refuses a directory that holds one.
+	gobCheckpointName = "repository.gob"
+	frameHeaderLen    = 8
 	// maxRecordLen rejects absurd frame lengths during recovery scan —
 	// a corrupt length field must not drive a gigabyte allocation.
 	maxRecordLen = 1 << 30
@@ -70,24 +74,21 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// WAL is the durable Store: an append-only record log compacted into
-// gob checkpoints. Safe for concurrent use.
+// WAL is the durable store: an append-only record log compacted into
+// checkpoints of the same records. Safe for concurrent use.
 type WAL struct {
 	opts Options
-
-	// cpMu guards the checkpointer registration only.
-	cpMu       sync.Mutex
-	checkpoint func(w io.Writer) error
 
 	// mu serializes every log/file operation. Checkpoint holds it for
 	// the whole checkpoint write, so appends block (briefly) during
 	// compaction — which is exactly what makes truncation safe: the
 	// checkpoint provably contains every appended record.
-	mu        sync.Mutex
-	f         *os.File
-	seq       uint64
-	recovered bool
-	closed    bool
+	mu         sync.Mutex
+	checkpoint func(w io.Writer) error
+	f          *os.File
+	seq        uint64
+	recovered  bool
+	closed     bool
 
 	tailRecords int
 	tailBytes   int64
@@ -120,69 +121,77 @@ func Open(opts Options) (*WAL, error) {
 	return w, nil
 }
 
-// SetCheckpointer registers the whole-state serializer.
+// SetCheckpointer registers the whole-state serializer: compaction calls
+// it to write every durable fact to the new checkpoint, one WriteRecord
+// per fact.
 func (w *WAL) SetCheckpointer(fn func(wr io.Writer) error) {
-	w.cpMu.Lock()
+	w.mu.Lock()
 	w.checkpoint = fn
-	w.cpMu.Unlock()
+	w.mu.Unlock()
 }
 
-func (w *WAL) checkpointer() func(wr io.Writer) error {
-	w.cpMu.Lock()
-	defer w.cpMu.Unlock()
-	return w.checkpoint
-}
-
-// Recover restores the checkpoint (if any), replays the log tail, and
-// truncates a torn final record. After a non-empty replay it compacts,
-// so every boot starts from a fresh checkpoint and an empty tail.
-func (w *WAL) Recover(restore func(r io.Reader) error, apply func(rec Record) error) (RecoveryInfo, error) {
+// Recover applies the checkpoint's records (when there is a checkpoint),
+// then the log tail's, and truncates a torn final tail record. It changes
+// nothing on disk before both files have been read — only then does it
+// remove checkpoint temp files — and nothing at all when it refuses the
+// directory. After a non-empty tail it compacts, so every boot starts
+// from a fresh checkpoint and an empty tail. The restore parameter is not
+// called — the checkpoint is records, applied like the tail — and stays
+// only because benchmark/layers.go still passes one.
+func (w *WAL) Recover(_ func(r io.Reader) error, apply func(rec Record) error) (RecoveryInfo, error) {
 	var info RecoveryInfo
-
-	cp, err := os.Open(filepath.Join(w.opts.Dir, checkpointName))
-	switch {
-	case err == nil:
-		rerr := restore(bufio.NewReader(cp))
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	gobPath := filepath.Join(w.opts.Dir, gobCheckpointName)
+	if _, err := os.Lstat(gobPath); err == nil {
+		return info, fmt.Errorf("store: %s was written by an older build (a gob checkpoint); this build reads only checkpoint.log, see docs/OPERATIONS.md", gobPath)
+	}
+	cpPath := filepath.Join(w.opts.Dir, checkpointName)
+	if cp, err := os.Open(cpPath); err == nil {
+		good, _, torn, err := w.scan(cp, apply)
 		cp.Close()
-		if rerr != nil {
-			return info, fmt.Errorf("store: checkpoint restore: %w", rerr)
+		if err == nil && torn {
+			err = fmt.Errorf("damaged frame at offset %d (the file is written whole, so this is corruption, not a torn write)", good)
+		}
+		if err != nil {
+			return info, fmt.Errorf("store: %s: %w", cpPath, err)
 		}
 		info.CheckpointLoaded = true
-	case os.IsNotExist(err):
-		// First boot (or legacy snapshot dir with no save yet).
-	default:
+	} else if !os.IsNotExist(err) {
 		return info, err
 	}
 
-	w.mu.Lock()
 	f, err := os.OpenFile(filepath.Join(w.opts.Dir, walName), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		w.mu.Unlock()
 		return info, err
 	}
 	good, records, truncated, err := w.scan(f, apply)
 	if err != nil {
+		err = fmt.Errorf("store: %s: %w", walName, err)
+	}
+	// Both files are read and accepted: remove the temp files a crash
+	// mid-checkpoint left. The rename never happened, so they hold nothing
+	// the checkpoint and the tail lack.
+	leftovers, _ := filepath.Glob(filepath.Join(w.opts.Dir, checkpointName+".tmp-*"))
+	for i := 0; err == nil && i < len(leftovers); i++ {
+		err = os.Remove(leftovers[i])
+	}
+	if err == nil && truncated {
+		if err = f.Truncate(good); err != nil {
+			err = fmt.Errorf("store: truncate torn tail: %w", err)
+		} else {
+			err = f.Sync()
+		}
+	}
+	if err == nil {
+		_, err = f.Seek(good, io.SeekStart)
+	}
+	if err != nil {
 		f.Close()
-		w.mu.Unlock()
 		return info, err
 	}
 	if truncated {
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			w.mu.Unlock()
-			return info, fmt.Errorf("store: truncate torn tail: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			w.mu.Unlock()
-			return info, err
-		}
 		w.opts.Logf("store: dropped torn record at log offset %d (the in-flight mutation when the last run died)", good)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		w.mu.Unlock()
-		return info, err
 	}
 	w.f = f
 	w.recovered = true
@@ -191,13 +200,11 @@ func (w *WAL) Recover(restore func(r io.Reader) error, apply func(rec Record) er
 	w.total = w.seq
 	info.Replayed = records
 	info.Truncated = truncated
-	w.mu.Unlock()
-
 	// Fold a non-empty tail into a fresh checkpoint now, while the
 	// replayed state is known-consistent — recovery after the NEXT
 	// crash then starts from here instead of re-replaying.
-	if records > 0 && w.checkpointer() != nil {
-		if err := w.Checkpoint(); err != nil {
+	if records > 0 && w.checkpoint != nil {
+		if err := w.checkpointLocked(); err != nil {
 			return info, fmt.Errorf("store: post-recovery compaction: %w", err)
 		}
 	}
@@ -206,7 +213,7 @@ func (w *WAL) Recover(restore func(r io.Reader) error, apply func(rec Record) er
 
 // scan replays intact frames through apply and reports the offset of
 // the last intact frame end, the record count, and whether a
-// torn/corrupt tail was found. Caller holds w.mu.
+// torn/corrupt frame was found. Caller holds w.mu.
 func (w *WAL) scan(f *os.File, apply func(rec Record) error) (good int64, records int, truncated bool, err error) {
 	fi, err := f.Stat()
 	if err != nil {
@@ -246,7 +253,7 @@ func (w *WAL) scan(f *os.File, apply func(rec Record) error) (good int64, record
 			Data: body[10+kindLen:],
 		}
 		if err := apply(rec); err != nil {
-			return good, records, false, fmt.Errorf("store: replay record %d (%s): %w", seq, rec.Kind, err)
+			return good, records, false, fmt.Errorf("replay record %d (%s) at offset %d: %w", seq, rec.Kind, good, err)
 		}
 		if seq > w.seq {
 			w.seq = seq
@@ -256,10 +263,27 @@ func (w *WAL) scan(f *os.File, apply func(rec Record) error) (good int64, record
 	}
 }
 
+// WriteRecord writes rec to wr as one frame. It is the only frame
+// writer: Append logs through it, and a checkpointer writes each of its
+// records through it with Seq 0.
+func WriteRecord(wr io.Writer, rec Record) error {
+	frame := make([]byte, frameLen(rec))
+	body := frame[frameHeaderLen:]
+	binary.LittleEndian.PutUint64(body[0:8], rec.Seq)
+	binary.LittleEndian.PutUint16(body[8:10], uint16(len(rec.Kind)))
+	copy(body[10:], rec.Kind)
+	copy(body[10+len(rec.Kind):], rec.Data)
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(body)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(body))
+	_, err := wr.Write(frame)
+	return err
+}
+
+// frameLen is the size of rec's frame on disk.
+func frameLen(rec Record) int { return frameHeaderLen + 10 + len(rec.Kind) + len(rec.Data) }
+
 // Append durably logs one record. The store assigns rec.Seq.
 func (w *WAL) Append(rec Record) error {
-	frame := make([]byte, frameHeaderLen+10+len(rec.Kind)+len(rec.Data))
-	body := frame[frameHeaderLen:]
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -269,14 +293,8 @@ func (w *WAL) Append(rec Record) error {
 		return errors.New("store: append before Recover")
 	}
 	w.seq++
-	binary.LittleEndian.PutUint64(body[0:8], w.seq)
-	binary.LittleEndian.PutUint16(body[8:10], uint16(len(rec.Kind)))
-	copy(body[10:], rec.Kind)
-	copy(body[10+len(rec.Kind):], rec.Data)
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(body))
-
-	if _, err := w.f.Write(frame); err != nil {
+	rec.Seq = w.seq
+	if err := WriteRecord(w.f, rec); err != nil {
 		return fmt.Errorf("store: append: %w", err)
 	}
 	if w.opts.Sync {
@@ -285,7 +303,7 @@ func (w *WAL) Append(rec Record) error {
 		}
 	}
 	w.tailRecords++
-	w.tailBytes += int64(len(frame))
+	w.tailBytes += int64(frameLen(rec))
 	w.total++
 	if (w.opts.CompactEvery > 0 && w.tailRecords >= w.opts.CompactEvery) ||
 		(w.opts.CompactBytes > 0 && w.tailBytes >= w.opts.CompactBytes) {
@@ -318,24 +336,27 @@ func (w *WAL) compactLoop() {
 // which is what makes the truncation safe: the checkpoint state
 // provably includes every record in the log being dropped.
 func (w *WAL) Checkpoint() error {
-	fn := w.checkpointer()
-	if fn == nil {
-		return errors.New("store: no checkpointer registered")
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
+	switch {
+	case w.closed:
 		return errors.New("store: checkpoint on closed WAL")
-	}
-	if !w.recovered {
+	case !w.recovered:
 		return errors.New("store: checkpoint before Recover")
+	case w.checkpoint == nil:
+		return errors.New("store: no checkpointer registered")
 	}
+	return w.checkpointLocked()
+}
+
+// checkpointLocked is Checkpoint with w.mu held.
+func (w *WAL) checkpointLocked() error {
 	tmp, err := os.CreateTemp(w.opts.Dir, checkpointName+".tmp-*")
 	if err != nil {
 		return err
 	}
 	bw := bufio.NewWriter(tmp)
-	werr := fn(bw)
+	werr := w.checkpoint(bw)
 	if werr == nil {
 		werr = bw.Flush()
 	}

@@ -3,19 +3,20 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
 
 // kvStore is the test harness: a toy state machine whose mutations are
-// "set k v" records and whose checkpoint is the JSON of the whole map.
+// "set k v" records and whose checkpoint is one such record per key.
 type kvStore struct {
 	mu sync.Mutex
 	m  map[string]string
@@ -23,7 +24,7 @@ type kvStore struct {
 
 func newKV() *kvStore { return &kvStore{m: make(map[string]string)} }
 
-func (k *kvStore) set(s Store, key, val string) error {
+func (k *kvStore) set(s *WAL, key, val string) error {
 	k.mu.Lock()
 	k.m[key] = val
 	k.mu.Unlock()
@@ -33,13 +34,17 @@ func (k *kvStore) set(s Store, key, val string) error {
 func (k *kvStore) checkpoint(w io.Writer) error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return json.NewEncoder(w).Encode(k.m)
-}
-
-func (k *kvStore) restore(r io.Reader) error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return json.NewDecoder(r).Decode(&k.m)
+	keys := make([]string, 0, len(k.m))
+	for key := range k.m {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		if err := WriteRecord(w, Record{Kind: "set", Data: []byte(key + "=" + k.m[key])}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (k *kvStore) apply(rec Record) error {
@@ -78,7 +83,7 @@ func openWAL(t testing.TB, dir string, kv *kvStore, opts Options) (*WAL, Recover
 		t.Fatalf("Open: %v", err)
 	}
 	w.SetCheckpointer(kv.checkpoint)
-	info, err := w.Recover(kv.restore, kv.apply)
+	info, err := w.Recover(nil, kv.apply)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -278,6 +283,45 @@ func TestWALRecoveryCompacts(t *testing.T) {
 	}
 }
 
+// TestRecoverRemovesCheckpointTempFiles plants the temp file a crash in
+// the middle of Checkpoint leaves behind: Recover deletes it before it
+// reads anything, and the state is what the checkpoint and tail hold.
+func TestRecoverRemovesCheckpointTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	kv := newKV()
+	w, _ := openWAL(t, dir, kv, Options{CompactEvery: -1, CompactBytes: -1})
+	for i := 0; i < 3; i++ {
+		if err := kv.set(w, fmt.Sprintf("k%d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.set(w, "k3", "v"); err != nil {
+		t.Fatal(err)
+	}
+	want := kv.snapshot()
+	w.Close()
+	leftover := filepath.Join(dir, checkpointName+".tmp-123456")
+	if err := os.WriteFile(leftover, []byte("half a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	kv2 := newKV()
+	w2, info := openWAL(t, dir, kv2, Options{CompactEvery: -1, CompactBytes: -1})
+	defer w2.Close()
+	if _, err := os.Stat(leftover); !os.IsNotExist(err) {
+		t.Fatalf("leftover temp file survived Recover: %v", err)
+	}
+	if !info.CheckpointLoaded || info.Replayed != 1 {
+		t.Fatalf("info = %+v, want the checkpoint and 1 tail record", info)
+	}
+	if got := kv2.snapshot(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("recovered %v, want %v", got, want)
+	}
+}
+
 func TestWALAppendBeforeRecover(t *testing.T) {
 	w, err := Open(Options{Dir: t.TempDir()})
 	if err != nil {
@@ -353,7 +397,9 @@ func intactFrames(data []byte) (recs []Record, good int) {
 // panic or allocate for a length the file does not hold, must apply the
 // intact frames before the first bad one and nothing else, in order,
 // must truncate the file there, and must replay the same records from
-// the truncated file on the next boot.
+// the truncated file on the next boot. The same bytes as checkpoint.log
+// boot cleanly exactly when every frame is intact, fail the boot
+// otherwise, and are never modified.
 func FuzzWALScan(f *testing.F) {
 	kv := newKV()
 	dir := f.TempDir()
@@ -390,7 +436,7 @@ func FuzzWALScan(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			info, err := w.Recover(func(io.Reader) error { return nil }, func(rec Record) error {
+			info, err := w.Recover(nil, func(rec Record) error {
 				got = append(got, Record{Seq: rec.Seq, Kind: rec.Kind, Data: bytes.Clone(rec.Data)})
 				return nil
 			})
@@ -416,6 +462,36 @@ func FuzzWALScan(f *testing.F) {
 			if fi, err := os.Stat(path); err != nil || fi.Size() != int64(good) {
 				t.Fatalf("boot %d: log is %v bytes (%v), want cut at %d", boot, fi.Size(), err, good)
 			}
+		}
+
+		cdir := t.TempDir()
+		cpath := filepath.Join(cdir, checkpointName)
+		if err := os.WriteFile(cpath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w, err := Open(Options{Dir: cdir, CompactEvery: -1, CompactBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		applied := 0
+		info, err := w.Recover(nil, func(Record) error { applied++; return nil })
+		runtime.ReadMemStats(&after)
+		w.Close()
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20+4*uint64(len(data)) {
+			t.Fatalf("checkpoint: recovering %d bytes allocated %d", len(data), grown)
+		}
+		switch intact := good == len(data); {
+		case intact && err != nil:
+			t.Fatalf("checkpoint of intact frames refused: %v", err)
+		case intact && (!info.CheckpointLoaded || applied != len(want)):
+			t.Fatalf("checkpoint: info %+v, applied %d, want %d", info, applied, len(want))
+		case !intact && (err == nil || !strings.Contains(err.Error(), checkpointName)):
+			t.Fatalf("checkpoint with a bad frame at %d: err = %v", good, err)
+		}
+		if got, err := os.ReadFile(cpath); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("checkpoint modified: %d bytes, was %d (%v)", len(got), len(data), err)
 		}
 	})
 }
