@@ -98,9 +98,7 @@ func main() {
 		TaskRetention:     *taskRetention,
 		TMStaleAfter:      *tmStaleAfter,
 		FailoverRetries:   *failoverRetries,
-	}
-	if wal != nil {
-		cfg.Store = wal
+		Store:             wal,
 	}
 	if *authOn {
 		// The in-process authority plays Globus Auth: the server is its

@@ -35,44 +35,6 @@ func (s *Service) defaultProvider() string {
 	return "local"
 }
 
-// installUser upserts one durable user record into the service's table
-// and mirrors it into the configured auth service. It is the replay
-// primitive — WAL replay of the tail and the checkpoint only — where upsert
-// semantics are what make re-applying a record the checkpoint already
-// contains converge on the same state. Live registration goes through
-// installUserIfAbsent instead, which refuses to clobber. With no auth
-// service configured the record is still kept, so a later boot WITH
-// -auth inherits the accounts.
-func (s *Service) installUser(u userRecord) {
-	s.userMu.Lock()
-	s.users[u.Provider+"/"+u.Username] = u
-	s.userMu.Unlock()
-	if s.cfg.Auth != nil {
-		s.cfg.Auth.RegisterUserHashed(u.Provider, u.Username, u.PasswordHash, u.FullName, u.Email)
-	}
-}
-
-// installUserIfAbsent is installUser for the live registration path:
-// the check-and-insert is atomic under userMu, and an existing account
-// is left untouched (returns false). Registration must never upsert —
-// the register route is open, so upserting would let any anonymous
-// caller overwrite an existing user's password and take over the
-// identity.
-func (s *Service) installUserIfAbsent(u userRecord) bool {
-	key := u.Provider + "/" + u.Username
-	s.userMu.Lock()
-	if _, exists := s.users[key]; exists {
-		s.userMu.Unlock()
-		return false
-	}
-	s.users[key] = u
-	s.userMu.Unlock()
-	if s.cfg.Auth != nil {
-		s.cfg.Auth.RegisterUserHashed(u.Provider, u.Username, u.PasswordHash, u.FullName, u.Email)
-	}
-	return true
-}
-
 // snapshotUsers copies the user table for the checkpoint.
 func (s *Service) snapshotUsers() map[string]userRecord {
 	s.userMu.Lock()
@@ -88,9 +50,10 @@ func (s *Service) snapshotUsers() map[string]userRecord {
 // identity to a tenant), returning the identity URN. The password is
 // hashed here; only the hash reaches the auth service, the WAL, and
 // checkpoints. Because the route is open, registration is strictly
-// create-only (an existing account is a 409, never an overwrite) and
-// the provider must be one the server registered at startup — replay
-// alone is allowed to upsert and to resurrect providers.
+// create-only — the commit's check refuses an existing account with a
+// 409, so no anonymous caller can overwrite a password — and the
+// provider must be one the server registered at startup (replay alone
+// may resurrect providers).
 func (s *Service) RegisterUser(providerName, username, password, fullName, email, tenantID string) (string, error) {
 	if s.cfg.Auth == nil {
 		return "", ErrBadRequest.WithDetail("authentication is not enabled on this server (start it with -auth)")
@@ -117,13 +80,23 @@ func (s *Service) RegisterUser(providerName, username, password, fullName, email
 		FullName:     fullName,
 		Email:        email,
 	}
-	if !s.installUserIfAbsent(rec) {
-		return "", ErrConflict.WithDetail("account " + providerName + "/" + username + " already exists")
+	err := s.commit(recKindUser, func() (any, error) {
+		s.userMu.Lock()
+		_, exists := s.users[providerName+"/"+username]
+		s.userMu.Unlock()
+		if exists {
+			return nil, ErrConflict.WithDetail("account " + providerName + "/" + username + " already exists")
+		}
+		return rec, nil
+	}, func() { s.applyUser(rec) })
+	if err != nil {
+		return "", err
 	}
-	s.logged(recKindUser, rec)
 	identityID := auth.URN(providerName, username)
 	if tenantID != "" {
-		s.BindTenant(identityID, tenantID) // logs its own tenant_bind record
+		if err := s.BindTenant(identityID, tenantID); err != nil {
+			return "", err
+		}
 	}
 	return identityID, nil
 }

@@ -157,11 +157,9 @@ func newAutoscaler(svc *Service, interval time.Duration) *autoscaler {
 	return &autoscaler{svc: svc, interval: interval, svs: make(map[string]*svScaler)}
 }
 
-// setPolicy installs (or disables) a servable's policy.
-func (a *autoscaler) setPolicy(servableID string, p AutoscalePolicy) error {
-	if err := p.validate(); err != nil {
-		return err
-	}
+// setPolicy installs (or disables) a servable's policy, validated by
+// the caller.
+func (a *autoscaler) setPolicy(servableID string, p AutoscalePolicy) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st := a.svs[servableID]
@@ -175,11 +173,10 @@ func (a *autoscaler) setPolicy(servableID string, p AutoscalePolicy) error {
 	// timer, no stale smoothed demand from a previous configuration.
 	st.lowSince = time.Time{}
 	st.ewma = 0
-	return nil
 }
 
 // policies snapshots the installed policies for persistence
-// (checkpoint capture and the snapshot file). Entries that exist only
+// (the checkpoint and StateFingerprint). Entries that exist only
 // as rejection counters (zero policy, never set) are skipped — they
 // are stats, not configuration.
 func (a *autoscaler) policies() map[string]AutoscalePolicy {
@@ -381,14 +378,13 @@ func (a *autoscaler) tick() {
 // caller can see. Disabling (Enabled false) keeps the state visible in
 // stats but stops the controller.
 func (s *Service) SetAutoscalePolicy(caller Caller, servableID string, p AutoscalePolicy) error {
-	if _, err := s.Get(caller, servableID); err != nil {
-		return err
-	}
-	if err := s.scaler.setPolicy(servableID, p); err != nil {
-		return err
-	}
-	s.logged(recKindPolicy, recPolicyPut{ID: servableID, Policy: p})
-	return nil
+	rec := recPolicyPut{ID: servableID, Policy: p}
+	return s.commit(recKindPolicy, func() (any, error) {
+		if _, err := s.Get(caller, servableID); err != nil {
+			return nil, err
+		}
+		return rec, p.validate()
+	}, func() { s.applyPolicy(rec) })
 }
 
 // AutoscaleStatus reports a servable's autoscaler state. A servable

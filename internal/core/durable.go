@@ -4,8 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"log"
 	"sort"
 	"strings"
 
@@ -14,28 +14,31 @@ import (
 	"repro/internal/store"
 )
 
-// Durability seam: every repository state transition flows through
-// logged(), which appends a typed record to the configured store
-// (internal/store WAL). With no store configured (tests, the bench
-// testbed) logged is a nil check and nothing is encoded.
+// Durability seam: every durable state change goes through commit,
+// which checks the change against current state, encodes its record,
+// appends it to the configured store (internal/store WAL) and only then
+// applies it, through the one apply function of its kind — the same
+// function WAL replay (applyRecord) calls. With no store configured
+// (tests, the bench testbed) commit checks and applies, and encodes
+// nothing.
 //
 // Record taxonomy (one kind per mutation; each payload is the JSON of a
-// plain struct, so a record costs its payload and no type descriptors):
+// plain struct, so a record costs its payload and no type descriptors),
+// with the Service methods that commit it:
 //
-//	publish           recPublish   — new servable version (full doc + components)
-//	metadata          recMetadata  — UpdateMetadata outcome (full updated doc)
-//	unpublish         recServable  — repository entry removed
-//	deploy            recPlacement — placement added (Deploy/DeployTo/drain migration)
-//	undeploy          recPlacement — one placement removed (Undeploy/drain)
-//	scale             recPlacement — desired replica count changed
-//	drain             recTM        — TM drain mark set
-//	rejoin            recTM        — TM drain mark cleared
-//	deregister        recTM        — TM removed from the registry
-//	autoscale_policy  recPolicyPut — autoscale policy installed/updated
-//	tenant_quota      recTenantQuota — tenant quota spec set/replaced
-//	tenant_bind       recTenantBind  — identity URN bound to a tenant
-//	user              userRecord     — user registration (hash, never
-//	                                   the plaintext password)
+//	publish           recPublish     — Publish: a new servable version (doc + components)
+//	metadata          recMetadata    — UpdateMetadata: the full edited doc
+//	unpublish         recServable    — Unpublish: entry, routing and policy removed
+//	deploy            recPlacement   — Deploy/DeployTo, drain migration: placement added
+//	undeploy          recPlacement   — Undeploy, DrainTM: one placement removed
+//	scale             recPlacement   — Scale, the autoscaler: desired replica count
+//	drain             recTM          — DrainTM: drain mark set
+//	rejoin            recTM          — RejoinTM: drain mark cleared
+//	deregister        recTM          — DeregisterTM: TM removed from the registry
+//	autoscale_policy  recPolicyPut   — SetAutoscalePolicy
+//	tenant_quota      recTenantQuota — SetTenantQuota
+//	tenant_bind       recTenantBind  — BindTenant, RegisterUser
+//	user              userRecord     — RegisterUser (hash, never the plaintext password)
 //
 // Deliberately NOT logged (runtime state the service re-learns or that
 // is semantically a cache): TM registrations and heartbeats (re-learned
@@ -48,19 +51,16 @@ import (
 // after a restart clients simply log in again against the replayed user
 // records.
 //
-// Replay handlers are UPSERTS, not blind re-applications: a checkpoint
-// can run between an in-memory mutation and its append, so a tail
-// record may describe state the checkpoint already contains. Replaying
-// it must converge, not duplicate.
-//
 // The checkpoint is the same records (persist.go): one per durable fact,
 // written by writeCheckpoint and read back by applyRecord like the tail.
 //
-// Lock discipline: compaction runs writeCheckpoint (which takes the
-// repository lock) while holding the store's own lock and blocking
-// appends — so logged() must NEVER be called with the repository lock
-// held. No call site is inside a repository method or one of its
-// callbacks.
+// Lock order: commitMu → the WAL's lock → {repository.mu, rt.mu,
+// autoscaler.mu, the tenant registry, userMu}. commitMu is outermost —
+// nothing else is held when it is taken — so no other durable change
+// moves the state a check read before its apply runs. The WAL runs
+// apply under its own lock, as it runs the checkpoint hook, so a
+// checkpoint holds the state of exactly the records it replaces. An
+// apply only sets state, never adds to it, and never commits.
 
 const (
 	recKindPublish    = "publish"
@@ -114,10 +114,7 @@ type recPolicyPut struct {
 	Policy AutoscalePolicy
 }
 
-// recTenantQuota logs a tenant quota put. Replay upserts the registry
-// record AND pushes the priority class's dequeue weight to the broker,
-// mirroring SetTenantQuota — the recovered fairness lanes must match
-// the pre-crash ones.
+// recTenantQuota logs a tenant quota put.
 type recTenantQuota struct {
 	ID    string
 	Quota auth.Quota
@@ -141,174 +138,172 @@ type userRecord struct {
 	Email        string
 }
 
-// logged appends one durable record for an already-applied in-memory
-// mutation. Append failures are logged loudly rather than unwound: the
-// mutation happened, and failing the caller's request would report an
-// operation that in fact succeeded. Callers must not hold the
-// repository lock.
-func (s *Service) logged(kind string, payload any) {
-	st := s.cfg.Store
-	if st == nil {
-		return
+// commit is the one write path for durable state. Under commitMu, check
+// tests the change against current state and returns the record's
+// payload; an error refuses the change, and a nil payload means the
+// state already says so. The payload is encoded and appended, and only
+// once the store holds it does apply run. A refusal, a payload that does
+// not encode (internal) or a failed append (unavailable) changes nothing.
+// Side effects that are not durable state — cache invalidation,
+// teardown tasks, queue purges — are the caller's, after commit returns.
+func (s *Service) commit(kind string, check func() (any, error), apply func()) error {
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	payload, err := check()
+	if err != nil || payload == nil {
+		return err
+	}
+	if s.cfg.Store == nil {
+		apply()
+		return nil
 	}
 	data, err := json.Marshal(payload)
 	if err != nil {
-		log.Printf("core: wal: encode %s record: %v", kind, err)
-		return
+		return ErrInternal.WithDetail(fmt.Sprintf("encode %s record: %v", kind, err))
 	}
-	if err := st.Append(store.Record{Kind: kind, Data: data}); err != nil {
-		log.Printf("core: wal: append %s record failed: %v (mutation applied in memory; durability degraded)", kind, err)
-	}
-}
-
-// decodeRec decodes a record's payload. A record from before JSON records
-// has no fallback (a clean shutdown leaves none): the boot is refused.
-func decodeRec[T any](data []byte) (T, error) {
-	var v T
-	if err := json.Unmarshal(data, &v); err != nil {
-		return v, fmt.Errorf("not a JSON record (a log an older build left behind: start that build on this directory and stop it with SIGTERM, then upgrade): %w", err)
-	}
-	return v, nil
-}
-
-// applyRecord re-applies one WAL record during recovery. The repository
-// keeps its index in step record by record; the result cache is flushed
-// once, after the whole tail replays. Handlers tolerate state the
-// checkpoint already contains (see the taxonomy comment) and state
-// referencing since-unpublished servables.
-func (s *Service) applyRecord(rec store.Record) error {
-	switch rec.Kind {
-	case recKindPublish:
-		p, err := decodeRec[recPublish](rec.Data)
-		if err != nil {
-			return err
-		}
-		doc := p.Doc
-		if doc == nil || doc.ID == "" || doc.Version < 1 {
-			return fmt.Errorf("core: malformed publish record (seq %d)", rec.Seq)
-		}
-		s.repo.replayVersion(doc, p.Components)
-
-	case recKindMetadata:
-		m, err := decodeRec[recMetadata](rec.Data)
-		if err != nil {
-			return err
-		}
-		if m.Doc == nil {
-			return fmt.Errorf("core: malformed metadata record (seq %d)", rec.Seq)
-		}
-		s.repo.replayMetadata(m.ID, m.Doc)
-
-	case recKindUnpublish:
-		u, err := decodeRec[recServable](rec.Data)
-		if err != nil {
-			return err
-		}
-		// The record is the owner's unpublish; replay it as the owner.
-		if doc, ok := s.repo.latest(u.ID); ok {
-			s.repo.remove(u.ID, doc.Owner, func() { s.route.dropServable(u.ID) }) //nolint:errcheck — found and owned just above
-		}
-		s.scaler.removePolicy(u.ID)
-
-	case recKindDeploy:
-		d, err := decodeRec[recPlacement](rec.Data)
-		if err != nil {
-			return err
-		}
-		s.repo.whilePublished(d.ID, func() { s.route.place(d.ID, d.TM, d.Replicas) })
-
-	case recKindUndeploy:
-		d, err := decodeRec[recPlacement](rec.Data)
-		if err != nil {
-			return err
-		}
-		s.route.removePlacement(d.ID, d.TM)
-
-	case recKindScale:
-		sc, err := decodeRec[recPlacement](rec.Data)
-		if err != nil {
-			return err
-		}
-		s.repo.whilePublished(sc.ID, func() { s.route.setReplicas(sc.ID, sc.Replicas) })
-
-	case recKindDrain:
-		t, err := decodeRec[recTM](rec.Data)
-		if err != nil {
-			return err
-		}
-		s.route.markDraining(t.TM)
-
-	case recKindRejoin:
-		t, err := decodeRec[recTM](rec.Data)
-		if err != nil {
-			return err
-		}
-		s.route.clearDrainMark(t.TM)
-
-	case recKindDeregister:
-		t, err := decodeRec[recTM](rec.Data)
-		if err != nil {
-			return err
-		}
-		s.route.deregister(t.TM)
-
-	case recKindPolicy:
-		p, err := decodeRec[recPolicyPut](rec.Data)
-		if err != nil {
-			return err
-		}
-		if err := s.scaler.setPolicy(p.ID, p.Policy); err != nil {
-			return fmt.Errorf("core: replay policy %s: %w", p.ID, err)
-		}
-
-	case recKindTenant:
-		t, err := decodeRec[recTenantQuota](rec.Data)
-		if err != nil {
-			return err
-		}
-		s.tenants.SetQuota(t.ID, t.Quota)
-		s.broker.SetLaneWeight(t.ID, auth.PriorityWeight(t.Quota.Priority))
-
-	case recKindTenantBind:
-		b, err := decodeRec[recTenantBind](rec.Data)
-		if err != nil {
-			return err
-		}
-		s.tenants.Bind(b.IdentityID, b.TenantID)
-
-	case recKindUser:
-		u, err := decodeRec[userRecord](rec.Data)
-		if err != nil {
-			return err
-		}
-		s.installUser(u)
-
-	default:
-		// A newer build's record. Skipping it would lose it for good: the
-		// compaction after replay writes a checkpoint without it.
-		return fmt.Errorf("core: unknown record kind %q (seq %d), written by a newer build", rec.Kind, rec.Seq)
+	if err := s.cfg.Store.Commit(store.Record{Kind: kind, Data: data}, apply); err != nil {
+		return ErrUnavailable.WithDetail(err.Error())
 	}
 	return nil
 }
 
+// applyRecord re-applies one WAL record during recovery, through the
+// apply function commit ran for it. The repository keeps its index in
+// step record by record.
+func (s *Service) applyRecord(rec store.Record) error {
+	replay, ok := replays[rec.Kind]
+	if !ok {
+		// A newer build's record. Skipping it would lose it for good: the
+		// compaction after replay writes a checkpoint without it.
+		return fmt.Errorf("core: unknown record kind %q (seq %d), written by a newer build", rec.Kind, rec.Seq)
+	}
+	return replay(s, rec)
+}
+
+// replays maps each record kind to its replay: a decode of the payload
+// and a call of the kind's apply.
+var replays = map[string]func(*Service, store.Record) error{
+	recKindPublish:    replayer((*Service).applyPublish),
+	recKindMetadata:   replayer((*Service).applyMetadata),
+	recKindUnpublish:  replayer((*Service).applyUnpublish),
+	recKindDeploy:     replayer((*Service).applyDeploy),
+	recKindUndeploy:   replayer((*Service).applyUndeploy),
+	recKindScale:      replayer((*Service).applyScale),
+	recKindDrain:      replayer((*Service).applyDrain),
+	recKindRejoin:     replayer((*Service).applyRejoin),
+	recKindDeregister: replayer((*Service).applyDeregister),
+	recKindPolicy:     replayer((*Service).applyPolicy),
+	recKindTenant:     replayer((*Service).applyTenantQuota),
+	recKindTenantBind: replayer((*Service).applyTenantBind),
+	recKindUser:       replayer((*Service).applyUser),
+}
+
+// replayer makes the replay of one kind. A payload type with a valid
+// method refuses a record its apply cannot take. A record from before
+// JSON records has no fallback (a clean shutdown leaves none): the boot
+// is refused.
+func replayer[T any](apply func(*Service, T)) func(*Service, store.Record) error {
+	return func(s *Service, rec store.Record) error {
+		var v T
+		if err := json.Unmarshal(rec.Data, &v); err != nil {
+			return fmt.Errorf("not a JSON record (a log an older build left behind: start that build on this directory and stop it with SIGTERM, then upgrade): %w", err)
+		}
+		if p, ok := any(&v).(interface{ valid() error }); ok {
+			if err := p.valid(); err != nil {
+				return fmt.Errorf("core: malformed %s record (seq %d): %w", rec.Kind, rec.Seq, err)
+			}
+		}
+		apply(s, v)
+		return nil
+	}
+}
+
+func (p *recPublish) valid() error {
+	if p.Doc == nil || p.Doc.ID == "" || p.Doc.Version < 1 {
+		return errors.New("no document, ID or version")
+	}
+	return nil
+}
+
+func (m *recMetadata) valid() error {
+	if m.Doc == nil {
+		return errors.New("no document")
+	}
+	return nil
+}
+
+func (p *recPolicyPut) valid() error { return p.Policy.validate() }
+
+// --- one apply per record kind: commit and applyRecord both end here ---
+
+func (s *Service) applyPublish(p recPublish) { s.repo.put(p.Doc, p.Components) }
+
+func (s *Service) applyMetadata(m recMetadata) { s.repo.setLatest(m.ID, m.Doc) }
+
+// applyUnpublish drops the servable and what must not outlive it: its
+// placements, replica record and autoscale policy.
+func (s *Service) applyUnpublish(u recServable) {
+	s.repo.remove(u.ID)
+	s.route.dropServable(u.ID)
+	s.scaler.removePolicy(u.ID)
+}
+
+// applyDeploy and applyScale skip a servable that is not published: a
+// log an older build wrote may name one after its unpublish record.
+func (s *Service) applyDeploy(d recPlacement) {
+	if _, ok := s.repo.latest(d.ID); ok {
+		s.route.place(d.ID, d.TM, d.Replicas)
+	}
+}
+
+func (s *Service) applyScale(d recPlacement) {
+	if _, ok := s.repo.latest(d.ID); ok {
+		s.route.setReplicas(d.ID, d.Replicas)
+	}
+}
+
+func (s *Service) applyUndeploy(d recPlacement) { s.route.removePlacement(d.ID, d.TM) }
+
+func (s *Service) applyDrain(t recTM) { s.route.markDraining(t.TM) }
+
+func (s *Service) applyRejoin(t recTM) { s.route.clearDrainMark(t.TM) }
+
+func (s *Service) applyDeregister(t recTM) { s.route.deregister(t.TM) }
+
+func (s *Service) applyPolicy(p recPolicyPut) { s.scaler.setPolicy(p.ID, p.Policy) }
+
+// applyTenantQuota also pushes the priority class's dequeue weight to
+// the broker: the recovered fairness lanes must match the pre-crash ones.
+func (s *Service) applyTenantQuota(t recTenantQuota) {
+	s.tenants.SetQuota(t.ID, t.Quota)
+	s.broker.SetLaneWeight(t.ID, auth.PriorityWeight(t.Quota.Priority))
+}
+
+func (s *Service) applyTenantBind(b recTenantBind) { s.tenants.Bind(b.IdentityID, b.TenantID) }
+
+// applyUser keeps the account in the service's table and mirrors it into
+// the configured auth service. With no auth service configured the
+// record is still kept, so a later boot WITH -auth inherits the accounts.
+func (s *Service) applyUser(u userRecord) {
+	s.userMu.Lock()
+	s.users[u.Provider+"/"+u.Username] = u
+	s.userMu.Unlock()
+	if s.cfg.Auth != nil {
+		s.cfg.Auth.RegisterUserHashed(u.Provider, u.Username, u.PasswordHash, u.FullName, u.Email)
+	}
+}
+
 // Recover rebuilds state from the configured store: the checkpoint's
 // records, then the WAL tail's (torn final record tolerated), both
-// through applyRecord, then a cache flush. Call once, right after New and
-// before serving traffic. A nil store recovers nothing.
+// through applyRecord. Call once, right after New and before serving
+// traffic. Until it has run the store refuses every commit, so nothing is
+// published, run or cached from a state the restore replaces. A nil
+// store recovers nothing.
 func (s *Service) Recover() (store.RecoveryInfo, error) {
-	st := s.cfg.Store
-	if st == nil {
+	if s.cfg.Store == nil {
 		return store.RecoveryInfo{}, nil
 	}
-	info, err := st.Recover(nil, s.applyRecord)
-	if err != nil {
-		return info, err
-	}
-	// Cached results predate the restored repository; the flush also
-	// bumps the cache epoch so in-flight computations from the old world
-	// cannot write back after the load.
-	s.FlushCache()
-	return info, nil
+	return s.cfg.Store.Recover(nil, s.applyRecord)
 }
 
 // Checkpoint forces a store compaction — the clean-shutdown hook, so a
@@ -319,6 +314,15 @@ func (s *Service) Checkpoint() error {
 		return nil
 	}
 	return s.cfg.Store.Checkpoint()
+}
+
+// walErr is why the store would refuse a commit now (nil with no store,
+// and while it takes writes); while it is set /api/v2/readyz is red.
+func (s *Service) walErr() error {
+	if s.cfg.Store == nil {
+		return nil
+	}
+	return s.cfg.Store.Err()
 }
 
 // WALStats snapshots the store counters for /api/v2/stats ("wal"
@@ -338,12 +342,15 @@ func (s *Service) WALStats() *store.Stats {
 // same durable state; the bench testbed compares fingerprints across a
 // kill-and-recover cycle, and a mismatch diff names the first divergent
 // line. Runtime state the WAL deliberately does not cover (TM
-// registrations, caches, in-flight counters) is excluded.
+// registrations, caches, in-flight counters) is excluded. It holds
+// commitMu, so it never reads half of a change.
 func (s *Service) StateFingerprint() string {
+	s.commitMu.Lock()
 	snap := s.captureSnapshot()
+	s.commitMu.Unlock()
 	var b strings.Builder
-	for _, id := range sortedKeys(snap.Docs) {
-		doc := snap.Docs[id]
+	for _, id := range sortedKeys(snap.Versions) {
+		doc := snap.Versions[id][len(snap.Versions[id])-1]
 		fmt.Fprintf(&b, "servable %s v%d type=%s entry=%s versions=%d components=%d\n",
 			id, doc.Version, doc.Servable.Type, doc.Servable.Entry,
 			len(snap.Versions[id]), len(snap.Components[id]))

@@ -12,14 +12,17 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/auth"
 	"repro/internal/container"
+	"repro/internal/executor"
 	"repro/internal/schema"
 	"repro/internal/servable"
 	"repro/internal/store"
+	"repro/internal/taskmanager"
 )
 
 // walService is a service over a WAL in opts.Dir, not yet recovered.
@@ -84,34 +87,16 @@ func codecSteps(a *Service, id *string) []codecStep {
 		{recKindPublish, func() error { _, err := a.Publish(ctx, Anonymous, servable.NoopPackage()); return err }},
 		{recKindUnpublish, func() error { return a.Unpublish(Anonymous, "anonymous/noop") }},
 		{recKindDeploy, func() error {
-			a.route.place(*id, "tm-1", 2)
-			a.logged(recKindDeploy, recPlacement{ID: *id, TM: "tm-1", Replicas: 2})
-			return nil
+			return commitRec(a, recKindDeploy, recPlacement{ID: *id, TM: "tm-1", Replicas: 2}, a.applyDeploy)
 		}},
-		{recKindDeploy, func() error {
-			a.route.place(*id, "tm-2", 0)
-			a.logged(recKindDeploy, recPlacement{ID: *id, TM: "tm-2"})
-			return nil
-		}},
-		{recKindDeploy, func() error {
-			a.route.place(*id, "tm-3", 0)
-			a.logged(recKindDeploy, recPlacement{ID: *id, TM: "tm-3"})
-			return nil
-		}},
-		{recKindUndeploy, func() error {
-			a.route.removePlacement(*id, "tm-2")
-			a.logged(recKindUndeploy, recPlacement{ID: *id, TM: "tm-2"})
-			return nil
-		}},
-		{recKindScale, func() error {
-			a.recordReplicas(*id, 3)
-			a.logged(recKindScale, recPlacement{ID: *id, Replicas: 3})
-			return nil
-		}},
-		{recKindDrain, func() error { a.route.markDraining("tm-1"); a.logged(recKindDrain, recTM{TM: "tm-1"}); return nil }},
-		{recKindDrain, func() error { a.route.markDraining("tm-2"); a.logged(recKindDrain, recTM{TM: "tm-2"}); return nil }},
-		{recKindRejoin, func() error { a.route.clearDrainMark("tm-2"); a.logged(recKindRejoin, recTM{TM: "tm-2"}); return nil }},
-		{recKindDeregister, func() error { a.route.deregister("tm-3"); a.logged(recKindDeregister, recTM{TM: "tm-3"}); return nil }},
+		{recKindDeploy, func() error { return commitRec(a, recKindDeploy, recPlacement{ID: *id, TM: "tm-2"}, a.applyDeploy) }},
+		{recKindDeploy, func() error { return commitRec(a, recKindDeploy, recPlacement{ID: *id, TM: "tm-3"}, a.applyDeploy) }},
+		{recKindUndeploy, func() error { return a.commitUndeploy(*id, "tm-2") }},
+		{recKindScale, func() error { return commitRec(a, recKindScale, recPlacement{ID: *id, Replicas: 3}, a.applyScale) }},
+		{recKindDrain, func() error { return commitRec(a, recKindDrain, recTM{TM: "tm-1"}, a.applyDrain) }},
+		{recKindDrain, func() error { return commitRec(a, recKindDrain, recTM{TM: "tm-2"}, a.applyDrain) }},
+		{recKindRejoin, func() error { return commitRec(a, recKindRejoin, recTM{TM: "tm-2"}, a.applyRejoin) }},
+		{recKindDeregister, func() error { return a.DeregisterTM("tm-3") }},
 		{recKindPolicy, func() error {
 			return a.SetAutoscalePolicy(Anonymous, *id, AutoscalePolicy{
 				Enabled: true, MinReplicas: 2, MaxReplicas: 7, TargetLoad: 1.25,
@@ -122,16 +107,21 @@ func codecSteps(a *Service, id *string) []codecStep {
 			_, err := a.SetTenantQuota("acme", auth.Quota{MaxInFlight: 3, RatePerSec: 2.718281828459045, Priority: "high"})
 			return err
 		}},
-		{recKindTenantBind, func() error { a.BindTenant("urn:identity:local:alice", "acme"); return nil }},
-		{recKindTenantBind, func() error { a.BindTenant("urn:identity:local:bob", "bobs-team"); return nil }},
-		{recKindTenantBind, func() error { a.BindTenant("urn:identity:local:bob", "acme"); return nil }},
+		{recKindTenantBind, func() error { return a.BindTenant("urn:identity:local:alice", "acme") }},
+		{recKindTenantBind, func() error { return a.BindTenant("urn:identity:local:bob", "bobs-team") }},
+		{recKindTenantBind, func() error { return a.BindTenant("urn:identity:local:bob", "acme") }},
 		{recKindUser, func() error {
 			u := userRecord{Provider: "local", Username: "alice", PasswordHash: auth.HashPassword("pw"), FullName: "Alice Ä", Email: "a@example.org"}
-			a.installUserIfAbsent(u)
-			a.logged(recKindUser, u)
-			return nil
+			return commitRec(a, recKindUser, u, a.applyUser)
 		}},
 	}
+}
+
+// commitRec commits rec through its kind's apply with nothing to check:
+// the record a Service method commits for a change that needs what the
+// test has not got (a registered TM, an auth service).
+func commitRec[T any](a *Service, kind string, rec T, apply func(T)) error {
+	return a.commit(kind, func() (any, error) { return rec, nil }, func() { apply(rec) })
 }
 
 // requireSameState fails unless b holds a's durable state: the same
@@ -175,10 +165,9 @@ func requireSameState(t *testing.T, a, b *Service, id string) {
 	}
 }
 
-// TestRecordCodecRoundTrip writes one record of every kind through
-// logged — each applied in memory first, as the call that writes it
-// does — kills the service, and recovers a fresh one from the log alone:
-// it must hold the same durable state.
+// TestRecordCodecRoundTrip commits one record of every kind, kills the
+// service, and recovers a fresh one from the log alone: it must hold the
+// same durable state.
 func TestRecordCodecRoundTrip(t *testing.T) {
 	opts := store.Options{Dir: t.TempDir(), CompactEvery: -1, CompactBytes: -1}
 	a := walService(t, opts)
@@ -218,8 +207,8 @@ var recordKinds = map[string]bool{
 // checkpoint after step k, for every k, then kills the service and
 // recovers a fresh one from the checkpoint plus the tail after it. Every
 // record in the checkpoint must be JSON of a kind in the taxonomy, and
-// the recovered state must be the live state: the replay handlers are
-// upserts wherever a checkpoint falls.
+// the recovered state must be the live state wherever a checkpoint
+// falls.
 func TestCheckpointAtEveryStep(t *testing.T) {
 	n := len(codecSteps(&Service{}, new(string)))
 	for k := 0; k < n; k++ {
@@ -402,10 +391,174 @@ func TestNonFiniteRatesAreRejected(t *testing.T) {
 	}
 }
 
-// BenchmarkLoggedMetadata is the WAL half of a PATCH: one metadata
-// record encoded and appended to a log that does not fsync.
-func BenchmarkLoggedMetadata(b *testing.B) {
-	s := walService(b, store.Options{Dir: b.TempDir()})
+// nopExecutor accepts every control-plane task and serves nothing.
+type nopExecutor struct{}
+
+func (nopExecutor) Name() string                        { return "parsl" }
+func (nopExecutor) Deploy(*servable.Package, int) error { return nil }
+func (nopExecutor) Scale(string, int) error             { return nil }
+func (nopExecutor) Undeploy(string) error               { return nil }
+func (nopExecutor) Replicas(string) int                 { return 0 }
+func (nopExecutor) Close()                              {}
+func (nopExecutor) Invoke(context.Context, string, any) (executor.Result, error) {
+	return executor.Result{}, errors.New("nopExecutor serves nothing")
+}
+
+// failSites attaches one Task Manager per id, each with a nopExecutor,
+// to s's broker. A Task Manager takes half a second to close, so they
+// close together.
+func failSites(t *testing.T, s *Service, ids ...string) {
+	t.Helper()
+	var tms []*taskmanager.TM
+	t.Cleanup(func() {
+		var wg sync.WaitGroup
+		for _, tm := range tms {
+			wg.Add(1)
+			go func() { defer wg.Done(); tm.Close() }()
+		}
+		wg.Wait()
+	})
+	for _, id := range ids {
+		tm, err := taskmanager.New(taskmanager.Config{
+			ID:        id,
+			Queue:     taskmanager.BrokerAdapter{B: s.Broker()},
+			Executors: map[string]executor.Executor{"parsl": nopExecutor{}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tms = append(tms, tm)
+	}
+	if err := s.WaitForTM(len(ids), 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedCommitChangesNothing closes the WAL under a live service and
+// then calls each API that commits a record, one per record kind. Each
+// call must fail with unavailable and leave the state as it was, and the
+// directory must recover to that same state: nothing the service holds
+// is missing from the log, and nothing the log holds is missing from the
+// service.
+func TestFailedCommitChangesNothing(t *testing.T) {
+	ctx := context.Background()
+	const id = "anonymous/noop"
+	calls := []struct {
+		kind string
+		call func(s *Service) error
+	}{
+		{recKindPublish, func(s *Service) error { _, err := s.Publish(ctx, Anonymous, servable.NoopPackage()); return err }},
+		{recKindMetadata, func(s *Service) error {
+			return s.UpdateMetadata(Anonymous, id, func(p *schema.Publication) { p.Title = "edited" })
+		}},
+		{recKindUnpublish, func(s *Service) error { return s.Unpublish(Anonymous, id) }},
+		{recKindDeploy, func(s *Service) error { return s.DeployTo(ctx, Anonymous, id, 2, "parsl", "tm-1") }},
+		{recKindUndeploy, func(s *Service) error { return s.Undeploy(ctx, Anonymous, id, "tm-1") }},
+		{recKindScale, func(s *Service) error { return s.Scale(ctx, Anonymous, id, 3, "parsl") }},
+		{recKindDrain, func(s *Service) error { _, err := s.DrainTM(ctx, "tm-1"); return err }},
+		{recKindRejoin, func(s *Service) error { return s.RejoinTM(ctx, "tm-2") }},
+		{recKindDeregister, func(s *Service) error { return s.DeregisterTM("tm-2") }},
+		{recKindPolicy, func(s *Service) error {
+			return s.SetAutoscalePolicy(Anonymous, id, AutoscalePolicy{Enabled: true, MaxReplicas: 4})
+		}},
+		{recKindTenant, func(s *Service) error { _, err := s.SetTenantQuota("acme", auth.Quota{MaxInFlight: 2}); return err }},
+		{recKindTenantBind, func(s *Service) error { return s.BindTenant("urn:identity:local:bob", "acme") }},
+		{recKindUser, func(s *Service) error { _, err := s.RegisterUser("local", "bob", "pw", "", "", ""); return err }},
+	}
+	covered := map[string]bool{}
+	for _, c := range calls {
+		covered[c.kind] = true
+	}
+	if len(covered) != len(recordKinds) {
+		t.Fatalf("rows cover %d record kinds, the taxonomy has %d", len(covered), len(recordKinds))
+	}
+	for _, c := range calls {
+		t.Run(c.kind, func(t *testing.T) {
+			t.Parallel() // closing three Task Managers takes a second and a half
+			dir := t.TempDir()
+			boot := func() *Service {
+				as := auth.NewService(time.Hour)
+				as.RegisterProvider("local")
+				w, err := store.Open(store.Options{Dir: dir})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := New(Config{Registry: container.NewRegistry(), Store: w, Auth: as, AutoscaleInterval: time.Hour, TaskRetention: -1})
+				t.Cleanup(func() { s.Close(); w.Close() })
+				if _, err := s.Recover(); err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			s := boot()
+			failSites(t, s, "tm-1", "tm-2")
+			if _, err := s.Publish(ctx, Anonymous, servable.NoopPackage()); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.DeployTo(ctx, Anonymous, id, 1, "parsl", "tm-1"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.DrainTM(ctx, "tm-2"); err != nil {
+				t.Fatal(err)
+			}
+			// The fingerprint, and the document: a fingerprint does not
+			// show the metadata an edit changes.
+			state := func(s *Service) string {
+				doc, _ := s.repo.latest(id)
+				j, _ := json.Marshal(doc)
+				return s.StateFingerprint() + string(j) + "\n"
+			}
+			want := state(s)
+
+			s.cfg.Store.Close()
+			if err := c.call(s); !errors.Is(err, ErrUnavailable) {
+				t.Fatalf("got %v, want unavailable", err)
+			}
+			if got := state(s); got != want {
+				t.Fatalf("a failed commit changed state\n--- before\n%s--- after\n%s", want, got)
+			}
+			if got := state(boot()); got != want {
+				t.Fatalf("recovered state differs\n--- want\n%s--- got\n%s", want, got)
+			}
+		})
+	}
+}
+
+// TestCommitUnencodablePayload: a payload json.Marshal refuses is an
+// internal error that applies nothing and writes nothing.
+func TestCommitUnencodablePayload(t *testing.T) {
+	s := walService(t, store.Options{Dir: t.TempDir()})
+	if _, err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	applied := false
+	err := s.commit(recKindTenant, func() (any, error) {
+		return recTenantQuota{ID: "acme", Quota: auth.Quota{RatePerSec: math.NaN()}}, nil
+	}, func() { applied = true })
+	if !errors.Is(err, ErrInternal) || applied {
+		t.Fatalf("commit = %v, applied %v; want internal and nothing applied", err, applied)
+	}
+	if st := s.WALStats(); st.Records != 0 || st.Bytes != 0 {
+		t.Fatalf("an unencodable record reached the log: %+v", st)
+	}
+}
+
+// BenchmarkCommitMetadata is the durable half of a PATCH: the metadata
+// edit checked, its record encoded and appended to a log that does not
+// fsync, and the edited document applied.
+func BenchmarkCommitMetadata(b *testing.B) {
+	benchCommitMetadata(b, store.Options{Dir: b.TempDir()}, false)
+}
+
+// BenchmarkCommitMetadataSync is BenchmarkCommitMetadata on the write path
+// dlhub-server ships (-wal-sync=true, one fsync per record), from
+// GOMAXPROCS goroutines at once.
+func BenchmarkCommitMetadataSync(b *testing.B) {
+	benchCommitMetadata(b, store.Options{Dir: b.TempDir(), Sync: true}, true)
+}
+
+func benchCommitMetadata(b *testing.B, opts store.Options, parallel bool) {
+	s := walService(b, opts)
 	if _, err := s.Recover(); err != nil {
 		b.Fatal(err)
 	}
@@ -413,13 +566,25 @@ func BenchmarkLoggedMetadata(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	doc, _ := s.repo.latest(id)
-	rec := recMetadata{ID: id, Doc: doc}
+	edit := func(p *schema.Publication) { p.Title = "edited" }
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.logged(recKindMetadata, rec)
+	if !parallel {
+		for i := 0; i < b.N; i++ {
+			if err := s.UpdateMetadata(Anonymous, id, edit); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return
 	}
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := s.UpdateMetadata(Anonymous, id, edit); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // benchCatalogue is a recovered service on a WAL in dir holding 500

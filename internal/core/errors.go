@@ -34,6 +34,7 @@ const (
 	CodeOverloaded    Code = "overloaded"
 	CodeQuotaExceeded Code = "quota_exceeded"
 	CodeUpstream      Code = "upstream_error"
+	CodeUnavailable   Code = "unavailable"
 	CodeInternal      Code = "internal"
 )
 
@@ -101,7 +102,10 @@ var (
 	ErrOverloaded    = &Error{Code: CodeOverloaded, HTTPStatus: http.StatusTooManyRequests, Message: "core: servable overloaded"}
 	ErrQuotaExceeded = &Error{Code: CodeQuotaExceeded, HTTPStatus: http.StatusTooManyRequests, Message: "core: tenant quota exceeded"}
 	ErrUpstream      = &Error{Code: CodeUpstream, HTTPStatus: http.StatusBadGateway, Message: "core: upstream failure"}
-	ErrInternal      = &Error{Code: CodeInternal, HTTPStatus: http.StatusInternalServerError, Message: "core: internal error"}
+	// ErrUnavailable is a change the durable store could not take: the
+	// WAL refused the append, and nothing changed.
+	ErrUnavailable = &Error{Code: CodeUnavailable, HTTPStatus: http.StatusServiceUnavailable, Message: "core: durable store unavailable"}
+	ErrInternal    = &Error{Code: CodeInternal, HTTPStatus: http.StatusInternalServerError, Message: "core: internal error"}
 )
 
 // wrapCtxErr converts a context termination into its typed service

@@ -25,6 +25,7 @@ var sentinelStatus = map[*Error]int{
 	ErrOverloaded:    http.StatusTooManyRequests,
 	ErrQuotaExceeded: http.StatusTooManyRequests,
 	ErrUpstream:      http.StatusBadGateway,
+	ErrUnavailable:   http.StatusServiceUnavailable,
 	ErrInternal:      http.StatusInternalServerError,
 }
 

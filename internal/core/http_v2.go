@@ -373,9 +373,14 @@ func (s *Service) handleV2Healthz(w http.ResponseWriter, r *http.Request) {
 	writeV2(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleV2Readyz reports readiness: at least one live Task Manager must
-// be registered for the service to accept serving traffic.
+// handleV2Readyz reports readiness: the durable store must take writes
+// (no latched WAL error) and at least one live Task Manager must be
+// registered for the service to accept serving traffic.
 func (s *Service) handleV2Readyz(w http.ResponseWriter, r *http.Request) {
+	if err := s.walErr(); err != nil {
+		writeV2Error(w, ErrUnavailable.WithDetail("not ready: "+err.Error()))
+		return
+	}
 	live := s.LiveTaskManagers()
 	if len(live) == 0 {
 		writeV2Error(w, ErrNoTaskManager.WithDetail("not ready: 0 live task managers"))

@@ -5,17 +5,22 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/servable"
+	"repro/internal/store"
 )
 
 // v2TB builds a testbed and serves its handler.
@@ -118,6 +123,39 @@ func TestV2Readyz(t *testing.T) {
 	resp, env = doV2(t, http.MethodGet, tbSrv.URL+"/api/v2/readyz", nil, nil)
 	if resp.StatusCode != http.StatusOK || env.Error != nil {
 		t.Fatalf("readyz with TM: status %d env %+v", resp.StatusCode, env.Error)
+	}
+
+	// A live TM and a WAL whose first fsync failed is not ready, and the
+	// answer names the error. wal.log is the null device, which takes
+	// writes and refuses fsync (EINVAL on Linux).
+	dir := t.TempDir()
+	if err := os.Symlink(os.DevNull, filepath.Join(dir, "wal.log")); err != nil {
+		t.Fatal(err)
+	}
+	w, err := store.Open(store.Options{Dir: dir, Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms = core.New(core.Config{Registry: container.NewRegistry(), Store: w})
+	t.Cleanup(func() { ms.Close(); w.Close() })
+	if _, err := ms.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	newSite(t, ms, "tm-1")
+	if err := ms.WaitForTM(1, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	walSrv := httptest.NewServer(ms.Handler())
+	defer walSrv.Close()
+	if resp, env = doV2(t, http.MethodGet, walSrv.URL+"/api/v2/readyz", nil, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("readyz before the failed fsync: status %d env %+v", resp.StatusCode, env.Error)
+	}
+	if _, err := ms.Publish(context.Background(), core.Anonymous, servable.NoopPackage()); !errors.Is(err, core.ErrUnavailable) {
+		t.Fatalf("publish with a failing fsync: got %v, want unavailable", err)
+	}
+	resp, env = doV2(t, http.MethodGet, walSrv.URL+"/api/v2/readyz", nil, nil)
+	if resp.StatusCode != http.StatusServiceUnavailable || env.Error == nil || env.Error.Code != string(core.CodeUnavailable) || !strings.Contains(env.Error.Detail, "append") {
+		t.Fatalf("readyz with a latched write error: status %d env %+v", resp.StatusCode, env.Error)
 	}
 }
 

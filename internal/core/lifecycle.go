@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"repro/internal/queue"
@@ -135,20 +136,17 @@ type DrainResult struct {
 // lapsed liveness window, its queue is purged instead of waited on, and
 // migration proceeds.
 func (s *Service) DrainTM(ctx context.Context, tmID string) (*DrainResult, error) {
-	if registered, _ := s.route.state(tmID); !registered {
-		return nil, ErrNoTaskManager.WithDetail(fmt.Sprintf("task manager %q not registered", tmID))
+	// Committed at the mark, not at drain completion: the mark is the
+	// state transition (routing excludes the site from here on), and a
+	// crash mid-drain must recover with the site still out of rotation.
+	// A deliberate re-drain must never be suppressed by the rejoin grace
+	// window (routingTable.beat) — markDraining clears the grace entry.
+	rec := recTM{TM: tmID}
+	if err := s.commit(recKindDrain, func() (any, error) { return rec, s.registeredTM(tmID) }, func() { s.applyDrain(rec) }); err != nil {
+		return nil, err
 	}
 	ctx, cancel := deployCtx(ctx)
 	defer cancel()
-
-	// A deliberate re-drain must never be suppressed by the rejoin
-	// grace window (routingTable.beat) — markDraining clears the grace
-	// entry too.
-	s.route.markDraining(tmID)
-	// Logged at the mark, not at drain completion: the mark is the
-	// state transition (routing excludes the site from here on), and a
-	// crash mid-drain must recover with the site still out of rotation.
-	s.logged(recKindDrain, recTM{TM: tmID})
 
 	// Ask the site to acknowledge; tolerate a dead site (that is what
 	// draining a crashed TM before deregistering it looks like).
@@ -236,8 +234,8 @@ func (s *Service) migratePlacements(ctx context.Context, tmID string) (*DrainRes
 		if elsewhere {
 			res.Removed = append(res.Removed, id)
 		}
-		if s.route.removePlacement(id, tmID) {
-			s.logged(recKindUndeploy, recPlacement{ID: id, TM: tmID})
+		if err := s.commitUndeploy(id, tmID); err != nil && !errors.Is(err, ErrNotFound) {
+			return nil, err
 		}
 		s.undeployAsync(id, tmID)
 	}
@@ -256,10 +254,15 @@ func (s *Service) migratePlacements(ctx context.Context, tmID string) (*DrainRes
 // placements or drain mark came back from the WAL, the site itself never
 // did) can be deregistered too — that is how an operator forgets it.
 func (s *Service) DeregisterTM(tmID string) error {
-	if !s.route.deregister(tmID) {
-		return ErrNoTaskManager.WithDetail(fmt.Sprintf("task manager %q not registered", tmID))
+	rec := recTM{TM: tmID}
+	if err := s.commit(recKindDeregister, func() (any, error) {
+		if known, _, _ := s.route.state(tmID); !known {
+			return nil, s.registeredTM(tmID)
+		}
+		return rec, nil
+	}, func() { s.applyDeregister(rec) }); err != nil {
+		return err
 	}
-	s.logged(recKindDeregister, recTM{TM: tmID})
 	if purged := s.broker.Purge(taskmanager.TaskQueue(tmID)); purged > 0 {
 		log.Printf("core: withdrew %d task(s) queued to deregistered TM %s", purged, tmID)
 	}
@@ -289,8 +292,8 @@ const rejoinGrace = 3 * time.Second
 // A dead or unresponsive TM cannot rejoin — the ack dispatch fails and
 // the drain mark stays.
 func (s *Service) RejoinTM(ctx context.Context, tmID string) error {
-	if registered, _ := s.route.state(tmID); !registered {
-		return ErrNoTaskManager.WithDetail(fmt.Sprintf("task manager %q not registered", tmID))
+	if err := s.registeredTM(tmID); err != nil {
+		return err
 	}
 	ctx, cancel := deployCtx(ctx)
 	defer cancel()
@@ -301,9 +304,8 @@ func (s *Service) RejoinTM(ctx context.Context, tmID string) error {
 		}
 		return fmt.Errorf("rejoin %s: site did not acknowledge (a dead TM cannot rejoin): %w", tmID, err)
 	}
-	s.route.clearDrainMark(tmID)
-	s.logged(recKindRejoin, recTM{TM: tmID})
-	return nil
+	rec := recTM{TM: tmID}
+	return s.commit(recKindRejoin, func() (any, error) { return rec, nil }, func() { s.applyRejoin(rec) })
 }
 
 // --- per-placement undeploy --------------------------------------------------
@@ -324,10 +326,9 @@ func (s *Service) Undeploy(ctx context.Context, caller Caller, servableID, tmID 
 	if doc.Owner != caller.IdentityID {
 		return fmt.Errorf("%w: only the owner may undeploy %s", ErrForbidden, servableID)
 	}
-	if !s.route.removePlacement(servableID, tmID) {
-		return ErrNotFound.WithDetail(fmt.Sprintf("%s has no placement on task manager %q", servableID, tmID))
+	if err := s.commitUndeploy(servableID, tmID); err != nil {
+		return err
 	}
-	s.logged(recKindUndeploy, recPlacement{ID: servableID, TM: tmID})
 	ctx, cancel := deployCtx(ctx)
 	defer cancel()
 	task := taskmanager.Task{ID: queue.NewID(), Kind: "undeploy", Servable: servableID}
@@ -339,6 +340,26 @@ func (s *Service) Undeploy(ctx context.Context, caller Caller, servableID, tmID 
 			return nil
 		}
 		return err
+	}
+	return nil
+}
+
+// commitUndeploy commits the removal of one placement; one that is not
+// there is ErrNotFound.
+func (s *Service) commitUndeploy(servableID, tmID string) error {
+	rec := recPlacement{ID: servableID, TM: tmID}
+	return s.commit(recKindUndeploy, func() (any, error) {
+		if !slices.Contains(s.route.placementsOf(servableID), tmID) {
+			return nil, ErrNotFound.WithDetail(fmt.Sprintf("%s has no placement on task manager %q", servableID, tmID))
+		}
+		return rec, nil
+	}, func() { s.applyUndeploy(rec) })
+}
+
+// registeredTM is ErrNoTaskManager for a TM that is not registered.
+func (s *Service) registeredTM(tmID string) error {
+	if _, registered, _ := s.route.state(tmID); !registered {
+		return ErrNoTaskManager.WithDetail(fmt.Sprintf("task manager %q not registered", tmID))
 	}
 	return nil
 }

@@ -20,7 +20,8 @@ import (
 // snapshot is an in-memory capture of the durable state, read by
 // writeCheckpoint and StateFingerprint.
 type snapshot struct {
-	Docs       map[string]*schema.Document
+	// Versions are every servable's documents, oldest first; the last is
+	// the latest.
 	Versions   map[string][]*schema.Document
 	Components map[string]map[string][]byte
 	Placements map[string][]string
@@ -44,37 +45,24 @@ type snapshot struct {
 // captureSnapshot collects the durable state. The catalogue costs
 // pointers and slice headers only: installed documents and component maps
 // are immutable (repository.go), so the encoder can read them after the
-// lock is dropped with nothing to race. Autoscale policies are collected
-// FIRST, outside the repository lock — the scaler's status path acquires
-// its own lock before it, so nesting repository.mu → scaler.mu here would
-// invert that order. The tenant registry and user table are collected
-// outside it too (each has its own lock and never nests with it), with
-// the same mutation-then-append guarantee as drain marks: a quota the
-// checkpoint misses still has its record in the tail.
-//
-// The routing slice (placements/replicas/draining) is captured while
-// the repository lock is still held for reading: every durable routing
-// mutation (recordDeployment, recordReplicas, Unpublish, replay) nests
-// its routing write under that lock, so holding it read-side here gives
-// the checkpoint the same repository-vs-routing consistency the
-// monolithic lock did. Drain/rejoin marks mutate outside it, but each
-// is logged() AFTER its in-memory mutation, and the checkpoint hook
-// blocks appends — a mark the checkpoint misses still has its record
-// replayed from the tail.
+// lock is dropped with nothing to race. Each part is read under its own
+// lock, one at a time; the caller holds what keeps every apply out
+// meanwhile — the WAL's lock for a checkpoint, commitMu for a
+// fingerprint — so the parts are of one state.
 func (s *Service) captureSnapshot() snapshot {
 	snap := snapshot{Policies: s.scaler.policies(), Users: s.snapshotUsers()}
 	snap.Tenants, snap.Bindings = s.tenants.Snapshot()
-	s.repo.capture(&snap, func() {
-		snap.Placements, snap.Replicas, snap.Draining = s.route.routeSnapshot()
-	})
+	s.repo.capture(&snap)
+	snap.Placements, snap.Replicas, snap.Draining = s.route.routeSnapshot()
 	return snap
 }
 
 // writeCheckpoint writes every durable fact to w as one record — the
 // store checkpoint hook (registered via store.SetCheckpointer). The WAL
-// calls it with its own lock held while appends are blocked, so the state
-// written provably includes every record about to be truncated; it must
-// therefore never call store.Append (deadlock) — it only reads.
+// calls it with its own lock held, which every commit's append and apply
+// also hold, so the state written is exactly that of the records about
+// to be truncated; it must therefore never commit (deadlock) — it only
+// reads.
 //
 // Records come in the order replay needs them — a servable before its
 // placements, a tenant's quota before its bindings — and in sorted key

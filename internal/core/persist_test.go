@@ -28,8 +28,8 @@ import (
 // below asserts CheckpointLoaded with nothing replayed where that matters.
 
 // unrecovered builds a store-backed service over dir WITHOUT recovering.
-// The store refuses appends until Recover, so whatever the caller does
-// to the service first lives in memory only.
+// The store refuses every commit until Recover, so the caller can change
+// no durable state first.
 func unrecovered(t *testing.T, dir string, compactEvery int) *core.Service {
 	t.Helper()
 	ms, _ := unrecoveredStore(t, dir, compactEvery)
@@ -237,12 +237,46 @@ func TestRestoredGhostPlacementDoesNotBlackHole(t *testing.T) {
 	}
 }
 
-// TestRecoverFlushesCache pins that cached results from before the
-// restore cannot be served after it.
-func TestRecoverFlushesCache(t *testing.T) {
+// TestNoCommitBeforeRecover: a service over a store refuses every
+// durable change until Recover has run, so nothing can be published —
+// and so nothing run or cached — from a state the restore then replaces.
+func TestNoCommitBeforeRecover(t *testing.T) {
 	dir := t.TempDir()
 	seed, _ := openRecovered(t, dir, 0)
 	if _, err := seed.Publish(context.Background(), core.Anonymous, servable.MatminerUtilPackage()); err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := seed.StateFingerprint()
+	seed.Close()
+
+	ms := unrecovered(t, dir, 0)
+	if _, err := ms.Publish(context.Background(), core.Anonymous, servable.NoopPackage()); !errors.Is(err, core.ErrUnavailable) {
+		t.Fatalf("publish before Recover: got %v, want unavailable", err)
+	}
+	if got := ms.StateFingerprint(); got != "" {
+		t.Fatalf("a refused publish left state behind:\n%s", got)
+	}
+	recoverFromCheckpoint(t, ms)
+	if got := ms.StateFingerprint(); got != want {
+		t.Fatalf("recovered state differs\n--- want\n%s--- got\n%s", want, got)
+	}
+	if _, err := ms.Publish(context.Background(), core.Anonymous, servable.NoopPackage()); err != nil {
+		t.Fatalf("publish after Recover: %v", err)
+	}
+}
+
+// TestRecoverFlushesCache pins that cached results from before the
+// restore cannot be served after it. Recover needs no flush for this:
+// before it runs nothing is published or deployed, so nothing can be run
+// into the cache, and the first run after it is computed afresh.
+func TestRecoverFlushesCache(t *testing.T) {
+	dir := t.TempDir()
+	seed, _ := openRecovered(t, dir, 0)
+	id, err := seed.Publish(context.Background(), core.Anonymous, servable.MatminerUtilPackage())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := seed.Checkpoint(); err != nil {
@@ -255,22 +289,35 @@ func TestRecoverFlushesCache(t *testing.T) {
 	if err := ms.WaitForTM(1, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	id, err := ms.Publish(context.Background(), core.Anonymous, servable.MatminerUtilPackage())
-	if err != nil {
-		t.Fatal(err)
+	if err := ms.Deploy(context.Background(), core.Anonymous, id, 1, "parsl"); err == nil {
+		t.Fatal("a deploy before Recover succeeded")
 	}
-	if err := ms.Deploy(context.Background(), core.Anonymous, id, 1, "parsl"); err != nil {
-		t.Fatal(err)
+	if _, err := ms.Run(context.Background(), core.Anonymous, id, "NaCl", core.RunOptions{}); err == nil {
+		t.Fatal("a run before Recover succeeded")
 	}
-	if _, err := ms.Run(context.Background(), core.Anonymous, id, "NaCl", core.RunOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if st := ms.CacheStats(); st.Entries == 0 {
-		t.Fatal("setup: expected a warm cache entry")
+	if st := ms.CacheStats(); st.Entries != 0 {
+		t.Fatalf("cache warmed before Recover: %+v", st)
 	}
 	recoverFromCheckpoint(t, ms)
 	if st := ms.CacheStats(); st.Entries != 0 {
 		t.Fatalf("cache entries survived the restore: %+v", st)
+	}
+	if err := ms.Deploy(context.Background(), core.Anonymous, id, 1, "parsl"); err != nil {
+		t.Fatal(err)
+	}
+	first, err := ms.Run(context.Background(), core.Anonymous, id, "NaCl", core.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.CacheHit {
+		t.Fatal("the first run after the restore was served from the cache")
+	}
+	again, err := ms.Run(context.Background(), core.Anonymous, id, "NaCl", core.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.CacheHit {
+		t.Fatal("setup: a repeated run after the restore missed the cache")
 	}
 }
 

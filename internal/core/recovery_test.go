@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,100 +39,112 @@ func openRecovered(t *testing.T, dir string, compactEvery int) (*core.Service, s
 
 // TestRecoveryRandomInterleaving is the property-style check: random
 // interleavings of repository mutations (publish, metadata update,
-// unpublish, autoscale policy, forced checkpoints), interrupted by
-// kill-and-recover cycles. After every cycle the recovered service
-// must fingerprint-identical to the one that was killed — the live
-// pre-kill service is the shadow copy.
+// unpublish, autoscale policy, tenant quota and binding, forced
+// checkpoints) from four goroutines at once, against a compaction
+// threshold of five records, interrupted by kill-and-recover cycles.
+// After every cycle the recovered service must fingerprint-identical to
+// the one that was killed — the live pre-kill service is the shadow
+// copy.
 func TestRecoveryRandomInterleaving(t *testing.T) {
+	const writers = 4
 	for _, seed := range []int64{1, 7, 42, 4242} {
 		seed := seed
 		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
 			t.Parallel()
-			rng := rand.New(rand.NewSource(seed))
 			dir := t.TempDir()
-			// A tiny compaction threshold forces checkpoints to race the
-			// mutation stream, exercising the upsert replay semantics.
+			// A tiny compaction threshold makes checkpoints race the
+			// mutation stream.
 			ms, w := unrecoveredStore(t, dir, 5)
 			if _, err := ms.Recover(); err != nil {
 				t.Fatal(err)
 			}
 
-			var known []string
 			priorities := []string{"high", "normal", "low"}
-			mutate := func() {
+			// Each writer has its own rng and publishes under its own
+			// names, so its updates and unpublishes find their servables.
+			mutate := func(rng *rand.Rand, g int, known *[]string) error {
+				publish := func(pkg *servable.Package) error {
+					pkg.Doc.Publication.Name += "-" + strconv.Itoa(g)
+					id, err := ms.Publish(context.Background(), core.Anonymous, pkg)
+					*known = appendUnique(*known, id)
+					return err
+				}
 				switch rng.Intn(8) {
 				case 0:
-					id, err := ms.Publish(context.Background(), core.Anonymous, servable.NoopPackage())
-					if err != nil {
-						t.Fatal(err)
-					}
-					known = appendUnique(known, id)
+					return publish(servable.NoopPackage())
 				case 1:
-					id, err := ms.Publish(context.Background(), core.Anonymous, servable.MatminerUtilPackage())
-					if err != nil {
-						t.Fatal(err)
-					}
-					known = appendUnique(known, id)
+					return publish(servable.MatminerUtilPackage())
 				case 2:
-					if len(known) == 0 {
-						return
+					if len(*known) == 0 {
+						return nil
 					}
-					id := known[rng.Intn(len(known))]
+					id := (*known)[rng.Intn(len(*known))]
 					title := time.Duration(rng.Int63n(1 << 20)).String()
-					if err := ms.UpdateMetadata(core.Anonymous, id, func(p *schema.Publication) {
+					return ms.UpdateMetadata(core.Anonymous, id, func(p *schema.Publication) {
 						p.Title = "edited " + title
-					}); err != nil {
-						t.Fatal(err)
-					}
+					})
 				case 3:
-					if len(known) == 0 {
-						return
+					if len(*known) == 0 {
+						return nil
 					}
-					id := known[rng.Intn(len(known))]
+					id := (*known)[rng.Intn(len(*known))]
 					p := core.AutoscalePolicy{Enabled: true, MinReplicas: 1, MaxReplicas: 2 + rng.Intn(8), TargetLoad: 2}
-					if err := ms.SetAutoscalePolicy(core.Anonymous, id, p); err != nil {
-						t.Fatal(err)
-					}
+					return ms.SetAutoscalePolicy(core.Anonymous, id, p)
 				case 4:
 					// Unpublish rarely, so the repository keeps growing.
-					if len(known) < 2 || rng.Intn(4) != 0 {
-						return
+					if len(*known) < 2 || rng.Intn(4) != 0 {
+						return nil
 					}
-					i := rng.Intn(len(known))
-					if err := ms.Unpublish(core.Anonymous, known[i]); err != nil {
-						t.Fatal(err)
-					}
-					known = append(known[:i], known[i+1:]...)
+					i := rng.Intn(len(*known))
+					id := (*known)[i]
+					*known = append((*known)[:i], (*known)[i+1:]...)
+					return ms.Unpublish(core.Anonymous, id)
 				case 5:
 					// A checkpoint between two mutations must never lose
 					// the second one.
 					if rng.Intn(3) != 0 {
-						return
+						return nil
 					}
-					if err := ms.Checkpoint(); err != nil {
-						t.Fatal(err)
-					}
+					return ms.Checkpoint()
 				case 6:
-					// Tenant quotas are durable records too; re-setting an
-					// existing tenant's quota exercises the upsert replay.
+					// Tenants are shared between the writers: the last
+					// quota set wins, live and replayed alike.
 					tid := "tenant-" + strconv.Itoa(rng.Intn(4))
 					q := auth.Quota{
 						MaxInFlight: rng.Intn(8),
 						RatePerSec:  float64(rng.Intn(50)),
 						Priority:    priorities[rng.Intn(len(priorities))],
 					}
-					if _, err := ms.SetTenantQuota(tid, q); err != nil {
-						t.Fatal(err)
-					}
-				case 7:
-					ms.BindTenant("urn:identity:test:user-"+strconv.Itoa(rng.Intn(6)),
+					_, err := ms.SetTenantQuota(tid, q)
+					return err
+				default:
+					return ms.BindTenant("urn:identity:test:user-"+strconv.Itoa(rng.Intn(6)),
 						"tenant-"+strconv.Itoa(rng.Intn(4)))
 				}
 			}
 
+			rngs := make([]*rand.Rand, writers)
+			known := make([][]string, writers)
+			for g := range rngs {
+				rngs[g] = rand.New(rand.NewSource(seed*writers + int64(g)))
+			}
 			for cycle := 0; cycle < 3; cycle++ {
-				for i := 0; i < 20; i++ {
-					mutate()
+				var wg sync.WaitGroup
+				for g := 0; g < writers; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := 0; i < 20; i++ {
+							if err := mutate(rngs[g], g, &known[g]); err != nil {
+								t.Errorf("writer %d: %v", g, err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				if t.Failed() {
+					return
 				}
 				want := ms.StateFingerprint()
 				// Kill: no shutdown checkpoint, the store is simply

@@ -25,11 +25,11 @@ import (
 // changes the entry it describes, so a search hit always names a
 // servable latest() resolves, and the other way round.
 //
-// Lock order: r.mu → {rt.mu, result cache}, never the reverse.
-// The control-plane operations that must be atomic against an unpublish
-// run their routing write inside whilePublished (read side) or remove
-// (write side). logged() is never called with r.mu held: the WAL runs
-// the checkpoint hook, which takes r.mu, under its own lock.
+// Every write is one record kind's apply (durable.go), so it runs under
+// commitMu and the WAL's lock, and r.mu is never held while another of
+// the service's locks is taken. A mutation splits in two: a check that
+// reads (nextVersion, edited, owned) and the apply that writes (put,
+// setLatest, remove); commitMu keeps the state between them still.
 type repository struct {
 	mu      sync.RWMutex
 	entries map[string]*entry
@@ -37,7 +37,8 @@ type repository struct {
 }
 
 // entry is one servable: versions[i] is version i+1 (a slot is nil only
-// while WAL replay waits for a record that arrived out of order), the
+// while replaying a log an older build wrote, whose concurrent publishes
+// could land out of order), the
 // last slot is the latest, and components belong to the latest.
 type entry struct {
 	versions   []*schema.Document
@@ -98,23 +99,24 @@ func (r *repository) search(q search.Query) search.Result {
 	return r.index.Search(q)
 }
 
-// install publishes doc as the next version of doc.ID, stamping the
-// version number on it. The repository owns doc from here on.
-func (r *repository) install(doc *schema.Document, components map[string][]byte) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	doc.Version = 1
-	if e, ok := r.entries[doc.ID]; ok {
-		doc.Version = len(e.versions) + 1
+// nextVersion is the version a publish of id installs.
+func (r *repository) nextVersion(id string) int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if e, ok := r.entries[id]; ok {
+		return len(e.versions) + 1
 	}
-	r.putLocked(doc, components)
+	return 1
 }
 
-// putLocked places doc in the slot its Version names, creating the entry
-// and padding the slots below it as needed; r.mu held for writing. Only
-// a document that lands in the last slot — the latest — brings its
-// components and is indexed.
-func (r *repository) putLocked(doc *schema.Document, components map[string][]byte) {
+// put places doc in the slot its Version names, creating the entry and
+// padding the slots below it as needed. Only a document that lands in
+// the last slot — the latest — brings its components and is indexed, so
+// a checkpoint's older versions, written after the latest, fill their
+// slots without touching the index.
+func (r *repository) put(doc *schema.Document, components map[string][]byte) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	e := r.entries[doc.ID]
 	if e == nil {
 		e = &entry{}
@@ -131,7 +133,7 @@ func (r *repository) putLocked(doc *schema.Document, components map[string][]byt
 }
 
 // ownedLocked resolves id for a mutation only its owner may make; r.mu
-// held for writing.
+// held.
 func (r *repository) ownedLocked(id, owner, verb string) (*entry, error) {
 	e, ok := r.entries[id]
 	if !ok {
@@ -143,12 +145,19 @@ func (r *repository) ownedLocked(id, owner, verb string) (*entry, error) {
 	return e, nil
 }
 
-// update applies edit to a COPY of the latest document's publication
-// block and, when the result validates, installs the copy in the latest
-// slot and returns it. A rejected edit changes nothing.
-func (r *repository) update(id, owner string, edit func(*schema.Publication)) (*schema.Document, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// owned checks that id is published and that owner may verb it.
+func (r *repository) owned(id, owner, verb string) error {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	_, err := r.ownedLocked(id, owner, verb)
+	return err
+}
+
+// edited applies edit to a COPY of the latest document's publication
+// block and returns the copy if it validates. Nothing is installed.
+func (r *repository) edited(id, owner string, edit func(*schema.Publication)) (*schema.Document, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	e, err := r.ownedLocked(id, owner, "update")
 	if err != nil {
 		return nil, err
@@ -158,59 +167,13 @@ func (r *repository) update(id, owner string, edit func(*schema.Publication)) (*
 	if err := schema.Validate(doc); err != nil {
 		return nil, err
 	}
-	e.versions[len(e.versions)-1] = doc
-	r.ingestLocked(doc)
 	return doc, nil
 }
 
-// remove deletes a servable — every version, its components, its index
-// entry — and calls under with the write lock still held. under drops
-// what must not outlive the entry (placements, cached results): a
-// deploy recording its placement runs inside whilePublished, so it
-// cannot interleave and leave a ghost placement for the deleted
-// servable, and a re-Publish of the id cannot start until under has
-// returned, so nothing of the fresh publication is destroyed.
-func (r *repository) remove(id, owner string, under func()) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, err := r.ownedLocked(id, owner, "unpublish"); err != nil {
-		return err
-	}
-	delete(r.entries, id)
-	r.index.Delete(id)
-	under()
-	return nil
-}
-
-// whilePublished runs fn with the read lock held if id is published,
-// and reports whether it was. fn's routing write and a concurrent
-// remove's are therefore mutually exclusive.
-func (r *repository) whilePublished(id string, fn func()) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.entries[id]
-	if ok {
-		fn()
-	}
-	return ok
-}
-
-// --- WAL replay (durable.go) and the checkpoint (persist.go) ----------------
-
-// replayVersion is install for a publish record. Replay is an upsert:
-// the checkpoint may already hold the version, and records of
-// concurrent publishes may sit in the log out of order — each lands in
-// its own slot, and only the newest brings its components.
-func (r *repository) replayVersion(doc *schema.Document, components map[string][]byte) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.putLocked(doc, components)
-}
-
-// replayMetadata is update for a metadata record, which carries the
-// whole edited document. It applies only to the version that is still
-// the latest: an edit of a since-superseded version is history.
-func (r *repository) replayMetadata(id string, doc *schema.Document) {
+// setLatest installs an edited document in the latest slot. It applies
+// only to the version that is still the latest: an edit of a
+// since-superseded version is history.
+func (r *repository) setLatest(id string, doc *schema.Document) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e, ok := r.entries[id]; ok && e.latest().Version == doc.Version {
@@ -219,20 +182,24 @@ func (r *repository) replayMetadata(id string, doc *schema.Document) {
 	}
 }
 
+// remove deletes a servable — every version, its components, its index
+// entry.
+func (r *repository) remove(id string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	delete(r.entries, id)
+	r.index.Delete(id)
+}
+
 // capture fills snap's catalogue fields — pointers and copies of the
-// version slices only; the documents are immutable — and calls under
-// with the read lock still held, so what under adds is consistent with
-// the catalogue (persist.go).
-func (r *repository) capture(snap *snapshot, under func()) {
+// version slices only; the documents are immutable (persist.go).
+func (r *repository) capture(snap *snapshot) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	snap.Docs = make(map[string]*schema.Document, len(r.entries))
 	snap.Versions = make(map[string][]*schema.Document, len(r.entries))
 	snap.Components = make(map[string]map[string][]byte, len(r.entries))
 	for id, e := range r.entries {
-		snap.Docs[id] = e.latest()
 		snap.Versions[id] = append([]*schema.Document(nil), e.versions...)
 		snap.Components[id] = e.components
 	}
-	under()
 }

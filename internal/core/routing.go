@@ -14,18 +14,17 @@ package core
 // Waiting costs O(#TMs) timers, and O(waiters) work only at the moment
 // a TM is actually lost.
 //
-// Lock order: repository.mu may be HELD while calling into the routing
-// table (the few cross-domain control-plane operations —
-// recordDeployment, recordReplicas, Unpublish, WAL replay — run their
-// routing write inside repository.whilePublished or repository.remove
-// to stay atomic against each other), but routing-table methods never
-// reach the repository, and no caller may acquire repository.mu while
-// holding rt.mu (rt.mu is private to this file, so that cannot happen
-// by construction). Waiters' cancel funcs fire under rt.mu; they are
-// context cancels and take no lock of ours. The hot path — pick,
-// charge/discharge, admission reserve/release — therefore only ever
-// takes rt.mu, and a Publish holding repository.mu cannot stall a
-// single routed run. See docs/ARCHITECTURE.md "Concurrency model".
+// Lock order: rt.mu is taken with no other lock of the repository's or
+// the routing table's held, and routing-table methods never reach the
+// repository (rt.mu is private to this file, so that holds by
+// construction). Durable routing writes — placements, replicas, drain
+// marks, deregistration — are record applies (durable.go) and run under
+// commitMu and the WAL's lock, which rank above rt.mu. Waiters' cancel
+// funcs fire under rt.mu; they are context cancels and take no lock of
+// ours. The hot path — pick, charge/discharge, admission
+// reserve/release — therefore only ever takes rt.mu, and a Publish
+// cannot stall a single routed run. See docs/ARCHITECTURE.md
+// "Concurrency model".
 //
 // Methods are self-locking; the *Locked helpers at the bottom require
 // rt.mu.
@@ -234,20 +233,20 @@ func (rt *routingTable) snapshotTMs() fleetView {
 	return v
 }
 
-// state reports whether a TM is registered and whether it is marked
-// draining.
-func (rt *routingTable) state(tmID string) (registered, draining bool) {
+// state reports whether the table has a record of a TM, whether it is
+// registered and whether it is marked draining.
+func (rt *routingTable) state(tmID string) (known, registered, draining bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if tm := rt.tmLocked(tmID); tm != nil {
-		return tm.registered, tm.draining
+		return true, tm.registered, tm.draining
 	}
-	return false, false
+	return false, false, false
 }
 
-// markDraining sets a TM's drain mark (DrainTM and WAL replay, where the
-// TM has usually not registered yet). A deliberate (re-)drain must never
-// be suppressed by the rejoin grace window, so the grace stamp is
+// markDraining sets a TM's drain mark (the drain record's apply; at boot
+// the TM has usually not registered yet). A deliberate (re-)drain must
+// never be suppressed by the rejoin grace window, so the grace stamp is
 // cleared too.
 func (rt *routingTable) markDraining(tmID string) {
 	rt.mu.Lock()
@@ -258,7 +257,7 @@ func (rt *routingTable) markDraining(tmID string) {
 }
 
 // clearDrainMark drops a TM's drain mark and stamps the rejoin-grace
-// window (RejoinTM and its WAL replay).
+// window (the rejoin record's apply).
 func (rt *routingTable) clearDrainMark(tmID string) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -499,35 +498,34 @@ func (rt *routingTable) hostedElsewhereLive(servableID string) bool {
 	return len(rt.candidatesLocked(buf[:0], rt.servables[servableID].placements, nil)) > 0
 }
 
-// recordDeployment records placement and desired replicas for a
-// completed deploy, but ONLY while the target TM is still routable: a
-// deploy that lost the race to a concurrent DrainTM (or a
+// deployable refuses a deploy's placement on a TM that is no longer
+// routable: one that lost the race to a concurrent DrainTM (or a
 // deregistration) must not re-grow placement on a site being emptied —
-// the drain's migration pass has already run or will never see this
-// entry. The servable-existence half of the check stays with the
-// caller (Service.recordDeployment), which holds the repository lock
-// across this call.
-func (rt *routingTable) recordDeployment(servableID, tmID string, replicas int) error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	switch tm := rt.tmLocked(tmID); {
-	case tm == nil || !tm.registered:
+// the drain's migration pass has already run or will never see it.
+func (rt *routingTable) deployable(tmID string) error {
+	switch _, registered, draining := rt.state(tmID); {
+	case !registered:
 		return fmt.Errorf("%w: task manager %s deregistered during deploy", ErrConflict, tmID)
-	case tm.draining:
+	case draining:
 		return fmt.Errorf("%w: task manager %s is draining", ErrConflict, tmID)
 	}
-	rt.placeLocked(servableID, tmID, replicas)
 	return nil
 }
 
-// place installs a placement as durable state describes it, without
-// recordDeployment's routability checks: the record is of a deploy that
-// already happened, and at boot its TM has not registered yet. replicas
-// is only taken when the record carries a count.
+// place installs a placement, and the desired replica count when it is
+// non-zero. It checks nothing: a deploy is checked before its record is
+// committed, and at boot the record's TM has not registered yet.
 func (rt *routingTable) place(servableID, tmID string, replicas int) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.placeLocked(servableID, tmID, replicas)
+	sv := rt.servables[servableID]
+	if tm := rt.ensureTMLocked(tmID); !slices.Contains(sv.placements, tm) {
+		sv.placements = append(sv.placements, tm)
+	}
+	if replicas > 0 {
+		sv.replicas = replicas
+	}
+	rt.servables[servableID] = sv
 }
 
 // removePlacement drops one (servable, TM) placement entry.
@@ -539,21 +537,18 @@ func (rt *routingTable) removePlacement(servableID, tmID string) bool {
 }
 
 // dropServable removes a servable's placements and replica record
-// (Unpublish), returning the TMs that were hosting it so the caller can
-// tear their replicas down. Demand and reservations of runs still in
-// flight stay until those runs release them.
-func (rt *routingTable) dropServable(servableID string) (placed []string) {
+// (Unpublish). Demand and reservations of runs still in flight stay
+// until those runs release them.
+func (rt *routingTable) dropServable(servableID string) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	sv := rt.servables[servableID]
-	placed = tmIDs(sv.placements)
 	sv.placements, sv.replicas = nil, 0
 	rt.putLocked(servableID, sv)
-	return placed
 }
 
-// setReplicas records the desired replica count (Scale outcome / WAL
-// replay).
+// setReplicas records the desired replica count (the scale record's
+// apply).
 func (rt *routingTable) setReplicas(servableID string, replicas int) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -716,19 +711,6 @@ func (rt *routingTable) putLocked(servableID string, sv servableEntry) {
 	if len(sv.placements) == 0 && sv.replicas == 0 && sv.inflight == 0 && sv.reserved == 0 {
 		delete(rt.servables, servableID)
 		return
-	}
-	rt.servables[servableID] = sv
-}
-
-// placeLocked appends a placement if absent and, when replicas > 0,
-// sets the desired count.
-func (rt *routingTable) placeLocked(servableID, tmID string, replicas int) {
-	sv := rt.servables[servableID]
-	if tm := rt.ensureTMLocked(tmID); !slices.Contains(sv.placements, tm) {
-		sv.placements = append(sv.placements, tm)
-	}
-	if replicas > 0 {
-		sv.replicas = replicas
 	}
 	rt.servables[servableID] = sv
 }

@@ -187,11 +187,11 @@ func (m *routingModel) unreserve(i int) {
 }
 
 func (m *routingModel) dropServable(id string) {
-	got := m.rt.dropServable(id)
 	sv := m.sv(id)
-	if !slices.Equal(got, sv.placements) {
-		m.t.Fatalf("dropServable(%s) = %v, model placements %v", id, got, sv.placements)
+	if got := m.rt.placementsOf(id); !slices.Equal(got, sv.placements) {
+		m.t.Fatalf("placementsOf(%s) = %v before dropServable, model placements %v", id, got, sv.placements)
 	}
+	m.rt.dropServable(id)
 	sv.placements, sv.replicas = nil, 0
 }
 
@@ -270,15 +270,16 @@ func testRoutingModel(t *testing.T, seed int64, staleAfter time.Duration) {
 			if len(m.reserved) > 0 {
 				m.unreserve(rng.Intn(len(m.reserved)))
 			}
-		case 9: // recordDeployment / removePlacement
+		case 9: // deployable + place / removePlacement
 			tm, sv := m.tms[tmID], m.sv(svID)
 			if rng.Intn(3) > 0 {
 				replicas := 1 + rng.Intn(4)
-				err := m.rt.recordDeployment(svID, tmID, replicas)
+				err := m.rt.deployable(tmID)
 				if ok := m.routable(tm, nil); ok != (err == nil) {
-					t.Fatalf("step %d: recordDeployment(%s, %s) = %v; model routable = %v", step, svID, tmID, err, ok)
+					t.Fatalf("step %d: deployable(%s) = %v; model routable = %v", step, tmID, err, ok)
 				}
 				if err == nil {
+					m.rt.place(svID, tmID, replicas)
 					if !slices.Contains(sv.placements, tmID) {
 						sv.placements = append(sv.placements, tmID)
 					}

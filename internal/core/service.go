@@ -143,10 +143,10 @@ type Config struct {
 	// Failover requires TMStaleAfter > 0 — without a liveness window
 	// there is no dead-TM signal to act on.
 	FailoverRetries int
-	// Store is the durability seam (durable.go): every repository
-	// mutation appends a record to it, and Recover replays it at boot.
-	// Nil disables durable logging entirely — tests and the bench
-	// testbed pay nothing.
+	// Store is the durability seam (durable.go): every durable change
+	// commits a record to it before it is applied, and Recover replays
+	// it at boot. Nil disables durable logging entirely — tests and the
+	// bench testbed pay nothing.
 	Store *store.WAL
 }
 
@@ -170,10 +170,13 @@ type Service struct {
 	// errTMLost out to its in-flight dispatches, load, drain mark — and
 	// one per servable — placements, desired replicas, in-flight and
 	// admission counters — under its own lock, so the serving hot path
-	// never contends with repository writes. Lock order: the
-	// repository's lock may be held while calling into route; route
-	// methods never reach the repository.
+	// never contends with repository writes. Neither lock is held while
+	// the other is taken.
 	route *routingTable
+
+	// commitMu serializes durable changes from their check to their
+	// apply (commit, durable.go). It is the outermost lock.
+	commitMu sync.Mutex
 
 	// failover counters (lifecycle.go): dispatches aborted because their
 	// TM went silent, re-dispatches to another site, and requests that
@@ -385,30 +388,6 @@ func (s *Service) LiveTaskManagers() []string {
 // /api/v2/stats "watcher" block).
 func (s *Service) WatcherStats() WatcherStats { return s.route.stats() }
 
-// recordDeployment records placement and desired replicas for a
-// completed deploy, but ONLY while the servable is still published AND
-// the target TM is still routable: a deploy whose task was in flight
-// when an Unpublish won must not resurrect routing state for a deleted
-// servable, and one that lost the race to a concurrent DrainTM (or a
-// deregistration) must not re-grow placement on a site being emptied —
-// the drain's migration pass has already run or will never see this
-// entry. A non-nil error tells the caller to undeploy the fresh
-// replicas.
-//
-// The repository lock is held (read) ACROSS the routing-table update:
-// Unpublish removes a servable's placements while holding the lock for
-// writing, so a deploy here and an unpublish there stay mutually
-// exclusive — no placement entry can be resurrected for a servable
-// deleted between the existence check and the routing write.
-// (repository.mu → rt.mu is the one sanctioned nesting; see routing.go.)
-func (s *Service) recordDeployment(servableID, tmID string, replicas int) error {
-	var err error
-	if !s.repo.whilePublished(servableID, func() { err = s.route.recordDeployment(servableID, tmID, replicas) }) {
-		return fmt.Errorf("%w: %s (unpublished during deploy)", ErrNotFound, servableID)
-	}
-	return err
-}
-
 // --- identity ---------------------------------------------------------------
 
 // Caller is a resolved request identity. Tenant is the accounting
@@ -481,16 +460,16 @@ func (s *Service) Publish(ctx context.Context, caller Caller, pkg *servable.Pack
 		// Owner-only by default.
 		doc.Publication.VisibleTo = []string{owner}
 	}
-	// Versioned, installed and indexed in one critical section: from
-	// here on the servable resolves and is discoverable, or neither.
-	s.repo.install(doc, pkg.Components)
-	// Logged at the repository transition, not after the build: a
-	// failed build leaves the version installed (matching in-memory
-	// semantics), and recovery replays exactly what the repository
-	// held. (Guarded: boxing the record costs an object per publish
-	// even when there is no store to take it.)
-	if s.cfg.Store != nil {
-		s.logged(recKindPublish, recPublish{Doc: doc, Components: pkg.Components})
+	// Versioned, installed and indexed in one apply: from there on the
+	// servable resolves and is discoverable, or neither. Committed
+	// before the build: a failed build leaves the version installed, and
+	// recovery replays exactly what the repository held.
+	rec := recPublish{Doc: doc, Components: pkg.Components}
+	if err := s.commit(recKindPublish, func() (any, error) {
+		doc.Version = s.repo.nextVersion(id)
+		return rec, nil
+	}, func() { s.applyPublish(rec) }); err != nil {
+		return "", err
 	}
 
 	// Build the servable container and store it in the registry
@@ -523,12 +502,13 @@ func ownerShort(identityID string) string {
 // nothing, and a document obtained before an accepted edit still reads
 // as it did.
 func (s *Service) UpdateMetadata(caller Caller, id string, update func(*schema.Publication)) error {
-	doc, err := s.repo.update(id, caller.IdentityID, update)
-	if err != nil {
+	var rec recMetadata
+	if err := s.commit(recKindMetadata, func() (any, error) {
+		doc, err := s.repo.edited(id, caller.IdentityID, update)
+		rec = recMetadata{ID: id, Doc: doc}
+		return rec, err
+	}, func() { s.applyMetadata(rec) }); err != nil {
 		return err
-	}
-	if s.cfg.Store != nil {
-		s.logged(recKindMetadata, recMetadata{ID: id, Doc: doc})
 	}
 	// Metadata changes can alter who may see results (e.g. VisibleTo
 	// flips); drop cached results rather than reason about which edits
@@ -547,25 +527,14 @@ func (s *Service) UpdateMetadata(caller Caller, id string, update func(*schema.P
 // resolved after fails with ErrNotFound at its step boundary.
 func (s *Service) Unpublish(caller Caller, id string) error {
 	var placed []string
-	// Routing state and cached results go in the SAME repository
-	// critical section as the entry and its index entry (repository.go,
-	// remove). The cache takes only its own lock; no inversion.
-	err := s.repo.remove(id, caller.IdentityID, func() {
-		placed = s.route.dropServable(id)
-		s.invalidateCache(id)
-	})
-	if err != nil {
+	rec := recServable{ID: id}
+	if err := s.commit(recKindUnpublish, func() (any, error) {
+		placed = s.route.placementsOf(id)
+		return rec, s.repo.owned(id, caller.IdentityID, "unpublish")
+	}, func() { s.applyUnpublish(rec) }); err != nil {
 		return err
 	}
-	s.logged(recKindUnpublish, recServable{ID: id})
-	// Controller state cleanup happens outside the repository lock (the
-	// autoscaler's status path acquires its own lock before it — nesting
-	// here would invert that order). A re-Publish racing this exact window
-	// may need to re-install its policy; the window is benign
-	// otherwise. Without the cleanup, the autoscaler would keep
-	// driving Scale tasks (and logging ErrNotFound) for a servable
-	// that no longer exists.
-	s.scaler.removePolicy(id)
+	s.invalidateCache(id)
 	// Undeploy is asynchronous and best-effort: the repository entry is
 	// already gone, and a site that misses the task only leaks until
 	// its own restart.
@@ -1234,17 +1203,17 @@ func (s *Service) DeployTo(ctx context.Context, caller Caller, servableID string
 		if tmID, err = s.route.pick(servableID, nil); err != nil {
 			return err
 		}
-	} else if registered, draining := s.route.state(tmID); !registered {
-		return ErrNoTaskManager.WithDetail(fmt.Sprintf("task manager %q not registered", tmID))
-	} else if draining {
+	} else if err := s.registeredTM(tmID); err != nil {
+		return err
+	} else if _, _, draining := s.route.state(tmID); draining {
 		return fmt.Errorf("%w: task manager %s is draining", ErrConflict, tmID)
 	}
 	return s.deployOn(ctx, servableID, pkg, tmID, replicas, executorRoute)
 }
 
 // deployOn is the one deploy path (Deploy/DeployTo and drain migration):
-// ship pkg to tmID, start replicas there, record the placement and log
-// it. At least one replica is recorded whatever the task asked for.
+// ship pkg to tmID, start replicas there, and commit the placement. At
+// least one replica is recorded whatever the task asked for.
 func (s *Service) deployOn(ctx context.Context, servableID string, pkg *servable.Package, tmID string, replicas int, executorRoute string) error {
 	wire, err := taskmanager.EncodePackage(pkg)
 	if err != nil {
@@ -1261,16 +1230,23 @@ func (s *Service) deployOn(ctx context.Context, servableID string, pkg *servable
 	if _, err := s.dispatchTo(ctx, tmID, task); err != nil {
 		return err
 	}
-	replicas = max(replicas, 1)
-	if err := s.recordDeployment(servableID, tmID, replicas); err != nil {
-		// Unpublished (or the target drained/deregistered) while the
-		// deploy task was in flight: the fresh replicas belong to
-		// routing state that must not exist. Tear them down instead of
-		// resurrecting it.
+	// The placement is recorded only while the servable is still
+	// published and the target still routable: a deploy whose task was
+	// in flight when an Unpublish won must not resurrect routing state
+	// for a deleted servable, and one that lost the race to a DrainTM or
+	// a deregistration must not re-grow placement on a site being
+	// emptied. Refused (or not durable), the fresh replicas are torn
+	// down instead.
+	rec := recPlacement{ID: servableID, TM: tmID, Replicas: max(replicas, 1)}
+	if err := s.commit(recKindDeploy, func() (any, error) {
+		if _, ok := s.repo.latest(servableID); !ok {
+			return nil, fmt.Errorf("%w: %s (unpublished during deploy)", ErrNotFound, servableID)
+		}
+		return rec, s.route.deployable(tmID)
+	}, func() { s.applyDeploy(rec) }); err != nil {
 		s.undeployAsync(servableID, tmID)
 		return err
 	}
-	s.logged(recKindDeploy, recPlacement{ID: servableID, TM: tmID, Replicas: replicas})
 	// The pods now run the latest version. A result cached since that
 	// version was published came from the pods it replaced, stored under
 	// the new version's key.
@@ -1290,17 +1266,6 @@ func (s *Service) undeployAsync(servableID, tmID string) {
 			log.Printf("core: undeploy %s from %s failed: %v", servableID, tmID, err)
 		}
 	}()
-}
-
-// recordReplicas remembers the desired replica count set by the last
-// successful Scale — the autoscaler's view of current scale. A Scale
-// that raced an Unpublish records nothing (the replicas map must not
-// regrow an entry for a deleted servable); the report tells the caller
-// whether to log the transition durably.
-func (s *Service) recordReplicas(servableID string, replicas int) bool {
-	// Repository lock held across the routing write, for the same
-	// atomicity-vs-Unpublish reason as recordDeployment.
-	return s.repo.whilePublished(servableID, func() { s.route.setReplicas(servableID, replicas) })
 }
 
 // DesiredReplicas reports the replica count last set by Deploy or Scale
@@ -1380,8 +1345,16 @@ func (s *Service) scaleReplicas(ctx context.Context, servableID string, replicas
 	if _, err := s.dispatch(ctx, task); err != nil {
 		return err
 	}
-	if s.recordReplicas(servableID, replicas) {
-		s.logged(recKindScale, recPlacement{ID: servableID, Replicas: replicas})
+	// A Scale that raced an Unpublish records nothing: the replicas map
+	// must not regrow an entry for a deleted servable.
+	rec := recPlacement{ID: servableID, Replicas: replicas}
+	if err := s.commit(recKindScale, func() (any, error) {
+		if _, ok := s.repo.latest(servableID); !ok {
+			return nil, nil
+		}
+		return rec, nil
+	}, func() { s.applyScale(rec) }); err != nil {
+		return err
 	}
 	// Replica churn restarts servable processes; drop cached results so
 	// post-scale traffic re-exercises the fresh deployment.

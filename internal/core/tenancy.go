@@ -12,7 +12,7 @@ package core
 // and dequeue fairness in the broker's weighted lanes (internal/queue).
 //
 // Quotas are durable policy: every SetTenantQuota and BindTenant is
-// logged through the durability seam (durable.go) and the registry is
+// committed through the durability seam (durable.go) and the registry is
 // folded into checkpoints, so a -data-dir server restarts with the
 // quotas, priorities, and identity bindings it crashed with. Only the
 // enforcement state here — token buckets, admission counters — is
@@ -217,8 +217,7 @@ func (s *Service) tenantView(t auth.Tenant) TenantView {
 // SetTenantQuota installs or replaces a tenant's quota spec and pushes
 // the priority class's dequeue weight to the broker, so fairness and
 // the next admission check both see the update immediately. The put is
-// logged durably (after the in-memory mutation, without s.mu held —
-// the standard logged() discipline), so it survives a restart.
+// committed (durable.go), so it survives a restart.
 func (s *Service) SetTenantQuota(tenantID string, q auth.Quota) (TenantView, error) {
 	if tenantID == "" || tenantID == auth.AnonymousTenantID {
 		return TenantView{}, ErrBadRequest.WithDetail("the anonymous tenant cannot carry a quota")
@@ -229,17 +228,19 @@ func (s *Service) SetTenantQuota(tenantID string, q auth.Quota) (TenantView, err
 	if q.MaxInFlight < 0 || !(q.RatePerSec >= 0 && q.RatePerSec <= math.MaxFloat64) { // NaN fails both
 		return TenantView{}, ErrBadRequest.WithDetail("quota bounds must be finite and >= 0 (0 = unlimited)")
 	}
-	t := s.tenants.SetQuota(tenantID, q)
-	s.broker.SetLaneWeight(tenantID, auth.PriorityWeight(q.Priority))
-	s.logged(recKindTenant, recTenantQuota{ID: tenantID, Quota: q})
+	rec := recTenantQuota{ID: tenantID, Quota: q}
+	if err := s.commit(recKindTenant, func() (any, error) { return rec, nil }, func() { s.applyTenantQuota(rec) }); err != nil {
+		return TenantView{}, err
+	}
+	t, _ := s.tenants.Get(tenantID)
 	return s.tenantView(t), nil
 }
 
 // BindTenant maps an identity URN onto a tenant for token resolution,
 // durably.
-func (s *Service) BindTenant(identityID, tenantID string) {
-	s.tenants.Bind(identityID, tenantID)
-	s.logged(recKindTenantBind, recTenantBind{IdentityID: identityID, TenantID: tenantID})
+func (s *Service) BindTenant(identityID, tenantID string) error {
+	rec := recTenantBind{IdentityID: identityID, TenantID: tenantID}
+	return s.commit(recKindTenantBind, func() (any, error) { return rec, nil }, func() { s.applyTenantBind(rec) })
 }
 
 // TenantList returns every registered tenant's quota spec, sorted by

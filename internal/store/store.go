@@ -10,23 +10,25 @@
 //
 // Contract highlights:
 //
-//   - Append is atomic per record (length+CRC32 framing): a crash mid
+//   - Commit is atomic per record (length+CRC32 framing): a crash mid
 //     write loses at most that one record, never corrupts earlier ones.
+//     The caller's state change runs after the record is written (and
+//     fsynced, with Sync), under the same lock as a checkpoint, so a
+//     change is never visible before it is durable and a checkpoint
+//     never falls between the two. A failed write is latched: the log
+//     takes nothing more until a restart.
 //   - Recover = apply the checkpoint's records, then the log tail's, in
 //     file order. A torn or corrupt final tail record is truncated with a
 //     warning — it is the in-flight mutation the crash interrupted. A bad
 //     frame in the checkpoint is corruption and fails the boot.
 //   - Compaction writes every durable fact as records into a fresh
 //     checkpoint and truncates the log; it is triggered by
-//     record-count/byte thresholds or an explicit Checkpoint call. Apply
-//     functions must therefore be upserts: a tail record may describe a
-//     mutation the checkpoint already contains (the checkpoint ran
-//     between the in-memory mutation and its append).
+//     record-count/byte thresholds or an explicit Checkpoint call.
 //
 // Usage order: SetCheckpointer, Recover (exactly once, before any
-// Append), then Append per mutation; Close on shutdown. Append must
-// never be called while holding locks the checkpointer acquires —
-// compaction runs the checkpointer while blocking appends.
+// Commit), then Commit per mutation; Close on shutdown. Neither Commit
+// nor Append may be called while holding locks the checkpointer
+// acquires, nor from inside an apply function.
 package store
 
 // Record is one durable state transition. Kind names the mutation

@@ -79,16 +79,18 @@ func (o Options) withDefaults() Options {
 type WAL struct {
 	opts Options
 
-	// mu serializes every log/file operation. Checkpoint holds it for
-	// the whole checkpoint write, so appends block (briefly) during
-	// compaction — which is exactly what makes truncation safe: the
-	// checkpoint provably contains every appended record.
+	// mu serializes every log/file operation. A Commit holds it from the
+	// append through its apply, and Checkpoint for the whole checkpoint
+	// write, which is what makes truncation safe: the checkpoint contains
+	// the state of every appended record and of no other.
 	mu         sync.Mutex
 	checkpoint func(w io.Writer) error
 	f          *os.File
 	seq        uint64
 	recovered  bool
 	closed     bool
+	// failed is the first write or fsync error, latched until restart.
+	failed error
 
 	tailRecords int
 	tailBytes   int64
@@ -102,7 +104,7 @@ type WAL struct {
 }
 
 // Open prepares a WAL store in opts.Dir. Call SetCheckpointer and then
-// Recover before the first Append.
+// Recover before the first Commit.
 func Open(opts Options) (*WAL, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
@@ -264,7 +266,7 @@ func (w *WAL) scan(f *os.File, apply func(rec Record) error) (good int64, record
 }
 
 // WriteRecord writes rec to wr as one frame. It is the only frame
-// writer: Append logs through it, and a checkpointer writes each of its
+// writer: Commit logs through it, and a checkpointer writes each of its
 // records through it with Seq 0.
 func WriteRecord(wr io.Writer, rec Record) error {
 	frame := make([]byte, frameLen(rec))
@@ -282,25 +284,31 @@ func WriteRecord(wr io.Writer, rec Record) error {
 // frameLen is the size of rec's frame on disk.
 func frameLen(rec Record) int { return frameHeaderLen + 10 + len(rec.Kind) + len(rec.Data) }
 
-// Append durably logs one record. The store assigns rec.Seq.
-func (w *WAL) Append(rec Record) error {
+// Commit durably logs one record and then, still holding the WAL's
+// lock, runs apply (nil for none), so a checkpoint never falls between a
+// record and the state change it describes. The store assigns rec.Seq.
+// The first write or fsync error is latched: that call and every later
+// Commit and Checkpoint return it, apply does not run, and the damaged
+// frame stays the last one in the log, which recovery truncates as a
+// torn tail.
+func (w *WAL) Commit(rec Record, apply func()) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return errors.New("store: append on closed WAL")
-	}
-	if !w.recovered {
-		return errors.New("store: append before Recover")
+	if err := w.usableLocked(); err != nil {
+		return err
 	}
 	w.seq++
 	rec.Seq = w.seq
-	if err := WriteRecord(w.f, rec); err != nil {
-		return fmt.Errorf("store: append: %w", err)
+	err := WriteRecord(w.f, rec)
+	if err == nil && w.opts.Sync {
+		err = w.f.Sync()
 	}
-	if w.opts.Sync {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("store: append sync: %w", err)
-		}
+	if err != nil {
+		w.failed = fmt.Errorf("store: append: %w", err)
+		return w.failed
+	}
+	if apply != nil {
+		apply()
 	}
 	w.tailRecords++
 	w.tailBytes += int64(frameLen(rec))
@@ -313,6 +321,29 @@ func (w *WAL) Append(rec Record) error {
 		}
 	}
 	return nil
+}
+
+// Append is Commit with nothing to apply.
+func (w *WAL) Append(rec Record) error { return w.Commit(rec, nil) }
+
+// Err reports why the log would refuse a Commit now — closed, not yet
+// recovered, or a latched write error — and nil while it takes writes.
+func (w *WAL) Err() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.usableLocked()
+}
+
+// usableLocked refuses a write to a log that is closed, not yet
+// recovered, or latched on an earlier write error.
+func (w *WAL) usableLocked() error {
+	switch {
+	case w.closed:
+		return errors.New("store: WAL is closed")
+	case !w.recovered:
+		return errors.New("store: WAL not recovered yet")
+	}
+	return w.failed
 }
 
 // compactLoop runs threshold-triggered compactions in the background so
@@ -332,18 +363,16 @@ func (w *WAL) compactLoop() {
 }
 
 // Checkpoint writes a fresh checkpoint through the registered
-// checkpointer and truncates the log. Appends block for the duration,
+// checkpointer and truncates the log. Commits block for the duration,
 // which is what makes the truncation safe: the checkpoint state
 // provably includes every record in the log being dropped.
 func (w *WAL) Checkpoint() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	switch {
-	case w.closed:
-		return errors.New("store: checkpoint on closed WAL")
-	case !w.recovered:
-		return errors.New("store: checkpoint before Recover")
-	case w.checkpoint == nil:
+	if err := w.usableLocked(); err != nil {
+		return err
+	}
+	if w.checkpoint == nil {
 		return errors.New("store: no checkpointer registered")
 	}
 	return w.checkpointLocked()
@@ -378,15 +407,18 @@ func (w *WAL) checkpointLocked() error {
 		return err
 	}
 	// The checkpoint is durable; the logged records it contains are now
-	// redundant. Truncate and rewind.
-	if err := w.f.Truncate(0); err != nil {
-		return fmt.Errorf("store: log truncate: %w", err)
+	// redundant. Truncate and rewind. A failure here leaves the log's end
+	// unknown, so it is latched like a failed append.
+	err = w.f.Truncate(0)
+	if err == nil {
+		_, err = w.f.Seek(0, io.SeekStart)
 	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return err
+	if err == nil {
+		err = w.f.Sync()
 	}
-	if err := w.f.Sync(); err != nil {
-		return err
+	if err != nil {
+		w.failed = fmt.Errorf("store: log truncate: %w", err)
+		return w.failed
 	}
 	w.tailRecords = 0
 	w.tailBytes = 0

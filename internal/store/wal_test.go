@@ -25,10 +25,11 @@ type kvStore struct {
 func newKV() *kvStore { return &kvStore{m: make(map[string]string)} }
 
 func (k *kvStore) set(s *WAL, key, val string) error {
-	k.mu.Lock()
-	k.m[key] = val
-	k.mu.Unlock()
-	return s.Append(Record{Kind: "set", Data: []byte(key + "=" + val)})
+	return s.Commit(Record{Kind: "set", Data: []byte(key + "=" + val)}, func() {
+		k.mu.Lock()
+		k.m[key] = val
+		k.mu.Unlock()
+	})
 }
 
 func (k *kvStore) checkpoint(w io.Writer) error {
@@ -317,6 +318,60 @@ func TestRecoverRemovesCheckpointTempFiles(t *testing.T) {
 	if !info.CheckpointLoaded || info.Replayed != 1 {
 		t.Fatalf("info = %+v, want the checkpoint and 1 tail record", info)
 	}
+	if got := kv2.snapshot(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("recovered %v, want %v", got, want)
+	}
+}
+
+// TestWALLatchesWriteError fails one commit by swapping the log's handle
+// for a read-only one on the same file, then puts the good handle back.
+// The failed commit must not apply, and the next Append and Checkpoint
+// must still fail — else a later record would land behind a damaged
+// frame, where recovery's truncation drops it. Recovery then keeps every
+// record acknowledged before the failure.
+func TestWALLatchesWriteError(t *testing.T) {
+	dir := t.TempDir()
+	kv := newKV()
+	w, _ := openWAL(t, dir, kv, Options{CompactEvery: -1, CompactBytes: -1})
+	for i := 0; i < 3; i++ {
+		if err := kv.set(w, fmt.Sprintf("k%d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := kv.snapshot()
+	w.SetCheckpointer(kv.checkpoint)
+	ro, err := os.Open(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	w.mu.Lock()
+	good := w.f
+	w.f = ro
+	w.mu.Unlock()
+	if err := kv.set(w, "lost", "v"); err == nil {
+		t.Fatal("a commit to a read-only log succeeded")
+	}
+	w.mu.Lock()
+	w.f = good
+	w.mu.Unlock()
+	if got := kv.snapshot(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("a failed commit applied: %v", got)
+	}
+	if err := w.Append(Record{Kind: "set", Data: []byte("after=v")}); err == nil {
+		t.Fatal("an append after a failed write succeeded")
+	}
+	if err := w.Checkpoint(); err == nil {
+		t.Fatal("a checkpoint after a failed write succeeded")
+	}
+	if w.Err() == nil {
+		t.Fatal("Err reports no latched error")
+	}
+	w.Close()
+
+	kv2 := newKV()
+	w2, _ := openWAL(t, dir, kv2, Options{CompactEvery: -1, CompactBytes: -1})
+	defer w2.Close()
 	if got := kv2.snapshot(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("recovered %v, want %v", got, want)
 	}
