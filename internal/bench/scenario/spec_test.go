@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -457,4 +458,24 @@ func TestCommittedScenarios(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzScenarioParse: Parse over arbitrary bytes returns a spec or an
+// error and never panics. It is seeded with every committed scenario.
+func FuzzScenarioParse(f *testing.F) {
+	paths, err := filepath.Glob("../../../scenarios/*.yaml")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no committed scenarios to seed from (%v)", err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(minimalSpec))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		Parse(data) //nolint:errcheck — only a panic fails
+	})
 }

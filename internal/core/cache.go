@@ -3,12 +3,9 @@ package core
 import (
 	"bytes"
 	"container/list"
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -21,8 +18,9 @@ import (
 // This cache sits one layer up, at the Management Service, in front of
 // routing: a hit answers without touching the queue or any TM at all,
 // and N concurrent identical requests collapse (singleflight) into one
-// dispatched task. The TM cache remains as the second tier for requests
-// that do reach a site.
+// dispatched task: the cache registers each miss in flight under its
+// key, under the lock its entries use. The TM cache remains as the
+// second tier for requests that do reach a site.
 //
 // Keys are (servableID, version, canonical-JSON(input)): the published
 // version is part of the key, so re-publishing a servable naturally
@@ -88,7 +86,8 @@ type cacheEntry struct {
 	expires  time.Time // zero = never
 }
 
-// resultCache is a bounded LRU with TTL over RunResults.
+// resultCache is a bounded LRU with TTL over RunResults, and the
+// registry of the misses in flight; one lock guards both.
 type resultCache struct {
 	mu         sync.Mutex
 	max        int
@@ -98,15 +97,11 @@ type resultCache struct {
 	lru        *list.List // front = most recently used, of *cacheEntry
 	entries    map[cacheKey]*list.Element
 	byServable map[string]map[cacheKey]*list.Element
-	// gens (per servable, bumped by invalidate) and epoch (bumped by
-	// flush) guard against the lookaside stale-write race: a put whose
-	// compute started under an older generation is discarded, so a
-	// result computed before an invalidation can never be stored after
-	// it. Both counters only grow, so their sum is a fingerprint that
-	// changes whenever either fires — without a publish of servable A
-	// discarding servable B's concurrent results.
-	gens  map[string]uint64
-	epoch uint64
+	// calls are the misses in flight, at most one per key (singleflight).
+	// invalidate and flush unregister them with the entries they drop, so
+	// a later arrival leads a fresh call and the old one's result is not
+	// stored.
+	calls map[cacheKey]*flightCall
 
 	hits, misses, evictions, expirations, invalidations, collapsed metrics.Counter
 
@@ -122,7 +117,7 @@ func newResultCache(cfg CacheConfig) *resultCache {
 		lru:        list.New(),
 		entries:    make(map[cacheKey]*list.Element),
 		byServable: make(map[string]map[cacheKey]*list.Element),
-		gens:       make(map[string]uint64),
+		calls:      make(map[cacheKey]*flightCall),
 		now:        time.Now,
 	}
 }
@@ -268,57 +263,85 @@ func compacted(raw json.RawMessage) json.RawMessage {
 	return buf.Bytes()
 }
 
-// get returns the cached result for key, counting a hit or miss.
-func (c *resultCache) get(key cacheKey) (RunResult, bool) {
+// flightCall is one miss in flight. The request that registered it (the
+// leader) dispatches; every identical request that arrives while it is
+// registered follows it and shares its result.
+type flightCall struct {
+	key      cacheKey
+	servable string
+	done     chan struct{} // closed by finish, after res and err are set
+	res      RunResult
+	err      error
+}
+
+// lookup answers a request for key in one critical section, counting a
+// hit or a miss: a hit returns the stored result and no call; a miss
+// returns the call registered for key, to follow, or registers a new one
+// that the caller leads (lead) and must finish.
+func (c *resultCache) lookup(key cacheKey, servableID string) (res RunResult, call *flightCall, lead bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	elem, ok := c.entries[key]
-	if !ok {
-		c.misses.Inc()
-		return RunResult{}, false
-	}
-	e := elem.Value.(*cacheEntry)
-	if !e.expires.IsZero() && c.now().After(e.expires) {
+	if elem, ok := c.entries[key]; ok {
+		e := elem.Value.(*cacheEntry)
+		if e.expires.IsZero() || !c.now().After(e.expires) {
+			c.lru.MoveToFront(elem)
+			c.hits.Inc()
+			return e.res, nil, false
+		}
 		c.unlinkLocked(elem)
 		c.expirations.Inc()
-		c.misses.Inc()
-		return RunResult{}, false
 	}
-	c.lru.MoveToFront(elem)
-	c.hits.Inc()
-	return e.res, true
+	c.misses.Inc()
+	call, lead = c.joinLocked(key, servableID)
+	return RunResult{}, call, lead
 }
 
-// generation returns the servable's current invalidation generation;
-// capture it before computing a result and pass it to put.
-func (c *resultCache) generation(servableID string) uint64 {
+// join is the second look of a follower whose leader was canceled: it
+// follows the call now registered for key, or leads a new one, and
+// counts nothing (the request's miss is already counted).
+func (c *resultCache) join(key cacheKey, servableID string) (*flightCall, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.epoch + c.gens[servableID]
+	return c.joinLocked(key, servableID)
 }
 
-// put stores a result computed under generation gen, evicting LRU
-// entries past the entry or byte budget. Puts from before an
-// invalidation (stale gen) and oversized results (more than a quarter
-// of the byte budget) are discarded.
-func (c *resultCache) put(key cacheKey, servableID string, gen uint64, res RunResult) {
+func (c *resultCache) joinLocked(key cacheKey, servableID string) (*flightCall, bool) {
+	if call, ok := c.calls[key]; ok {
+		return call, false
+	}
+	call := &flightCall{key: key, servable: servableID, done: make(chan struct{})}
+	c.calls[key] = call
+	return call, true
+}
+
+// finish ends a led call in one critical section: if the call is still
+// registered — no invalidation or flush since its lookup — it is
+// unregistered and a successful result stored; then its followers are
+// woken. A result computed before an invalidation is never stored after
+// it, and an arrival after the invalidation never joins it.
+func (c *resultCache) finish(call *flightCall, res RunResult, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	call.res, call.err = res, err
+	if c.calls[call.key] == call {
+		delete(c.calls, call.key)
+		if err == nil {
+			c.putLocked(call.key, call.servable, res)
+		}
+	}
+	close(call.done)
+}
+
+// putLocked stores a result, evicting LRU entries past the entry or byte
+// budget. Oversized results (more than a quarter of the byte budget) are
+// discarded, and so is a second result for a key already stored: a
+// follower whose leader was canceled can lead again after another call
+// stored the key. Caller holds c.mu.
+func (c *resultCache) putLocked(key cacheKey, servableID string, res RunResult) {
 	// The charge is the bytes the entry keeps alive. (Only successful
 	// non-pipeline results are cached: Error and Steps are empty.)
 	size := int64(len(res.TaskID) + len(res.Output) + len(res.Outputs))
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen != c.epoch+c.gens[servableID] || size > c.maxBytes/4 {
-		return
-	}
-	if elem, ok := c.entries[key]; ok {
-		// Refresh in place (e.g. re-computed after NoCache runs).
-		e := elem.Value.(*cacheEntry)
-		c.bytes += size - e.size
-		e.res = res
-		e.size = size
-		e.expires = c.expiry()
-		c.lru.MoveToFront(elem)
-		c.evictOverBudgetLocked(0)
+	if _, ok := c.entries[key]; ok || size > c.maxBytes/4 {
 		return
 	}
 	c.evictOverBudgetLocked(size)
@@ -334,16 +357,10 @@ func (c *resultCache) put(key cacheKey, servableID string, gen uint64, res RunRe
 	keys[key] = elem
 }
 
-// evictOverBudgetLocked drops LRU entries until an insert of reserve
+// evictOverBudgetLocked drops LRU entries until one more entry of size
 // bytes fits both budgets. Caller holds c.mu.
-func (c *resultCache) evictOverBudgetLocked(reserve int64) {
-	over := func() bool {
-		if reserve > 0 && c.lru.Len() >= c.max {
-			return true
-		}
-		return c.bytes+reserve > c.maxBytes
-	}
-	for c.lru.Len() > 0 && over() {
+func (c *resultCache) evictOverBudgetLocked(size int64) {
+	for c.lru.Len() > 0 && (c.lru.Len() >= c.max || c.bytes+size > c.maxBytes) {
 		c.unlinkLocked(c.lru.Back())
 		c.evictions.Inc()
 	}
@@ -371,7 +388,8 @@ func (c *resultCache) unlinkLocked(elem *list.Element) {
 }
 
 // invalidate drops every entry for one servable (all versions, all
-// inputs) — the Publish/UpdateMetadata/Scale hook.
+// inputs) and unregisters its calls in flight — the
+// Publish/UpdateMetadata/Scale hook.
 func (c *resultCache) invalidate(servableID string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -384,12 +402,17 @@ func (c *resultCache) invalidate(servableID string) int {
 		delete(c.entries, e.key)
 	}
 	delete(c.byServable, servableID)
-	c.gens[servableID]++
+	for key, call := range c.calls {
+		if call.servable == servableID {
+			delete(c.calls, key)
+		}
+	}
 	c.invalidations.Add(uint64(n))
 	return n
 }
 
-// flush empties the cache, keeping counters.
+// flush empties the cache and unregisters every call in flight,
+// keeping counters.
 func (c *resultCache) flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -397,8 +420,8 @@ func (c *resultCache) flush() {
 	c.lru.Init()
 	c.entries = make(map[cacheKey]*list.Element)
 	c.byServable = make(map[string]map[cacheKey]*list.Element)
+	clear(c.calls)
 	c.bytes = 0
-	c.epoch++
 	c.invalidations.Add(uint64(n))
 }
 
@@ -417,66 +440,5 @@ func (c *resultCache) stats() CacheStats {
 		Expirations:   c.expirations.Value(),
 		Invalidations: c.invalidations.Value(),
 		Collapsed:     c.collapsed.Value(),
-	}
-}
-
-// --- singleflight ------------------------------------------------------------
-
-// flightGroup collapses concurrent calls with the same key into one
-// execution whose result every caller shares (a minimal in-repo
-// singleflight; no external deps).
-type flightGroup struct {
-	mu    sync.Mutex
-	calls map[cacheKey]*flightCall
-}
-
-type flightCall struct {
-	done chan struct{}
-	res  RunResult
-	err  error
-}
-
-// do runs fn for key unless an identical call is already in flight, in
-// which case it waits for and shares that call's result. A follower's
-// wait is bounded by its own ctx, never the leader's (possibly much
-// longer) deadline. When the leader's dispatch dies on a context error
-// — the leader's client hung up — still-live followers are released
-// immediately and loop back: one becomes the new leader and
-// re-dispatches, so a canceled leader never takes its followers down
-// with it. shared reports whether this caller piggybacked on (or was
-// woken by) another's execution.
-func (g *flightGroup) do(ctx context.Context, key cacheKey, fn func() (RunResult, error)) (res RunResult, err error, shared bool) {
-	for {
-		g.mu.Lock()
-		if g.calls == nil {
-			g.calls = make(map[cacheKey]*flightCall)
-		}
-		if call, ok := g.calls[key]; ok {
-			g.mu.Unlock()
-			select {
-			case <-call.done:
-			case <-ctx.Done():
-				return RunResult{}, fmt.Errorf("%w (awaiting identical in-flight request)", wrapCtxErr(ctx.Err())), true
-			}
-			if call.err != nil && errors.Is(call.err, context.Canceled) && ctx.Err() == nil {
-				// The leader was canceled, not us: retry for a fresh
-				// leader instead of inheriting its cancellation. A
-				// timed-out leader is different — its timeout is the
-				// shared result (re-dispatching a known-too-slow task
-				// for every follower would stampede the TM).
-				continue
-			}
-			return call.res, call.err, true
-		}
-		call := &flightCall{done: make(chan struct{})}
-		g.calls[key] = call
-		g.mu.Unlock()
-
-		call.res, call.err = fn()
-		g.mu.Lock()
-		delete(g.calls, key)
-		g.mu.Unlock()
-		close(call.done)
-		return call.res, call.err, false
 	}
 }

@@ -327,6 +327,88 @@ func TestSingleflightCollapsesConcurrentRuns(t *testing.T) {
 	}
 }
 
+// TestSingleflightFollowerOwnDeadline: a follower waits for its leader
+// under its own deadline, not the leader's.
+func TestSingleflightFollowerOwnDeadline(t *testing.T) {
+	ms, tmID := blackHoleTM(t)
+	id := publishNoop(t, ms)
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		ms.Run(leaderCtx, core.Anonymous, id, "slow", core.RunOptions{}) //nolint:errcheck — canceled below
+	}()
+	defer func() { cancelLeader(); <-leaderDone }()
+	waitFor(t, time.Second, func() bool { return ms.TMLoad()[tmID] == 1 })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := ms.Run(ctx, core.Anonymous, id, "slow", core.RunOptions{})
+	if !errors.Is(err, core.ErrTimeout) {
+		t.Fatalf("follower: want ErrTimeout, got %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+		t.Fatalf("follower waited %v, wanted ~20ms", elapsed)
+	}
+	if load := ms.TMLoad()[tmID]; load != 1 {
+		t.Fatalf("the follower dispatched: TM load %d, want the leader's 1", load)
+	}
+}
+
+// TestArrivalAfterInvalidationLeads: a request that arrives after an
+// invalidation — a flush, or a change to the servable — while an
+// identical request is in flight dispatches its own task instead of
+// joining the older one, and the older one's result is not stored.
+func TestArrivalAfterInvalidationLeads(t *testing.T) {
+	for name, invalidate := range map[string]func(*core.Service, string) error{
+		"flush": func(ms *core.Service, _ string) error { ms.FlushCache(); return nil },
+		"metadata": func(ms *core.Service, id string) error {
+			return ms.UpdateMetadata(core.Anonymous, id, func(p *schema.Publication) { p.Description = "edited" })
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ms, tmID := blackHoleTM(t)
+			id := publishNoop(t, ms)
+			type out struct {
+				res core.RunResult
+				err error
+			}
+			run := func() chan out {
+				ch := make(chan out, 1)
+				go func() {
+					res, err := ms.Run(context.Background(), core.Anonymous, id, "x", core.RunOptions{})
+					ch <- out{res, err}
+				}()
+				return ch
+			}
+			older := run()
+			waitFor(t, time.Second, func() bool { return ms.TMLoad()[tmID] == 1 })
+			if err := invalidate(ms, id); err != nil {
+				t.Fatal(err)
+			}
+			newer := run()
+			waitFor(t, time.Second, func() bool { return ms.TMLoad()[tmID] == 2 })
+
+			replyOnce(t, ms, tmID, "before") // the older task is first in the queue
+			if o := <-older; o.err != nil || string(o.res.Output) != `"before"` {
+				t.Fatalf("older: %s, %v", o.res.Output, o.err)
+			}
+			if st := ms.CacheStats(); st.Entries != 0 {
+				t.Fatalf("the result from before the invalidation was stored: %+v", st)
+			}
+			replyOnce(t, ms, tmID, "after")
+			if o := <-newer; o.err != nil || o.res.CacheHit || string(o.res.Output) != `"after"` {
+				t.Fatalf("newer: %s (hit %v), %v", o.res.Output, o.res.CacheHit, o.err)
+			}
+			res, err := ms.Run(context.Background(), core.Anonymous, id, "x", core.RunOptions{})
+			if err != nil || !res.CacheHit || string(res.Output) != `"after"` {
+				t.Fatalf("want a hit on the newer result, got %s (hit %v), %v", res.Output, res.CacheHit, err)
+			}
+		})
+	}
+}
+
 func TestLeastOutstandingRouting(t *testing.T) {
 	ms := newCachedMS(t, core.CacheConfig{Disabled: true})
 	release := make(chan struct{})

@@ -2,9 +2,9 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -24,14 +24,33 @@ func testResult(out string) RunResult {
 	return res
 }
 
+// get reads the cache as a plain LRU: a lookup whose miss leads a call
+// finishes it at once, unstored.
+func (c *resultCache) get(key cacheKey) (RunResult, bool) {
+	res, call, lead := c.lookup(key, "")
+	if lead {
+		c.finish(call, RunResult{}, errNoResult)
+	}
+	return res, call == nil
+}
+
+var errNoResult = errors.New("no result")
+
+// put stores res under key as a leader's finish does.
+func (c *resultCache) put(key cacheKey, servableID string, res RunResult) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.putLocked(key, servableID, res)
+}
+
 func TestResultCacheLRUEviction(t *testing.T) {
 	c := newResultCache(CacheConfig{MaxEntries: 2})
-	c.put(key("a"), "s1", 0, testResult("a"))
-	c.put(key("b"), "s1", 0, testResult("b"))
+	c.put(key("a"), "s1", testResult("a"))
+	c.put(key("b"), "s1", testResult("b"))
 	if _, ok := c.get(key("a")); !ok { // touch a -> b becomes LRU
 		t.Fatal("a should be cached")
 	}
-	c.put(key("c"), "s1", 0, testResult("c"))
+	c.put(key("c"), "s1", testResult("c"))
 	if _, ok := c.get(key("b")); ok {
 		t.Fatal("b should have been evicted as LRU")
 	}
@@ -48,7 +67,7 @@ func TestResultCacheTTL(t *testing.T) {
 	now := time.Now()
 	c := newResultCache(CacheConfig{TTL: time.Minute})
 	c.now = func() time.Time { return now }
-	c.put(key("k"), "s1", 0, testResult("v"))
+	c.put(key("k"), "s1", testResult("v"))
 	if _, ok := c.get(key("k")); !ok {
 		t.Fatal("fresh entry should hit")
 	}
@@ -64,9 +83,9 @@ func TestResultCacheTTL(t *testing.T) {
 
 func TestResultCacheInvalidate(t *testing.T) {
 	c := newResultCache(CacheConfig{})
-	c.put(key("k1"), "s1", 0, testResult("1"))
-	c.put(key("k2"), "s1", 0, testResult("2"))
-	c.put(key("k3"), "s2", 0, testResult("3"))
+	c.put(key("k1"), "s1", testResult("1"))
+	c.put(key("k2"), "s1", testResult("2"))
+	c.put(key("k3"), "s2", testResult("3"))
 	if n := c.invalidate("s1"); n != 2 {
 		t.Fatalf("want 2 invalidated, got %d", n)
 	}
@@ -192,125 +211,112 @@ func FuzzResultKey(f *testing.F) {
 	})
 }
 
-func TestFlightGroupCollapses(t *testing.T) {
-	var g flightGroup
-	var calls int
-	var mu sync.Mutex
-	started := make(chan struct{})
-	release := make(chan struct{})
+// mustLead looks key up on servable and requires a new call to lead.
+func mustLead(t *testing.T, c *resultCache, k cacheKey, servableID string) *flightCall {
+	t.Helper()
+	_, call, lead := c.lookup(k, servableID)
+	if call == nil || !lead {
+		t.Fatalf("lookup of %x on %s: call %p, lead %v; want a new call to lead", k[:4], servableID, call, lead)
+	}
+	return call
+}
 
-	const waiters = 8
+func TestResultCacheCollapsesMisses(t *testing.T) {
+	c := newResultCache(CacheConfig{})
+	const callers = 8
+	calls := make([]*flightCall, callers)
+	leads := make([]bool, callers)
 	var wg sync.WaitGroup
-	results := make([]bool, waiters) // shared flag per caller
-	var leaderOnce sync.Once
-	for i := 0; i < waiters; i++ {
+	for i := range callers {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			res, err, shared := g.do(context.Background(), key("k"), func() (RunResult, error) {
-				leaderOnce.Do(func() { close(started) })
-				<-release
-				mu.Lock()
-				calls++
-				mu.Unlock()
-				return testResult("once"), nil
-			})
-			if err != nil || string(res.Output) != "once" {
-				t.Errorf("caller %d: res=%s err=%v", i, res.Output, err)
-			}
-			results[i] = shared
-		}(i)
+			_, calls[i], leads[i] = c.lookup(key("k"), "s1")
+		}()
 	}
-	<-started
-	time.Sleep(20 * time.Millisecond) // let followers reach the wait
-	close(release)
 	wg.Wait()
-	if calls != 1 {
-		t.Fatalf("fn should run once, ran %d times", calls)
-	}
-	sharedCount := 0
-	for _, s := range results {
-		if s {
-			sharedCount++
+	var leader *flightCall
+	for i, call := range calls {
+		if leads[i] {
+			if leader != nil {
+				t.Fatal("two callers lead one key")
+			}
+			leader = call
 		}
 	}
-	// Followers that arrived while the leader was in flight all share;
-	// stragglers that arrived after completion re-run (calls would then
-	// exceed 1, already checked above).
-	if sharedCount != waiters-1 {
-		t.Fatalf("want %d shared callers, got %d", waiters-1, sharedCount)
+	if leader == nil {
+		t.Fatal("no caller leads")
+	}
+	// Every other caller follows the leader's one call.
+	for i, call := range calls {
+		if call != leader {
+			t.Fatalf("caller %d follows another call", i)
+		}
+	}
+	c.finish(leader, testResult("once"), nil)
+	<-leader.done
+	if string(leader.res.Output) != "once" || leader.err != nil {
+		t.Fatalf("followers see %s, %v", leader.res.Output, leader.err)
+	}
+	if st := c.stats(); st.Misses != callers || st.Entries != 1 {
+		t.Fatalf("want %d misses and the one result stored, got %+v", callers, st)
+	}
+	if res, ok := c.get(key("k")); !ok || string(res.Output) != "once" {
+		t.Fatal("the leader's result should hit")
 	}
 }
 
-func TestFlightGroupPropagatesError(t *testing.T) {
-	var g flightGroup
-	wantErr := fmt.Errorf("boom")
-	_, err, _ := g.do(context.Background(), key("k"), func() (RunResult, error) { return RunResult{}, wantErr })
-	if err != wantErr {
-		t.Fatalf("want error propagated, got %v", err)
-	}
-	// A failed call must not poison the key for later calls.
-	res, err, _ := g.do(context.Background(), key("k"), func() (RunResult, error) { return testResult("ok"), nil })
-	if err != nil || string(res.Output) != "ok" {
-		t.Fatalf("retry after failure broken: %s %v", res.Output, err)
-	}
-}
-
-func TestFlightGroupFollowerTimeout(t *testing.T) {
-	var g flightGroup
-	release := make(chan struct{})
-	leaderIn := make(chan struct{})
-	go g.do(context.Background(), key("k"), func() (RunResult, error) { //nolint:errcheck
-		close(leaderIn)
-		<-release
-		return testResult("slow"), nil
-	})
-	<-leaderIn
-	// A follower with a tight wait must give up on its own deadline,
-	// not the leader's.
-	start := time.Now()
-	followerCtx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	_, err, shared := g.do(followerCtx, key("k"), func() (RunResult, error) {
-		t.Error("follower must not execute fn")
-		return RunResult{}, nil
-	})
-	if !shared || err == nil {
-		t.Fatalf("follower should time out as shared: shared=%v err=%v", shared, err)
-	}
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Fatalf("follower waited %v, wanted ~20ms", elapsed)
-	}
-	close(release)
-}
-
-func TestResultCacheStaleGenerationPut(t *testing.T) {
+func TestResultCacheFinishError(t *testing.T) {
 	c := newResultCache(CacheConfig{})
-	gen := c.generation("s1")
-	c.invalidate("s1") // bumps s1's generation
-	// A result computed before the invalidation must not be stored
-	// after it.
-	c.put(key("k"), "s1", gen, testResult("stale"))
-	if _, ok := c.get(key("k")); ok {
-		t.Fatal("stale-generation put must be discarded")
+	call := mustLead(t, c, key("k"), "s1")
+	if _, follow, lead := c.lookup(key("k"), "s1"); follow != call || lead {
+		t.Fatal("an identical lookup should follow the call in flight")
 	}
-	c.put(key("k"), "s1", c.generation("s1"), testResult("fresh"))
-	if res, ok := c.get(key("k")); !ok || string(res.Output) != "fresh" {
-		t.Fatal("current-generation put must store")
+	wantErr := fmt.Errorf("boom")
+	c.finish(call, RunResult{}, wantErr)
+	<-call.done
+	if call.err != wantErr {
+		t.Fatalf("followers should share the leader's error, got %v", call.err)
 	}
-	// Another servable's invalidation must not discard s2's put.
-	gen2 := c.generation("s2")
+	// A failed call stores nothing and does not poison the key.
+	retry := mustLead(t, c, key("k"), "s1")
+	c.finish(retry, testResult("ok"), nil)
+	if res, ok := c.get(key("k")); !ok || string(res.Output) != "ok" {
+		t.Fatalf("retry after failure broken: %s", res.Output)
+	}
+}
+
+// TestResultCacheInvalidationUnregistersCalls: a call an invalidation of
+// its servable (or a flush) unregistered stores nothing when it
+// finishes, an arrival after the invalidation leads a call of its own,
+// and another servable's invalidation leaves a call alone.
+func TestResultCacheInvalidationUnregistersCalls(t *testing.T) {
+	c := newResultCache(CacheConfig{})
+	stale := mustLead(t, c, key("k"), "s1")
 	c.invalidate("s1")
-	c.put(key("k2"), "s2", gen2, testResult("s2"))
+	fresh := mustLead(t, c, key("k"), "s1") // not stale's follower
+	c.finish(stale, testResult("stale"), nil)
+	if _, follow, _ := c.lookup(key("k"), "s1"); follow != fresh {
+		t.Fatal("finishing the unregistered call must neither store nor unregister the fresh one")
+	}
+	c.finish(fresh, testResult("fresh"), nil)
+	if res, ok := c.get(key("k")); !ok || string(res.Output) != "fresh" {
+		t.Fatal("the registered call's result must be stored")
+	}
+
+	other := mustLead(t, c, key("k2"), "s2")
+	c.invalidate("s1")
+	c.finish(other, testResult("s2"), nil)
 	if _, ok := c.get(key("k2")); !ok {
 		t.Fatal("unrelated invalidation must not discard s2's result")
 	}
-	// A flush invalidates every in-flight compute.
-	gen2 = c.generation("s2")
+
+	late := mustLead(t, c, key("k3"), "s2")
 	c.flush()
-	c.put(key("k3"), "s2", gen2, testResult("late"))
-	if _, ok := c.get(key("k3")); ok {
-		t.Fatal("pre-flush compute must not be stored post-flush")
+	mustLead(t, c, key("k3"), "s2")
+	c.finish(late, testResult("late"), nil)
+	if st := c.stats(); st.Entries != 0 {
+		t.Fatalf("a call from before the flush was stored after it: %+v", st)
 	}
 }
 
@@ -322,31 +328,34 @@ func TestResultCacheByteBudget(t *testing.T) {
 	// An entry is charged exactly the bytes it holds: payload (a run's
 	// output or a batch's outputs) plus task ID, nothing measured by
 	// encoding it.
-	c.put(key("a"), "s1", 0, big(1000))
+	c.put(key("a"), "s1", big(1000))
 	if st := c.stats(); st.Entries != 1 || st.Bytes != 1000 {
 		t.Fatalf("one 1000-byte entry: %+v", st)
 	}
 	batch := RunResult{}
 	batch.TaskID = "0123456789abcdef"
 	batch.Outputs = json.RawMessage(`["x","y"]`)
-	c.put(key("batch"), "s1", 0, batch)
+	c.put(key("batch"), "s1", batch)
 	if st := c.stats(); st.Bytes != 1000+16+9 {
 		t.Fatalf("entry with a task ID and outputs: %+v", st)
 	}
-	c.put(key("a"), "s1", 0, big(10)) // a refresh is re-charged
-	if st := c.stats(); st.Entries != 2 || st.Bytes != 10+16+9 {
-		t.Fatalf("after refreshing a: %+v", st)
+	c.put(key("a"), "s1", big(10)) // a key is stored once
+	if res, _ := c.get(key("a")); len(res.Output) != 1000 {
+		t.Fatalf("a second store replaced a: %d bytes", len(res.Output))
+	}
+	if st := c.stats(); st.Entries != 2 || st.Bytes != 1000+16+9 {
+		t.Fatalf("after storing a twice: %+v", st)
 	}
 	c = newResultCache(CacheConfig{MaxEntries: 100, MaxBytes: 4096})
 	// Four 1000-byte entries fit (each under the 1024-byte oversize
 	// threshold); the fifth pushes the sum past 4096 and evicts LRU.
 	for _, k := range []string{"a", "b", "c", "d"} {
-		c.put(key(k), "s1", 0, big(1000))
+		c.put(key(k), "s1", big(1000))
 	}
 	if st := c.stats(); st.Entries != 4 || st.Bytes != 4000 {
 		t.Fatalf("setup wrong: %+v", st)
 	}
-	c.put(key("e"), "s1", 0, big(1000))
+	c.put(key("e"), "s1", big(1000))
 	if _, ok := c.get(key("a")); ok {
 		t.Fatal("a should have been evicted for the byte budget")
 	}
@@ -354,7 +363,7 @@ func TestResultCacheByteBudget(t *testing.T) {
 		t.Fatalf("byte budget exceeded: %+v", st)
 	}
 	// Oversized results (> MaxBytes/4) are never cached.
-	c.put(key("huge"), "s1", 0, big(1025))
+	c.put(key("huge"), "s1", big(1025))
 	if _, ok := c.get(key("huge")); ok {
 		t.Fatal("oversized entry should not be cached")
 	}

@@ -57,7 +57,9 @@ import (
 // Lock order: commitMu → the WAL's lock → {repository.mu, rt.mu,
 // autoscaler.mu, the tenant registry, userMu}. commitMu is outermost —
 // nothing else is held when it is taken — so no other durable change
-// moves the state a check read before its apply runs. The WAL runs
+// moves the state a check read before its apply runs. The result
+// cache's and the idempotency store's locks are leaves, taken with no
+// other lock held: a cache invalidation runs after its commit returns. The WAL runs
 // apply under its own lock, as it runs the checkpoint hook, so a
 // checkpoint holds the state of exactly the records it replaces. An
 // apply only sets state, never adds to it, and never commits.

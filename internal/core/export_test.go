@@ -16,7 +16,12 @@ func (rt *routingTable) reservationsEmpty() bool {
 			return false
 		}
 	}
-	return len(rt.tenants) == 0
+	for _, t := range rt.tenants {
+		if t.reserved != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // In-process probes the external tests use where the product reads the

@@ -735,3 +735,18 @@ func BenchmarkRunHitHTTP(b *testing.B) {
 		runOnce(b, h, path, body, "hit")
 	}
 }
+
+// BenchmarkRunMissHTTP is TestRunHTTPAllocs's single run as a benchmark:
+// a new input every time, so each request misses the result cache, leads
+// its key's call, is admitted and dispatched, and stores its result.
+func BenchmarkRunMissHTTP(b *testing.B) {
+	ms, id := payloadStack(b, &recordingExecutor{})
+	h := ms.Handler()
+	path := "/api/v2/servables/" + id + "/run"
+	body := newSeqBody(`{"input":"k`, `"}`)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runOnce(b, h, path, body.setSeq(i+1), "miss")
+	}
+}

@@ -5,7 +5,9 @@ package core
 // with repository writes. It keeps ONE record per Task Manager —
 // registration, heartbeat freshness, load, drain mark, and the
 // dispatches waiting on it — and ONE per servable — placements, desired
-// replicas, in-flight demand, admission reservations — under one lock.
+// replicas, in-flight demand, admission reservations — and ONE per
+// tenant — reservations, rate bucket, admission counters — under one
+// lock.
 //
 // Liveness is one predicate, liveLocked: now − seen < staleAfter. Routing
 // filters on it, and the same record's timer (one per TM, re-armed by
@@ -32,11 +34,11 @@ package core
 import (
 	"context"
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/auth"
 	"repro/internal/taskmanager"
 )
 
@@ -107,6 +109,39 @@ type servableEntry struct {
 	reserved int
 }
 
+// tenantEntry is one tenant tag's admission state: its reservations,
+// its rate-limit token bucket — capacity max(rate, 1), a one-second
+// burst — and the admission outcomes /api/v2/stats shows. Entries live
+// as long as the service: the counters are cumulative.
+type tenantEntry struct {
+	reserved int
+	tokens   float64
+	// last is when the bucket was last refilled; zero until the tenant's
+	// first rate-limited admission, which starts the bucket full.
+	last time.Time
+
+	admitted, rejectedQuota, rejectedOverload uint64
+}
+
+// takeToken refills the bucket by the time elapsed at rate and takes one
+// token, reporting false when less than one is left. The rate is read
+// from the quota at each admission, so a quota update applies at once.
+func (t *tenantEntry) takeToken(rate float64, now time.Time) bool {
+	if t.last.IsZero() {
+		t.tokens, t.last = rate, now
+	}
+	if elapsed := now.Sub(t.last).Seconds(); elapsed > 0 {
+		t.tokens += elapsed * rate
+		t.last = now
+	}
+	t.tokens = min(t.tokens, max(rate, 1))
+	if t.tokens < 1 {
+		return false
+	}
+	t.tokens--
+	return true
+}
+
 type routingTable struct {
 	// staleAfter is the liveness window (<= 0: every registered TM is
 	// live and nothing is watched); clock is the service's time source.
@@ -116,10 +151,8 @@ type routingTable struct {
 	mu        sync.Mutex
 	tms       []*tmEntry
 	servables map[string]servableEntry
-	// tenants is the tenant axis of the admission reservations: the
-	// totals the MaxInFlight quota is checked against and stats report.
-	// Entries are deleted at zero.
-	tenants    map[string]int
+	// tenants is the tenant axis of admission, by tenant tag.
+	tenants    map[string]*tenantEntry
 	rr         int
 	nextWaiter uint64
 	closed     bool // set by stop: a dispatch charged after it is canceled at once
@@ -130,7 +163,7 @@ func newRoutingTable(staleAfter time.Duration, clock func() time.Time) *routingT
 		staleAfter: staleAfter,
 		clock:      clock,
 		servables:  make(map[string]servableEntry),
-		tenants:    make(map[string]int),
+		tenants:    make(map[string]*tenantEntry),
 	}
 }
 
@@ -410,37 +443,51 @@ func (rt *routingTable) servableLoad(servableID string) int {
 	return rt.servables[servableID].inflight
 }
 
-// admitVerdict is reserve's outcome: admitted, refused by the
-// servable's pending bound (overloaded), or refused by the tenant's
-// in-flight quota (quota exceeded).
+// admitVerdict is reserve's outcome: admitted, or refused by the
+// servable's pending bound (overloaded), the tenant's in-flight quota or
+// the tenant's rate limit (both quota exceeded).
 type admitVerdict int
 
 const (
 	admitOK admitVerdict = iota
 	admitOverloaded
 	admitQuota
+	admitRate
 )
 
-// reserve is the admission-control check-and-reserve: the servable's
-// pending bound and the tenant's in-flight quota are checked and the
-// reservation taken under ONE critical section, so a simultaneous
-// burst cannot slip past either bound. A bound <= 0 is unenforced; the
-// reservation itself is always recorded (it is the in-flight accounting
-// for stats and release). pending reports the count the refused axis
-// was observed at.
-func (rt *routingTable) reserve(tenant, servableID string, weight, svBound, tenantBound int) (pending int, v admitVerdict) {
+// reserve is admission control's check-and-reserve, in ONE critical
+// section: the servable's pending bound, then the tenant's in-flight
+// quota, then its rate bucket (refilled from rt.clock) are checked, and
+// only an admission spends a token and takes the reservation — so a
+// burst cannot slip past any bound, and a refused request costs its
+// tenant nothing. Every attempt is counted on the tenant's record. A
+// bound or rate <= 0 is unenforced; the reservation itself is always
+// recorded (it is the in-flight accounting for stats and release).
+// pending reports the count the refused bound was observed at.
+func (rt *routingTable) reserve(tenant, servableID string, weight, svBound int, quota auth.Quota) (pending int, v admitVerdict) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
+	t := rt.tenants[tenant]
+	if t == nil {
+		t = &tenantEntry{}
+		rt.tenants[tenant] = t
+	}
 	sv := rt.servables[servableID]
-	if svBound > 0 && sv.reserved >= svBound {
+	switch {
+	case svBound > 0 && sv.reserved >= svBound:
+		t.rejectedOverload++
 		return sv.reserved, admitOverloaded
+	case quota.MaxInFlight > 0 && t.reserved >= quota.MaxInFlight:
+		t.rejectedQuota++
+		return t.reserved, admitQuota
+	case quota.RatePerSec > 0 && !t.takeToken(quota.RatePerSec, rt.clock()):
+		t.rejectedQuota++
+		return 0, admitRate
 	}
-	if p := rt.tenants[tenant]; tenantBound > 0 && p >= tenantBound {
-		return p, admitQuota
-	}
+	t.admitted++
+	t.reserved += weight
 	sv.reserved += weight
 	rt.servables[servableID] = sv
-	rt.tenants[tenant] += weight
 	return 0, admitOK
 }
 
@@ -451,19 +498,24 @@ func (rt *routingTable) unreserve(tenant, servableID string, weight int) {
 	sv := rt.servables[servableID]
 	sv.reserved -= weight
 	rt.putLocked(servableID, sv)
-	if left := rt.tenants[tenant] - weight; left > 0 {
-		rt.tenants[tenant] = left
-	} else {
-		delete(rt.tenants, tenant)
-	}
+	rt.tenants[tenant].reserved -= weight
 }
 
-// reservedByTenant snapshots the per-tenant in-flight reservation
-// totals (the stats view of the tenant axis).
-func (rt *routingTable) reservedByTenant() map[string]int {
+// tenantStats snapshots every tenant's admission counters and
+// reservations, keyed by label.
+func (rt *routingTable) tenantStats() map[string]TenantStats {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return maps.Clone(rt.tenants)
+	out := make(map[string]TenantStats, len(rt.tenants))
+	for tag, t := range rt.tenants {
+		out[tenantLabel(tag)] = TenantStats{
+			Admitted:         t.admitted,
+			RejectedQuota:    t.rejectedQuota,
+			RejectedOverload: t.rejectedOverload,
+			InFlight:         t.reserved,
+		}
+	}
+	return out
 }
 
 // placementsOf reports which TMs host one servable.

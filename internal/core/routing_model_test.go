@@ -7,6 +7,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/auth"
 )
 
 // Model-based test of the routing table (ROADMAP item 4): a seeded
@@ -14,7 +16,9 @@ import (
 // a plain-map model that is obviously right because it shares no
 // structure with it. After every step each routing decision and every
 // readable count must agree with the model; at the end everything
-// released must leave the table literally empty.
+// released must leave the table's servable records literally empty and
+// every tenant's reservations at zero (a tenant record keeps its
+// cumulative admission counters).
 
 type modelTM struct {
 	id         string
@@ -52,7 +56,7 @@ type routingModel struct {
 	now        time.Time
 	tms        map[string]*modelTM
 	servables  map[string]*modelServable
-	tenants    map[string]int
+	tenants    map[string]*TenantStats
 	charges    []*modelCharge
 	reserved   []modelReservation
 }
@@ -63,6 +67,13 @@ func (m *routingModel) live(tm *modelTM) bool {
 
 func (m *routingModel) routable(tm *modelTM, excluded []string) bool {
 	return tm != nil && tm.registered && !tm.draining && !slices.Contains(excluded, tm.id)
+}
+
+func (m *routingModel) tenant(tag string) *TenantStats {
+	if m.tenants[tag] == nil {
+		m.tenants[tag] = &TenantStats{}
+	}
+	return m.tenants[tag]
 }
 
 func (m *routingModel) sv(id string) *modelServable {
@@ -153,10 +164,10 @@ func (m *routingModel) checkState() {
 			m.t.Fatalf("servable %s: table %+v, model %+v", id, got, *sv)
 		}
 	}
-	byTenant := m.rt.reservedByTenant()
-	for tenant, n := range m.tenants {
-		if byTenant[tenant] != n {
-			m.t.Fatalf("tenant %q: table reserves %d, model %d", tenant, byTenant[tenant], n)
+	byTenant := m.rt.tenantStats()
+	for tenant, want := range m.tenants {
+		if got := byTenant[tenantLabel(tenant)]; got != *want {
+			m.t.Fatalf("tenant %q: table %+v, model %+v", tenant, got, *want)
 		}
 	}
 	for _, c := range m.charges {
@@ -183,7 +194,7 @@ func (m *routingModel) unreserve(i int) {
 	m.reserved = slices.Delete(m.reserved, i, i+1)
 	m.rt.unreserve(r.tenant, r.sv, r.weight)
 	m.sv(r.sv).reserved -= r.weight
-	m.tenants[r.tenant] -= r.weight
+	m.tenant(r.tenant).InFlight -= r.weight
 }
 
 func (m *routingModel) dropServable(id string) {
@@ -199,7 +210,7 @@ func testRoutingModel(t *testing.T, seed int64, staleAfter time.Duration) {
 	rng := rand.New(rand.NewSource(seed))
 	m := &routingModel{
 		t: t, staleAfter: staleAfter, now: time.Unix(1_700_000_000, 0),
-		tms: map[string]*modelTM{}, servables: map[string]*modelServable{}, tenants: map[string]int{},
+		tms: map[string]*modelTM{}, servables: map[string]*modelServable{}, tenants: map[string]*TenantStats{},
 	}
 	m.rt = newRoutingTable(staleAfter, func() time.Time { return m.now })
 	defer m.rt.stop()
@@ -254,17 +265,23 @@ func testRoutingModel(t *testing.T, seed int64, staleAfter time.Duration) {
 			want, wantPending := admitOK, 0
 			if sv := m.sv(svID); svBound > 0 && sv.reserved >= svBound {
 				want, wantPending = admitOverloaded, sv.reserved
-			} else if n := m.tenants[r.tenant]; tenantBound > 0 && n >= tenantBound {
+			} else if n := m.tenant(r.tenant).InFlight; tenantBound > 0 && n >= tenantBound {
 				want, wantPending = admitQuota, n
 			}
-			pending, got := m.rt.reserve(r.tenant, r.sv, r.weight, svBound, tenantBound)
+			pending, got := m.rt.reserve(r.tenant, r.sv, r.weight, svBound, auth.Quota{MaxInFlight: tenantBound})
 			if got != want || pending != wantPending {
 				t.Fatalf("step %d: reserve(%+v, bounds %d/%d) = %d, %v; model %d, %v", step, r, svBound, tenantBound, pending, got, wantPending, want)
 			}
-			if got == admitOK {
+			switch tn := m.tenant(r.tenant); got {
+			case admitOK:
 				m.sv(svID).reserved += r.weight
-				m.tenants[r.tenant] += r.weight
+				tn.InFlight += r.weight
+				tn.Admitted++
 				m.reserved = append(m.reserved, r)
+			case admitOverloaded:
+				tn.RejectedOverload++
+			case admitQuota:
+				tn.RejectedQuota++
 			}
 		case 8: // unreserve
 			if len(m.reserved) > 0 {
@@ -362,13 +379,13 @@ func testRoutingModel(t *testing.T, seed int64, staleAfter time.Duration) {
 	}
 	m.rt.mu.Lock()
 	defer m.rt.mu.Unlock()
-	if len(m.rt.servables) != 0 || len(m.rt.tenants) != 0 {
+	if len(m.rt.servables) != 0 {
 		ids := make([]string, 0, len(m.rt.servables))
 		for id, sv := range m.rt.servables {
 			ids = append(ids, fmt.Sprintf("%s%+v", id, sv))
 		}
 		slices.Sort(ids)
-		t.Errorf("drained table still holds servables %v and tenants %v", ids, m.rt.tenants)
+		t.Errorf("drained table still holds servables %v", ids)
 	}
 }
 

@@ -267,8 +267,9 @@ func BenchmarkRoutingInflight(b *testing.B) {
 
 // BenchmarkAdmitRun is one admission and its release for a tenant with
 // both quota kinds set (never reached, so every iteration takes the
-// whole path: token bucket, reservation, counters), from parallel
-// callers — the tenant ledger's cost on an uncached run.
+// whole path: bounds, token bucket, reservation, counters), from
+// parallel callers — admission's cost on an uncached run: one routing
+// table critical section to reserve, one to release.
 func BenchmarkAdmitRun(b *testing.B) {
 	s := New(Config{Registry: container.NewRegistry()})
 	defer s.Close()

@@ -160,10 +160,10 @@ type Service struct {
 	// the search index, under its own lock (repository.go).
 	repo *repository
 
-	// cache is the service-layer result cache (nil when disabled);
-	// flight collapses concurrent identical dispatches.
-	cache  *resultCache
-	flight flightGroup
+	// cache is the service-layer result cache and the registry of the
+	// misses in flight that identical requests collapse onto (nil when
+	// disabled).
+	cache *resultCache
 
 	// route is the routing table (routing.go): one record per TM —
 	// registration, heartbeat freshness and the liveness timer that fans
@@ -200,11 +200,10 @@ type Service struct {
 
 	// tenants is the quota/priority registry (tenancy.go) — shared
 	// with cfg.Auth when authentication is on, standalone in open
-	// mode so quota admin always works. ledger holds each tenant's
-	// rate-limit token bucket and the admission counters surfaced in
-	// /api/v2/stats, under its own lock.
+	// mode so quota admin always works. Each tenant's enforcement state
+	// (reservations, rate bucket, admission counters) is a record in
+	// the routing table.
 	tenants *auth.TenantRegistry
-	ledger  *tenantLedger
 
 	// users is the durable identity table (auth_http.go): registrations
 	// accepted over HTTP, keyed provider/username, mirrored into
@@ -273,7 +272,6 @@ func New(cfg Config) *Service {
 		tasks:    make(map[string]*asyncTask),
 		stop:     make(chan struct{}),
 		timeFunc: time.Now,
-		ledger:   newTenantLedger(),
 		users:    make(map[string]userRecord),
 		door:     newDoor(),
 	}
@@ -727,7 +725,7 @@ func (s *Service) invalidateCache(servableID string) {
 
 // serve is the tail every synchronous run ends in — single runs,
 // batches and pipeline steps alike — after the caller's ACL check: the
-// result cache, and only on a miss the deadline, singleflight, admission
+// cache lookup, and only on a miss the deadline, singleflight, admission
 // by weight and dispatch (serveMiss). A hit costs the lookup and nothing
 // else: it adds no load, so it is not admitted, and task arrives without
 // its ID and a single run's without its input (each an object only a
@@ -735,60 +733,65 @@ func (s *Service) invalidateCache(servableID string) {
 // opted out, or a pipeline batch).
 func (s *Service) serve(ctx context.Context, caller Caller, key cacheKey, task taskmanager.Task, input json.RawMessage, weight int) (RunResult, error) {
 	start := time.Now()
+	var call *flightCall
+	lead := false
 	if key != (cacheKey{}) {
-		if res, ok := s.cache.get(key); ok {
+		var res RunResult
+		if res, call, lead = s.cache.lookup(key, task.Servable); call == nil {
 			return markCacheHit(res, start), nil
 		}
 	}
 	if input != nil {
 		task.Input = input
 	}
-	return s.serveMiss(ctx, caller, key, task, weight, start)
+	return s.serveMiss(ctx, caller, call, lead, task, weight, start)
 }
 
-// serveMiss dispatches under the request deadline. With a key,
-// concurrent identical requests collapse into one dispatch: the leader's
-// successful result is cached; followers are marked CacheHit with their
-// own request time and wait under their own ctx, never the leader's; a
-// canceled leader releases its followers, one of which re-dispatches.
-// (Not serve's body: a parameter a closure captures is moved to the heap
-// on entry, and a hit would pay for task.)
-func (s *Service) serveMiss(ctx context.Context, caller Caller, key cacheKey, task taskmanager.Task, weight int, start time.Time) (RunResult, error) {
+// serveMiss dispatches under the request deadline. A request that leads
+// its key's call dispatches for every identical request that follows it
+// (lead); a follower waits under its own ctx, never the leader's, and
+// shares the leader's result, marked CacheHit with its own request time.
+// A follower whose leader was canceled — the leader's client hung up —
+// looks again: it follows a newer call or leads and re-dispatches, so a
+// canceled leader never takes its followers down with it. A timed-out
+// leader's error is shared: re-dispatching a known-too-slow task for
+// every follower would stampede the TM. call is nil when the cache does
+// not apply.
+func (s *Service) serveMiss(ctx context.Context, caller Caller, call *flightCall, lead bool, task taskmanager.Task, weight int, start time.Time) (RunResult, error) {
 	ctx, cancel := s.reqCtx(ctx)
 	defer cancel()
-	if key == (cacheKey{}) {
-		return s.admitAndDispatch(ctx, caller, task, weight)
-	}
-	gen := s.cache.generation(task.Servable)
-	res, err, shared := s.flight.do(ctx, key, func() (RunResult, error) {
-		// Admission is checked by the leader only: followers add no
-		// load, and a leader rejection is the overload answer for the
-		// whole flight. The leader's tenant is billed — followers on
-		// the same key share its reservation like they share its
-		// dispatch.
-		res, err := s.admitAndDispatch(ctx, caller, task, weight)
-		if err == nil {
-			s.cache.put(key, task.Servable, gen, res)
+	for call != nil && !lead {
+		select {
+		case <-call.done:
+		case <-ctx.Done():
+			return RunResult{}, fmt.Errorf("%w (awaiting identical in-flight request)", wrapCtxErr(ctx.Err()))
 		}
-		return res, err
-	})
-	if err != nil {
-		return res, err
+		switch {
+		case call.err == nil:
+			s.cache.collapsed.Inc()
+			return markCacheHit(call.res, start), nil
+		case !errors.Is(call.err, context.Canceled) || ctx.Err() != nil:
+			return call.res, call.err
+		}
+		call, lead = s.cache.join(call.key, task.Servable)
 	}
-	if shared {
-		s.cache.collapsed.Inc()
-		res = markCacheHit(res, start)
-	}
-	return res, nil
+	return s.admitAndDispatch(ctx, caller, call, task, weight)
 }
 
 // admitAndDispatch reserves weight admission units under the task's
 // servable for the length of the dispatch. A batch reserves its input
 // count: admitting a 250-item batch as one unit would let a single
-// request blow far past the bound. (A method, not a closure in serve:
-// the uncached path would pay an object for it on every run.)
-func (s *Service) admitAndDispatch(ctx context.Context, caller Caller, task taskmanager.Task, weight int) (RunResult, error) {
-	if err := s.admitRun(caller, task.Servable, weight); err != nil {
+// request blow far past the bound. A led call is finished on every
+// return path, so no path leaves its key registered. Admission is the
+// leader's alone: followers add no load, and a leader's rejection is the
+// overload answer for the whole flight. The leader's tenant is billed —
+// followers on the same key share its reservation like they share its
+// dispatch.
+func (s *Service) admitAndDispatch(ctx context.Context, caller Caller, call *flightCall, task taskmanager.Task, weight int) (res RunResult, err error) {
+	if call != nil {
+		defer func() { s.cache.finish(call, res, err) }()
+	}
+	if err = s.admitRun(caller, task.Servable, weight); err != nil {
 		return RunResult{}, err
 	}
 	defer s.route.unreserve(caller.Tenant, task.Servable, weight)

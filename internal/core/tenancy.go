@@ -2,14 +2,14 @@ package core
 
 // Tenancy: the service-side half of multi-tenant QoS. The tenant
 // registry (internal/auth.TenantRegistry) holds who maps to which
-// tenant and each tenant's quota spec; this file owns enforcement
-// state that must live with the serving path — the tenant ledger: one
-// record per tenant holding its rate-limit token bucket and admission
-// counters — the admission gate that reads it (admitRun), and the
-// admin surface (SetTenantQuota, TenantList, TenantStats) the HTTP
-// layer and CLI wrap. In-flight accounting itself lives in the routing
-// table's per-servable and per-tenant reservation counts (routing.go),
-// and dequeue fairness in the broker's weighted lanes (internal/queue).
+// tenant and each tenant's quota spec; this file owns the admission
+// gate that enforces it (admitRun) and the admin surface
+// (SetTenantQuota, TenantList, TenantStats) the HTTP layer and CLI
+// wrap. The enforcement state — one record per tenant holding its
+// reservations, rate-limit token bucket and admission counters — lives
+// in the routing table beside the per-servable reservations
+// (routing.go), so admission is one critical section; dequeue fairness
+// lives in the broker's weighted lanes (internal/queue).
 //
 // Quotas are durable policy: every SetTenantQuota and BindTenant is
 // committed through the durability seam (durable.go) and the registry is
@@ -21,8 +21,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
-	"time"
 
 	"repro/internal/auth"
 )
@@ -36,111 +34,15 @@ func tenantLabel(tenant string) string {
 	return tenant
 }
 
-// tenantQuota resolves the quota spec enforced for a tenant tag. The
-// anonymous tenant ("") is never limited.
-func (s *Service) tenantQuota(tenant string) (auth.Quota, bool) {
+// tenantQuota resolves the quota spec enforced for a tenant tag; the
+// zero Quota limits nothing. The anonymous tenant ("") is never
+// limited.
+func (s *Service) tenantQuota(tenant string) auth.Quota {
 	if tenant == "" {
-		return auth.Quota{}, false
+		return auth.Quota{}
 	}
-	t, ok := s.tenants.Get(tenant)
-	if !ok {
-		return auth.Quota{}, false
-	}
-	return t.Quota, true
-}
-
-// tenantAccount is one tenant's enforcement state: its rate-limit
-// token bucket — a standard token bucket with capacity max(rate, 1), a
-// one-second burst — and its admission outcomes.
-type tenantAccount struct {
-	tokens float64
-	// last is when the bucket was last refilled; zero until the tenant's
-	// first rate-limited admission, which starts the bucket full.
-	last time.Time
-
-	admitted         uint64
-	rejectedQuota    uint64
-	rejectedOverload uint64
-}
-
-// tenantLedger is the per-tenant runtime accounting: one record per
-// tenant tag under one lock. The lock is a leaf — taken in this file
-// only, with nothing acquired under it.
-type tenantLedger struct {
-	mu       sync.Mutex
-	accounts map[string]*tenantAccount
-}
-
-func newTenantLedger() *tenantLedger {
-	return &tenantLedger{accounts: make(map[string]*tenantAccount)}
-}
-
-// accountLocked returns the tenant's record, creating it; l.mu held.
-func (l *tenantLedger) accountLocked(tenant string) *tenantAccount {
-	a, ok := l.accounts[tenant]
-	if !ok {
-		a = &tenantAccount{}
-		l.accounts[tenant] = a
-	}
-	return a
-}
-
-// takeToken consumes one admission token from the tenant's bucket,
-// reporting false (reject, counted as a quota rejection) when the
-// bucket is empty. The rate is passed in from the quota at each
-// admission so a quota update applies immediately, and the clock is the
-// caller's so the service's timeFunc stays the one source of time.
-func (l *tenantLedger) takeToken(tenant string, rate float64, now time.Time) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	a := l.accountLocked(tenant)
-	if a.last.IsZero() {
-		a.tokens, a.last = rate, now
-	}
-	if elapsed := now.Sub(a.last).Seconds(); elapsed > 0 {
-		a.tokens += elapsed * rate
-		a.last = now
-	}
-	if burst := max(rate, 1); a.tokens > burst {
-		a.tokens = burst
-	}
-	if a.tokens < 1 {
-		a.rejectedQuota++
-		return false
-	}
-	a.tokens--
-	return true
-}
-
-// note counts the outcome of one reservation attempt.
-func (l *tenantLedger) note(tenant string, v admitVerdict) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	a := l.accountLocked(tenant)
-	switch v {
-	case admitOK:
-		a.admitted++
-	case admitOverloaded:
-		a.rejectedOverload++
-	case admitQuota:
-		a.rejectedQuota++
-	}
-}
-
-// stats snapshots every tenant's admission counters, keyed by label —
-// the map TenantStatsAll fills in from the other two sources.
-func (l *tenantLedger) stats() map[string]TenantStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make(map[string]TenantStats, len(l.accounts))
-	for tag, a := range l.accounts {
-		out[tenantLabel(tag)] = TenantStats{
-			Admitted:         a.admitted,
-			RejectedQuota:    a.rejectedQuota,
-			RejectedOverload: a.rejectedOverload,
-		}
-	}
-	return out
+	t, _ := s.tenants.Get(tenant)
+	return t.Quota
 }
 
 // admitRun is the admission-control gate for synchronous runs. Two
@@ -154,9 +56,10 @@ func (l *tenantLedger) stats() map[string]TenantStats {
 //     deliberately does NOT drive the autoscaler — a tenant over its
 //     own budget is not servable pressure to scale for.
 //
-// Admission is check-AND-reserve under one lock in the routing
-// table's reservation counts — a simultaneous burst cannot all slip
-// past either bound the way a read-then-dispatch check would allow.
+// Admission is check-AND-reserve under one lock in the routing table
+// (reserve), the rate bucket included — a simultaneous burst cannot all
+// slip past any bound the way a read-then-dispatch check would allow,
+// and a request one bound refuses spends no token.
 // Every admitted request holds its reservation (weight units
 // for batches) from admission until completion; the caller must
 // give it back exactly once, with s.route.unreserve(caller.Tenant,
@@ -164,23 +67,17 @@ func (l *tenantLedger) stats() map[string]TenantStats {
 // gated — they add no load.
 func (s *Service) admitRun(caller Caller, servableID string, weight int) error {
 	tenant := caller.Tenant
-	quota, limited := s.tenantQuota(tenant)
-	if limited && quota.RatePerSec > 0 && !s.ledger.takeToken(tenant, quota.RatePerSec, s.timeFunc()) {
-		return ErrQuotaExceeded.WithDetail(fmt.Sprintf("tenant %q over rate limit %g req/s", tenantLabel(tenant), quota.RatePerSec))
-	}
+	quota := s.tenantQuota(tenant)
 	svBound := s.scaler.maxQueue(servableID)
-	tenantBound := 0
-	if limited {
-		tenantBound = quota.MaxInFlight
-	}
-	pending, verdict := s.route.reserve(tenant, servableID, weight, svBound, tenantBound)
-	s.ledger.note(tenant, verdict)
+	pending, verdict := s.route.reserve(tenant, servableID, weight, svBound, quota)
 	switch verdict {
 	case admitOverloaded:
 		s.scaler.noteRejection(servableID)
 		return ErrOverloaded.WithDetail(fmt.Sprintf("%s: %d requests pending (bound %d)", servableID, pending, svBound))
 	case admitQuota:
-		return ErrQuotaExceeded.WithDetail(fmt.Sprintf("tenant %q: %d runs in flight (quota %d)", tenantLabel(tenant), pending, tenantBound))
+		return ErrQuotaExceeded.WithDetail(fmt.Sprintf("tenant %q: %d runs in flight (quota %d)", tenantLabel(tenant), pending, quota.MaxInFlight))
+	case admitRate:
+		return ErrQuotaExceeded.WithDetail(fmt.Sprintf("tenant %q over rate limit %g req/s", tenantLabel(tenant), quota.RatePerSec))
 	}
 	return nil
 }
@@ -266,32 +163,24 @@ type TenantStats struct {
 	DequeueShare     float64 `json:"dequeue_share"`
 }
 
-// TenantStatsAll merges the three per-tenant observables — admission
-// counters, reservation-table in-flight, broker lane dequeues — keyed
-// by tenant (the anonymous lane under "anonymous").
+// TenantStatsAll merges the per-tenant observables of two sources — the
+// routing table's admission counters and reservations, and the broker's
+// lane dequeues — keyed by tenant (the anonymous lane under
+// "anonymous").
 func (s *Service) TenantStatsAll() map[string]TenantStats {
-	out := s.ledger.stats()
-	get := func(tag string) TenantStats { return out[tenantLabel(tag)] }
-	put := func(tag string, st TenantStats) { out[tenantLabel(tag)] = st }
-
-	for tag, n := range s.route.reservedByTenant() {
-		st := get(tag)
-		st.InFlight = n
-		put(tag, st)
-	}
-
+	out := s.route.tenantStats()
 	deq := s.broker.LaneDequeues()
 	var total uint64
 	for _, n := range deq {
 		total += n
 	}
 	for tag, n := range deq {
-		st := get(tag)
+		st := out[tenantLabel(tag)]
 		st.Dequeued = n
 		if total > 0 {
 			st.DequeueShare = float64(n) / float64(total)
 		}
-		put(tag, st)
+		out[tenantLabel(tag)] = st
 	}
 	return out
 }

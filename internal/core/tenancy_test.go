@@ -15,7 +15,8 @@ import (
 // rate at each admission; a rate refusal and an in-flight refusal both
 // count as rejected_quota, a MaxQueue refusal as rejected_overload (and
 // only that feeds the autoscaler's rejection count); the anonymous
-// tenant is never limited.
+// tenant is never limited; and a request a bound refuses spends no
+// token.
 func TestTenantLedgerExact(t *testing.T) {
 	// No background loop may read the clock while the test moves it: the
 	// autoscaler never ticks, the task sweeper is off, no TM registers.
@@ -53,6 +54,10 @@ func TestTenantLedgerExact(t *testing.T) {
 		{name: "anonymous carries no quota (1)", caller: Anonymous, sv: "b"},
 		{name: "anonymous carries no quota (2)", caller: Anonymous, sv: "b"},
 		{name: "anonymous carries no quota (3)", caller: Anonymous, sv: "b"},
+		// Two tokens: one admission, one bound refusal, one more admission.
+		{name: "a refusal spends no token: one holds", advance: time.Second, quota: &auth.Quota{RatePerSec: 2}, caller: acme, sv: "c", hold: true},
+		{name: "a refusal spends no token: the bound refuses the next", caller: acme, sv: "c", want: ErrOverloaded},
+		{name: "a refusal spends no token: the second token admits", caller: acme, sv: "d"},
 	}
 	type reservation struct{ tenant, sv string }
 	var held []reservation
@@ -77,7 +82,7 @@ func TestTenantLedgerExact(t *testing.T) {
 	}
 
 	stats := s.TenantStatsAll()
-	if got, want := stats["acme"], (TenantStats{Admitted: 8, RejectedQuota: 5, RejectedOverload: 1, InFlight: 1}); got != want {
+	if got, want := stats["acme"], (TenantStats{Admitted: 10, RejectedQuota: 5, RejectedOverload: 2, InFlight: 2}); got != want {
 		t.Fatalf("acme: got %+v, want %+v", got, want)
 	}
 	if got, want := stats["anonymous"], (TenantStats{Admitted: 3, RejectedOverload: 1}); got != want {

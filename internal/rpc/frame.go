@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -146,13 +147,19 @@ func readFrameInto(r io.Reader, pooled bool) (frame, error) {
 	}
 	var body []byte
 	var bp *[]byte
-	if pooled {
+	var err error
+	switch {
+	case total > maxPooledBuf:
+		body, err = readGrowing(r, int(total))
+	case pooled:
 		bp = getBuf(int(total))
 		body = *bp
-	} else {
+		_, err = io.ReadFull(r, body)
+	default:
 		body = make([]byte, total)
+		_, err = io.ReadFull(r, body)
 	}
-	if _, err := io.ReadFull(r, body); err != nil {
+	if err != nil {
 		putBuf(bp)
 		return frame{}, err
 	}
@@ -169,6 +176,28 @@ func readFrameInto(r io.Reader, pooled bool) (frame, error) {
 	f.payload = body[11+mlen:]
 	f.body = bp
 	return f, nil
+}
+
+// growChunk is the first buffer readGrowing reads into.
+const growChunk = 64 << 10
+
+// readGrowing reads an n-byte frame body too large for the pool into a
+// buffer that doubles, from growChunk, as the bytes arrive: the queue
+// port is unauthenticated, and a length header alone must not make the
+// reader allocate up to MaxFrameSize.
+func readGrowing(r io.Reader, n int) ([]byte, error) {
+	body := make([]byte, 0, growChunk)
+	for {
+		m, err := io.ReadFull(r, body[len(body):min(cap(body), n)])
+		body = body[:len(body)+m]
+		if err == io.EOF && len(body) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil || len(body) == n {
+			return body, err
+		}
+		body = slices.Grow(body, min(cap(body), n-len(body)))
+	}
 }
 
 // recycleFrame returns a pooled frame body for reuse. Must only be

@@ -3,12 +3,14 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -122,6 +124,73 @@ func TestFrameTooLarge(t *testing.T) {
 	if _, err := readFrame(&buf); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("want ErrFrameTooLarge on read, got %v", err)
 	}
+}
+
+// TestHeaderOnlyFrameAllocatesLittle: a header declaring the largest
+// frame, and then nothing, costs the reader what arrived, not what was
+// declared — on both read paths.
+func TestHeaderOnlyFrameAllocatesLittle(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize)
+	for name, read := range map[string]func(io.Reader) (frame, error){"fresh": readFrame, "pooled": readFramePooled} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := read(bytes.NewReader(hdr[:]))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: a header-only frame read without error", name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Fatalf("%s: a 4-byte header allocated %d bytes", name, n)
+		}
+	}
+}
+
+// FuzzRPCFrame: reading arbitrary bytes as frames never panics, on
+// either read path, and any method and payload round-trip through
+// writeFrame.
+func FuzzRPCFrame(f *testing.F) {
+	var valid bytes.Buffer
+	writeFrame(&valid, frame{typ: frameRequest, id: 7, method: []byte("predict"), payload: []byte("data")}) //nolint:errcheck
+	for _, seed := range [][]byte{
+		valid.Bytes(),
+		{0, 0, 0, 11, frameResponse, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0},
+		{0, 0, 0, 11, frameError, 0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF}, // method overruns
+		{0, 0, 0, 3, 1, 2, 3},             // shorter than the header
+		{0x04, 0, 0, 0},                   // MaxFrameSize, no body
+		{0x00, 0x10, 0, 1, 1, 2, 3, 4},    // past the pool, truncated
+		{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0}, // too large
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, read := range []func(io.Reader) (frame, error){readFrame, readFramePooled} {
+			r := bytes.NewReader(data)
+			for {
+				fr, err := read(r)
+				if err != nil {
+					break
+				}
+				recycleFrame(&fr)
+			}
+		}
+		cut := 0
+		if len(data) > 0 {
+			cut = int(data[0]) % (len(data) + 1)
+		}
+		in := frame{typ: frameRequest, id: uint64(len(data)), method: data[:cut], payload: data[cut:]}
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, in); err != nil {
+			t.Fatal(err)
+		}
+		out, err := readFrame(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.typ != in.typ || out.id != in.id || !bytes.Equal(out.method, in.method) || !bytes.Equal(out.payload, in.payload) || buf.Len() != 0 {
+			t.Fatalf("round trip: %+v, want %+v (%d bytes left)", out, in, buf.Len())
+		}
+	})
 }
 
 // TestUnframeableResponseFailsCall: a response no frame can carry is

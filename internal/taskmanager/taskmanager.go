@@ -17,6 +17,7 @@
 package taskmanager
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -447,6 +448,10 @@ func (tm *TM) reply(msg queue.Message, rep Reply) {
 	}
 }
 
+// defaultRoute is the executor route of a task that names none and of a
+// servable deployed without one.
+const defaultRoute = "parsl"
+
 func (tm *TM) executorFor(task *Task) (executor.Executor, error) {
 	route := task.Executor
 	if route == "" {
@@ -455,7 +460,7 @@ func (tm *TM) executorFor(task *Task) (executor.Executor, error) {
 		tm.routeMu.RUnlock()
 	}
 	if route == "" {
-		route = "parsl"
+		route = defaultRoute
 	}
 	ex, ok := tm.cfg.Executors[route]
 	if !ok {
@@ -484,19 +489,12 @@ func (tm *TM) handleDeploy(task *Task) Reply {
 		return Reply{OK: false, Error: err.Error()}
 	}
 	tm.routeMu.Lock()
-	tm.routes[pkg.Doc.ID] = routeName(task, ex)
+	tm.routes[pkg.Doc.ID] = cmp.Or(task.Executor, defaultRoute)
 	tm.routeMu.Unlock()
 	// A (re)deploy may carry a different model under the same name;
 	// drop the previous deployment's memoized outputs.
 	tm.invalidateMemo(pkg.Doc.ID)
 	return Reply{OK: true, Output: fmt.Sprintf("deployed %s x%d on %s", pkg.Doc.ID, replicas, ex.Name())}
-}
-
-func routeName(task *Task, ex executor.Executor) string {
-	if task.Executor != "" {
-		return task.Executor
-	}
-	return "parsl"
 }
 
 func (tm *TM) handleScale(task *Task) Reply {

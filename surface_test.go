@@ -20,7 +20,7 @@ import (
 // it) or ".Method" names.
 var surfaceExempt = []struct{ match, reason string }{
 	{"repro/dlhub", "the public SDK is called from outside the repository"},
-	{"repro/internal/transfer", "no binary sets Config.Transfer yet; ROADMAP item 2's figure gate decides the package"},
+	{"repro/internal/transfer", "no binary sets Config.Transfer yet; ROADMAP item 3's figure gate decides the package"},
 	{"repro/internal/executor/executortest", "the executors' conformance table: a library whose callers are _test files"},
 	{".Is .Unwrap .MarshalJSON", "errors.Is/As and encoding/json find these by a run-time assertion no file's types show"},
 }
