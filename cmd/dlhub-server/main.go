@@ -29,6 +29,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -68,7 +69,17 @@ func main() {
 	authOn := flag.Bool("auth", false, "require bearer-token authentication: identities register/login via /api/v2/auth, tenancy follows the token, and the X-DLHub-Tenant header is rejected")
 	authProvider := flag.String("auth-provider", "local", "identity provider name register/login default to (with -auth)")
 	authTokenTTL := flag.Duration("auth-token-ttl", time.Hour, "issued token lifetime (with -auth)")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof profiles at /debug/pprof/ on this address (off when empty)")
 	flag.Parse()
+	if *debugAddr != "" {
+		l, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			log.Fatalf("debug listen: %v", err)
+		}
+		log.Printf("dlhub-server: profiles at http://%s/debug/pprof/", l.Addr())
+		// Only net/http/pprof registers on the default mux.
+		go http.Serve(l, nil) //nolint:errcheck — lives as long as the process
+	}
 
 	var wal *store.WAL
 	if *dataDir != "" {

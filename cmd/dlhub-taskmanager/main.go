@@ -1,6 +1,8 @@
 // Command dlhub-taskmanager runs a DLHub Task Manager: it connects to a
 // Management Service's task queue, stands up a local mini-Kubernetes
-// cluster with the requested executors, and serves tasks.
+// cluster with the requested executors, and serves tasks, up to 8 at
+// once: each idle slot is one credit the Management Service pushes a
+// task down the connection against, and each task's reply returns it.
 //
 // Example (paper topology, with the measured 20.7 ms WAN RTT shaped
 // onto the queue connection):
@@ -14,6 +16,8 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"net/http"
+	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -41,7 +45,17 @@ func main() {
 	executors := flag.String("executors", "parsl", "comma-separated executors: parsl,tfserving-grpc,tfserving-rest,sagemaker,clipper")
 	wanRTT := flag.Duration("wan-rtt", 0, "shape the queue connection with this RTT (paper: 20.7ms)")
 	heartbeat := flag.Duration("heartbeat", 5*time.Second, "re-registration interval; heartbeats carry liveness and the executing-task count (0 disables)")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof profiles at /debug/pprof/ on this address (off when empty)")
 	flag.Parse()
+	if *debugAddr != "" {
+		l, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			log.Fatalf("debug listen: %v", err)
+		}
+		log.Printf("dlhub-taskmanager: profiles at http://%s/debug/pprof/", l.Addr())
+		// Only net/http/pprof registers on the default mux.
+		go http.Serve(l, nil) //nolint:errcheck — lives as long as the process
+	}
 
 	// Install the built-in "Python modules" (the functions servable
 	// containers import), then the cluster substrate.

@@ -553,7 +553,7 @@ func TestV2TMLifecycleRoutes(t *testing.T) {
 	_, env = doV2(t, http.MethodGet, srv.URL+"/api/v2/stats", nil, nil)
 	var stats struct {
 		Failovers *core.FailoverStats `json:"failovers"`
-		Queue     map[string]uint64   `json:"queue"`
+		Queue     map[string]any      `json:"queue"`
 	}
 	if err := json.Unmarshal(env.Data, &stats); err != nil {
 		t.Fatal(err)
@@ -563,8 +563,14 @@ func TestV2TMLifecycleRoutes(t *testing.T) {
 	}
 	pending, hasPending := stats.Queue["pending_requests"]
 	orphans, hasOrphans := stats.Queue["orphan_replies"]
-	if !hasPending || !hasOrphans || pending != 0 || orphans != 0 {
+	if !hasPending || !hasOrphans || pending != 0.0 || orphans != 0.0 {
 		t.Fatalf("stats queue block = %v, want pending_requests 0 and orphan_replies 0", stats.Queue)
+	}
+	// The credit layer: the in-process TM's pullers wait in the broker,
+	// the registration loop too, and nothing went through a session.
+	credit, _ := stats.Queue["credit"].(map[string]any)
+	if c, _ := stats.Queue["consumers"].(float64); c < 1 || credit == nil || stats.Queue["pushes"] != 0.0 || stats.Queue["push_failures"] != 0.0 {
+		t.Fatalf("stats queue block = %v, want consumers, credit per TM, and no pushes", stats.Queue)
 	}
 
 	// Deregister over the wire; unknown TM afterwards is 503-coded

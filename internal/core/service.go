@@ -370,6 +370,30 @@ func (s *Service) queueDepth(tms []string) map[string]int {
 	return depth
 }
 
+// queueStats is the stats payload's queue block. The dispatch inbox:
+// pending_requests drains to zero when idle (anything else is a leak);
+// orphan_replies counts answers that found no requester — late after a
+// cancel or timeout, or the second answer of a task redelivered past
+// the visibility timeout (at-least-once: it ran twice, it answers
+// once). The credit layer: consumers registered (TM sessions and
+// in-process waits), the credit each registered TM's session holds (its
+// idle pullers), and the push frames written to sessions and failed.
+func (s *Service) queueStats() map[string]any {
+	consumers, byQueue, pushes, failures := s.broker.ConsumerStats()
+	credit := make(map[string]int)
+	for _, id := range s.TaskManagers() {
+		credit[id] = byQueue[taskmanager.TaskQueue(id)]
+	}
+	return map[string]any{
+		"pending_requests": s.broker.PendingRequests(),
+		"orphan_replies":   s.broker.OrphanReplies(),
+		"consumers":        consumers,
+		"credit":           credit,
+		"pushes":           pushes,
+		"push_failures":    failures,
+	}
+}
+
 // ServableLoad reports the in-flight (dispatched, not yet answered)
 // run/batch/pipeline task count for one servable — the demand signal
 // the autoscaler steers on.

@@ -80,6 +80,35 @@ func TestDRRWeightedShares(t *testing.T) {
 	}
 }
 
+// TestDRRUnderCredit: a consumer with credit is handed messages in the
+// same DRR order a Pull takes them in — one credit at a time, as a
+// remote session is, the shares are still exactly 4:2:1.
+func TestDRRUnderCredit(t *testing.T) {
+	b := NewBroker(time.Minute)
+	defer b.Close()
+	b.SetLaneWeight("high", 4)
+	b.SetLaneWeight("normal", 2)
+	b.SetLaneWeight("low", 1)
+	for i := 0; i < 100; i++ {
+		for _, tenant := range []string{"high", "normal", "low"} {
+			b.Push("q", []byte(tenant), "", "", tenant)
+		}
+	}
+	const rotations = 7
+	q := b.queue("q")
+	c := &consumer{ch: make(chan Message, rotations*7)}
+	for i := 0; i < rotations*7; i++ {
+		b.grant(q, c, 1, i == 0)
+	}
+	counts := map[string]int{}
+	for len(c.ch) > 0 {
+		counts[(<-c.ch).Tenant]++
+	}
+	if counts["high"] != 4*rotations || counts["normal"] != 2*rotations || counts["low"] != rotations {
+		t.Fatalf("shares under credit = %v, want exact 4:2:1", counts)
+	}
+}
+
 // TestFairnessHotTenantCannotStarve is the flood property: a hot tenant
 // holding a 10x-deeper backlog must not delay an equal-weight quiet
 // tenant's messages beyond its own share of the rotation. Every quiet-

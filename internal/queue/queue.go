@@ -3,14 +3,17 @@
 // Task Managers for execution. The queue provides a reliable messaging
 // model that ensures tasks are received and executed."
 //
-// The broker hosts named queues. Producers push messages; consumers pull
-// and must acknowledge within a visibility timeout or the message is
-// redelivered (at-least-once semantics). Request/reply is layered on
-// top, mirroring the paper's flow where Task Managers "retrieve waiting
-// tasks from the queue, unpackage the request, execute the task, and
-// return the results via the same queue": a request carries the
-// broker's inbox as ReplyTo plus a correlation ID, and its reply — which
-// is also its ack — goes straight to the requester waiting on that ID.
+// The broker hosts named queues. Producers push messages; consumers
+// take them and must acknowledge within a visibility timeout or the
+// message is redelivered (at-least-once semantics). Every consumer — an
+// in-process Pull, a remote session (transport.go) — is a credit and a
+// channel: the broker hands it one ready message per credit.
+// Request/reply is layered on top, mirroring the paper's flow where Task
+// Managers "retrieve waiting tasks from the queue, unpackage the
+// request, execute the task, and return the results via the same
+// queue": a request carries the broker's inbox as ReplyTo plus a
+// correlation ID, and its reply — which is also its ack — goes straight
+// to the requester waiting on that ID.
 //
 // Fairness: each named queue is internally striped into per-tenant
 // lanes, drained by deficit round-robin (DRR) weighted by the tenant's
@@ -29,6 +32,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -84,26 +88,51 @@ type lane struct {
 	deficit int
 }
 
+// consumer takes messages from one queue through ch: credit is how many
+// more the broker may hand it, and each hand-off spends one and sends
+// the claimed message on ch. Credit never exceeds the room left in ch,
+// so a hand-off never blocks and is made under q.mu: a consumer is
+// handed nothing once withdraw returns.
+type consumer struct {
+	credit int // q.mu
+	ch     chan Message
+}
+
+// maxCredit bounds the credit a client grants one queue, and so the
+// messages a remote session holds unwritten (transport.go).
+const maxCredit = 256
+
 // namedQueue holds per-tenant ready lanes plus the queue-wide pending
-// set and parked consumers. Invariant: every lane present in lanes /
-// order has at least one ready message — lanes are created on first
-// push and removed the moment they drain, so the DRR rotation never
-// spins over empty lanes and a single-tenant queue is one FIFO.
+// set and the registered consumers. Invariant: every lane present in
+// lanes / order has at least one ready message — lanes are created on
+// first push and removed the moment they drain, so the DRR rotation
+// never spins over empty lanes and a single-tenant queue is one FIFO.
+// While any consumer holds credit, no message waits on a lane.
 type namedQueue struct {
-	mu      sync.Mutex
-	lanes   map[string]*lane
-	order   []string // DRR visit order (lane creation order)
-	rr      int      // index into order of the lane being served
-	pending map[string]*pendingMsg
-	waiters *list.List // of chan Message
+	mu        sync.Mutex
+	lanes     map[string]*lane
+	order     []string // DRR visit order (lane creation order)
+	rr        int      // index into order of the lane being served
+	pending   map[string]*pendingMsg
+	consumers []*consumer // registered until withdrawn, oldest first
 }
 
 func newNamedQueue() *namedQueue {
 	return &namedQueue{
 		lanes:   make(map[string]*lane),
 		pending: make(map[string]*pendingMsg),
-		waiters: list.New(),
 	}
+}
+
+// nextConsumerLocked returns the oldest consumer that holds credit, or
+// nil. q.mu held.
+func (q *namedQueue) nextConsumerLocked() *consumer {
+	for _, c := range q.consumers {
+		if c.credit > 0 {
+			return c
+		}
+	}
+	return nil
 }
 
 // laneLocked returns the tag's lane, creating and enrolling it in the
@@ -172,6 +201,10 @@ type Broker struct {
 	inbox   map[string]chan []byte
 	orphans uint64 // replies that found no requester; inboxMu held
 	corrSeq atomic.Uint64
+
+	// pushes and pushFailures count the frames remote sessions were
+	// handed (transport.go): written, and not written.
+	pushes, pushFailures atomic.Uint64
 }
 
 // NewBroker creates a broker whose unacknowledged deliveries become
@@ -237,6 +270,20 @@ func (b *Broker) LaneDequeues() map[string]uint64 {
 	return out
 }
 
+// lookup returns the named queue or, when the broker has none, an empty
+// one it does not keep: unlike queue it adds nothing, so a name read off
+// the wire costs the broker nothing.
+func (b *Broker) lookup(name string) *namedQueue {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	if q, ok := b.queues[name]; ok {
+		return q
+	}
+	return &namedQueue{}
+}
+
+// queue returns the named queue, creating it: for producers and
+// consumers, never for lookups.
 func (b *Broker) queue(name string) *namedQueue {
 	b.mu.RLock()
 	q, ok := b.queues[name]
@@ -271,7 +318,7 @@ func (b *Broker) Push(queueName string, body []byte, replyTo, correlationID, ten
 		Tenant:        tenant,
 		Body:          body,
 	}
-	b.deliver(b.queue(queueName), msg)
+	b.enqueue(b.queue(queueName), msg)
 	return msg.ID
 }
 
@@ -314,25 +361,102 @@ func (b *Broker) OrphanReplies() uint64 {
 	return b.orphans
 }
 
-func (b *Broker) deliver(q *namedQueue, msg Message) {
-	q.mu.Lock()
-	// Hand directly to a waiting consumer when one is parked. The
-	// queue is necessarily empty then (a waiter only parks on an empty
-	// queue), so fairness has nothing to arbitrate — but the delivery
-	// still counts toward the lane's dequeue share.
-	for q.waiters.Len() > 0 {
-		front := q.waiters.Front()
-		ch := front.Value.(chan Message)
-		q.waiters.Remove(front)
-		msg.Attempt++
-		q.pending[msg.ID] = &pendingMsg{msg: msg, deadline: time.Now().Add(b.visibility)}
+// ConsumerStats reports the credit layer: the registered consumers
+// (remote sessions and in-process Pulls waiting), the credit they hold
+// per queue that has any, and the push frames remote sessions were
+// handed, written and not written.
+func (b *Broker) ConsumerStats() (consumers int, credit map[string]int, pushes, failures uint64) {
+	credit = make(map[string]int)
+	b.mu.RLock()
+	for name, q := range b.queues {
+		q.mu.Lock()
+		consumers += len(q.consumers)
+		for _, c := range q.consumers {
+			credit[name] += c.credit
+		}
 		q.mu.Unlock()
-		b.noteDequeue(msg.Tenant)
-		ch <- msg
+	}
+	b.mu.RUnlock()
+	return consumers, credit, b.pushes.Load(), b.pushFailures.Load()
+}
+
+// enqueue makes msg ready on q, or hands it to a consumer with credit.
+func (b *Broker) enqueue(q *namedQueue, msg Message) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	// A consumer holds credit only while no lane is ready, so nothing is
+	// ahead of msg and fairness has nothing to arbitrate.
+	if c := q.nextConsumerLocked(); c != nil {
+		b.handOffLocked(q, c, msg)
 		return
 	}
 	q.laneLocked(msg.Tenant).ready.PushBack(msg)
-	q.mu.Unlock()
+}
+
+// dispatchLocked hands ready messages, in the DRR order of popLocked,
+// to consumers with credit until either runs out. q.mu held.
+func (b *Broker) dispatchLocked(q *namedQueue) {
+	for c := q.nextConsumerLocked(); c != nil; c = q.nextConsumerLocked() {
+		msg, ok := b.popLocked(q)
+		if !ok {
+			return
+		}
+		b.handOffLocked(q, c, msg)
+	}
+}
+
+// handOffLocked claims msg for c, spending one of its credits; the
+// delivery counts toward the lane's dequeue share. q.mu held.
+func (b *Broker) handOffLocked(q *namedQueue, c *consumer, msg Message) {
+	c.credit--
+	b.claimLocked(q, &msg)
+	b.noteDequeue(msg.Tenant)
+	c.ch <- msg // never blocks: see consumer
+}
+
+// claimLocked marks msg delivered once more: pending until its
+// visibility deadline. q.mu held.
+func (b *Broker) claimLocked(q *namedQueue, msg *Message) {
+	msg.Attempt++
+	q.pending[msg.ID] = &pendingMsg{msg: *msg, deadline: time.Now().Add(b.visibility)}
+}
+
+// grant adds n to c's credit, up to the room left in c.ch, registering
+// c on q first when register is set, and hands it what is ready. A withdrawn
+// consumer keeps the credit and is handed nothing.
+func (b *Broker) grant(q *namedQueue, c *consumer, n int, register bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if register {
+		q.consumers = append(q.consumers, c)
+	}
+	c.credit = min(c.credit+n, cap(c.ch)-len(c.ch))
+	b.dispatchLocked(q)
+}
+
+// withdraw unregisters c from q for good and returns the credit it
+// still held: zero means a message has been handed to it.
+func (b *Broker) withdraw(q *namedQueue, c *consumer) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if i := slices.Index(q.consumers, c); i >= 0 {
+		q.consumers = slices.Delete(q.consumers, i, i+1)
+	}
+	n := c.credit
+	c.credit = 0
+	return n
+}
+
+// take removes a delivered message from the pending set and returns
+// it, or nil if it is not pending.
+func (q *namedQueue) take(msgID string) *pendingMsg {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	p, ok := q.pending[msgID]
+	if ok {
+		delete(q.pending, msgID)
+	}
+	return p
 }
 
 // popLocked removes and returns the next ready message under deficit
@@ -377,13 +501,14 @@ func (b *Broker) Pull(queueName string, timeout time.Duration) (Message, bool) {
 // PullCtx is Pull bounded additionally by ctx: it returns early (ok
 // false) when ctx ends, so a canceled consumer never sits out its full
 // poll timeout. A timeout <= 0 means "bounded by ctx alone"; with a
-// background ctx that degenerates to the old non-blocking poll.
+// background ctx that degenerates to a non-blocking poll. A call that
+// finds nothing ready waits as a consumer with one credit, withdrawn
+// when it returns.
 func (b *Broker) PullCtx(ctx context.Context, queueName string, timeout time.Duration) (Message, bool) {
 	q := b.queue(queueName)
 	q.mu.Lock()
 	if msg, ok := b.popLocked(q); ok {
-		msg.Attempt++
-		q.pending[msg.ID] = &pendingMsg{msg: msg, deadline: time.Now().Add(b.visibility)}
+		b.claimLocked(q, &msg)
 		q.mu.Unlock()
 		b.noteDequeue(msg.Tenant)
 		return msg, true
@@ -392,45 +517,41 @@ func (b *Broker) PullCtx(ctx context.Context, queueName string, timeout time.Dur
 		q.mu.Unlock()
 		return Message{}, false
 	}
-	ch := make(chan Message, 1)
-	elem := q.waiters.PushBack(ch)
+	w := waiters.Get().(*consumer)
+	defer waiters.Put(w)
+	w.credit = 1
+	q.consumers = append(q.consumers, w)
 	q.mu.Unlock()
-
 	var timerC <-chan time.Time
 	if timeout > 0 {
 		timer := time.NewTimer(timeout)
 		defer timer.Stop()
 		timerC = timer.C
 	}
-	abort := func() (Message, bool) {
-		q.mu.Lock()
-		// Remove our waiter; a concurrent deliver may have already
-		// removed it and sent — check the channel once more.
-		q.waiters.Remove(elem)
-		q.mu.Unlock()
-		select {
-		case msg := <-ch:
-			return msg, true
-		default:
-			return Message{}, false
-		}
-	}
 	select {
-	case msg := <-ch:
+	case msg := <-w.ch:
+		b.withdraw(q, w)
 		return msg, true
 	case <-timerC:
-		return abort()
 	case <-ctx.Done():
-		return abort()
 	}
+	if b.withdraw(q, w) > 0 {
+		return Message{}, false
+	}
+	return <-w.ch, true // handed over just now
 }
+
+// waiters pools the consumers Pulls wait as: a Pull returns its own
+// withdrawn and with ch empty, so nothing hands it a message before the
+// next Pull registers it.
+var waiters = sync.Pool{New: func() any { return &consumer{ch: make(chan Message, 1)} }}
 
 // Drop removes a not-yet-delivered message from a queue's ready lanes,
 // reporting whether it was found. A canceled requester uses it to
 // withdraw its task before any consumer picks it up; once delivered
 // (pending) the message is the consumer's and Drop reports false.
 func (b *Broker) Drop(queueName, msgID string) bool {
-	q := b.queue(queueName)
+	q := b.lookup(queueName)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for tag, ln := range q.lanes {
@@ -453,10 +574,10 @@ func (b *Broker) Drop(queueName, msgID string) bool {
 // deregistered, tasks it claimed (pulled, never acked) must not sit out
 // the visibility timeout only to be redelivered into a queue nobody
 // consumes, and tasks still ready must not strand their requesters.
-// Parked consumers are left in place: a revived consumer simply resumes
-// on an empty queue.
+// Consumers are left in place, with their credit: a revived consumer
+// simply resumes on an empty queue.
 func (b *Broker) Purge(queueName string) int {
-	q := b.queue(queueName)
+	q := b.lookup(queueName)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	n := q.readyLenLocked() + len(q.pending)
@@ -470,36 +591,24 @@ func (b *Broker) Purge(queueName string) int {
 // Ack confirms processing of a delivered message, removing it from the
 // redelivery set. It reports whether the message was pending.
 func (b *Broker) Ack(queueName, msgID string) bool {
-	q := b.queue(queueName)
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if _, ok := q.pending[msgID]; !ok {
-		return false
-	}
-	delete(q.pending, msgID)
-	return true
+	return b.lookup(queueName).take(msgID) != nil
 }
 
 // Nack returns a delivered message to the queue (its own lane)
 // immediately.
 func (b *Broker) Nack(queueName, msgID string) bool {
-	q := b.queue(queueName)
-	q.mu.Lock()
-	p, ok := q.pending[msgID]
-	if !ok {
-		q.mu.Unlock()
-		return false
+	q := b.lookup(queueName)
+	p := q.take(msgID)
+	if p != nil {
+		b.enqueue(q, p.msg)
 	}
-	delete(q.pending, msgID)
-	q.mu.Unlock()
-	b.deliver(q, p.msg)
-	return true
+	return p != nil
 }
 
 // Len reports ready (not in-flight) messages on a queue, across all
 // lanes.
 func (b *Broker) Len(queueName string) int {
-	q := b.queue(queueName)
+	q := b.lookup(queueName)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.readyLenLocked()
@@ -507,7 +616,7 @@ func (b *Broker) Len(queueName string) int {
 
 // InFlight reports delivered-but-unacknowledged messages on a queue.
 func (b *Broker) InFlight(queueName string) int {
-	q := b.queue(queueName)
+	q := b.lookup(queueName)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.pending)
@@ -549,7 +658,7 @@ func (b *Broker) sweep(now time.Time) {
 		}
 		q.mu.Unlock()
 		for _, msg := range expired {
-			b.deliver(q, msg)
+			b.enqueue(q, msg)
 		}
 	}
 }

@@ -271,22 +271,43 @@ func TestNewIDUnique(t *testing.T) {
 
 // --- transport tests ---------------------------------------------------
 
-func startTransport(t testing.TB, b *Broker) *Client {
+func startTransport(t testing.TB, b *Broker) *Client { return startWrapped(t, b, nil, nil) }
+
+// startWrapped is startTransport with the server's and the client's end
+// of the connection wrapped (nil leaves an end as it is).
+func startWrapped(t testing.TB, b *Broker, server, client func(net.Conn) net.Conn) *Client {
 	t.Helper()
 	srv := NewServer(b)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(l) //nolint:errcheck
+	go srv.Serve(wrapListener{l, server}) //nolint:errcheck
 	t.Cleanup(func() { srv.Close() })
 	conn, err := net.Dial("tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if client != nil {
+		conn = client(conn)
+	}
 	c := NewClient(conn)
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// wrapListener wraps each connection it accepts (nil: none).
+type wrapListener struct {
+	net.Listener
+	wrap func(net.Conn) net.Conn
+}
+
+func (l wrapListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil || l.wrap == nil {
+		return conn, err
+	}
+	return l.wrap(conn), nil
 }
 
 func TestTransportPushPullAck(t *testing.T) {
@@ -315,7 +336,7 @@ func TestTransportPushPullAck(t *testing.T) {
 
 // TestTransportRequestReply is the deployed shape: the requester calls
 // the broker in process (the MS), the consumer pulls and replies over
-// the transport (a TM). One q4.reply both answers and acks.
+// the transport (a TM). One q5.reply both answers and acks.
 func TestTransportRequestReply(t *testing.T) {
 	b := NewBroker(time.Minute)
 	defer b.Close()

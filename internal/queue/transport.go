@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"maps"
 	"math"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/rpc"
@@ -16,61 +18,77 @@ import (
 // Management Service (EC2) and Task Managers (Cooley) can share it
 // across netsim-shaped links, as in the paper's deployment.
 //
-// Wire format. Each op is one rpc call whose payload is a run of header
+// Wire format. Each op is one rpc frame whose payload is a run of header
 // fields, each a uvarint length followed by that many bytes, then any
 // numeric field as a bare uvarint, then the body as the rest of the
 // payload — never length-prefixed, never re-encoded, so the task body
 // the MS wrote is the byte string the TM reads.
 //
-//	op        request                                  response
-//	q4.push   queue replyTo corr tenant | body         message ID (raw)
-//	q4.pull   queue | timeout_ms                       empty = nothing ready, else
-//	                                                   id queue replyTo corr tenant | attempt | body
-//	q4.ack    queue id                                 empty
-//	q4.reply  id queue replyTo corr tenant | attempt | body   empty
+//	op        frame     payload                                  answer
+//	q5.push   request   queue replyTo corr tenant | body         message ID (raw)
+//	q5.ack    request   queue id                                 empty
+//	q5.grant  one-way   queue | credit                           one push frame per message, on the grant's stream:
+//	                                                             id queue replyTo corr tenant | attempt | body
+//	                                                             (credit 0: one empty push frame, after those)
+//	q5.reply  one-way   id queue replyTo corr tenant | attempt | body
+//	q5.nack   one-way   queue id
 //
-// q4.reply is the pulled message echoed with the response as its body;
-// the broker answers ReplyTo and acks (queue, id) in one step.
+// A consumer is a credit session (Kung & Morris's credit-based flow
+// control; AMQP's basic.qos prefetch): its grants add credit, and while
+// credit lasts the broker pushes each ready message down the grant's
+// stream as one frame, spending one. q5.reply is a pushed message
+// echoed with the response as its body, sent on the same stream: the
+// broker answers ReplyTo, acks (queue, id) and gives the credit back in
+// one step, so a task costs two frames. A grant of zero is a poll: the
+// broker answers it with an empty push once every push the grants
+// before it allowed is written. The session ends with its connection;
+// q5.nack returns a message pushed but never taken.
 // The prefix versions the protocol and the bodies it carries: a peer of
 // another version gets "unknown method", not a body it misreads.
 const (
-	opPush  = "q4.push"
-	opPull  = "q4.pull"
-	opAck   = "q4.ack"
-	opReply = "q4.reply"
+	opPush  = "q5.push"
+	opAck   = "q5.ack"
+	opGrant = "q5.grant"
+	opReply = "q5.reply"
+	opNack  = "q5.nack"
 )
 
-var errFrame = errors.New("queue: malformed frame")
+var (
+	errFrame = errors.New("queue: malformed frame")
+	errLost  = errors.New("queue: connection lost")
+)
 
-// requestHeader bounds the rest of a RequestCtx message's q4.pull header:
-// five lengths, ID, inbox, correlation ID (base 36) and attempt.
+// requestHeader bounds the rest of a RequestCtx message's push-frame
+// header: five lengths, ID, inbox, correlation ID (base 36) and attempt.
 const requestHeader = 5*binary.MaxVarintLen32 + 32 + len(inboxName) + 13 + binary.MaxVarintLen64
 
-// FitsRequest reports whether a q4.pull response — one rpc frame — can
-// carry body to a remote consumer after RequestCtx pushed it.
+// FitsRequest reports whether a push frame can carry body to a remote
+// consumer after RequestCtx pushed it.
 func FitsRequest(queueName, tenant string, body []byte) bool {
 	return requestHeader+len(queueName)+len(tenant)+len(body) <= rpc.MaxPayload("")
+}
+
+// appendFrame appends fields, then num when it is non-negative: the
+// header of a frame, ahead of its body.
+func appendFrame(dst []byte, num int64, fields ...string) []byte {
+	for _, f := range fields {
+		dst = binary.AppendUvarint(dst, uint64(len(f)))
+		dst = append(dst, f...)
+	}
+	if num >= 0 {
+		dst = binary.AppendUvarint(dst, uint64(num))
+	}
+	return dst
 }
 
 // encodeFrame lays out fields, then num (when non-negative), then body,
 // in one exactly-sized allocation.
 func encodeFrame(body []byte, num int64, fields ...string) []byte {
-	n := len(body)
-	if num >= 0 {
-		n += binary.MaxVarintLen64
-	}
+	n := len(body) + binary.MaxVarintLen64
 	for _, f := range fields {
 		n += binary.MaxVarintLen32 + len(f)
 	}
-	out := make([]byte, 0, n)
-	for _, f := range fields {
-		out = binary.AppendUvarint(out, uint64(len(f)))
-		out = append(out, f...)
-	}
-	if num >= 0 {
-		out = binary.AppendUvarint(out, uint64(num))
-	}
-	return append(out, body...)
+	return append(appendFrame(make([]byte, 0, n), num, fields...), body...)
 }
 
 // decodeFields fills fields from the front of p and returns what
@@ -98,9 +116,8 @@ func decodeFields(p []byte, fields []string) ([]byte, error) {
 	return p[end:], nil
 }
 
-// maxNum bounds a numeric field so that, read as milliseconds, it still
-// fits a time.Duration.
-const maxNum = uint64(math.MaxInt64 / int64(time.Millisecond))
+// maxNum bounds a numeric field (an attempt count, a credit).
+const maxNum = math.MaxInt32
 
 // decodeNum reads one bare uvarint and returns what follows it.
 func decodeNum(p []byte) (int64, []byte, error) {
@@ -111,13 +128,14 @@ func decodeNum(p []byte) (int64, []byte, error) {
 	return int64(v), p[n:], nil
 }
 
-// encodeMessage is the layout the q4.pull response and the q4.reply
-// request share: m's header and attempt, then body.
-func encodeMessage(m Message, body []byte) []byte {
-	return encodeFrame(body, int64(m.Attempt), m.ID, m.Queue, m.ReplyTo, m.CorrelationID, m.Tenant)
+// appendHeader appends m's header fields and attempt: the push frame
+// and the q5.reply frame carry them ahead of a body.
+func appendHeader(dst []byte, m Message) []byte {
+	return appendFrame(dst, int64(m.Attempt), m.ID, m.Queue, m.ReplyTo, m.CorrelationID, m.Tenant)
 }
 
-// decodeMessage parses what encodeMessage wrote. Body aliases p.
+// decodeMessage parses a header appendHeader wrote, then a body. Body
+// aliases p.
 func decodeMessage(p []byte) (Message, error) {
 	var f [5]string
 	rest, err := decodeFields(p, f[:])
@@ -131,27 +149,57 @@ func decodeMessage(p []byte) (Message, error) {
 	return Message{ID: f[0], Queue: f[1], ReplyTo: f[2], CorrelationID: f[3], Tenant: f[4], Attempt: int(attempt), Body: rest}, nil
 }
 
+// decodeGrant parses a q5.grant: exactly a queue name and a credit.
+func decodeGrant(p []byte) (string, int, error) {
+	var f [1]string
+	rest, err := decodeFields(p, f[:])
+	if err != nil {
+		return "", 0, err
+	}
+	n, rest, err := decodeNum(rest)
+	if err != nil || len(rest) != 0 {
+		return "", 0, errFrame
+	}
+	return f[0], int(n), nil
+}
+
+// decodeRef parses a q5.ack or q5.nack: exactly (queue, id).
+func decodeRef(p []byte) (string, string, error) {
+	var f [2]string
+	if rest, err := decodeFields(p, f[:]); err != nil || len(rest) != 0 {
+		return "", "", errFrame
+	}
+	return f[0], f[1], nil
+}
+
 // Server wraps a broker for remote access.
 type Server struct {
 	broker *Broker
 	rpc    *rpc.Server
+	loops  sync.WaitGroup // one per session's pushLoop
 }
 
 // NewServer returns a broker RPC server ready to Serve.
 func NewServer(b *Broker) *Server {
 	s := &Server{broker: b, rpc: rpc.NewServer()}
 	s.rpc.Handle(opPush, s.handlePush)
-	s.rpc.HandleUndo(opPull, s.handlePull, s.undoPull)
 	s.rpc.Handle(opAck, s.handleAck)
-	s.rpc.Handle(opReply, s.handleReply)
+	s.rpc.HandleOneWay(opGrant, s.handleGrant)
+	s.rpc.HandleOneWay(opReply, s.handleReply)
+	s.rpc.HandleOneWay(opNack, s.handleNack)
 	return s
 }
 
 // Serve accepts connections on l until Close.
 func (s *Server) Serve(l net.Listener) error { return s.rpc.Serve(l) }
 
-// Close stops the RPC server (the broker itself is owned by the caller).
-func (s *Server) Close() error { return s.rpc.Close() }
+// Close stops the RPC server and returns once every session has ended
+// (the broker itself is owned by the caller).
+func (s *Server) Close() error {
+	err := s.rpc.Close()
+	s.loops.Wait()
+	return err
+}
 
 func (s *Server) handlePush(_ context.Context, payload []byte) ([]byte, error) {
 	var f [4]string
@@ -164,79 +212,165 @@ func (s *Server) handlePush(_ context.Context, payload []byte) ([]byte, error) {
 	return []byte(s.broker.Push(f[0], bytes.Clone(body), f[1], f[2], f[3])), nil
 }
 
-// handlePull long-polls under the connection's context, so a consumer
-// that dies mid-poll stops being a waiter at once instead of claiming
-// the next task for a dead socket.
-func (s *Server) handlePull(ctx context.Context, payload []byte) ([]byte, error) {
-	var f [1]string
-	rest, err := decodeFields(payload, f[:])
-	if err != nil {
-		return nil, err
-	}
-	ms, rest, err := decodeNum(rest)
-	if err != nil || len(rest) != 0 {
-		return nil, errFrame
-	}
-	if ms == 0 {
-		// A zero timeout is a non-blocking poll; under a cancelable ctx
-		// PullCtx would read it as "wait for the connection to close".
-		ctx = context.Background()
-	}
-	msg, ok := s.broker.PullCtx(ctx, f[0], time.Duration(ms)*time.Millisecond)
-	if !ok {
-		return nil, nil
-	}
-	if err := ctx.Err(); err != nil {
-		// Claimed in the instant the connection died: give it back.
-		s.broker.Nack(msg.Queue, msg.ID)
-		return nil, err
-	}
-	resp := encodeMessage(msg, msg.Body)
-	if len(resp) > rpc.MaxPayload("") { // unframeable: requeued, it would loop forever
-		s.broker.Ack(msg.Queue, msg.ID)
-		return nil, rpc.ErrFrameTooLarge
-	}
-	return resp, nil
-}
-
-// undoPull requeues a pulled message whose response frame could not be
-// written, instead of leaving it claimed until the visibility timeout.
-func (s *Server) undoPull(resp []byte) {
-	if msg, err := decodeMessage(resp); err == nil {
-		s.broker.Nack(msg.Queue, msg.ID)
-	}
-}
-
-// handleAck serves q4.ack: exactly (queue, id).
+// handleAck serves q5.ack. A malformed frame names no queue: its Ack
+// finds nothing.
 func (s *Server) handleAck(_ context.Context, payload []byte) ([]byte, error) {
-	var f [2]string
-	if rest, err := decodeFields(payload, f[:]); err != nil || len(rest) != 0 {
-		return nil, errFrame
-	}
-	s.broker.Ack(f[0], f[1])
-	return nil, nil
+	name, id, err := decodeRef(payload)
+	s.broker.Ack(name, id)
+	return nil, err
 }
 
-func (s *Server) handleReply(_ context.Context, payload []byte) ([]byte, error) {
+// session is one stream's credit on one queue: the broker's consumer
+// for it, whose messages pushLoop writes down the stream. Its channel
+// holds one message more than its credit can fill: room for a poll's
+// mark, a Message with no ID.
+type session struct {
+	consumer
+	name string
+	q    *namedQueue
+}
+
+// handleGrant serves q5.grant. The first grant on a stream opens its
+// session, which ends — its credit withdrawn — when the connection does.
+// A grant of zero is a poll: a mark follows what it dispatched.
+func (s *Server) handleGrant(st *rpc.Stream, payload []byte) error {
+	name, n, err := decodeGrant(payload)
+	if err != nil {
+		return err
+	}
+	ss, _ := st.State.(*session)
+	opened := ss == nil
+	if opened {
+		ss = &session{consumer: consumer{ch: make(chan Message, maxCredit+1)}, name: name, q: s.broker.queue(name)}
+		st.State = ss
+		s.loops.Add(1)
+		go s.pushLoop(st, ss)
+	} else if ss.name != name {
+		return errFrame // a stream is one queue's session
+	}
+	s.broker.grant(ss.q, &ss.consumer, n, opened)
+	if n == 0 {
+		ss.q.mu.Lock()
+		if ss.credit+len(ss.ch) < cap(ss.ch) { // else a mark is pending, and answers this poll too
+			ss.ch <- Message{}
+		}
+		ss.q.mu.Unlock()
+	}
+	return nil
+}
+
+// pushLoop writes what ss is handed down st, in the order the broker
+// handed it: a message as one push frame, header then body — the body
+// not copied into an intermediate frame — and a mark as an empty one. It
+// runs beside the broker, so a peer that stops reading stalls only its
+// own session. It ends with the connection or the first write that
+// fails: the session is withdrawn, and every message handed to it and
+// not written goes back on its lane at once. A message no frame can
+// carry is dropped instead and its credit returned: requeued, it would
+// be refused forever.
+func (s *Server) pushLoop(st *rpc.Stream, ss *session) {
+	defer s.loops.Done()
+	var hdr [256]byte
+	var err error
+	for err == nil {
+		select {
+		case m := <-ss.ch:
+			if m.ID == "" {
+				err = st.Push(nil, nil)
+				continue
+			}
+			if err = st.Push(appendHeader(hdr[:0], m), m.Body); err == nil {
+				s.broker.pushes.Add(1)
+				continue
+			}
+			s.broker.pushFailures.Add(1)
+			if errors.Is(err, rpc.ErrFrameTooLarge) {
+				s.broker.Ack(ss.name, m.ID)
+				s.broker.grant(ss.q, &ss.consumer, 1, false)
+				err = nil
+			} else {
+				s.broker.withdraw(ss.q, &ss.consumer) // first: the Nack must not hand it back
+				s.broker.Nack(ss.name, m.ID)
+			}
+		case <-st.Context().Done():
+			err = errLost
+		}
+	}
+	s.broker.withdraw(ss.q, &ss.consumer)
+	for len(ss.ch) > 0 { // withdrawn: nothing refills it
+		m := <-ss.ch
+		s.broker.Nack(ss.name, m.ID) // a mark's empty ID finds nothing
+	}
+}
+
+// handleReply serves q5.reply: answer and ack, then, on a session's
+// stream, the credit the push spent comes back.
+func (s *Server) handleReply(st *rpc.Stream, payload []byte) error {
 	msg, err := decodeMessage(payload)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.broker.Reply(msg, bytes.Clone(msg.Body))
-	return nil, nil
+	if ss, ok := st.State.(*session); ok {
+		s.broker.grant(ss.q, &ss.consumer, 1, false)
+	}
+	return nil
+}
+
+// handleNack serves q5.nack, as handleAck does q5.ack.
+func (s *Server) handleNack(_ *rpc.Stream, payload []byte) error {
+	name, id, err := decodeRef(payload)
+	s.broker.Nack(name, id)
+	return err
 }
 
 // Client gives remote components the Broker API over a (possibly
-// netsim-shaped) connection.
+// netsim-shaped) connection. It consumes each queue through one credit
+// session.
 type Client struct {
-	rc *rpc.Client
+	rc    *rpc.Client
+	mu    sync.Mutex
+	feeds map[string]*feed
+}
+
+// feed is the client's end of a credit session on one queue.
+type feed struct {
+	stream uint64
+	// ready holds messages pushed and not yet taken by a Pull. A push
+	// never finds it full: this end never grants past maxCredit.
+	ready chan Message
+	// flushed takes the mark, an empty push, that answers a poll (a zero
+	// grant); poll lets one zero-timeout Pull at a time wait for its own.
+	flushed chan struct{}
+	poll    sync.Mutex
+	// credit is what the broker holds for this feed, counted from this
+	// end's own frames: granted, less pushed, plus replied. parked counts
+	// callers waiting in Pull. Both Client.mu.
+	credit, parked int
 }
 
 // NewClient wraps an established connection to a queue Server.
-func NewClient(conn net.Conn) *Client { return &Client{rc: rpc.NewClient(conn)} }
+func NewClient(conn net.Conn) *Client {
+	return &Client{rc: rpc.NewClient(conn), feeds: make(map[string]*feed)}
+}
 
-// Close tears down the connection.
-func (c *Client) Close() error { return c.rc.Close() }
+// Close nacks every message pushed to this client that no Pull took,
+// then tears down the connection.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	feeds := maps.Clone(c.feeds)
+	c.mu.Unlock()
+	for name, f := range feeds {
+		for n := len(f.ready); n > 0; n-- {
+			select {
+			case m := <-f.ready:
+				c.rc.Send(f.stream, opNack, nil, encodeFrame(nil, -1, name, m.ID)) //nolint:errcheck — lost, it is redelivered after the visibility timeout
+			default: // a Pull took it
+			}
+		}
+	}
+	return c.rc.Close()
+}
 
 // Push enqueues remotely; it returns the broker-assigned message ID.
 // tenant tags the fairness lane ("" = default).
@@ -245,37 +379,145 @@ func (c *Client) Push(queueName string, body []byte, replyTo, correlationID, ten
 	return string(out), err
 }
 
-// Pull long-polls the remote queue. ok is false on timeout. The
-// message's Body aliases the response buffer, which is the caller's.
-func (c *Client) Pull(queueName string, timeout time.Duration) (Message, bool, error) {
-	if timeout < 0 {
-		timeout = 0
+// feed returns the named queue's feed, opening its stream on first use.
+func (c *Client) feed(queueName string) *feed {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f := c.feeds[queueName]
+	if f == nil {
+		f = &feed{ready: make(chan Message, maxCredit), flushed: make(chan struct{}, 1)}
+		f.stream = c.rc.Open(func(p []byte) { c.pushed(f, p) })
+		c.feeds[queueName] = f
 	}
-	// Give the RPC itself headroom beyond the poll timeout.
-	ctx, cancel := context.WithTimeout(context.Background(), timeout+10*time.Second)
-	defer cancel()
-	out, err := c.rc.Call(ctx, opPull, encodeFrame(nil, timeout.Milliseconds(), queueName))
-	if err != nil || len(out) == 0 {
-		return Message{}, false, err
-	}
-	msg, err := decodeMessage(out)
-	return msg, err == nil, err
+	return f
 }
 
-// call is an op whose response carries nothing.
-func (c *Client) call(op string, frame []byte) error {
-	_, err := c.rc.Call(context.Background(), op, frame)
+// pushed takes one pushed frame off the read loop: a message spends a
+// credit and waits in ready for a Pull (its Body is the frame's); an
+// empty frame is the mark that answers a poll. A push that cannot be decoded ends
+// the connection, since nothing could return the credit it spent.
+func (c *Client) pushed(f *feed, p []byte) {
+	if len(p) == 0 {
+		select {
+		case f.flushed <- struct{}{}:
+		default:
+		}
+		return
+	}
+	m, err := decodeMessage(p)
+	if err != nil {
+		c.rc.Close() //nolint:errcheck — the read loop sees it next
+		return
+	}
+	c.mu.Lock()
+	f.credit--
+	c.mu.Unlock()
+	f.ready <- m
+}
+
+// Pull takes the next message the broker pushed to this client on the
+// named queue, waiting up to timeout; ok is false when none came. Each
+// caller waiting here is one credit: when more wait than the broker
+// holds credit for, Pull grants the difference, and the broker pushes
+// one ready message per credit. A credit outlives a caller that gives
+// up, so its message waits for the next Pull (or Close's nack). A
+// timeout <= 0 is a poll: it waits only for the broker to push what is
+// ready for this client now. The message's Body is the caller's.
+func (c *Client) Pull(queueName string, timeout time.Duration) (Message, bool, error) {
+	f := c.feed(queueName)
+	select {
+	case m := <-f.ready:
+		return m, true, nil
+	default:
+	}
+	if timeout <= 0 {
+		f.poll.Lock()
+		defer f.poll.Unlock()
+	}
+	c.mu.Lock()
+	f.parked++
+	grant := min(f.parked, maxCredit) - f.credit
+	f.credit += max(grant, 0)
+	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		f.parked--
+		c.mu.Unlock()
+	}()
+	if grant > 0 {
+		if err := c.grant(f, queueName, grant); err != nil {
+			return Message{}, false, err
+		}
+	}
+	if timeout <= 0 {
+		// The broker answers a zero grant with a mark, written after
+		// every push the grants before it allowed.
+		if err := c.grant(f, queueName, 0); err != nil {
+			return Message{}, false, err
+		}
+		select {
+		case <-f.flushed:
+		case <-c.rc.Done():
+			return Message{}, false, errLost
+		}
+		select {
+		case m := <-f.ready:
+			return m, true, nil
+		default:
+			return Message{}, false, nil
+		}
+	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	select {
+	case m := <-f.ready:
+		return m, true, nil
+	case <-timer.C:
+		return Message{}, false, nil
+	case <-c.rc.Done():
+		return Message{}, false, errLost
+	}
+}
+
+// grant sends a q5.grant of n on f's stream. A grant that could not be
+// written ends the connection, so no count outlives a lost frame.
+func (c *Client) grant(f *feed, queueName string, n int) error {
+	err := c.rc.Send(f.stream, opGrant, nil, encodeFrame(nil, int64(n), queueName))
+	if err != nil {
+		c.rc.Close() //nolint:errcheck — the error returned is the one that matters
+	}
 	return err
 }
 
 // Ack confirms processing of a delivered message.
 func (c *Client) Ack(queueName, msgID string) error {
-	return c.call(opAck, encodeFrame(nil, -1, queueName, msgID))
+	_, err := c.rc.Call(context.Background(), opAck, encodeFrame(nil, -1, queueName, msgID))
+	return err
 }
 
-// Reply answers msg and acknowledges it in one round trip (see
+// Reply answers msg and acknowledges it in one one-way frame (see
 // Broker.Reply): the response inherits the request's ReplyTo,
-// correlation ID and tenant tag.
+// correlation ID and tenant tag. Sent on msg's feed, it also returns the
+// credit msg's push spent. A reply no frame can carry is refused before
+// anything is counted or sent, so the caller may answer with less.
 func (c *Client) Reply(msg Message, body []byte) error {
-	return c.call(opReply, encodeMessage(msg, body))
+	var hdr [256]byte
+	head := appendHeader(hdr[:0], msg)
+	if len(head)+len(body) > rpc.MaxPayload(opReply) {
+		return rpc.ErrFrameTooLarge
+	}
+	var stream uint64
+	c.mu.Lock()
+	if f := c.feeds[msg.Queue]; f != nil {
+		// Counted before the frame leaves: the push the credit pays for
+		// may arrive before Send returns.
+		stream = f.stream
+		f.credit++
+	}
+	c.mu.Unlock()
+	err := c.rc.Send(stream, opReply, head, body)
+	if err != nil {
+		c.rc.Close() //nolint:errcheck — as for a grant
+	}
+	return err
 }

@@ -20,11 +20,16 @@ import (
 	"sync"
 )
 
-// Frame types.
+// Frame types. A request opens a stream that its response or error
+// closes; a push is a frame the server sends on a stream the client's
+// one-way frames opened, and a one-way frame is a request that has no
+// response.
 const (
 	frameRequest  = 1
 	frameResponse = 2
 	frameError    = 3
+	framePush     = 4
+	frameOneWay   = 5
 )
 
 // MaxFrameSize bounds a single frame (64 MiB) to catch corrupt lengths.
@@ -43,11 +48,14 @@ var ErrFrameTooLarge = errors.New("rpc: frame exceeds maximum size")
 // frame is the unit of exchange: 4-byte big-endian total length,
 // 1-byte type, 8-byte stream id, 2-byte method length, method bytes,
 // payload bytes. body, when non-nil, is the pooled buffer the method
-// and payload slices alias; recycleFrame returns it to the pool.
+// and payload slices alias; recycleFrame returns it to the pool. head,
+// set only on writes, goes on the wire before payload: a header is
+// framed beside a body without first being joined to it.
 type frame struct {
 	typ     byte
 	id      uint64
 	method  []byte
+	head    []byte
 	payload []byte
 	body    *[]byte
 }
@@ -99,7 +107,7 @@ func writeFrame(w io.Writer, f frame) error {
 	if len(f.method) > 0xFFFF {
 		return fmt.Errorf("rpc: method name too long (%d bytes)", len(f.method))
 	}
-	total := frameHeader + len(f.method) + len(f.payload)
+	total := frameHeader + len(f.method) + len(f.head) + len(f.payload)
 	if total > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
@@ -109,8 +117,9 @@ func writeFrame(w io.Writer, f frame) error {
 	buf[4] = f.typ
 	binary.BigEndian.PutUint64(buf[5:13], f.id)
 	binary.BigEndian.PutUint16(buf[13:15], uint16(len(f.method)))
-	copy(buf[15:], f.method)
-	copy(buf[15+len(f.method):], f.payload)
+	n := 15 + copy(buf[15:], f.method)
+	n += copy(buf[n:], f.head)
+	copy(buf[n:], f.payload)
 	_, err := w.Write(buf)
 	putBuf(bp)
 	return err

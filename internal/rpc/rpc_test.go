@@ -147,7 +147,7 @@ func TestHeaderOnlyFrameAllocatesLittle(t *testing.T) {
 }
 
 // FuzzRPCFrame: reading arbitrary bytes as frames never panics, on
-// either read path, and any method and payload round-trip through
+// either read path, and any method, head and payload round-trip through
 // writeFrame.
 func FuzzRPCFrame(f *testing.F) {
 	var valid bytes.Buffer
@@ -160,6 +160,8 @@ func FuzzRPCFrame(f *testing.F) {
 		{0x04, 0, 0, 0},                   // MaxFrameSize, no body
 		{0x00, 0x10, 0, 1, 1, 2, 3, 4},    // past the pool, truncated
 		{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0}, // too large
+		{0, 0, 0, 14, framePush, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 'm', 's', 'g'},
+		{0, 0, 0, 20, frameOneWay, 0, 0, 0, 0, 0, 0, 0, 3, 0, 8, 'q', '5', '.', 'r', 'e', 'p', 'l', 'y', 1},
 	} {
 		f.Add(seed)
 	}
@@ -178,7 +180,9 @@ func FuzzRPCFrame(f *testing.F) {
 		if len(data) > 0 {
 			cut = int(data[0]) % (len(data) + 1)
 		}
-		in := frame{typ: frameRequest, id: uint64(len(data)), method: data[:cut], payload: data[cut:]}
+		// A one-way frame's head and payload arrive as one payload.
+		mid := cut + (len(data)-cut)/2
+		in := frame{typ: frameOneWay, id: uint64(len(data)), method: data[:cut], head: data[cut:mid], payload: data[mid:]}
 		var buf bytes.Buffer
 		if err := writeFrame(&buf, in); err != nil {
 			t.Fatal(err)
@@ -187,7 +191,7 @@ func FuzzRPCFrame(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.typ != in.typ || out.id != in.id || !bytes.Equal(out.method, in.method) || !bytes.Equal(out.payload, in.payload) || buf.Len() != 0 {
+		if out.typ != in.typ || out.id != in.id || !bytes.Equal(out.method, in.method) || !bytes.Equal(out.payload, data[cut:]) || buf.Len() != 0 {
 			t.Fatalf("round trip: %+v, want %+v (%d bytes left)", out, in, buf.Len())
 		}
 	})
@@ -195,13 +199,12 @@ func FuzzRPCFrame(f *testing.F) {
 
 // TestUnframeableResponseFailsCall: a response no frame can carry is
 // answered with an error frame, so the caller hears at once instead of
-// waiting out its deadline, and the undo still takes the response back.
+// waiting out its deadline.
 func TestUnframeableResponseFailsCall(t *testing.T) {
 	s := NewServer()
-	undone := make(chan int, 1)
-	s.HandleUndo("big", func(context.Context, []byte) ([]byte, error) {
+	s.Handle("big", func(context.Context, []byte) ([]byte, error) {
 		return make([]byte, MaxFrameSize+1), nil
-	}, func(resp []byte) { undone <- len(resp) })
+	})
 	c, err := Dial(startServer(t, s))
 	if err != nil {
 		t.Fatal(err)
@@ -218,13 +221,89 @@ func TestUnframeableResponseFailsCall(t *testing.T) {
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("Call took %v to fail", d)
 	}
-	if n := <-undone; n != MaxFrameSize+1 {
-		t.Fatalf("undo saw %d bytes", n)
-	}
 	// The connection still serves.
 	s.Handle("echo", func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
 	if out, err := c.Call(ctx, "echo", []byte("ok")); err != nil || string(out) != "ok" {
 		t.Fatalf("after the refusal: %q, %v", out, err)
+	}
+}
+
+// TestOneWayAndPush: one-way frames reach their handler in order on one
+// stream, whose State carries over from frame to frame; the handler
+// pushes back on that stream — head and body as one frame — from
+// another goroutine; a one-way frame naming no one-way method closes
+// the connection, since no response can tell the peer.
+func TestOneWayAndPush(t *testing.T) {
+	s := NewServer()
+	s.HandleOneWay("count", func(st *Stream, p []byte) error {
+		n, _ := st.State.(int)
+		st.State = n + 1
+		body := fmt.Sprintf("%s#%d", p, n+1)
+		go st.Push([]byte("re:"), []byte(body)) //nolint:errcheck — the client reads it or fails
+		return nil
+	})
+	c, err := Dial(startServer(t, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	pushed := make(chan string, 4)
+	id := c.Open(func(p []byte) { pushed <- string(p) })
+	for _, p := range []string{"a", "b"} {
+		if err := c.Send(id, "count", nil, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := map[string]bool{}
+	for range 2 {
+		select {
+		case p := <-pushed:
+			got[p] = true
+		case <-time.After(5 * time.Second):
+			t.Fatal("no push")
+		}
+	}
+	if !got["re:a#1"] || !got["re:b#2"] {
+		t.Fatalf("pushes = %v, want re:a#1 and re:b#2", got)
+	}
+	if err := c.Send(id, "nope", []byte("x"), nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-c.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("an unknown one-way method left the connection open")
+	}
+}
+
+// TestServerCloseEndsConnections: Close closes every accepted
+// connection and returns only after their read loops are gone, so a
+// client's next Call fails and no serveConn goroutine is left.
+func TestServerCloseEndsConnections(t *testing.T) {
+	s := NewServer()
+	s.Handle("echo", func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(l) //nolint:errcheck
+	c, err := Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := c.Call(ctx, "echo", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	buf := make([]byte, 1<<20)
+	if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "(*Server).serveConn(") {
+		t.Fatalf("a connection's read loop outlived Close:\n%s", stacks)
+	}
+	if _, err := c.Call(ctx, "echo", []byte("x")); err == nil {
+		t.Fatal("a call succeeded after the server closed")
 	}
 }
 

@@ -170,7 +170,10 @@ type Config struct {
 	Executors map[string]executor.Executor
 	// Memoize enables the TM-side cache.
 	Memoize bool
-	// Pullers is the number of concurrent queue pullers (default 4).
+	// Pullers is the TM's credit (default 4): how many tasks it runs at
+	// once. Each puller waiting for a task holds one credit at the
+	// broker, which pushes a ready task down the connection per credit;
+	// the task's reply returns the credit.
 	Pullers int
 	// HeartbeatInterval re-announces the TM to the Management Service
 	// so it can detect dead sites (0 disables heartbeats).
