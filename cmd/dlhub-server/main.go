@@ -63,7 +63,7 @@ func main() {
 	logRequests := flag.Bool("log-requests", false, "log every HTTP request (method, path, status, latency, request ID)")
 	autoscaleInterval := flag.Duration("autoscale-interval", 0, "autoscaler control-loop tick (default 1s)")
 	maxQueue := flag.Int("max-queue", 0, "service-wide admission bound: reject runs (429) for a servable once this many are pending (0 = unbounded)")
-	taskRetention := flag.Duration("task-retention", 0, "how long finished async tasks stay queryable before the sweeper deletes them (default 15m, negative retains forever)")
+	taskRetention := flag.Duration("task-retention", 0, "how long finished async tasks stay queryable, counted from when they finished (default 15m, negative retains forever)")
 	tmStaleAfter := flag.Duration("tm-stale-after", 15*time.Second, "drop TMs from routing when no heartbeat arrived within this window, and fail over dispatches stuck on them (default 3x the TM heartbeat interval; 0 disables liveness + failover)")
 	failoverRetries := flag.Int("failover-retries", 0, "re-dispatch budget per run after its TM misses the liveness window (default 2, negative disables; requires -tm-stale-after)")
 	authOn := flag.Bool("auth", false, "require bearer-token authentication: identities register/login via /api/v2/auth, tenancy follows the token, and the X-DLHub-Tenant header is rejected")

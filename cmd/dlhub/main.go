@@ -299,7 +299,7 @@ func cmdRun(args []string) error {
 	serverFlag(fs)
 	async := fs.Bool("async", false, "submit asynchronously and print the task ID")
 	timeout := fs.Duration("timeout", 0, "bound the invocation (0 = server default); Ctrl-C always cancels server-side")
-	idemKey := fs.String("idempotency-key", "", "execute at most once under this key (enables automatic retries)")
+	idemKey := fs.String("idempotency-key", "", "execute at most once under this key, at most 255 bytes (enables automatic retries)")
 	fs.Parse(args) //nolint:errcheck
 	rest := fs.Args()
 	if len(rest) < 2 {

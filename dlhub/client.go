@@ -157,9 +157,10 @@ type RunConfig struct {
 	// NoCache bypasses only the service-layer result cache.
 	NoCache bool
 	// IdempotencyKey makes the request safe to retry: the server
-	// executes it once and replays the stored response to duplicates.
-	// Setting it also enables the client's automatic retry policy for
-	// this request.
+	// executes it once and replays the stored response to duplicates
+	// for 10 minutes after it finished. At most 255 bytes; the server
+	// refuses a longer key. Setting it also enables the client's
+	// automatic retry policy for this request.
 	IdempotencyKey string
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
@@ -19,8 +18,9 @@ import (
 // routing: a hit answers without touching the queue or any TM at all,
 // and N concurrent identical requests collapse (singleflight) into one
 // dispatched task: the cache registers each miss in flight under its
-// key, under the lock its entries use. The TM cache remains as the
-// second tier for requests that do reach a site.
+// key, in the one outcome table (outcomes.go) that holds its results.
+// The TM cache remains as the second tier for requests that do reach a
+// site.
 //
 // Keys are (servableID, version, canonical-JSON(input)): the published
 // version is part of the key, so re-publishing a servable naturally
@@ -78,48 +78,25 @@ type CacheStats struct {
 // canonical input (hashKey); the zero value means the cache does not apply.
 type cacheKey [sha256.Size]byte
 
-type cacheEntry struct {
-	key      cacheKey
-	servable string
-	res      RunResult // what a response carries: the payload is the reply's bytes
-	size     int64     // bytes res holds, charged against maxBytes
-	expires  time.Time // zero = never
-}
+// flight is one key's entry in the result cache: a miss in flight, led
+// by the request that registered it and followed by every identical
+// request that arrives meanwhile, then the result it stored.
+type flight = outcome[cacheKey, RunResult]
 
 // resultCache is a bounded LRU with TTL over RunResults, and the
-// registry of the misses in flight; one lock guards both.
+// registry of the misses in flight: one outcome table holds both, each
+// entry in its servable's group. An invalidation or a flush forgets the
+// misses in flight with the results, so a later arrival leads a fresh
+// call and the old one's result is not stored.
 type resultCache struct {
-	mu         sync.Mutex
-	max        int
-	maxBytes   int64
-	bytes      int64
-	ttl        time.Duration
-	lru        *list.List // front = most recently used, of *cacheEntry
-	entries    map[cacheKey]*list.Element
-	byServable map[string]map[cacheKey]*list.Element
-	// calls are the misses in flight, at most one per key (singleflight).
-	// invalidate and flush unregister them with the entries they drop, so
-	// a later arrival leads a fresh call and the old one's result is not
-	// stored.
-	calls map[cacheKey]*flightCall
+	flights *outcomes[cacheKey, RunResult]
 
-	hits, misses, evictions, expirations, invalidations, collapsed metrics.Counter
-
-	now func() time.Time
+	hits, misses, invalidations, collapsed metrics.Counter
 }
 
 func newResultCache(cfg CacheConfig) *resultCache {
 	cfg = cfg.withDefaults()
-	return &resultCache{
-		max:        cfg.MaxEntries,
-		maxBytes:   cfg.MaxBytes,
-		ttl:        cfg.TTL,
-		lru:        list.New(),
-		entries:    make(map[cacheKey]*list.Element),
-		byServable: make(map[string]map[cacheKey]*list.Element),
-		calls:      make(map[cacheKey]*flightCall),
-		now:        time.Now,
-	}
+	return &resultCache{flights: newOutcomes[cacheKey, RunResult](cfg.TTL, cfg.MaxEntries, cfg.MaxBytes)}
 }
 
 // bufPool recycles the buffers cache keys and run responses are assembled
@@ -263,181 +240,54 @@ func compacted(raw json.RawMessage) json.RawMessage {
 	return buf.Bytes()
 }
 
-// flightCall is one miss in flight. The request that registered it (the
-// leader) dispatches; every identical request that arrives while it is
-// registered follows it and shares its result.
-type flightCall struct {
-	key      cacheKey
-	servable string
-	done     chan struct{} // closed by finish, after res and err are set
-	res      RunResult
-	err      error
-}
-
 // lookup answers a request for key in one critical section, counting a
 // hit or a miss: a hit returns the stored result and no call; a miss
 // returns the call registered for key, to follow, or registers a new one
 // that the caller leads (lead) and must finish.
-func (c *resultCache) lookup(key cacheKey, servableID string) (res RunResult, call *flightCall, lead bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if elem, ok := c.entries[key]; ok {
-		e := elem.Value.(*cacheEntry)
-		if e.expires.IsZero() || !c.now().After(e.expires) {
-			c.lru.MoveToFront(elem)
-			c.hits.Inc()
-			return e.res, nil, false
-		}
-		c.unlinkLocked(elem)
-		c.expirations.Inc()
+func (c *resultCache) lookup(key cacheKey, servableID string) (res RunResult, call *flight, lead bool) {
+	call, cl := c.flights.lead(key, servableID, RunResult{})
+	if cl == claimKept {
+		c.hits.Inc()
+		return call.val, nil, false
 	}
 	c.misses.Inc()
-	call, lead = c.joinLocked(key, servableID)
-	return RunResult{}, call, lead
+	return RunResult{}, call, cl == claimLead
 }
 
-// join is the second look of a follower whose leader was canceled: it
-// follows the call now registered for key, or leads a new one, and
-// counts nothing (the request's miss is already counted).
-func (c *resultCache) join(key cacheKey, servableID string) (*flightCall, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.joinLocked(key, servableID)
-}
-
-func (c *resultCache) joinLocked(key cacheKey, servableID string) (*flightCall, bool) {
-	if call, ok := c.calls[key]; ok {
-		return call, false
-	}
-	call := &flightCall{key: key, servable: servableID, done: make(chan struct{})}
-	c.calls[key] = call
-	return call, true
-}
-
-// finish ends a led call in one critical section: if the call is still
-// registered — no invalidation or flush since its lookup — it is
-// unregistered and a successful result stored; then its followers are
-// woken. A result computed before an invalidation is never stored after
-// it, and an arrival after the invalidation never joins it.
-func (c *resultCache) finish(call *flightCall, res RunResult, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	call.res, call.err = res, err
-	if c.calls[call.key] == call {
-		delete(c.calls, call.key)
-		if err == nil {
-			c.putLocked(call.key, call.servable, res)
-		}
-	}
-	close(call.done)
-}
-
-// putLocked stores a result, evicting LRU entries past the entry or byte
-// budget. Oversized results (more than a quarter of the byte budget) are
-// discarded, and so is a second result for a key already stored: a
-// follower whose leader was canceled can lead again after another call
-// stored the key. Caller holds c.mu.
-func (c *resultCache) putLocked(key cacheKey, servableID string, res RunResult) {
-	// The charge is the bytes the entry keeps alive. (Only successful
-	// non-pipeline results are cached: Error and Steps are empty.)
-	size := int64(len(res.TaskID) + len(res.Output) + len(res.Outputs))
-	if _, ok := c.entries[key]; ok || size > c.maxBytes/4 {
-		return
-	}
-	c.evictOverBudgetLocked(size)
-	e := &cacheEntry{key: key, servable: servableID, res: res, size: size, expires: c.expiry()}
-	elem := c.lru.PushFront(e)
-	c.entries[key] = elem
-	c.bytes += size
-	keys := c.byServable[servableID]
-	if keys == nil {
-		keys = make(map[cacheKey]*list.Element)
-		c.byServable[servableID] = keys
-	}
-	keys[key] = elem
-}
-
-// evictOverBudgetLocked drops LRU entries until one more entry of size
-// bytes fits both budgets. Caller holds c.mu.
-func (c *resultCache) evictOverBudgetLocked(size int64) {
-	for c.lru.Len() > 0 && (c.lru.Len() >= c.max || c.bytes+size > c.maxBytes) {
-		c.unlinkLocked(c.lru.Back())
-		c.evictions.Inc()
-	}
-}
-
-func (c *resultCache) expiry() time.Time {
-	if c.ttl <= 0 {
-		return time.Time{}
-	}
-	return c.now().Add(c.ttl)
-}
-
-// unlinkLocked unlinks an element from all indexes. Caller holds c.mu.
-func (c *resultCache) unlinkLocked(elem *list.Element) {
-	e := elem.Value.(*cacheEntry)
-	c.lru.Remove(elem)
-	c.bytes -= e.size
-	delete(c.entries, e.key)
-	if keys := c.byServable[e.servable]; keys != nil {
-		delete(keys, e.key)
-		if len(keys) == 0 {
-			delete(c.byServable, e.servable)
-		}
-	}
+// finish ends a led call: a successful result is stored unless an
+// invalidation or flush forgot the call since its lookup, so a result
+// computed before an invalidation is never stored after it. The charge
+// is the bytes the entry keeps alive (only successful non-pipeline
+// results are cached: Error and Steps are empty).
+func (c *resultCache) finish(call *flight, res RunResult, err error) {
+	c.flights.finish(call, res, err, err == nil, int64(len(res.TaskID)+len(res.Output)+len(res.Outputs)))
 }
 
 // invalidate drops every entry for one servable (all versions, all
-// inputs) and unregisters its calls in flight — the
+// inputs) and forgets its calls in flight — the
 // Publish/UpdateMetadata/Scale hook.
 func (c *resultCache) invalidate(servableID string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := c.byServable[servableID]
-	n := len(keys)
-	for _, elem := range keys {
-		e := elem.Value.(*cacheEntry)
-		c.lru.Remove(elem)
-		c.bytes -= e.size
-		delete(c.entries, e.key)
-	}
-	delete(c.byServable, servableID)
-	for key, call := range c.calls {
-		if call.servable == servableID {
-			delete(c.calls, key)
-		}
-	}
+	n := c.flights.forget(servableID)
 	c.invalidations.Add(uint64(n))
 	return n
 }
 
-// flush empties the cache and unregisters every call in flight,
-// keeping counters.
+// flush empties the cache and forgets every call in flight, keeping
+// counters.
 func (c *resultCache) flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := c.lru.Len()
-	c.lru.Init()
-	c.entries = make(map[cacheKey]*list.Element)
-	c.byServable = make(map[string]map[cacheKey]*list.Element)
-	clear(c.calls)
-	c.bytes = 0
-	c.invalidations.Add(uint64(n))
+	c.invalidations.Add(uint64(c.flights.forgetAll()))
 }
 
 // stats snapshots the counters.
 func (c *resultCache) stats() CacheStats {
-	c.mu.Lock()
-	entries := c.lru.Len()
-	bytes := c.bytes
-	c.mu.Unlock()
+	st := c.flights.stats()
 	return CacheStats{
-		Entries:       entries,
-		Bytes:         bytes,
+		Entries:       st.kept,
+		Bytes:         st.bytes,
 		Hits:          c.hits.Value(),
 		Misses:        c.misses.Value(),
-		Evictions:     c.evictions.Value(),
-		Expirations:   c.expirations.Value(),
+		Evictions:     st.evictions,
+		Expirations:   st.expirations,
 		Invalidations: c.invalidations.Value(),
 		Collapsed:     c.collapsed.Value(),
 	}

@@ -38,9 +38,9 @@ var errNoResult = errors.New("no result")
 
 // put stores res under key as a leader's finish does.
 func (c *resultCache) put(key cacheKey, servableID string, res RunResult) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putLocked(key, servableID, res)
+	if call, cl := c.flights.lead(key, servableID, RunResult{}); cl == claimLead {
+		c.finish(call, res, nil)
+	}
 }
 
 func TestResultCacheLRUEviction(t *testing.T) {
@@ -66,7 +66,7 @@ func TestResultCacheLRUEviction(t *testing.T) {
 func TestResultCacheTTL(t *testing.T) {
 	now := time.Now()
 	c := newResultCache(CacheConfig{TTL: time.Minute})
-	c.now = func() time.Time { return now }
+	c.flights.now = func() time.Time { return now }
 	c.put(key("k"), "s1", testResult("v"))
 	if _, ok := c.get(key("k")); !ok {
 		t.Fatal("fresh entry should hit")
@@ -212,7 +212,7 @@ func FuzzResultKey(f *testing.F) {
 }
 
 // mustLead looks key up on servable and requires a new call to lead.
-func mustLead(t *testing.T, c *resultCache, k cacheKey, servableID string) *flightCall {
+func mustLead(t *testing.T, c *resultCache, k cacheKey, servableID string) *flight {
 	t.Helper()
 	_, call, lead := c.lookup(k, servableID)
 	if call == nil || !lead {
@@ -224,7 +224,7 @@ func mustLead(t *testing.T, c *resultCache, k cacheKey, servableID string) *flig
 func TestResultCacheCollapsesMisses(t *testing.T) {
 	c := newResultCache(CacheConfig{})
 	const callers = 8
-	calls := make([]*flightCall, callers)
+	calls := make([]*flight, callers)
 	leads := make([]bool, callers)
 	var wg sync.WaitGroup
 	for i := range callers {
@@ -235,7 +235,7 @@ func TestResultCacheCollapsesMisses(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	var leader *flightCall
+	var leader *flight
 	for i, call := range calls {
 		if leads[i] {
 			if leader != nil {
@@ -255,8 +255,8 @@ func TestResultCacheCollapsesMisses(t *testing.T) {
 	}
 	c.finish(leader, testResult("once"), nil)
 	<-leader.done
-	if string(leader.res.Output) != "once" || leader.err != nil {
-		t.Fatalf("followers see %s, %v", leader.res.Output, leader.err)
+	if string(leader.val.Output) != "once" || leader.err != nil {
+		t.Fatalf("followers see %s, %v", leader.val.Output, leader.err)
 	}
 	if st := c.stats(); st.Misses != callers || st.Entries != 1 {
 		t.Fatalf("want %d misses and the one result stored, got %+v", callers, st)

@@ -1,6 +1,9 @@
 package core
 
-import "context"
+import (
+	"context"
+	"time"
+)
 
 // ReservationsEmpty reports whether the two-level (tenant × servable)
 // admission reservation table is fully drained — every reserve was
@@ -38,3 +41,9 @@ func (s *Service) RunAsync(ctx context.Context, caller Caller, servableID string
 	}
 	return s.runAsync(ctx, caller, servableID, raw, opts)
 }
+
+// SetIdempotencyCap bounds the idempotency key table at n keys, and
+// SetIdempotencyClock replaces its clock; both before the first request.
+func (s *Service) SetIdempotencyCap(n int) { s.idem.max = n }
+
+func (s *Service) SetIdempotencyClock(now func() time.Time) { s.idem.now = now }

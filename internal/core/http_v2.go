@@ -276,97 +276,6 @@ func endpoint[Req any](s *Service, h func(r *http.Request, c Caller, req *Req) (
 // pathID is the {owner}/{name} servable ID a route addresses.
 func pathID(r *http.Request) string { return r.PathValue("owner") + "/" + r.PathValue("name") }
 
-// idempotent executes fn under the request's Idempotency-Key (if any):
-// the first execution's outcome is stored and replayed to duplicates,
-// and a duplicate arriving mid-execution waits for the original rather
-// than re-executing. Without a key, fn runs unconditionally. fn writes
-// the response's data, one JSON value; the envelope around it is finished
-// here, the same way for a first answer and a replay.
-//
-// Only definitive outcomes are replayable: successes and 4xx failures.
-// Transient failures (any 5xx, and 499/canceled) release their waiters
-// with the error but are then forgotten, so a later retry with the same
-// key — the retry the key exists to make safe — executes fresh instead
-// of replaying a stale outage. An execution that never finishes (panic
-// unwinding through us) is finished as internal and forgotten too, so
-// the key can never wedge.
-func (s *Service) idempotent(w http.ResponseWriter, r *http.Request, c Caller, fn func(data *bytes.Buffer) (status int, err error)) {
-	buf := getBuf()
-	defer putBuf(buf)
-	buf.WriteString(envelopeOpen)
-	key := r.Header.Get(IdempotencyKeyHeader)
-	if key == "" {
-		status, err := fn(buf)
-		if err != nil {
-			writeV2Error(w, err)
-			return
-		}
-		finishEnvelope(w, status, buf)
-		return
-	}
-	scoped := c.IdentityID + "|" + r.Method + " " + r.URL.Path + "|" + key
-	var e *idemEntry
-	for {
-		var isNew bool
-		e, isNew = s.idem.begin(scoped)
-		if isNew {
-			break
-		}
-		select {
-		case <-e.done:
-			if e.err != nil && !replayable(e.err) {
-				// The first execution died transiently (its client
-				// canceled, an outage...). This duplicate is exactly
-				// the retry the key exists for: drop the dead entry
-				// and loop to execute fresh instead of replaying it.
-				s.idem.forget(scoped, e)
-				continue
-			}
-			w.Header().Set(IdempotencyReplayedHeader, "true")
-			if e.err != nil {
-				writeV2Error(w, e.err)
-				return
-			}
-			buf.Write(e.body)
-			finishEnvelope(w, e.status, buf)
-		case <-r.Context().Done():
-			writeV2Error(w, wrapCtxErr(r.Context().Err()))
-		}
-		return
-	}
-	finished := false
-	defer func() {
-		if !finished {
-			// fn panicked (or otherwise unwound): release any waiting
-			// duplicates and drop the key so it cannot wedge.
-			e.finish(0, nil, ErrInternal.WithDetail("execution aborted"))
-			s.idem.forget(scoped, e)
-		}
-	}()
-	settle := func(status int, body []byte, serr *Error) {
-		e.finish(status, body, serr)
-		finished = true
-		if serr != nil && !replayable(serr) {
-			s.idem.forget(scoped, e)
-		}
-	}
-	status, err := fn(buf)
-	if err != nil {
-		settle(0, nil, Classify(err))
-		writeV2Error(w, err)
-		return
-	}
-	settle(status, bytes.Clone(buf.Bytes()[len(envelopeOpen):]), nil) // buf goes back to the pool
-	finishEnvelope(w, status, buf)
-}
-
-// replayable reports whether a failure is definitive enough to replay
-// to idempotency-key duplicates: client errors (4xx) are; server-side
-// or transient conditions (5xx, client-closed 499) are not.
-func replayable(e *Error) bool {
-	return e.HTTPStatus >= 400 && e.HTTPStatus < 500 && e.HTTPStatus != StatusClientClosedRequest
-}
-
 // --- health -----------------------------------------------------------------
 
 func (s *Service) handleV2Healthz(w http.ResponseWriter, r *http.Request) {

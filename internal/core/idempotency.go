@@ -1,7 +1,9 @@
 package core
 
 import (
-	"sync"
+	"bytes"
+	"fmt"
+	"net/http"
 	"time"
 )
 
@@ -12,7 +14,8 @@ import (
 // and a duplicate arriving while the original is still executing waits
 // for that execution instead of starting a second one. Keys are scoped
 // per caller identity and route, so two users (or two routes) reusing
-// the same key never collide.
+// the same key never collide. The executions and their responses live
+// in an outcome table (outcomes.go).
 
 // IdempotencyKeyHeader is the request header carrying the client's
 // chosen key; IdempotencyReplayedHeader marks a replayed response.
@@ -21,112 +24,102 @@ const (
 	IdempotencyReplayedHeader = "Idempotency-Replayed"
 )
 
-// idemEntry is one keyed execution: done closes when the first
-// execution finishes, after which status/body/err hold its outcome.
-type idemEntry struct {
-	done    chan struct{}
-	status  int
-	body    []byte // marshaled envelope data (nil when err != nil)
-	err     *Error
-	created time.Time
+const (
+	// idemTTL bounds how long a finished keyed response is replayable,
+	// counted from when it finished.
+	idemTTL = 10 * time.Minute
+	// idemMax bounds the finished keyed responses kept; past it the
+	// least recently used goes. Executions in flight are never evicted.
+	idemMax = 4096
+	// maxIdempotencyKey bounds a key's length in bytes: the table keeps
+	// idemMax keys, and the header limit alone would let one client pin
+	// gigabytes in keys.
+	maxIdempotencyKey = 255
+)
+
+// idemReply is a keyed execution's response: its status and the
+// envelope's data, one JSON value. A failure is the entry's error.
+type idemReply struct {
+	status int
+	body   []byte
 }
 
-// finish records the outcome and releases waiting duplicates.
-func (e *idemEntry) finish(status int, body []byte, err *Error) {
-	e.status = status
-	e.body = body
-	e.err = err
-	close(e.done)
-}
-
-// idemTTL bounds how long a completed keyed response is replayable.
-const idemTTL = 10 * time.Minute
-
-// idemStore holds keyed executions with TTL expiry and a size cap.
-type idemStore struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]*idemEntry
-	now     func() time.Time
-}
-
-func newIdemStore() *idemStore {
-	return &idemStore{
-		max:     4096,
-		entries: make(map[string]*idemEntry),
-		now:     time.Now,
+// idempotent executes fn under the request's Idempotency-Key (if any):
+// the first execution's outcome is stored and replayed to duplicates,
+// and a duplicate arriving mid-execution waits for the original rather
+// than re-executing. Without a key, fn runs unconditionally; a key over
+// maxIdempotencyKey bytes is refused before fn runs. fn writes the
+// response's data, one JSON value; the envelope around it is finished
+// here, the same way for a first answer and a replay.
+//
+// Only definitive outcomes are replayable: successes and 4xx failures.
+// Transient failures (any 5xx, and 499/canceled) reach the duplicates
+// already waiting, which then execute afresh, and are not kept, so a
+// later retry with the same key — the retry the key exists to make safe
+// — executes fresh instead of replaying a stale outage. An execution
+// that never finishes (panic unwinding through us) is finished as
+// internal and not kept, so the key can never wedge.
+func (s *Service) idempotent(w http.ResponseWriter, r *http.Request, c Caller, fn func(data *bytes.Buffer) (status int, err error)) {
+	key := r.Header.Get(IdempotencyKeyHeader)
+	if len(key) > maxIdempotencyKey {
+		writeV2Error(w, ErrBadRequest.WithDetail(fmt.Sprintf("%s is %d bytes, over the limit of %d", IdempotencyKeyHeader, len(key), maxIdempotencyKey)))
+		return
 	}
-}
-
-// begin claims key: isNew reports this caller is the first (and must
-// finish() the returned entry); otherwise the entry belongs to an
-// earlier request and the caller should wait on done and replay.
-func (st *idemStore) begin(key string) (e *idemEntry, isNew bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	now := st.now()
-	if e, ok := st.entries[key]; ok {
-		expired := now.Sub(e.created) > idemTTL
-		// Only completed entries expire: an in-flight execution must
-		// keep absorbing duplicates however long it runs.
-		select {
-		case <-e.done:
-			if !expired {
-				return e, false
+	buf := getBuf()
+	defer putBuf(buf)
+	buf.WriteString(envelopeOpen)
+	if key == "" {
+		status, err := fn(buf)
+		if err != nil {
+			writeV2Error(w, err)
+			return
+		}
+		finishEnvelope(w, status, buf)
+		return
+	}
+	scoped := c.IdentityID + "|" + r.Method + " " + r.URL.Path + "|" + key
+	e, cl := s.idem.lead(scoped, "", idemReply{})
+	if cl != claimLead {
+		var led bool
+		var err error
+		if e, led, err = s.idem.follow(r.Context(), e, transient); err != nil {
+			writeV2Error(w, wrapCtxErr(err))
+			return
+		}
+		if !led {
+			w.Header().Set(IdempotencyReplayedHeader, "true")
+			if e.err != nil {
+				writeV2Error(w, e.err)
+				return
 			}
-			delete(st.entries, key)
-		default:
-			return e, false
+			buf.Write(e.val.body)
+			finishEnvelope(w, e.val.status, buf)
+			return
 		}
 	}
-	st.sweepLocked(now)
-	e = &idemEntry{done: make(chan struct{}), created: now}
-	st.entries[key] = e
-	return e, true
+	defer s.idem.abandon(e)
+	status, err := fn(buf)
+	if err != nil {
+		serr := Classify(err)
+		s.idem.finish(e, idemReply{}, serr, replayable(serr), 0)
+		writeV2Error(w, err)
+		return
+	}
+	s.idem.finish(e, idemReply{status, bytes.Clone(buf.Bytes()[len(envelopeOpen):])}, nil, true, 0) // buf goes back to the pool
+	finishEnvelope(w, status, buf)
 }
 
-// forget removes key — but only while it still maps to e, so a racing
-// re-execution that already claimed the key under a fresh entry is
-// never evicted by a stale forget. Waiters already holding e still
-// read its recorded outcome. Used for transient failures (5xx,
-// canceled) that must not be replayed — replaying them would defeat
-// the retry contract the key exists for — and for aborted executions
-// (panic) that never finished.
-func (st *idemStore) forget(key string, e *idemEntry) {
-	st.mu.Lock()
-	if st.entries[key] == e {
-		delete(st.entries, key)
-	}
-	st.mu.Unlock()
+// transient is idempotency's retry rule: a duplicate that waited on an
+// execution which failed transiently (its client canceled, an outage...)
+// is exactly the retry the key exists for, so it executes afresh instead
+// of taking that failure.
+func transient(e *outcome[string, idemReply]) bool {
+	return e.err != nil && !replayable(Classify(e.err))
 }
 
-// sweepLocked drops expired completed entries; at the size cap it drops
-// the oldest completed entries to make room. Caller holds st.mu.
-func (st *idemStore) sweepLocked(now time.Time) {
-	for key, e := range st.entries {
-		select {
-		case <-e.done:
-			if now.Sub(e.created) > idemTTL {
-				delete(st.entries, key)
-			}
-		default:
-		}
-	}
-	for len(st.entries) >= st.max {
-		var oldestKey string
-		var oldest time.Time
-		for key, e := range st.entries {
-			select {
-			case <-e.done:
-				if oldestKey == "" || e.created.Before(oldest) {
-					oldestKey, oldest = key, e.created
-				}
-			default:
-			}
-		}
-		if oldestKey == "" {
-			return // everything in flight; nothing evictable
-		}
-		delete(st.entries, oldestKey)
-	}
+// replayable reports whether a failure is definitive enough to replay
+// to idempotency-key duplicates: client errors (4xx) are; server-side
+// or transient conditions (5xx, client-closed 499) are not.
+func replayable(e *Error) bool {
+	return e.HTTPStatus >= 400 && e.HTTPStatus < 500 && e.HTTPStatus != StatusClientClosedRequest
 }

@@ -697,14 +697,16 @@ func TestRunHTTPAllocs(t *testing.T) {
 	}
 }
 
-// What TestRunHTTPAllocs measures at this commit (484 and 71 while an
-// in-process Pull that waited made a channel and a list element; before
-// the reply was a binary frame and the hop lost its per-request context,
-// closures and strings: batch 502, single run 88, cache hit 34; before
-// the task body carried payloads as lines: batch 613, single run 90).
+// What TestRunHTTPAllocs measures at this commit (481 and 68 while a
+// miss in flight and its stored result were three objects beside the
+// done channel, not one; 484 and 71 while an in-process Pull that waited
+// made a channel and a list element; before the reply was a binary frame
+// and the hop lost its per-request context, closures and strings: batch
+// 502, single run 88, cache hit 34; before the task body carried
+// payloads as lines: batch 613, single run 90).
 const (
-	batchAllocs     = 481
-	singleRunAllocs = 68
+	batchAllocs     = 479
+	singleRunAllocs = 66
 	hitAllocs       = 32
 )
 

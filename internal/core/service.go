@@ -132,10 +132,10 @@ type Config struct {
 	// overrides it.
 	MaxQueue int
 	// TaskRetention bounds how long a finished async task stays
-	// queryable: the sweeper deletes completed/failed tasks this long
-	// after they finish (default 15m; < 0 retains forever). Without it
-	// the task map grows one entry per async run for the service
-	// lifetime.
+	// queryable: a completed/failed task is deleted this long after it
+	// finished, by the first read or write of the task table past that
+	// point (default 15m; < 0 retains forever). Without it the task
+	// table grows one entry per async run for the service lifetime.
 	TaskRetention time.Duration
 	// FailoverRetries bounds how many times one synchronous run may be
 	// re-dispatched after its routed Task Manager misses the liveness
@@ -185,14 +185,13 @@ type Service struct {
 	failoverRedispatched atomic.Uint64
 	failoverExhausted    atomic.Uint64
 
-	taskMu sync.RWMutex
-	tasks  map[string]*asyncTask
-	// taskSwept counts finished async tasks deleted by the retention
-	// sweeper (exposed in /api/v2/stats).
-	taskSwept uint64
+	// tasks are the async runs by task ID, each pending until its run
+	// finishes and then kept for TaskRetention (outcomes.go).
+	tasks *outcomes[string, AsyncTask]
 
-	// idem stores idempotency-keyed v2 responses for replay.
-	idem *idemStore
+	// idem holds the idempotency-keyed v2 executions and their
+	// responses for replay (idempotency.go).
+	idem *outcomes[string, idemReply]
 
 	// scaler is the replica autoscaler (autoscaler.go); its control
 	// loop runs for the service lifetime.
@@ -241,15 +240,6 @@ type AsyncTask struct {
 	Finished time.Time `json:"finished,omitempty"`
 }
 
-// asyncTask pairs the public task state with its completion signal;
-// done is closed exactly once, when the task leaves "pending". SSE
-// streams (GET /api/v2/tasks/{id}/events) block on it instead of
-// polling.
-type asyncTask struct {
-	AsyncTask
-	done chan struct{}
-}
-
 // New creates a Management Service with its own broker.
 func New(cfg Config) *Service {
 	if cfg.TaskTimeout <= 0 {
@@ -269,7 +259,8 @@ func New(cfg Config) *Service {
 		broker:   queue.NewBroker(10 * time.Minute),
 		builder:  container.NewBuilder(cfg.Registry),
 		repo:     newRepository(),
-		tasks:    make(map[string]*asyncTask),
+		tasks:    newOutcomes[string, AsyncTask](cfg.TaskRetention, 0, 0),
+		idem:     newOutcomes[string, idemReply](idemTTL, idemMax, 0),
 		stop:     make(chan struct{}),
 		timeFunc: time.Now,
 		users:    make(map[string]userRecord),
@@ -282,20 +273,16 @@ func New(cfg Config) *Service {
 		s.tenants = auth.NewTenantRegistry()
 	}
 	s.route = newRoutingTable(cfg.TMStaleAfter, func() time.Time { return s.timeFunc() })
+	s.tasks.now = func() time.Time { return s.timeFunc() } // retention counts from AsyncTask.Finished
 	s.lifeCtx, s.lifeCancel = context.WithCancel(context.Background())
 	if !cfg.Cache.Disabled {
 		s.cache = newResultCache(cfg.Cache)
 	}
-	s.idem = newIdemStore()
 	s.scaler = newAutoscaler(s, cfg.AutoscaleInterval)
 	s.regWG.Add(1)
 	go s.registrationLoop()
 	s.regWG.Add(1)
 	go s.scaler.loop()
-	if cfg.TaskRetention > 0 {
-		s.regWG.Add(1)
-		go s.taskSweepLoop()
-	}
 	if cfg.Store != nil {
 		// The store compacts its log by writing the whole repository as
 		// records through this hook; registration must precede Recover so
@@ -757,7 +744,7 @@ func (s *Service) invalidateCache(servableID string) {
 // opted out, or a pipeline batch).
 func (s *Service) serve(ctx context.Context, caller Caller, key cacheKey, task taskmanager.Task, input json.RawMessage, weight int) (RunResult, error) {
 	start := time.Now()
-	var call *flightCall
+	var call *flight
 	lead := false
 	if key != (cacheKey{}) {
 		var res RunResult
@@ -776,46 +763,49 @@ func (s *Service) serve(ctx context.Context, caller Caller, key cacheKey, task t
 // (lead); a follower waits under its own ctx, never the leader's, and
 // shares the leader's result, marked CacheHit with its own request time.
 // A follower whose leader was canceled — the leader's client hung up —
-// looks again: it follows a newer call or leads and re-dispatches, so a
-// canceled leader never takes its followers down with it. A timed-out
-// leader's error is shared: re-dispatching a known-too-slow task for
-// every follower would stampede the TM. call is nil when the cache does
-// not apply.
-func (s *Service) serveMiss(ctx context.Context, caller Caller, call *flightCall, lead bool, task taskmanager.Task, weight int, start time.Time) (RunResult, error) {
+// claims the key again: it follows a newer call or leads and
+// re-dispatches, so a canceled leader never takes its followers down
+// with it. A timed-out leader's error is shared: re-dispatching a
+// known-too-slow task for every follower would stampede the TM. call is
+// nil when the cache does not apply. A led call is finished on every
+// return path, and as internal, unstored, if the dispatch panics.
+func (s *Service) serveMiss(ctx context.Context, caller Caller, call *flight, lead bool, task taskmanager.Task, weight int, start time.Time) (RunResult, error) {
 	ctx, cancel := s.reqCtx(ctx)
 	defer cancel()
-	for call != nil && !lead {
-		select {
-		case <-call.done:
-		case <-ctx.Done():
-			return RunResult{}, fmt.Errorf("%w (awaiting identical in-flight request)", wrapCtxErr(ctx.Err()))
-		}
+	if call != nil && !lead {
+		var err error
+		call, lead, err = s.cache.flights.follow(ctx, call, func(c *flight) bool {
+			return errors.Is(c.err, context.Canceled) && ctx.Err() == nil
+		})
 		switch {
-		case call.err == nil:
+		case err != nil:
+			return RunResult{}, fmt.Errorf("%w (awaiting identical in-flight request)", wrapCtxErr(err))
+		case lead:
+		case call.err != nil:
+			return call.val, call.err
+		default:
 			s.cache.collapsed.Inc()
-			return markCacheHit(call.res, start), nil
-		case !errors.Is(call.err, context.Canceled) || ctx.Err() != nil:
-			return call.res, call.err
+			return markCacheHit(call.val, start), nil
 		}
-		call, lead = s.cache.join(call.key, task.Servable)
 	}
-	return s.admitAndDispatch(ctx, caller, call, task, weight)
+	if call == nil {
+		return s.admitAndDispatch(ctx, caller, task, weight)
+	}
+	defer s.cache.flights.abandon(call)
+	res, err := s.admitAndDispatch(ctx, caller, task, weight)
+	s.cache.finish(call, res, err)
+	return res, err
 }
 
 // admitAndDispatch reserves weight admission units under the task's
 // servable for the length of the dispatch. A batch reserves its input
 // count: admitting a 250-item batch as one unit would let a single
-// request blow far past the bound. A led call is finished on every
-// return path, so no path leaves its key registered. Admission is the
-// leader's alone: followers add no load, and a leader's rejection is the
-// overload answer for the whole flight. The leader's tenant is billed —
-// followers on the same key share its reservation like they share its
-// dispatch.
-func (s *Service) admitAndDispatch(ctx context.Context, caller Caller, call *flightCall, task taskmanager.Task, weight int) (res RunResult, err error) {
-	if call != nil {
-		defer func() { s.cache.finish(call, res, err) }()
-	}
-	if err = s.admitRun(caller, task.Servable, weight); err != nil {
+// request blow far past the bound. Of a cache call, only the leader gets
+// here: followers add no load, and a leader's rejection is the overload
+// answer for the whole flight. The leader's tenant is billed — followers
+// on the same key share its reservation like they share its dispatch.
+func (s *Service) admitAndDispatch(ctx context.Context, caller Caller, task taskmanager.Task, weight int) (RunResult, error) {
+	if err := s.admitRun(caller, task.Servable, weight); err != nil {
 		return RunResult{}, err
 	}
 	defer s.route.unreserve(caller.Tenant, task.Servable, weight)
@@ -1075,13 +1065,8 @@ func (s *Service) runAsync(ctx context.Context, caller Caller, servableID string
 		return "", err
 	}
 	id := queue.NewID()
-	at := &asyncTask{
-		AsyncTask: AsyncTask{ID: id, Status: "pending", Tenant: caller.Tenant, Created: s.timeFunc()},
-		done:      make(chan struct{}),
-	}
-	s.taskMu.Lock()
-	s.tasks[id] = at
-	s.taskMu.Unlock()
+	at := AsyncTask{ID: id, Status: "pending", Tenant: caller.Tenant, Created: s.timeFunc()}
+	e, _ := s.tasks.lead(id, "", at)
 
 	// The detached context keeps ctx's values but not its cancellation;
 	// Run applies the usual deadline policy.
@@ -1092,7 +1077,6 @@ func (s *Service) runAsync(ctx context.Context, caller Caller, servableID string
 		defer stop()
 		defer cancel()
 		res, err := s.run(bg, caller, servableID, input, opts)
-		s.taskMu.Lock()
 		at.Finished = s.timeFunc()
 		if err != nil {
 			at.Status = "failed"
@@ -1101,98 +1085,45 @@ func (s *Service) runAsync(ctx context.Context, caller Caller, servableID string
 			at.Status = "completed"
 			at.Reply = &res.Reply
 		}
-		s.taskMu.Unlock()
-		close(at.done)
+		s.tasks.finish(e, at, nil, true, 0)
 	}()
 	return id, nil
 }
 
 // TaskStats reports the async-task table's size and how many finished
-// tasks the retention sweeper has deleted.
+// tasks have expired out of it.
 type TaskStats struct {
 	// Tracked is the current task-table size (pending + finished
 	// entries still within retention).
 	Tracked int `json:"tracked"`
-	// Swept counts finished tasks deleted by the retention sweeper.
+	// Swept counts finished tasks deleted once their retention ran out.
 	Swept uint64 `json:"swept"`
 }
 
-// TaskStats snapshots the async-task counters.
+// TaskStats snapshots the async-task counters, deleting the finished
+// tasks whose retention has run out first.
 func (s *Service) TaskStats() TaskStats {
-	s.taskMu.RLock()
-	defer s.taskMu.RUnlock()
-	return TaskStats{Tracked: len(s.tasks), Swept: s.taskSwept}
-}
-
-// taskSweepLoop deletes finished async tasks TaskRetention after they
-// finish. The tick is a fraction of the retention so deletion lag stays
-// proportional to the window.
-func (s *Service) taskSweepLoop() {
-	defer s.regWG.Done()
-	interval := s.cfg.TaskRetention / 4
-	if interval < 5*time.Millisecond {
-		interval = 5 * time.Millisecond
-	}
-	if interval > 30*time.Second {
-		interval = 30 * time.Second
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-			s.sweepTasks()
-		}
-	}
-}
-
-// sweepTasks deletes tasks that finished (done closed) more than
-// TaskRetention ago, returning how many it removed. Pending tasks are
-// never touched — retention starts at Finished, not Created.
-func (s *Service) sweepTasks() int {
-	cutoff := s.timeFunc().Add(-s.cfg.TaskRetention)
-	swept := 0
-	s.taskMu.Lock()
-	for id, at := range s.tasks {
-		select {
-		case <-at.done:
-		default:
-			continue
-		}
-		if !at.Finished.IsZero() && at.Finished.Before(cutoff) {
-			delete(s.tasks, id)
-			swept++
-		}
-	}
-	s.taskSwept += uint64(swept)
-	s.taskMu.Unlock()
-	return swept
+	st := s.tasks.stats()
+	return TaskStats{Tracked: st.entries, Swept: st.expirations}
 }
 
 // TaskStatus fetches an async task's state.
 func (s *Service) TaskStatus(taskID string) (*AsyncTask, error) {
-	s.taskMu.RLock()
-	defer s.taskMu.RUnlock()
-	at, ok := s.tasks[taskID]
+	at, _, ok := s.tasks.get(taskID)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrTaskNotFound, taskID)
 	}
-	cp := at.AsyncTask
-	return &cp, nil
+	return &at, nil
 }
 
 // TaskWatch returns a channel closed when the task completes (already
 // closed for finished tasks), for event streams that must not poll.
 func (s *Service) TaskWatch(taskID string) (<-chan struct{}, error) {
-	s.taskMu.RLock()
-	defer s.taskMu.RUnlock()
-	at, ok := s.tasks[taskID]
+	_, done, ok := s.tasks.get(taskID)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrTaskNotFound, taskID)
 	}
-	return at.done, nil
+	return done, nil
 }
 
 // --- deployment --------------------------------------------------------------
