@@ -3,6 +3,9 @@
 // cluster with the requested executors, and serves tasks, up to 8 at
 // once: each idle slot is one credit the Management Service pushes a
 // task down the connection against, and each task's reply returns it.
+// The connection is not re-dialed: when it is lost the Task Manager
+// stops and exits with status 1, so a supervisor restarts it and it
+// registers afresh.
 //
 // Example (paper topology, with the measured 20.7 ms WAN RTT shaped
 // onto the queue connection):
@@ -128,7 +131,12 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	<-sig
+	select {
+	case <-sig:
+	case <-qc.Done():
+		tm.Close()
+		log.Fatalf("dlhub-taskmanager %s: queue connection to %s lost; exiting", *id, *queueAddr)
+	}
 	done, hits := tm.Stats()
 	fmt.Printf("dlhub-taskmanager: shutting down (completed=%d cache_hits=%d)\n", done, hits)
 }

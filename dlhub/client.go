@@ -592,17 +592,18 @@ func (c *Client) DrainTM(ctx context.Context, tmID string) (*DrainResult, error)
 	return &res, nil
 }
 
-// RejoinTM reverses a drain: the Task Manager clears its drain
-// acknowledgement and returns to the routable pool. Placements a drain
-// migrated away are not restored — redeploy explicitly where needed.
+// RejoinTM reverses a drain: the service clears the Task Manager's drain
+// mark and it returns to the routable pool. The TM must be live (a
+// heartbeat inside the liveness window). Placements a drain migrated
+// away are not restored — redeploy explicitly where needed.
 func (c *Client) RejoinTM(ctx context.Context, tmID string) error {
 	return c.call(ctx, http.MethodPost, "/api/v2/tms/"+tmID+"/rejoin", struct{}{}, nil, "")
 }
 
 // DeregisterTM removes a Task Manager from the service's registry and
-// routing state (normally after DrainTM). A TM process that is still
-// alive re-registers on its next heartbeat; stop it to make removal
-// final.
+// routing state (normally after DrainTM), its drain mark included. A TM
+// process that is still alive re-registers on its next heartbeat as a
+// new routable site with no placements; stop it to make removal final.
 func (c *Client) DeregisterTM(ctx context.Context, tmID string) error {
 	return c.call(ctx, http.MethodDelete, "/api/v2/tms/"+tmID, nil, nil, "")
 }

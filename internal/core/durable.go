@@ -41,11 +41,11 @@ import (
 //	user              userRecord     — RegisterUser (hash, never the plaintext password)
 //
 // Deliberately NOT logged (runtime state the service re-learns or that
-// is semantically a cache): TM registrations and heartbeats (re-learned
-// when sites reconnect), drain marks asserted by heartbeats (the
-// original DrainTM was logged; a heartbeat echo is not a transition),
-// in-flight/demand counters, result-cache and idempotency entries,
-// async task table, and route metrics. Access TOKENS are in this bucket
+// is semantically a cache): TM registrations and heartbeats (liveness
+// and load, re-learned when sites reconnect; a heartbeat writes no
+// durable state, the drain mark included), in-flight/demand counters,
+// result-cache and idempotency entries, async task table, and route
+// metrics. Access TOKENS are in this bucket
 // too: they are short-lived bearer secrets, so persisting them would
 // extend their blast radius past the process lifetime for no benefit —
 // after a restart clients simply log in again against the replayed user

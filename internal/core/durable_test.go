@@ -195,6 +195,32 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	requireSameState(t, a, b, id)
 }
 
+// TestHeartbeatChangesNoDurableState: a heartbeat is liveness and load,
+// never a durable change, even one that still asserts draining. What a
+// live service holds after it is what its log recovers.
+func TestHeartbeatChangesNoDurableState(t *testing.T) {
+	opts := store.Options{Dir: t.TempDir()}
+	a := walService(t, opts)
+	if _, err := a.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	a.Broker().Push(taskmanager.RegisterQueue, []byte(`{"tm_id":"site-a","active":0,"draining":true}`), "", "", "")
+	if err := a.WaitForTM(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	live := a.StateFingerprint()
+	a.Close()
+	a.cfg.Store.Close()
+
+	b := walService(t, opts)
+	if _, err := b.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if recovered := b.StateFingerprint(); recovered != live {
+		t.Fatalf("live: %s / recovered: %q", live, recovered)
+	}
+}
+
 // recordKinds is the taxonomy in durable.go.
 var recordKinds = map[string]bool{
 	recKindPublish: true, recKindMetadata: true, recKindUnpublish: true,

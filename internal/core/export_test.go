@@ -34,6 +34,10 @@ func (s *Service) TMLoad() map[string]int { return s.route.snapshotTMs().load }
 
 func (s *Service) DrainingTMs() []string { return s.route.snapshotTMs().draining }
 
+// MarkDraining applies a drain record without DrainTM's wait and
+// migration pass: the state a service recovers mid-drain.
+func (s *Service) MarkDraining(tmID string) { s.applyDrain(recTM{TM: tmID}) }
+
 func (s *Service) RunAsync(ctx context.Context, caller Caller, servableID string, input any, opts RunOptions) (string, error) {
 	raw, err := encodeInput(input)
 	if err != nil {

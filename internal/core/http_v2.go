@@ -817,8 +817,8 @@ func (s *Service) handleV2TMDrain(r *http.Request, _ Caller, _ *noBody) (int, an
 	return http.StatusOK, res, nil
 }
 
-// handleV2TMRejoin reverses a drain: the TM clears its drain
-// acknowledgement and returns to the routable pool (placements a drain
+// handleV2TMRejoin reverses a drain: the live TM's drain mark is
+// cleared and it returns to the routable pool (placements a drain
 // migrated away are NOT restored — redeploy explicitly).
 func (s *Service) handleV2TMRejoin(r *http.Request, _ Caller, _ *noBody) (int, any, error) {
 	tmID := r.PathValue("tm")

@@ -7,10 +7,10 @@ package core
 // owns the other half:
 //
 //   - DrainTM takes a site out of rotation without killing it: the TM
-//     is excluded from every routing decision, acknowledges the drain
-//     in its heartbeats, finishes the work already queued to it, and
-//     has its placements migrated onto the remaining routable TMs
-//     (replica records follow) before DeregisterTM removes it.
+//     is excluded from every routing decision by a committed drain
+//     mark, finishes the work already queued to it, and has its
+//     placements migrated onto the remaining routable TMs (replica
+//     records follow) before DeregisterTM removes it.
 //
 //   - The routing table's per-TM liveness timer aborts a dispatch
 //     (dispatchTo, errTMLost) as soon as its routed TM misses the
@@ -119,63 +119,50 @@ type DrainResult struct {
 
 // DrainTM gracefully takes a Task Manager out of rotation: it is
 // immediately excluded from every routing decision (route.pick, the
-// pipeline monolith chooser, autoscaler scale dispatches), a drain task
-// tells the site to expect no new work (acknowledged in its subsequent
-// heartbeats), in-flight and already-queued tasks are allowed to
-// finish, and every placement it holds is migrated onto the remaining
-// routable TMs — re-deployed with the recorded replica count when the
-// drained site held the only copy, dropped when another site already
-// hosts the servable. The TM stays registered (and draining) until
-// DeregisterTM; the mark survives heartbeats, so draining is sticky.
+// pipeline monolith chooser, autoscaler scale dispatches), in-flight and
+// already-queued tasks are allowed to finish, and every placement it
+// holds is migrated onto the remaining routable TMs — re-deployed with
+// the recorded replica count when the drained site held the only copy,
+// dropped when another site already hosts the servable. The TM stays
+// registered (and draining) until RejoinTM or DeregisterTM. The mark is
+// the committed drain record and nothing else: the TM is not told, and
+// its heartbeats neither set nor clear it.
 //
 // Idempotent: draining an already-draining TM re-runs the wait and
 // migration, which converges to nothing left to move. If migration
 // cannot place a servable (no routable TM remains), DrainTM returns the
 // error with the drain mark still set — add capacity and retry. A dead
-// or unresponsive TM is drained too: the ack dispatch fails fast on its
-// lapsed liveness window, its queue is purged instead of waited on, and
-// migration proceeds.
+// TM (its liveness window lapsed) is drained too: its queue is purged
+// instead of waited on, and migration proceeds.
 func (s *Service) DrainTM(ctx context.Context, tmID string) (*DrainResult, error) {
 	// Committed at the mark, not at drain completion: the mark is the
 	// state transition (routing excludes the site from here on), and a
 	// crash mid-drain must recover with the site still out of rotation.
-	// A deliberate re-drain must never be suppressed by the rejoin grace
-	// window (routingTable.beat) — markDraining clears the grace entry.
 	rec := recTM{TM: tmID}
 	if err := s.commit(recKindDrain, func() (any, error) { return rec, s.registeredTM(tmID) }, func() { s.applyDrain(rec) }); err != nil {
 		return nil, err
 	}
 	ctx, cancel := deployCtx(ctx)
 	defer cancel()
-
-	// Ask the site to acknowledge; tolerate a dead site (that is what
-	// draining a crashed TM before deregistering it looks like).
-	ackTask := taskmanager.Task{ID: queue.NewID(), Kind: "drain"}
-	if _, err := s.dispatchTo(ctx, tmID, ackTask); err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, wrapCtxErr(ctxErr)
-		}
-		// Unacknowledged drain: nothing will consume the queue, so
-		// withdraw it rather than wait for it.
-		log.Printf("core: drain %s: ack failed (%v); withdrawing queued tasks", tmID, err)
-		s.broker.Purge(taskmanager.TaskQueue(tmID))
-	} else if err := s.awaitTMIdle(ctx, tmID); err != nil {
+	if err := s.awaitTMIdle(ctx, tmID); err != nil {
 		return nil, err
 	}
-	res, err := s.migratePlacements(ctx, tmID)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return s.migratePlacements(ctx, tmID)
 }
 
 // awaitTMIdle blocks until nothing is outstanding against the TM: no
 // dispatches waited on (tmInflight) and an empty broker queue (ready or
-// claimed). Bounded by ctx; the drain mark guarantees no NEW work
-// arrives while we wait.
+// claimed). A TM that is not live, or stops being live while we wait,
+// will consume nothing more, so its queue is withdrawn instead. Bounded
+// by ctx; the drain mark guarantees no NEW work arrives while we wait.
 func (s *Service) awaitTMIdle(ctx context.Context, tmID string) error {
 	q := taskmanager.TaskQueue(tmID)
 	for {
+		if err := s.liveTM(tmID); err != nil {
+			log.Printf("core: drain %s: %v; withdrawing queued tasks", tmID, err)
+			s.broker.Purge(q)
+			return nil
+		}
 		inflight := s.route.snapshotTMs().load[tmID]
 		if inflight == 0 && s.broker.Len(q) == 0 && s.broker.InFlight(q) == 0 {
 			return nil
@@ -248,15 +235,15 @@ func (s *Service) migratePlacements(ctx context.Context, tmID string) (*DrainRes
 // undrained TM is allowed (removing a crashed site) but simply abandons
 // its placements — sole-copy servables fall back to the full routable
 // pool until re-deployed. A deregistered TM that is still alive and
-// heartbeating re-registers on its next beat (as draining, if it had
-// acknowledged a drain — the ack is sticky TM-side); stop the process
+// heartbeating re-registers on its next beat as a new routable site with
+// no placements (its drain mark went with its record); stop the process
 // to make removal final. A TM known only from recovered state (its
 // placements or drain mark came back from the WAL, the site itself never
 // did) can be deregistered too — that is how an operator forgets it.
 func (s *Service) DeregisterTM(tmID string) error {
 	rec := recTM{TM: tmID}
 	if err := s.commit(recKindDeregister, func() (any, error) {
-		if known, _, _ := s.route.state(tmID); !known {
+		if known, _, _, _ := s.route.state(tmID); !known {
 			return nil, s.registeredTM(tmID)
 		}
 		return rec, nil
@@ -269,43 +256,21 @@ func (s *Service) DeregisterTM(tmID string) error {
 	return nil
 }
 
-// rejoinGrace is how long after RejoinTM the registrationLoop ignores a
-// heartbeat still asserting Draining: such a beat was necessarily
-// marshaled before the TM acknowledged the rejoin (the TM-side flag is
-// cleared before RejoinTM returns), so it is stale state in flight, not
-// a new drain. Generous versus any heartbeat interval + queue backlog;
-// a real re-drain sets the mark directly and clears the grace entry.
-const rejoinGrace = 3 * time.Second
-
 // RejoinTM reverses a graceful drain, returning the Task Manager to the
 // routable pool — the missing half that made drain one-way (drain →
-// deregister → restart the process was the only way back). The TM is
-// asked to clear its drain acknowledgement first (new "rejoin" task
-// kind), so once the service-side mark is dropped no future heartbeat
-// re-asserts it; then the mark is cleared and the site is immediately
-// eligible for routing and deployment again.
+// deregister → restart the process was the only way back). It commits
+// the rejoin record, whose apply clears the drain mark; the site is then
+// immediately eligible for routing and deployment again.
 //
 // Rejoining does NOT restore the placements a drain migrated away:
 // the TM comes back empty, like a freshly registered site, and takes
 // unplaced-pool traffic until something is deployed to it (DeployTo).
 // Idempotent: rejoining a TM that is not draining just re-clears state.
-// A dead or unresponsive TM cannot rejoin — the ack dispatch fails and
-// the drain mark stays.
-func (s *Service) RejoinTM(ctx context.Context, tmID string) error {
-	if err := s.registeredTM(tmID); err != nil {
-		return err
-	}
-	ctx, cancel := deployCtx(ctx)
-	defer cancel()
-	task := taskmanager.Task{ID: queue.NewID(), Kind: "rejoin"}
-	if _, err := s.dispatchTo(ctx, tmID, task); err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return wrapCtxErr(ctxErr)
-		}
-		return fmt.Errorf("rejoin %s: site did not acknowledge (a dead TM cannot rejoin): %w", tmID, err)
-	}
+// The TM must be live — registered, with a heartbeat inside the liveness
+// window — so a dead TM cannot rejoin and its drain mark stays.
+func (s *Service) RejoinTM(_ context.Context, tmID string) error {
 	rec := recTM{TM: tmID}
-	return s.commit(recKindRejoin, func() (any, error) { return rec, nil }, func() { s.applyRejoin(rec) })
+	return s.commit(recKindRejoin, func() (any, error) { return rec, s.liveTM(tmID) }, func() { s.applyRejoin(rec) })
 }
 
 // --- per-placement undeploy --------------------------------------------------
@@ -358,8 +323,20 @@ func (s *Service) commitUndeploy(servableID, tmID string) error {
 
 // registeredTM is ErrNoTaskManager for a TM that is not registered.
 func (s *Service) registeredTM(tmID string) error {
-	if _, registered, _ := s.route.state(tmID); !registered {
+	if _, registered, _, _ := s.route.state(tmID); !registered {
 		return ErrNoTaskManager.WithDetail(fmt.Sprintf("task manager %q not registered", tmID))
+	}
+	return nil
+}
+
+// liveTM is registeredTM, and ErrNoTaskManager too for a TM whose
+// liveness window has lapsed — the routing table's one predicate.
+func (s *Service) liveTM(tmID string) error {
+	if err := s.registeredTM(tmID); err != nil {
+		return err
+	}
+	if _, _, live, _ := s.route.state(tmID); !live {
+		return ErrNoTaskManager.WithDetail(fmt.Sprintf("task manager %q sent no heartbeat in the last %s", tmID, s.route.staleAfter))
 	}
 	return nil
 }

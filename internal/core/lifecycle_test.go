@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -22,31 +23,6 @@ import (
 // on survivors, a killed TM's in-flight runs fail over instead of
 // timing out, and routing falls back sanely when placements name
 // unroutable sites.
-
-// markDrainingViaHeartbeat forges the drain-acknowledging heartbeat a
-// TM sends after processing a drain task, marking the TM draining on
-// the service WITHOUT running DrainTM's migration pass — the state a
-// restarted Management Service re-learns from heartbeats.
-func markDrainingViaHeartbeat(t *testing.T, ms *core.Service, tmID string) {
-	t.Helper()
-	body, err := json.Marshal(taskmanager.Registration{TMID: tmID, Draining: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms.Broker().Push(taskmanager.RegisterQueue, body, "", "", "")
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		for _, id := range ms.DrainingTMs() {
-			if id == tmID {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s never marked draining from heartbeat", tmID)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
 
 func deployNoopOn(t *testing.T, ms *core.Service, tms ...string) string {
 	t.Helper()
@@ -123,9 +99,6 @@ func TestDrainedTMReceivesNoNewTasks(t *testing.T) {
 	// removed, not migrated.
 	if len(res.Migrated) != 0 {
 		t.Fatalf("expected no migrations (site-b already hosts it), got %v", res.Migrated)
-	}
-	if !tmA.Draining() {
-		t.Fatal("drained TM never acknowledged the drain task")
 	}
 	placed, err := ms.ServablePlacements(core.Anonymous, id)
 	if err != nil {
@@ -360,10 +333,10 @@ func TestPickTMDrainingPlacementFallback(t *testing.T) {
 	if err := ms.WaitForTM(2, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// Placed only on site-a, which then reports draining via heartbeat
-	// (the restored-service scenario: no migration pass has run).
+	// Placed only on site-a, which is then marked draining with no
+	// migration pass (the state a service recovers mid-drain).
 	id := deployNoopOn(t, ms, "site-a")
-	markDrainingViaHeartbeat(t, ms, "site-a")
+	ms.MarkDraining("site-a")
 
 	doneA, _ := tmA.Stats()
 	_, err := ms.Run(context.Background(), core.Anonymous, id, "fallback", core.RunOptions{})
@@ -377,7 +350,7 @@ func TestPickTMDrainingPlacementFallback(t *testing.T) {
 	}
 
 	// Both sites draining: nothing routable at all.
-	markDrainingViaHeartbeat(t, ms, "site-b")
+	ms.MarkDraining("site-b")
 	if _, err := ms.Run(context.Background(), core.Anonymous, id, "nowhere", core.RunOptions{}); !errors.Is(err, core.ErrNoTaskManager) {
 		t.Fatalf("want ErrNoTaskManager with every TM draining, got %v", err)
 	}
@@ -585,8 +558,8 @@ func TestV2TMLifecycleRoutes(t *testing.T) {
 	}
 }
 
-// Drain is sticky across heartbeats: the ack in the TM's registration
-// re-asserts the mark, and a plain heartbeat never clears it.
+// Drain is sticky across heartbeats: only a committed record moves the
+// mark, and a heartbeat never clears it.
 func TestDrainSurvivesHeartbeats(t *testing.T) {
 	ms := core.New(core.Config{Registry: container.NewRegistry()})
 	defer ms.Close()
@@ -606,9 +579,8 @@ func TestDrainSurvivesHeartbeats(t *testing.T) {
 	}
 }
 
-// Rejoin reverses a drain: the TM clears its drain acknowledgment, the
-// service clears its mark, and the site takes deploys and traffic
-// again.
+// Rejoin reverses a drain: the service clears its mark, and the site
+// takes deploys and traffic again.
 func TestRejoinRestoresRouting(t *testing.T) {
 	ms := core.New(core.Config{Registry: container.NewRegistry()})
 	defer ms.Close()
@@ -629,9 +601,6 @@ func TestRejoinRestoresRouting(t *testing.T) {
 
 	if err := ms.RejoinTM(context.Background(), "site-a"); err != nil {
 		t.Fatal(err)
-	}
-	if tmA.Draining() {
-		t.Fatal("TM still reports draining after rejoin")
 	}
 	if draining := ms.DrainingTMs(); len(draining) != 0 {
 		t.Fatalf("service still marks draining after rejoin: %v", draining)
@@ -657,10 +626,10 @@ func TestRejoinRestoresRouting(t *testing.T) {
 	}
 }
 
-// A heartbeat marshaled BEFORE the TM acknowledged the rejoin still
-// asserts Draining — set-only semantics would re-mark the TM forever.
-// The rejoin grace window must swallow it, while a deliberate re-drain
-// right after a rejoin must still stick.
+// A heartbeat that still asserts draining (a TM of a release that
+// echoed its drain) must not re-mark a rejoined TM: only the committed
+// records move the mark. A deliberate re-drain right after a rejoin
+// must still stick.
 func TestRejoinIgnoresStaleDrainingHeartbeat(t *testing.T) {
 	ms := core.New(core.Config{Registry: container.NewRegistry()})
 	defer ms.Close()
@@ -676,19 +645,22 @@ func TestRejoinIgnoresStaleDrainingHeartbeat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The stale in-flight heartbeat arrives after the rejoin ack.
-	body, _ := json.Marshal(taskmanager.Registration{TMID: "site-a", Draining: true})
-	ms.Broker().Push(taskmanager.RegisterQueue, body, "", "", "")
-	deadline := time.Now().Add(500 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		if len(ms.DrainingTMs()) != 0 {
-			t.Fatalf("stale draining heartbeat re-marked a rejoined TM: %v", ms.DrainingTMs())
+	// The stale heartbeat arrives after the rejoin. The registration
+	// loop has applied it once the register queue holds nothing, ready
+	// or claimed.
+	ms.Broker().Push(taskmanager.RegisterQueue, []byte(`{"tm_id":"site-a","draining":true}`), "", "", "")
+	deadline := time.Now().Add(5 * time.Second)
+	for ms.Broker().Len(taskmanager.RegisterQueue)+ms.Broker().InFlight(taskmanager.RegisterQueue) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the heartbeat was never applied")
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
+	}
+	if len(ms.DrainingTMs()) != 0 {
+		t.Fatalf("stale draining heartbeat re-marked a rejoined TM: %v", ms.DrainingTMs())
 	}
 
-	// A deliberate re-drain inside the grace window must still stick:
-	// DrainTM clears the grace entry.
+	// A deliberate re-drain right after the rejoin must still stick.
 	if _, err := ms.DrainTM(context.Background(), "site-a"); err != nil {
 		t.Fatal(err)
 	}
@@ -698,12 +670,40 @@ func TestRejoinIgnoresStaleDrainingHeartbeat(t *testing.T) {
 	}
 }
 
-// Rejoin requires a live, registered TM: unknown IDs error, and a TM
-// that cannot acknowledge (dead) must not be un-marked.
+// Rejoin requires a live, registered TM: unknown IDs error.
 func TestRejoinUnknownTM(t *testing.T) {
 	ms := core.New(core.Config{Registry: container.NewRegistry()})
 	defer ms.Close()
 	if err := ms.RejoinTM(context.Background(), "ghost"); !errors.Is(err, core.ErrNoTaskManager) {
 		t.Fatalf("rejoin unknown TM: err = %v, want ErrNoTaskManager", err)
+	}
+}
+
+// A TM whose liveness window has lapsed cannot rejoin: the error names
+// the window, and the drain mark stays.
+func TestRejoinDeadTMKeepsMark(t *testing.T) {
+	ms := core.New(core.Config{Registry: container.NewRegistry(), TMStaleAfter: 200 * time.Millisecond})
+	defer ms.Close()
+	stop := heartbeat(ms, "site-a")
+	defer stop()
+	if err := ms.WaitForTM(1, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ms.DrainTM(context.Background(), "site-a"); err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(ms.LiveTaskManagers()) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("site-a never went stale")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err := ms.RejoinTM(context.Background(), "site-a"); !errors.Is(err, core.ErrNoTaskManager) || !strings.Contains(err.Error(), "200ms") {
+		t.Fatalf("rejoin of a dead TM: err = %v, want no_task_manager naming the 200ms window", err)
+	}
+	if draining := ms.DrainingTMs(); len(draining) != 1 || draining[0] != "site-a" {
+		t.Fatalf("dead TM's drain mark = %v, want [site-a]", draining)
 	}
 }

@@ -62,15 +62,9 @@ type tmEntry struct {
 	inflight int
 	// draining marks a TM taken out of rotation by DrainTM: it stays
 	// registered (heartbeats keep arriving, in-flight work finishes) but
-	// no routing decision selects it. Cleared by RejoinTM and deregister.
+	// no routing decision selects it. Only the drain and rejoin records'
+	// applies write it; deregister drops it with the record.
 	draining bool
-	// rejoined is when RejoinTM last cleared the drain mark. Heartbeats
-	// are set-only for the mark, so a beat marshaled BEFORE the TM
-	// acknowledged the rejoin (still carrying Draining=true) could re-mark
-	// a freshly rejoined site forever; beat ignores the flag within
-	// rejoinGrace of a rejoin. markDraining zeroes it, so a deliberate
-	// re-drain is never suppressed.
-	rejoined time.Time
 	// timer fires staleAfter after the last heartbeat (nil with liveness
 	// off); waiters are the cancel funcs of the dispatches it then fails.
 	timer   *time.Timer
@@ -168,27 +162,16 @@ func newRoutingTable(staleAfter time.Duration, clock func() time.Time) *routingT
 }
 
 // beat records one registration/heartbeat: the TM is (re-)registered,
-// its freshness stamped and its liveness timer pushed out, its
-// self-reported active count stored, and a draining assertion folded in
-// under the rejoin-grace rule. A TM that was merely partitioned resumes
-// on its next heartbeat.
-func (rt *routingTable) beat(tmID string, active int, draining bool) {
+// its freshness stamped and its liveness timer pushed out, and its
+// self-reported active count stored. It changes no durable state. A TM
+// that was merely partitioned resumes on its next heartbeat.
+func (rt *routingTable) beat(tmID string, active int) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	now := rt.clock()
 	tm := rt.ensureTMLocked(tmID)
 	tm.registered = true
-	tm.seen = now
+	tm.seen = rt.clock()
 	tm.active = active
-	// The TM asserts it is draining (the drain-task ack echoed in
-	// heartbeats). Set-only: a heartbeat without the flag must not clear
-	// a service-side drain mark the drain task simply has not reached
-	// yet. The one exception is a beat marshaled just BEFORE the TM
-	// acknowledged a rejoin — ignore the stale assertion inside the
-	// rejoin grace window.
-	if draining && (tm.rejoined.IsZero() || now.Sub(tm.rejoined) > rejoinGrace) {
-		tm.draining = true
-	}
 	if rt.staleAfter <= 0 {
 		return
 	}
@@ -267,36 +250,31 @@ func (rt *routingTable) snapshotTMs() fleetView {
 }
 
 // state reports whether the table has a record of a TM, whether it is
-// registered and whether it is marked draining.
-func (rt *routingTable) state(tmID string) (known, registered, draining bool) {
+// registered, whether it passes the liveness predicate and whether it
+// is marked draining.
+func (rt *routingTable) state(tmID string) (known, registered, live, draining bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if tm := rt.tmLocked(tmID); tm != nil {
-		return true, tm.registered, tm.draining
+		return true, tm.registered, tm.registered && rt.liveLocked(tm, rt.clock()), tm.draining
 	}
-	return false, false, false
+	return false, false, false, false
 }
 
 // markDraining sets a TM's drain mark (the drain record's apply; at boot
-// the TM has usually not registered yet). A deliberate (re-)drain must
-// never be suppressed by the rejoin grace window, so the grace stamp is
-// cleared too.
+// the TM has usually not registered yet).
 func (rt *routingTable) markDraining(tmID string) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	tm := rt.ensureTMLocked(tmID)
-	tm.draining = true
-	tm.rejoined = time.Time{}
+	rt.ensureTMLocked(tmID).draining = true
 }
 
-// clearDrainMark drops a TM's drain mark and stamps the rejoin-grace
-// window (the rejoin record's apply).
+// clearDrainMark drops a TM's drain mark (the rejoin record's apply).
 func (rt *routingTable) clearDrainMark(tmID string) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if tm := rt.tmLocked(tmID); tm != nil {
 		tm.draining = false
-		tm.rejoined = rt.clock()
 	}
 }
 
@@ -555,7 +533,7 @@ func (rt *routingTable) hostedElsewhereLive(servableID string) bool {
 // deregistration) must not re-grow placement on a site being emptied —
 // the drain's migration pass has already run or will never see it.
 func (rt *routingTable) deployable(tmID string) error {
-	switch _, registered, draining := rt.state(tmID); {
+	switch _, registered, _, draining := rt.state(tmID); {
 	case !registered:
 		return fmt.Errorf("%w: task manager %s deregistered during deploy", ErrConflict, tmID)
 	case draining:

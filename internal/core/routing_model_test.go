@@ -158,6 +158,11 @@ func (m *routingModel) checkState() {
 			m.t.Fatalf("TM %s: table has %d in flight, model %d", id, got.load[id], m.tms[id].inflight)
 		}
 	}
+	for id, tm := range m.tms {
+		if _, registered, live, draining := m.rt.state(id); registered != tm.registered || live != (tm.registered && m.live(tm)) || draining != tm.draining {
+			m.t.Fatalf("state(%s) = registered %v, live %v, draining %v; model %+v", id, registered, live, draining, *tm)
+		}
+	}
 	for id, sv := range m.servables {
 		got := modelServable{placements: m.rt.placementsOf(id), replicas: m.rt.replicasOf(id), inflight: m.rt.servableLoad(id)}
 		if !slices.Equal(got.placements, sv.placements) || got.replicas != sv.replicas || got.inflight != sv.inflight {
@@ -226,19 +231,14 @@ func testRoutingModel(t *testing.T, seed int64, staleAfter time.Duration) {
 	for step := 0; step < 4000; step++ {
 		tmID, svID := pickOf(tmIDs), pickOf(svIDs)
 		switch op := rng.Intn(13); op {
-		case 0, 1: // beat
-			draining := rng.Intn(8) == 0
-			m.rt.beat(tmID, 0, draining)
+		case 0, 1: // beat: the drain mark is not a heartbeat's to change
+			m.rt.beat(tmID, 0)
 			tm := m.tms[tmID]
 			if tm == nil {
 				tm = &modelTM{id: tmID}
 				m.tms[tmID] = tm
 			}
 			tm.registered, tm.seen = true, m.now
-			// The rejoin-grace exception is exercised by the lifecycle
-			// tests; the model never beats within it (the clock moves
-			// past it below whenever a drain mark is cleared).
-			tm.draining = tm.draining || draining
 		case 2: // time passes; some TMs fall silent
 			m.now = m.now.Add(time.Duration(rng.Int63n(int64(staleAfterStep))))
 		case 3, 4: // charge
@@ -325,7 +325,6 @@ func testRoutingModel(t *testing.T, seed int64, staleAfter time.Duration) {
 				if tm := m.tms[tmID]; tm != nil {
 					tm.draining = false
 				}
-				m.now = m.now.Add(rejoinGrace + time.Millisecond)
 			}
 		case 12: // deregister
 			tm := m.tms[tmID]

@@ -26,8 +26,8 @@ import (
 func TestRoutingReadsDoNotBlockOnRepositoryWrite(t *testing.T) {
 	s := New(Config{Registry: container.NewRegistry(), TMStaleAfter: time.Minute})
 	defer s.Close()
-	s.route.beat("tm-a", 0, false)
-	s.route.beat("tm-b", 0, false)
+	s.route.beat("tm-a", 0)
+	s.route.beat("tm-b", 0)
 	s.route.place("sv", "tm-a", 2)
 
 	s.repo.mu.Lock()
@@ -74,7 +74,7 @@ func TestWatcherWaiterAccounting(t *testing.T) {
 	now := time.Now()
 	rt := newRoutingTable(time.Minute, func() time.Time { return now })
 	defer rt.stop()
-	rt.beat("tm-1", 0, false)
+	rt.beat("tm-1", 0)
 
 	const waiters = 1000
 	before := runtime.NumGoroutine()
@@ -131,7 +131,7 @@ func TestWatcherWaiterAccounting(t *testing.T) {
 func TestWatcherExpiryFansOut(t *testing.T) {
 	rt := newRoutingTable(50*time.Millisecond, time.Now)
 	defer rt.stop()
-	rt.beat("tm-1", 0, false)
+	rt.beat("tm-1", 0)
 
 	causes := make(chan error, 2)
 	ctx1, cancel1 := context.WithCancelCause(context.Background())
@@ -186,10 +186,10 @@ func TestWatcherExpiryFansOut(t *testing.T) {
 func TestWatcherBeatRearms(t *testing.T) {
 	rt := newRoutingTable(80*time.Millisecond, time.Now)
 	defer rt.stop()
-	rt.beat("tm-1", 0, false)
+	rt.beat("tm-1", 0)
 	for i := 0; i < 5; i++ {
 		time.Sleep(40 * time.Millisecond)
-		rt.beat("tm-1", 0, false)
+		rt.beat("tm-1", 0)
 	}
 	if st := rt.stats(); st.Lost != 0 {
 		t.Fatalf("heartbeating TM marked lost: %+v", st)
@@ -232,7 +232,7 @@ func TestRoutingPickAllocs(t *testing.T) {
 func benchRoutingTable(tms, servables int) *routingTable {
 	rt := newRoutingTable(time.Minute, time.Now)
 	for i := 0; i < tms; i++ {
-		rt.beat(fmt.Sprintf("tm-%d", i), 0, false)
+		rt.beat(fmt.Sprintf("tm-%d", i), 0)
 	}
 	for s := 0; s < servables; s++ {
 		for i := 0; i < 3 && i < tms; i++ {

@@ -321,7 +321,7 @@ func (s *Service) registrationLoop() {
 		}
 		var reg taskmanager.Registration
 		if err := json.Unmarshal(msg.Body, &reg); err == nil && reg.TMID != "" {
-			s.route.beat(reg.TMID, reg.Active, reg.Draining)
+			s.route.beat(reg.TMID, reg.Active)
 		}
 		s.broker.Ack(taskmanager.RegisterQueue, msg.ID)
 	}
@@ -1163,7 +1163,7 @@ func (s *Service) DeployTo(ctx context.Context, caller Caller, servableID string
 		}
 	} else if err := s.registeredTM(tmID); err != nil {
 		return err
-	} else if _, _, draining := s.route.state(tmID); draining {
+	} else if _, _, _, draining := s.route.state(tmID); draining {
 		return fmt.Errorf("%w: task manager %s is draining", ErrConflict, tmID)
 	}
 	return s.deployOn(ctx, servableID, pkg, tmID, replicas, executorRoute)

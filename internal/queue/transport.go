@@ -27,9 +27,8 @@ import (
 //	op        frame     payload                                  answer
 //	q5.push   request   queue replyTo corr tenant | body         message ID (raw)
 //	q5.ack    request   queue id                                 empty
-//	q5.grant  one-way   queue | credit                           one push frame per message, on the grant's stream:
+//	q5.grant  one-way   queue | credit (> 0)                     one push frame per message, on the grant's stream:
 //	                                                             id queue replyTo corr tenant | attempt | body
-//	                                                             (credit 0: one empty push frame, after those)
 //	q5.reply  one-way   id queue replyTo corr tenant | attempt | body
 //	q5.nack   one-way   queue id
 //
@@ -39,10 +38,8 @@ import (
 // stream as one frame, spending one. q5.reply is a pushed message
 // echoed with the response as its body, sent on the same stream: the
 // broker answers ReplyTo, acks (queue, id) and gives the credit back in
-// one step, so a task costs two frames. A grant of zero is a poll: the
-// broker answers it with an empty push once every push the grants
-// before it allowed is written. The session ends with its connection;
-// q5.nack returns a message pushed but never taken.
+// one step, so a task costs two frames. The session ends with its
+// connection; q5.nack returns a message pushed but never taken.
 // The prefix versions the protocol and the bodies it carries: a peer of
 // another version gets "unknown method", not a body it misreads.
 const (
@@ -149,7 +146,8 @@ func decodeMessage(p []byte) (Message, error) {
 	return Message{ID: f[0], Queue: f[1], ReplyTo: f[2], CorrelationID: f[3], Tenant: f[4], Attempt: int(attempt), Body: rest}, nil
 }
 
-// decodeGrant parses a q5.grant: exactly a queue name and a credit.
+// decodeGrant parses a q5.grant: exactly a queue name and a credit of
+// at least one.
 func decodeGrant(p []byte) (string, int, error) {
 	var f [1]string
 	rest, err := decodeFields(p, f[:])
@@ -157,7 +155,7 @@ func decodeGrant(p []byte) (string, int, error) {
 		return "", 0, err
 	}
 	n, rest, err := decodeNum(rest)
-	if err != nil || len(rest) != 0 {
+	if err != nil || n == 0 || len(rest) != 0 {
 		return "", 0, errFrame
 	}
 	return f[0], int(n), nil
@@ -221,9 +219,7 @@ func (s *Server) handleAck(_ context.Context, payload []byte) ([]byte, error) {
 }
 
 // session is one stream's credit on one queue: the broker's consumer
-// for it, whose messages pushLoop writes down the stream. Its channel
-// holds one message more than its credit can fill: room for a poll's
-// mark, a Message with no ID.
+// for it, whose messages pushLoop writes down the stream.
 type session struct {
 	consumer
 	name string
@@ -232,7 +228,6 @@ type session struct {
 
 // handleGrant serves q5.grant. The first grant on a stream opens its
 // session, which ends — its credit withdrawn — when the connection does.
-// A grant of zero is a poll: a mark follows what it dispatched.
 func (s *Server) handleGrant(st *rpc.Stream, payload []byte) error {
 	name, n, err := decodeGrant(payload)
 	if err != nil {
@@ -241,7 +236,7 @@ func (s *Server) handleGrant(st *rpc.Stream, payload []byte) error {
 	ss, _ := st.State.(*session)
 	opened := ss == nil
 	if opened {
-		ss = &session{consumer: consumer{ch: make(chan Message, maxCredit+1)}, name: name, q: s.broker.queue(name)}
+		ss = &session{consumer: consumer{ch: make(chan Message, maxCredit)}, name: name, q: s.broker.queue(name)}
 		st.State = ss
 		s.loops.Add(1)
 		go s.pushLoop(st, ss)
@@ -249,25 +244,18 @@ func (s *Server) handleGrant(st *rpc.Stream, payload []byte) error {
 		return errFrame // a stream is one queue's session
 	}
 	s.broker.grant(ss.q, &ss.consumer, n, opened)
-	if n == 0 {
-		ss.q.mu.Lock()
-		if ss.credit+len(ss.ch) < cap(ss.ch) { // else a mark is pending, and answers this poll too
-			ss.ch <- Message{}
-		}
-		ss.q.mu.Unlock()
-	}
 	return nil
 }
 
 // pushLoop writes what ss is handed down st, in the order the broker
-// handed it: a message as one push frame, header then body — the body
-// not copied into an intermediate frame — and a mark as an empty one. It
-// runs beside the broker, so a peer that stops reading stalls only its
-// own session. It ends with the connection or the first write that
-// fails: the session is withdrawn, and every message handed to it and
-// not written goes back on its lane at once. A message no frame can
-// carry is dropped instead and its credit returned: requeued, it would
-// be refused forever.
+// handed it, each message as one push frame, header then body — the
+// body not copied into an intermediate frame. It runs beside the
+// broker, so a peer that stops reading stalls only its own session. It
+// ends with the connection or the first write that fails: the session
+// is withdrawn, and every message handed to it and not written goes
+// back on its lane at once. A message no frame can carry is dropped
+// instead and its credit returned: requeued, it would be refused
+// forever.
 func (s *Server) pushLoop(st *rpc.Stream, ss *session) {
 	defer s.loops.Done()
 	var hdr [256]byte
@@ -275,10 +263,6 @@ func (s *Server) pushLoop(st *rpc.Stream, ss *session) {
 	for err == nil {
 		select {
 		case m := <-ss.ch:
-			if m.ID == "" {
-				err = st.Push(nil, nil)
-				continue
-			}
 			if err = st.Push(appendHeader(hdr[:0], m), m.Body); err == nil {
 				s.broker.pushes.Add(1)
 				continue
@@ -299,7 +283,7 @@ func (s *Server) pushLoop(st *rpc.Stream, ss *session) {
 	s.broker.withdraw(ss.q, &ss.consumer)
 	for len(ss.ch) > 0 { // withdrawn: nothing refills it
 		m := <-ss.ch
-		s.broker.Nack(ss.name, m.ID) // a mark's empty ID finds nothing
+		s.broker.Nack(ss.name, m.ID)
 	}
 }
 
@@ -339,10 +323,6 @@ type feed struct {
 	// ready holds messages pushed and not yet taken by a Pull. A push
 	// never finds it full: this end never grants past maxCredit.
 	ready chan Message
-	// flushed takes the mark, an empty push, that answers a poll (a zero
-	// grant); poll lets one zero-timeout Pull at a time wait for its own.
-	flushed chan struct{}
-	poll    sync.Mutex
 	// credit is what the broker holds for this feed, counted from this
 	// end's own frames: granted, less pushed, plus replied. parked counts
 	// callers waiting in Pull. Both Client.mu.
@@ -385,25 +365,18 @@ func (c *Client) feed(queueName string) *feed {
 	defer c.mu.Unlock()
 	f := c.feeds[queueName]
 	if f == nil {
-		f = &feed{ready: make(chan Message, maxCredit), flushed: make(chan struct{}, 1)}
+		f = &feed{ready: make(chan Message, maxCredit)}
 		f.stream = c.rc.Open(func(p []byte) { c.pushed(f, p) })
 		c.feeds[queueName] = f
 	}
 	return f
 }
 
-// pushed takes one pushed frame off the read loop: a message spends a
-// credit and waits in ready for a Pull (its Body is the frame's); an
-// empty frame is the mark that answers a poll. A push that cannot be decoded ends
-// the connection, since nothing could return the credit it spent.
+// pushed takes one pushed frame off the read loop: the message spends a
+// credit and waits in ready for a Pull (its Body is the frame's). A push
+// that cannot be decoded ends the connection, since nothing could
+// return the credit it spent.
 func (c *Client) pushed(f *feed, p []byte) {
-	if len(p) == 0 {
-		select {
-		case f.flushed <- struct{}{}:
-		default:
-		}
-		return
-	}
 	m, err := decodeMessage(p)
 	if err != nil {
 		c.rc.Close() //nolint:errcheck — the read loop sees it next
@@ -421,18 +394,14 @@ func (c *Client) pushed(f *feed, p []byte) {
 // holds credit for, Pull grants the difference, and the broker pushes
 // one ready message per credit. A credit outlives a caller that gives
 // up, so its message waits for the next Pull (or Close's nack). A
-// timeout <= 0 is a poll: it waits only for the broker to push what is
-// ready for this client now. The message's Body is the caller's.
+// timeout <= 0 grants as any Pull does, then takes only what has
+// already arrived, without waiting. The message's Body is the caller's.
 func (c *Client) Pull(queueName string, timeout time.Duration) (Message, bool, error) {
 	f := c.feed(queueName)
 	select {
 	case m := <-f.ready:
 		return m, true, nil
 	default:
-	}
-	if timeout <= 0 {
-		f.poll.Lock()
-		defer f.poll.Unlock()
 	}
 	c.mu.Lock()
 	f.parked++
@@ -450,16 +419,6 @@ func (c *Client) Pull(queueName string, timeout time.Duration) (Message, bool, e
 		}
 	}
 	if timeout <= 0 {
-		// The broker answers a zero grant with a mark, written after
-		// every push the grants before it allowed.
-		if err := c.grant(f, queueName, 0); err != nil {
-			return Message{}, false, err
-		}
-		select {
-		case <-f.flushed:
-		case <-c.rc.Done():
-			return Message{}, false, errLost
-		}
 		select {
 		case m := <-f.ready:
 			return m, true, nil
@@ -488,6 +447,10 @@ func (c *Client) grant(f *feed, queueName string, n int) error {
 	}
 	return err
 }
+
+// Done is closed once the connection's read loop has ended: nothing
+// more arrives, and the client does not reconnect.
+func (c *Client) Done() <-chan struct{} { return c.rc.Done() }
 
 // Ack confirms processing of a delivered message.
 func (c *Client) Ack(queueName, msgID string) error {

@@ -81,6 +81,9 @@ func TestMalformedFramesRejected(t *testing.T) {
 			t.Errorf("%s accepted trailing bytes", op)
 		}
 	}
+	if err := frameOps(b)[opGrant](encodeFrame(nil, 0, "q")); err == nil {
+		t.Error("a grant of no credit was accepted")
+	}
 }
 
 // FuzzQueueFrames: no byte string makes a decoder panic or read outside
@@ -168,8 +171,8 @@ func TestTransportCarriesMessage(t *testing.T) {
 	if !b.Nack("remote", msg.ID) {
 		t.Fatal("the broker does not hold the pulled message")
 	}
-	if msg, ok, _ = c.Pull("remote", 0); !ok || msg.Attempt != 2 {
-		t.Fatalf("nacked message not redelivered by a zero-timeout poll: ok=%v %+v", ok, msg.Attempt)
+	if msg, ok, _ = c.Pull("remote", time.Second); !ok || msg.Attempt != 2 {
+		t.Fatalf("nacked message not redelivered: ok=%v %+v", ok, msg.Attempt)
 	}
 	// Reply to a named queue: the answer is queued there and the
 	// request is acked by the same call.
@@ -181,6 +184,27 @@ func TestTransportCarriesMessage(t *testing.T) {
 	})
 	if _, _, err := c.Pull("remote", -time.Second); err != nil {
 		t.Fatalf("negative timeout must poll, not fail: %v", err)
+	}
+}
+
+// TestPullWithoutWait: a Pull with no timeout grants as any Pull does
+// and returns at once; what its credit brings is taken by a later Pull.
+func TestPullWithoutWait(t *testing.T) {
+	b := NewBroker(time.Minute)
+	defer b.Close()
+	c := startTransport(t, b)
+	b.Push("tasks", []byte("work"), "", "", "")
+	var msg Message
+	waitFor(t, time.Second, "the granted push to arrive", func() bool {
+		m, ok, err := c.Pull("tasks", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg = m
+		return ok
+	})
+	if string(msg.Body) != "work" || credit(b, "tasks") != 0 {
+		t.Fatalf("took %q, broker holds %d credit; want the message and one credit spent", msg.Body, credit(b, "tasks"))
 	}
 }
 
@@ -260,6 +284,11 @@ func TestPullDiesWithConnection(t *testing.T) {
 	go c.Pull("tasks", 30*time.Second) //nolint:errcheck — fails when the client closes
 	waitFor(t, time.Second, "the grant to arrive", func() bool { return credit(b, "tasks") == 1 })
 	c.Close()
+	select {
+	case <-c.Done():
+	case <-time.After(time.Second):
+		t.Fatal("Done not closed with the connection")
+	}
 	waitFor(t, 100*time.Millisecond, "dead session's credit to go", func() bool { return credit(b, "tasks") == 0 })
 	b.Push("tasks", []byte("work"), "", "", "")
 	if b.Len("tasks") != 1 || b.InFlight("tasks") != 0 {

@@ -43,7 +43,7 @@ func TaskQueue(tmID string) string { return "dlhub.tasks." + tmID }
 // Task is one queued task; EncodeTask and DecodeTask are its wire format.
 type Task struct {
 	ID       string `json:"id"`
-	Kind     string `json:"kind"` // run | run_batch | pipeline | deploy | scale | undeploy | drain | ping
+	Kind     string `json:"kind"` // run | run_batch | pipeline | deploy | scale | undeploy | ping
 	Servable string `json:"servable,omitempty"`
 	// Executor routes deploys ("parsl" default; "tfserving-grpc",
 	// "tfserving-rest", "sagemaker", "clipper" for comparisons).
@@ -124,11 +124,6 @@ type Registration struct {
 	// Active counts tasks currently executing at this TM (pulled from
 	// the queue, reply not yet sent). Zero on initial registration.
 	Active int `json:"active,omitempty"`
-	// Draining acknowledges a drain: the TM has received the drain task
-	// and expects no new work. The Management Service treats it as
-	// authoritative — a service that restarted (losing its drain marks)
-	// re-learns the state from the next heartbeat.
-	Draining bool `json:"draining,omitempty"`
 }
 
 // QueueAPI abstracts the broker connection (in-process broker or remote
@@ -210,10 +205,6 @@ type TM struct {
 	completed uint64
 	hits      uint64
 	active    int
-	// draining is set by a drain task (and cleared by a rejoin task);
-	// heartbeats carry it back to the Management Service as the drain
-	// acknowledgement.
-	draining bool
 	// killed marks an abrupt Kill(): the TM must behave like a kill -9
 	// victim, so every reply still on its way out is suppressed — the
 	// Management Service's dead-TM watchdog is what must observe the
@@ -286,7 +277,6 @@ func (tm *TM) heartbeatLoop() {
 		case <-ticker.C:
 			reg := tm.reg
 			reg.Active = tm.Active()
-			reg.Draining = tm.Draining()
 			if body, err := json.Marshal(reg); err == nil {
 				tm.cfg.Queue.Push(RegisterQueue, body, "", "", "") //nolint:errcheck — next beat retries
 			}
@@ -299,13 +289,6 @@ func (tm *TM) Active() int {
 	tm.statMu.Lock()
 	defer tm.statMu.Unlock()
 	return tm.active
-}
-
-// Draining reports whether this TM has acknowledged a drain.
-func (tm *TM) Draining() bool {
-	tm.statMu.Lock()
-	defer tm.statMu.Unlock()
-	return tm.draining
 }
 
 // SetMemoize toggles the TM cache (cleared when disabled).
@@ -408,10 +391,6 @@ func (tm *TM) handle(msg queue.Message) {
 		rep = tm.handleScale(task)
 	case "undeploy":
 		rep = tm.handleUndeploy(task)
-	case "drain":
-		rep = tm.handleDrain()
-	case "rejoin":
-		rep = tm.handleRejoin()
 	case "run":
 		rep = tm.handleRun(task)
 	case "run_batch":
@@ -509,31 +488,6 @@ func (tm *TM) handleScale(task *Task) Reply {
 		return Reply{OK: false, Error: err.Error()}
 	}
 	return Reply{OK: true}
-}
-
-// handleDrain acknowledges a graceful drain: the TM keeps serving
-// whatever is already in its queue (the Management Service counts that
-// as in-flight and waits for it), but flags itself draining so every
-// subsequent heartbeat confirms the state. Routing exclusion is the
-// service's job — this flag is the acknowledgement, not the mechanism.
-func (tm *TM) handleDrain() Reply {
-	tm.statMu.Lock()
-	tm.draining = true
-	tm.statMu.Unlock()
-	return Reply{OK: true, Output: "draining"}
-}
-
-// handleRejoin reverses a drain acknowledgement: the TM stops asserting
-// Draining in its heartbeats, so the site reads as routable again once
-// the Management Service clears its own mark. The service clears its
-// mark only AFTER this ack round-trips — heartbeats marshaled before
-// the ack (still carrying Draining) are covered by the service-side
-// rejoin grace window.
-func (tm *TM) handleRejoin() Reply {
-	tm.statMu.Lock()
-	tm.draining = false
-	tm.statMu.Unlock()
-	return Reply{OK: true, Output: "rejoined"}
 }
 
 func (tm *TM) handleUndeploy(task *Task) Reply {
