@@ -76,7 +76,7 @@ func RegisterBuiltins() {
 				if _, known := matsci.Lookup(sym); !known {
 					return nil, fmt.Errorf("unknown element %q", sym)
 				}
-				comp[sym] = float64(f)
+				comp[sym] = f
 			}
 			if len(comp) == 0 {
 				return nil, fmt.Errorf("empty composition")

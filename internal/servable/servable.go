@@ -16,7 +16,6 @@
 package servable
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -159,26 +158,38 @@ func newRunner(doc *schema.Document, components map[string][]byte) (Runner, erro
 
 // ToFloat32Slice converts JSON-ish numeric arrays — or the JSON text of
 // one — into a float32 vector.
-func ToFloat32Slice(v any) ([]float32, error) {
+func ToFloat32Slice(v any) ([]float32, error) { return toFloats[float32](v) }
+
+// ToFloat64Slice converts JSON-ish numeric arrays, or the JSON text of
+// one, into float64, never by way of float32.
+func ToFloat64Slice(v any) ([]float64, error) { return toFloats[float64](v) }
+
+func toFloats[F float32 | float64](v any) ([]F, error) {
 	switch in := v.(type) {
-	case []float32:
+	case []F:
 		return in, nil
 	case json.RawMessage:
-		return floatsFromJSON[float32](in)
-	case []float64:
-		out := make([]float32, len(in))
+		return floatsFromJSON[F](in)
+	case []float32:
+		out := make([]F, len(in))
 		for i, x := range in {
-			out[i] = float32(x)
+			out[i] = F(x)
+		}
+		return out, nil
+	case []float64:
+		out := make([]F, len(in))
+		for i, x := range in {
+			out[i] = F(x)
 		}
 		return out, nil
 	case []any:
-		out := make([]float32, len(in))
+		out := make([]F, len(in))
 		for i, x := range in {
 			f, err := toFloat(x)
 			if err != nil {
 				return nil, fmt.Errorf("%w: element %d: %v", ErrBadInput, i, err)
 			}
-			out[i] = f
+			out[i] = F(f)
 		}
 		return out, nil
 	default:
@@ -186,60 +197,19 @@ func ToFloat32Slice(v any) ([]float32, error) {
 	}
 }
 
-func toFloat(x any) (float32, error) {
+func toFloat(x any) (float64, error) {
 	switch n := x.(type) {
 	case float64:
-		return float32(n), nil
-	case float32:
 		return n, nil
+	case float32:
+		return float64(n), nil
 	case int:
-		return float32(n), nil
+		return float64(n), nil
 	case json.Number:
-		f, err := strconv.ParseFloat(string(n), 64)
-		return float32(f), err
+		return strconv.ParseFloat(string(n), 64)
 	default:
 		return 0, fmt.Errorf("non-numeric %T", x)
 	}
-}
-
-// floatsFromJSON decodes a JSON array of numbers straight into a float
-// slice, without building a []any of boxed numbers first.
-func floatsFromJSON[F float32 | float64](raw json.RawMessage) ([]F, error) {
-	// encoding/json leaves a float at zero for a null element (and the
-	// slice nil for a null document) without an error; in an array of
-	// numbers only null spells an 'n'.
-	if bytes.IndexByte(raw, 'n') >= 0 {
-		return nil, fmt.Errorf("%w: not an array of numbers", ErrBadInput)
-	}
-	var out []F
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
-	}
-	return out, nil
-}
-
-// ToFloat64Slice converts JSON-ish numeric arrays, or the JSON text of
-// one, into float64.
-func ToFloat64Slice(v any) ([]float64, error) {
-	if raw, ok := v.(json.RawMessage); ok {
-		return floatsFromJSON[float64](raw)
-	}
-	f32, err := ToFloat32Slice(v)
-	if err != nil {
-		// Retry natively for []float64 precision.
-		if in, ok := v.([]float64); ok {
-			return in, nil
-		}
-		return nil, err
-	}
-	if in, ok := v.([]float64); ok {
-		return in, nil
-	}
-	out := make([]float64, len(f32))
-	for i, x := range f32 {
-		out[i] = float64(x)
-	}
-	return out, nil
 }
 
 // --- runners ----------------------------------------------------------------
@@ -300,11 +270,7 @@ func (r *pyFuncRunner) Decode(raw json.RawMessage) (any, error) {
 	if len(raw) == 0 {
 		return nil, nil
 	}
-	var v any
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
-	}
-	return v, nil
+	return decodePayload(raw)
 }
 
 func (r *pyFuncRunner) Run(input any) (any, error) {
