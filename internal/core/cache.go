@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"hash"
 	"sync"
 	"time"
 
@@ -99,8 +100,8 @@ func newResultCache(cfg CacheConfig) *resultCache {
 	return &resultCache{flights: newOutcomes[cacheKey, RunResult](cfg.TTL, cfg.MaxEntries, cfg.MaxBytes)}
 }
 
-// bufPool recycles the buffers cache keys and run responses are assembled
-// in; a rare giant one is dropped rather than pinned in the pool.
+// bufPool recycles the buffers run responses are assembled in; a rare
+// giant one is dropped rather than pinned in the pool.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func getBuf() *bytes.Buffer {
@@ -129,13 +130,31 @@ func batchKey(servableID string, version int, inputs []json.RawMessage) (cacheKe
 	return hashKey(servableID, version, true, inputs...)
 }
 
+// keyHash is a pooled sha256 state with the buffer the key's small parts
+// gather in; a payload whose bytes are already canonical goes to the
+// hash as it is, uncopied.
+type keyHash struct {
+	h   hash.Hash
+	buf bytes.Buffer
+	sum cacheKey // Sum's destination: a local one would escape through h
+}
+
+var keyHashes = sync.Pool{New: func() any { return &keyHash{h: sha256.New()} }}
+
 func hashKey(servableID string, version int, batch bool, inputs ...json.RawMessage) (cacheKey, error) {
 	kind := "run"
 	if batch {
 		kind = "batch"
 	}
-	buf := getBuf()
-	defer putBuf(buf)
+	k := keyHashes.Get().(*keyHash)
+	defer func() {
+		if k.buf.Cap() <= 1<<20 {
+			keyHashes.Put(k)
+		}
+	}()
+	k.h.Reset()
+	buf := &k.buf
+	buf.Reset()
 	buf.WriteString(servableID)
 	buf.WriteByte(0)
 	buf.Write([]byte{byte(version), byte(version >> 8), byte(version >> 16), byte(version >> 24)})
@@ -148,34 +167,36 @@ func hashKey(servableID string, version int, batch bool, inputs ...json.RawMessa
 		if i > 0 {
 			buf.WriteByte(',')
 		}
-		if err := appendCanonical(buf, in); err != nil {
-			return cacheKey{}, err
+		switch {
+		case len(in) == 0:
+			buf.WriteString("null")
+		case respelled(in):
+			if err := appendCanonical(buf, in); err != nil {
+				return cacheKey{}, err
+			}
+		case spaced(in):
+			if err := json.Compact(buf, in); err != nil {
+				return cacheKey{}, err
+			}
+		default:
+			k.h.Write(buf.Bytes())
+			buf.Reset()
+			k.h.Write(in)
 		}
 	}
 	if batch {
 		buf.WriteByte(']')
 	}
-	return sha256.Sum256(buf.Bytes()), nil
+	k.h.Write(buf.Bytes())
+	k.h.Sum(k.sum[:0])
+	return k.sum, nil
 }
 
-// appendCanonical appends raw's canonical JSON to buf. The compact bytes
-// are enough unless they hold something json.Marshal would spell
-// differently: an object (member order, duplicate names), a string
-// escape, a character Marshal escapes (<, >, &) or anything outside
-// ASCII (U+2028/9, invalid UTF-8). Only then is the input decoded —
-// numbers kept as text — and marshaled again, for the key alone.
+// appendCanonical appends the canonical JSON of raw, a payload that
+// holds something json.Marshal would spell differently (respelled): it
+// is decoded — numbers kept as text — and marshaled again, for the key
+// alone.
 func appendCanonical(buf *bytes.Buffer, raw json.RawMessage) error {
-	if len(raw) == 0 {
-		buf.WriteString("null")
-		return nil
-	}
-	if !respelled(raw) {
-		if !spaced(raw) {
-			buf.Write(raw)
-			return nil
-		}
-		return json.Compact(buf, raw)
-	}
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.UseNumber()
 	var v any
@@ -190,10 +211,27 @@ func appendCanonical(buf *bytes.Buffer, raw json.RawMessage) error {
 	return nil
 }
 
+// Bytes in a word: ones has 0x01 in each, highs 0x80.
+const ones, highs = 0x0101010101010101, 0x8080808080808080
+
+// zeros has the high bit set in each byte of x that is zero (and in no
+// byte unless one is: a spurious mark sits only above a true one).
+func zeros(x uint64) uint64 { return (x - ones) &^ x }
+
 // respelled reports whether json.Marshal of raw's decoded value could
-// differ from raw's compact bytes.
+// differ from raw's compact bytes: raw holds an object (member order,
+// duplicate names), a string escape, a character Marshal escapes (<, >,
+// &) or anything outside ASCII (U+2028/9, invalid UTF-8). A word of
+// eight bytes with none of those is passed over whole.
 func respelled(raw []byte) bool {
-	for _, c := range raw {
+	i := 0
+	for ; i+8 <= len(raw); i += 8 {
+		x := binary.LittleEndian.Uint64(raw[i:])
+		if (x|zeros(x^ones*'{')|zeros(x^ones*'\\')|zeros(x^ones*'<')|zeros(x^ones*'>')|zeros(x^ones*'&'))&highs != 0 {
+			return true
+		}
+	}
+	for _, c := range raw[i:] {
 		if c >= 0x80 || c == '{' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			return true
 		}
@@ -205,11 +243,10 @@ func respelled(raw []byte) bool {
 // valid document, any byte below '!' there). A word of eight bytes with
 // neither such a byte nor a quote is passed over whole.
 func spaced(raw []byte) bool {
-	const ones, highs = 0x0101010101010101, 0x8080808080808080
 	for i := 0; i < len(raw); i++ {
 		for ; i+8 <= len(raw); i += 8 {
 			x := binary.LittleEndian.Uint64(raw[i:])
-			if q := x ^ ones*'"'; ((x-ones*'!')&^x|(q-ones)&^q)&highs != 0 {
+			if ((x-ones*'!')&^x|zeros(x^ones*'"'))&highs != 0 {
 				break
 			}
 		}

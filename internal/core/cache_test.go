@@ -211,6 +211,31 @@ func FuzzResultKey(f *testing.F) {
 	})
 }
 
+// TestRespelledFindsEachTrigger: the eight-byte scan in respelled finds
+// each byte that makes Marshal spell a payload differently, at every
+// position of a word and in the tail after the last whole word, and
+// passes over the bytes of a compact number array.
+func TestRespelledFindsEachTrigger(t *testing.T) {
+	for _, n := range []int{8, 16, 13, 5} { // whole words, and a tail
+		base := bytes.Repeat([]byte("1"), n)
+		if respelled(base) {
+			t.Fatalf("%q is not respelled", base)
+		}
+		for _, c := range []byte{'{', '\\', '<', '>', '&', 0x80, 0xc3, 0xff} {
+			for i := range base {
+				raw := bytes.Clone(base)
+				raw[i] = c
+				if !respelled(raw) {
+					t.Fatalf("respelled missed %q at %d of %d bytes", c, i, n)
+				}
+			}
+		}
+	}
+	if vec := []byte(`[[0.1,-2e-7,3E+8,"a b",null,true,false],[]]`); respelled(vec) {
+		t.Fatalf("%s is not respelled", vec)
+	}
+}
+
 // mustLead looks key up on servable and requires a new call to lead.
 func mustLead(t *testing.T, c *resultCache, k cacheKey, servableID string) *flight {
 	t.Helper()

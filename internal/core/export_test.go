@@ -51,3 +51,6 @@ func (s *Service) RunAsync(ctx context.Context, caller Caller, servableID string
 func (s *Service) SetIdempotencyCap(n int) { s.idem.max = n }
 
 func (s *Service) SetIdempotencyClock(now func() time.Time) { s.idem.now = now }
+
+// DecodeRunBody is the run route's one-pass body decode.
+var DecodeRunBody = decodeRunBody

@@ -226,10 +226,15 @@ func (s *Service) callerV2(w http.ResponseWriter, r *http.Request) (Caller, bool
 // over rpc.MaxFrameSize is payload_too_large, anything else that fails —
 // including bytes after the JSON value — bad_request. No request type
 // has an interface-typed field, so there is no number mode to choose.
+// A run body is read by decodeRunBody, which answers as json.Unmarshal.
 func readV2(w http.ResponseWriter, r *http.Request, v any) bool {
 	body, err := rpc.ReadBody(r)
 	if err == nil {
-		err = json.Unmarshal(body, v)
+		if req, ok := v.(*RunRequest); ok {
+			err = decodeRunBody(body, req)
+		} else {
+			err = json.Unmarshal(body, v)
+		}
 	}
 	switch {
 	case err == nil:
@@ -579,8 +584,9 @@ func (s *Service) handleV2Search(r *http.Request, c Caller, req *SearchRequestV2
 // --- serving ----------------------------------------------------------------
 
 // RunRequest is the POST /api/v2/servables/{owner}/{name}/run body.
-// Input and Inputs stay the bytes the client sent, compacted at the door:
-// the service keys and forwards them, and only the servable decodes them.
+// Input and Inputs stay the bytes the client sent, compacted at the door
+// (decodeRunBody): the service keys and forwards them, and only the
+// servable decodes them.
 type RunRequest struct {
 	Input    json.RawMessage   `json:"input,omitempty"`
 	Inputs   []json.RawMessage `json:"inputs,omitempty"` // batch mode when present (an empty batch is an error)
@@ -627,10 +633,6 @@ func (s *Service) handleV2Run(w http.ResponseWriter, r *http.Request) {
 		return
 	case req.Input == nil:
 		req.Input = jsonNull
-	}
-	req.Input = compacted(req.Input)
-	for i, in := range req.Inputs {
-		req.Inputs[i] = compacted(in)
 	}
 	id := pathID(r)
 	opts := RunOptions{Executor: req.Executor, NoMemo: req.NoMemo, NoCache: req.NoCache}

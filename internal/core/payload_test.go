@@ -591,6 +591,92 @@ func FuzzRunBody(f *testing.F) {
 	})
 }
 
+// FuzzDecodeRunBody checks the run route's one-pass decode against what
+// it replaces, json.Unmarshal into a RunRequest followed by compacting
+// each payload: an error exactly when that errors, and otherwise equal
+// fields and byte-equal payloads.
+func FuzzDecodeRunBody(f *testing.F) {
+	nest := func(n int) string { return `{"input":` + strings.Repeat("[", n) + strings.Repeat("]", n) + "}" }
+	for _, seed := range []string{
+		`{"input":"x"}`, `{"INPUTS":[1]}`, `{"Input":1}`, `{"\u0069nput":1}`, `{"inp\u0075ts":[1]}`, `{"aſync":true}`,
+		`{"input":1,"input":[2, 3]}`, `{"inputs":[1],"inputs":[2,3]}`, `{"async":true,"async":false}`,
+		`{"input":null}`, `{"inputs":null}`, `{"async":null}`, `{"no_memo":null}`, `{"no_cache":null}`, `{"executor":null}`,
+		`{"async":1}`, `{"no_cache":"true"}`, `{"executor":"p\u0061rsl"}`, `{"executor":"é"}`, `{"executor":7}`,
+		`{"inputs":[]}`, `{"inputs":[null]}`, `{"inputs":{}}`, `{"inputs":"x"}`, `{"inputs":[1,"a b", {"k" : [ ]}]}`,
+		" { \"input\" :\t[ 1 , \"a b\" ]\n, \"no_memo\" : true } ", "{\"inputs\":[ 1 ,[2, 3] ]}",
+		nest(9999), nest(10000), `{"input":1} x`, `{"input":1}{}`, "{\"input\":\"\xff\xfe\"}", "{\"input\":\"\x01\"}",
+		`{"input":1,}`, `{"other":{"input":[1e400]}}`, `{"input":-0.5e+3,"executor":"parsl","async":false}`, `null`, `[]`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var want core.RunRequest
+		wantErr := json.Unmarshal(body, &want)
+		var got core.RunRequest
+		err := core.DecodeRunBody(bytes.Clone(body), &got)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%q: decode error %v, encoding/json error %v", body, err, wantErr)
+		}
+		if err != nil {
+			if err.Error() != wantErr.Error() {
+				t.Fatalf("%q: error %q, encoding/json %q", body, err, wantErr)
+			}
+			return
+		}
+		compact := func(raw json.RawMessage) json.RawMessage {
+			if raw == nil {
+				return nil
+			}
+			var buf bytes.Buffer
+			json.Compact(&buf, raw) //nolint:errcheck — encoding/json checked raw
+			return buf.Bytes()
+		}
+		want.Input = compact(want.Input)
+		for i, in := range want.Inputs {
+			want.Inputs[i] = compact(in)
+		}
+		if (got.Inputs == nil) != (want.Inputs == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: decoded %+v, encoding/json %+v", body, got, want)
+		}
+	})
+}
+
+// TestDecodeRunBodyAliasesBody: the payloads are the body's own bytes,
+// so overwriting the body after a decode shows through them, and each
+// is capped at its own end, so an append to one never writes into the
+// next. A spaced payload is compacted into a buffer of its own.
+func TestDecodeRunBodyAliasesBody(t *testing.T) {
+	body := []byte(`{"inputs":["ab",[1,2],{"k":3}, [4, 5] ],"no_cache":true}`)
+	var req core.RunRequest
+	if err := core.DecodeRunBody(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{`"ab"`, `[1,2]`, `{"k":3}`, `[4,5]`}
+	for i, in := range req.Inputs {
+		if string(in) != want[i] || i < 3 && cap(in) != len(in) {
+			t.Fatalf("input %d is %q (cap %d), want %q capped at its length", i, in, cap(in), want[i])
+		}
+	}
+	_ = append(req.Inputs[0], "!!!!!!"...)
+	for i := range req.Inputs[0] {
+		req.Inputs[0][i] = 'Y'
+	}
+	if !bytes.Contains(body, []byte("YYYY")) || string(req.Inputs[1]) != want[1] || string(req.Inputs[2]) != want[2] {
+		t.Fatalf("after an append to input 0 and a write into it the body reads %s, inputs 1 and 2 %q and %q", body, req.Inputs[1], req.Inputs[2])
+	}
+	for i := range body {
+		body[i] = 'Z'
+	}
+	for i, in := range req.Inputs[:3] {
+		if string(in) != strings.Repeat("Z", len(want[i])) {
+			t.Fatalf("input %d reads %q after the body was overwritten; it does not alias the body", i, in)
+		}
+	}
+	if string(req.Inputs[3]) != want[3] {
+		t.Fatalf("the spaced input reads %q, want its own compact copy %q", req.Inputs[3], want[3])
+	}
+}
+
 type failingReader struct{ t *testing.T }
 
 func (r failingReader) Read([]byte) (int, error) {
@@ -697,7 +783,9 @@ func TestRunHTTPAllocs(t *testing.T) {
 	}
 }
 
-// What TestRunHTTPAllocs measures at this commit (481 and 68 while a
+// What TestRunHTTPAllocs measures at this commit (479, 66 and 32 while
+// the door decoded a body with json.Unmarshal, which copies every
+// payload out of it; 481 and 68 while a
 // miss in flight and its stored result were three objects beside the
 // done channel, not one; 484 and 71 while an in-process Pull that waited
 // made a channel and a list element; before the reply was a binary frame
@@ -705,9 +793,9 @@ func TestRunHTTPAllocs(t *testing.T) {
 // 502, single run 88, cache hit 34; before the task body carried
 // payloads as lines: batch 613, single run 90).
 const (
-	batchAllocs     = 479
-	singleRunAllocs = 66
-	hitAllocs       = 32
+	batchAllocs     = 373
+	singleRunAllocs = 61
+	hitAllocs       = 27
 )
 
 // BenchmarkRunBatchHTTP is TestRunHTTPAllocs's batch as a benchmark, so
@@ -721,6 +809,20 @@ func BenchmarkRunBatchHTTP(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runOnce(b, h, path, body.setSeq(i+1), "miss")
+	}
+}
+
+// BenchmarkDecodeRunBody is the door's share of BenchmarkRunBatchHTTP:
+// one decode of its 100 x 64 body.
+func BenchmarkDecodeRunBody(b *testing.B) {
+	body := batchBody(100, 64).setSeq(1)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		var req core.RunRequest
+		if err := core.DecodeRunBody(body, &req); err != nil || len(req.Inputs) != 100 {
+			b.Fatal(len(req.Inputs), err)
+		}
 	}
 }
 

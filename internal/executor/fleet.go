@@ -78,7 +78,8 @@ func NewFleet[E any](cluster *k8s.Cluster, builder *container.Builder, proto Pro
 
 // hold returns id's record with its lifecycle lock held, adding an empty
 // record when create is set. A record removed while hold waited for it
-// is looked up again.
+// is looked up again. Without create, an empty record — one a Deploy
+// added but has not locked yet — is not deployed.
 func (f *Fleet[E]) hold(id string, create bool) (*deployment[E], error) {
 	for {
 		f.mu.Lock()
@@ -96,8 +97,12 @@ func (f *Fleet[E]) hold(id string, create bool) (*deployment[E], error) {
 		f.mu.Lock()
 		current := f.deps[id] == d
 		f.mu.Unlock()
-		if current {
+		switch {
+		case current && (create || d.name != ""):
 			return d, nil
+		case current:
+			d.life.Unlock()
+			return nil, ErrNotDeployed
 		}
 		d.life.Unlock()
 	}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/jsonlex"
 	"repro/internal/matsci"
 )
 
@@ -96,19 +97,19 @@ func TestDecodePayloadDepth(t *testing.T) {
 	nested := func(n int) []byte {
 		return []byte(strings.Repeat("[", n) + strings.Repeat("]", n))
 	}
-	v, err := decodePayload(nested(maxDepth))
+	v, err := decodePayload(nested(jsonlex.MaxDepth))
 	if err != nil {
-		t.Fatalf("%d nested arrays: %v", maxDepth, err)
+		t.Fatalf("%d nested arrays: %v", jsonlex.MaxDepth, err)
 	}
-	for d := 1; d < maxDepth; d++ {
+	for d := 1; d < jsonlex.MaxDepth; d++ {
 		v = v.([]any)[0]
 	}
 	if inner, ok := v.([]any); !ok || inner == nil || len(inner) != 0 {
 		t.Fatalf("innermost value %#v, want an empty non-nil slice", v)
 	}
-	for _, raw := range [][]byte{nested(maxDepth + 1), []byte(strings.Repeat(`{"k":`, maxDepth+1))} {
+	for _, raw := range [][]byte{nested(jsonlex.MaxDepth + 1), []byte(strings.Repeat(`{"k":`, jsonlex.MaxDepth+1))} {
 		if _, err := decodePayload(raw); !errors.Is(err, ErrBadInput) {
-			t.Fatalf("%d levels: want ErrBadInput, got %v", maxDepth+1, err)
+			t.Fatalf("%d levels: want ErrBadInput, got %v", jsonlex.MaxDepth+1, err)
 		}
 		var sink any
 		if json.Unmarshal(raw, &sink) == nil {
@@ -143,8 +144,8 @@ func TestDecodeRetainsNothing(t *testing.T) {
 	for _, in := range []string{`[[1,2,[3,"x"]],["y"]]`, `[[1,2,[3,"x"`, long} {
 		decodePayload([]byte(in))
 		r := readers.Get().(*reader)
-		if r.b != nil || len(r.elems) != 0 || cap(r.elems) > maxStack || slices.ContainsFunc(r.elems[:cap(r.elems)], func(v any) bool { return v != nil }) {
-			t.Fatalf("after %.20s a pooled reader keeps %d bytes of input and %d elements: %v", in, len(r.b), cap(r.elems), r.elems[:min(cap(r.elems), 8)])
+		if r.B != nil || len(r.elems) != 0 || cap(r.elems) > maxStack || slices.ContainsFunc(r.elems[:cap(r.elems)], func(v any) bool { return v != nil }) {
+			t.Fatalf("after %.20s a pooled reader keeps %d bytes of input and %d elements: %v", in, len(r.B), cap(r.elems), r.elems[:min(cap(r.elems), 8)])
 		}
 		readers.Put(r)
 	}

@@ -182,12 +182,14 @@ type TM struct {
 	memoMu sync.RWMutex
 	memo   map[string]Reply // key -> the reply as first computed (read-only)
 	memoOn bool
-	// memoKeys indexes memo keys per servable so deploy/undeploy can
-	// drop exactly that servable's entries: a redeploy may carry a
-	// different model under the same name (notably republish-after-
-	// unpublish, which restarts at version 1), and its memoized
-	// outputs must not survive it — nor linger unreachable.
-	memoKeys map[string]map[string]struct{}
+	// memoRing holds one slot per memo entry, in the order they were
+	// stored: at memoCap entries a new one takes the oldest's slot
+	// (memoNext) and evicts it. Deploy/undeploy clear the slots of
+	// exactly one servable: a redeploy may carry a different model under
+	// the same name (notably republish-after-unpublish, which restarts
+	// at version 1), and its memoized outputs must not survive it.
+	memoRing []memoSlot
+	memoNext int
 
 	// servable -> executor route, set at deploy time.
 	routeMu sync.RWMutex
@@ -231,12 +233,11 @@ func New(cfg Config) (*TM, error) {
 		cfg.Pullers = 4
 	}
 	tm := &TM{
-		cfg:      cfg,
-		memo:     make(map[string]Reply),
-		memoOn:   cfg.Memoize,
-		memoKeys: make(map[string]map[string]struct{}),
-		routes:   make(map[string]string),
-		stop:     make(chan struct{}),
+		cfg:    cfg,
+		memo:   make(map[string]Reply),
+		memoOn: cfg.Memoize,
+		routes: make(map[string]string),
+		stop:   make(chan struct{}),
 	}
 	tm.ctx, tm.cancel = context.WithCancel(context.Background())
 	// Register with the Management Service.
@@ -297,7 +298,7 @@ func (tm *TM) SetMemoize(on bool) {
 	tm.memoOn = on
 	if !on {
 		tm.memo = make(map[string]Reply)
-		tm.memoKeys = make(map[string]map[string]struct{})
+		tm.memoRing, tm.memoNext = nil, 0
 	}
 	tm.memoMu.Unlock()
 }
@@ -530,16 +531,42 @@ func memoKey(servableID string, input any) string {
 	return hex.EncodeToString(h.Sum(sum[:0]))
 }
 
-// invalidateMemo drops a servable's memo entries — the deploy/undeploy
-// hook. Deleting (rather than epoch-orphaning) keeps the memo map
-// bounded across redeploys.
+// memoCap bounds the memo's entries, across servables.
+const memoCap = 4096
+
+// memoSlot is one memo entry's place in memoRing; the zero slot is free.
+type memoSlot struct{ key, servable string }
+
+// invalidateMemo drops a servable's memo entries and frees their slots
+// — the deploy/undeploy hook.
 func (tm *TM) invalidateMemo(servableID string) {
 	tm.memoMu.Lock()
-	for key := range tm.memoKeys[servableID] {
-		delete(tm.memo, key)
+	for i, sl := range tm.memoRing {
+		if sl.servable == servableID {
+			delete(tm.memo, sl.key)
+			tm.memoRing[i] = memoSlot{}
+		}
 	}
-	delete(tm.memoKeys, servableID)
 	tm.memoMu.Unlock()
+}
+
+// storeMemo records rep under key, evicting the oldest entry at
+// memoCap. A key already stored (two first runs of one input) keeps
+// its slot.
+func (tm *TM) storeMemo(key, servableID string, rep Reply) {
+	tm.memoMu.Lock()
+	defer tm.memoMu.Unlock()
+	if _, ok := tm.memo[key]; !ok {
+		sl := memoSlot{key, servableID}
+		if len(tm.memoRing) < memoCap {
+			tm.memoRing = append(tm.memoRing, sl)
+		} else {
+			delete(tm.memo, tm.memoRing[tm.memoNext].key)
+			tm.memoRing[tm.memoNext] = sl
+			tm.memoNext = (tm.memoNext + 1) % memoCap
+		}
+	}
+	tm.memo[key] = rep
 }
 
 func (tm *TM) handleRun(task *Task) Reply {
@@ -581,15 +608,7 @@ func (tm *TM) handleRun(task *Task) Reply {
 		InvocationMicros: invocationMicros(start),
 	}
 	if useMemo {
-		tm.memoMu.Lock()
-		tm.memo[key] = rep
-		keys := tm.memoKeys[task.Servable]
-		if keys == nil {
-			keys = make(map[string]struct{})
-			tm.memoKeys[task.Servable] = keys
-		}
-		keys[key] = struct{}{}
-		tm.memoMu.Unlock()
+		tm.storeMemo(key, task.Servable, rep)
 	}
 	return rep
 }

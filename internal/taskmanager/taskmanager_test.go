@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -508,5 +509,51 @@ func TestPackageRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodePackage(&PackageWire{Doc: []byte("zzz")}); err == nil {
 		t.Fatal("bad doc should fail")
+	}
+}
+
+// TestMemoIsBounded: a memoizing Task Manager keeps at most memoCap
+// entries however many distinct inputs it runs, one ring slot per
+// entry; the oldest go first, so a recent input still hits, and an
+// undeploy still drops its servable's entries.
+func TestMemoIsBounded(t *testing.T) {
+	tm, broker, fake := startTM(t, true)
+	deployNoop(t, broker)
+	run := func(i int) Reply {
+		return tm.handleRun(&Task{Kind: "run", Servable: "dlhub/noop", Input: json.RawMessage(strconv.Itoa(i))})
+	}
+	const n = 10000
+	for i := 0; i < n; i++ {
+		if rep := run(i); !rep.OK || rep.Cached {
+			t.Fatalf("run %d: %+v", i, rep)
+		}
+	}
+	tm.memoMu.RLock()
+	entries, slots := len(tm.memo), len(tm.memoRing)
+	for _, sl := range tm.memoRing {
+		if _, ok := tm.memo[sl.key]; !ok {
+			t.Errorf("slot %+v names no memo entry", sl)
+		}
+	}
+	tm.memoMu.RUnlock()
+	if entries != memoCap || slots != memoCap {
+		t.Fatalf("after %d distinct runs the memo holds %d entries in %d slots, want %d", n, entries, slots, memoCap)
+	}
+	invoked := fake.invocations()
+	if rep := run(n - 1); !rep.Cached {
+		t.Fatal("the latest input should still hit the memo")
+	}
+	if rep := run(n - memoCap); !rep.Cached {
+		t.Fatal("the oldest kept input should still hit the memo")
+	}
+	if rep := run(0); rep.Cached {
+		t.Fatal("the first input should have been evicted")
+	}
+	if got := fake.invocations(); got != invoked+1 {
+		t.Fatalf("%d invocations for one miss and two hits", got-invoked)
+	}
+	tm.invalidateMemo("dlhub/noop")
+	if rep := run(n - 1); rep.Cached || len(tm.memo) != 1 {
+		t.Fatalf("after an invalidation: cached %v, %d entries; want a miss and the one entry it stored", rep.Cached, len(tm.memo))
 	}
 }
