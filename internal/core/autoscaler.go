@@ -270,7 +270,7 @@ func (a *autoscaler) loop() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-a.svc.stop:
+		case <-a.svc.lifeCtx.Done():
 			return
 		case <-ticker.C:
 			a.tick()

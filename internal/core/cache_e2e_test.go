@@ -48,7 +48,7 @@ func startFakeTM(t *testing.T, ms *core.Service, id string, block chan struct{})
 				return
 			default:
 			}
-			msg, ok := ms.Broker().Pull(taskmanager.TaskQueue(id), 50*time.Millisecond)
+			msg, ok := ms.Broker().PullCtx(context.Background(), taskmanager.TaskQueue(id), 50*time.Millisecond)
 			if !ok {
 				continue
 			}
@@ -566,9 +566,11 @@ func TestCacheHTTPHeaderAndStats(t *testing.T) {
 	}
 
 	// Flush wipes entries but keeps counters.
-	if _, err := srv.Client().Post(srv.URL+"/api/v2/cache/flush", "application/json", nil); err != nil {
+	fresp, err := srv.Client().Post(srv.URL+"/api/v2/cache/flush", "application/json", nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	fresp.Body.Close()
 	if st := ms.CacheStats(); st.Entries != 0 || st.Hits != 4 {
 		t.Fatalf("flush wrong: %+v", st)
 	}

@@ -230,7 +230,7 @@ func TestMalformedTMReplyIsUpstream(t *testing.T) {
 		}},
 	} {
 		go func() {
-			msg, ok := ms.Broker().Pull(taskmanager.TaskQueue(tmID), 2*time.Second)
+			msg, ok := ms.Broker().PullCtx(context.Background(), taskmanager.TaskQueue(tmID), 2*time.Second)
 			if !ok {
 				t.Error("no task arrived on the TM queue")
 				return
@@ -269,7 +269,7 @@ func TestMalformedTMReplyIsUpstream(t *testing.T) {
 // the given output.
 func replyOnce(t *testing.T, ms *core.Service, tmID, output string) {
 	t.Helper()
-	msg, ok := ms.Broker().Pull(taskmanager.TaskQueue(tmID), 2*time.Second)
+	msg, ok := ms.Broker().PullCtx(context.Background(), taskmanager.TaskQueue(tmID), 2*time.Second)
 	if !ok {
 		t.Fatal("no task arrived on the TM queue")
 	}

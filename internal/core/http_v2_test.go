@@ -391,11 +391,17 @@ func TestV2TaskEventsStream(t *testing.T) {
 	event := ""
 	deadline := time.After(5 * time.Second)
 	lines := make(chan string)
+	stop := make(chan struct{})
+	defer close(stop) // before resp.Body.Close, which ends a Scan still reading
 	go func() {
+		defer close(lines)
 		for scanner.Scan() {
-			lines <- scanner.Text()
+			select {
+			case lines <- scanner.Text():
+			case <-stop:
+				return
+			}
 		}
-		close(lines)
 	}()
 scan:
 	for {

@@ -60,7 +60,7 @@ func (s *scriptedTM) loop() {
 			return
 		default:
 		}
-		msg, ok := s.ms.Broker().Pull(taskmanager.TaskQueue(s.id), 20*time.Millisecond)
+		msg, ok := s.ms.Broker().PullCtx(context.Background(), taskmanager.TaskQueue(s.id), 20*time.Millisecond)
 		if !ok {
 			continue
 		}

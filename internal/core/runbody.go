@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"sync"
 
 	"repro/internal/jsonlex"
 )
@@ -107,17 +108,25 @@ func scanPayload(l *jsonlex.Lexer) (json.RawMessage, error) {
 }
 
 // scanInputs reads inputs, an array of payloads; a null is left to
-// encoding/json.
+// encoding/json. The payloads gather in a pooled scratch slice, so
+// Inputs is one allocation of exactly their number.
 func scanInputs(l *jsonlex.Lexer, req *RunRequest) error {
 	if l.Peek() != '[' {
 		return errNotFast
 	}
-	ins := []json.RawMessage{}
+	scratch := inputsScratch.Get().(*[]json.RawMessage)
+	ins := (*scratch)[:0]
 	err := l.List(']', func() error {
 		in, err := scanPayload(l)
 		ins = append(ins, in)
 		return err
 	})
-	req.Inputs = ins
+	req.Inputs = append(make([]json.RawMessage, 0, len(ins)), ins...)
+	clear(ins) // the pool must not keep the body alive
+	*scratch = ins[:0]
+	inputsScratch.Put(scratch)
 	return err
 }
+
+// inputsScratch pools scanInputs' scratch slices.
+var inputsScratch = sync.Pool{New: func() any { return new([]json.RawMessage) }}

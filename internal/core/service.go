@@ -216,13 +216,12 @@ type Service struct {
 	// mounted in New and read-only afterwards.
 	door *door
 
-	stop      chan struct{}
-	closeOnce sync.Once
-	regWG     sync.WaitGroup
-	timeFunc  func() time.Time
-	// lifeCtx is the service lifetime context: background work (async
-	// runs, autoscaler scale tasks, registrations) runs under it so Close
-	// aborts it instead of leaving it to its own deadlines.
+	regWG    sync.WaitGroup
+	timeFunc func() time.Time
+	// lifeCtx is the service lifetime context and its one stop signal:
+	// background work (async runs, autoscaler ticks and scale tasks,
+	// registrations) runs under it so Close aborts it instead of leaving
+	// it to its own deadlines.
 	lifeCtx    context.Context
 	lifeCancel context.CancelFunc
 }
@@ -261,7 +260,6 @@ func New(cfg Config) *Service {
 		repo:     newRepository(),
 		tasks:    newOutcomes[string, AsyncTask](cfg.TaskRetention, 0, 0),
 		idem:     newOutcomes[string, idemReply](idemTTL, idemMax, 0),
-		stop:     make(chan struct{}),
 		timeFunc: time.Now,
 		users:    make(map[string]userRecord),
 		door:     newDoor(),
@@ -299,15 +297,12 @@ func (s *Service) Broker() *queue.Broker { return s.broker }
 // Close shuts the service down: background loops stop, and in-flight
 // dispatches — synchronous callers included — are canceled with
 // ErrCanceled (routingTable.stop) rather than stranded until their own
-// deadlines. Safe to call more than once.
+// deadlines. Safe to call more than once: every step is.
 func (s *Service) Close() {
-	s.closeOnce.Do(func() {
-		close(s.stop)
-		s.lifeCancel()
-		s.regWG.Wait()
-		s.route.stop()
-		s.broker.Close()
-	})
+	s.lifeCancel()
+	s.regWG.Wait()
+	s.route.stop()
+	s.broker.Close()
 }
 
 // registrationLoop consumes TM registrations.

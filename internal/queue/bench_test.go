@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -12,7 +13,7 @@ func BenchmarkPushPullAck(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		br.Push("bench", body, "", "", "")
-		msg, ok := br.Pull("bench", 0)
+		msg, ok := br.PullCtx(context.Background(), "bench", 0)
 		if !ok {
 			b.Fatal("message missing")
 		}
@@ -24,7 +25,7 @@ func BenchmarkRequestReply(b *testing.B) {
 	br := NewBroker(time.Minute)
 	defer br.Close()
 	stop := make(chan struct{})
-	done := echoLoop(func() (Message, bool) { return br.Pull("svc", 50*time.Millisecond) }, br.Reply, stop)
+	done := echoLoop(func() (Message, bool) { return br.PullCtx(context.Background(), "svc", 50*time.Millisecond) }, br.Reply, stop)
 	benchRequests(b, br)
 	close(stop)
 	<-done
@@ -65,7 +66,7 @@ func BenchmarkConcurrentProducersConsumers(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			br.Push("par", []byte("x"), "", "", "")
-			if msg, ok := br.Pull("par", time.Second); ok {
+			if msg, ok := br.PullCtx(context.Background(), "par", time.Second); ok {
 				br.Ack("par", msg.ID)
 			}
 		}

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -34,7 +35,7 @@ func TestSingleLaneIsFIFO(t *testing.T) {
 		b.Push("q", []byte{byte(i)}, "", "", "")
 	}
 	for i := 0; i < n; i++ {
-		msg, ok := b.Pull("q", 0)
+		msg, ok := b.PullCtx(context.Background(), "q", 0)
 		if !ok {
 			t.Fatalf("pull %d: queue empty", i)
 		}
@@ -67,7 +68,7 @@ func TestDRRWeightedShares(t *testing.T) {
 	counts := map[string]int{}
 	const rotations = 7
 	for i := 0; i < rotations*7; i++ {
-		msg, ok := b.Pull("q", 0)
+		msg, ok := b.PullCtx(context.Background(), "q", 0)
 		if !ok {
 			t.Fatalf("pull %d: queue empty", i)
 		}
@@ -137,7 +138,7 @@ func TestFairnessHotTenantCannotStarve(t *testing.T) {
 	sinceBG := 0
 	served := 0
 	for served < bgMsgs {
-		msg, ok := b.Pull("q", 0)
+		msg, ok := b.PullCtx(context.Background(), "q", 0)
 		if !ok {
 			t.Fatal("queue empty before all bg messages served")
 		}
@@ -192,7 +193,7 @@ func TestDRRPropertyRandomized(t *testing.T) {
 		nextSeq := map[string]int{}
 		unserved := map[string]int{} // pulls since a backlogged lane was last served
 		for i := 0; i < total; i++ {
-			msg, ok := b.Pull("q", 0)
+			msg, ok := b.PullCtx(context.Background(), "q", 0)
 			if !ok {
 				t.Fatalf("trial %d: queue empty after %d of %d pulls", trial, i, total)
 			}
@@ -227,7 +228,7 @@ func TestNackReturnsToOwnLane(t *testing.T) {
 	b := NewBroker(time.Minute)
 	defer b.Close()
 	b.Push("q", []byte("x"), "", "", "acme")
-	msg, ok := b.Pull("q", 0)
+	msg, ok := b.PullCtx(context.Background(), "q", 0)
 	if !ok || msg.Tenant != "acme" {
 		t.Fatalf("pull = %+v, %v", msg, ok)
 	}
@@ -238,7 +239,7 @@ func TestNackReturnsToOwnLane(t *testing.T) {
 	if got := laneLen(b, "q", ""); got != 0 {
 		t.Fatalf("after nack: default lane has %d messages, want 0", got)
 	}
-	msg2, ok := b.Pull("q", 0)
+	msg2, ok := b.PullCtx(context.Background(), "q", 0)
 	if !ok || msg2.Tenant != "acme" || msg2.Attempt != 2 {
 		t.Fatalf("redelivery = %+v, %v; want acme attempt 2", msg2, ok)
 	}
@@ -257,7 +258,7 @@ func BenchmarkDRRSingleLane(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		br.Push("bench", body, "", "", "")
-		msg, _ := br.Pull("bench", 0)
+		msg, _ := br.PullCtx(context.Background(), "bench", 0)
 		br.Ack("bench", msg.ID)
 	}
 }
@@ -281,7 +282,7 @@ func BenchmarkDRREightLanes(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		br.Push("bench", body, "", "", tenants[i%len(tenants)])
-		msg, _ := br.Pull("bench", 0)
+		msg, _ := br.PullCtx(context.Background(), "bench", 0)
 		br.Ack("bench", msg.ID)
 	}
 }

@@ -6,7 +6,7 @@
 // The broker hosts named queues. Producers push messages; consumers
 // take them and must acknowledge within a visibility timeout or the
 // message is redelivered (at-least-once semantics). Every consumer — an
-// in-process Pull, a remote session (transport.go) — is a credit and a
+// in-process PullCtx, a remote session (transport.go) — is a credit and a
 // channel: the broker hands it one ready message per credit.
 // Request/reply is layered on top, mirroring the paper's flow where Task
 // Managers "retrieve waiting tasks from the queue, unpackage the
@@ -182,8 +182,7 @@ type Broker struct {
 	queues map[string]*namedQueue
 
 	visibility time.Duration
-	stopSweep  chan struct{}
-	sweepOnce  sync.Once
+	stopSweep  context.CancelFunc
 
 	// fairMu guards the broker-wide fairness state: configured lane
 	// weights and the per-tenant dequeue counters (the stats
@@ -216,17 +215,18 @@ func NewBroker(visibility time.Duration) *Broker {
 	b := &Broker{
 		queues:     make(map[string]*namedQueue),
 		visibility: visibility,
-		stopSweep:  make(chan struct{}),
 		laneWeight: make(map[string]int),
 		dequeues:   make(map[string]uint64),
 		inbox:      make(map[string]chan []byte),
 	}
-	go b.sweeper()
+	ctx, cancel := context.WithCancel(context.Background())
+	b.stopSweep = cancel
+	go b.sweeper(ctx)
 	return b
 }
 
-// Close stops the redelivery sweeper.
-func (b *Broker) Close() { b.sweepOnce.Do(func() { close(b.stopSweep) }) }
+// Close stops the redelivery sweeper. Safe to call more than once.
+func (b *Broker) Close() { b.stopSweep() }
 
 // SetLaneWeight sets the DRR quantum for a tenant lane across every
 // queue (weights are a tenant property, not a queue property). Weights
@@ -362,9 +362,9 @@ func (b *Broker) OrphanReplies() uint64 {
 }
 
 // ConsumerStats reports the credit layer: the registered consumers
-// (remote sessions and in-process Pulls waiting), the credit they hold
-// per queue that has any, and the push frames remote sessions were
-// handed, written and not written.
+// (remote sessions and in-process PullCtx calls waiting), the credit
+// they hold per queue that has any, and the push frames remote sessions
+// were handed, written and not written.
 func (b *Broker) ConsumerStats() (consumers int, credit map[string]int, pushes, failures uint64) {
 	credit = make(map[string]int)
 	b.mu.RLock()
@@ -491,19 +491,14 @@ func (b *Broker) popLocked(q *namedQueue) (Message, bool) {
 	return msg, true
 }
 
-// Pull waits up to timeout for a message on the named queue. ok is false
-// on timeout. Delivered messages must be Ack'd before the visibility
-// timeout or they are requeued.
-func (b *Broker) Pull(queueName string, timeout time.Duration) (Message, bool) {
-	return b.PullCtx(context.Background(), queueName, timeout)
-}
-
-// PullCtx is Pull bounded additionally by ctx: it returns early (ok
-// false) when ctx ends, so a canceled consumer never sits out its full
-// poll timeout. A timeout <= 0 means "bounded by ctx alone"; with a
-// background ctx that degenerates to a non-blocking poll. A call that
-// finds nothing ready waits as a consumer with one credit, withdrawn
-// when it returns.
+// PullCtx waits up to timeout for a message on the named queue, and no
+// longer than ctx lasts: ok is false when either ends first, so a
+// canceled consumer never sits out its full poll. A timeout <= 0 means
+// "bounded by ctx alone"; with a background ctx that degenerates to a
+// non-blocking poll. A call that finds nothing ready waits as a
+// consumer with one credit, withdrawn when it returns. Delivered
+// messages must be Ack'd before the visibility timeout or they are
+// requeued.
 func (b *Broker) PullCtx(ctx context.Context, queueName string, timeout time.Duration) (Message, bool) {
 	q := b.queue(queueName)
 	q.mu.Lock()
@@ -541,9 +536,9 @@ func (b *Broker) PullCtx(ctx context.Context, queueName string, timeout time.Dur
 	return <-w.ch, true // handed over just now
 }
 
-// waiters pools the consumers Pulls wait as: a Pull returns its own
-// withdrawn and with ch empty, so nothing hands it a message before the
-// next Pull registers it.
+// waiters pools the consumers PullCtx calls wait as: a call returns its
+// own withdrawn and with ch empty, so nothing hands it a message before
+// the next call registers it.
 var waiters = sync.Pool{New: func() any { return &consumer{ch: make(chan Message, 1)} }}
 
 // Drop removes a not-yet-delivered message from a queue's ready lanes,
@@ -623,7 +618,7 @@ func (b *Broker) InFlight(queueName string) int {
 }
 
 // sweeper periodically requeues messages whose visibility expired.
-func (b *Broker) sweeper() {
+func (b *Broker) sweeper(ctx context.Context) {
 	interval := b.visibility / 4
 	if interval < time.Millisecond {
 		interval = time.Millisecond
@@ -632,7 +627,7 @@ func (b *Broker) sweeper() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-b.stopSweep:
+		case <-ctx.Done():
 			return
 		case <-ticker.C:
 			b.sweep(time.Now())

@@ -27,7 +27,7 @@ func TestPushPull(t *testing.T) {
 	if id == "" {
 		t.Fatal("Push should return an ID")
 	}
-	msg, ok := b.Pull("tasks", 0)
+	msg, ok := b.PullCtx(context.Background(), "tasks", 0)
 	if !ok {
 		t.Fatal("Pull should find the message")
 	}
@@ -43,7 +43,7 @@ func TestPullTimeout(t *testing.T) {
 	b := NewBroker(time.Second)
 	defer b.Close()
 	start := time.Now()
-	_, ok := b.Pull("empty", 50*time.Millisecond)
+	_, ok := b.PullCtx(context.Background(), "empty", 50*time.Millisecond)
 	if ok {
 		t.Fatal("Pull on empty queue should time out")
 	}
@@ -57,7 +57,7 @@ func TestPullWakesWaiter(t *testing.T) {
 	defer b.Close()
 	done := make(chan Message, 1)
 	go func() {
-		msg, ok := b.Pull("tasks", 2*time.Second)
+		msg, ok := b.PullCtx(context.Background(), "tasks", 2*time.Second)
 		if ok {
 			done <- msg
 		}
@@ -78,12 +78,12 @@ func TestVisibilityTimeoutRedelivers(t *testing.T) {
 	b := NewBroker(50 * time.Millisecond)
 	defer b.Close()
 	b.Push("tasks", []byte("flaky"), "", "", "")
-	msg, ok := b.Pull("tasks", 0)
+	msg, ok := b.PullCtx(context.Background(), "tasks", 0)
 	if !ok {
 		t.Fatal("first delivery missing")
 	}
 	// Do not ack; expect redelivery.
-	msg2, ok := b.Pull("tasks", time.Second)
+	msg2, ok := b.PullCtx(context.Background(), "tasks", time.Second)
 	if !ok {
 		t.Fatal("message was not redelivered")
 	}
@@ -94,7 +94,7 @@ func TestVisibilityTimeoutRedelivers(t *testing.T) {
 		t.Fatalf("attempt should be 2, got %d", msg2.Attempt)
 	}
 	b.Ack("tasks", msg2.ID)
-	if _, ok := b.Pull("tasks", 100*time.Millisecond); ok {
+	if _, ok := b.PullCtx(context.Background(), "tasks", 100*time.Millisecond); ok {
 		t.Fatal("acked message should not be redelivered")
 	}
 }
@@ -107,7 +107,7 @@ func TestLateReplyDropsRedeliveredCopy(t *testing.T) {
 	b := NewBroker(20 * time.Millisecond)
 	defer b.Close()
 	b.Push("tasks", []byte("slow"), "", "", "")
-	msg, ok := b.Pull("tasks", 0)
+	msg, ok := b.PullCtx(context.Background(), "tasks", 0)
 	if !ok {
 		t.Fatal("delivery missing")
 	}
@@ -128,11 +128,11 @@ func TestNackImmediateRequeue(t *testing.T) {
 	b := NewBroker(time.Hour)
 	defer b.Close()
 	b.Push("tasks", []byte("retry-me"), "", "", "")
-	msg, _ := b.Pull("tasks", 0)
+	msg, _ := b.PullCtx(context.Background(), "tasks", 0)
 	if !b.Nack("tasks", msg.ID) {
 		t.Fatal("Nack should succeed")
 	}
-	msg2, ok := b.Pull("tasks", 0)
+	msg2, ok := b.PullCtx(context.Background(), "tasks", 0)
 	if !ok || string(msg2.Body) != "retry-me" {
 		t.Fatal("nacked message should be immediately available")
 	}
@@ -156,7 +156,7 @@ func TestFIFOOrdering(t *testing.T) {
 		b.Push("tasks", []byte{byte(i)}, "", "", "")
 	}
 	for i := 0; i < 20; i++ {
-		msg, ok := b.Pull("tasks", 0)
+		msg, ok := b.PullCtx(context.Background(), "tasks", 0)
 		if !ok || msg.Body[0] != byte(i) {
 			t.Fatalf("FIFO violated at %d: %+v", i, msg)
 		}
@@ -168,7 +168,7 @@ func TestRequestReply(t *testing.T) {
 	b := NewBroker(time.Second)
 	defer b.Close()
 	go func() {
-		msg, ok := b.Pull("svc", 2*time.Second)
+		msg, ok := b.PullCtx(context.Background(), "svc", 2*time.Second)
 		if !ok {
 			return
 		}
@@ -207,7 +207,7 @@ func TestAllMessagesDelivered(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				msg, ok := b.Pull("bulk", 200*time.Millisecond)
+				msg, ok := b.PullCtx(context.Background(), "bulk", 200*time.Millisecond)
 				if !ok {
 					return
 				}
@@ -236,10 +236,10 @@ func TestQueueIsolation(t *testing.T) {
 	b := NewBroker(time.Second)
 	defer b.Close()
 	b.Push("a", []byte("for-a"), "", "", "")
-	if _, ok := b.Pull("b", 0); ok {
+	if _, ok := b.PullCtx(context.Background(), "b", 0); ok {
 		t.Fatal("queue b should be empty")
 	}
-	if msg, ok := b.Pull("a", 0); !ok || string(msg.Body) != "for-a" {
+	if msg, ok := b.PullCtx(context.Background(), "a", 0); !ok || string(msg.Body) != "for-a" {
 		t.Fatal("queue a should hold its message")
 	}
 }
@@ -252,7 +252,7 @@ func TestLenAndInFlight(t *testing.T) {
 	if b.Len("q") != 2 || b.InFlight("q") != 0 {
 		t.Fatalf("want 2 ready/0 inflight, got %d/%d", b.Len("q"), b.InFlight("q"))
 	}
-	msg, _ := b.Pull("q", 0)
+	msg, _ := b.PullCtx(context.Background(), "q", 0)
 	if b.Len("q") != 1 || b.InFlight("q") != 1 {
 		t.Fatalf("want 1 ready/1 inflight, got %d/%d", b.Len("q"), b.InFlight("q"))
 	}
@@ -383,7 +383,7 @@ func TestRequestCleansReplyQueue(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		msg, ok := b.Pull("work", 2*time.Second)
+		msg, ok := b.PullCtx(context.Background(), "work", 2*time.Second)
 		if !ok {
 			t.Error("no request arrived")
 			return
@@ -411,7 +411,7 @@ func TestCanceledRequestReplyGC(t *testing.T) {
 		_, err := b.RequestCtx(ctx, "work", []byte("ping"), "")
 		errCh <- err
 	}()
-	msg, ok := b.Pull("work", 2*time.Second) // consumer claims the task
+	msg, ok := b.PullCtx(context.Background(), "work", 2*time.Second) // consumer claims the task
 	if !ok {
 		t.Fatal("no request arrived")
 	}
@@ -437,7 +437,7 @@ func TestRequestCtxUnboundedContext(t *testing.T) {
 	b := NewBroker(time.Minute)
 	defer b.Close()
 	go func() {
-		msg, ok := b.Pull("work", 2*time.Second)
+		msg, ok := b.PullCtx(context.Background(), "work", 2*time.Second)
 		if ok {
 			time.Sleep(50 * time.Millisecond)
 			b.Reply(msg, []byte("pong"))
@@ -458,7 +458,7 @@ func TestPurge(t *testing.T) {
 	b.Push("tasks", []byte("claimed"), "", "", "")
 	b.Push("tasks", []byte("ready-1"), "", "", "")
 	b.Push("tasks", []byte("ready-2"), "", "", "")
-	if _, ok := b.Pull("tasks", time.Second); !ok { // claim one, never ack
+	if _, ok := b.PullCtx(context.Background(), "tasks", time.Second); !ok { // claim one, never ack
 		t.Fatal("no message to claim")
 	}
 	if n := b.Purge("tasks"); n != 3 {
@@ -474,7 +474,7 @@ func TestPurge(t *testing.T) {
 	}
 	// The queue still works for new traffic.
 	b.Push("tasks", []byte("fresh"), "", "", "")
-	if msg, ok := b.Pull("tasks", time.Second); !ok || string(msg.Body) != "fresh" {
+	if msg, ok := b.PullCtx(context.Background(), "tasks", time.Second); !ok || string(msg.Body) != "fresh" {
 		t.Fatalf("post-purge delivery broken: %v %v", msg, ok)
 	}
 }

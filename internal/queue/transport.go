@@ -320,12 +320,12 @@ type Client struct {
 // feed is the client's end of a credit session on one queue.
 type feed struct {
 	stream uint64
-	// ready holds messages pushed and not yet taken by a Pull. A push
+	// ready holds messages pushed and not yet taken by a PullCtx. A push
 	// never finds it full: this end never grants past maxCredit.
 	ready chan Message
 	// credit is what the broker holds for this feed, counted from this
 	// end's own frames: granted, less pushed, plus replied. parked counts
-	// callers waiting in Pull. Both Client.mu.
+	// callers waiting in PullCtx. Both Client.mu.
 	credit, parked int
 }
 
@@ -388,15 +388,21 @@ func (c *Client) pushed(f *feed, p []byte) {
 	f.ready <- m
 }
 
-// Pull takes the next message the broker pushed to this client on the
-// named queue, waiting up to timeout; ok is false when none came. Each
-// caller waiting here is one credit: when more wait than the broker
-// holds credit for, Pull grants the difference, and the broker pushes
-// one ready message per credit. A credit outlives a caller that gives
-// up, so its message waits for the next Pull (or Close's nack). A
-// timeout <= 0 grants as any Pull does, then takes only what has
-// already arrived, without waiting. The message's Body is the caller's.
+// Pull is PullCtx bounded by timeout alone.
 func (c *Client) Pull(queueName string, timeout time.Duration) (Message, bool, error) {
+	return c.PullCtx(context.Background(), queueName, timeout)
+}
+
+// PullCtx takes the next message the broker pushed to this client on
+// the named queue, waiting up to timeout and no longer than ctx lasts;
+// ok is false when none came. Each caller waiting here is one credit:
+// when more wait than the broker holds credit for, the call grants the
+// difference, and the broker pushes one ready message per credit. A
+// credit outlives a caller that gives up, timed out or canceled, so its
+// message waits for the next call (or Close's nack). A timeout <= 0
+// grants as any call does, then takes only what has already arrived,
+// without waiting. The message's Body is the caller's.
+func (c *Client) PullCtx(ctx context.Context, queueName string, timeout time.Duration) (Message, bool, error) {
 	f := c.feed(queueName)
 	select {
 	case m := <-f.ready:
@@ -432,10 +438,11 @@ func (c *Client) Pull(queueName string, timeout time.Duration) (Message, bool, e
 	case m := <-f.ready:
 		return m, true, nil
 	case <-timer.C:
-		return Message{}, false, nil
+	case <-ctx.Done():
 	case <-c.rc.Done():
 		return Message{}, false, errLost
 	}
+	return Message{}, false, nil
 }
 
 // grant sends a q5.grant of n on f's stream. A grant that could not be

@@ -315,7 +315,7 @@ func TestPullUndoneWhenUnwritable(t *testing.T) {
 	if consumers, _, pushes, failures := b.ConsumerStats(); consumers != 0 || pushes != 0 || failures != 1 {
 		t.Fatalf("consumers=%d pushes=%d failures=%d, want the session withdrawn after one failed push", consumers, pushes, failures)
 	}
-	if msg, ok := b.Pull("tasks", time.Second); !ok || string(msg.Body) != "work" || msg.Attempt != 2 {
+	if msg, ok := b.PullCtx(context.Background(), "tasks", time.Second); !ok || string(msg.Body) != "work" || msg.Attempt != 2 {
 		t.Fatalf("next consumer got %+v, %v", msg, ok)
 	}
 }
@@ -357,7 +357,7 @@ func TestStalledPeerBlocksNoRequester(t *testing.T) {
 		t.Fatalf("inflight=%d pending=%d, want the task still claimed and no requester waiting", b.InFlight("tasks"), b.PendingRequests())
 	}
 	b.Push("tasks", []byte("next"), "", "", "")
-	if msg, ok := b.Pull("tasks", time.Second); !ok || string(msg.Body) != "next" {
+	if msg, ok := b.PullCtx(context.Background(), "tasks", time.Second); !ok || string(msg.Body) != "next" {
 		t.Fatalf("broker stalled behind the session: %q, %v", msg.Body, ok)
 	}
 }
@@ -380,34 +380,54 @@ func (c *stalledConn) Close() error {
 }
 
 // TestCloseNacksUntakenPushes: a message pushed to a client that no Pull
-// took — its caller gave up — is nacked when the client closes, not left
-// claimed until the visibility timeout. A message a Pull did take stays
-// claimed past the session's end: until its reply, the visibility
-// timeout or Purge.
+// took — its caller gave up, timed out or canceled mid-wait, leaving its
+// credit granted — is nacked when the client closes, not left claimed
+// until the visibility timeout. A message a Pull did take stays claimed
+// past the session's end: until its reply, the visibility timeout or
+// Purge.
 func TestCloseNacksUntakenPushes(t *testing.T) {
-	b := NewBroker(time.Hour)
-	defer b.Close()
-	c := startTransport(t, b)
-	b.Push("tasks", []byte("taken"), "", "", "")
-	if _, ok, err := c.Pull("tasks", time.Second); !ok || err != nil {
-		t.Fatalf("pull: ok=%v err=%v", ok, err)
-	}
-	if _, ok, _ := c.Pull("tasks", 10*time.Millisecond); ok { // grants a credit, then gives up
-		t.Fatal("pulled from an empty queue")
-	}
-	b.Push("tasks", []byte("untaken"), "", "", "")
-	f := c.feed("tasks")
-	waitFor(t, time.Second, "the push to the idle credit", func() bool { return len(f.ready) == 1 })
-	c.Close()
-	waitFor(t, time.Second, "the untaken push to be nacked", func() bool { return b.Len("tasks") == 1 })
-	if n := b.InFlight("tasks"); n != 1 {
-		t.Fatalf("in flight after close = %d, want the taken message still claimed", n)
-	}
-	if msg, ok := b.Pull("tasks", 0); !ok || string(msg.Body) != "untaken" {
-		t.Fatalf("ready after close: %q, %v", msg.Body, ok)
-	}
-	if n := b.Purge("tasks"); n != 2 {
-		t.Fatalf("purged %d, want the two claimed messages", n)
+	for _, giveUp := range []struct {
+		name string
+		pull func(c *Client) (bool, error)
+	}{
+		{"timeout", func(c *Client) (bool, error) {
+			_, ok, err := c.Pull("tasks", 10*time.Millisecond)
+			return ok, err
+		}},
+		{"cancel", func(c *Client) (bool, error) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			time.AfterFunc(10*time.Millisecond, cancel)
+			_, ok, err := c.PullCtx(ctx, "tasks", time.Hour)
+			return ok, err
+		}},
+	} {
+		t.Run(giveUp.name, func(t *testing.T) {
+			b := NewBroker(time.Hour)
+			defer b.Close()
+			c := startTransport(t, b)
+			b.Push("tasks", []byte("taken"), "", "", "")
+			if _, ok, err := c.Pull("tasks", time.Second); !ok || err != nil {
+				t.Fatalf("pull: ok=%v err=%v", ok, err)
+			}
+			if ok, err := giveUp.pull(c); ok || err != nil { // grants a credit, then gives up
+				t.Fatalf("gave up: ok=%v err=%v, want neither", ok, err)
+			}
+			b.Push("tasks", []byte("untaken"), "", "", "")
+			f := c.feed("tasks")
+			waitFor(t, time.Second, "the push to the idle credit", func() bool { return len(f.ready) == 1 })
+			c.Close()
+			waitFor(t, time.Second, "the untaken push to be nacked", func() bool { return b.Len("tasks") == 1 })
+			if n := b.InFlight("tasks"); n != 1 {
+				t.Fatalf("in flight after close = %d, want the taken message still claimed", n)
+			}
+			if msg, ok := b.PullCtx(context.Background(), "tasks", 0); !ok || string(msg.Body) != "untaken" {
+				t.Fatalf("ready after close: %q, %v", msg.Body, ok)
+			}
+			if n := b.Purge("tasks"); n != 2 {
+				t.Fatalf("purged %d, want the two claimed messages", n)
+			}
+		})
 	}
 }
 
@@ -625,7 +645,7 @@ func roundTripAllocs(t *testing.T, b *Broker, pull func() (Message, bool), reply
 func TestRoundTripAllocs(t *testing.T) {
 	b := NewBroker(time.Minute)
 	defer b.Close()
-	got := roundTripAllocs(t, b, func() (Message, bool) { return b.Pull("svc", 50*time.Millisecond) }, b.Reply)
+	got := roundTripAllocs(t, b, func() (Message, bool) { return b.PullCtx(context.Background(), "svc", 50*time.Millisecond) }, b.Reply)
 	t.Logf("objects per request/reply in process: %.1f", got)
 	if got > 16 {
 		t.Errorf("in-process request/reply allocates %.1f objects, budget 16", got)

@@ -135,6 +135,17 @@ type QueueAPI interface {
 	Reply(msg queue.Message, body []byte) error
 }
 
+// ctxPuller is a QueueAPI whose pull also ends with a context, as
+// BrokerAdapter's and queue.Client's do: a TM pulls through it so that
+// Close does not sit out a poll. A queue without one is pulled with
+// Pull. The check goes once QueueAPI.Pull itself takes a context.
+type ctxPuller interface {
+	PullCtx(ctx context.Context, q string, timeout time.Duration) (queue.Message, bool, error)
+}
+
+// pollTimeout is how long one pull waits for a task.
+const pollTimeout = 500 * time.Millisecond
+
 // BrokerAdapter adapts an in-process *queue.Broker to QueueAPI.
 type BrokerAdapter struct{ B *queue.Broker }
 
@@ -145,7 +156,12 @@ func (a BrokerAdapter) Push(q string, body []byte, replyTo, corr, tenant string)
 
 // Pull implements QueueAPI.
 func (a BrokerAdapter) Pull(q string, timeout time.Duration) (queue.Message, bool, error) {
-	msg, ok := a.B.Pull(q, timeout)
+	return a.PullCtx(context.Background(), q, timeout)
+}
+
+// PullCtx is Pull bounded also by ctx, as the Task Manager pulls.
+func (a BrokerAdapter) PullCtx(ctx context.Context, q string, timeout time.Duration) (queue.Message, bool, error) {
+	msg, ok := a.B.PullCtx(ctx, q, timeout)
 	return msg, ok, nil
 }
 
@@ -195,13 +211,15 @@ type TM struct {
 	routeMu sync.RWMutex
 	routes  map[string]string
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	// ctx is the TM lifetime context: executor invocations run under it
-	// so Close cancels in-flight work instead of orphaning it.
+	// ctx is the TM lifetime context and its one stop signal: the pull
+	// loops, the heartbeat and executor invocations run under it, so
+	// Close and Kill cancel in-flight work instead of orphaning it.
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
+	// pull is one poll of the TM's task queue, bounded by ctx when the
+	// queue is a ctxPuller.
+	pull func(qname string) (queue.Message, bool, error)
 
 	statMu    sync.Mutex
 	completed uint64
@@ -237,9 +255,12 @@ func New(cfg Config) (*TM, error) {
 		memo:   make(map[string]Reply),
 		memoOn: cfg.Memoize,
 		routes: make(map[string]string),
-		stop:   make(chan struct{}),
 	}
 	tm.ctx, tm.cancel = context.WithCancel(context.Background())
+	tm.pull = func(qname string) (queue.Message, bool, error) { return cfg.Queue.Pull(qname, pollTimeout) }
+	if q, ok := cfg.Queue.(ctxPuller); ok {
+		tm.pull = func(qname string) (queue.Message, bool, error) { return q.PullCtx(tm.ctx, qname, pollTimeout) }
+	}
 	// Register with the Management Service.
 	execs := make([]string, 0, len(cfg.Executors))
 	for name := range cfg.Executors {
@@ -273,7 +294,7 @@ func (tm *TM) heartbeatLoop() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-tm.stop:
+		case <-tm.ctx.Done():
 			return
 		case <-ticker.C:
 			reg := tm.reg
@@ -310,13 +331,12 @@ func (tm *TM) Stats() (uint64, uint64) {
 	return tm.completed, tm.hits
 }
 
-// Close stops the pull loops (in-flight tasks finish first, but their
-// executor invocations are canceled via the TM lifetime context).
-// Idempotent, and safe after Kill.
+// Close cancels the TM lifetime context and waits for the pull loops
+// and the heartbeat to end, then closes the executors. A pull waiting
+// for a task returns at once, as long as the queue is a ctxPuller; a
+// task in flight finishes first, its executor invocation canceled, and
+// its failure is replied. Idempotent, and safe after Kill.
 func (tm *TM) Close() {
-	tm.stopOnce.Do(func() {
-		close(tm.stop)
-	})
 	tm.cancel()
 	tm.wg.Wait()
 	for _, ex := range tm.cfg.Executors {
@@ -337,9 +357,6 @@ func (tm *TM) Kill() {
 	tm.statMu.Lock()
 	tm.killed = true
 	tm.statMu.Unlock()
-	tm.stopOnce.Do(func() {
-		close(tm.stop)
-	})
 	tm.cancel()
 	tm.wg.Wait()
 }
@@ -347,23 +364,18 @@ func (tm *TM) Kill() {
 func (tm *TM) pullLoop() {
 	defer tm.wg.Done()
 	qname := TaskQueue(tm.cfg.ID)
-	for {
-		select {
-		case <-tm.stop:
-			return
-		default:
-		}
-		msg, ok, err := tm.cfg.Queue.Pull(qname, 500*time.Millisecond)
-		if err != nil {
+	for tm.ctx.Err() == nil {
+		switch msg, ok, err := tm.pull(qname); {
+		case err != nil:
 			// Connection failure: back off briefly, keep trying (the
 			// queue provides at-least-once redelivery).
-			time.Sleep(50 * time.Millisecond)
-			continue
+			select {
+			case <-tm.ctx.Done():
+			case <-time.After(50 * time.Millisecond):
+			}
+		case ok:
+			tm.handle(msg)
 		}
-		if !ok {
-			continue
-		}
-		tm.handle(msg)
 	}
 }
 

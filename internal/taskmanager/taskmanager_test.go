@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -197,7 +198,7 @@ func TestRegistrationOnStartup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tm.Close()
-	msg, ok := broker.Pull(RegisterQueue, time.Second)
+	msg, ok := broker.PullCtx(context.Background(), RegisterQueue, time.Second)
 	if !ok {
 		t.Fatal("registration message missing")
 	}
@@ -555,5 +556,63 @@ func TestMemoIsBounded(t *testing.T) {
 	tm.invalidateMemo("dlhub/noop")
 	if rep := run(n - 1); rep.Cached || len(tm.memo) != 1 {
 		t.Fatalf("after an invalidation: cached %v, %d entries; want a miss and the one entry it stored", rep.Cached, len(tm.memo))
+	}
+}
+
+// TestStopIsPrompt: a Task Manager whose eight pullers all wait for a
+// task returns from Close, and from Kill, at once rather than after a
+// poll: on the in-process broker and across the loopback transport.
+func TestStopIsPrompt(t *testing.T) {
+	const pullers = 8
+	dials := []struct {
+		name string
+		dial func(t *testing.T, b *queue.Broker) QueueAPI
+	}{
+		{"broker", func(_ *testing.T, b *queue.Broker) QueueAPI { return BrokerAdapter{B: b} }},
+		{"tcp", func(t *testing.T, b *queue.Broker) QueueAPI {
+			srv := queue.NewServer(b)
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go srv.Serve(l) //nolint:errcheck — ends with Close
+			t.Cleanup(func() { srv.Close() })
+			conn, err := net.Dial("tcp", l.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := queue.NewClient(conn)
+			t.Cleanup(func() { c.Close() })
+			return c
+		}},
+	}
+	stops := []struct {
+		name string
+		stop func(*TM)
+	}{{"Close", (*TM).Close}, {"Kill", (*TM).Kill}}
+	for _, d := range dials {
+		for _, s := range stops {
+			t.Run(d.name+"/"+s.name, func(t *testing.T) {
+				b := queue.NewBroker(time.Minute)
+				defer b.Close()
+				tm, err := New(Config{ID: "tm-stop", Queue: d.dial(t, b), Executors: map[string]executor.Executor{"parsl": newFakeExecutor()}, Pullers: pullers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+					if _, credit, _, _ := b.ConsumerStats(); credit[TaskQueue("tm-stop")] == pullers {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatal("the pullers never all waited")
+					}
+				}
+				start := time.Now()
+				s.stop(tm)
+				if took := time.Since(start); took >= 50*time.Millisecond {
+					t.Fatalf("%s took %v with %d idle pullers, want < 50ms", s.name, took, pullers)
+				}
+			})
+		}
 	}
 }

@@ -22,6 +22,7 @@ var surfaceExempt = []struct{ match, reason string }{
 	{"repro/dlhub", "the public SDK is called from outside the repository"},
 	{"repro/internal/transfer", "no binary sets Config.Transfer yet; ROADMAP item 3's figure gate decides the package"},
 	{"repro/internal/executor/executortest", "the executors' conformance table: a library whose callers are _test files"},
+	{"repro/internal/leakcheck", "the goroutine leak check: a library whose callers are TestMain functions"},
 	{".Is .Unwrap .MarshalJSON", "errors.Is/As and encoding/json find these by a run-time assertion no file's types show"},
 }
 
