@@ -119,7 +119,9 @@ func putBuf(buf *bytes.Buffer) {
 // resultKey builds the cache key of a single run: sha256 over servable
 // ID, published version, task kind and the input's canonical JSON — the
 // text json.Marshal emits for the decoded input, so neither whitespace,
-// member order nor the spelling of a string splits entries.
+// member order nor the spelling of a string splits entries. The input
+// is compact, as all run and runBatch take (compacted): only one that
+// Marshal would spell differently is re-encoded here.
 func resultKey(servableID string, version int, input json.RawMessage) (cacheKey, error) {
 	return hashKey(servableID, version, false, input)
 }
@@ -172,10 +174,6 @@ func hashKey(servableID string, version int, batch bool, inputs ...json.RawMessa
 			buf.WriteString("null")
 		case respelled(in):
 			if err := appendCanonical(buf, in); err != nil {
-				return cacheKey{}, err
-			}
-		case spaced(in):
-			if err := json.Compact(buf, in); err != nil {
 				return cacheKey{}, err
 			}
 		default:
@@ -266,14 +264,16 @@ func spaced(raw []byte) bool {
 	return false
 }
 
-// compacted is a payload as the door passes it on: compact, by at most
-// one json.Compact, so the key and the task line take its bytes as is.
+// compacted is a payload as run and runBatch take it: compact, so the
+// key and the task line take its bytes as they are. The door and a
+// pipeline's step boundary call it (encodeInput's json.Marshal compacts
+// by itself) on valid JSON: a decoded body, or a checked reply output.
 func compacted(raw json.RawMessage) json.RawMessage {
 	if !spaced(raw) {
 		return raw
 	}
 	var buf bytes.Buffer
-	json.Compact(&buf, raw) //nolint:errcheck — the door's decode validated raw
+	json.Compact(&buf, raw) //nolint:errcheck — raw is valid, as above
 	return buf.Bytes()
 }
 

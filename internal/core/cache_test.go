@@ -105,6 +105,8 @@ func TestResultKeyCanonicalJSON(t *testing.T) {
 	// The key is over the input's canonical JSON — json.Marshal of the
 	// decoded value — so neither member order, whitespace nor the
 	// spelling of a string at the client can split cache entries.
+	// Whitespace outside an object is the producers' to remove: a
+	// payload reaches the key compacted.
 	raw := func(s string) json.RawMessage { return json.RawMessage(s) }
 	k1, err := resultKey("o/m", 1, raw(`{"a":1.0,"b":"x"}`))
 	if err != nil {
@@ -144,18 +146,18 @@ func TestResultKeyCanonicalJSON(t *testing.T) {
 	b1, _ := batchKey("o/m", 1, []json.RawMessage{raw("1"), raw("2")})
 	b2, _ := batchKey("o/m", 1, []json.RawMessage{raw("12")})
 	b3, _ := batchKey("o/m", 1, []json.RawMessage{raw("[1,2]")})
-	b4, _ := batchKey("o/m", 1, []json.RawMessage{raw(" 1"), raw("2 ")})
+	b4, _ := batchKey("o/m", 1, []json.RawMessage{compacted(raw(" 1")), compacted(raw("2 "))})
 	if b1 == b2 || b1 == b3 || b1 != b4 {
 		t.Fatal("batch keys must follow the inputs' JSON array")
 	}
 }
 
 // FuzzResultKey checks the canonical-key contract on arbitrary
-// documents: the key computed from raw bytes (written as they are when
-// compact, compacted when spaced, re-encoded only when they hold
-// something Marshal would spell differently) equals the key of the
-// decode-and-Marshal form the cache was keyed on before payloads passed
-// through as bytes — for the document as sent, compact or spaced out.
+// documents: the key computed from a payload as run takes it (compacted,
+// then written as it is, or re-encoded when it holds something Marshal
+// would spell differently) equals the key of the decode-and-Marshal
+// form the cache was keyed on before payloads passed through as bytes —
+// for the document as sent, compact or spaced out.
 func FuzzResultKey(f *testing.F) {
 	for _, seed := range []string{
 		`"x"`, `9007199254740993`, `1e-7`, `-0`, `1E+2`, `null`, `true`,
@@ -191,7 +193,7 @@ func FuzzResultKey(f *testing.F) {
 		if spaced(doc) == bytes.Equal(compact.Bytes(), doc) {
 			t.Fatalf("spaced(%q) = %v, but Compact gives %q", doc, spaced(doc), compact.Bytes())
 		}
-		for _, form := range [][]byte{doc, compact.Bytes(), indented.Bytes(), compacted(indented.Bytes())} {
+		for _, form := range [][]byte{compacted(doc), compact.Bytes(), compacted(indented.Bytes())} {
 			got, err := resultKey("o/m", 3, form)
 			if err != nil {
 				t.Fatalf("raw form %q: %v", form, err)
@@ -394,5 +396,27 @@ func TestResultCacheByteBudget(t *testing.T) {
 	}
 	if _, ok := c.get(key("e")); !ok {
 		t.Fatal("refusing the oversized entry must not evict a cached one")
+	}
+}
+
+// BenchmarkBatchKey is the cache key of the benchmark's batch: 100
+// compact inputs of 64 six-decimal floats, as the door passes them on.
+func BenchmarkBatchKey(b *testing.B) {
+	inputs := make([]json.RawMessage, 100)
+	for i := range inputs {
+		vec := []byte{'['}
+		for j := 0; j < 64; j++ {
+			if j > 0 {
+				vec = append(vec, ',')
+			}
+			vec = fmt.Appendf(vec, "0.%06d", (i*64+j)*7919%1000000)
+		}
+		inputs[i] = append(vec, ']')
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := batchKey("o/m", 1, inputs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

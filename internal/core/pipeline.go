@@ -138,8 +138,12 @@ func (s *Service) runPipelineSteps(ctx context.Context, caller Caller, steps []s
 		totalInv += res.InvocationMicros
 		allHits = allHits && res.CacheHit
 		// The step's output bytes are the next step's input (a hit's
-		// alias the stored entry; nothing here writes them).
+		// alias the stored entry; nothing here writes them), compacted:
+		// a pod may have spaced them out.
 		current = res.Output
+		if i+1 < len(steps) {
+			current = compacted(current)
+		}
 	}
 	res := RunResult{
 		Reply: Reply{

@@ -152,34 +152,100 @@ func isHex(c byte) bool {
 // Number consumes the JSON number at I,
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.
 func (l *Lexer) Number() error {
-	l.Skip('-')
-	if !l.Skip('0') && !l.digits() {
-		return l.Syntax("looking for beginning of value")
-	}
-	if l.Skip('.') && !l.digits() {
-		return l.Syntax("after decimal point in numeric literal")
-	}
-	if l.Skip('e') || l.Skip('E') {
-		if !l.Skip('+') {
-			l.Skip('-')
-		}
-		if !l.digits() {
-			return l.Syntax("in exponent of numeric literal")
-		}
-	}
-	return nil
+	_, _, _, err := l.walk()
+	return err
 }
 
-// digits consumes a run of decimal digits and reports whether there was
-// one. It loops on locals, which stay in registers.
-func (l *Lexer) digits() bool {
+// Float consumes the JSON number at I, as Number does, and gives its
+// value at 64 or 32 bits when one IEEE operation gives it exactly
+// (Clinger's fast path): a mantissa the precision holds exactly (up to
+// 2^53, or 2^24) times or over a power of ten it holds exactly (up to
+// 1e22, or 1e10). Otherwise exact is false and the caller parses the
+// token itself.
+func (l *Lexer) Float(bits int) (f float64, exact bool, err error) {
+	mant, exp, neg, err := l.walk()
+	switch {
+	case err != nil:
+		return 0, false, err
+	case bits == 64 && mant <= 1<<53 && -22 <= exp && exp <= 22:
+		f = scale[float64](mant, exp)
+	case bits == 32 && mant <= 1<<24 && -10 <= exp && exp <= 10:
+		f = float64(scale[float32](mant, exp))
+	default:
+		return 0, false, nil
+	}
+	if neg {
+		f = -f
+	}
+	return f, true, nil
+}
+
+// scale is mant × 10^exp in F's arithmetic: one correctly rounded
+// operation on two exact operands.
+func scale[F float32 | float64](mant uint64, exp int) F {
+	if exp < 0 {
+		return F(mant) / F(pow10[-exp])
+	}
+	return F(mant) * F(pow10[exp])
+}
+
+// pow10 are the powers of ten a float64 holds exactly; a float32 holds
+// those up to 1e10.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// walk is the one number walk under Number and Float: it checks the
+// grammar a byte at a time and reads the number as mant × 10^exp, on
+// locals, which stay in registers. mant stops growing at 2^60, past any
+// exact mantissa, and the exponent's digits at 2^20, past any exact
+// power: neither can overflow.
+func (l *Lexer) walk() (mant uint64, exp int, neg bool, err error) {
 	b, i := l.B, l.I
-	for i < len(b) && b[i]-'0' <= 9 {
+	if neg = i < len(b) && b[i] == '-'; neg {
 		i++
 	}
-	start := l.I
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && b[i]-'1' < 9:
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			mant = min(mant*10+uint64(b[i]-'0'), 1<<60)
+		}
+	default:
+		l.I = i
+		return 0, 0, false, l.Syntax("looking for beginning of value")
+	}
+	if i < len(b) && b[i] == '.' {
+		start := i + 1
+		for i = start; i < len(b) && b[i]-'0' <= 9; i++ {
+			mant, exp = min(mant*10+uint64(b[i]-'0'), 1<<60), exp-1
+		}
+		if i == start {
+			l.I = i
+			return 0, 0, false, l.Syntax("after decimal point in numeric literal")
+		}
+	}
+	if i < len(b) && b[i]|0x20 == 'e' {
+		i++
+		eneg := i < len(b) && b[i] == '-'
+		if eneg || i < len(b) && b[i] == '+' {
+			i++
+		}
+		start, e := i, 0
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			e = min(e*10+int(b[i]-'0'), 1<<20)
+		}
+		if i == start {
+			l.I = i
+			return 0, 0, false, l.Syntax("in exponent of numeric literal")
+		}
+		if eneg {
+			e = -e
+		}
+		exp += e
+	}
 	l.I = i
-	return i > start
+	return mant, exp, neg, nil
 }
 
 // Value consumes the value that comes next, whatever it is, checking

@@ -125,18 +125,26 @@ func text(tok []byte, plain bool) (string, error) {
 	return s, err
 }
 
-// number reads the JSON number that comes next and parses it at the
-// given precision; one out of that precision's range is an error, as
-// it is to encoding/json.
+// number reads the JSON number that comes next and gives its value at
+// the given precision: the lexer's walk gives it when it is exact, and
+// strconv otherwise.
 func (r *reader) number(bits int) (float64, error) {
 	r.SkipSpace()
 	start := r.I
-	if err := r.Number(); err != nil {
-		return 0, err
+	f, exact, err := r.Float(bits)
+	if exact || err != nil {
+		return f, err
 	}
-	f, err := strconv.ParseFloat(string(r.B[start:r.I]), bits)
+	return parseFloat(r.B[start:r.I], bits)
+}
+
+// parseFloat parses a checked number token off the lexer's exact path,
+// apart from number so that path's frame carries none of strconv's. One
+// out of the precision's range is an error, as it is to encoding/json.
+func parseFloat(tok []byte, bits int) (float64, error) {
+	f, err := strconv.ParseFloat(string(tok), bits)
 	if err != nil {
-		return 0, fmt.Errorf("number %s out of range", r.B[start:r.I])
+		return 0, fmt.Errorf("number %s out of range", tok)
 	}
 	return f, nil
 }

@@ -3,6 +3,8 @@ package servable
 import (
 	"encoding/json"
 	"errors"
+	"maps"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -28,11 +30,19 @@ var payloadSeeds = []string{
 	`{}`, `{"a":1,"a":2}`, `{"a":1,}`, `{a:1}`, `{"a" 1}`, `{"a":}`, `{"":[]}`, `{"\u0061":1,"a":2}`,
 	` [1] `, "\t{\"k\":\r\n\"v\"}\n", `1 2`, `[1]x`, `{} {}`, `nul`, `nulll`, `tru`, `falsey`,
 	"", " ", "[\"\x00\"]", "\"\x1f\"", "\"\x7f\"",
+	// The edges of the lexer's exact path: 2^53, 19 and 20 significant
+	// digits (leading zeros not counted), 22 and 23 fraction digits,
+	// 1e22 and 1e23, negative zeros, and an exponent of 30 digits.
+	`9007199254740992`, `9007199254740993`, `1234567890123456789`, `12345678901234567890`,
+	`0.000000000000000000123`, `0.1234567890123456789`, `0.12345678901234567890`,
+	`0.0000000000000000000001`, `0.00000000000000000000001`, `1e22`, `1e23`, `1.5e-3`, `5e-324`,
+	`-0.0`, `-0e5`, `[-0,0,-0.0]`, `{"a":-0}`,
+	`1e123456789012345678901234567890`, `0e123456789012345678901234567890`, `1e-123456789012345678901234567890`,
 }
 
 // FuzzDecodePayload checks the one-pass reader against
-// json.Unmarshal into an `any`: equal values, and an error exactly when
-// encoding/json errors.
+// json.Unmarshal into an `any`: identical values, every number bit for
+// bit, and an error exactly when encoding/json errors.
 func FuzzDecodePayload(f *testing.F) {
 	for _, s := range payloadSeeds {
 		f.Add([]byte(s))
@@ -50,17 +60,36 @@ func FuzzDecodePayload(f *testing.F) {
 			}
 			return
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !identical(got, want) {
 			t.Fatalf("%q: reader %#v, encoding/json %#v", raw, got, want)
 		}
 	})
 }
 
+// identical is reflect.DeepEqual with every number compared bit for
+// bit, which tells -0 from 0.
+func identical(a, b any) bool {
+	switch a := a.(type) {
+	case float64:
+		b, ok := b.(float64)
+		return ok && math.Float64bits(a) == math.Float64bits(b)
+	case []any:
+		b, ok := b.([]any)
+		return ok && (a == nil) == (b == nil) && slices.EqualFunc(a, b, identical)
+	case map[string]any:
+		b, ok := b.(map[string]any)
+		return ok && (a == nil) == (b == nil) && maps.EqualFunc(a, b, identical)
+	}
+	return reflect.DeepEqual(a, b)
+}
+
 // FuzzFloatsFromJSON checks floatsFromJSON against json.Unmarshal into
 // []float32 and []float64: an error exactly when that errors or leaves
-// a null as a silent nil or zero, otherwise equal slices.
+// a null as a silent nil or zero, otherwise equal slices, every number
+// bit for bit.
 func FuzzFloatsFromJSON(f *testing.F) {
-	for _, s := range append(payloadSeeds, `[1,null]`, `[0.1,1e-7,-0,3.4e38]`, `[3.5e38]`, `[1e-46]`, `[[1]]`, `["1"]`, `[1,`) {
+	for _, s := range append(payloadSeeds, `[1,null]`, `[0.1,1e-7,-0,3.4e38]`, `[3.5e38]`, `[1e-46]`, `[[1]]`, `["1"]`, `[1,`,
+		`[16777216,16777217,0.1,3.4028235e38]`, `[-0,-0.0,-0e5,1e10,1e11,1e-10,1e-11]`) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -87,10 +116,18 @@ func checkFloats[F float32 | float64](t *testing.T, raw []byte) {
 		t.Fatalf("%T %q: %d numbers, encoding/json %d", F(0), raw, len(got), len(want))
 	}
 	for i := range got {
-		if got[i] != *want[i] {
+		if !sameBits(got[i], *want[i]) {
 			t.Fatalf("%T %q: element %d is %v, encoding/json %v", F(0), raw, i, got[i], *want[i])
 		}
 	}
+}
+
+// sameBits compares two floats bit for bit, at their own precision.
+func sameBits[F float32 | float64](a, b F) bool {
+	if a, ok := any(a).(float32); ok {
+		return math.Float32bits(a) == math.Float32bits(any(b).(float32))
+	}
+	return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
 }
 
 func TestDecodePayloadDepth(t *testing.T) {
