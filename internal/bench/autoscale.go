@@ -3,8 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -61,31 +59,20 @@ func AblationAutoscale(cfg Config) (*Table, error) {
 			inputs[i] = gen.forServable(model)
 		}
 		lat := metrics.NewSeries("")
-		var latMu sync.Mutex
-		var firstErr atomic.Value
 		start := time.Now()
-		var wg sync.WaitGroup
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				for i := 0; i < perClient; i++ {
-					t0 := time.Now()
-					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-					_, err := tb.MS.Run(ctx, core.Anonymous, id, inputs[(c*perClient+i)%len(inputs)], core.RunOptions{NoMemo: true})
-					cancel()
-					if err != nil {
-						firstErr.CompareAndSwap(nil, err)
-						return
-					}
-					latMu.Lock()
-					lat.Add(time.Since(t0))
-					latMu.Unlock()
+		if err := fanOut(clients, func(c int) error {
+			for i := 0; i < perClient; i++ {
+				t0 := time.Now()
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+				_, err := tb.MS.Run(ctx, core.Anonymous, id, inputs[(c*perClient+i)%len(inputs)], core.RunOptions{NoMemo: true})
+				cancel()
+				if err != nil {
+					return err
 				}
-			}(c)
-		}
-		wg.Wait()
-		if err, ok := firstErr.Load().(error); ok {
+				lat.Add(time.Since(t0))
+			}
+			return nil
+		}); err != nil {
 			return nil, 0, err
 		}
 		return lat, time.Since(start), nil

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -137,5 +139,35 @@ func TestPublishPaperServables(t *testing.T) {
 	var m map[string]any
 	if err := json.Unmarshal(res.Output, &m); err != nil || len(m) != 2 {
 		t.Fatalf("NaCl wrong: %s (%v)", res.Output, err)
+	}
+}
+
+// fanOut runs every index, waits for all of them, and returns one of
+// the errors they returned; chunk covers a slice with no gap or overlap.
+func TestFanOutAndChunk(t *testing.T) {
+	var ran atomic.Int32
+	err := fanOut(8, func(i int) error {
+		ran.Add(1)
+		if i%3 == 2 {
+			return fmt.Errorf("chunk %d failed", i)
+		}
+		return nil
+	})
+	if ran.Load() != 8 {
+		t.Errorf("fanOut ran %d of 8", ran.Load())
+	}
+	if err == nil || !strings.HasSuffix(err.Error(), "failed") {
+		t.Errorf("fanOut error = %v, want one of the failures", err)
+	}
+	if err := fanOut(3, func(int) error { return nil }); err != nil {
+		t.Errorf("fanOut with no failure = %v", err)
+	}
+	items := []any{0, 1, 2, 3, 4}
+	var got []any
+	for i := 0; i < (len(items)+1)/2; i++ {
+		got = append(got, chunk(items, i, 2)...)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(items) || len(chunk(items, 2, 2)) != 1 {
+		t.Errorf("chunks of 2 = %v", got)
 	}
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -53,32 +52,18 @@ func AblationServiceCache(cfg Config) (*Table, error) {
 			before := tb.MS.CacheStats()
 			lat := metrics.NewSeries("")
 			start := time.Now()
-			var wg sync.WaitGroup
-			var firstErr error
-			var errMu sync.Mutex
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for i := 0; i < perClient; i++ {
-						opts := core.RunOptions{NoCache: mode == "off"}
-						t0 := time.Now()
-						_, err := tb.MS.Run(context.Background(), core.Anonymous, ids[name], inputs[(c+i)%workingSet], opts)
-						if err != nil {
-							errMu.Lock()
-							if firstErr == nil {
-								firstErr = err
-							}
-							errMu.Unlock()
-							return
-						}
-						lat.Add(time.Since(t0))
+			if err := fanOut(clients, func(c int) error {
+				for i := 0; i < perClient; i++ {
+					opts := core.RunOptions{NoCache: mode == "off"}
+					t0 := time.Now()
+					if _, err := tb.MS.Run(context.Background(), core.Anonymous, ids[name], inputs[(c+i)%workingSet], opts); err != nil {
+						return err
 					}
-				}(c)
-			}
-			wg.Wait()
-			if firstErr != nil {
-				return nil, firstErr
+					lat.Add(time.Since(t0))
+				}
+				return nil
+			}); err != nil {
+				return nil, err
 			}
 			makespan := time.Since(start)
 			st := lat.Stats()

@@ -121,6 +121,30 @@ var fig3Order = []string{"noop", "matminer-util", "matminer-model", "matminer-fe
 
 func msDur(d time.Duration) string { return fmt.Sprintf("%.2f", metrics.Millis(d)) }
 
+// fanOut runs fn(0) .. fn(n-1) concurrently and, once all have
+// returned, gives the first error any of them returned.
+func fanOut(n int, fn func(i int) error) error {
+	errs := make(chan error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := fn(i); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	return <-errs
+}
+
+// chunk returns the i-th slice of at most size items of s.
+func chunk(s []any, i, size int) []any {
+	return s[i*size : min((i+1)*size, len(s))]
+}
+
 // Fig3 reproduces "Servable Performance": request, invocation and
 // inference times for the six servables, 100 fixed-input requests each,
 // memoization disabled, batch size one, sequential submission.
@@ -324,31 +348,15 @@ func Fig6(cfg Config) (*Table, error) {
 			}
 			// Split very large batches across several tasks to respect
 			// frame limits; submit concurrently (total makespan).
-			const chunk = 250
+			const size = 250
 			start := time.Now()
-			var wg sync.WaitGroup
-			errs := make([]error, 0)
-			var errMu sync.Mutex
-			for off := 0; off < n; off += chunk {
-				end := off + chunk
-				if end > n {
-					end = n
-				}
-				wg.Add(1)
-				go func(part []any) {
-					defer wg.Done()
-					ctx, cancel := context.WithTimeout(context.Background(), 30*time.Minute)
-					defer cancel()
-					if _, err := tb.MS.RunBatch(ctx, core.Anonymous, ids[name], part, core.RunOptions{NoMemo: true}); err != nil {
-						errMu.Lock()
-						errs = append(errs, err)
-						errMu.Unlock()
-					}
-				}(inputs[off:end])
-			}
-			wg.Wait()
-			if len(errs) > 0 {
-				return nil, errs[0]
+			if err := fanOut((n+size-1)/size, func(i int) error {
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Minute)
+				defer cancel()
+				_, err := tb.MS.RunBatch(ctx, core.Anonymous, ids[name], chunk(inputs, i, size), core.RunOptions{NoMemo: true})
+				return err
+			}); err != nil {
+				return nil, err
 			}
 			total := time.Since(start)
 			t.Add(name, fmt.Sprint(n), msDur(total), fmt.Sprintf("%.3f", metrics.Millis(total)/float64(n)))
@@ -396,33 +404,15 @@ func Fig7(cfg Config) (*Table, error) {
 			// Flood the TM through concurrent batch chunks; makespan
 			// covers all N completions ("observed Task Manager
 			// throughput").
-			const chunk = 100
+			const size = 100
 			start := time.Now()
-			var wg sync.WaitGroup
-			var firstErr error
-			var errMu sync.Mutex
-			for off := 0; off < len(inputs); off += chunk {
-				end := off + chunk
-				if end > len(inputs) {
-					end = len(inputs)
-				}
-				wg.Add(1)
-				go func(part []any) {
-					defer wg.Done()
-					ctx, cancel := context.WithTimeout(context.Background(), 30*time.Minute)
-					defer cancel()
-					if _, err := tb.MS.RunBatch(ctx, core.Anonymous, ids[name], part, core.RunOptions{NoMemo: true}); err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						errMu.Unlock()
-					}
-				}(inputs[off:end])
-			}
-			wg.Wait()
-			if firstErr != nil {
-				return nil, firstErr
+			if err := fanOut((len(inputs)+size-1)/size, func(i int) error {
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Minute)
+				defer cancel()
+				_, err := tb.MS.RunBatch(ctx, core.Anonymous, ids[name], chunk(inputs, i, size), core.RunOptions{NoMemo: true})
+				return err
+			}); err != nil {
+				return nil, err
 			}
 			makespan := time.Since(start)
 			tput := metrics.Throughput(cfg.Fig7N, makespan)

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -84,32 +83,18 @@ func AblationPipeline(cfg Config) (*Table, error) {
 		done2Before, _ := tm2.Stats()
 		lat := metrics.NewSeries("")
 		start := time.Now()
-		var wg sync.WaitGroup
-		var firstErr error
-		var errMu sync.Mutex
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				for i := 0; i < perClient; i++ {
-					input := formulas[(c*perClient+i)%workingSet]
-					t0 := time.Now()
-					_, err := tb.MS.Run(context.Background(), caller, pipeID, input, opts)
-					if err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("bench: pipeline mode %s: %w", mode, err)
-						}
-						errMu.Unlock()
-						return
-					}
-					lat.Add(time.Since(t0))
+		if err := fanOut(clients, func(c int) error {
+			for i := 0; i < perClient; i++ {
+				input := formulas[(c*perClient+i)%workingSet]
+				t0 := time.Now()
+				if _, err := tb.MS.Run(context.Background(), caller, pipeID, input, opts); err != nil {
+					return fmt.Errorf("bench: pipeline mode %s: %w", mode, err)
 				}
-			}(c)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return firstErr
+				lat.Add(time.Since(t0))
+			}
+			return nil
+		}); err != nil {
+			return err
 		}
 		makespan := time.Since(start)
 		st := lat.Stats()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -162,41 +161,107 @@ func Run(spec *Spec, opts Options) (*bench.Report, error) {
 		return nil, fmt.Errorf("scenario %s: prime request: %w", spec.Name, err)
 	}
 
+	cacheBefore := tb.Service().CacheStats()
+	failBefore := tb.Service().FailoverStats()
+	res := &bench.ScenarioResult{
+		Name:        spec.Name,
+		Description: spec.Description,
+		SpecPath:    opts.SpecPath,
+		SpecSHA256:  opts.SpecSHA,
+		Seed:        spec.Seed,
+		Compress:    opts.Compress,
+		Spec:        spec,
+	}
+	start := time.Now()
+	var elapsed time.Duration
+	var msRestarted bool
 	// A saturation stage replaces the pre-compiled schedule with a
 	// runtime binary search: each probe's load depends on the previous
 	// probe's outcome, so it cannot be laid out up front.
-	if effective.SaturationStage() != nil {
-		return runSaturation(spec, effective, opts, tb, wl, progress)
+	if sat := effective.SaturationStage(); sat != nil {
+		elapsed = searchSaturation(*sat, wl, res, start, progress)
+	} else if elapsed, msRestarted, err = runStages(sched, tb, wl, res, start, progress); err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
 
-	cacheBefore := tb.Service().CacheStats()
-	failBefore := tb.Service().FailoverStats()
-
-	// --- measured window ---------------------------------------------------
-	type outcome struct {
-		stage   int
-		latency time.Duration
-		err     error
+	if msRestarted {
+		// The restart reset the service's counters; the pre-restart
+		// baselines would make the deltas below underflow. Fold them to
+		// zero — pre-restart cache hits are forfeited from the rate.
+		cacheBefore = core.CacheStats{}
+		failBefore = core.FailoverStats{}
 	}
-	outcomes := make([]outcome, len(sched.Requests))
-	jobs := make(chan int, len(sched.Requests))
-	ropts := core.RunOptions{NoCache: effective.Workload.NoCache}
+	cacheAfter := tb.Service().CacheStats()
+	failAfter := tb.Service().FailoverStats()
+	lookups := (cacheAfter.Hits - cacheBefore.Hits) + (cacheAfter.Collapsed - cacheBefore.Collapsed) +
+		(cacheAfter.Misses - cacheBefore.Misses)
+	if lookups > 0 {
+		hits := (cacheAfter.Hits - cacheBefore.Hits) + (cacheAfter.Collapsed - cacheBefore.Collapsed)
+		res.CacheHitRate = round4(float64(hits) / float64(lookups))
+	}
+	res.Failovers = map[string]uint64{
+		"lost":         failAfter.Lost - failBefore.Lost,
+		"redispatched": failAfter.Redispatched - failBefore.Redispatched,
+		"exhausted":    failAfter.Exhausted - failBefore.Exhausted,
+	}
 
+	res.Assertions, res.Passed = evalAssertions(spec.Assertions, res, opts.Compress)
+	for _, a := range res.Assertions {
+		verdict := "PASS"
+		if !a.Pass {
+			verdict = "FAIL"
+		}
+		progress("  assert %s: want %g, got %g — %s", a.Name, a.Want, a.Got, verdict)
+	}
+	return &bench.Report{
+		Started:    start.UTC(),
+		DurationMS: elapsed.Milliseconds(),
+		Scenario:   res,
+	}, nil
+}
+
+// outcome is one request's result as its worker saw it.
+type outcome struct {
+	latency time.Duration
+	err     error
+}
+
+// drive is the load executor every schedule runs on. A pacer releases
+// each request at its offset from start to the workload's clients
+// workers, which bound the concurrency: a burst beyond them queues in
+// order. A request's latency is timed from worker pickup. drive returns
+// the outcomes in schedule order and the wall time until the last
+// request completed.
+func drive(wl *workload, reqs []Request, start time.Time) ([]outcome, time.Duration) {
+	outcomes := make([]outcome, len(reqs))
+	jobs := make(chan int, len(reqs))
 	var wg sync.WaitGroup
-	for c := 0; c < effective.Workload.Clients; c++ {
+	for c := 0; c < wl.spec.Workload.Clients; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for idx := range jobs {
-				req := sched.Requests[idx]
 				t0 := time.Now()
-				err := wl.issue(req.Tenant, req.Key, ropts)
-				outcomes[idx] = outcome{stage: req.Stage, latency: time.Since(t0), err: err}
+				err := wl.issue(reqs[idx].Tenant, reqs[idx].Key)
+				outcomes[idx] = outcome{latency: time.Since(t0), err: err}
 			}
 		}()
 	}
+	for idx, req := range reqs {
+		if d := time.Until(start.Add(req.Offset)); d > 0 {
+			time.Sleep(d)
+		}
+		jobs <- idx
+	}
+	close(jobs)
+	wg.Wait()
+	return outcomes, time.Since(start)
+}
 
-	start := time.Now()
+// runStages drives the compiled schedule beside its fault timeline and
+// fills the result's stage, total and tenant rows. It reports whether a
+// restart_ms fault reset the service's counters.
+func runStages(sched *Schedule, tb *bench.Testbed, wl *workload, res *bench.ScenarioResult, start time.Time, progress func(string, ...any)) (time.Duration, bool, error) {
 	stop := make(chan struct{})
 	var timelineWG sync.WaitGroup
 
@@ -250,104 +315,29 @@ func Run(spec *Spec, opts Options) (*bench.Report, error) {
 		}
 	}()
 
-	// Pacer: release each request at its scheduled offset. Workers
-	// bound the concurrency; a burst beyond them queues in order.
-	for idx, req := range sched.Requests {
-		if d := time.Until(start.Add(req.Offset)); d > 0 {
-			time.Sleep(d)
-		}
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	elapsed := time.Since(start)
+	outcomes, elapsed := drive(wl, sched.Requests, start)
 	close(stop)
 	timelineWG.Wait()
-
 	if faultErr != nil {
-		return nil, fmt.Errorf("scenario %s: %w", spec.Name, faultErr)
+		return 0, false, faultErr
 	}
-	if msRestarted {
-		// The restart reset the service's counters; the pre-restart
-		// baselines would make the deltas below underflow. Fold them to
-		// zero — pre-restart cache hits are forfeited from the rate.
-		cacheBefore = core.CacheStats{}
-		failBefore = core.FailoverStats{}
-	}
-	cacheAfter := tb.Service().CacheStats()
-	failAfter := tb.Service().FailoverStats()
 
-	// --- aggregate ---------------------------------------------------------
-	res := &bench.ScenarioResult{
-		Name:        spec.Name,
-		Description: spec.Description,
-		SpecPath:    opts.SpecPath,
-		SpecSHA256:  opts.SpecSHA,
-		Seed:        spec.Seed,
-		Compress:    opts.Compress,
-		Spec:        spec,
+	byStage := make([][]outcome, len(sched.Windows))
+	for i, o := range outcomes {
+		byStage[sched.Requests[i].Stage] = append(byStage[sched.Requests[i].Stage], o)
 	}
-	stageLat := make([][]time.Duration, len(sched.Windows))
-	stageErr := make([]int, len(sched.Windows))
-	for _, o := range outcomes {
-		if o.err != nil {
-			stageErr[o.stage]++
-			continue
-		}
-		stageLat[o.stage] = append(stageLat[o.stage], o.latency)
-	}
-	var totalLat []time.Duration
-	var totalErr int
 	for i, w := range sched.Windows {
-		sr := stageStats(w.Name, w.Kind, w.End-w.Start, stageLat[i], stageErr[i])
+		sr := stageStats(w.Name, w.Kind, w.End-w.Start, byStage[i])
 		if d := int64(mallocMarks[i+1] - mallocMarks[i]); mallocMarks[i+1] > 0 && sr.Completed > 0 {
 			sr.AllocsPerOp = round2(float64(d) / float64(sr.Completed))
 		}
 		res.Stages = append(res.Stages, sr)
-		totalLat = append(totalLat, stageLat[i]...)
-		totalErr += stageErr[i]
 	}
-	res.Totals = stageStats("total", "", elapsed, totalLat, totalErr)
-
-	lookups := (cacheAfter.Hits - cacheBefore.Hits) + (cacheAfter.Collapsed - cacheBefore.Collapsed) +
-		(cacheAfter.Misses - cacheBefore.Misses)
-	if lookups > 0 {
-		hits := (cacheAfter.Hits - cacheBefore.Hits) + (cacheAfter.Collapsed - cacheBefore.Collapsed)
-		res.CacheHitRate = round4(float64(hits) / float64(lookups))
+	res.Totals = stageStats("total", "", elapsed, outcomes)
+	if len(wl.spec.Tenants) > 0 {
+		res.Tenants = tenantResults(sched.Requests, outcomes, elapsed, tb.Service().TenantStatsAll())
 	}
-	res.Failovers = map[string]uint64{
-		"lost":         failAfter.Lost - failBefore.Lost,
-		"redispatched": failAfter.Redispatched - failBefore.Redispatched,
-		"exhausted":    failAfter.Exhausted - failBefore.Exhausted,
-	}
-	if len(effective.Tenants) > 0 {
-		tenantLat := map[string][]time.Duration{}
-		tenantErr := map[string]int{}
-		for i, o := range outcomes {
-			tag := tenantTag(sched.Requests[i].Tenant)
-			if o.err != nil {
-				tenantErr[tag]++
-				continue
-			}
-			tenantLat[tag] = append(tenantLat[tag], o.latency)
-		}
-		res.Tenants = tenantResults(tenantLat, tenantErr, elapsed, tb.Service().TenantStatsAll())
-	}
-
-	res.Assertions, res.Passed = evalAssertions(spec.Assertions, res, opts.Compress)
-	for _, a := range res.Assertions {
-		verdict := "PASS"
-		if !a.Pass {
-			verdict = "FAIL"
-		}
-		progress("  assert %s: want %g, got %g — %s", a.Name, a.Want, a.Got, verdict)
-	}
-
-	return &bench.Report{
-		Started:    start.UTC(),
-		DurationMS: elapsed.Milliseconds(),
-		Scenario:   res,
-	}, nil
+	return elapsed, msRestarted, nil
 }
 
 // tenantTag renders a schedule tenant tag the way the service's stats
@@ -359,42 +349,34 @@ func tenantTag(tenant string) string {
 	return tenant
 }
 
-// tenantResults folds per-tenant client outcomes together with the
+// tenantResults folds each tenant's client outcomes together with the
 // service-side admission and fairness counters.
-func tenantResults(lat map[string][]time.Duration, errs map[string]int, elapsed time.Duration, svc map[string]core.TenantStats) map[string]bench.TenantResult {
-	tags := map[string]bool{}
-	for t := range lat {
-		tags[t] = true
+func tenantResults(reqs []Request, outcomes []outcome, elapsed time.Duration, svc map[string]core.TenantStats) map[string]bench.TenantResult {
+	byTag := map[string][]outcome{}
+	for tag := range svc {
+		byTag[tag] = nil
 	}
-	for t := range errs {
-		tags[t] = true
+	for i, o := range outcomes {
+		tag := tenantTag(reqs[i].Tenant)
+		byTag[tag] = append(byTag[tag], o)
 	}
-	for t := range svc {
-		tags[t] = true
-	}
-	out := make(map[string]bench.TenantResult, len(tags))
-	for tag := range tags {
-		l := lat[tag]
-		sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
-		tr := bench.TenantResult{
-			Offered:   len(l) + errs[tag],
-			Completed: len(l),
-			Errors:    errs[tag],
-		}
-		if len(l) > 0 {
-			tr.P50MS = round2(float64(metrics.Percentile(l, 50)) / float64(time.Millisecond))
-			tr.P95MS = round2(float64(metrics.Percentile(l, 95)) / float64(time.Millisecond))
-			tr.P99MS = round2(float64(metrics.Percentile(l, 99)) / float64(time.Millisecond))
-		}
-		if secs := elapsed.Seconds(); secs > 0 {
-			tr.Throughput = round2(float64(len(l)) / secs)
-		}
+	out := make(map[string]bench.TenantResult, len(byTag))
+	for tag, outs := range byTag {
+		sr := stageStats(tag, "", elapsed, outs)
 		st := svc[tag]
-		tr.Admitted = st.Admitted
-		tr.RejectedQuota = st.RejectedQuota
-		tr.RejectedOverload = st.RejectedOverload
-		tr.DequeueShare = round4(st.DequeueShare)
-		out[tag] = tr
+		out[tag] = bench.TenantResult{
+			Offered:          sr.Offered,
+			Completed:        sr.Completed,
+			Errors:           sr.Errors,
+			P50MS:            sr.P50MS,
+			P95MS:            sr.P95MS,
+			P99MS:            sr.P99MS,
+			Throughput:       sr.Throughput,
+			Admitted:         st.Admitted,
+			RejectedQuota:    st.RejectedQuota,
+			RejectedOverload: st.RejectedOverload,
+			DequeueShare:     round4(st.DequeueShare),
+		}
 	}
 	return out
 }
@@ -405,172 +387,76 @@ func tenantResults(lat map[string][]time.Duration, errs map[string]int, elapsed 
 // achieved throughput drops below the offered rate.
 const satAchievedFraction = 0.9
 
-// runSaturation executes a saturation scenario: a binary search over
-// offered req/s between the stage's start_rate and rate. Each probe
-// holds a steady load for the stage duration; a probe is sustained when
-// it completes error-free at >= satAchievedFraction of the offered
-// rate. The highest sustained rate is reported as saturation_rps, with
+// searchSaturation binary-searches offered req/s between the stage's
+// start_rate and rate. Each probe is a one-stage steady schedule of the
+// stage's duration, driven like any other; it is sustained when it
+// completes error-free at >= satAchievedFraction of the offered rate.
+// The highest sustained rate is reported as saturation_rps, with
 // per-probe latency percentiles and allocs/op as the capacity profile.
-func runSaturation(spec, effective *Spec, opts Options, tb *bench.Testbed, wl *workload, progress func(string, ...any)) (*bench.Report, error) {
-	sat := effective.SaturationStage()
-	window := sat.Duration.D()
-	ropts := core.RunOptions{NoCache: effective.Workload.NoCache}
-	keys := newKeyPicker(effective, rand.New(rand.NewSource(effective.Seed)))
-
-	cacheBefore := tb.Service().CacheStats()
-	failBefore := tb.Service().FailoverStats()
-	start := time.Now()
-
-	res := &bench.ScenarioResult{
-		Name:        spec.Name,
-		Description: spec.Description,
-		SpecPath:    opts.SpecPath,
-		SpecSHA256:  opts.SpecSHA,
-		Seed:        spec.Seed,
-		Compress:    opts.Compress,
-		Spec:        spec,
-	}
+func searchSaturation(sat StageSpec, wl *workload, res *bench.ScenarioResult, start time.Time, progress func(string, ...any)) time.Duration {
+	keys := newKeyPicker(wl.spec, rand.New(rand.NewSource(wl.spec.Seed)))
 	lo, hi := sat.StartRate, sat.Rate
 	var ceiling float64
-	var totalLat []time.Duration
-	var totalErr int
+	var all []outcome
 	mStart := readMallocs()
 	for probe := 1; probe <= sat.Probes; probe++ {
 		rate := (lo + hi) / 2
 		m0 := readMallocs()
-		lat, errs, probeElapsed := runProbe(wl, keys, effective.Workload.Clients, rate, window, ropts)
-		achieved := 0.0
-		if secs := probeElapsed.Seconds(); secs > 0 {
-			achieved = float64(len(lat)) / secs
+		// Keys are drawn before the probe starts, so the shared picker
+		// is never touched concurrently.
+		var reqs []Request
+		for _, off := range stageOffsets(StageSpec{Kind: "steady", Duration: sat.Duration, Rate: rate}) {
+			reqs = append(reqs, Request{Offset: off, Key: keys.next()})
 		}
-		sustained := errs == 0 && achieved >= satAchievedFraction*rate
-		sr := stageStats(fmt.Sprintf("probe-%d-%.0frps", probe, rate), "saturation", probeElapsed, lat, errs)
-		if m1 := readMallocs(); len(lat) > 0 {
-			sr.AllocsPerOp = round2(float64(m1-m0) / float64(len(lat)))
+		outcomes, probeElapsed := drive(wl, reqs, time.Now())
+		sr := stageStats(fmt.Sprintf("probe-%d-%.0frps", probe, rate), "saturation", probeElapsed, outcomes)
+		if m1 := readMallocs(); sr.Completed > 0 {
+			sr.AllocsPerOp = round2(float64(m1-m0) / float64(sr.Completed))
 		}
 		res.Stages = append(res.Stages, sr)
-		totalLat = append(totalLat, lat...)
-		totalErr += errs
+		all = append(all, outcomes...)
+		achieved := 0.0
+		if secs := probeElapsed.Seconds(); secs > 0 {
+			achieved = float64(sr.Completed) / secs
+		}
+		sustained := sr.Errors == 0 && achieved >= satAchievedFraction*rate
+		verdict := "OVER"
 		if sustained {
-			ceiling = rate
-			lo = rate
+			ceiling, lo, verdict = rate, rate, "sustained"
 		} else {
 			hi = rate
 		}
-		verdict := "OVER"
-		if sustained {
-			verdict = "sustained"
-		}
 		progress("  probe %d/%d @%.0f req/s: achieved %.0f req/s, %d errors — %s",
-			probe, sat.Probes, rate, achieved, errs, verdict)
+			probe, sat.Probes, rate, achieved, sr.Errors, verdict)
 	}
 	elapsed := time.Since(start)
-	res.Totals = stageStats("total", "", elapsed, totalLat, totalErr)
+	res.Totals = stageStats("total", "", elapsed, all)
 	// Run-wide allocs/op feeds the -diff gate (stage-windowed runs leave
 	// totals allocs at 0 — the windows overlap fault goroutines there).
-	if mEnd := readMallocs(); len(totalLat) > 0 {
-		res.Totals.AllocsPerOp = round2(float64(mEnd-mStart) / float64(len(totalLat)))
+	if mEnd := readMallocs(); res.Totals.Completed > 0 {
+		res.Totals.AllocsPerOp = round2(float64(mEnd-mStart) / float64(res.Totals.Completed))
 	}
 	res.SaturationRPS = round2(ceiling)
 	progress("  saturation ceiling: %.0f req/s", res.SaturationRPS)
-
-	cacheAfter := tb.Service().CacheStats()
-	failAfter := tb.Service().FailoverStats()
-	lookups := (cacheAfter.Hits - cacheBefore.Hits) + (cacheAfter.Collapsed - cacheBefore.Collapsed) +
-		(cacheAfter.Misses - cacheBefore.Misses)
-	if lookups > 0 {
-		hits := (cacheAfter.Hits - cacheBefore.Hits) + (cacheAfter.Collapsed - cacheBefore.Collapsed)
-		res.CacheHitRate = round4(float64(hits) / float64(lookups))
-	}
-	res.Failovers = map[string]uint64{
-		"lost":         failAfter.Lost - failBefore.Lost,
-		"redispatched": failAfter.Redispatched - failBefore.Redispatched,
-		"exhausted":    failAfter.Exhausted - failBefore.Exhausted,
-	}
-
-	res.Assertions, res.Passed = evalAssertions(spec.Assertions, res, opts.Compress)
-	for _, a := range res.Assertions {
-		verdict := "PASS"
-		if !a.Pass {
-			verdict = "FAIL"
-		}
-		progress("  assert %s: want %g, got %g — %s", a.Name, a.Want, a.Got, verdict)
-	}
-	return &bench.Report{
-		Started:    start.UTC(),
-		DurationMS: elapsed.Milliseconds(),
-		Scenario:   res,
-	}, nil
+	return elapsed
 }
 
-// runProbe offers one steady window of load at the given rate and
-// reports completed-request latencies, the error count and the probe's
-// actual wall time (which stretches past the window when the service
-// cannot drain the offered load). Keys are drawn in the pacer so the
-// shared picker is never touched concurrently.
-func runProbe(wl *workload, keys *keyPicker, clients int, rate float64, window time.Duration, ropts core.RunOptions) ([]time.Duration, int, time.Duration) {
-	n := int(math.Round(rate * window.Seconds()))
-	if n < 1 {
-		n = 1
-	}
-	type outcome struct {
-		latency time.Duration
-		err     error
-	}
-	outcomes := make([]outcome, n)
-	reqs := make([]struct {
-		key int
-		off time.Duration
-	}, n)
-	for i := range reqs {
-		reqs[i].key = keys.next()
-		reqs[i].off = time.Duration(float64(i) / rate * float64(time.Second))
-	}
-	jobs := make(chan int, n)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				t0 := time.Now()
-				err := wl.issue("", reqs[idx].key, ropts)
-				outcomes[idx] = outcome{latency: time.Since(t0), err: err}
-			}
-		}()
-	}
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if d := time.Until(start.Add(reqs[i].off)); d > 0 {
-			time.Sleep(d)
-		}
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	elapsed := time.Since(start)
-	lat := make([]time.Duration, 0, n)
-	errs := 0
+// stageStats folds one window's outcomes into a StageResult.
+func stageStats(name, kind string, d time.Duration, outcomes []outcome) bench.StageResult {
+	lat := make([]time.Duration, 0, len(outcomes))
 	for _, o := range outcomes {
-		if o.err != nil {
-			errs++
-			continue
+		if o.err == nil {
+			lat = append(lat, o.latency)
 		}
-		lat = append(lat, o.latency)
 	}
-	return lat, errs, elapsed
-}
-
-// stageStats folds one window's latencies into a StageResult.
-func stageStats(name, kind string, d time.Duration, lat []time.Duration, errs int) bench.StageResult {
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	sr := bench.StageResult{
 		Name:       name,
 		Kind:       kind,
 		DurationMS: d.Milliseconds(),
-		Offered:    len(lat) + errs,
+		Offered:    len(outcomes),
 		Completed:  len(lat),
-		Errors:     errs,
+		Errors:     len(outcomes) - len(lat),
 	}
 	if len(lat) > 0 {
 		sr.P50MS = round2(float64(metrics.Percentile(lat, 50)) / float64(time.Millisecond))
@@ -665,7 +551,8 @@ type workload struct {
 	spec  *Spec
 	tb    *bench.Testbed
 	input func(key int) any
-	issue func(tenant string, key int, opts core.RunOptions) error
+	// issue sends one request with the spec's cache option.
+	issue func(tenant string, key int) error
 	// caller maps a request's tenant tag to its Caller. The default is
 	// the tag-only anonymous caller; auth mode swaps in per-tenant
 	// token resolution.
@@ -783,9 +670,10 @@ func setupWorkload(tb *bench.Testbed, spec *Spec) (*workload, error) {
 	}
 	// Issue through tb.Service(), resolved per call: a restart_ms fault
 	// swaps the service mid-run and later requests must hit the new one.
+	opts := core.RunOptions{NoCache: spec.Workload.NoCache}
 	switch spec.Workload.Kind {
 	case "run", "pipeline":
-		w.issue = func(tenant string, key int, opts core.RunOptions) error {
+		w.issue = func(tenant string, key int) error {
 			c, err := w.caller(tenant)
 			if err != nil {
 				return err
@@ -794,7 +682,7 @@ func setupWorkload(tb *bench.Testbed, spec *Spec) (*workload, error) {
 			return err
 		}
 	case "run_batch":
-		w.issue = func(tenant string, key int, opts core.RunOptions) error {
+		w.issue = func(tenant string, key int) error {
 			c, err := w.caller(tenant)
 			if err != nil {
 				return err

@@ -16,6 +16,7 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -525,20 +526,13 @@ func (s *Spec) Validate() error {
 // --- decoding ---------------------------------------------------------------
 
 // decodeSpec maps the parsed YAML tree onto a Spec, applying defaults.
+// The keys are the structs' json tags, so the schema is named once.
 // Unknown keys are errors: a typo'd field must fail -scenario-check,
 // not silently fall back to a default.
 func decodeSpec(root any) (*Spec, error) {
-	top, err := asMap(root, "scenario")
-	if err != nil {
-		return nil, err
-	}
-	d := &decoder{}
 	spec := &Spec{
-		Seed: 42,
-		Topology: TopologySpec{
-			TMs:   1,
-			Nodes: 4,
-		},
+		Seed:     42,
+		Topology: TopologySpec{TMs: 1, Nodes: 4},
 		Workload: WorkloadSpec{
 			Kind:         "run",
 			Servable:     "synthetic",
@@ -549,112 +543,16 @@ func decodeSpec(root any) (*Spec, error) {
 			KeySpace:     16,
 			Distribution: "uniform",
 			ZipfS:        1.2,
+			BatchSize:    8,
 		},
 	}
-	d.with(top, "scenario", func(f *fields) {
-		spec.Name = f.str("name", "")
-		spec.Description = f.str("description", "")
-		spec.Seed = f.i64("seed", spec.Seed)
-		spec.Auth = f.boolean("auth", false)
-		if sub, ok := f.sub("topology"); ok {
-			d.with(sub, "topology", func(f *fields) {
-				spec.Topology.TMs = f.num("tms", spec.Topology.TMs)
-				spec.Topology.WAN = f.boolean("wan", false)
-				spec.Topology.Nodes = f.num("nodes", spec.Topology.Nodes)
-				spec.Topology.Heartbeat = f.dur("heartbeat", 0)
-			})
+	if err := decode(reflect.ValueOf(spec).Elem(), root, "scenario"); err != nil {
+		return nil, err
+	}
+	for i := range spec.Stages {
+		if st := &spec.Stages[i]; st.Kind == "saturation" && st.Probes == 0 {
+			st.Probes = 6
 		}
-		if sub, ok := f.sub("service"); ok {
-			d.with(sub, "service", func(f *fields) {
-				spec.Service.Cache = f.boolean("cache", false)
-				spec.Service.MaxQueue = f.num("max_queue", 0)
-				spec.Service.TMStaleAfter = f.dur("tm_stale_after", 0)
-				spec.Service.FailoverRetries = f.num("failover_retries", 0)
-				spec.Service.AutoscaleInterval = f.dur("autoscale_interval", 0)
-			})
-		}
-		if sub, ok := f.sub("workload"); ok {
-			d.with(sub, "workload", func(f *fields) {
-				w := &spec.Workload
-				w.Kind = f.str("kind", w.Kind)
-				w.Servable = f.str("servable", w.Servable)
-				w.Work = f.dur("work", w.Work)
-				w.Placements = f.num("placements", w.Placements)
-				w.Disjoint = f.boolean("disjoint", false)
-				w.Replicas = f.num("replicas", w.Replicas)
-				w.Clients = f.num("clients", w.Clients)
-				w.KeySpace = f.num("key_space", w.KeySpace)
-				w.Distribution = f.str("distribution", w.Distribution)
-				w.ZipfS = f.f64("zipf_s", w.ZipfS)
-				w.BatchSize = f.num("batch_size", 8)
-				w.NoCache = f.boolean("no_cache", false)
-			})
-		}
-		for i, item := range f.list("tenants") {
-			sub, err := asMap(item, fmt.Sprintf("tenants[%d]", i))
-			if err != nil {
-				d.fail(err)
-				continue
-			}
-			var ts TenantSpec
-			d.with(sub, fmt.Sprintf("tenants[%d]", i), func(f *fields) {
-				ts.ID = f.str("id", "")
-				ts.Share = f.f64("share", 0)
-				ts.Priority = f.str("priority", "")
-				ts.MaxInFlight = f.num("max_in_flight", 0)
-				ts.RatePerSec = f.f64("rate_per_sec", 0)
-			})
-			spec.Tenants = append(spec.Tenants, ts)
-		}
-		for i, item := range f.list("stages") {
-			sub, err := asMap(item, fmt.Sprintf("stages[%d]", i))
-			if err != nil {
-				d.fail(err)
-				continue
-			}
-			st := StageSpec{Kind: "steady"}
-			d.with(sub, fmt.Sprintf("stages[%d]", i), func(f *fields) {
-				st.Name = f.str("name", "")
-				st.Kind = f.str("kind", st.Kind)
-				st.Duration = f.dur("duration", 0)
-				st.Rate = f.f64("rate", 0)
-				st.StartRate = f.f64("start_rate", 0)
-				st.Probes = f.num("probes", 0)
-			})
-			if st.Kind == "saturation" && st.Probes == 0 {
-				st.Probes = 6
-			}
-			spec.Stages = append(spec.Stages, st)
-		}
-		for i, item := range f.list("faults") {
-			sub, err := asMap(item, fmt.Sprintf("faults[%d]", i))
-			if err != nil {
-				d.fail(err)
-				continue
-			}
-			var fa FaultSpec
-			d.with(sub, fmt.Sprintf("faults[%d]", i), func(f *fields) {
-				fa.At = f.dur("at", 0)
-				fa.Kind = f.str("kind", "")
-				fa.TM = f.num("tm", 0)
-				fa.Redeploy = f.boolean("redeploy", false)
-			})
-			spec.Faults = append(spec.Faults, fa)
-		}
-		if sub, ok := f.sub("assertions"); ok {
-			names := make([]string, 0, len(sub))
-			for name := range sub {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			af := &fields{d: d, section: "assertions", m: sub, used: map[string]bool{}}
-			for _, name := range names {
-				spec.Assertions = append(spec.Assertions, Assertion{Name: name, Value: af.f64(name, 0)})
-			}
-		}
-	})
-	if d.err != nil {
-		return nil, d.err
 	}
 	// Heartbeat default: fast enough that the liveness window cannot
 	// expire between beats.
@@ -664,156 +562,113 @@ func decodeSpec(root any) (*Spec, error) {
 	return spec, nil
 }
 
-// decoder accumulates the first decode error; subsequent field reads
-// become no-ops so every helper can stay expression-shaped.
-type decoder struct{ err error }
+// setDefaults gives a stage listed without a kind the steady kind.
+func (st *StageSpec) setDefaults() { st.Kind = "steady" }
 
-func (d *decoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
+var (
+	durationType   = reflect.TypeOf(Duration(0))
+	assertionsType = reflect.TypeOf([]Assertion(nil))
+)
+
+// decode maps one YAML node onto v by v's kind: a mapping onto a struct
+// (keys are json tags, visited in sorted order), a list onto a slice of
+// structs, and a scalar onto a string, number, bool or Duration. The
+// assertions mapping becomes []Assertion sorted by name. A key absent
+// from the YAML leaves v's default in place; path names the node in
+// errors.
+func decode(v reflect.Value, node any, path string) error {
+	switch {
+	case v.Type() == assertionsType || v.Kind() == reflect.Struct:
+		m, ok := node.(map[string]any)
+		if !ok {
+			return fmt.Errorf("scenario: %s: expected a mapping", path)
+		}
+		keys := make([]string, 0, len(m))
+		for key := range m {
+			keys = append(keys, key)
+		}
+		sort.Strings(keys)
+		for _, key := range keys {
+			var field reflect.Value
+			if v.Kind() == reflect.Struct {
+				field = fieldByTag(v, key)
+			} else {
+				v.Set(reflect.Append(v, reflect.ValueOf(Assertion{Name: key})))
+				field = v.Index(v.Len() - 1).FieldByName("Value")
+			}
+			if !field.IsValid() {
+				return fmt.Errorf("scenario: %s: unknown field %q", path, key)
+			}
+			if err := decode(field, m[key], path+"."+key); err != nil {
+				return err
+			}
+		}
+	case v.Kind() == reflect.Slice:
+		list, ok := node.([]any)
+		if !ok {
+			return fmt.Errorf("scenario: %s: expected a list", path)
+		}
+		for i, item := range list {
+			elem := reflect.New(v.Type().Elem())
+			if d, ok := elem.Interface().(interface{ setDefaults() }); ok {
+				d.setDefaults()
+			}
+			if err := decode(elem.Elem(), item, fmt.Sprintf("%s[%d]", path, i)); err != nil {
+				return err
+			}
+			v.Set(reflect.Append(v, elem.Elem()))
+		}
+	default:
+		s, ok := node.(string)
+		if !ok {
+			return fmt.Errorf("scenario: %s: expected a scalar value", path)
+		}
+		return decodeScalar(v, s, path)
 	}
+	return nil
 }
 
-// with runs fn over a section's fields, then rejects unknown keys.
-func (d *decoder) with(m map[string]any, section string, fn func(*fields)) {
-	f := &fields{d: d, section: section, m: m, used: map[string]bool{}}
-	fn(f)
-	for key := range m {
-		if !f.used[key] {
-			d.fail(fmt.Errorf("scenario: %s: unknown field %q", section, key))
-			return
+// fieldByTag returns the field of struct v whose json tag names key, or
+// the zero Value.
+func fieldByTag(v reflect.Value, key string) reflect.Value {
+	for i := 0; i < v.NumField(); i++ {
+		if name, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ","); name == key {
+			return v.Field(i)
 		}
 	}
+	return reflect.Value{}
 }
 
-// fields reads typed values out of one mapping section.
-type fields struct {
-	d       *decoder
-	section string
-	m       map[string]any
-	used    map[string]bool
-}
-
-func (f *fields) raw(key string) (string, bool) {
-	f.used[key] = true
-	v, ok := f.m[key]
-	if !ok {
-		return "", false
+// decodeScalar parses one scalar into v by v's kind.
+func decodeScalar(v reflect.Value, s, path string) error {
+	switch {
+	case v.Type() == durationType:
+		d, err := time.ParseDuration(s)
+		if err != nil {
+			return fmt.Errorf("scenario: %s: %q is not a duration (e.g. 500ms, 2s)", path, s)
+		}
+		v.SetInt(int64(d))
+	case v.Kind() == reflect.String:
+		v.SetString(s)
+	case v.Kind() == reflect.Bool:
+		if s != "true" && s != "false" {
+			return fmt.Errorf("scenario: %s: %q is not a bool (true/false)", path, s)
+		}
+		v.SetBool(s == "true")
+	case v.Kind() == reflect.Float64:
+		f, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return fmt.Errorf("scenario: %s: %q is not a number", path, s)
+		}
+		v.SetFloat(f)
+	case v.Kind() == reflect.Int || v.Kind() == reflect.Int64:
+		n, err := strconv.ParseInt(s, 10, v.Type().Bits())
+		if err != nil {
+			return fmt.Errorf("scenario: %s: %q is not an integer", path, s)
+		}
+		v.SetInt(n)
+	default:
+		return fmt.Errorf("scenario: %s: no decoding for %s", path, v.Type())
 	}
-	s, isStr := v.(string)
-	if !isStr {
-		f.d.fail(fmt.Errorf("scenario: %s.%s: expected a scalar value", f.section, key))
-		return "", false
-	}
-	return s, true
-}
-
-func (f *fields) str(key, def string) string {
-	if s, ok := f.raw(key); ok {
-		return s
-	}
-	return def
-}
-
-func (f *fields) num(key string, def int) int {
-	s, ok := f.raw(key)
-	if !ok {
-		return def
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		f.d.fail(fmt.Errorf("scenario: %s.%s: %q is not an integer", f.section, key, s))
-		return def
-	}
-	return n
-}
-
-func (f *fields) i64(key string, def int64) int64 {
-	s, ok := f.raw(key)
-	if !ok {
-		return def
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		f.d.fail(fmt.Errorf("scenario: %s.%s: %q is not an integer", f.section, key, s))
-		return def
-	}
-	return n
-}
-
-func (f *fields) f64(key string, def float64) float64 {
-	s, ok := f.raw(key)
-	if !ok {
-		return def
-	}
-	n, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		f.d.fail(fmt.Errorf("scenario: %s.%s: %q is not a number", f.section, key, s))
-		return def
-	}
-	return n
-}
-
-func (f *fields) boolean(key string, def bool) bool {
-	s, ok := f.raw(key)
-	if !ok {
-		return def
-	}
-	switch s {
-	case "true":
-		return true
-	case "false":
-		return false
-	}
-	f.d.fail(fmt.Errorf("scenario: %s.%s: %q is not a bool (true/false)", f.section, key, s))
-	return def
-}
-
-func (f *fields) dur(key string, def Duration) Duration {
-	s, ok := f.raw(key)
-	if !ok {
-		return def
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		f.d.fail(fmt.Errorf("scenario: %s.%s: %q is not a duration (e.g. 500ms, 2s)", f.section, key, s))
-		return def
-	}
-	return Duration(d)
-}
-
-func (f *fields) sub(key string) (map[string]any, bool) {
-	f.used[key] = true
-	v, ok := f.m[key]
-	if !ok {
-		return nil, false
-	}
-	m, err := asMap(v, f.section+"."+key)
-	if err != nil {
-		f.d.fail(err)
-		return nil, false
-	}
-	return m, true
-}
-
-func (f *fields) list(key string) []any {
-	f.used[key] = true
-	v, ok := f.m[key]
-	if !ok {
-		return nil
-	}
-	l, isList := v.([]any)
-	if !isList {
-		f.d.fail(fmt.Errorf("scenario: %s.%s: expected a list", f.section, key))
-		return nil
-	}
-	return l
-}
-
-func asMap(v any, what string) (map[string]any, error) {
-	m, ok := v.(map[string]any)
-	if !ok {
-		return nil, fmt.Errorf("scenario: %s: expected a mapping", what)
-	}
-	return m, nil
+	return nil
 }

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -478,4 +480,48 @@ func FuzzScenarioParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		Parse(data) //nolint:errcheck — only a panic fails
 	})
+}
+
+// TestCommittedSpecsMatchBench: every committed scenario parses to
+// exactly the spec its BENCH_<name>.json records, compared as compact
+// JSON. A result names the configuration that produced it, so a
+// decoder change that shifted a default or a field would show here
+// before it reached a committed result.
+func TestCommittedSpecsMatchBench(t *testing.T) {
+	paths, err := filepath.Glob("../../../scenarios/*.yaml")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed scenarios (%v)", err)
+	}
+	for _, path := range paths {
+		name := strings.TrimSuffix(filepath.Base(path), ".yaml")
+		t.Run(name, func(t *testing.T) {
+			spec, err := parseFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile("../../../BENCH_" + name + ".json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var committed struct {
+				Scenario struct {
+					Spec json.RawMessage `json:"spec"`
+				} `json:"scenario"`
+			}
+			if err := json.Unmarshal(data, &committed); err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := json.Compact(&want, committed.Scenario.Spec); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("parsed spec differs from BENCH_%s.json\n got: %s\nwant: %s", name, got, want.Bytes())
+			}
+		})
+	}
 }

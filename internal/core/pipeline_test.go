@@ -4,6 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -615,5 +618,39 @@ func TestUnpublishRemovesServable(t *testing.T) {
 	}
 	if err := ms.Unpublish(owner, id); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("double unpublish should be not-found, got %v", err)
+	}
+}
+
+// TestPipelineBatchRefused: a pipeline is never deployed, so a batch of
+// one has no Task Manager to run on. Both doors refuse it as a bad
+// request before admission, and no task leaves the service.
+func TestPipelineBatchRefused(t *testing.T) {
+	ms := newPipelineMS(t)
+	tm := startScriptedTM(t, ms, "tm-1")
+	if err := ms.WaitForTM(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	pipeID := publishPipeline(t, ms, core.Anonymous, "p", []string{
+		publishStep(t, ms, core.Anonymous, "s1"), publishStep(t, ms, core.Anonymous, "s2")})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if _, err := ms.RunBatch(ctx, core.Anonymous, pipeID, []any{"a", "b"}, core.RunOptions{}); !errors.Is(err, core.ErrBadRequest) {
+		t.Fatalf("in-process RunBatch on a pipeline: err = %v, want bad_request", err)
+	}
+	srv := httptest.NewServer(ms.Handler())
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/api/v2/servables/"+pipeID+"/run", "application/json", strings.NewReader(`{"inputs":["a","b"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `"bad_request"`) {
+		t.Fatalf("HTTP batch on a pipeline: %d %s, want 400 bad_request", resp.StatusCode, body)
+	}
+	time.Sleep(50 * time.Millisecond) // a pushed task would be parked by now
+	if n := tm.pendingTasks(); n != 0 {
+		t.Fatalf("%d tasks reached the Task Manager, want 0", n)
 	}
 }

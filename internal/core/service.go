@@ -680,7 +680,7 @@ type RunResult struct {
 	CacheHit bool `json:"cache_hit,omitempty"`
 	// cacheSkipped marks a result whose execution path never consulted
 	// the service-layer cache even though the request options allowed
-	// it (monolith pipelines, pipeline batches) — the X-DLHub-Cache
+	// it (monolith pipelines) — the X-DLHub-Cache
 	// header reports these as "bypass", not "miss".
 	cacheSkipped bool
 }
@@ -735,8 +735,8 @@ func (s *Service) invalidateCache(servableID string) {
 // by weight and dispatch (serveMiss). A hit costs the lookup and nothing
 // else: it adds no load, so it is not admitted, and task arrives without
 // its ID and a single run's without its input (each an object only a
-// dispatch needs). The zero key means the cache does not apply (disabled,
-// opted out, or a pipeline batch).
+// dispatch needs). The zero key means the cache does not apply (disabled
+// or opted out).
 func (s *Service) serve(ctx context.Context, caller Caller, key cacheKey, task taskmanager.Task, input json.RawMessage, weight int) (RunResult, error) {
 	start := time.Now()
 	var call *flight
@@ -898,6 +898,10 @@ func (s *Service) runBatch(ctx context.Context, caller Caller, servableID string
 	if err != nil {
 		return RunResult{}, err
 	}
+	if doc.Servable.Type == schema.TypePipeline {
+		// A pipeline is never deployed: no Task Manager could run its batch.
+		return RunResult{}, ErrBadRequest.WithDetail("a pipeline runs one input at a time (send input, not inputs)")
+	}
 	task := taskmanager.Task{
 		Kind:     "run_batch",
 		Servable: servableID,
@@ -906,16 +910,11 @@ func (s *Service) runBatch(ctx context.Context, caller Caller, servableID string
 		NoMemo:   opts.NoMemo,
 		Tenant:   caller.Tenant,
 	}
-	// Pipelines are uncacheable here for the same reason as in Run:
-	// step servables version independently of the pipeline document.
-	pipeline := doc.Servable.Type == schema.TypePipeline
 	var key cacheKey
-	if s.cacheUsable(opts) && !pipeline {
+	if s.cacheUsable(opts) {
 		key, _ = batchKey(servableID, doc.Version, inputs)
 	}
-	res, err := s.serve(ctx, caller, key, task, nil, len(inputs))
-	res.cacheSkipped = pipeline
-	return res, err
+	return s.serve(ctx, caller, key, task, nil, len(inputs))
 }
 
 // dispatch routes a task via route.pick and waits for the reply, bounded by

@@ -565,6 +565,7 @@ func TestRedeliveredTaskRepliesOnce(t *testing.T) {
 	done := make(chan struct{}, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
+			defer func() { done <- struct{}{} }()
 			msg, ok, err := consumer.Pull("slow", 2*time.Second)
 			if err != nil || !ok {
 				t.Errorf("delivery missing: ok=%v err=%v", ok, err)
@@ -573,15 +574,21 @@ func TestRedeliveredTaskRepliesOnce(t *testing.T) {
 			n := executions.Add(1)
 			time.Sleep(150 * time.Millisecond)         // the slow executor: > visibility
 			consumer.Reply(msg, []byte{'0' + byte(n)}) //nolint:errcheck
-			done <- struct{}{}
 		}()
 	}
-	reply, err := b.RequestCtx(context.Background(), "slow", []byte("task"), "acme")
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	reply, err := b.RequestCtx(ctx, "slow", []byte("task"), "acme")
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-done
-	<-done
+	for i := 0; i < 2; i++ {
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a consumer never finished")
+		}
+	}
 	waitFor(t, time.Second, "the second reply to arrive", func() bool { return b.OrphanReplies() == 1 })
 	if n := executions.Load(); n != 2 {
 		t.Fatalf("task executed %d times, want 2 (redelivery after the visibility timeout)", n)
