@@ -72,7 +72,7 @@ func TestRestartMSInflightDispatchFailsFast(t *testing.T) {
 	}()
 	// Wait until the dispatch is actually in flight on the TM.
 	deadline := time.Now().Add(5 * time.Second)
-	for tb.MS.ServableLoad(id) == 0 {
+	for tb.MS.WatcherStats().Waiters == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("dispatch never reached the TM")
 		}

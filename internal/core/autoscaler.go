@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"sync"
 	"time"
 )
 
@@ -13,8 +12,11 @@ import (
 // but leaves the operator to pick that number by hand via Deploy/Scale.
 // The autoscaler closes the loop: a per-servable controller samples the
 // demand signal the service already maintains — in-flight dispatches
-// (ServableLoad, which spans queue wait + execution, a batch weighing
-// its input count) — and drives Scale toward a replica target.
+// (the servable entry's inflight, which spans queue wait + execution, a
+// batch weighing its input count) — and drives Scale toward a replica
+// target. The controller has no lock or map of its own: its policy and
+// state (svScaler) are part of the servable's record in the routing
+// table (routing.go), and each tick decides under rt.mu.
 //
 // The control law is deliberately boring: demand is smoothed with an
 // EWMA, the target is ceil(demand / TargetLoad) clamped to
@@ -28,7 +30,8 @@ import (
 // must shed load rather than queue unboundedly. When a servable's
 // pending demand reaches its MaxQueue bound, new synchronous runs fail
 // fast with ErrOverloaded (HTTP 429) — see Service.admitRun
-// (tenancy.go).
+// (tenancy.go) and routingTable.reserve, which reads the bound from the
+// same record and counts the refusal there.
 
 // AutoscalePolicy configures autoscaling for one servable.
 type AutoscalePolicy struct {
@@ -119,7 +122,10 @@ type AutoscaleStatus struct {
 	LastScale time.Time `json:"last_scale,omitempty"`
 }
 
-// svScaler is the per-servable controller state.
+// svScaler is one servable's autoscale policy and controller state. It
+// lives in the servable's routing-table entry (servableEntry.scale in
+// routing.go) and is read and written only under rt.mu, beside the
+// entry's in-flight demand and replica count it steers on.
 type svScaler struct {
 	policy AutoscalePolicy
 	// ewma is the smoothed demand signal.
@@ -137,36 +143,12 @@ type svScaler struct {
 	scaling bool
 }
 
-// autoscaler runs the control loop over all enabled servables.
-type autoscaler struct {
-	svc      *Service
-	interval time.Duration
-
-	mu  sync.Mutex
-	svs map[string]*svScaler
-}
-
 // demandEWMAAlpha weights the newest demand sample; ~0.5 tracks load
 // ramps within a few ticks while riding out single-tick spikes.
 const demandEWMAAlpha = 0.5
 
-func newAutoscaler(svc *Service, interval time.Duration) *autoscaler {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	return &autoscaler{svc: svc, interval: interval, svs: make(map[string]*svScaler)}
-}
-
-// setPolicy installs (or disables) a servable's policy, validated by
-// the caller.
-func (a *autoscaler) setPolicy(servableID string, p AutoscalePolicy) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	st := a.svs[servableID]
-	if st == nil {
-		st = &svScaler{}
-		a.svs[servableID] = st
-	}
+// setPolicy installs (or disables) the policy, validated by the caller.
+func (st *svScaler) setPolicy(p AutoscalePolicy) {
 	st.policy = p.withDefaults()
 	st.policy.Enabled = p.Enabled
 	// A fresh policy starts a fresh episode: no inherited low-demand
@@ -175,51 +157,16 @@ func (a *autoscaler) setPolicy(servableID string, p AutoscalePolicy) {
 	st.ewma = 0
 }
 
-// policies snapshots the installed policies for persistence
-// (the checkpoint and StateFingerprint). Entries that exist only
-// as rejection counters (zero policy, never set) are skipped — they
-// are stats, not configuration.
-func (a *autoscaler) policies() map[string]AutoscalePolicy {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.svs) == 0 {
-		return nil
+// status renders the controller state beside the entry's replica count
+// (the last value set through Deploy/Scale). A servable with no state
+// reports its replica count alone.
+func (st *svScaler) status(replicas int) AutoscaleStatus {
+	if st == nil {
+		return AutoscaleStatus{Replicas: replicas}
 	}
-	out := make(map[string]AutoscalePolicy, len(a.svs))
-	for id, st := range a.svs {
-		if st.policy == (AutoscalePolicy{}) {
-			continue
-		}
-		out[id] = st.policy
-	}
-	return out
-}
-
-// removePolicy drops a servable's controller state entirely — the
-// Unpublish hook. A scale task already in flight finishes on its own;
-// its completion callback tolerates the missing entry.
-func (a *autoscaler) removePolicy(servableID string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	delete(a.svs, servableID)
-}
-
-// status snapshots one servable's controller state (ok false when no
-// policy was ever set).
-func (a *autoscaler) status(servableID string) (AutoscaleStatus, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	st, ok := a.svs[servableID]
-	if !ok {
-		return AutoscaleStatus{}, false
-	}
-	return a.statusLocked(servableID, st), true
-}
-
-func (a *autoscaler) statusLocked(servableID string, st *svScaler) AutoscaleStatus {
 	return AutoscaleStatus{
 		Policy:          st.policy,
-		Replicas:        a.svc.DesiredReplicas(servableID),
+		Replicas:        replicas,
 		Demand:          st.ewma,
 		DesiredReplicas: st.desired,
 		ScaleUps:        st.scaleUps,
@@ -229,143 +176,94 @@ func (a *autoscaler) statusLocked(servableID string, st *svScaler) AutoscaleStat
 	}
 }
 
-// all snapshots every servable with a policy.
-func (a *autoscaler) all() map[string]AutoscaleStatus {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[string]AutoscaleStatus, len(a.svs))
-	for id, st := range a.svs {
-		out[id] = a.statusLocked(id, st)
+// decide runs one control step from the servable's demand — tasks the
+// service is waiting on for it (queue wait + execution, from dispatchTo
+// accounting) — and its current replica count. act reports a scale to
+// dispatch to target replicas; it sets the scaling latch, which scaled
+// clears.
+func (st *svScaler) decide(now time.Time, demand, current int) (target int, up, act bool) {
+	if !st.policy.Enabled || st.scaling {
+		return 0, false, false
 	}
-	return out
+	p := st.policy
+	if st.ewma == 0 {
+		st.ewma = float64(demand)
+	} else {
+		st.ewma = demandEWMAAlpha*float64(demand) + (1-demandEWMAAlpha)*st.ewma
+	}
+	if current <= 0 {
+		// Never deployed through this service: nothing to scale.
+		return 0, false, false
+	}
+	desired := min(max(int(math.Ceil(st.ewma/p.TargetLoad)), p.MinReplicas), p.MaxReplicas)
+	st.desired = desired
+
+	switch {
+	case desired > current:
+		st.lowSince = time.Time{}
+		if now.Sub(st.lastScale) < p.ScaleUpCooldown {
+			return 0, false, false
+		}
+	case desired < current:
+		// Hysteresis: demand must stay low for the whole cooldown
+		// before any replica is shed.
+		if st.lowSince.IsZero() {
+			st.lowSince = now
+			return 0, false, false
+		}
+		if now.Sub(st.lowSince) < p.ScaleDownCooldown {
+			return 0, false, false
+		}
+	default:
+		st.lowSince = time.Time{}
+		return 0, false, false
+	}
+	st.scaling = true
+	return desired, desired > current, true
 }
 
-// maxQueue resolves the admission bound for a servable: the policy's
-// MaxQueue when set, else the service default; negative disables.
-func (a *autoscaler) maxQueue(servableID string) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if st, ok := a.svs[servableID]; ok && st.policy.MaxQueue != 0 {
-		return st.policy.MaxQueue
+// scaled ends a scale dispatch decide started: the latch clears, and a
+// successful one is counted and restarts both cooldown clocks.
+func (st *svScaler) scaled(now time.Time, up, ok bool) {
+	st.scaling = false
+	if !ok {
+		return
 	}
-	return a.svc.cfg.MaxQueue
+	st.lastScale = now
+	st.lowSince = time.Time{}
+	if up {
+		st.scaleUps++
+	} else {
+		st.scaleDowns++
+	}
 }
 
-// noteRejection counts an admission-control rejection for stats.
-func (a *autoscaler) noteRejection(servableID string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	st := a.svs[servableID]
-	if st == nil {
-		st = &svScaler{}
-		a.svs[servableID] = st
-	}
-	st.rejected++
-}
-
-// loop is the control loop, one goroutine for the service lifetime.
-func (a *autoscaler) loop() {
-	defer a.svc.regWG.Done()
-	ticker := time.NewTicker(a.interval)
+// autoscaleLoop is the control loop, one goroutine for the service
+// lifetime.
+func (s *Service) autoscaleLoop() {
+	defer s.regWG.Done()
+	ticker := time.NewTicker(s.cfg.AutoscaleInterval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-a.svc.lifeCtx.Done():
+		case <-s.lifeCtx.Done():
 			return
 		case <-ticker.C:
-			a.tick()
+			s.autoscaleTick()
 		}
 	}
 }
 
-// tick runs one control step for every enabled servable.
-func (a *autoscaler) tick() {
-	now := a.svc.timeFunc()
-	type action struct {
-		id       string
-		replicas int
-		executor string
-		up       bool
-	}
-	var actions []action
-
-	a.mu.Lock()
-	for id, st := range a.svs {
-		if !st.policy.Enabled || st.scaling {
-			continue
-		}
-		p := st.policy
-		// Demand = tasks this service is waiting on for the servable
-		// (queue wait + execution, from dispatchTo accounting).
-		demand := float64(a.svc.ServableLoad(id))
-		if st.ewma == 0 {
-			st.ewma = demand
-		} else {
-			st.ewma = demandEWMAAlpha*demand + (1-demandEWMAAlpha)*st.ewma
-		}
-
-		current := a.svc.DesiredReplicas(id)
-		if current <= 0 {
-			// Never deployed through this service: nothing to scale.
-			continue
-		}
-		desired := int(math.Ceil(st.ewma / p.TargetLoad))
-		if desired < p.MinReplicas {
-			desired = p.MinReplicas
-		}
-		if desired > p.MaxReplicas {
-			desired = p.MaxReplicas
-		}
-		st.desired = desired
-
-		switch {
-		case desired > current:
-			st.lowSince = time.Time{}
-			if now.Sub(st.lastScale) < p.ScaleUpCooldown {
-				continue
-			}
-			st.scaling = true
-			actions = append(actions, action{id: id, replicas: desired, executor: p.Executor, up: true})
-		case desired < current:
-			// Hysteresis: demand must stay low for the whole cooldown
-			// before any replica is shed.
-			if st.lowSince.IsZero() {
-				st.lowSince = now
-				continue
-			}
-			if now.Sub(st.lowSince) < p.ScaleDownCooldown {
-				continue
-			}
-			st.scaling = true
-			actions = append(actions, action{id: id, replicas: desired, executor: p.Executor, up: false})
-		default:
-			st.lowSince = time.Time{}
-		}
-	}
-	a.mu.Unlock()
-
-	// Apply outside the lock: Scale dispatches a task and can take a
-	// while. Each action finishes by clearing its scaling latch.
-	for _, act := range actions {
-		act := act
+// autoscaleTick runs one control step for every enabled servable. The
+// decisions are made under rt.mu; the scale tasks are dispatched
+// outside it, since Scale dispatches a task and can take a while. Each
+// action finishes by clearing its scaling latch.
+func (s *Service) autoscaleTick() {
+	for _, act := range s.route.autoscaleTick() {
 		go func() {
-			err := a.svc.scaleReplicas(a.svc.lifeCtx, act.id, act.replicas, act.executor)
-			a.mu.Lock()
-			st := a.svs[act.id]
-			if st != nil {
-				st.scaling = false
-				if err == nil {
-					st.lastScale = a.svc.timeFunc()
-					st.lowSince = time.Time{}
-					if act.up {
-						st.scaleUps++
-					} else {
-						st.scaleDowns++
-					}
-				}
-			}
-			a.mu.Unlock()
-			if err != nil && a.svc.lifeCtx.Err() == nil {
+			err := s.scaleReplicas(s.lifeCtx, act.id, act.replicas, act.executor)
+			s.route.scaleDone(act.id, act.up, err == nil)
+			if err != nil && s.lifeCtx.Err() == nil {
 				log.Printf("core: autoscale %s -> %d replicas failed: %v", act.id, act.replicas, err)
 			}
 		}()
@@ -394,14 +292,12 @@ func (s *Service) AutoscaleStatus(caller Caller, servableID string) (AutoscaleSt
 	if _, err := s.Get(caller, servableID); err != nil {
 		return AutoscaleStatus{}, err
 	}
-	if st, ok := s.scaler.status(servableID); ok {
-		return st, nil
-	}
-	return AutoscaleStatus{Replicas: s.DesiredReplicas(servableID)}, nil
+	st, _ := s.route.autoscaleStatus(servableID)
+	return st, nil
 }
 
 // AutoscalerStats snapshots every servable with an autoscale policy —
 // the /api/v2/stats view.
 func (s *Service) AutoscalerStats() map[string]AutoscaleStatus {
-	return s.scaler.all()
+	return s.route.autoscaleStats()
 }

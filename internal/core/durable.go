@@ -54,8 +54,8 @@ import (
 // The checkpoint is the same records (persist.go): one per durable fact,
 // written by writeCheckpoint and read back by applyRecord like the tail.
 //
-// Lock order: commitMu → the WAL's lock → {repository.mu, rt.mu,
-// autoscaler.mu, the tenant registry, userMu}. commitMu is outermost —
+// Lock order: commitMu → the WAL's lock → {repository.mu, rt.mu, the
+// tenant registry, userMu}. commitMu is outermost —
 // nothing else is held when it is taken — so no other durable change
 // moves the state a check read before its apply runs. The outcome
 // tables' locks (result cache, idempotency keys, async tasks) are
@@ -248,7 +248,6 @@ func (s *Service) applyMetadata(m recMetadata) { s.repo.setLatest(m.ID, m.Doc) }
 func (s *Service) applyUnpublish(u recServable) {
 	s.repo.remove(u.ID)
 	s.route.dropServable(u.ID)
-	s.scaler.removePolicy(u.ID)
 }
 
 // applyDeploy and applyScale skip a servable that is not published: a
@@ -273,7 +272,7 @@ func (s *Service) applyRejoin(t recTM) { s.route.clearDrainMark(t.TM) }
 
 func (s *Service) applyDeregister(t recTM) { s.route.deregister(t.TM) }
 
-func (s *Service) applyPolicy(p recPolicyPut) { s.scaler.setPolicy(p.ID, p.Policy) }
+func (s *Service) applyPolicy(p recPolicyPut) { s.route.setPolicy(p.ID, p.Policy) }
 
 // applyTenantQuota also pushes the priority class's dequeue weight to
 // the broker: the recovered fairness lanes must match the pre-crash ones.

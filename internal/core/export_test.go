@@ -54,3 +54,18 @@ func (s *Service) SetIdempotencyClock(now func() time.Time) { s.idem.now = now }
 
 // DecodeRunBody is the run route's one-pass body decode.
 var DecodeRunBody = decodeRunBody
+
+// ServableLoad reports the in-flight (dispatched, not yet answered)
+// run/batch/pipeline work units of one servable — the autoscaler's
+// demand signal.
+func (s *Service) ServableLoad(servableID string) int { return s.route.servableLoad(servableID) }
+
+func (rt *routingTable) servableLoad(servableID string) int {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.servables[servableID].inflight
+}
+
+// DesiredReplicas reports the replica count last set by Deploy or Scale
+// (0 when the servable was never deployed through this service).
+func (s *Service) DesiredReplicas(servableID string) int { return s.route.replicasOf(servableID) }

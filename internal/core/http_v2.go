@@ -631,6 +631,9 @@ func (s *Service) handleV2Run(w http.ResponseWriter, r *http.Request) {
 	case req.Inputs != nil && req.Input != nil:
 		writeV2Error(w, ErrBadRequest.WithDetail("input and inputs are mutually exclusive"))
 		return
+	case req.Inputs != nil && req.Async:
+		writeV2Error(w, ErrBadRequest.WithDetail("an async run takes one input at a time (send input, not inputs)"))
+		return
 	case req.Input == nil:
 		req.Input = jsonNull
 	}

@@ -50,10 +50,10 @@ type snapshot struct {
 // meanwhile — the WAL's lock for a checkpoint, commitMu for a
 // fingerprint — so the parts are of one state.
 func (s *Service) captureSnapshot() snapshot {
-	snap := snapshot{Policies: s.scaler.policies(), Users: s.snapshotUsers()}
+	snap := snapshot{Users: s.snapshotUsers()}
 	snap.Tenants, snap.Bindings = s.tenants.Snapshot()
 	s.repo.capture(&snap)
-	snap.Placements, snap.Replicas, snap.Draining = s.route.routeSnapshot()
+	s.route.routeSnapshot(&snap)
 	return snap
 }
 

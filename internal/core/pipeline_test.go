@@ -77,7 +77,7 @@ func (s *scriptedTM) loop() {
 			s.ms.Broker().Reply(msg, body)
 		}
 		switch task.Kind {
-		case "deploy", "scale", "undeploy", "ping":
+		case "deploy", "scale", "undeploy":
 			reply(taskmanager.Reply{OK: true})
 			continue
 		}
@@ -648,6 +648,33 @@ func TestPipelineBatchRefused(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `"bad_request"`) {
 		t.Fatalf("HTTP batch on a pipeline: %d %s, want 400 bad_request", resp.StatusCode, body)
+	}
+	time.Sleep(50 * time.Millisecond) // a pushed task would be parked by now
+	if n := tm.pendingTasks(); n != 0 {
+		t.Fatalf("%d tasks reached the Task Manager, want 0", n)
+	}
+}
+
+// TestAsyncBatchRefused: an async run takes one input. A body with
+// inputs and "async": true is a bad request before anything is queued;
+// it must not answer 202 and run the servable once on null.
+func TestAsyncBatchRefused(t *testing.T) {
+	ms := newPipelineMS(t)
+	tm := startScriptedTM(t, ms, "tm-1")
+	if err := ms.WaitForTM(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	id := publishStep(t, ms, core.Anonymous, "s1")
+	srv := httptest.NewServer(ms.Handler())
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/api/v2/servables/"+id+"/run", "application/json", strings.NewReader(`{"inputs":["a","b"],"async":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `"bad_request"`) {
+		t.Fatalf("async batch: %d %s, want 400 bad_request", resp.StatusCode, body)
 	}
 	time.Sleep(50 * time.Millisecond) // a pushed task would be parked by now
 	if n := tm.pendingTasks(); n != 0 {

@@ -5,9 +5,9 @@ package core
 // with repository writes. It keeps ONE record per Task Manager —
 // registration, heartbeat freshness, load, drain mark, and the
 // dispatches waiting on it — and ONE per servable — placements, desired
-// replicas, in-flight demand, admission reservations — and ONE per
-// tenant — reservations, rate bucket, admission counters — under one
-// lock.
+// replicas, in-flight demand, admission reservations, autoscale policy
+// and controller state — and ONE per tenant — reservations, rate
+// bucket, admission counters — under one lock.
 //
 // Liveness is one predicate, liveLocked: now − seen < staleAfter. Routing
 // filters on it, and the same record's timer (one per TM, re-armed by
@@ -25,7 +25,8 @@ package core
 // funcs fire under rt.mu; they are context cancels and take no lock of
 // ours. The hot path — pick, charge/discharge, admission
 // reserve/release — therefore only ever takes rt.mu, and a Publish
-// cannot stall a single routed run. See docs/ARCHITECTURE.md
+// cannot stall a single routed run. The autoscaler's tick decides under
+// rt.mu and dispatches its scale tasks after releasing it. See docs/ARCHITECTURE.md
 // "Concurrency model".
 //
 // Methods are self-locking; the *Locked helpers at the bottom require
@@ -101,6 +102,10 @@ type servableEntry struct {
 	// pipeline is admitted under its own ID while its demand lands on
 	// its steps.
 	reserved int
+	// scale is the autoscale policy and controller state (autoscaler.go):
+	// nil until a policy is set or admission refuses a run, and dropped
+	// with the placements at unpublish.
+	scale *svScaler
 }
 
 // tenantEntry is one tenant tag's admission state: its reservations,
@@ -141,6 +146,9 @@ type routingTable struct {
 	// live and nothing is watched); clock is the service's time source.
 	staleAfter time.Duration
 	clock      func() time.Time
+	// maxQueue is the admission bound of a servable whose policy sets
+	// none (Config.MaxQueue; <= 0 unenforced).
+	maxQueue int
 
 	mu        sync.Mutex
 	tms       []*tmEntry
@@ -152,9 +160,10 @@ type routingTable struct {
 	closed     bool // set by stop: a dispatch charged after it is canceled at once
 }
 
-func newRoutingTable(staleAfter time.Duration, clock func() time.Time) *routingTable {
+func newRoutingTable(staleAfter time.Duration, maxQueue int, clock func() time.Time) *routingTable {
 	return &routingTable{
 		staleAfter: staleAfter,
+		maxQueue:   maxQueue,
 		clock:      clock,
 		servables:  make(map[string]servableEntry),
 		tenants:    make(map[string]*tenantEntry),
@@ -413,14 +422,6 @@ func (rt *routingTable) discharge(ref dispatchRef) {
 	}
 }
 
-// servableLoad reports the in-flight run/batch/pipeline work-unit count
-// for one servable — the autoscaler's demand signal.
-func (rt *routingTable) servableLoad(servableID string) int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.servables[servableID].inflight
-}
-
 // admitVerdict is reserve's outcome: admitted, or refused by the
 // servable's pending bound (overloaded), the tenant's in-flight quota or
 // the tenant's rate limit (both quota exceeded).
@@ -434,15 +435,18 @@ const (
 )
 
 // reserve is admission control's check-and-reserve, in ONE critical
-// section: the servable's pending bound, then the tenant's in-flight
-// quota, then its rate bucket (refilled from rt.clock) are checked, and
-// only an admission spends a token and takes the reservation — so a
-// burst cannot slip past any bound, and a refused request costs its
-// tenant nothing. Every attempt is counted on the tenant's record. A
+// section: the servable's pending bound (its policy's MaxQueue, else
+// maxQueue), then the tenant's in-flight quota, then its rate bucket
+// (refilled from rt.clock) are checked, and only an admission spends a
+// token and takes the reservation — so a burst cannot slip past any
+// bound, and a refused request costs its tenant nothing. Every attempt
+// is counted on the tenant's record, and a refusal by the servable's
+// bound on the servable's too (the autoscale status's rejected). A
 // bound or rate <= 0 is unenforced; the reservation itself is always
 // recorded (it is the in-flight accounting for stats and release).
-// pending reports the count the refused bound was observed at.
-func (rt *routingTable) reserve(tenant, servableID string, weight, svBound int, quota auth.Quota) (pending int, v admitVerdict) {
+// pending and bound report the count the refused in-flight bound was
+// observed at, and that bound.
+func (rt *routingTable) reserve(tenant, servableID string, weight int, quota auth.Quota) (pending, bound int, v admitVerdict) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	t := rt.tenants[tenant]
@@ -451,22 +455,31 @@ func (rt *routingTable) reserve(tenant, servableID string, weight, svBound int, 
 		rt.tenants[tenant] = t
 	}
 	sv := rt.servables[servableID]
+	svBound := rt.maxQueue
+	if sv.scale != nil && sv.scale.policy.MaxQueue != 0 {
+		svBound = sv.scale.policy.MaxQueue
+	}
 	switch {
 	case svBound > 0 && sv.reserved >= svBound:
 		t.rejectedOverload++
-		return sv.reserved, admitOverloaded
+		if sv.scale == nil {
+			sv.scale = &svScaler{}
+			rt.servables[servableID] = sv
+		}
+		sv.scale.rejected++
+		return sv.reserved, svBound, admitOverloaded
 	case quota.MaxInFlight > 0 && t.reserved >= quota.MaxInFlight:
 		t.rejectedQuota++
-		return t.reserved, admitQuota
+		return t.reserved, quota.MaxInFlight, admitQuota
 	case quota.RatePerSec > 0 && !t.takeToken(quota.RatePerSec, rt.clock()):
 		t.rejectedQuota++
-		return 0, admitRate
+		return 0, 0, admitRate
 	}
 	t.admitted++
 	t.reserved += weight
 	sv.reserved += weight
 	rt.servables[servableID] = sv
-	return 0, admitOK
+	return 0, 0, admitOK
 }
 
 // unreserve releases an admission reservation.
@@ -566,14 +579,16 @@ func (rt *routingTable) removePlacement(servableID, tmID string) bool {
 	return tm != nil && rt.removePlacementLocked(servableID, tm)
 }
 
-// dropServable removes a servable's placements and replica record
-// (Unpublish). Demand and reservations of runs still in flight stay
-// until those runs release them.
+// dropServable removes a servable's placements, replica record and
+// autoscale state — its policy and rejection count (Unpublish). Demand
+// and reservations of runs still in flight stay until those runs
+// release them. A scale task already in flight finishes on its own;
+// scaleDone tolerates the missing state.
 func (rt *routingTable) dropServable(servableID string) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	sv := rt.servables[servableID]
-	sv.placements, sv.replicas = nil, 0
+	sv.placements, sv.replicas, sv.scale = nil, 0, nil
 	rt.putLocked(servableID, sv)
 }
 
@@ -594,28 +609,108 @@ func (rt *routingTable) replicasOf(servableID string) int {
 	return rt.servables[servableID].replicas
 }
 
-// routeSnapshot copies the durable slice of routing state — placements,
-// replicas, drain marks (sorted) — for checkpointing.
-func (rt *routingTable) routeSnapshot() (placements map[string][]string, replicas map[string]int, draining []string) {
+// routeSnapshot copies the durable slice of routing state into snap —
+// placements, replicas, drain marks (sorted) and autoscale policies —
+// for checkpointing. State that holds only a rejection count is a stat,
+// not configuration, and is skipped.
+func (rt *routingTable) routeSnapshot(snap *snapshot) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	placements = make(map[string][]string, len(rt.servables))
-	replicas = make(map[string]int, len(rt.servables))
+	snap.Placements = make(map[string][]string, len(rt.servables))
+	snap.Replicas = make(map[string]int, len(rt.servables))
+	snap.Policies = make(map[string]AutoscalePolicy)
 	for id, sv := range rt.servables {
 		if len(sv.placements) > 0 {
-			placements[id] = tmIDs(sv.placements)
+			snap.Placements[id] = tmIDs(sv.placements)
 		}
 		if sv.replicas != 0 {
-			replicas[id] = sv.replicas
+			snap.Replicas[id] = sv.replicas
+		}
+		if sv.scale != nil && sv.scale.policy != (AutoscalePolicy{}) {
+			snap.Policies[id] = sv.scale.policy
 		}
 	}
 	for _, tm := range rt.tms {
 		if tm.draining {
-			draining = append(draining, tm.id)
+			snap.Draining = append(snap.Draining, tm.id)
 		}
 	}
-	slices.Sort(draining)
-	return placements, replicas, draining
+	slices.Sort(snap.Draining)
+}
+
+// setPolicy installs a servable's autoscale policy (the autoscale_policy
+// record's apply).
+func (rt *routingTable) setPolicy(servableID string, p AutoscalePolicy) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	sv := rt.servables[servableID]
+	if sv.scale == nil {
+		sv.scale = &svScaler{}
+	}
+	sv.scale.setPolicy(p)
+	rt.servables[servableID] = sv
+}
+
+// autoscaleStatus snapshots one servable's autoscale state; ok is false
+// when it has none (no policy set, no run refused), and the status then
+// carries the replica count alone.
+func (rt *routingTable) autoscaleStatus(servableID string) (st AutoscaleStatus, ok bool) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	sv := rt.servables[servableID]
+	return sv.scale.status(sv.replicas), sv.scale != nil
+}
+
+// autoscaleStats snapshots every servable with autoscale state.
+func (rt *routingTable) autoscaleStats() map[string]AutoscaleStatus {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	out := make(map[string]AutoscaleStatus)
+	for id, sv := range rt.servables {
+		if sv.scale != nil {
+			out[id] = sv.scale.status(sv.replicas)
+		}
+	}
+	return out
+}
+
+// scaleAction is one scale dispatch a control step decided on.
+type scaleAction struct {
+	id       string
+	replicas int
+	executor string
+	up       bool
+}
+
+// autoscaleTick runs one control step for every servable with an
+// enabled policy, from its entry's own in-flight demand and replica
+// count, and returns the scale dispatches to make. Each action's
+// scaling latch stays set until its scaleDone.
+func (rt *routingTable) autoscaleTick() []scaleAction {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	now := rt.clock()
+	var acts []scaleAction
+	for id, sv := range rt.servables {
+		if sv.scale == nil {
+			continue
+		}
+		if n, up, ok := sv.scale.decide(now, sv.inflight, sv.replicas); ok {
+			acts = append(acts, scaleAction{id: id, replicas: n, executor: sv.scale.policy.Executor, up: up})
+		}
+	}
+	return acts
+}
+
+// scaleDone ends a scale dispatch autoscaleTick returned: the latch
+// clears, and a successful one is counted. State dropped meanwhile by an
+// unpublish is not brought back.
+func (rt *routingTable) scaleDone(servableID string, up, ok bool) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if st := rt.servables[servableID].scale; st != nil {
+		st.scaled(rt.clock(), up, ok)
+	}
 }
 
 // WatcherStats counts the dead-TM watch's footprint: liveness timers
@@ -736,9 +831,9 @@ func failWaitersLocked(tm *tmEntry, cause error) {
 }
 
 // putLocked stores a servable's entry, or deletes it once nothing is
-// left in it.
+// left in it — an autoscale policy or rejection count keeps it.
 func (rt *routingTable) putLocked(servableID string, sv servableEntry) {
-	if len(sv.placements) == 0 && sv.replicas == 0 && sv.inflight == 0 && sv.reserved == 0 {
+	if len(sv.placements) == 0 && sv.replicas == 0 && sv.inflight == 0 && sv.reserved == 0 && sv.scale == nil {
 		delete(rt.servables, servableID)
 		return
 	}

@@ -33,6 +33,12 @@ type modelServable struct {
 	replicas   int
 	inflight   int
 	reserved   int
+	// maxQueue is the bound of the policy the last reserve installed
+	// (hasPolicy), rejected the refusals by that bound; unpublish drops
+	// both.
+	maxQueue  int
+	hasPolicy bool
+	rejected  uint64
 }
 
 type modelCharge struct {
@@ -164,9 +170,13 @@ func (m *routingModel) checkState() {
 		}
 	}
 	for id, sv := range m.servables {
-		got := modelServable{placements: m.rt.placementsOf(id), replicas: m.rt.replicasOf(id), inflight: m.rt.servableLoad(id)}
-		if !slices.Equal(got.placements, sv.placements) || got.replicas != sv.replicas || got.inflight != sv.inflight {
-			m.t.Fatalf("servable %s: table %+v, model %+v", id, got, *sv)
+		st, hasState := m.rt.autoscaleStatus(id)
+		got := modelServable{placements: m.rt.placementsOf(id), replicas: m.rt.replicasOf(id), inflight: m.rt.servableLoad(id),
+			maxQueue: st.Policy.MaxQueue, hasPolicy: st.Policy != (AutoscalePolicy{}), rejected: st.Rejected}
+		if !slices.Equal(got.placements, sv.placements) || got.replicas != sv.replicas || got.inflight != sv.inflight ||
+			got.maxQueue != sv.maxQueue || got.hasPolicy != sv.hasPolicy || got.rejected != sv.rejected ||
+			st.Replicas != sv.replicas || hasState != (sv.hasPolicy || sv.rejected > 0) {
+			m.t.Fatalf("servable %s: table %+v (autoscale state %v), model %+v", id, got, hasState, *sv)
 		}
 	}
 	byTenant := m.rt.tenantStats()
@@ -209,6 +219,7 @@ func (m *routingModel) dropServable(id string) {
 	}
 	m.rt.dropServable(id)
 	sv.placements, sv.replicas = nil, 0
+	sv.maxQueue, sv.hasPolicy, sv.rejected = 0, false, 0
 }
 
 func testRoutingModel(t *testing.T, seed int64, staleAfter time.Duration) {
@@ -217,7 +228,7 @@ func testRoutingModel(t *testing.T, seed int64, staleAfter time.Duration) {
 		t: t, staleAfter: staleAfter, now: time.Unix(1_700_000_000, 0),
 		tms: map[string]*modelTM{}, servables: map[string]*modelServable{}, tenants: map[string]*TenantStats{},
 	}
-	m.rt = newRoutingTable(staleAfter, func() time.Time { return m.now })
+	m.rt = newRoutingTable(staleAfter, 0, func() time.Time { return m.now })
 	defer m.rt.stop()
 
 	// A silent TM goes stale within a few "time passes" steps. The window
@@ -262,15 +273,19 @@ func testRoutingModel(t *testing.T, seed int64, staleAfter time.Duration) {
 		case 7: // reserve
 			r := modelReservation{tenant: pickOf(tenants), sv: svID, weight: 1 + rng.Intn(3)}
 			svBound, tenantBound := rng.Intn(6), rng.Intn(8)
-			want, wantPending := admitOK, 0
+			// The servable's bound is its policy's (the table's default
+			// bound is 0, unenforced).
+			m.rt.setPolicy(svID, AutoscalePolicy{MaxQueue: svBound})
+			m.sv(svID).maxQueue, m.sv(svID).hasPolicy = svBound, true
+			want, wantPending, wantBound := admitOK, 0, 0
 			if sv := m.sv(svID); svBound > 0 && sv.reserved >= svBound {
-				want, wantPending = admitOverloaded, sv.reserved
+				want, wantPending, wantBound = admitOverloaded, sv.reserved, svBound
 			} else if n := m.tenant(r.tenant).InFlight; tenantBound > 0 && n >= tenantBound {
-				want, wantPending = admitQuota, n
+				want, wantPending, wantBound = admitQuota, n, tenantBound
 			}
-			pending, got := m.rt.reserve(r.tenant, r.sv, r.weight, svBound, auth.Quota{MaxInFlight: tenantBound})
-			if got != want || pending != wantPending {
-				t.Fatalf("step %d: reserve(%+v, bounds %d/%d) = %d, %v; model %d, %v", step, r, svBound, tenantBound, pending, got, wantPending, want)
+			pending, bound, got := m.rt.reserve(r.tenant, r.sv, r.weight, auth.Quota{MaxInFlight: tenantBound})
+			if got != want || pending != wantPending || bound != wantBound {
+				t.Fatalf("step %d: reserve(%+v, bounds %d/%d) = %d/%d, %v; model %d/%d, %v", step, r, svBound, tenantBound, pending, bound, got, wantPending, wantBound, want)
 			}
 			switch tn := m.tenant(r.tenant); got {
 			case admitOK:
@@ -280,6 +295,7 @@ func testRoutingModel(t *testing.T, seed int64, staleAfter time.Duration) {
 				m.reserved = append(m.reserved, r)
 			case admitOverloaded:
 				tn.RejectedOverload++
+				m.sv(svID).rejected++
 			case admitQuota:
 				tn.RejectedQuota++
 			}

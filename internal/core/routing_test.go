@@ -44,7 +44,7 @@ func TestRoutingReadsDoNotBlockOnRepositoryWrite(t *testing.T) {
 				return fmt.Errorf("LiveTaskManagers = %d, want 2", got)
 			}
 			s.route.snapshotTMs()
-			s.route.routeSnapshot()
+			s.route.routeSnapshot(&snapshot{})
 			s.FailoverStats()
 			s.WatcherStats()
 			if err := s.admitRun(Anonymous, "sv", 1); err != nil {
@@ -72,7 +72,7 @@ func TestRoutingReadsDoNotBlockOnRepositoryWrite(t *testing.T) {
 // a thousand waiters spawns no goroutines.
 func TestWatcherWaiterAccounting(t *testing.T) {
 	now := time.Now()
-	rt := newRoutingTable(time.Minute, func() time.Time { return now })
+	rt := newRoutingTable(time.Minute, 0, func() time.Time { return now })
 	defer rt.stop()
 	rt.beat("tm-1", 0)
 
@@ -129,7 +129,7 @@ func TestWatcherWaiterAccounting(t *testing.T) {
 // TM that stops beating expires once its window lapses, and the fan-out
 // carries errTMLost so dispatchTo's failover trigger fires.
 func TestWatcherExpiryFansOut(t *testing.T) {
-	rt := newRoutingTable(50*time.Millisecond, time.Now)
+	rt := newRoutingTable(50*time.Millisecond, 0, time.Now)
 	defer rt.stop()
 	rt.beat("tm-1", 0)
 
@@ -184,7 +184,7 @@ func TestWatcherExpiryFansOut(t *testing.T) {
 // TestWatcherBeatRearms verifies a beat between timer arm and expiry
 // re-arms rather than losing the TM.
 func TestWatcherBeatRearms(t *testing.T) {
-	rt := newRoutingTable(80*time.Millisecond, time.Now)
+	rt := newRoutingTable(80*time.Millisecond, 0, time.Now)
 	defer rt.stop()
 	rt.beat("tm-1", 0)
 	for i := 0; i < 5; i++ {
@@ -230,7 +230,7 @@ func TestRoutingPickAllocs(t *testing.T) {
 // or admission path shows up in the bench job's output.
 
 func benchRoutingTable(tms, servables int) *routingTable {
-	rt := newRoutingTable(time.Minute, time.Now)
+	rt := newRoutingTable(time.Minute, 0, time.Now)
 	for i := 0; i < tms; i++ {
 		rt.beat(fmt.Sprintf("tm-%d", i), 0)
 	}

@@ -122,8 +122,8 @@ type Config struct {
 	// default: benches and tests stay quiet).
 	LogRequests bool
 	// AutoscaleInterval is the autoscaler control-loop tick (default
-	// 1s). The loop is idle-cheap: with no enabled policies a tick is a
-	// map read under a mutex.
+	// 1s). The loop is idle-cheap: with no enabled policies a tick is
+	// one pass over the routing table's servable entries.
 	AutoscaleInterval time.Duration
 	// MaxQueue is the service-wide admission-control default: when > 0,
 	// synchronous runs for a servable whose pending demand (admitted,
@@ -169,7 +169,8 @@ type Service struct {
 	// registration, heartbeat freshness and the liveness timer that fans
 	// errTMLost out to its in-flight dispatches, load, drain mark — and
 	// one per servable — placements, desired replicas, in-flight and
-	// admission counters — under its own lock, so the serving hot path
+	// admission counters, autoscale policy and controller state — under
+	// its own lock, so the serving hot path
 	// never contends with repository writes. Neither lock is held while
 	// the other is taken.
 	route *routingTable
@@ -192,10 +193,6 @@ type Service struct {
 	// idem holds the idempotency-keyed v2 executions and their
 	// responses for replay (idempotency.go).
 	idem *outcomes[string, idemReply]
-
-	// scaler is the replica autoscaler (autoscaler.go); its control
-	// loop runs for the service lifetime.
-	scaler *autoscaler
 
 	// tenants is the quota/priority registry (tenancy.go) — shared
 	// with cfg.Auth when authentication is on, standalone in open
@@ -247,6 +244,9 @@ func New(cfg Config) *Service {
 	if cfg.TaskRetention == 0 {
 		cfg.TaskRetention = 15 * time.Minute
 	}
+	if cfg.AutoscaleInterval <= 0 {
+		cfg.AutoscaleInterval = time.Second
+	}
 	if cfg.Registry == nil {
 		cfg.Registry = container.NewRegistry()
 	}
@@ -270,17 +270,16 @@ func New(cfg Config) *Service {
 	} else {
 		s.tenants = auth.NewTenantRegistry()
 	}
-	s.route = newRoutingTable(cfg.TMStaleAfter, func() time.Time { return s.timeFunc() })
+	s.route = newRoutingTable(cfg.TMStaleAfter, cfg.MaxQueue, func() time.Time { return s.timeFunc() })
 	s.tasks.now = func() time.Time { return s.timeFunc() } // retention counts from AsyncTask.Finished
 	s.lifeCtx, s.lifeCancel = context.WithCancel(context.Background())
 	if !cfg.Cache.Disabled {
 		s.cache = newResultCache(cfg.Cache)
 	}
-	s.scaler = newAutoscaler(s, cfg.AutoscaleInterval)
 	s.regWG.Add(1)
 	go s.registrationLoop()
 	s.regWG.Add(1)
-	go s.scaler.loop()
+	go s.autoscaleLoop()
 	if cfg.Store != nil {
 		// The store compacts its log by writing the whole repository as
 		// records through this hook; registration must precede Recover so
@@ -374,13 +373,6 @@ func (s *Service) queueStats() map[string]any {
 		"pushes":           pushes,
 		"push_failures":    failures,
 	}
-}
-
-// ServableLoad reports the in-flight (dispatched, not yet answered)
-// run/batch/pipeline task count for one servable — the demand signal
-// the autoscaler steers on.
-func (s *Service) ServableLoad(servableID string) int {
-	return s.route.servableLoad(servableID)
 }
 
 // LiveTaskManagers lists TMs passing the liveness filter.
@@ -1218,12 +1210,6 @@ func (s *Service) undeployAsync(servableID, tmID string) {
 			log.Printf("core: undeploy %s from %s failed: %v", servableID, tmID, err)
 		}
 	}()
-}
-
-// DesiredReplicas reports the replica count last set by Deploy or Scale
-// (0 when the servable was never deployed through this service).
-func (s *Service) DesiredReplicas(servableID string) int {
-	return s.route.replicasOf(servableID)
 }
 
 // deployCtx bounds a control-plane task (deploy, scale, undeploy,

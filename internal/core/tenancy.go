@@ -50,14 +50,15 @@ func (s *Service) tenantQuota(tenant string) auth.Quota {
 // client can tell "you are over budget" from "the servable is busy":
 //
 //   - the servable's resolved MaxQueue bound → ErrOverloaded, which
-//     also feeds the autoscaler's rejection signal;
+//     is also counted in the servable's autoscale status (rejected);
 //   - the caller's tenant quota (MaxInFlight across all servables,
 //     plus the RatePerSec token bucket) → ErrQuotaExceeded, which
 //     deliberately does NOT drive the autoscaler — a tenant over its
 //     own budget is not servable pressure to scale for.
 //
-// Admission is check-AND-reserve under one lock in the routing table
-// (reserve), the rate bucket included — a simultaneous burst cannot all
+// Admission is check-AND-reserve in one rt.mu section (reserve): the
+// bound, the reservation or the refusal's counts, the rate bucket
+// included — a simultaneous burst cannot all
 // slip past any bound the way a read-then-dispatch check would allow,
 // and a request one bound refuses spends no token.
 // Every admitted request holds its reservation (weight units
@@ -68,14 +69,12 @@ func (s *Service) tenantQuota(tenant string) auth.Quota {
 func (s *Service) admitRun(caller Caller, servableID string, weight int) error {
 	tenant := caller.Tenant
 	quota := s.tenantQuota(tenant)
-	svBound := s.scaler.maxQueue(servableID)
-	pending, verdict := s.route.reserve(tenant, servableID, weight, svBound, quota)
+	pending, bound, verdict := s.route.reserve(tenant, servableID, weight, quota)
 	switch verdict {
 	case admitOverloaded:
-		s.scaler.noteRejection(servableID)
-		return ErrOverloaded.WithDetail(fmt.Sprintf("%s: %d requests pending (bound %d)", servableID, pending, svBound))
+		return ErrOverloaded.WithDetail(fmt.Sprintf("%s: %d requests pending (bound %d)", servableID, pending, bound))
 	case admitQuota:
-		return ErrQuotaExceeded.WithDetail(fmt.Sprintf("tenant %q: %d runs in flight (quota %d)", tenantLabel(tenant), pending, quota.MaxInFlight))
+		return ErrQuotaExceeded.WithDetail(fmt.Sprintf("tenant %q: %d runs in flight (quota %d)", tenantLabel(tenant), pending, bound))
 	case admitRate:
 		return ErrQuotaExceeded.WithDetail(fmt.Sprintf("tenant %q over rate limit %g req/s", tenantLabel(tenant), quota.RatePerSec))
 	}

@@ -88,10 +88,10 @@ func TestTenantLedgerExact(t *testing.T) {
 	if got, want := stats["anonymous"], (TenantStats{Admitted: 3, RejectedOverload: 1}); got != want {
 		t.Fatalf("anonymous: got %+v, want %+v", got, want)
 	}
-	if st, _ := s.scaler.status("a"); st.Rejected != 2 {
+	if st, _ := s.route.autoscaleStatus("a"); st.Rejected != 2 {
 		t.Fatalf("autoscaler saw %d rejections on a, want the 2 overloads and no quota refusal", st.Rejected)
 	}
-	if st, ok := s.scaler.status("b"); ok && st.Rejected != 0 {
+	if st, ok := s.route.autoscaleStatus("b"); ok && st.Rejected != 0 {
 		t.Fatalf("a quota refusal fed the autoscaler: %+v", st)
 	}
 	for _, r := range held {

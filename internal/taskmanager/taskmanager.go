@@ -43,7 +43,7 @@ func TaskQueue(tmID string) string { return "dlhub.tasks." + tmID }
 // Task is one queued task; EncodeTask and DecodeTask are its wire format.
 type Task struct {
 	ID       string `json:"id"`
-	Kind     string `json:"kind"` // run | run_batch | pipeline | deploy | scale | undeploy | ping
+	Kind     string `json:"kind"` // run | run_batch | pipeline | deploy | scale | undeploy
 	Servable string `json:"servable,omitempty"`
 	// Executor routes deploys ("parsl" default; "tfserving-grpc",
 	// "tfserving-rest", "sagemaker", "clipper" for comparisons).
@@ -396,8 +396,6 @@ func (tm *TM) handle(msg queue.Message) {
 	start := time.Now()
 	var rep Reply
 	switch task.Kind {
-	case "ping":
-		rep = Reply{OK: true, Output: "pong"}
 	case "deploy":
 		rep = tm.handleDeploy(task)
 	case "scale":

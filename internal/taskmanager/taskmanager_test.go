@@ -226,14 +226,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestPing(t *testing.T) {
-	_, broker, _ := startTM(t, false)
-	rep := request(t, broker, Task{ID: "p1", Kind: "ping"})
-	if !rep.OK || rep.Output != "pong" || rep.TaskID != "p1" {
-		t.Fatalf("ping reply wrong: %+v", rep)
-	}
-}
-
 func TestDeployAndRun(t *testing.T) {
 	_, broker, fake := startTM(t, false)
 	deployNoop(t, broker)
