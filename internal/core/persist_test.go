@@ -37,8 +37,9 @@ func unrecovered(t *testing.T, dir string, compactEvery int) *core.Service {
 }
 
 // unrecoveredStore is unrecovered for tests that simulate a kill and
-// reopen dir: they must Close the returned store at the kill, or its
-// background compaction keeps rewriting the directory under the next
+// reopen dir: they must Close the returned store at the kill, or a late
+// commit of the killed incarnation (one crossing compactEvery writes a
+// checkpoint) could still change the directory under the next
 // incarnation's Recover. (Close takes no checkpoint, so the tail still
 // replays — it is a kill as far as the data is concerned.)
 func unrecoveredStore(t *testing.T, dir string, compactEvery int) (*core.Service, *store.WAL) {

@@ -308,8 +308,9 @@ func (s *Service) Close() {
 func (s *Service) registrationLoop() {
 	defer s.regWG.Done()
 	for s.lifeCtx.Err() == nil {
-		// Bounded by the lifetime ctx, so Close does not sit out a poll.
-		msg, ok := s.broker.PullCtx(s.lifeCtx, taskmanager.RegisterQueue, 300*time.Millisecond)
+		// No timeout: the pull waits on the lifetime ctx alone, so it
+		// neither wakes to poll nor makes Close sit one out.
+		msg, ok := s.broker.PullCtx(s.lifeCtx, taskmanager.RegisterQueue, 0)
 		if !ok {
 			continue
 		}

@@ -4,13 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/container"
 	"repro/internal/k8s"
 	"repro/internal/netsim"
+	"repro/internal/pyruntime"
 	"repro/internal/servable"
 	"repro/internal/simconst"
 )
@@ -167,6 +170,121 @@ func TestParslInvokeAfterClose(t *testing.T) {
 	p.Close()
 	if _, err := p.Invoke(context.Background(), "dlhub/noop", nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed, got %v", err)
+	}
+}
+
+// TestParslCloseReleasesQueuedInvokes: invocations queued behind the
+// router when Close runs all return, each with a result or ErrClosed,
+// though their context never ends.
+func TestParslCloseReleasesQueuedInvokes(t *testing.T) {
+	p := newParsl(t)
+	pkg := servable.NoopPackage()
+	pkg.Doc.ID = "dlhub/noop"
+	if err := p.Deploy(pkg, 2); err != nil {
+		t.Fatal(err)
+	}
+	// At the paper's scale the router's 300 µs per invocation queues
+	// most of the 32 behind it by the time Close runs.
+	simconst.Scale = 1
+	defer func() { simconst.Scale = 1000 }()
+	const n = 32
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			_, err := p.Invoke(context.Background(), "dlhub/noop", "x")
+			errs <- err
+		}()
+	}
+	time.Sleep(2 * time.Millisecond)
+	p.Close()
+	deadline := time.After(3 * time.Second)
+	for i := 0; i < n; i++ {
+		select {
+		case err := <-errs:
+			if err != nil && !errors.Is(err, ErrClosed) {
+				t.Errorf("Invoke: %v, want a result or ErrClosed", err)
+			}
+		case <-deadline:
+			t.Fatalf("%d of %d invocations still waiting 3 s after Close", n-i, n)
+		}
+	}
+}
+
+// goroutines returns the process's goroutine count once it holds still,
+// so goroutines an earlier test ended and that are still exiting do not
+// count.
+func goroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(5 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// TestParslRunsOnCallersGoroutine: an idle Parsl runs no goroutine, and
+// an invocation runs on its caller's. While one waits in the servable,
+// the process holds as many goroutines as while a bare engine call
+// waits there: the router, the pick and the call add none.
+func TestParslRunsOnCallersGoroutine(t *testing.T) {
+	// The interpreter runs a body more than once per call to model
+	// Python's speed: only the first run after arming holds.
+	var armed atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	pyruntime.Register("test:hold", func(any) (any, error) {
+		if armed.CompareAndSwap(true, false) {
+			entered <- struct{}{}
+			<-release
+		}
+		return "ok", nil
+	})
+	cluster, builder := testbed(t)
+	idle := goroutines()
+	p := NewParsl(cluster, builder, netsim.Profile{})
+	t.Cleanup(p.Close)
+	if n := goroutines(); n != idle {
+		t.Fatalf("NewParsl: %d goroutines, want %d", n, idle)
+	}
+	pkg := servable.NoopPackage()
+	pkg.Doc.ID = "dlhub/hold"
+	pkg.Doc.Servable.Entry = "test:hold"
+	if err := p.Deploy(pkg, 1); err != nil {
+		t.Fatal(err)
+	}
+	// inServable runs call on a goroutine of its own and counts the
+	// process's goroutines while the call holds the servable.
+	inServable := func(call func() error) int {
+		errc := make(chan error, 1)
+		armed.Store(true)
+		go func() { errc <- call() }()
+		<-entered
+		n := goroutines()
+		release <- struct{}{}
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	invoke := func() error {
+		_, err := p.Invoke(context.Background(), "dlhub/hold", "x")
+		return err
+	}
+	inServable(invoke) // the engine's first call, so both below find it warm
+	ep, err := p.Pick("dlhub/hold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := inServable(func() error {
+		_, err := ep.Conn.Call(context.Background(), "run", []byte(`"x"`))
+		return err
+	})
+	p.Release(ep)
+	if via := inServable(invoke); via != bare {
+		t.Fatalf("%d goroutines while an Invoke is in the servable, %d while a bare engine call is", via, bare)
 	}
 }
 

@@ -3,8 +3,8 @@ package executor
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/container"
@@ -24,35 +24,24 @@ const ParslEntrypoint = "dlhub-ipp-engine"
 // load balancing them automatically across the available pods."
 //
 // Servables run Python-hosted (they are IPython engines); an endpoint
-// of the embedded Fleet is one engine. Dispatch runs through a single
-// routing loop per executor, charging DispatchOverhead per task — the
-// serialization point whose saturation Fig. 7 measures ("task dispatch
-// activities eventually come to dominate execution time").
+// of the embedded Fleet is one engine. Every invocation passes through
+// one IPP router, held by one invocation at a time, in arrival order,
+// for DispatchOverhead and the engine pick — the serialization point
+// whose saturation Fig. 7 measures ("task dispatch activities
+// eventually come to dominate execution time"). The router is held in
+// the caller's goroutine; the Fleet's Close is the executor's one stop.
 type Parsl struct {
 	*Fleet[*rpc.Client]
 
-	tasks    chan *parslTask
-	done     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-}
-
-type parslTask struct {
-	id      string
-	payload []byte
-	ctx     context.Context
-	done    chan taskOutcome
-}
-
-type taskOutcome struct {
-	data []byte
-	err  error
+	// router is the IPP router's one slot. Blocked senders on a channel
+	// are served first come, first served, so the router stays FIFO.
+	router chan struct{}
 }
 
 // NewParsl creates a Parsl executor on a cluster. link shapes the
 // TM<->pod connections (0.17 ms RTT in the paper's testbed).
 func NewParsl(cluster *k8s.Cluster, builder *container.Builder, link netsim.Profile) *Parsl {
-	p := &Parsl{
+	return &Parsl{
 		Fleet: NewFleet(cluster, builder, Protocol[*rpc.Client]{
 			Prefix:     "parsl-",
 			Entrypoint: ParslEntrypoint,
@@ -61,49 +50,15 @@ func NewParsl(cluster *k8s.Cluster, builder *container.Builder, link netsim.Prof
 			Dial:       func(pod *k8s.Pod) (*rpc.Client, error) { return DialPod(pod, link) },
 			Hangup:     func(c *rpc.Client) { c.Close() },
 		}),
-		// Deep enough that Invoke rarely blocks on the dispatcher.
-		tasks: make(chan *parslTask, 4096),
-		done:  make(chan struct{}),
+		router: make(chan struct{}, 1),
 	}
-	p.wg.Add(1)
-	go p.dispatchLoop()
-	return p
 }
 
 // Name implements Executor.
 func (p *Parsl) Name() string { return "parsl" }
 
-// dispatchLoop is the single-threaded IPP router: it pays the dispatch
-// overhead per task, then hands the task to the least-busy engine.
-// Because routing is serialized, total throughput is capped at
-// 1/DispatchOverhead regardless of replica count — the Fig. 7 ceiling.
-func (p *Parsl) dispatchLoop() {
-	defer p.wg.Done()
-	for {
-		var task *parslTask
-		select {
-		case <-p.done:
-			return
-		case task = <-p.tasks:
-		}
-		// Routing work: engine selection, serialization into the IPP
-		// channel, completion bookkeeping.
-		time.Sleep(simconst.D(simconst.DispatchOverhead))
-
-		eng, err := p.Pick(task.id)
-		if err != nil {
-			task.done <- taskOutcome{err: err}
-			continue
-		}
-		go func() {
-			data, err := eng.Conn.Call(task.ctx, "run", task.payload)
-			p.Release(eng)
-			task.done <- taskOutcome{data: data, err: err}
-		}()
-	}
-}
-
-// Invoke implements Executor: enqueue for the dispatcher and wait.
+// Invoke implements Executor: route through the IPP router, then call
+// the engine it picked. A call cut off by Close reports ErrClosed.
 func (p *Parsl) Invoke(ctx context.Context, servableID string, input any) (Result, error) {
 	if err := p.Check(servableID); err != nil {
 		return Result{}, err
@@ -112,29 +67,35 @@ func (p *Parsl) Invoke(ctx context.Context, servableID string, input any) (Resul
 	if err != nil {
 		return Result{}, fmt.Errorf("executor: cannot marshal input: %w", err)
 	}
-	task := &parslTask{id: servableID, payload: payload, ctx: ctx, done: make(chan taskOutcome, 1)}
-	select {
-	case p.tasks <- task:
-	case <-p.done:
-		return Result{}, ErrClosed
-	case <-ctx.Done():
-		return Result{}, ctx.Err()
+	eng, err := p.route(ctx, servableID)
+	if err != nil {
+		return Result{}, err
 	}
-	select {
-	case out := <-task.done:
-		if out.err != nil {
-			return Result{}, out.err
+	data, err := eng.Conn.Call(ctx, "run", payload)
+	p.Release(eng)
+	if err != nil {
+		if errors.Is(p.Check(servableID), ErrClosed) {
+			return Result{}, ErrClosed
 		}
-		return DecodeResult(out.data)
-	case <-ctx.Done():
-		return Result{}, ctx.Err()
+		return Result{}, err
 	}
+	return DecodeResult(data)
 }
 
-// Close implements Executor: undeploy everything, then stop the
-// dispatcher.
-func (p *Parsl) Close() {
-	p.Fleet.Close()
-	p.stopOnce.Do(func() { close(p.done) })
-	p.wg.Wait()
+// route waits its turn at the router, pays the dispatch overhead and
+// picks the least-busy engine. Because routing is serialized, total
+// throughput is capped at 1/DispatchOverhead regardless of replica
+// count — the Fig. 7 ceiling. An invocation whose context ends while it
+// waits leaves the queue without paying the overhead.
+func (p *Parsl) route(ctx context.Context, servableID string) (*Endpoint[*rpc.Client], error) {
+	select {
+	case p.router <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-p.router }()
+	// Routing work: engine selection, serialization into the IPP
+	// channel, completion bookkeeping.
+	time.Sleep(simconst.D(simconst.DispatchOverhead))
+	return p.Pick(servableID)
 }

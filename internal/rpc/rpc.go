@@ -68,9 +68,16 @@ func (s *Server) register(method string, rt route) {
 }
 
 // Serve accepts connections on l until Close. It always returns a
-// non-nil error; after Close it returns net.ErrClosed.
+// non-nil error; after Close it returns net.ErrClosed. A Serve that
+// starts after Close closes l and returns at once: it is usually run on
+// its own goroutine, which a quick Close can beat to here.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		l.Close()
+		return net.ErrClosed
+	}
 	s.listener = l
 	s.mu.Unlock()
 	for {

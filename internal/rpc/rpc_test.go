@@ -600,3 +600,21 @@ func TestServerCloseUnblocksServe(t *testing.T) {
 		t.Fatal("Serve did not return after Close")
 	}
 }
+
+// TestServeAfterClose: a Serve that starts after Close — its goroutine
+// beaten by a quick Close — closes its listener and returns instead of
+// accepting forever.
+func TestServeAfterClose(t *testing.T) {
+	s := NewServer()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if err := s.Serve(l); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Serve after Close: %v, want net.ErrClosed", err)
+	}
+	if _, err := l.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("listener still open after Serve returned: Accept gave %v", err)
+	}
+}

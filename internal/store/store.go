@@ -22,8 +22,10 @@
 //     warning — it is the in-flight mutation the crash interrupted. A bad
 //     frame in the checkpoint is corruption and fails the boot.
 //   - Compaction writes every durable fact as records into a fresh
-//     checkpoint and truncates the log; it is triggered by
-//     record-count/byte thresholds or an explicit Checkpoint call.
+//     checkpoint and truncates the log; the Commit that reaches a
+//     record-count/byte threshold runs it before returning, and an
+//     explicit Checkpoint call forces one. The store starts no
+//     goroutine.
 //
 // Usage order: SetCheckpointer, Recover (exactly once, before any
 // Commit), then Commit per mutation; Close on shutdown. Neither Commit

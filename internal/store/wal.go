@@ -75,14 +75,17 @@ func (o Options) withDefaults() Options {
 }
 
 // WAL is the durable store: an append-only record log compacted into
-// checkpoints of the same records. Safe for concurrent use.
+// checkpoints of the same records. Safe for concurrent use. It runs no
+// goroutine of its own: the commit that crosses CompactEvery or
+// CompactBytes writes the checkpoint itself.
 type WAL struct {
 	opts Options
 
 	// mu serializes every log/file operation. A Commit holds it from the
-	// append through its apply, and Checkpoint for the whole checkpoint
-	// write, which is what makes truncation safe: the checkpoint contains
-	// the state of every appended record and of no other.
+	// append through its apply and any compaction it triggers, and
+	// Checkpoint for the whole checkpoint write, which is what makes
+	// truncation safe: the checkpoint contains the state of every
+	// appended record and of no other.
 	mu         sync.Mutex
 	checkpoint func(w io.Writer) error
 	f          *os.File
@@ -97,10 +100,6 @@ type WAL struct {
 	total       uint64
 	compactions uint64
 	lastCompact int64
-
-	compactCh chan struct{}
-	done      chan struct{}
-	wg        sync.WaitGroup
 }
 
 // Open prepares a WAL store in opts.Dir. Call SetCheckpointer and then
@@ -113,14 +112,7 @@ func Open(opts Options) (*WAL, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	w := &WAL{
-		opts:      opts,
-		compactCh: make(chan struct{}, 1),
-		done:      make(chan struct{}),
-	}
-	w.wg.Add(1)
-	go w.compactLoop()
-	return w, nil
+	return &WAL{opts: opts}, nil
 }
 
 // SetCheckpointer registers the whole-state serializer: compaction calls
@@ -287,6 +279,9 @@ func frameLen(rec Record) int { return frameHeaderLen + 10 + len(rec.Kind) + len
 // Commit durably logs one record and then, still holding the WAL's
 // lock, runs apply (nil for none), so a checkpoint never falls between a
 // record and the state change it describes. The store assigns rec.Seq.
+// A commit that brings the tail to a compaction threshold then writes
+// the checkpoint, still under the lock; a failed one is logged, leaves
+// the log whole, and the next commit tries again.
 // The first write or fsync error is latched: that call and every later
 // Commit and Checkpoint return it, apply does not run, and the damaged
 // frame stays the last one in the log, which recovery truncates as a
@@ -313,11 +308,11 @@ func (w *WAL) Commit(rec Record, apply func()) error {
 	w.tailRecords++
 	w.tailBytes += int64(frameLen(rec))
 	w.total++
-	if (w.opts.CompactEvery > 0 && w.tailRecords >= w.opts.CompactEvery) ||
-		(w.opts.CompactBytes > 0 && w.tailBytes >= w.opts.CompactBytes) {
-		select {
-		case w.compactCh <- struct{}{}:
-		default:
+	if w.checkpoint != nil &&
+		((w.opts.CompactEvery > 0 && w.tailRecords >= w.opts.CompactEvery) ||
+			(w.opts.CompactBytes > 0 && w.tailBytes >= w.opts.CompactBytes)) {
+		if err := w.checkpointLocked(); err != nil {
+			w.opts.Logf("store: compaction failed, the log stays whole and the next commit retries: %v", err)
 		}
 	}
 	return nil
@@ -344,22 +339,6 @@ func (w *WAL) usableLocked() error {
 		return errors.New("store: WAL not recovered yet")
 	}
 	return w.failed
-}
-
-// compactLoop runs threshold-triggered compactions in the background so
-// the append that crossed the threshold never pays the checkpoint.
-func (w *WAL) compactLoop() {
-	defer w.wg.Done()
-	for {
-		select {
-		case <-w.done:
-			return
-		case <-w.compactCh:
-			if err := w.Checkpoint(); err != nil {
-				w.opts.Logf("store: background compaction failed: %v", err)
-			}
-		}
-	}
 }
 
 // Checkpoint writes a fresh checkpoint through the registered
@@ -443,16 +422,8 @@ func (w *WAL) Stats() Stats {
 // callers that want a clean shutdown call Checkpoint first.
 func (w *WAL) Close() error {
 	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return nil
-	}
-	w.closed = true
-	w.mu.Unlock()
-	close(w.done)
-	w.wg.Wait()
-	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.closed = true
 	if w.f == nil {
 		return nil
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -206,9 +207,9 @@ func TestWALCorruptTail(t *testing.T) {
 	}
 }
 
-// TestWALCompaction checks the record-count trigger: after crossing
-// CompactEvery the background compactor folds the tail into a
-// checkpoint, stats report it, and recovery needs no replay.
+// TestWALCompaction checks the record-count trigger: each commit that
+// brings the tail to CompactEvery folds it into a checkpoint before it
+// returns, stats report it, and recovery needs no replay.
 func TestWALCompaction(t *testing.T) {
 	dir := t.TempDir()
 	kv := newKV()
@@ -218,7 +219,9 @@ func TestWALCompaction(t *testing.T) {
 			t.Fatalf("set: %v", err)
 		}
 	}
-	// The compactor is async; force a final deterministic checkpoint.
+	if st := w.Stats(); st.Compactions != 4 || st.Bytes != 0 {
+		t.Fatalf("after 32 commits at CompactEvery 8: Compactions = %d, Bytes = %d, want 4 and 0", st.Compactions, st.Bytes)
+	}
 	if err := w.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
@@ -250,6 +253,91 @@ func TestWALCompaction(t *testing.T) {
 	}
 	if len(kv2.snapshot()) != 32 {
 		t.Fatalf("recovered %d keys, want 32", len(kv2.snapshot()))
+	}
+}
+
+// TestWALCompactionBeforeClose: a commit that crosses CompactEvery and
+// the Close right after it leave nothing to log — the compaction is done
+// when the commit returns, so no compaction races the Close. Each round
+// is a boot: open, recover, one commit, close.
+func TestWALCompactionBeforeClose(t *testing.T) {
+	dir := t.TempDir()
+	kv := newKV()
+	var logged []string
+	logf := func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	for round := 0; round < 300; round++ {
+		w, _ := openWAL(t, dir, kv, Options{CompactEvery: 1, Logf: logf})
+		if err := kv.set(w, fmt.Sprintf("k%d", round), "v"); err != nil {
+			t.Fatalf("round %d: set: %v", round, err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("round %d: Close: %v", round, err)
+		}
+	}
+	if len(logged) > 0 {
+		t.Fatalf("%d log lines, want none; the first: %s", len(logged), logged[0])
+	}
+	if got := len(kv.snapshot()); got != 300 {
+		t.Fatalf("%d keys, want 300", got)
+	}
+}
+
+// TestWALFailedCompactionRetries: a checkpoint that fails in the commit
+// that crossed the threshold is logged and leaves the log whole — the
+// commit itself succeeds — and the next commit writes it.
+func TestWALFailedCompactionRetries(t *testing.T) {
+	dir := t.TempDir()
+	kv := newKV()
+	var logged []string
+	logf := func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	w, _ := openWAL(t, dir, kv, Options{CompactEvery: 2, CompactBytes: -1, Logf: logf})
+	fail := true
+	w.SetCheckpointer(func(wr io.Writer) error {
+		if fail {
+			fail = false
+			return errors.New("disk full")
+		}
+		return kv.checkpoint(wr)
+	})
+	for i := 0; i < 2; i++ {
+		if err := kv.set(w, fmt.Sprintf("k%d", i), "v"); err != nil {
+			t.Fatalf("set: %v", err)
+		}
+	}
+	if st := w.Stats(); st.Compactions != 0 || st.Bytes == 0 || len(logged) != 1 || !strings.Contains(logged[0], "disk full") {
+		t.Fatalf("after the failed checkpoint: %+v, log %q; want no compaction, a whole tail and one log line", st, logged)
+	}
+	if err := kv.set(w, "k2", "v"); err != nil {
+		t.Fatalf("set: %v", err)
+	}
+	if st := w.Stats(); st.Compactions != 1 || st.Bytes != 0 {
+		t.Fatalf("after the retry: %+v, want one compaction and an empty tail", st)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	kv2 := newKV()
+	w2, info := openWAL(t, dir, kv2, Options{CompactEvery: -1, CompactBytes: -1})
+	defer w2.Close()
+	if !info.CheckpointLoaded || info.Replayed != 0 || len(kv2.snapshot()) != 3 {
+		t.Fatalf("recovered %+v with %d keys, want the checkpoint alone with 3", info, len(kv2.snapshot()))
+	}
+}
+
+// TestWALRunsNoGoroutine: a WAL, open, recovered and committed to, adds
+// no goroutine to the process.
+func TestWALRunsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	kv := newKV()
+	w, _ := openWAL(t, t.TempDir(), kv, Options{CompactEvery: 2})
+	defer w.Close()
+	for i := 0; i < 3; i++ {
+		if err := kv.set(w, fmt.Sprintf("k%d", i), "v"); err != nil {
+			t.Fatalf("set: %v", err)
+		}
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("%d goroutines with the WAL in use, %d before it was opened", n, before)
 	}
 }
 
