@@ -24,6 +24,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -144,7 +145,7 @@ func main() {
 		log.Fatalf("queue listen: %v", err)
 	}
 	go func() {
-		if err := qsrv.Serve(ql); err != nil {
+		if err := qsrv.Serve(ql); !errors.Is(err, net.ErrClosed) {
 			log.Printf("queue server stopped: %v", err)
 		}
 	}()

@@ -11,9 +11,10 @@ import (
 	"repro/internal/auth"
 )
 
-// Model-based test of the routing table (ROADMAP item 4): a seeded
-// random sequence of its operations runs against the table and against
-// a plain-map model that is obviously right because it shares no
+// Model-based test of the routing table — placement, in-flight
+// charges, admission reservations and tenant ledgers: a seeded random
+// sequence of its operations runs against the table and against a
+// plain-map model that is obviously right because it shares no
 // structure with it. After every step each routing decision and every
 // readable count must agree with the model; at the end everything
 // released must leave the table's servable records literally empty and

@@ -24,7 +24,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/executor"
@@ -623,39 +625,50 @@ func (tm *TM) handleRun(task *Task) Reply {
 	return rep
 }
 
-// handleBatch fans a batch out to the executor concurrently, amortizing
-// queue and WAN costs over many requests (§V-B3).
+// handleBatch runs a batch's items on w = min(n, GOMAXPROCS +
+// replicas) workers, amortizing queue and WAN costs over many requests
+// (§V-B3). The GOMAXPROCS workers keep every core busy for a servable
+// that runs in-process; the one per replica keeps each remote engine
+// busy while another worker waits at Parsl's FIFO router. Each worker
+// takes the next index from one counter, so a stack grows once per
+// worker, not once per item, and the calling goroutine is worker 0.
+// Outputs stay in input order; a failure names the lowest failing item.
 func (tm *TM) handleBatch(task *Task) Reply {
 	start := time.Now()
 	ex, err := tm.executorFor(task)
 	if err != nil {
 		return Reply{OK: false, Error: err.Error()}
 	}
-	outs := make([]any, len(task.Inputs))
-	errs := make([]error, len(task.Inputs))
-	var totalInf int64
-	var infMu sync.Mutex
-	var wg sync.WaitGroup
-	for i, input := range task.Inputs {
-		wg.Add(1)
-		go func(i int, input json.RawMessage) {
-			defer wg.Done()
-			res, err := ex.Invoke(tm.ctx, task.Servable, input)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			outs[i] = res.Output
-			infMu.Lock()
-			totalInf += res.InferenceMicros
-			infMu.Unlock()
-		}(i, input)
+	n := len(task.Inputs)
+	outs := make([]any, n)
+	errs := make([]error, n)
+	infs := make([]int64, min(n, runtime.GOMAXPROCS(0)+ex.Replicas(task.Servable)))
+	var next atomic.Int64
+	work := func(w int) {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			res, err := ex.Invoke(tm.ctx, task.Servable, task.Inputs[i])
+			outs[i], errs[i] = res.Output, err
+			infs[w] += res.InferenceMicros
+		}
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < len(infs); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			return Reply{OK: false, Error: fmt.Sprintf("batch item %d: %v", i, err)}
 		}
+	}
+	var totalInf int64
+	for _, inf := range infs {
+		totalInf += inf
 	}
 	return Reply{
 		OK:               true,

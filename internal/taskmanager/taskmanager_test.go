@@ -323,7 +323,7 @@ func TestPayloadPassesThroughUndecoded(t *testing.T) {
 	if len(got) != 3 || got[0] != doc {
 		t.Fatalf("executor saw %q", got)
 	}
-	// The batch fans out concurrently: either order.
+	// The batch's two items run on two workers at once: either order.
 	if !(got[1] == doc && got[2] == "null") && !(got[1] == "null" && got[2] == doc) {
 		t.Fatalf("batch items arrived as %q", got[1:])
 	}

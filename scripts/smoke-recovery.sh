@@ -11,7 +11,9 @@
 #      servable, its placement and its policy are all still there
 #      BEFORE anything re-deploys;
 #   4. the recovered package is complete: deploying it onto the fresh
-#      TM (no re-publish) works and the servable serves again.
+#      TM (no re-publish) works and the servable serves again;
+#   5. SIGTERM stops the restarted server cleanly: it exits 0 and logs
+#      no listener failure on the way out.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 . scripts/smoke-lib.sh
@@ -54,7 +56,11 @@ echo "recovery: kill -9 server (pid $SERVER_PID) and TM (pid $TM_PID)"
 kill -9 "$SERVER_PID" "$TM_PID"
 
 # Same -data-dir: checkpoint + WAL tail replay rebuilds the repository.
-"$SMOKE_BIN/dlhub-server" -http "$HTTP" -queue "$QUEUE" -data-dir "$DATA" &
+# Its log is kept for step 5 and shown when the script exits.
+SERVER_LOG=$SMOKE_WORK/server.log
+trap 'cat "$SERVER_LOG" >&2 2>/dev/null; smoke_cleanup' EXIT
+"$SMOKE_BIN/dlhub-server" -http "$HTTP" -queue "$QUEUE" -data-dir "$DATA" 2>"$SERVER_LOG" &
+SERVER_PID=$!
 wait_for_healthy "$BASE"
 
 # Recovered state is visible BEFORE any TM or deploy comes back.
@@ -89,5 +95,15 @@ code=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
   "$BASE/api/v2/servables/anonymous/recovery/run")
 [ "$code" = "200" ] || { echo "recovery: post-recovery request failed ($code)"; exit 1; }
 echo "recovery: recovered servable serves"
+
+# A graceful shutdown closes the listeners on purpose; neither may
+# report that as the server stopping on an error.
+kill -TERM "$SERVER_PID"
+wait "$SERVER_PID" || { echo "recovery: server exited $? after SIGTERM"; exit 1; }
+if grep -E 'queue server stopped|http server stopped' "$SERVER_LOG"; then
+  echo "recovery: graceful shutdown logged a listener failure"
+  exit 1
+fi
+echo "recovery: SIGTERM shutdown is clean"
 
 echo "smoke-recovery: OK"
