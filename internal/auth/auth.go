@@ -121,7 +121,6 @@ type Service struct {
 	clients    map[string]*Client
 	tokens     map[string]*Token
 	groups     map[string]map[string]bool // group id -> member identity ids
-	tenants    *TenantRegistry            // lazily created; see Tenants()
 
 	hmacKey  []byte
 	tokenTTL time.Duration

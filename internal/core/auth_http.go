@@ -133,7 +133,7 @@ func (s *Service) Login(providerName, username, password string) (LoginResult, e
 		TokenType:   "Bearer",
 		ExpiresAt:   tok.ExpiresAt,
 		IdentityID:  tok.IdentityID,
-		Tenant:      s.tenants.TenantOf(tok.IdentityID),
+		Tenant:      s.route.tenantOf(tok.IdentityID),
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -54,8 +55,8 @@ import (
 // The checkpoint is the same records (persist.go): one per durable fact,
 // written by writeCheckpoint and read back by applyRecord like the tail.
 //
-// Lock order: commitMu → the WAL's lock → {repository.mu, rt.mu, the
-// tenant registry, userMu}. commitMu is outermost —
+// Lock order: commitMu → the WAL's lock → {repository.mu, rt.mu,
+// userMu}. commitMu is outermost —
 // nothing else is held when it is taken — so no other durable change
 // moves the state a check read before its apply runs. The outcome
 // tables' locks (result cache, idempotency keys, async tasks) are
@@ -277,11 +278,11 @@ func (s *Service) applyPolicy(p recPolicyPut) { s.route.setPolicy(p.ID, p.Policy
 // applyTenantQuota also pushes the priority class's dequeue weight to
 // the broker: the recovered fairness lanes must match the pre-crash ones.
 func (s *Service) applyTenantQuota(t recTenantQuota) {
-	s.tenants.SetQuota(t.ID, t.Quota)
+	s.route.setQuota(t.ID, t.Quota)
 	s.broker.SetLaneWeight(t.ID, auth.PriorityWeight(t.Quota.Priority))
 }
 
-func (s *Service) applyTenantBind(b recTenantBind) { s.tenants.Bind(b.IdentityID, b.TenantID) }
+func (s *Service) applyTenantBind(b recTenantBind) { s.route.bind(b.IdentityID, b.TenantID) }
 
 // applyUser keeps the account in the service's table and mirrors it into
 // the configured auth service. With no auth service configured the
@@ -371,9 +372,10 @@ func (s *Service) StateFingerprint() string {
 	for _, id := range sortedKeys(snap.Policies) {
 		fmt.Fprintf(&b, "policy %s %+v\n", id, snap.Policies[id])
 	}
-	for _, t := range snap.Tenants {
+	for _, id := range sortedKeys(snap.Tenants) {
+		q := cmp.Or(snap.Tenants[id], new(auth.Quota))
 		fmt.Fprintf(&b, "tenant %s prio=%s mif=%d rate=%g quota=%t\n",
-			t.ID, t.Quota.Priority, t.Quota.MaxInFlight, t.Quota.RatePerSec, t.HasQuota)
+			id, q.Priority, q.MaxInFlight, q.RatePerSec, snap.Tenants[id] != nil)
 	}
 	for _, id := range sortedKeys(snap.Bindings) {
 		fmt.Fprintf(&b, "binding %s -> %s\n", id, snap.Bindings[id])

@@ -212,7 +212,9 @@ func (s *Service) callerV2(w http.ResponseWriter, r *http.Request) (Caller, bool
 		return Caller{}, false
 	}
 	if s.cfg.Auth == nil {
-		if h := r.Header.Get(tenantKey); h != "" {
+		// The anonymous tenant's name means its empty tag, not a tenant
+		// of its own.
+		if h := r.Header.Get(tenantKey); h != auth.AnonymousTenantID {
 			c.Tenant = h
 		}
 	}

@@ -33,11 +33,12 @@ type snapshot struct {
 	Draining []string
 	// Policies are the installed autoscale policies.
 	Policies map[string]AutoscalePolicy
-	// Tenants and Bindings are the tenant registry — quota specs and
-	// identity→tenant mappings — so fairness policy survives a restart;
+	// Tenants are the listed tenants' quota specs (nil for a tenant a
+	// binding made and no quota record set) and Bindings the
+	// identity→tenant mappings, so fairness policy survives a restart;
 	// Users are the registered accounts (credential hashes only) so
 	// operators and clients can log back in after recovery.
-	Tenants  []auth.Tenant
+	Tenants  map[string]*auth.Quota
 	Bindings map[string]string
 	Users    map[string]userRecord
 }
@@ -51,7 +52,6 @@ type snapshot struct {
 // fingerprint — so the parts are of one state.
 func (s *Service) captureSnapshot() snapshot {
 	snap := snapshot{Users: s.snapshotUsers()}
-	snap.Tenants, snap.Bindings = s.tenants.Snapshot()
 	s.repo.capture(&snap)
 	s.route.routeSnapshot(&snap)
 	return snap
@@ -110,13 +110,13 @@ func (s *Service) writeCheckpoint(w io.Writer) error {
 	for _, id := range sortedKeys(snap.Policies) {
 		put(recKindPolicy, recPolicyPut{ID: id, Policy: snap.Policies[id]})
 	}
-	for _, t := range snap.Tenants {
-		if t.HasQuota {
-			put(recKindTenant, recTenantQuota{ID: t.ID, Quota: t.Quota})
+	for _, id := range sortedKeys(snap.Tenants) {
+		if q := snap.Tenants[id]; q != nil {
+			put(recKindTenant, recTenantQuota{ID: id, Quota: *q})
 		} else {
 			// A binding made this tenant and may since have moved on: the
 			// record with no identity keeps the tenant and binds nothing.
-			put(recKindTenantBind, recTenantBind{TenantID: t.ID})
+			put(recKindTenantBind, recTenantBind{TenantID: id})
 		}
 	}
 	for _, id := range sortedKeys(snap.Bindings) {

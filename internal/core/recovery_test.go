@@ -324,8 +324,8 @@ func TestRecoveryDurableTenancy(t *testing.T) {
 	want := ms.StateFingerprint()
 	done() // kill -9: no shutdown checkpoint
 
-	// Recover in OPEN mode: core.New builds a fresh standalone registry,
-	// so everything below exists only if the WAL + checkpoint carried it.
+	// Recover in OPEN mode: core.New starts with no tenant record, so
+	// everything below exists only if the WAL + checkpoint carried it.
 	ms2, done2 := open(false)
 	if got := ms2.StateFingerprint(); got != want {
 		t.Fatalf("open-mode recovery differs\n--- want\n%s--- got\n%s", want, got)

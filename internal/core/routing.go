@@ -6,8 +6,9 @@ package core
 // registration, heartbeat freshness, load, drain mark, and the
 // dispatches waiting on it — and ONE per servable — placements, desired
 // replicas, in-flight demand, admission reservations, autoscale policy
-// and controller state — and ONE per tenant — reservations, rate
-// bucket, admission counters — under one lock.
+// and controller state — and ONE per tenant — quota spec, reservations,
+// rate bucket, admission counters — beside the identity→tenant
+// bindings, under one lock.
 //
 // Liveness is one predicate, liveLocked: now − seen < staleAfter. Routing
 // filters on it, and the same record's timer (one per TM, re-armed by
@@ -35,6 +36,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -108,11 +110,19 @@ type servableEntry struct {
 	scale *svScaler
 }
 
-// tenantEntry is one tenant tag's admission state: its reservations,
-// its rate-limit token bucket — capacity max(rate, 1), a one-second
-// burst — and the admission outcomes /api/v2/stats shows. Entries live
-// as long as the service: the counters are cumulative.
+// tenantEntry is one tenant tag's record: its quota spec, its
+// reservations, its rate-limit token bucket — capacity max(rate, 1), a
+// one-second burst — and the admission outcomes /api/v2/stats shows.
+// Entries live as long as the service: the counters are cumulative.
 type tenantEntry struct {
+	// quota is what reserve enforces; the zero Quota limits nothing.
+	// hasQuota marks a quota record's put — an operator decision a
+	// checkpoint keeps. listed marks a tenant a quota or bind record
+	// named: only those are listed and checkpointed, and an entry that
+	// admission alone made is a stat.
+	quota            auth.Quota
+	hasQuota, listed bool
+
 	reserved int
 	tokens   float64
 	// last is when the bucket was last refilled; zero until the tenant's
@@ -153,8 +163,10 @@ type routingTable struct {
 	mu        sync.Mutex
 	tms       []*tmEntry
 	servables map[string]servableEntry
-	// tenants is the tenant axis of admission, by tenant tag.
+	// tenants is the tenant axis of admission, by tenant tag; bindings
+	// maps identity URNs onto tenant tags (unbound: anonymous, "").
 	tenants    map[string]*tenantEntry
+	bindings   map[string]string
 	rr         int
 	nextWaiter uint64
 	closed     bool // set by stop: a dispatch charged after it is canceled at once
@@ -167,6 +179,7 @@ func newRoutingTable(staleAfter time.Duration, maxQueue int, clock func() time.T
 		clock:      clock,
 		servables:  make(map[string]servableEntry),
 		tenants:    make(map[string]*tenantEntry),
+		bindings:   make(map[string]string),
 	}
 }
 
@@ -439,27 +452,25 @@ const (
 // maxQueue), then the tenant's in-flight quota, then its rate bucket
 // (refilled from rt.clock) are checked, and only an admission spends a
 // token and takes the reservation — so a burst cannot slip past any
-// bound, and a refused request costs its tenant nothing. Every attempt
-// is counted on the tenant's record, and a refusal by the servable's
-// bound on the servable's too (the autoscale status's rejected). A
-// bound or rate <= 0 is unenforced; the reservation itself is always
-// recorded (it is the in-flight accounting for stats and release).
-// pending and bound report the count the refused in-flight bound was
-// observed at, and that bound.
-func (rt *routingTable) reserve(tenant, servableID string, weight int, quota auth.Quota) (pending, bound int, v admitVerdict) {
+// bound, and a refused request costs its tenant nothing. The quota is
+// the one in the tenant's record, so a quota update applies at the next
+// admission. Every attempt is counted on the tenant's record, and a
+// refusal by the servable's bound on the servable's too (the autoscale
+// status's rejected). A bound or rate <= 0 is unenforced; the
+// reservation itself is always recorded (it is the in-flight accounting
+// for stats and release). pending and bound report the count the
+// refused in-flight bound was observed at, and that bound; rate is the
+// rate a rate refusal was made at.
+func (rt *routingTable) reserve(tenant, servableID string, weight int) (pending, bound int, rate float64, v admitVerdict) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	t := rt.tenants[tenant]
-	if t == nil {
-		t = &tenantEntry{}
-		rt.tenants[tenant] = t
-	}
+	t := rt.tenantLocked(tenant)
 	sv := rt.servables[servableID]
 	svBound := rt.maxQueue
 	if sv.scale != nil && sv.scale.policy.MaxQueue != 0 {
 		svBound = sv.scale.policy.MaxQueue
 	}
-	switch {
+	switch q := t.quota; {
 	case svBound > 0 && sv.reserved >= svBound:
 		t.rejectedOverload++
 		if sv.scale == nil {
@@ -467,19 +478,19 @@ func (rt *routingTable) reserve(tenant, servableID string, weight int, quota aut
 			rt.servables[servableID] = sv
 		}
 		sv.scale.rejected++
-		return sv.reserved, svBound, admitOverloaded
-	case quota.MaxInFlight > 0 && t.reserved >= quota.MaxInFlight:
+		return sv.reserved, svBound, 0, admitOverloaded
+	case q.MaxInFlight > 0 && t.reserved >= q.MaxInFlight:
 		t.rejectedQuota++
-		return t.reserved, quota.MaxInFlight, admitQuota
-	case quota.RatePerSec > 0 && !t.takeToken(quota.RatePerSec, rt.clock()):
+		return t.reserved, q.MaxInFlight, 0, admitQuota
+	case q.RatePerSec > 0 && !t.takeToken(q.RatePerSec, rt.clock()):
 		t.rejectedQuota++
-		return 0, 0, admitRate
+		return 0, 0, q.RatePerSec, admitRate
 	}
 	t.admitted++
 	t.reserved += weight
 	sv.reserved += weight
 	rt.servables[servableID] = sv
-	return 0, 0, admitOK
+	return 0, 0, 0, admitOK
 }
 
 // unreserve releases an admission reservation.
@@ -507,6 +518,42 @@ func (rt *routingTable) tenantStats() map[string]TenantStats {
 		}
 	}
 	return out
+}
+
+// setQuota installs a tenant's quota spec (the tenant_quota record's
+// apply).
+func (rt *routingTable) setQuota(tenant string, q auth.Quota) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	t := rt.tenantLocked(tenant)
+	t.quota, t.hasQuota, t.listed = q, true, true
+}
+
+// bind maps an identity onto a tenant and lists the tenant (the
+// tenant_bind record's apply). An empty identityID only lists it.
+func (rt *routingTable) bind(identityID, tenant string) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rt.tenantLocked(tenant).listed = true
+	if identityID != "" {
+		rt.bindings[identityID] = tenant
+	}
+}
+
+// tenantOf resolves an identity to its tenant tag: "" (anonymous) when
+// unbound.
+func (rt *routingTable) tenantOf(identityID string) string {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.bindings[identityID]
+}
+
+// tenantSpecs returns every listed tenant's quota spec, nil for one a
+// binding made and no quota record has set.
+func (rt *routingTable) tenantSpecs() map[string]*auth.Quota {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.tenantSpecsLocked()
 }
 
 // placementsOf reports which TMs host one servable.
@@ -610,12 +657,15 @@ func (rt *routingTable) replicasOf(servableID string) int {
 }
 
 // routeSnapshot copies the durable slice of routing state into snap —
-// placements, replicas, drain marks (sorted) and autoscale policies —
-// for checkpointing. State that holds only a rejection count is a stat,
-// not configuration, and is skipped.
+// placements, replicas, drain marks (sorted), autoscale policies, listed
+// tenants and identity bindings — for checkpointing. State that holds
+// only a rejection count, and a tenant only admission has seen, is a
+// stat, not configuration, and is skipped.
 func (rt *routingTable) routeSnapshot(snap *snapshot) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
+	snap.Tenants = rt.tenantSpecsLocked()
+	snap.Bindings = maps.Clone(rt.bindings)
 	snap.Placements = make(map[string][]string, len(rt.servables))
 	snap.Replicas = make(map[string]int, len(rt.servables))
 	snap.Policies = make(map[string]AutoscalePolicy)
@@ -817,6 +867,32 @@ func (rt *routingTable) ensureTMLocked(tmID string) *tmEntry {
 		rt.tms = append(rt.tms, tm)
 	}
 	return tm
+}
+
+// tenantLocked finds or starts a tenant's record.
+func (rt *routingTable) tenantLocked(tenant string) *tenantEntry {
+	t := rt.tenants[tenant]
+	if t == nil {
+		t = &tenantEntry{}
+		rt.tenants[tenant] = t
+	}
+	return t
+}
+
+// tenantSpecsLocked returns every listed tenant's quota spec (see
+// tenantSpecs).
+func (rt *routingTable) tenantSpecsLocked() map[string]*auth.Quota {
+	out := make(map[string]*auth.Quota)
+	for id, t := range rt.tenants {
+		switch {
+		case t.hasQuota:
+			q := t.quota
+			out[id] = &q
+		case t.listed:
+			out[id] = nil
+		}
+	}
+	return out
 }
 
 // failWaitersLocked cancels every dispatch waiting on the TM with cause.

@@ -64,6 +64,7 @@ type routingModel struct {
 	tms        map[string]*modelTM
 	servables  map[string]*modelServable
 	tenants    map[string]*TenantStats
+	quotas     map[string]int // each tenant's MaxInFlight, as last installed
 	charges    []*modelCharge
 	reserved   []modelReservation
 }
@@ -227,7 +228,7 @@ func testRoutingModel(t *testing.T, seed int64, staleAfter time.Duration) {
 	rng := rand.New(rand.NewSource(seed))
 	m := &routingModel{
 		t: t, staleAfter: staleAfter, now: time.Unix(1_700_000_000, 0),
-		tms: map[string]*modelTM{}, servables: map[string]*modelServable{}, tenants: map[string]*TenantStats{},
+		tms: map[string]*modelTM{}, servables: map[string]*modelServable{}, tenants: map[string]*TenantStats{}, quotas: map[string]int{},
 	}
 	m.rt = newRoutingTable(staleAfter, 0, func() time.Time { return m.now })
 	defer m.rt.stop()
@@ -275,16 +276,18 @@ func testRoutingModel(t *testing.T, seed int64, staleAfter time.Duration) {
 			r := modelReservation{tenant: pickOf(tenants), sv: svID, weight: 1 + rng.Intn(3)}
 			svBound, tenantBound := rng.Intn(6), rng.Intn(8)
 			// The servable's bound is its policy's (the table's default
-			// bound is 0, unenforced).
+			// bound is 0, unenforced), the tenant's its quota's.
 			m.rt.setPolicy(svID, AutoscalePolicy{MaxQueue: svBound})
 			m.sv(svID).maxQueue, m.sv(svID).hasPolicy = svBound, true
+			m.rt.setQuota(r.tenant, auth.Quota{MaxInFlight: tenantBound})
+			m.quotas[r.tenant] = tenantBound
 			want, wantPending, wantBound := admitOK, 0, 0
 			if sv := m.sv(svID); svBound > 0 && sv.reserved >= svBound {
 				want, wantPending, wantBound = admitOverloaded, sv.reserved, svBound
-			} else if n := m.tenant(r.tenant).InFlight; tenantBound > 0 && n >= tenantBound {
-				want, wantPending, wantBound = admitQuota, n, tenantBound
+			} else if n, q := m.tenant(r.tenant).InFlight, m.quotas[r.tenant]; q > 0 && n >= q {
+				want, wantPending, wantBound = admitQuota, n, q
 			}
-			pending, bound, got := m.rt.reserve(r.tenant, r.sv, r.weight, auth.Quota{MaxInFlight: tenantBound})
+			pending, bound, _, got := m.rt.reserve(r.tenant, r.sv, r.weight)
 			if got != want || pending != wantPending || bound != wantBound {
 				t.Fatalf("step %d: reserve(%+v, bounds %d/%d) = %d/%d, %v; model %d/%d, %v", step, r, svBound, tenantBound, pending, bound, got, wantPending, wantBound, want)
 			}

@@ -194,13 +194,6 @@ type Service struct {
 	// responses for replay (idempotency.go).
 	idem *outcomes[string, idemReply]
 
-	// tenants is the quota/priority registry (tenancy.go) — shared
-	// with cfg.Auth when authentication is on, standalone in open
-	// mode so quota admin always works. Each tenant's enforcement state
-	// (reservations, rate bucket, admission counters) is a record in
-	// the routing table.
-	tenants *auth.TenantRegistry
-
 	// users is the durable identity table (auth_http.go): registrations
 	// accepted over HTTP, keyed provider/username, mirrored into
 	// cfg.Auth when authentication is on, and rebuilt from the
@@ -265,11 +258,6 @@ func New(cfg Config) *Service {
 		door:     newDoor(),
 	}
 	s.routesV2(s.door)
-	if cfg.Auth != nil {
-		s.tenants = cfg.Auth.Tenants()
-	} else {
-		s.tenants = auth.NewTenantRegistry()
-	}
 	s.route = newRoutingTable(cfg.TMStaleAfter, cfg.MaxQueue, func() time.Time { return s.timeFunc() })
 	s.tasks.now = func() time.Time { return s.timeFunc() } // retention counts from AsyncTask.Finished
 	s.lifeCtx, s.lifeCancel = context.WithCancel(context.Background())
@@ -428,7 +416,7 @@ func (s *Service) ResolveCaller(bearer string) (Caller, error) {
 	return Caller{
 		IdentityID: tok.IdentityID,
 		Principals: s.cfg.Auth.Principals(tok.IdentityID),
-		Tenant:     s.tenants.TenantOf(tok.IdentityID),
+		Tenant:     s.route.tenantOf(tok.IdentityID),
 	}, nil
 }
 

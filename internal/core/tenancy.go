@@ -1,24 +1,26 @@
 package core
 
-// Tenancy: the service-side half of multi-tenant QoS. The tenant
-// registry (internal/auth.TenantRegistry) holds who maps to which
-// tenant and each tenant's quota spec; this file owns the admission
-// gate that enforces it (admitRun) and the admin surface
-// (SetTenantQuota, TenantList, TenantStats) the HTTP layer and CLI
-// wrap. The enforcement state — one record per tenant holding its
-// reservations, rate-limit token bucket and admission counters — lives
-// in the routing table beside the per-servable reservations
-// (routing.go), so admission is one critical section; dequeue fairness
-// lives in the broker's weighted lanes (internal/queue).
+// Tenancy: the service-side half of multi-tenant QoS. Each tenant is ONE
+// record in the routing table (routing.go) — its quota spec, its
+// reservations, its rate-limit token bucket and its admission counters —
+// and the identity→tenant bindings sit beside those records under the
+// same lock, so resolving a caller's tenant is one read and admission
+// is one critical section. This file owns the admission gate that
+// enforces the quota (admitRun) and the admin surface (SetTenantQuota,
+// BindTenant, TenantList, TenantStats) the HTTP layer and CLI wrap;
+// dequeue fairness lives in the broker's weighted lanes
+// (internal/queue).
 //
 // Quotas are durable policy: every SetTenantQuota and BindTenant is
-// committed through the durability seam (durable.go) and the registry is
-// folded into checkpoints, so a -data-dir server restarts with the
-// quotas, priorities, and identity bindings it crashed with. Only the
-// enforcement state here — token buckets, admission counters — is
-// runtime and rebuilt from zero.
+// committed through the durability seam (durable.go) and the listed
+// tenants and bindings are folded into checkpoints, so a -data-dir
+// server restarts with the quotas, priorities, and identity bindings it
+// crashed with. A tag only admission has seen is a stat: counted in
+// /api/v2/stats, never listed or checkpointed. The enforcement state —
+// token buckets, admission counters — is runtime and rebuilt from zero.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -32,17 +34,6 @@ func tenantLabel(tenant string) string {
 		return auth.AnonymousTenantID
 	}
 	return tenant
-}
-
-// tenantQuota resolves the quota spec enforced for a tenant tag; the
-// zero Quota limits nothing. The anonymous tenant ("") is never
-// limited.
-func (s *Service) tenantQuota(tenant string) auth.Quota {
-	if tenant == "" {
-		return auth.Quota{}
-	}
-	t, _ := s.tenants.Get(tenant)
-	return t.Quota
 }
 
 // admitRun is the admission-control gate for synchronous runs. Two
@@ -68,15 +59,14 @@ func (s *Service) tenantQuota(tenant string) auth.Quota {
 // gated — they add no load.
 func (s *Service) admitRun(caller Caller, servableID string, weight int) error {
 	tenant := caller.Tenant
-	quota := s.tenantQuota(tenant)
-	pending, bound, verdict := s.route.reserve(tenant, servableID, weight, quota)
+	pending, bound, rate, verdict := s.route.reserve(tenant, servableID, weight)
 	switch verdict {
 	case admitOverloaded:
 		return ErrOverloaded.WithDetail(fmt.Sprintf("%s: %d requests pending (bound %d)", servableID, pending, bound))
 	case admitQuota:
 		return ErrQuotaExceeded.WithDetail(fmt.Sprintf("tenant %q: %d runs in flight (quota %d)", tenantLabel(tenant), pending, bound))
 	case admitRate:
-		return ErrQuotaExceeded.WithDetail(fmt.Sprintf("tenant %q over rate limit %g req/s", tenantLabel(tenant), quota.RatePerSec))
+		return ErrQuotaExceeded.WithDetail(fmt.Sprintf("tenant %q over rate limit %g req/s", tenantLabel(tenant), rate))
 	}
 	return nil
 }
@@ -98,15 +88,18 @@ type TenantView struct {
 	Durable bool `json:"durable"`
 }
 
-func (s *Service) tenantView(t auth.Tenant) TenantView {
+// tenantView renders a listed tenant; q is nil for one a binding made,
+// which inherits the open default.
+func (s *Service) tenantView(id string, q *auth.Quota) TenantView {
+	spec := cmp.Or(q, new(auth.Quota))
 	return TenantView{
-		ID:          t.ID,
-		Name:        t.Name,
-		Priority:    t.Quota.Priority,
-		MaxInFlight: t.Quota.MaxInFlight,
-		RatePerSec:  t.Quota.RatePerSec,
-		Weight:      auth.PriorityWeight(t.Quota.Priority),
-		Durable:     t.HasQuota && s.cfg.Store != nil,
+		ID:          id,
+		Name:        id,
+		Priority:    spec.Priority,
+		MaxInFlight: spec.MaxInFlight,
+		RatePerSec:  spec.RatePerSec,
+		Weight:      auth.PriorityWeight(spec.Priority),
+		Durable:     q != nil && s.cfg.Store != nil,
 	}
 }
 
@@ -128,24 +121,26 @@ func (s *Service) SetTenantQuota(tenantID string, q auth.Quota) (TenantView, err
 	if err := s.commit(recKindTenant, func() (any, error) { return rec, nil }, func() { s.applyTenantQuota(rec) }); err != nil {
 		return TenantView{}, err
 	}
-	t, _ := s.tenants.Get(tenantID)
-	return s.tenantView(t), nil
+	return s.tenantView(tenantID, &q), nil
 }
 
 // BindTenant maps an identity URN onto a tenant for token resolution,
-// durably.
+// durably. An unbound identity is already the anonymous tenant's, so
+// that tenant cannot be bound to by name.
 func (s *Service) BindTenant(identityID, tenantID string) error {
+	if tenantID == "" || tenantID == auth.AnonymousTenantID {
+		return ErrBadRequest.WithDetail("identities cannot be bound to the anonymous tenant explicitly")
+	}
 	rec := recTenantBind{IdentityID: identityID, TenantID: tenantID}
 	return s.commit(recKindTenantBind, func() (any, error) { return rec, nil }, func() { s.applyTenantBind(rec) })
 }
 
-// TenantList returns every registered tenant's quota spec, sorted by
-// ID.
+// TenantList returns every listed tenant's quota spec, sorted by ID.
 func (s *Service) TenantList() []TenantView {
-	ts := s.tenants.List()
-	out := make([]TenantView, 0, len(ts))
-	for _, t := range ts {
-		out = append(out, s.tenantView(t))
+	specs := s.route.tenantSpecs()
+	out := make([]TenantView, 0, len(specs))
+	for _, id := range sortedKeys(specs) {
+		out = append(out, s.tenantView(id, specs[id]))
 	}
 	return out
 }

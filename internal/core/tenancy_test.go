@@ -1,12 +1,18 @@
 package core
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/auth"
 	"repro/internal/container"
+	"repro/internal/servable"
 )
 
 // TestTenantLedgerExact drives admitRun through a script on a fake
@@ -99,5 +105,64 @@ func TestTenantLedgerExact(t *testing.T) {
 	}
 	if !s.route.reservationsEmpty() {
 		t.Fatal("reservations did not drain to zero")
+	}
+}
+
+// serveTagged sends one request through the service's handler, tagged
+// with tenant by the open-mode header when it is not empty.
+func serveTagged(s *Service, method, path, tenant, body string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(method, path, strings.NewReader(body))
+	if tenant != "" {
+		req.Header.Set(TenantHeader, tenant)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	return rec
+}
+
+// tenantStatsOverHTTP reads the tenants block of GET /api/v2/stats.
+func tenantStatsOverHTTP(t *testing.T, s *Service) map[string]TenantStats {
+	t.Helper()
+	var env struct {
+		Data struct {
+			Tenants map[string]TenantStats `json:"tenants"`
+		} `json:"data"`
+	}
+	rec := serveTagged(s, http.MethodGet, "/api/v2/stats", "", "")
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("GET /api/v2/stats: %d %q: %v", rec.Code, rec.Body, err)
+	}
+	return env.Data.Tenants
+}
+
+// TestAnonymousTenantHasOneSpelling: the anonymous tenant's name, sent
+// in the open-mode header, is the anonymous tenant — one stats entry,
+// one lane — and no identity can be bound to it under either spelling,
+// so no tenant with an empty ID is ever listed.
+func TestAnonymousTenantHasOneSpelling(t *testing.T) {
+	s := New(Config{Registry: container.NewRegistry(), AutoscaleInterval: time.Hour, TaskRetention: -1})
+	defer s.Close()
+	id, err := s.Publish(context.Background(), Anonymous, servable.NoopPackage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tenant := range []string{auth.AnonymousTenantID, ""} {
+		// No Task Manager is registered: the run is admitted, then fails.
+		if rec := serveTagged(s, http.MethodPost, "/api/v2/servables/"+id+"/run", tenant, `{"input":"hi"}`); rec.Code == http.StatusOK {
+			t.Fatalf("run tagged %q answered %d with no Task Manager", tenant, rec.Code)
+		}
+	}
+	stats := tenantStatsOverHTTP(t, s)
+	if got := stats[auth.AnonymousTenantID]; got.Admitted != 2 || len(stats) != 1 {
+		t.Fatalf("stats tenants = %+v, want the two admissions under anonymous alone", stats)
+	}
+
+	for _, tenant := range []string{"", auth.AnonymousTenantID} {
+		if err := s.BindTenant("urn:identity:local:bob", tenant); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("BindTenant to %q: %v, want bad_request", tenant, err)
+		}
+	}
+	if views := s.TenantList(); len(views) != 0 {
+		t.Fatalf("TenantList = %+v, want no tenant", views)
 	}
 }
