@@ -3,7 +3,10 @@
 // short-term access tokens with scopes, token introspection by resource
 // servers, dependent tokens, and groups used for fine-grained access
 // control on models (the CANDLE use case, §VI-A, shares unreleased
-// models with "a subset of selected users").
+// models with "a subset of selected users"). Each account is one entry
+// in one table, keyed by identity URN; a Management Service in front
+// keeps no copy and reads the stored ones back for its checkpoints.
+// Issued tokens live in memory only, and expired ones leave the table.
 package auth
 
 import (
@@ -33,7 +36,7 @@ var (
 )
 
 // ValidName reports whether a provider or username is safe to embed in
-// the places identities are keyed: durable user-table keys
+// the places identities are keyed: checkpoint and fingerprint keys
 // (<provider>/<username>) and identity URNs
 // (urn:identity:<provider>:<username>). Allowing '/' or ':' would let
 // two distinct registrations alias the same record, so names are
@@ -107,20 +110,28 @@ type Client struct {
 	Scopes []string // scopes this resource server defines
 }
 
-// provider is an identity provider with password-checked accounts.
-type provider struct {
-	name  string
-	users map[string]string // username -> password hash (hex sha256)
+// account is one registered identity and its credential, the only copy
+// of either. stored marks an account installed from its stored
+// credential (RegisterUserHashed: the Management Service's user record,
+// committed or replayed), which that service checkpoints; an account
+// seeded with a password (RegisterUser) is never written anywhere.
+type account struct {
+	id     Identity
+	hash   string // hex sha256 of the password
+	stored bool
 }
 
 // Service is the in-process Globus-Auth-like authority.
 type Service struct {
-	mu         sync.RWMutex
-	providers  map[string]*provider
-	identities map[string]*Identity
-	clients    map[string]*Client
-	tokens     map[string]*Token
-	groups     map[string]map[string]bool // group id -> member identity ids
+	mu        sync.RWMutex
+	providers map[string]bool
+	accounts  map[string]account // identity URN -> account
+	clients   map[string]*Client
+	tokens    map[string]*Token
+	// swept is len(tokens) after the last sweep of expired tokens: the
+	// next sweep runs when an issue finds the table twice that size.
+	swept  int
+	groups map[string]map[string]bool // group id -> member identity ids
 
 	hmacKey  []byte
 	tokenTTL time.Duration
@@ -137,14 +148,14 @@ func NewService(tokenTTL time.Duration) *Service {
 		panic("auth: crypto/rand failed: " + err.Error())
 	}
 	return &Service{
-		providers:  make(map[string]*provider),
-		identities: make(map[string]*Identity),
-		clients:    make(map[string]*Client),
-		tokens:     make(map[string]*Token),
-		groups:     make(map[string]map[string]bool),
-		hmacKey:    key,
-		tokenTTL:   tokenTTL,
-		now:        time.Now,
+		providers: make(map[string]bool),
+		accounts:  make(map[string]account),
+		clients:   make(map[string]*Client),
+		tokens:    make(map[string]*Token),
+		groups:    make(map[string]map[string]bool),
+		hmacKey:   key,
+		tokenTTL:  tokenTTL,
+		now:       time.Now,
 	}
 }
 
@@ -162,9 +173,7 @@ func HashPassword(pw string) string { return hashPassword(pw) }
 func (s *Service) RegisterProvider(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.providers[name]; !ok {
-		s.providers[name] = &provider{name: name, users: make(map[string]string)}
-	}
+	s.providers[name] = true
 }
 
 // HasProvider reports whether the named identity provider is
@@ -174,56 +183,63 @@ func (s *Service) RegisterProvider(name string) {
 func (s *Service) HasProvider(name string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, ok := s.providers[name]
+	return s.providers[name]
+}
+
+// HasAccount reports whether an account exists at the provider,
+// however it was installed. The Management Service's create-only
+// registration refuses one that does.
+func (s *Service) HasAccount(providerName, username string) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, ok := s.accounts[URN(providerName, username)]
 	return ok
 }
 
-// RegisterUser creates an account at a provider and its identity record.
+// RegisterUser seeds an account at a registered provider with a
+// password, replacing any account of that identity. The account is not
+// stored: a Management Service never checkpoints it.
 func (s *Service) RegisterUser(providerName, username, password, fullName, email string) (*Identity, error) {
 	if !ValidName(providerName) || !ValidName(username) {
 		return nil, fmt.Errorf("%w: %s/%s", ErrInvalidName, providerName, username)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.providers[providerName]
-	if !ok {
+	if !s.HasProvider(providerName) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownProvider, providerName)
 	}
-	p.users[username] = hashPassword(password)
-	id := &Identity{
-		ID:       URN(providerName, username),
-		Provider: providerName,
-		Username: username,
-		Name:     fullName,
-		Email:    email,
-	}
-	s.identities[id.ID] = id
-	return id, nil
+	return s.install(providerName, username, hashPassword(password), fullName, email, false), nil
 }
 
 // RegisterUserHashed installs an account from its stored credential —
-// the WAL-replay path (tail and checkpoint), where only the hash
-// survives. It is an idempotent upsert: re-applying a record converges,
-// and the provider is created if the replaying process never registered
-// it explicitly.
+// the Management Service's user record, on commit and on replay (tail
+// and checkpoint), where only the hash survives. It is an idempotent
+// upsert: re-applying a record converges, and the provider is created
+// if the replaying process never registered it explicitly.
 func (s *Service) RegisterUserHashed(providerName, username, passwordHash, fullName, email string) *Identity {
+	return s.install(providerName, username, passwordHash, fullName, email, true)
+}
+
+// install puts one account in the table, and its provider in the set.
+func (s *Service) install(providerName, username, hash, fullName, email string, stored bool) *Identity {
+	id := Identity{ID: URN(providerName, username), Provider: providerName, Username: username, Name: fullName, Email: email}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.providers[providerName]
-	if !ok {
-		p = &provider{name: providerName, users: make(map[string]string)}
-		s.providers[providerName] = p
+	s.providers[providerName] = true
+	s.accounts[id.ID] = account{id, hash, stored}
+	s.mu.Unlock()
+	return &id
+}
+
+// StoredAccounts calls visit with each account RegisterUserHashed
+// installed and RegisterUser has not since replaced — what a Management
+// Service checkpoints — and its credential hash. The authority's read
+// lock is held meanwhile, so visit must not call the authority.
+func (s *Service) StoredAccounts(visit func(id Identity, passwordHash string)) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, a := range s.accounts {
+		if a.stored {
+			visit(a.id, a.hash)
+		}
 	}
-	p.users[username] = passwordHash
-	id := &Identity{
-		ID:       URN(providerName, username),
-		Provider: providerName,
-		Username: username,
-		Name:     fullName,
-		Email:    email,
-	}
-	s.identities[id.ID] = id
-	return id
 }
 
 // RegisterClient registers a resource server and the scopes it defines.
@@ -240,12 +256,11 @@ func (s *Service) RegisterClient(id, name string, scopes ...string) *Client {
 func (s *Service) Authenticate(providerName, username, password, clientID string, scopes ...string) (*Token, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.providers[providerName]
-	if !ok {
+	if !s.providers[providerName] {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownProvider, providerName)
 	}
-	stored, ok := p.users[username]
-	if !ok || !hmac.Equal([]byte(stored), []byte(hashPassword(password))) {
+	a, ok := s.accounts[URN(providerName, username)]
+	if !ok || !hmac.Equal([]byte(a.hash), []byte(hashPassword(password))) {
 		return nil, ErrBadCredentials
 	}
 	client, ok := s.clients[clientID]
@@ -269,8 +284,23 @@ func clientDefines(c *Client, scope string) bool {
 	return false
 }
 
-// issueLocked mints a signed opaque token. Caller holds s.mu.
+// sweepFloor is the token-table size below which an issue never sweeps.
+const sweepFloor = 64
+
+// issueLocked mints a signed opaque token. Caller holds s.mu. Once the
+// table has doubled since the last sweep it drops the expired tokens
+// first, so the table stays within twice its live tokens (or the
+// floor), and a sweep's cost is spread over the issues that doubled it.
 func (s *Service) issueLocked(identityID, clientID string, scopes []string, parent string) *Token {
+	now := s.now()
+	if len(s.tokens) >= 2*max(s.swept, sweepFloor) {
+		for v, t := range s.tokens {
+			if now.After(t.ExpiresAt) {
+				delete(s.tokens, v)
+			}
+		}
+		s.swept = len(s.tokens)
+	}
 	var nonce [16]byte
 	if _, err := rand.Read(nonce[:]); err != nil {
 		panic("auth: crypto/rand failed: " + err.Error())
@@ -284,8 +314,8 @@ func (s *Service) issueLocked(identityID, clientID string, scopes []string, pare
 		IdentityID: identityID,
 		ClientID:   clientID,
 		Scopes:     append([]string(nil), scopes...),
-		IssuedAt:   s.now(),
-		ExpiresAt:  s.now().Add(s.tokenTTL),
+		IssuedAt:   now,
+		ExpiresAt:  now.Add(s.tokenTTL),
 		Parent:     parent,
 	}
 	s.tokens[value] = tok
@@ -362,7 +392,7 @@ func (s *Service) AddToGroup(groupID, identityID string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownGroup, groupID)
 	}
-	if _, ok := s.identities[identityID]; !ok {
+	if _, ok := s.accounts[identityID]; !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownIdentity, identityID)
 	}
 	g[identityID] = true

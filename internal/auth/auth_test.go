@@ -186,3 +186,50 @@ func TestTokenUniquenessProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Login is an open route, so the token table must not keep what has
+// expired: once the clock passes every token's expiry, the table holds
+// at most twice the tokens issued since, plus the sweep floor's slack.
+// A token is refused once expired, before and after it leaves the table,
+// and a revoked one stays refused.
+func TestExpiredTokensLeaveTheTable(t *testing.T) {
+	s := newTestService(t)
+	s.RegisterUser("orcid", "u", "pw", "U", "") //nolint:errcheck
+	now := time.Now()
+	s.now = func() time.Time { return now }
+	issue := func() *Token {
+		t.Helper()
+		tok, err := s.Authenticate("orcid", "u", "pw", "dlhub", "dlhub:all")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tok
+	}
+
+	revoked := issue()
+	s.Revoke(revoked.Value)
+	const perRound = 100
+	for round := 0; round < 20; round++ {
+		first := issue()
+		for i := 1; i < perRound; i++ {
+			issue()
+		}
+		if n := len(s.tokens); n > 2*perRound+2*sweepFloor {
+			t.Fatalf("round %d: %d tokens in the table, want <= %d", round, n, 2*perRound+2*sweepFloor)
+		}
+		now = now.Add(2 * time.Hour) // every token issued so far expires
+		if _, err := s.Introspect(first.Value); !errors.Is(err, ErrExpiredToken) && !errors.Is(err, ErrInvalidToken) {
+			t.Fatalf("round %d: expired token: err = %v", round, err)
+		}
+	}
+	if _, err := s.Introspect(revoked.Value); !errors.Is(err, ErrInvalidToken) {
+		t.Fatalf("revoked token: err = %v, want ErrInvalidToken", err)
+	}
+
+	// A token expired but not yet swept is refused as expired, as before.
+	tok := issue()
+	now = now.Add(2 * time.Hour)
+	if _, err := s.Introspect(tok.Value); !errors.Is(err, ErrExpiredToken) {
+		t.Fatalf("expired token: err = %v, want ErrExpiredToken", err)
+	}
+}

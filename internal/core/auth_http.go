@@ -12,10 +12,13 @@ import (
 // Durable identity and the token lifecycle over HTTP. The Management
 // Service fronts the auth substrate (internal/auth) the way DLHub
 // fronts Globus Auth: accounts are registered and tokens issued /
-// introspected / revoked through the service's own API, and the
-// identity records are durable — a userRecord WAL entry per
-// registration, folded into checkpoints — so a -data-dir server's
-// users survive restarts and can simply log in again. Tokens are
+// introspected / revoked through the service's own API. Each account
+// lives once, in the authority's table (Service.accounts); the service
+// keeps no copy. Registration is durable — a userRecord WAL entry per
+// registration, folded into checkpoints from the authority's stored
+// accounts — so a -data-dir server's users survive restarts and can
+// simply log in again; an account seeded straight on the authority is
+// never checkpointed, but registration still refuses it. Tokens are
 // deliberately NOT durable (see the durable.go taxonomy): a restart
 // invalidates outstanding bearers, which is a security posture, not a
 // bug.
@@ -33,17 +36,6 @@ func (s *Service) defaultProvider() string {
 		return s.cfg.AuthProvider
 	}
 	return "local"
-}
-
-// snapshotUsers copies the user table for the checkpoint.
-func (s *Service) snapshotUsers() map[string]userRecord {
-	s.userMu.Lock()
-	defer s.userMu.Unlock()
-	out := make(map[string]userRecord, len(s.users))
-	for k, v := range s.users {
-		out[k] = v
-	}
-	return out
 }
 
 // RegisterUser creates a durable account (and optionally binds its
@@ -81,10 +73,7 @@ func (s *Service) RegisterUser(providerName, username, password, fullName, email
 		Email:        email,
 	}
 	err := s.commit(recKindUser, func() (any, error) {
-		s.userMu.Lock()
-		_, exists := s.users[providerName+"/"+username]
-		s.userMu.Unlock()
-		if exists {
+		if s.accounts.HasAccount(providerName, username) {
 			return nil, ErrConflict.WithDetail("account " + providerName + "/" + username + " already exists")
 		}
 		return rec, nil

@@ -55,8 +55,9 @@ import (
 // The checkpoint is the same records (persist.go): one per durable fact,
 // written by writeCheckpoint and read back by applyRecord like the tail.
 //
-// Lock order: commitMu → the WAL's lock → {repository.mu, rt.mu,
-// userMu}. commitMu is outermost —
+// Lock order: commitMu → the WAL's lock → {repository.mu, rt.mu, the
+// authority's lock (auth.Service.mu: the user apply, the checkpoint's
+// account read)}. commitMu is outermost —
 // nothing else is held when it is taken — so no other durable change
 // moves the state a check read before its apply runs. The outcome
 // tables' locks (result cache, idempotency keys, async tasks) are
@@ -284,16 +285,11 @@ func (s *Service) applyTenantQuota(t recTenantQuota) {
 
 func (s *Service) applyTenantBind(b recTenantBind) { s.route.bind(b.IdentityID, b.TenantID) }
 
-// applyUser keeps the account in the service's table and mirrors it into
-// the configured auth service. With no auth service configured the
-// record is still kept, so a later boot WITH -auth inherits the accounts.
+// applyUser installs the account, as stored, in the service's authority
+// — the private one with authentication off, so a later boot WITH -auth
+// inherits the accounts.
 func (s *Service) applyUser(u userRecord) {
-	s.userMu.Lock()
-	s.users[u.Provider+"/"+u.Username] = u
-	s.userMu.Unlock()
-	if s.cfg.Auth != nil {
-		s.cfg.Auth.RegisterUserHashed(u.Provider, u.Username, u.PasswordHash, u.FullName, u.Email)
-	}
+	s.accounts.RegisterUserHashed(u.Provider, u.Username, u.PasswordHash, u.FullName, u.Email)
 }
 
 // Recover rebuilds state from the configured store: the checkpoint's

@@ -36,8 +36,9 @@ type snapshot struct {
 	// Tenants are the listed tenants' quota specs (nil for a tenant a
 	// binding made and no quota record set) and Bindings the
 	// identity→tenant mappings, so fairness policy survives a restart;
-	// Users are the registered accounts (credential hashes only) so
-	// operators and clients can log back in after recovery.
+	// Users are the authority's stored accounts (credential hashes
+	// only), keyed provider/username, so operators and clients can log
+	// back in after recovery.
 	Tenants  map[string]*auth.Quota
 	Bindings map[string]string
 	Users    map[string]userRecord
@@ -51,7 +52,10 @@ type snapshot struct {
 // meanwhile — the WAL's lock for a checkpoint, commitMu for a
 // fingerprint — so the parts are of one state.
 func (s *Service) captureSnapshot() snapshot {
-	snap := snapshot{Users: s.snapshotUsers()}
+	snap := snapshot{Users: make(map[string]userRecord)}
+	s.accounts.StoredAccounts(func(id auth.Identity, hash string) {
+		snap.Users[id.Provider+"/"+id.Username] = userRecord{Provider: id.Provider, Username: id.Username, PasswordHash: hash, FullName: id.Name, Email: id.Email}
+	})
 	s.repo.capture(&snap)
 	s.route.routeSnapshot(&snap)
 	return snap

@@ -280,7 +280,8 @@ func TestRecoveryTornTenantRecord(t *testing.T) {
 // Durable flag, and — rebooted WITH auth — let the replayed account
 // simply log in again and resolve to its tenant. A checkpoint lands
 // between the two quota mutations so one arrives from the snapshot and
-// the other from the log tail.
+// the other from the log tail; the open-mode service checkpoints again
+// before it stops, so the auth-mode boot reads what an open boot wrote.
 func TestRecoveryDurableTenancy(t *testing.T) {
 	dir := t.TempDir()
 	open := func(withAuth bool) (*core.Service, func()) {
@@ -336,6 +337,11 @@ func TestRecoveryDurableTenancy(t *testing.T) {
 	}
 	if !durable["acme"] || !durable["beta"] {
 		t.Fatalf("recovered quotas not marked durable: %v", durable)
+	}
+	// A checkpoint the open-mode service writes must still carry the
+	// account: ms3 below recovers from it alone.
+	if err := ms2.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
 	done2()
 

@@ -194,13 +194,13 @@ type Service struct {
 	// responses for replay (idempotency.go).
 	idem *outcomes[string, idemReply]
 
-	// users is the durable identity table (auth_http.go): registrations
-	// accepted over HTTP, keyed provider/username, mirrored into
-	// cfg.Auth when authentication is on, and rebuilt from the
-	// checkpoint + WAL on recovery — so accounts survive restarts even
-	// though tokens deliberately do not.
-	userMu sync.Mutex
-	users  map[string]userRecord
+	// accounts is the authority that holds every account (auth_http.go):
+	// cfg.Auth, or with authentication off a private one nobody logs in
+	// to. The user apply installs each registration there, on commit and
+	// on replay, and the checkpoint reads the stored ones back — so
+	// accounts survive restarts, an open boot included, even though
+	// tokens deliberately do not.
+	accounts *auth.Service
 
 	// door is the HTTP mux and the per-route counters (middleware.go),
 	// mounted in New and read-only afterwards.
@@ -254,8 +254,11 @@ func New(cfg Config) *Service {
 		tasks:    newOutcomes[string, AsyncTask](cfg.TaskRetention, 0, 0),
 		idem:     newOutcomes[string, idemReply](idemTTL, idemMax, 0),
 		timeFunc: time.Now,
-		users:    make(map[string]userRecord),
+		accounts: cfg.Auth,
 		door:     newDoor(),
+	}
+	if s.accounts == nil {
+		s.accounts = auth.NewService(0)
 	}
 	s.routesV2(s.door)
 	s.route = newRoutingTable(cfg.TMStaleAfter, cfg.MaxQueue, func() time.Time { return s.timeFunc() })
