@@ -128,6 +128,12 @@ type Service struct {
 	accounts  map[string]account // identity URN -> account
 	clients   map[string]*Client
 	tokens    map[string]*Token
+	// dependents lists, under a parent token's value, the tokens issued
+	// from it (DependentToken), so that Revoke reaches them without a
+	// scan. An entry lives as long as any token it lists: a sweep drops
+	// the listed tokens that have left the table, and the entry with the
+	// last of them, whether or not its parent is still there.
+	dependents map[string][]string
 	// swept is len(tokens) after the last sweep of expired tokens: the
 	// next sweep runs when an issue finds the table twice that size.
 	swept  int
@@ -148,14 +154,15 @@ func NewService(tokenTTL time.Duration) *Service {
 		panic("auth: crypto/rand failed: " + err.Error())
 	}
 	return &Service{
-		providers: make(map[string]bool),
-		accounts:  make(map[string]account),
-		clients:   make(map[string]*Client),
-		tokens:    make(map[string]*Token),
-		groups:    make(map[string]map[string]bool),
-		hmacKey:   key,
-		tokenTTL:  tokenTTL,
-		now:       time.Now,
+		providers:  make(map[string]bool),
+		accounts:   make(map[string]account),
+		clients:    make(map[string]*Client),
+		tokens:     make(map[string]*Token),
+		dependents: make(map[string][]string),
+		groups:     make(map[string]map[string]bool),
+		hmacKey:    key,
+		tokenTTL:   tokenTTL,
+		now:        time.Now,
 	}
 }
 
@@ -299,6 +306,19 @@ func (s *Service) issueLocked(identityID, clientID string, scopes []string, pare
 				delete(s.tokens, v)
 			}
 		}
+		for p, deps := range s.dependents {
+			live := deps[:0]
+			for _, v := range deps {
+				if _, ok := s.tokens[v]; ok {
+					live = append(live, v)
+				}
+			}
+			if len(live) == 0 {
+				delete(s.dependents, p)
+			} else {
+				s.dependents[p] = live
+			}
+		}
 		s.swept = len(s.tokens)
 	}
 	var nonce [16]byte
@@ -319,6 +339,9 @@ func (s *Service) issueLocked(identityID, clientID string, scopes []string, pare
 		Parent:     parent,
 	}
 	s.tokens[value] = tok
+	if parent != "" {
+		s.dependents[parent] = append(s.dependents[parent], value)
+	}
 	return tok
 }
 
@@ -366,11 +389,10 @@ func (s *Service) Revoke(tokenValue string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.tokens, tokenValue)
-	for v, t := range s.tokens {
-		if t.Parent == tokenValue {
-			delete(s.tokens, v)
-		}
+	for _, v := range s.dependents[tokenValue] {
+		delete(s.tokens, v)
 	}
+	delete(s.dependents, tokenValue)
 }
 
 // --- groups -------------------------------------------------------------

@@ -233,3 +233,82 @@ func TestExpiredTokensLeaveTheTable(t *testing.T) {
 		t.Fatalf("expired token: err = %v, want ErrExpiredToken", err)
 	}
 }
+
+// TestRevokeReachesDependentsByIndex: Revoke drops the token and the
+// tokens derived from it, through the dependents index and not a scan of
+// the table, leaves every other token alone, reaches dependents whose
+// parent a sweep has already dropped, and the index holds nothing once
+// every token has expired and been swept.
+func TestRevokeReachesDependentsByIndex(t *testing.T) {
+	s := newTestService(t)
+	s.RegisterUser("orcid", "u", "pw", "U", "") //nolint:errcheck
+	s.RegisterUser("orcid", "v", "pw", "V", "") //nolint:errcheck
+	now := time.Now()
+	s.now = func() time.Time { return now }
+	login := func(user string) *Token {
+		t.Helper()
+		tok, err := s.Authenticate("orcid", user, "pw", "dlhub", "dlhub:all")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tok
+	}
+	dependent := func(parent *Token) *Token {
+		t.Helper()
+		tok, err := s.DependentToken(parent.Value, "transfer", "transfer:all")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tok
+	}
+	introspect := func(tok *Token, want error) {
+		t.Helper()
+		if _, err := s.Introspect(tok.Value); !errors.Is(err, want) {
+			t.Fatalf("token of %s for %s: err = %v, want %v", tok.IdentityID, tok.ClientID, err, want)
+		}
+	}
+	// sweepOut issues logins until a sweep has dropped tok.
+	sweepOut := func(tok *Token) {
+		t.Helper()
+		for i := 0; i < 1000; i++ {
+			if _, ok := s.tokens[tok.Value]; !ok {
+				return
+			}
+			login("v")
+		}
+		t.Fatal("no sweep dropped the token")
+	}
+
+	parent, sibling, foreign := login("u"), login("u"), login("v")
+	deps := []*Token{dependent(parent), dependent(parent)}
+	siblingDep, foreignDep := dependent(sibling), dependent(foreign)
+	s.Revoke(parent.Value)
+	for _, tok := range append(deps, parent) {
+		introspect(tok, ErrInvalidToken)
+	}
+	for _, tok := range []*Token{sibling, siblingDep, foreign, foreignDep} {
+		introspect(tok, nil)
+	}
+	if _, ok := s.dependents[parent.Value]; ok {
+		t.Fatal("a revoked parent keeps its index entry")
+	}
+
+	// The parent expires and is swept before its dependent: a revoke
+	// after that still reaches the dependent, as the scan did.
+	old := login("u")
+	now = now.Add(50 * time.Minute)
+	late := dependent(old)
+	now = now.Add(20 * time.Minute) // past old's hour, inside late's
+	sweepOut(old)
+	introspect(late, nil)
+	s.Revoke(old.Value)
+	introspect(late, ErrInvalidToken)
+
+	// Every token expires; the sweeps that drop them empty the index.
+	now = now.Add(2 * time.Hour)
+	sweepOut(siblingDep)
+	sweepOut(foreignDep)
+	if len(s.dependents) != 0 {
+		t.Fatalf("index holds %d entries after every token expired: %v", len(s.dependents), s.dependents)
+	}
+}

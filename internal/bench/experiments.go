@@ -268,6 +268,11 @@ func Fig4(cfg Config) (*Table, error) {
 // batching/scaling studies.
 var fig5Servables = []string{"noop", "cifar10", "matminer-featurize"}
 
+// fig5Reps is how many times Fig5 times each (servable, n) cell: one
+// timing of a cell spread over tens of percent from run to run, so the
+// cell is the median of these, printed beside their range.
+const fig5Reps = 5
+
 // Fig5 reproduces "Batching": total invocation time for n requests with
 // and without batching.
 func Fig5(cfg Config) (*Table, error) {
@@ -285,7 +290,7 @@ func Fig5(cfg Config) (*Table, error) {
 
 	t := &Table{
 		Title:   "Fig. 5: Servable invocation time, with and without batching (ms total for n requests)",
-		Headers: []string{"servable", "n", "unbatched", "batched", "speedup"},
+		Headers: []string{"servable", "n", "unbatched", "unbatched min-max", "batched", "batched min-max", "speedup"},
 	}
 	gen := newInputGen(cfg.Seed)
 	for _, name := range fig5Servables {
@@ -294,27 +299,32 @@ func Fig5(cfg Config) (*Table, error) {
 			for i := range inputs {
 				inputs[i] = gen.forServable(name)
 			}
-			// Without batching: n sequential requests; sum invocation.
-			var unbatched time.Duration
-			for i := 0; i < n; i++ {
-				res, err := tb.MS.Run(context.Background(), core.Anonymous, ids[name], inputs[i], core.RunOptions{NoMemo: true})
+			var unbatched, batched [fig5Reps]time.Duration
+			for rep := range fig5Reps {
+				// Without batching: n sequential requests; sum invocation.
+				for i := 0; i < n; i++ {
+					res, err := tb.MS.Run(context.Background(), core.Anonymous, ids[name], inputs[i], core.RunOptions{NoMemo: true})
+					if err != nil {
+						return nil, err
+					}
+					unbatched[rep] += time.Duration(res.InvocationMicros) * time.Microsecond
+				}
+				// With batching: one batch task.
+				res, err := tb.MS.RunBatch(context.Background(), core.Anonymous, ids[name], inputs, core.RunOptions{NoMemo: true})
 				if err != nil {
 					return nil, err
 				}
-				unbatched += time.Duration(res.InvocationMicros) * time.Microsecond
+				batched[rep] = time.Duration(res.InvocationMicros) * time.Microsecond
 			}
-			// With batching: one batch task.
-			res, err := tb.MS.RunBatch(context.Background(), core.Anonymous, ids[name], inputs, core.RunOptions{NoMemo: true})
-			if err != nil {
-				return nil, err
-			}
-			batched := time.Duration(res.InvocationMicros) * time.Microsecond
-			speedup := float64(unbatched) / float64(batched)
-			t.Add(name, fmt.Sprint(n), msDur(unbatched), msDur(batched), fmt.Sprintf("%.1fx", speedup))
-			cfg.logf("fig5: %-18s n=%-4d unbatched %sms batched %sms (%.1fx)",
-				name, n, msDur(unbatched), msDur(batched), speedup)
+			u, b := metrics.Compute(unbatched[:]), metrics.Compute(batched[:])
+			speedup := float64(u.Median) / float64(b.Median)
+			t.Add(name, fmt.Sprint(n), msDur(u.Median), msDur(u.Min)+"-"+msDur(u.Max),
+				msDur(b.Median), msDur(b.Min)+"-"+msDur(b.Max), fmt.Sprintf("%.1fx", speedup))
+			cfg.logf("fig5: %-18s n=%-4d unbatched %sms (%s-%s) batched %sms (%s-%s) (%.1fx)",
+				name, n, msDur(u.Median), msDur(u.Min), msDur(u.Max), msDur(b.Median), msDur(b.Min), msDur(b.Max), speedup)
 		}
 	}
+	t.Note("each cell is the median of %d repetitions, its range beside it", fig5Reps)
 	t.Note("batching amortizes the queue and WAN hops (§V-B3); each item still passes the IPP router and pays one dispatch overhead, and the Task Manager runs %d items at a time (GOMAXPROCS + 4 replicas)",
 		runtime.GOMAXPROCS(0)+4)
 	return t, nil

@@ -2,12 +2,15 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -17,6 +20,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/search"
 	"repro/internal/servable"
+	"repro/internal/taskmanager"
 )
 
 // The REST API (§IV-E: "DLHub offers a REST API, Command Line Interface
@@ -155,11 +159,7 @@ func writeRunResult(b *bytes.Buffer, res *RunResult) {
 	if res.Cached {
 		b.WriteString(`,"cached":true`)
 	}
-	if len(res.Steps) > 0 { // pipelines only: a few small records, left to encoding/json
-		steps, _ := json.Marshal(res.Steps)
-		b.WriteString(`,"steps":`)
-		b.Write(steps)
-	}
+	writeNonEmpty(b, `,"steps":`, res.Steps) //nolint:errcheck — pipelines only: a few small records, left to encoding/json
 	writeInt(b, `,"request_us":`, res.RequestMicros, false)
 	if res.CacheHit {
 		b.WriteString(`,"cache_hit":true`)
@@ -174,6 +174,15 @@ func writeInt(b *bytes.Buffer, field string, v int64, omitZero bool) {
 	}
 }
 
+// jsonPlain[c] reports whether encoding/json copies byte c into a string
+// as it is: printable ASCII but for `"\<>&`.
+var jsonPlain = func() (t [256]bool) {
+	for c := ' '; c < 0x7f; c++ {
+		t[c] = !strings.ContainsRune(`"\<>&`, c)
+	}
+	return t
+}()
+
 // writeString appends field and s as a JSON string: plain ASCII — every
 // ID this service mints — as it is, anything else as encoding/json does.
 func writeString(b *bytes.Buffer, field, s string, omitEmpty bool) {
@@ -182,7 +191,7 @@ func writeString(b *bytes.Buffer, field, s string, omitEmpty bool) {
 	}
 	b.WriteString(field)
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || strings.IndexByte(`"\<>&`, c) >= 0 {
+		if !jsonPlain[s[i]] {
 			enc, _ := json.Marshal(s) // a string always marshals
 			b.Write(enc)
 			return
@@ -191,6 +200,182 @@ func writeString(b *bytes.Buffer, field, s string, omitEmpty bool) {
 	b.WriteByte('"')
 	b.WriteString(s)
 	b.WriteByte('"')
+}
+
+// The repository's answers on the hot path are appended by these
+// writers as encoding/json writes them. A writer that meets a value
+// encoding/json refuses, or a nil no route produces, returns an error,
+// and writeV2 writes the answer instead.
+
+// errWriteV2 marks an answer the writers leave to writeV2.
+var errWriteV2 = errors.New("core: answer left to writeV2")
+
+// writeAppended writes the success envelope of data, appended by hand,
+// if data is a search page, a document or a servable view, and reports
+// whether it did; writeV2 writes the rest.
+// TestRepositoryEnvelopesMatchEncodingJSON holds it to encoding/json
+// byte for byte.
+func writeAppended(w http.ResponseWriter, status int, data any) bool {
+	var write func(*bytes.Buffer) error
+	switch d := data.(type) {
+	case SearchPageV2:
+		write = func(b *bytes.Buffer) error { return writeSearchPage(b, &d) }
+	case *schema.Document:
+		write = func(b *bytes.Buffer) error { return writeDocument(b, d, nil) }
+	case ServableView:
+		write = func(b *bytes.Buffer) error { return writeDocument(b, d.Document, &d.Placements) }
+	default:
+		return false
+	}
+	b := getBuf()
+	defer putBuf(b)
+	b.WriteString(envelopeOpen)
+	if write(b) != nil {
+		return false
+	}
+	finishEnvelope(w, status, b)
+	return true
+}
+
+// writeStrings appends field and list as encoding/json writes a
+// []string: null when nil, nothing at all when empty and omitEmpty.
+func writeStrings(b *bytes.Buffer, field string, list []string, omitEmpty bool) {
+	if len(list) == 0 && omitEmpty {
+		return
+	}
+	b.WriteString(field)
+	if list == nil {
+		b.WriteString("null")
+		return
+	}
+	b.WriteByte('[')
+	for i, s := range list {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		writeString(b, "", s, false)
+	}
+	b.WriteByte(']')
+}
+
+// writeMarshal appends field and v as encoding/json writes v.
+func writeMarshal(b *bytes.Buffer, field string, v any) error {
+	enc, err := json.Marshal(v)
+	b.WriteString(field)
+	b.Write(enc)
+	return err
+}
+
+// writeNonEmpty appends field and v through json.Marshal, unless v is
+// empty: an omitempty map or slice.
+func writeNonEmpty[T []int | []taskmanager.StepStat | map[string]string | map[string]json.RawMessage | map[string]map[string]int](b *bytes.Buffer, field string, v T) error {
+	if len(v) == 0 {
+		return nil
+	}
+	return writeMarshal(b, field, v)
+}
+
+// writeSearchPage appends p: its hits, total, next_cursor, and facets
+// unless empty.
+func writeSearchPage(b *bytes.Buffer, p *SearchPageV2) (err error) {
+	if p.Items == nil || slices.ContainsFunc(p.Items, func(h SearchHitV2) bool { return h.Doc == nil }) {
+		return errWriteV2 // the search route leaves neither nil
+	}
+	b.WriteString(`{"items":[`)
+	for i, h := range p.Items {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		err = cmp.Or(err, writeSearchHit(b, h))
+	}
+	writeInt(b, `],"total":`, int64(p.Total), false)
+	writeString(b, `,"next_cursor":`, p.NextCursor, true)
+	err = cmp.Or(err, writeNonEmpty(b, `,"facets":`, p.Facets))
+	b.WriteByte('}')
+	return err
+}
+
+// writeSearchHit appends h. Its flattened document is written as
+// encoding/json writes a map[string]any: keys in byte order, each value
+// by its type, and a type Flatten does not make through json.Marshal.
+func writeSearchHit(b *bytes.Buffer, h SearchHitV2) (err error) {
+	keys := slices.AppendSeq(make([]string, 0, 24), maps.Keys(h.Doc))
+	slices.Sort(keys)
+	writeString(b, `{"id":`, h.ID, false)
+	b.WriteString(`,"doc":{`)
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		writeString(b, "", k, false)
+		b.WriteByte(':')
+		switch v := h.Doc[k].(type) {
+		case string:
+			writeString(b, "", v, false)
+		case []string:
+			writeStrings(b, "", v, false)
+		case int:
+			writeInt(b, "", int64(v), false)
+		case int64:
+			writeInt(b, "", v, false)
+		default:
+			err = cmp.Or(err, writeMarshal(b, "", v))
+		}
+	}
+	b.WriteString("}}")
+	return err
+}
+
+// writeDocument appends d, its fields in struct order with their
+// omitempty rules, and then, for a servable view, its placements. The
+// routes never answer with a nil document.
+func writeDocument(b *bytes.Buffer, d *schema.Document, placements *[]string) error {
+	if d == nil {
+		return errWriteV2
+	}
+	// Each field opens with a comma; published_at, a struct, is never
+	// omitted, so there is always one to turn into the opening brace.
+	open := b.Len()
+	writeString(b, `,"id":`, d.ID, true)
+	writeString(b, `,"owner":`, d.Owner, true)
+	writeInt(b, `,"version":`, int64(d.Version), true)
+	at, err := d.PublishedAt.MarshalJSON()
+	b.WriteString(`,"published_at":`)
+	b.Write(at)
+	b.Bytes()[open] = '{'
+	p, sv := &d.Publication, &d.Servable
+	writeString(b, `,"publication":{"name":`, p.Name, false)
+	writeString(b, `,"title":`, p.Title, false)
+	writeStrings(b, `,"authors":`, p.Authors, false)
+	writeString(b, `,"description":`, p.Description, true)
+	writeStrings(b, `,"domains":`, p.Domains, true)
+	writeString(b, `,"identifier":`, p.Identifier, true)
+	writeString(b, `,"citation":`, p.Citation, true)
+	writeString(b, `,"license":`, p.License, true)
+	writeStrings(b, `,"related_datasets":`, p.RelatedDatasets, true)
+	writeStrings(b, `,"visible_to":`, p.VisibleTo, true)
+	writeInt(b, `,"year":`, int64(p.Year), true)
+	writeString(b, `},"servable":{"type":`, string(sv.Type), false)
+	err = cmp.Or(err, writeNonEmpty(b, `,"dependencies":`, sv.Dependencies), writeNonEmpty(b, `,"model_components":`, sv.ModelComponents))
+	writeString(b, `,"entry":`, sv.Entry, true)
+	writeStrings(b, `,"steps":`, sv.Steps, true)
+	writeDataType(b, `,"input":`, &sv.Input)
+	writeDataType(b, `,"output":`, &sv.Output)
+	err = cmp.Or(err, writeNonEmpty(b, `,"hyperparameters":`, sv.Hyperparameters), writeNonEmpty(b, `,"training_metadata":`, sv.TrainingMetadata))
+	b.WriteByte('}')
+	if placements != nil {
+		writeStrings(b, `,"placements":`, *placements, false)
+	}
+	b.WriteByte('}')
+	return err
+}
+
+func writeDataType(b *bytes.Buffer, field string, t *schema.DataType) {
+	writeString(b, field+`{"kind":`, t.Kind, false)
+	writeNonEmpty(b, `,"shape":`, t.Shape) //nolint:errcheck — ints always encode
+	writeString(b, `,"item_kind":`, t.ItemKind, true)
+	writeString(b, `,"description":`, t.Description, true)
+	b.WriteByte('}')
 }
 
 // callerV2 resolves the request identity, writing the enveloped 401 on
@@ -276,7 +461,9 @@ func endpoint[Req any](s *Service, h func(r *http.Request, c Caller, req *Req) (
 			writeV2Error(w, err)
 			return
 		}
-		writeV2(w, status, data)
+		if !writeAppended(w, status, data) {
+			writeV2(w, status, data)
+		}
 	}
 }
 

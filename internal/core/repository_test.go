@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/schema"
 	"repro/internal/search"
@@ -274,5 +276,69 @@ func TestBatchReservesItsInputCount(t *testing.T) {
 				t.Fatal("the batch's reservation outlived it")
 			}
 		})
+	}
+}
+
+// benchCatalogue publishes n servables with the benchmark catalogue's
+// document shape (benchmark/workload.go), every title holding "alloy",
+// and returns the service and their IDs.
+func benchCatalogue(t testing.TB, n int) (*core.Service, []string) {
+	t.Helper()
+	ms := core.New(core.Config{Registry: container.NewRegistry()})
+	t.Cleanup(ms.Close)
+	words := strings.Fields("bandgap crystal dendrite enzyme fracture galaxy hadron isotope")
+	ids := make([]string, n)
+	for i := range ids {
+		pkg := servable.NoopPackage()
+		pkg.Doc.Publication = schema.Publication{
+			Name:        fmt.Sprintf("m-%04d", i),
+			Title:       "alloy " + words[i%len(words)] + " model",
+			Authors:     []string{"Bench, A.", "Mark, B."},
+			Description: "predicts " + words[(i+3)%len(words)] + " from measured samples images sequences structures",
+			Domains:     []string{"benchmarking"},
+			VisibleTo:   []string{"public"},
+			Year:        2000 + i%20,
+		}
+		pkg.Doc.Servable.Input.Description = ""
+		id, err := ms.Publish(context.Background(), core.Anonymous, pkg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	return ms, ids
+}
+
+// serveRepo sends one request through h and checks its status and that
+// the body holds want.
+func serveRepo(t testing.TB, h http.Handler, method, path string, body []byte, want string) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	if rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(want)) {
+		t.Fatalf("%s %s: status %d, want %s in %s", method, path, rec.Code, want, rec.Body.Bytes())
+	}
+}
+
+// BenchmarkSearchHTTP is repo-mixed's search through Handler(): a page
+// of 10 hits out of 40, each hit a flattened document.
+func BenchmarkSearchHTTP(b *testing.B) {
+	ms, _ := benchCatalogue(b, 40)
+	h := ms.Handler()
+	body := []byte(`{"q":"alloy","limit":10}`)
+	b.ReportAllocs()
+	for b.Loop() {
+		serveRepo(b, h, http.MethodPost, "/api/v2/search", body, `"total":40,"next_cursor"`)
+	}
+}
+
+// BenchmarkGetHTTP is repo-mixed's GET through Handler(): one document
+// and its placements.
+func BenchmarkGetHTTP(b *testing.B) {
+	ms, ids := benchCatalogue(b, 1)
+	h := ms.Handler()
+	path := "/api/v2/servables/" + ids[0]
+	b.ReportAllocs()
+	for b.Loop() {
+		serveRepo(b, h, http.MethodGet, path, nil, `"placements":[]`)
 	}
 }
