@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/outcome"
 )
 
 // Service-layer result memoization. The paper places its memoization
@@ -19,7 +20,7 @@ import (
 // routing: a hit answers without touching the queue or any TM at all,
 // and N concurrent identical requests collapse (singleflight) into one
 // dispatched task: the cache registers each miss in flight under its
-// key, in the one outcome table (outcomes.go) that holds its results.
+// key, in the one outcome table (internal/outcome) that holds its results.
 // The TM cache remains as the second tier for requests that do reach a
 // site.
 //
@@ -82,7 +83,7 @@ type cacheKey [sha256.Size]byte
 // flight is one key's entry in the result cache: a miss in flight, led
 // by the request that registered it and followed by every identical
 // request that arrives meanwhile, then the result it stored.
-type flight = outcome[cacheKey, RunResult]
+type flight = outcome.Entry[cacheKey, RunResult]
 
 // resultCache is a bounded LRU with TTL over RunResults, and the
 // registry of the misses in flight: one outcome table holds both, each
@@ -90,14 +91,14 @@ type flight = outcome[cacheKey, RunResult]
 // misses in flight with the results, so a later arrival leads a fresh
 // call and the old one's result is not stored.
 type resultCache struct {
-	flights *outcomes[cacheKey, RunResult]
+	flights *outcome.Table[cacheKey, RunResult]
 
 	hits, misses, invalidations, collapsed metrics.Counter
 }
 
 func newResultCache(cfg CacheConfig) *resultCache {
 	cfg = cfg.withDefaults()
-	return &resultCache{flights: newOutcomes[cacheKey, RunResult](cfg.TTL, cfg.MaxEntries, cfg.MaxBytes)}
+	return &resultCache{flights: outcome.New[cacheKey, RunResult](cfg.TTL, cfg.MaxEntries, cfg.MaxBytes)}
 }
 
 // bufPool recycles the buffers run responses are assembled in; a rare
@@ -282,13 +283,13 @@ func compacted(raw json.RawMessage) json.RawMessage {
 // returns the call registered for key, to follow, or registers a new one
 // that the caller leads (lead) and must finish.
 func (c *resultCache) lookup(key cacheKey, servableID string) (res RunResult, call *flight, lead bool) {
-	call, cl := c.flights.lead(key, servableID, RunResult{})
-	if cl == claimKept {
+	call, cl := c.flights.Lead(key, servableID, RunResult{})
+	if cl == outcome.ClaimKept {
 		c.hits.Inc()
-		return call.val, nil, false
+		return call.Val, nil, false
 	}
 	c.misses.Inc()
-	return RunResult{}, call, cl == claimLead
+	return RunResult{}, call, cl == outcome.ClaimLead
 }
 
 // finish ends a led call: a successful result is stored unless an
@@ -297,14 +298,14 @@ func (c *resultCache) lookup(key cacheKey, servableID string) (res RunResult, ca
 // is the bytes the entry keeps alive (only successful non-pipeline
 // results are cached: Error and Steps are empty).
 func (c *resultCache) finish(call *flight, res RunResult, err error) {
-	c.flights.finish(call, res, err, err == nil, int64(len(res.TaskID)+len(res.Output)+len(res.Outputs)))
+	c.flights.Finish(call, res, err, err == nil, int64(len(res.TaskID)+len(res.Output)+len(res.Outputs)))
 }
 
 // invalidate drops every entry for one servable (all versions, all
 // inputs) and forgets its calls in flight — the
 // Publish/UpdateMetadata/Scale hook.
 func (c *resultCache) invalidate(servableID string) int {
-	n := c.flights.forget(servableID)
+	n := c.flights.Forget(servableID)
 	c.invalidations.Add(uint64(n))
 	return n
 }
@@ -312,19 +313,19 @@ func (c *resultCache) invalidate(servableID string) int {
 // flush empties the cache and forgets every call in flight, keeping
 // counters.
 func (c *resultCache) flush() {
-	c.invalidations.Add(uint64(c.flights.forgetAll()))
+	c.invalidations.Add(uint64(c.flights.ForgetAll()))
 }
 
 // stats snapshots the counters.
 func (c *resultCache) stats() CacheStats {
-	st := c.flights.stats()
+	st := c.flights.Stats()
 	return CacheStats{
-		Entries:       st.kept,
-		Bytes:         st.bytes,
+		Entries:       st.Kept,
+		Bytes:         st.Bytes,
 		Hits:          c.hits.Value(),
 		Misses:        c.misses.Value(),
-		Evictions:     st.evictions,
-		Expirations:   st.expirations,
+		Evictions:     st.Evictions,
+		Expirations:   st.Expirations,
 		Invalidations: c.invalidations.Value(),
 		Collapsed:     c.collapsed.Value(),
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -11,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/outcome"
 )
 
 // key is a cache key for a test that names its entries.
@@ -38,7 +41,7 @@ var errNoResult = errors.New("no result")
 
 // put stores res under key as a leader's finish does.
 func (c *resultCache) put(key cacheKey, servableID string, res RunResult) {
-	if call, cl := c.flights.lead(key, servableID, RunResult{}); cl == claimLead {
+	if call, cl := c.flights.Lead(key, servableID, RunResult{}); cl == outcome.ClaimLead {
 		c.finish(call, res, nil)
 	}
 }
@@ -66,7 +69,7 @@ func TestResultCacheLRUEviction(t *testing.T) {
 func TestResultCacheTTL(t *testing.T) {
 	now := time.Now()
 	c := newResultCache(CacheConfig{TTL: time.Minute})
-	c.flights.now = func() time.Time { return now }
+	c.flights.Now = func() time.Time { return now }
 	c.put(key("k"), "s1", testResult("v"))
 	if _, ok := c.get(key("k")); !ok {
 		t.Fatal("fresh entry should hit")
@@ -281,9 +284,8 @@ func TestResultCacheCollapsesMisses(t *testing.T) {
 		}
 	}
 	c.finish(leader, testResult("once"), nil)
-	<-leader.done
-	if string(leader.val.Output) != "once" || leader.err != nil {
-		t.Fatalf("followers see %s, %v", leader.val.Output, leader.err)
+	if got := follow(t, c, leader); string(got.Val.Output) != "once" || got.Err != nil {
+		t.Fatalf("followers see %s, %v", got.Val.Output, got.Err)
 	}
 	if st := c.stats(); st.Misses != callers || st.Entries != 1 {
 		t.Fatalf("want %d misses and the one result stored, got %+v", callers, st)
@@ -291,6 +293,40 @@ func TestResultCacheCollapsesMisses(t *testing.T) {
 	if res, ok := c.get(key("k")); !ok || string(res.Output) != "once" {
 		t.Fatal("the leader's result should hit")
 	}
+}
+
+// follow waits on call as a follower that takes any outcome, and
+// returns the entry it took.
+func follow(t *testing.T, c *resultCache, call *flight) *flight {
+	t.Helper()
+	got, _, err := c.flights.Follow(context.Background(), call, func(*flight) bool { return false })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestOutcomesLeaderPanicIsInternal: a cache leader that unwinds
+// without finishing — a panic, recovered further up — is finished by
+// its deferred Abandon with errAborted, as serveMiss defers it: its
+// followers answer internal, nothing is stored, and the next lookup
+// leads afresh.
+func TestOutcomesLeaderPanicIsInternal(t *testing.T) {
+	c := newResultCache(CacheConfig{})
+	leader := mustLead(t, c, key("k"), "s1")
+	_, follower, _ := c.lookup(key("k"), "s1")
+	func() {
+		defer func() { recover() }() //nolint:errcheck — the panic is the test
+		defer c.flights.Abandon(leader, errAborted)
+		panic("dispatch blew up")
+	}()
+	if got := follow(t, c, follower); !errors.Is(got.Err, ErrInternal) {
+		t.Fatalf("a follower of a panicked leader got %v, want internal", got.Err)
+	}
+	if st := c.stats(); st.Entries != 0 {
+		t.Fatalf("a panicked dispatch was stored: %+v", st)
+	}
+	mustLead(t, c, key("k"), "s1")
 }
 
 func TestResultCacheFinishError(t *testing.T) {
@@ -301,9 +337,8 @@ func TestResultCacheFinishError(t *testing.T) {
 	}
 	wantErr := fmt.Errorf("boom")
 	c.finish(call, RunResult{}, wantErr)
-	<-call.done
-	if call.err != wantErr {
-		t.Fatalf("followers should share the leader's error, got %v", call.err)
+	if got := follow(t, c, call); got.Err != wantErr {
+		t.Fatalf("followers should share the leader's error, got %v", got.Err)
 	}
 	// A failed call stores nothing and does not poison the key.
 	retry := mustLead(t, c, key("k"), "s1")

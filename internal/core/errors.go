@@ -108,6 +108,10 @@ var (
 	ErrInternal    = &Error{Code: CodeInternal, HTTPStatus: http.StatusInternalServerError, Message: "core: internal error"}
 )
 
+// errAborted finishes a keyed execution whose leader unwound without
+// finishing it (outcome.Table.Abandon): its followers answer internal.
+var errAborted = ErrInternal.WithDetail("execution aborted")
+
 // wrapCtxErr converts a context termination into its typed service
 // error, keeping the original as the cause so errors.Is(err,
 // context.Canceled) / errors.Is(err, context.DeadlineExceeded) hold.

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"time"
+
+	"repro/internal/outcome"
 )
 
 // ReservationsEmpty reports whether the two-level (tenant × servable)
@@ -48,9 +50,11 @@ func (s *Service) RunAsync(ctx context.Context, caller Caller, servableID string
 
 // SetIdempotencyCap bounds the idempotency key table at n keys, and
 // SetIdempotencyClock replaces its clock; both before the first request.
-func (s *Service) SetIdempotencyCap(n int) { s.idem.max = n }
+func (s *Service) SetIdempotencyCap(n int) {
+	s.idem = outcome.New[string, idemReply](idemTTL, n, 0)
+}
 
-func (s *Service) SetIdempotencyClock(now func() time.Time) { s.idem.now = now }
+func (s *Service) SetIdempotencyClock(now func() time.Time) { s.idem.Now = now }
 
 // DecodeRunBody is the run route's one-pass body decode.
 var DecodeRunBody = decodeRunBody

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"time"
+
+	"repro/internal/outcome"
 )
 
 // Idempotency keys for the v2 mutating routes (run, publish). A client
@@ -15,7 +17,7 @@ import (
 // for that execution instead of starting a second one. Keys are scoped
 // per caller identity and route, so two users (or two routes) reusing
 // the same key never collide. The executions and their responses live
-// in an outcome table (outcomes.go).
+// in an outcome table (internal/outcome).
 
 // IdempotencyKeyHeader is the request header carrying the client's
 // chosen key; IdempotencyReplayedHeader marks a replayed response.
@@ -78,34 +80,34 @@ func (s *Service) idempotent(w http.ResponseWriter, r *http.Request, c Caller, f
 		return
 	}
 	scoped := c.IdentityID + "|" + r.Method + " " + r.URL.Path + "|" + key
-	e, cl := s.idem.lead(scoped, "", idemReply{})
-	if cl != claimLead {
+	e, cl := s.idem.Lead(scoped, "", idemReply{})
+	if cl != outcome.ClaimLead {
 		var led bool
 		var err error
-		if e, led, err = s.idem.follow(r.Context(), e, transient); err != nil {
+		if e, led, err = s.idem.Follow(r.Context(), e, transient); err != nil {
 			writeV2Error(w, wrapCtxErr(err))
 			return
 		}
 		if !led {
 			w.Header().Set(IdempotencyReplayedHeader, "true")
-			if e.err != nil {
-				writeV2Error(w, e.err)
+			if e.Err != nil {
+				writeV2Error(w, e.Err)
 				return
 			}
-			buf.Write(e.val.body)
-			finishEnvelope(w, e.val.status, buf)
+			buf.Write(e.Val.body)
+			finishEnvelope(w, e.Val.status, buf)
 			return
 		}
 	}
-	defer s.idem.abandon(e)
+	defer s.idem.Abandon(e, errAborted)
 	status, err := fn(buf)
 	if err != nil {
 		serr := Classify(err)
-		s.idem.finish(e, idemReply{}, serr, replayable(serr), 0)
+		s.idem.Finish(e, idemReply{}, serr, replayable(serr), 0)
 		writeV2Error(w, err)
 		return
 	}
-	s.idem.finish(e, idemReply{status, bytes.Clone(buf.Bytes()[len(envelopeOpen):])}, nil, true, 0) // buf goes back to the pool
+	s.idem.Finish(e, idemReply{status, bytes.Clone(buf.Bytes()[len(envelopeOpen):])}, nil, true, 0) // buf goes back to the pool
 	finishEnvelope(w, status, buf)
 }
 
@@ -113,8 +115,8 @@ func (s *Service) idempotent(w http.ResponseWriter, r *http.Request, c Caller, f
 // execution which failed transiently (its client canceled, an outage...)
 // is exactly the retry the key exists for, so it executes afresh instead
 // of taking that failure.
-func transient(e *outcome[string, idemReply]) bool {
-	return e.err != nil && !replayable(Classify(e.err))
+func transient(e *outcome.Entry[string, idemReply]) bool {
+	return e.Err != nil && !replayable(Classify(e.Err))
 }
 
 // replayable reports whether a failure is definitive enough to replay

@@ -68,6 +68,7 @@ import (
 	"repro/internal/auth"
 	"repro/internal/container"
 	"repro/internal/executor"
+	"repro/internal/outcome"
 	"repro/internal/queue"
 	"repro/internal/schema"
 	"repro/internal/search"
@@ -187,12 +188,12 @@ type Service struct {
 	failoverExhausted    atomic.Uint64
 
 	// tasks are the async runs by task ID, each pending until its run
-	// finishes and then kept for TaskRetention (outcomes.go).
-	tasks *outcomes[string, AsyncTask]
+	// finishes and then kept for TaskRetention (internal/outcome).
+	tasks *outcome.Table[string, AsyncTask]
 
 	// idem holds the idempotency-keyed v2 executions and their
 	// responses for replay (idempotency.go).
-	idem *outcomes[string, idemReply]
+	idem *outcome.Table[string, idemReply]
 
 	// accounts is the authority that holds every account (auth_http.go):
 	// cfg.Auth, or with authentication off a private one nobody logs in
@@ -251,8 +252,8 @@ func New(cfg Config) *Service {
 		broker:   queue.NewBroker(10 * time.Minute),
 		builder:  container.NewBuilder(cfg.Registry),
 		repo:     newRepository(),
-		tasks:    newOutcomes[string, AsyncTask](cfg.TaskRetention, 0, 0),
-		idem:     newOutcomes[string, idemReply](idemTTL, idemMax, 0),
+		tasks:    outcome.New[string, AsyncTask](cfg.TaskRetention, 0, 0),
+		idem:     outcome.New[string, idemReply](idemTTL, idemMax, 0),
 		timeFunc: time.Now,
 		accounts: cfg.Auth,
 		door:     newDoor(),
@@ -262,7 +263,7 @@ func New(cfg Config) *Service {
 	}
 	s.routesV2(s.door)
 	s.route = newRoutingTable(cfg.TMStaleAfter, cfg.MaxQueue, func() time.Time { return s.timeFunc() })
-	s.tasks.now = func() time.Time { return s.timeFunc() } // retention counts from AsyncTask.Finished
+	s.tasks.Now = func() time.Time { return s.timeFunc() } // retention counts from AsyncTask.Finished
 	s.lifeCtx, s.lifeCancel = context.WithCancel(context.Background())
 	if !cfg.Cache.Disabled {
 		s.cache = newResultCache(cfg.Cache)
@@ -753,24 +754,24 @@ func (s *Service) serveMiss(ctx context.Context, caller Caller, call *flight, le
 	defer cancel()
 	if call != nil && !lead {
 		var err error
-		call, lead, err = s.cache.flights.follow(ctx, call, func(c *flight) bool {
-			return errors.Is(c.err, context.Canceled) && ctx.Err() == nil
+		call, lead, err = s.cache.flights.Follow(ctx, call, func(c *flight) bool {
+			return errors.Is(c.Err, context.Canceled) && ctx.Err() == nil
 		})
 		switch {
 		case err != nil:
 			return RunResult{}, fmt.Errorf("%w (awaiting identical in-flight request)", wrapCtxErr(err))
 		case lead:
-		case call.err != nil:
-			return call.val, call.err
+		case call.Err != nil:
+			return call.Val, call.Err
 		default:
 			s.cache.collapsed.Inc()
-			return markCacheHit(call.val, start), nil
+			return markCacheHit(call.Val, start), nil
 		}
 	}
 	if call == nil {
 		return s.admitAndDispatch(ctx, caller, task, weight)
 	}
-	defer s.cache.flights.abandon(call)
+	defer s.cache.flights.Abandon(call, errAborted)
 	res, err := s.admitAndDispatch(ctx, caller, task, weight)
 	s.cache.finish(call, res, err)
 	return res, err
@@ -1044,7 +1045,7 @@ func (s *Service) runAsync(ctx context.Context, caller Caller, servableID string
 	}
 	id := queue.NewID()
 	at := AsyncTask{ID: id, Status: "pending", Tenant: caller.Tenant, Created: s.timeFunc()}
-	e, _ := s.tasks.lead(id, "", at)
+	e, _ := s.tasks.Lead(id, "", at)
 
 	// The detached context keeps ctx's values but not its cancellation;
 	// Run applies the usual deadline policy.
@@ -1063,7 +1064,7 @@ func (s *Service) runAsync(ctx context.Context, caller Caller, servableID string
 			at.Status = "completed"
 			at.Reply = &res.Reply
 		}
-		s.tasks.finish(e, at, nil, true, 0)
+		s.tasks.Finish(e, at, nil, true, 0)
 	}()
 	return id, nil
 }
@@ -1081,13 +1082,13 @@ type TaskStats struct {
 // TaskStats snapshots the async-task counters, deleting the finished
 // tasks whose retention has run out first.
 func (s *Service) TaskStats() TaskStats {
-	st := s.tasks.stats()
-	return TaskStats{Tracked: st.entries, Swept: st.expirations}
+	st := s.tasks.Stats()
+	return TaskStats{Tracked: st.Entries, Swept: st.Expirations}
 }
 
 // TaskStatus fetches an async task's state.
 func (s *Service) TaskStatus(taskID string) (*AsyncTask, error) {
-	at, _, ok := s.tasks.get(taskID)
+	at, _, ok := s.tasks.Get(taskID)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrTaskNotFound, taskID)
 	}
@@ -1097,7 +1098,7 @@ func (s *Service) TaskStatus(taskID string) (*AsyncTask, error) {
 // TaskWatch returns a channel closed when the task completes (already
 // closed for finished tasks), for event streams that must not poll.
 func (s *Service) TaskWatch(taskID string) (<-chan struct{}, error) {
-	_, done, ok := s.tasks.get(taskID)
+	_, done, ok := s.tasks.Get(taskID)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrTaskNotFound, taskID)
 	}

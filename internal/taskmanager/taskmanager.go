@@ -20,7 +20,6 @@ import (
 	"cmp"
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -30,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/executor"
+	"repro/internal/outcome"
 	"repro/internal/queue"
 	"repro/internal/rpc"
 	"repro/internal/schema"
@@ -197,17 +197,14 @@ type Config struct {
 type TM struct {
 	cfg Config
 
-	memoMu sync.RWMutex
-	memo   map[string]Reply // key -> the reply as first computed (read-only)
-	memoOn bool
-	// memoRing holds one slot per memo entry, in the order they were
-	// stored: at memoCap entries a new one takes the oldest's slot
-	// (memoNext) and evicts it. Deploy/undeploy clear the slots of
-	// exactly one servable: a redeploy may carry a different model under
-	// the same name (notably republish-after-unpublish, which restarts
-	// at version 1), and its memoized outputs must not survive it.
-	memoRing []memoSlot
-	memoNext int
+	// memo is the TM cache, nil while memoization is off: memoKey → the
+	// reply as first computed (read-only), each entry in its servable's
+	// group. Deploy/undeploy forget exactly one servable — its kept
+	// replies and its runs in flight: a redeploy may carry a different
+	// model under the same name (notably republish-after-unpublish,
+	// which restarts at version 1), and its memoized outputs must not
+	// survive it.
+	memo atomic.Pointer[outcome.Table[[sha256.Size]byte, Reply]]
 
 	// servable -> executor route, set at deploy time.
 	routeMu sync.RWMutex
@@ -223,15 +220,13 @@ type TM struct {
 	// queue is a ctxPuller.
 	pull func(qname string) (queue.Message, bool, error)
 
-	statMu    sync.Mutex
-	completed uint64
-	hits      uint64
-	active    int
+	completed, hits atomic.Uint64
+	active          atomic.Int64
 	// killed marks an abrupt Kill(): the TM must behave like a kill -9
 	// victim, so every reply still on its way out is suppressed — the
 	// Management Service's dead-TM watchdog is what must observe the
 	// loss, not a polite error reply.
-	killed bool
+	killed atomic.Bool
 
 	// reg is the registration body template re-marshaled (with the
 	// current active count) on every heartbeat.
@@ -252,12 +247,8 @@ func New(cfg Config) (*TM, error) {
 	if cfg.Pullers <= 0 {
 		cfg.Pullers = 4
 	}
-	tm := &TM{
-		cfg:    cfg,
-		memo:   make(map[string]Reply),
-		memoOn: cfg.Memoize,
-		routes: make(map[string]string),
-	}
+	tm := &TM{cfg: cfg, routes: make(map[string]string)}
+	tm.SetMemoize(cfg.Memoize)
 	tm.ctx, tm.cancel = context.WithCancel(context.Background())
 	tm.pull = func(qname string) (queue.Message, bool, error) { return cfg.Queue.Pull(qname, pollTimeout) }
 	if q, ok := cfg.Queue.(ctxPuller); ok {
@@ -309,29 +300,21 @@ func (tm *TM) heartbeatLoop() {
 }
 
 // Active reports how many tasks this TM is currently executing.
-func (tm *TM) Active() int {
-	tm.statMu.Lock()
-	defer tm.statMu.Unlock()
-	return tm.active
-}
+func (tm *TM) Active() int { return int(tm.active.Load()) }
 
-// SetMemoize toggles the TM cache (cleared when disabled).
+// SetMemoize toggles the TM cache. Off drops it; on starts an empty one
+// unless there is one already. A run in flight across a toggle finishes
+// into the table it started in, which is no longer the TM's.
 func (tm *TM) SetMemoize(on bool) {
-	tm.memoMu.Lock()
-	tm.memoOn = on
 	if !on {
-		tm.memo = make(map[string]Reply)
-		tm.memoRing, tm.memoNext = nil, 0
+		tm.memo.Store(nil)
+		return
 	}
-	tm.memoMu.Unlock()
+	tm.memo.CompareAndSwap(nil, outcome.New[[sha256.Size]byte, Reply](0, memoCap, 0))
 }
 
 // Stats reports (completed tasks, cache hits).
-func (tm *TM) Stats() (uint64, uint64) {
-	tm.statMu.Lock()
-	defer tm.statMu.Unlock()
-	return tm.completed, tm.hits
-}
+func (tm *TM) Stats() (uint64, uint64) { return tm.completed.Load(), tm.hits.Load() }
 
 // Close cancels the TM lifetime context and waits for the pull loops
 // and the heartbeat to end, then closes the executors. A pull waiting
@@ -356,9 +339,7 @@ func (tm *TM) Close() {
 // restarted TM reattaches to them). Fault-injection hook for chaos
 // scenarios; production teardown is Close.
 func (tm *TM) Kill() {
-	tm.statMu.Lock()
-	tm.killed = true
-	tm.statMu.Unlock()
+	tm.killed.Store(true)
 	tm.cancel()
 	tm.wg.Wait()
 }
@@ -387,14 +368,8 @@ func (tm *TM) handle(msg queue.Message) {
 		tm.reply(msg, Reply{OK: false, Error: "bad task: " + err.Error()})
 		return
 	}
-	tm.statMu.Lock()
-	tm.active++
-	tm.statMu.Unlock()
-	defer func() {
-		tm.statMu.Lock()
-		tm.active--
-		tm.statMu.Unlock()
-	}()
+	tm.active.Add(1)
+	defer tm.active.Add(-1)
 	start := time.Now()
 	var rep Reply
 	switch task.Kind {
@@ -418,16 +393,11 @@ func (tm *TM) handle(msg queue.Message) {
 		rep.InvocationMicros = invocationMicros(start)
 	}
 	tm.reply(msg, rep)
-	tm.statMu.Lock()
-	tm.completed++
-	tm.statMu.Unlock()
+	tm.completed.Add(1)
 }
 
 func (tm *TM) reply(msg queue.Message, rep Reply) {
-	tm.statMu.Lock()
-	killed := tm.killed
-	tm.statMu.Unlock()
-	if killed {
+	if tm.killed.Load() {
 		// A kill -9 victim sends nothing; the claimed message must look
 		// lost so the watchdog-and-purge path owns the recovery.
 		return
@@ -533,78 +503,65 @@ func invocationMicros(start time.Time) int64 {
 // them. The Management Service's door compacts a payload, so whitespace
 // a client sent never splits entries; member order inside an object does
 // (the service-layer cache in front is keyed canonically).
-func memoKey(servableID string, input any) string {
+func memoKey(servableID string, input any) (sum [sha256.Size]byte) {
 	raw, _ := input.(json.RawMessage)
 	h := sha256.New()
 	h.Write([]byte(servableID))
 	h.Write([]byte{0})
 	h.Write(raw)
-	var sum [sha256.Size]byte
-	return hex.EncodeToString(h.Sum(sum[:0]))
+	h.Sum(sum[:0])
+	return sum
 }
 
-// memoCap bounds the memo's entries, across servables.
+// memoCap bounds the memo's kept replies, across servables; past it the
+// least recently used goes.
 const memoCap = 4096
 
-// memoSlot is one memo entry's place in memoRing; the zero slot is free.
-type memoSlot struct{ key, servable string }
-
-// invalidateMemo drops a servable's memo entries and frees their slots
-// — the deploy/undeploy hook.
+// invalidateMemo forgets a servable's memo entries, kept and in flight —
+// the deploy/undeploy hook.
 func (tm *TM) invalidateMemo(servableID string) {
-	tm.memoMu.Lock()
-	for i, sl := range tm.memoRing {
-		if sl.servable == servableID {
-			delete(tm.memo, sl.key)
-			tm.memoRing[i] = memoSlot{}
-		}
+	if memo := tm.memo.Load(); memo != nil {
+		memo.Forget(servableID)
 	}
-	tm.memoMu.Unlock()
 }
 
-// storeMemo records rep under key, evicting the oldest entry at
-// memoCap. A key already stored (two first runs of one input) keeps
-// its slot.
-func (tm *TM) storeMemo(key, servableID string, rep Reply) {
-	tm.memoMu.Lock()
-	defer tm.memoMu.Unlock()
-	if _, ok := tm.memo[key]; !ok {
-		sl := memoSlot{key, servableID}
-		if len(tm.memoRing) < memoCap {
-			tm.memoRing = append(tm.memoRing, sl)
-		} else {
-			delete(tm.memo, tm.memoRing[tm.memoNext].key)
-			tm.memoRing[tm.memoNext] = sl
-			tm.memoNext = (tm.memoNext + 1) % memoCap
-		}
-	}
-	tm.memo[key] = rep
-}
-
+// handleRun runs one task, through the memo when it is on — served
+// entirely at the TM (§V-B5). A reply kept or still being computed for
+// the same input is a hit. Only successful replies are kept.
 func (tm *TM) handleRun(task *Task) Reply {
 	start := time.Now()
-	// Memoization check — served entirely at the TM (§V-B5).
-	useMemo := false
-	var key string
-	tm.memoMu.RLock()
-	useMemo = tm.memoOn && !task.NoMemo
-	tm.memoMu.RUnlock()
-	if useMemo {
-		key = memoKey(task.Servable, task.Input)
-		tm.memoMu.RLock()
-		rep, ok := tm.memo[key]
-		tm.memoMu.RUnlock()
-		if ok {
+	memo := tm.memo.Load()
+	if memo == nil || task.NoMemo {
+		return tm.invoke(task, start)
+	}
+	e, c := memo.Lead(memoKey(task.Servable, task.Input), task.Servable, Reply{})
+	if c != outcome.ClaimLead {
+		var led bool
+		var err error
+		if e, led, err = memo.Follow(tm.ctx, e, failedReply); err != nil {
+			return Reply{OK: false, Error: err.Error()}
+		}
+		if !led {
+			tm.hits.Add(1)
+			rep := e.Val
 			rep.Cached = true
 			rep.InferenceMicros = 0
 			rep.InvocationMicros = invocationMicros(start)
-			tm.statMu.Lock()
-			tm.hits++
-			tm.statMu.Unlock()
 			return rep
 		}
 	}
+	defer memo.Abandon(e, nil) // a zero Reply is not OK: its followers run for themselves
+	rep := tm.invoke(task, start)
+	memo.Finish(e, rep, nil, rep.OK, 0)
+	return rep
+}
 
+// failedReply is the memo's retry rule: a reply that is not OK is not
+// shared, and a run that waited on it runs for itself.
+func failedReply(e *outcome.Entry[[sha256.Size]byte, Reply]) bool { return !e.Val.OK }
+
+// invoke runs task on its executor.
+func (tm *TM) invoke(task *Task, start time.Time) Reply {
 	ex, err := tm.executorFor(task)
 	if err != nil {
 		return Reply{OK: false, Error: err.Error()}
@@ -613,16 +570,12 @@ func (tm *TM) handleRun(task *Task) Reply {
 	if err != nil {
 		return Reply{OK: false, Error: err.Error()}
 	}
-	rep := Reply{
+	return Reply{
 		OK:               true,
 		Output:           res.Output,
 		InferenceMicros:  res.InferenceMicros,
 		InvocationMicros: invocationMicros(start),
 	}
-	if useMemo {
-		tm.storeMemo(key, task.Servable, rep)
-	}
-	return rep
 }
 
 // handleBatch runs a batch's items on w = min(n, GOMAXPROCS +

@@ -34,12 +34,14 @@ func roundTrip(b *queue.Broker, queueName string, body []byte, timeout time.Dura
 // fakeExecutor counts invocations and returns canned outputs. The Task
 // Manager hands an executor the payload's bytes; like a servable, the
 // fake decodes them itself, and keeps what it was handed for the tests
-// that check the bytes arrive untouched.
+// that check the bytes arrive untouched. Deploy, Scale and Undeploy
+// return refuse when it is set.
 type fakeExecutor struct {
 	mu       sync.Mutex
 	deployed map[string]int
 	invoked  int
 	fail     bool
+	refuse   error
 	got      []any
 }
 
@@ -52,6 +54,9 @@ func (f *fakeExecutor) Name() string { return "fake" }
 func (f *fakeExecutor) Deploy(pkg *servable.Package, replicas int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.refuse != nil {
+		return f.refuse
+	}
 	f.deployed[pkg.Doc.ID] = replicas
 	return nil
 }
@@ -59,6 +64,9 @@ func (f *fakeExecutor) Deploy(pkg *servable.Package, replicas int) error {
 func (f *fakeExecutor) Scale(id string, replicas int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.refuse != nil {
+		return f.refuse
+	}
 	if _, ok := f.deployed[id]; !ok {
 		return executor.ErrNotDeployed
 	}
@@ -90,6 +98,9 @@ func (f *fakeExecutor) Invoke(_ context.Context, id string, input any) (executor
 func (f *fakeExecutor) Undeploy(id string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.refuse != nil {
+		return f.refuse
+	}
 	delete(f.deployed, id)
 	return nil
 }
@@ -108,21 +119,62 @@ func (f *fakeExecutor) invocations() int {
 	return f.invoked
 }
 
+// gatedExecutor is a fakeExecutor whose Invoke signals entered and then
+// waits for the test to release it with the error it returns: nil runs
+// the fake, and a closed release lets every invocation run. Both
+// channels hold more than any test's invocations, so a send never waits
+// on the other side's pace.
+type gatedExecutor struct {
+	*fakeExecutor
+	entered chan struct{}
+	release chan error
+}
+
+func newGatedExecutor() *gatedExecutor {
+	return &gatedExecutor{newFakeExecutor(), make(chan struct{}, 16), make(chan error, 16)}
+}
+
+func (g *gatedExecutor) Invoke(ctx context.Context, id string, input any) (executor.Result, error) {
+	g.entered <- struct{}{}
+	select {
+	case err := <-g.release:
+		res, ferr := g.fakeExecutor.Invoke(ctx, id, input) // counts the invocation
+		if err != nil {
+			return executor.Result{}, err
+		}
+		return res, ferr
+	case <-ctx.Done():
+		return executor.Result{}, ctx.Err()
+	}
+}
+
 func startTM(t *testing.T, memo bool) (*TM, *queue.Broker, *fakeExecutor) {
 	t.Helper()
-	broker := queue.NewBroker(time.Minute)
 	fake := newFakeExecutor()
+	tm, broker := startTMOn(t, memo, fake)
+	return tm, broker, fake
+}
+
+// startTMOn starts a Task Manager whose one route runs on ex.
+func startTMOn(t *testing.T, memo bool, ex executor.Executor) (*TM, *queue.Broker) {
+	t.Helper()
+	broker := queue.NewBroker(time.Minute)
 	tm, err := New(Config{
 		ID:        "tm-test",
 		Queue:     BrokerAdapter{B: broker},
-		Executors: map[string]executor.Executor{"parsl": fake},
+		Executors: map[string]executor.Executor{"parsl": ex},
 		Memoize:   memo,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tm.Close(); broker.Close() })
-	return tm, broker, fake
+	return tm, broker
+}
+
+// runTask is a run of dlhub/noop on input, as the door encodes it.
+func runTask(input string) *Task {
+	return &Task{Kind: "run", Servable: "dlhub/noop", Input: json.RawMessage(strconv.Quote(input))}
 }
 
 func request(t *testing.T, broker *queue.Broker, task Task) Reply {
@@ -427,6 +479,71 @@ func TestScaleAndUndeployTasks(t *testing.T) {
 	}
 }
 
+// TestControlFailuresChangeNothing: a deploy, scale or undeploy the Task
+// Manager cannot carry out — no package, a package doc that does not
+// decode, a route the site lacks, an executor that refuses — answers a
+// failure reply and leaves the routes and the memo as they were.
+func TestControlFailuresChangeNothing(t *testing.T) {
+	tm, broker, fake := startTM(t, true)
+	deployNoop(t, broker)
+	if rep := request(t, broker, Task{ID: "m", Kind: "run", Servable: "dlhub/noop", Input: "x"}); !rep.OK {
+		t.Fatalf("memoized run: %+v", rep)
+	}
+	noop := servable.NoopPackage()
+	noop.Doc.ID = "dlhub/noop"
+	redeploy, err := EncodePackage(noop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := servable.NoopPackage()
+	other.Doc.ID = "dlhub/other"
+	fresh, err := EncodePackage(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := errors.New("cluster refused")
+	cases := []struct {
+		name   string
+		refuse error
+		task   Task
+		want   string
+	}{
+		{"deploy without package", nil, Task{Kind: "deploy"}, "without package"},
+		{"bad package doc", nil, Task{Kind: "deploy", Package: &PackageWire{Doc: json.RawMessage(`[1]`)}}, "bad package doc"},
+		{"deploy on an unknown route", nil, Task{Kind: "deploy", Executor: "nope", Package: redeploy}, "not available"},
+		{"scale on an unknown route", nil, Task{Kind: "scale", Executor: "nope", Servable: "dlhub/noop", Replicas: 3}, "not available"},
+		{"undeploy on an unknown route", nil, Task{Kind: "undeploy", Executor: "nope", Servable: "dlhub/noop"}, "not available"},
+		{"redeploy refused", refused, Task{Kind: "deploy", Package: redeploy}, "refused"},
+		{"new deploy refused", refused, Task{Kind: "deploy", Package: fresh}, "refused"},
+		{"scale refused", refused, Task{Kind: "scale", Servable: "dlhub/noop", Replicas: 3}, "refused"},
+		{"undeploy refused", refused, Task{Kind: "undeploy", Servable: "dlhub/noop"}, "refused"},
+	}
+	for i, c := range cases {
+		fake.mu.Lock()
+		fake.refuse = c.refuse
+		fake.mu.Unlock()
+		c.task.ID = fmt.Sprintf("c%d", i)
+		if rep := request(t, broker, c.task); rep.OK || !strings.Contains(rep.Error, c.want) {
+			t.Fatalf("%s: %+v, want a failure naming %q", c.name, rep, c.want)
+		}
+		tm.routeMu.RLock()
+		routes := fmt.Sprint(tm.routes)
+		tm.routeMu.RUnlock()
+		if routes != "map[dlhub/noop:parsl]" {
+			t.Fatalf("%s: routes became %s", c.name, routes)
+		}
+		if rep := request(t, broker, Task{ID: "h", Kind: "run", Servable: "dlhub/noop", Input: "x"}); !rep.Cached {
+			t.Fatalf("%s: the memoized reply is gone: %+v", c.name, rep)
+		}
+	}
+	if got := fake.invocations(); got != 1 {
+		t.Fatalf("%d invocations, want the first run's alone", got)
+	}
+	if fake.Replicas("dlhub/noop") != 2 {
+		t.Fatalf("replicas became %d", fake.Replicas("dlhub/noop"))
+	}
+}
+
 func TestUnknownKind(t *testing.T) {
 	_, broker, _ := startTM(t, false)
 	rep := request(t, broker, Task{ID: "x", Kind: "dance"})
@@ -506,9 +623,9 @@ func TestPackageRoundTrip(t *testing.T) {
 }
 
 // TestMemoIsBounded: a memoizing Task Manager keeps at most memoCap
-// entries however many distinct inputs it runs, one ring slot per
-// entry; the oldest go first, so a recent input still hits, and an
-// undeploy still drops its servable's entries.
+// replies however many distinct inputs it runs; the least recently used
+// go first, so a recent input still hits, and an undeploy still drops
+// its servable's entries.
 func TestMemoIsBounded(t *testing.T) {
 	tm, broker, fake := startTM(t, true)
 	deployNoop(t, broker)
@@ -521,16 +638,9 @@ func TestMemoIsBounded(t *testing.T) {
 			t.Fatalf("run %d: %+v", i, rep)
 		}
 	}
-	tm.memoMu.RLock()
-	entries, slots := len(tm.memo), len(tm.memoRing)
-	for _, sl := range tm.memoRing {
-		if _, ok := tm.memo[sl.key]; !ok {
-			t.Errorf("slot %+v names no memo entry", sl)
-		}
-	}
-	tm.memoMu.RUnlock()
-	if entries != memoCap || slots != memoCap {
-		t.Fatalf("after %d distinct runs the memo holds %d entries in %d slots, want %d", n, entries, slots, memoCap)
+	memo := tm.memo.Load()
+	if st := memo.Stats(); st.Kept != memoCap || st.Entries != memoCap || st.Evictions != n-memoCap {
+		t.Fatalf("after %d distinct runs the memo holds %+v, want %d kept", n, st, memoCap)
 	}
 	invoked := fake.invocations()
 	if rep := run(n - 1); !rep.Cached {
@@ -546,8 +656,8 @@ func TestMemoIsBounded(t *testing.T) {
 		t.Fatalf("%d invocations for one miss and two hits", got-invoked)
 	}
 	tm.invalidateMemo("dlhub/noop")
-	if rep := run(n - 1); rep.Cached || len(tm.memo) != 1 {
-		t.Fatalf("after an invalidation: cached %v, %d entries; want a miss and the one entry it stored", rep.Cached, len(tm.memo))
+	if rep, kept := run(n-1), memo.Stats().Kept; rep.Cached || kept != 1 {
+		t.Fatalf("after an invalidation: cached %v, %d kept; want a miss and the one reply it kept", rep.Cached, kept)
 	}
 }
 
