@@ -325,8 +325,9 @@ type feed struct {
 	ready chan Message
 	// credit is what the broker holds for this feed, counted from this
 	// end's own frames: granted, less pushed, plus replied. parked counts
-	// callers waiting in PullCtx. Both Client.mu.
-	credit, parked int
+	// callers in PullCtx, and queued the messages pushed to them: in
+	// ready, or taken by a caller still counted in parked. All Client.mu.
+	credit, parked, queued int
 }
 
 // NewClient wraps an established connection to a queue Server.
@@ -384,6 +385,7 @@ func (c *Client) pushed(f *feed, p []byte) {
 	}
 	c.mu.Lock()
 	f.credit--
+	f.queued++
 	c.mu.Unlock()
 	f.ready <- m
 }
@@ -396,33 +398,32 @@ func (c *Client) Pull(queueName string, timeout time.Duration) (Message, bool, e
 // PullCtx takes the next message the broker pushed to this client on
 // the named queue, waiting up to timeout and no longer than ctx lasts;
 // ok is false when none came. Each caller waiting here is one credit:
-// when more wait than the broker holds credit for, the call grants the
-// difference, and the broker pushes one ready message per credit. A
+// when more wait than the broker's credit and the messages already
+// pushed cover, the call grants the difference, and the broker pushes
+// one ready message per credit. Every call parks before it takes, even
+// when a message is ready: a call that took one without parking would
+// leave the parked caller it was pushed for waiting with no credit. A
 // credit outlives a caller that gives up, timed out or canceled, so its
 // message waits for the next call (or Close's nack). A timeout <= 0
 // grants as any call does, then takes only what has already arrived,
 // without waiting. The message's Body is the caller's.
-func (c *Client) PullCtx(ctx context.Context, queueName string, timeout time.Duration) (Message, bool, error) {
+func (c *Client) PullCtx(ctx context.Context, queueName string, timeout time.Duration) (_ Message, ok bool, _ error) {
 	f := c.feed(queueName)
-	select {
-	case m := <-f.ready:
-		return m, true, nil
-	default:
-	}
 	c.mu.Lock()
 	f.parked++
-	grant := min(f.parked, maxCredit) - f.credit
+	grant := min(f.parked, maxCredit) - f.credit - f.queued
 	f.credit += max(grant, 0)
 	c.mu.Unlock()
-	defer func() {
+	defer func() { // a taker leaves parked and queued at once: no count sees it in one alone
 		c.mu.Lock()
 		f.parked--
+		if ok {
+			f.queued--
+		}
 		c.mu.Unlock()
 	}()
-	if grant > 0 {
-		if err := c.grant(f, queueName, grant); err != nil {
-			return Message{}, false, err
-		}
+	if grant > 0 && c.grant(f, queueName, grant) != nil {
+		return Message{}, false, errLost // the failed grant ended the connection
 	}
 	if timeout <= 0 {
 		select {
@@ -432,8 +433,9 @@ func (c *Client) PullCtx(ctx context.Context, queueName string, timeout time.Dur
 			return Message{}, false, nil
 		}
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	timer := timers.Get().(*time.Timer)
+	timer.Reset(timeout)
+	defer func() { timer.Stop(); timers.Put(timer) }() // go 1.23+ timers: no stale fire after Stop
 	select {
 	case m := <-f.ready:
 		return m, true, nil
@@ -444,6 +446,9 @@ func (c *Client) PullCtx(ctx context.Context, queueName string, timeout time.Dur
 	}
 	return Message{}, false, nil
 }
+
+// timers holds stopped timers for PullCtx's waits.
+var timers = sync.Pool{New: func() any { t := time.NewTimer(time.Hour); t.Stop(); return t }}
 
 // grant sends a q5.grant of n on f's stream. A grant that could not be
 // written ends the connection, so no count outlives a lost frame.

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math"
 	"strconv"
+	"strings"
 )
 
 var errBody = errors.New("task payload is not one JSON input or a batch, inline or on newline-ended lines")
@@ -85,7 +86,7 @@ func EncodeTask(t Task) ([]byte, error) {
 // anything else as encoding/json writes it.
 func appendString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' {
+		if !plain(s[i]) {
 			enc, _ := json.Marshal(s) // a string always marshals
 			return append(b, enc...)
 		}
@@ -93,37 +94,46 @@ func appendString(b []byte, s string) []byte {
 	return append(append(append(b, '"'), s...), '"')
 }
 
-// DecodeTask reads a task body: the envelope with encoding/json, the
-// payloads by cutting lines that alias body. It also reads an input
-// inline in the envelope, as json.Marshal(Task) writes it, but not both
-// forms at once. Any bytes may arrive; what is not a task is an error.
-func DecodeTask(body []byte) (*Task, error) {
+// plain reports whether c stands for itself in a JSON string:
+// printable ASCII that is neither a quote nor a backslash.
+func plain(c byte) bool { return c >= 0x20 && c < 0x7f && c != '"' && c != '\\' }
+
+// DecodeTask reads a task body: the envelope in one pass when it is laid
+// out as EncodeTask writes it (readHead), else with encoding/json
+// (decodeHead), and the payloads by cutting lines that alias body. It
+// also reads an input inline in the envelope, as json.Marshal(Task)
+// writes it, but not both forms at once. Any bytes may arrive; what is
+// not a task is an error.
+func DecodeTask(body []byte) (*Task, error) { return decodeTask(body, true) }
+
+// decodeTask is DecodeTask; onePass false leaves every envelope to
+// decodeHead.
+func decodeTask(body []byte, onePass bool) (*Task, error) {
 	head, rest, _ := bytes.Cut(body, []byte{'\n'})
-	var env struct {
-		Task
-		Input json.RawMessage `json:"input"` // shadows Task.Input: an inline input stays bytes
-		Batch bool            `json:"batch"`
+	var t *Task
+	var batch bool
+	if onePass {
+		t, batch = readHead(head)
 	}
-	if err := json.Unmarshal(head, &env); err != nil {
-		return nil, err
+	if t == nil {
+		var err error
+		if t, batch, err = decodeHead(head); err != nil {
+			return nil, err
+		}
 	}
-	t := &env.Task
-	if env.Input != nil {
-		t.Input = env.Input
-	}
-	if (t.Input != nil || t.Inputs != nil) && (env.Batch || len(rest) > 0) {
+	if (t.Input != nil || t.Inputs != nil) && (batch || len(rest) > 0) {
 		return nil, errBody
 	}
-	if env.Batch {
+	if batch {
 		t.Inputs = make([]json.RawMessage, 0, bytes.Count(rest, []byte{'\n'}))
 	}
 	for len(rest) > 0 {
 		line, next, ok := bytes.Cut(rest, []byte{'\n'})
-		if !ok || len(line) == 0 || (!env.Batch && t.Input != nil) {
+		if !ok || len(line) == 0 || (!batch && t.Input != nil) {
 			return nil, errBody
 		}
 		line = line[:len(line):len(line)] // an append to it cannot run into the next line
-		if env.Batch {
+		if batch {
 			t.Inputs = append(t.Inputs, line)
 		} else {
 			t.Input = json.RawMessage(line)
@@ -131,6 +141,124 @@ func DecodeTask(body []byte) (*Task, error) {
 		rest = next
 	}
 	return t, nil
+}
+
+// decodeHead reads any envelope with encoding/json: a deploy's package,
+// escaped or non-ASCII text, another key order, an inline input. It is
+// the reference readHead is held to.
+func decodeHead(head []byte) (*Task, bool, error) {
+	var env struct {
+		Task
+		Input json.RawMessage `json:"input"` // shadows Task.Input: an inline input stays bytes
+		Batch bool            `json:"batch"`
+	}
+	if err := json.Unmarshal(head, &env); err != nil {
+		return nil, false, err
+	}
+	t := &env.Task
+	if env.Input != nil {
+		t.Input = env.Input
+	}
+	return t, env.Batch, nil
+}
+
+// readHead reads an envelope laid out exactly as EncodeTask writes it:
+// "id" first, then each field it sets, in its order, every string of
+// plain bytes. Any other byte — a package, an escape, another order —
+// makes it return a nil Task, having allocated nothing, and decodeHead
+// reads the envelope instead. The Task's strings are substrings of one
+// copy of head.
+func readHead(head []byte) (*Task, bool) {
+	h := headScan{b: head, ok: true}
+	var at [6][2]int // where the id, kind, servable, executor, steps and tenant are in head
+	h.ok = h.lit(`{"id":`)
+	at[0] = h.str()
+	for i, key := range [...]string{`,"kind":`, `,"servable":`, `,"executor":`} {
+		if h.lit(key) {
+			at[1+i] = h.str()
+		}
+	}
+	if h.lit(`,"steps":[`) {
+		at[4] = h.str()
+		for h.lit(",") {
+			at[4][1] = h.str()[1]
+		}
+		h.ok = h.lit("]")
+	}
+	replicas := 0
+	if h.lit(`,"replicas":`) {
+		replicas = h.num()
+	}
+	noMemo := h.lit(`,"no_memo":true`)
+	if h.lit(`,"tenant":`) {
+		at[5] = h.str()
+	}
+	batch := h.lit(`,"batch":true`)
+	if !h.lit("}") || h.i != len(head) {
+		return nil, false
+	}
+	s := string(head)
+	str := func(i int) string { return s[at[i][0]:at[i][1]] }
+	t := &Task{ID: str(0), Kind: str(1), Servable: str(2), Executor: str(3), Replicas: replicas, NoMemo: noMemo, Tenant: str(5)}
+	if at[4][0] > 0 { // a string's quote precedes it: 0 is no steps
+		t.Steps = strings.Split(str(4), `","`) // a step holds no quote: this is only ever a separator
+	}
+	return t, batch
+}
+
+// headScan is readHead's cursor: b[i:] is what is left to read, and ok
+// turns false at the first byte outside the layout, after which
+// nothing more is read.
+type headScan struct {
+	b  []byte
+	i  int
+	ok bool
+}
+
+// lit reads p if what is left starts with it.
+func (h *headScan) lit(p string) bool {
+	if !h.ok || len(h.b)-h.i < len(p) || string(h.b[h.i:h.i+len(p)]) != p {
+		return false
+	}
+	h.i += len(p)
+	return true
+}
+
+// str reads a JSON string of plain bytes, as appendString writes one,
+// and returns where its text starts and ends in b.
+func (h *headScan) str() [2]int {
+	if h.lit(`"`) {
+		j := h.i
+		for j < len(h.b) && plain(h.b[j]) {
+			j++
+		}
+		if j < len(h.b) && h.b[j] == '"' {
+			v := [2]int{h.i, j}
+			h.i = j + 1
+			return v
+		}
+	}
+	h.ok = false
+	return [2]int{}
+}
+
+// num reads a JSON integer, as strconv writes one, that fits an int.
+func (h *headScan) num() int {
+	j := h.i
+	if j < len(h.b) && h.b[j] == '-' {
+		j++
+	}
+	digits := j
+	for j < len(h.b) && '0' <= h.b[j] && h.b[j] <= '9' {
+		j++
+	}
+	n, err := strconv.Atoi(string(h.b[h.i:j]))
+	if !h.ok || err != nil || h.b[digits] == '0' && j > digits+1 {
+		h.ok = false
+		return 0
+	}
+	h.i = j
+	return n
 }
 
 const replyOK, replyCached, replyBatch = 1, 2, 4 // a reply frame's flag bits

@@ -36,8 +36,13 @@ func sameTask(t *testing.T, how string, got, want Task) {
 	t.Helper()
 	if got.ID != want.ID || got.Kind != want.Kind || got.Servable != want.Servable || got.Executor != want.Executor ||
 		!slices.Equal(got.Steps, want.Steps) || got.Replicas != want.Replicas || got.NoMemo != want.NoMemo ||
-		got.Tenant != want.Tenant || (got.Input == nil) != (want.Input == nil) || (got.Inputs == nil) != (want.Inputs == nil) {
+		got.Tenant != want.Tenant || (got.Input == nil) != (want.Input == nil) || (got.Inputs == nil) != (want.Inputs == nil) ||
+		(got.Package == nil) != (want.Package == nil) {
 		t.Fatalf("%s: envelope changed:\n got %+v\nwant %+v", how, got, want)
+	}
+	if want.Package != nil && (!reflect.DeepEqual(value(t, got.Package.Doc), value(t, want.Package.Doc)) ||
+		!reflect.DeepEqual(got.Package.Components, want.Package.Components)) {
+		t.Fatalf("%s: package changed:\n got %+v\nwant %+v", how, got.Package, want.Package)
 	}
 	g, w := payloads(got), payloads(want)
 	if len(g) != len(w) {
@@ -50,12 +55,25 @@ func sameTask(t *testing.T, how string, got, want Task) {
 	}
 }
 
+// sameAsReference fails unless DecodeTask answers body as it does with
+// every envelope left to encoding/json: the same Task, payloads byte for
+// byte, or an error from both.
+func sameAsReference(t *testing.T, body []byte) {
+	t.Helper()
+	got, err := DecodeTask(body)
+	want, refErr := decodeTask(body, false)
+	if (err == nil) != (refErr == nil) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q: one pass gave %+v (%v), the reference %+v (%v)", body, got, err, want, refErr)
+	}
+}
+
 // FuzzTaskCodec holds the task body to its contract on arbitrary tasks:
 // every envelope field and each payload survive EncodeTask → DecodeTask
 // (and the inline form json.Marshal writes), the first "id":" in the body
-// is the task's, each payload is exactly one line, and DecodeTask answers
-// any bytes — the fuzzed ones, and every cut of a valid body — without
-// panicking.
+// is the task's, each payload is exactly one line, and on any bytes — the
+// fuzzed ones, each encoding and every cut of one — DecodeTask's one-pass
+// reader answers as the encoding/json reference does, without panicking.
+// A deploy carries a package whose component is the payload.
 func FuzzTaskCodec(f *testing.F) {
 	for i, p := range []string{
 		" [ 1 ,\n\t2.50 ]\r\n", `"a\nb"`, "\"<>&\u2028\"", `[[1,[2,[]]],[[]]]`, `"\"id\":\"x\""`,
@@ -64,8 +82,22 @@ func FuzzTaskCodec(f *testing.F) {
 		f.Add("0123456789abcdef", "run", "o/m", "", "acme", "", 0, false, []byte(p), uint8(i))
 	}
 	f.Add("d1", "deploy", "o/m", "sagemaker", "", "o/a\x00o/b", 3, true, []byte(`1`), uint8(0))
+	f.Add("1", "run_batch", "o/m", "", "acme", "", 0, true, []byte(`[1,2]`), uint8(2+3*3))
+	f.Add("2", "pipeline", "o/p", "parsl", "", "o/a\x00o/b\x00o/c", 0, false, []byte(`"x"`), uint8(1))
+	f.Add("3", "scale", "o/m", "parsl", "", "", -7, false, []byte(`0`), uint8(0))
+	f.Add("4", "undeploy", "o/m", "", "", "", 0, false, []byte(`0`), uint8(0))
+	f.Add("5", "deploy", "o/m", "", "", "", 1, false, []byte(`{"w":[0.5]}`), uint8(1))
+	f.Add(`a"b\c`, "run", "o/é", "\t", "テナント", "", 0, false, []byte(`"\u00e9"`), uint8(1))
+	f.Add("\x7f", "run", "o/m", "", "a\u2028b", "é\x00\"", 9223372036854775807, true, []byte(`1`), uint8(1))
+	for _, p := range []string{
+		`{"id":"a","replicas":-0}`, `{"id":"a","replicas":01}`, `{"id":"a","replicas":1e2}`, `{"id":"a","steps":[]}`,
+		`{"id":"a","no_memo":false}`, `{"id":"a","tenant":"t","kind":"run"}`, `{"id":"a","ID":"b"}`, `{"id":"a"} `,
+		`{"id":"a","kind":"run","steps":["x","y"],"replicas":99999999999999999999}`,
+	} {
+		f.Add("", "", "", "", "", "", 0, false, []byte(p+"\n1\n"), uint8(0))
+	}
 	f.Fuzz(func(t *testing.T, id, kind, servable, executor, tenant, steps string, replicas int, noMemo bool, payload []byte, shape uint8) {
-		DecodeTask(payload) //nolint:errcheck — any bytes, no panic
+		sameAsReference(t, payload)
 		for _, s := range []string{id, kind, servable, executor, tenant, steps} {
 			if !utf8.ValidString(s) {
 				t.Skip() // encoding/json replaces invalid UTF-8: not this codec's to keep
@@ -77,6 +109,9 @@ func FuzzTaskCodec(f *testing.F) {
 		task := Task{ID: id, Kind: kind, Servable: servable, Executor: executor, Tenant: tenant, Replicas: replicas, NoMemo: noMemo}
 		if steps != "" {
 			task.Steps = strings.Split(steps, "\x00")
+		}
+		if kind == "deploy" {
+			task.Package = &PackageWire{Doc: json.RawMessage(`{"id":"o/m"}`), Components: map[string][]byte{"model": payload}}
 		}
 		switch shape % 3 {
 		case 1:
@@ -101,8 +136,9 @@ func FuzzTaskCodec(f *testing.F) {
 			t.Fatalf("decode %q: %v", body, err)
 		}
 		sameTask(t, "lines", *got, task)
+		sameAsReference(t, body)
 		for cut := 0; cut < len(body); cut += 1 + len(body)/16 {
-			DecodeTask(body[:cut]) //nolint:errcheck — any bytes, no panic
+			sameAsReference(t, body[:cut])
 		}
 
 		inline, err := json.Marshal(task)
@@ -114,6 +150,7 @@ func FuzzTaskCodec(f *testing.F) {
 			t.Fatalf("decode inline %s: %v", inline, err)
 		}
 		sameTask(t, "inline", *got, task)
+		sameAsReference(t, inline)
 	})
 }
 
@@ -203,6 +240,62 @@ func FuzzReplyCodec(f *testing.F) {
 			DecodeReply(body[:cut]) //nolint:errcheck — any bytes, no panic
 		}
 	})
+}
+
+// TestEncodedHeadsReadInOnePass: the envelope EncodeTask writes for every
+// kind but a deploy is read without encoding/json, so an encoder change
+// that leaves the one-pass layout fails here rather than quietly decoding
+// by reflection; what the layout does not account for goes to the
+// reference, and decodes as it did.
+func TestEncodedHeadsReadInOnePass(t *testing.T) {
+	in := json.RawMessage(`"k000000000000000"`)
+	for _, task := range []Task{
+		{ID: "0123456789abcdef", Kind: "run", Servable: "o/m", Executor: "parsl", NoMemo: true, Tenant: "acme", Input: in},
+		{ID: "1", Kind: "run_batch", Servable: "o/m", Inputs: []json.RawMessage{in, in}, Tenant: "acme"},
+		{ID: "2", Kind: "pipeline", Servable: "o/p", Steps: []string{"o/a", "o/b"}, Input: in},
+		{ID: "3", Kind: "scale", Servable: "o/m", Executor: "parsl", Replicas: 3},
+		{ID: "4", Kind: "undeploy", Servable: "o/m"},
+	} {
+		body, err := EncodeTask(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head, _, _ := bytes.Cut(body, []byte{'\n'})
+		if got, _ := readHead(head); got == nil {
+			t.Errorf("%s: %s was left to encoding/json", task.Kind, head)
+		}
+		sameAsReference(t, body)
+	}
+	for _, head := range []string{
+		`{"id":"d","kind":"deploy","package":{"doc":{}}}`,
+		`{"id":"a\"b"}`,
+		`{"id":"é"}`,
+		`{"kind":"run","id":"a"}`,
+		`{"id":"a","kind":"run","input":1}`,
+		`"a"}`,
+		`{"id":"a"`,
+		`{"id":"a","steps":["x",]}`,
+	} {
+		if got, _ := readHead([]byte(head)); got != nil {
+			t.Errorf("%s read in one pass as %+v", head, got)
+		}
+		sameAsReference(t, []byte(head+"\n"))
+	}
+}
+
+// BenchmarkDecodeTask is the Task Manager's read of a run task as
+// EncodeTask writes it: the envelope and one payload line.
+func BenchmarkDecodeTask(b *testing.B) {
+	body, err := EncodeTask(Task{ID: "0123456789abcdef", Kind: "run", Servable: "bench/noop", Input: json.RawMessage(`"k000000000000000"`)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := DecodeTask(body); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // TestDecodeTaskRefusesMixedForms: a payload comes inline or on lines,
